@@ -12,7 +12,7 @@ import dataclasses
 import json
 import os
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Optional
 
 from .engine import DEFAULT_EVENT_BUDGET
 from .errors import ConfigError
@@ -142,40 +142,27 @@ class ScenarioConfig:
         return EMPTY_MAP
 
     def to_dict(self) -> dict:
-        obstacles: Any
-        if self.obstacle_path is not None:
-            obstacles = self.obstacle_path
-        elif self.obstacle_rects:
-            obstacles = [list(r) for r in self.obstacle_rects]
-        else:
-            obstacles = None
-        return {
-            "mobility": {
-                "mode": self.mobility.mode,
-                "vehicle_count": self.mobility.vehicle_count,
-                "road_length_m": self.mobility.road_length_m,
-                "lanes": self.mobility.lanes,
-                "speed_range_mph": list(self.mobility.speed_range_mph),
-                "trace_path": self.mobility.trace_path,
-                "grid_blocks": self.mobility.grid_blocks,
-                "grid_spacing_m": self.mobility.grid_spacing_m,
-                "gateway_fraction": self.mobility.gateway_fraction,
-            },
-            "radio": dataclasses.asdict(self.radio),
-            "cloud": dataclasses.asdict(self.cloud),
-            "workload": {
-                "rate_per_s": self.workload.rate_per_s,
-                "kind": self.workload.kind,
-                "target_rule": self.workload.target_rule,
-                "explicit_targets": list(self.workload.explicit_targets),
-            },
-            "knobs": dataclasses.asdict(self.knobs),
-            "obstacles": obstacles,
-            "protocols": list(self.protocols),
-            "densities": list(self.densities),
-            "seeds": list(self.seeds),
-            "sim_duration_s": self.sim_duration_s,
-        }
+        """The JSON form that from_dict reads back; obstacles become one key."""
+        out = _plain(self)
+        path, rects = out.pop("obstacle_path"), out.pop("obstacle_rects")
+        out["obstacles"] = path if path is not None else (rects or None)
+        return out
+
+
+def _plain(value):
+    # Dataclasses to dicts of their fields and tuples to lists, recursively.
+    if dataclasses.is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
+
+
+# Top-level config keys: the ScenarioConfig fields, with both obstacle
+# fields read from the one "obstacles" key.
+_TOP_KEYS = {"obstacles"} | {
+    f.name for f in dataclasses.fields(ScenarioConfig) if not f.name.startswith("obstacle_")
+}
 
 
 def _check_keys(section: dict, path: str, allowed) -> None:
@@ -218,84 +205,28 @@ def _int_list(value, path: str) -> tuple[int, ...]:
     return tuple(_int(v, f"{path}[{i}]") for i, v in enumerate(value))
 
 
-_TYPED_FIELDS = {
-    MobilitySpec: {
-        "mode": _str,
-        "vehicle_count": _int,
-        "road_length_m": _num,
-        "lanes": _int,
-        "grid_blocks": _int,
-        "grid_spacing_m": _num,
-        "gateway_fraction": _num,
-    },
-    RadioParams: {
-        "range_m": _num,
-        "data_rate_bps": _int,
-        "msg_size_bytes": _int,
-        "prop_speed_mps": _num,
-        "base_loss": _num,
-        "loss_slope": _num,
-        "max_backoff_us": _int,
-        "max_defers": _int,
-    },
-    CloudModel: {"uplink_us": _int, "downlink_us": _int, "processing_us": _int},
-    WorkloadSpec: {"rate_per_s": _num, "kind": _str, "target_rule": _str},
-    ProtocolKnobs: {
-        "ttl_hops": _int,
-        "route_setup_delay_us": _int,
-        "bs_spacing_m": _num,
-        "bs_coverage_m": _num,
-        "k_max_gateways": _int,
-        "window_s": _num,
-        "gateway_access_us": _int,
-        "fog_processing_us": _int,
-        "d_min_m": _num,
-        "th_cap": _int,
-        "maintenance_interval_s": _num,
-        "mobility_tick_s": _num,
-        "beacon_interval_s": _num,
-        "include_beacons_in_metrics": _bool,
-        "drain_s": _num,
-        "event_budget": _int,
-    },
-}
+# Parsers by field annotation; fields with any other annotation are
+# special-cased in from_dict or passed through as given.
+_PARSERS = {"int": _int, "SimTime": _int, "float": _num, "str": _str, "bool": _bool}
 
 
 def _build_section(cls, data, path: str, extra: Optional[dict] = None):
     _expect(data, dict, path)
-    _check_keys(data, path, {f.name for f in dataclasses.fields(cls)})
+    parsers = {f.name: _PARSERS.get(f.type) for f in dataclasses.fields(cls)}
+    _check_keys(data, path, parsers)
     kwargs = dict(extra or {})
-    typed = _TYPED_FIELDS.get(cls, {})
     for name, raw in data.items():
         if name in kwargs:
             continue
-        key = f"{path}.{name}"
-        if name in typed:
-            kwargs[name] = typed[name](raw, key)
-        else:
-            kwargs[name] = raw
+        parse = parsers[name]
+        kwargs[name] = raw if parse is None else parse(raw, f"{path}.{name}")
     return cls(**kwargs)
 
 
 def from_dict(data: dict, base_dir: str = ".") -> ScenarioConfig:
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
-    _check_keys(
-        data,
-        "",
-        {
-            "mobility",
-            "radio",
-            "cloud",
-            "workload",
-            "knobs",
-            "obstacles",
-            "protocols",
-            "densities",
-            "seeds",
-            "sim_duration_s",
-        },
-    )
+    _check_keys(data, "", _TOP_KEYS)
     mobility_raw = dict(_expect(data.get("mobility", {}), dict, "mobility"))
     speed = mobility_raw.pop("speed_range_mph", None)
     mob_extra = {}

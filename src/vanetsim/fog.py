@@ -24,7 +24,6 @@ class FogCell:
     base_station_id: int
     anchor: int  # vehicle id the spread is measured from; always a member
     members: list[int] = field(default_factory=list)  # sorted vehicle ids
-    threshold: int = 20
 
     @property
     def capacity(self) -> int:
@@ -62,13 +61,12 @@ def split_cell(
     order = sorted(cell.members, key=lambda m: (distance(anchor_pos, pos[m]), m))
     near_n = len(order) - len(order) // 2
     near, far = sorted(order[:near_n]), sorted(order[near_n:])
-    near_cell = FogCell(cell.cell_id, cell.base_station_id, cell.anchor, near, cell.threshold)
+    near_cell = FogCell(cell.cell_id, cell.base_station_id, cell.anchor, near)
     far_cell = FogCell(
         new_id(),
         cell.base_station_id,
         nearest_to_centroid(far, pos),
         far,
-        cell.threshold,
     )
     return near_cell, far_cell
 
@@ -81,7 +79,6 @@ def merge_cells(a: FogCell, b: FogCell) -> FogCell:
         keep.base_station_id,
         keep.anchor,
         sorted(keep.members + other.members),
-        keep.threshold,
     )
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, TextIO
+from typing import Iterable, Optional, Sequence
 
 from .engine import SimTime, US_PER_S
 from .radio import LOSS_CAUSES
@@ -201,10 +201,6 @@ def csv_text(summaries: Iterable[MetricsSummary]) -> str:
             f"{s.n_sent},{s.n_delivered},{s.n_lost}"
         )
     return "\n".join(lines) + "\n"
-
-
-def write_csv(summaries: Iterable[MetricsSummary], fh: TextIO) -> None:
-    fh.write(csv_text(summaries))
 
 
 def plot_data_texts(summaries: Iterable[MetricsSummary]) -> dict[str, str]:

@@ -46,8 +46,6 @@ def distance(a: Position, b: Position) -> float:
 class VehicleState:
     vehicle_id: int
     pos: Position
-    speed: float  # m/s
-    heading: float  # radians, 0 along +x
     is_gateway: bool = False
 
 
@@ -57,7 +55,6 @@ class TraceSample:
     vehicle_id: str
     x: float
     y: float
-    speed: float
 
 
 @dataclass
@@ -174,8 +171,6 @@ class SyntheticHighwayProvider(MobilityProvider):
         return VehicleState(
             vehicle_id,
             Position(x, self._lane[vehicle_id] * LANE_WIDTH_M),
-            self._speed[vehicle_id],
-            0.0,
             vehicle_id < self._n_gateways,
         )
 
@@ -236,15 +231,11 @@ class SyntheticGridProvider(MobilityProvider):
         fixed = self._street[vehicle_id] * self.spec.grid_spacing_m
         if self._orient[vehicle_id] == "h":
             pos = Position(along, fixed)
-            heading = 0.0 if self._dir[vehicle_id] > 0 else math.pi
         else:
             pos = Position(fixed, along)
-            heading = math.pi / 2 if self._dir[vehicle_id] > 0 else 3 * math.pi / 2
         return VehicleState(
             vehicle_id,
             pos,
-            self._speed[vehicle_id],
-            heading,
             vehicle_id < self._n_gateways,
         )
 
@@ -267,8 +258,6 @@ class StaticProvider(MobilityProvider):
         return VehicleState(
             vehicle_id,
             self._positions[vehicle_id],
-            0.0,
-            0.0,
             vehicle_id in self._gateways,
         )
 
@@ -299,7 +288,6 @@ class TraceProvider(MobilityProvider):
         self.vehicle_ids = list(range(len(self._labels)))
         self._times: list[list[SimTime]] = []
         self._points: list[list[Position]] = []
-        self._speeds: list[list[float]] = []
         drift = 0.0
         for label in self._labels:
             rows = by_vehicle[label]
@@ -311,7 +299,6 @@ class TraceProvider(MobilityProvider):
             points = [Position(r.x, r.y) for r in rows]
             self._times.append(times)
             self._points.append(points)
-            self._speeds.append([r.speed for r in rows])
             for (t0, p0), (t1, p1) in zip(zip(times, points), zip(times[1:], points[1:])):
                 drift = max(drift, distance(p0, p1) / ((t1 - t0) / US_PER_S))
         self._max_drift = drift
@@ -323,22 +310,19 @@ class TraceProvider(MobilityProvider):
     def position_at(self, vehicle_id: int, t_us: SimTime) -> VehicleState:
         times = self._times[vehicle_id]
         points = self._points[vehicle_id]
-        speeds = self._speeds[vehicle_id]
         is_gw = vehicle_id < self._n_gateways
         if t_us <= times[0]:
-            return VehicleState(vehicle_id, points[0], speeds[0], 0.0, is_gw)
+            return VehicleState(vehicle_id, points[0], is_gw)
         if t_us >= times[-1]:
-            return VehicleState(vehicle_id, points[-1], speeds[-1], 0.0, is_gw)
+            return VehicleState(vehicle_id, points[-1], is_gw)
         k = bisect_right(times, t_us) - 1
         if times[k] == t_us:
-            return VehicleState(vehicle_id, points[k], speeds[k], 0.0, is_gw)
+            return VehicleState(vehicle_id, points[k], is_gw)
         t0, t1 = times[k], times[k + 1]
         frac = (t_us - t0) / (t1 - t0)
         p0, p1 = points[k], points[k + 1]
         pos = Position(p0.x + frac * (p1.x - p0.x), p0.y + frac * (p1.y - p0.y))
-        speed = speeds[k] + frac * (speeds[k + 1] - speeds[k])
-        heading = math.atan2(p1.y - p0.y, p1.x - p0.x) if p1 != p0 else 0.0
-        return VehicleState(vehicle_id, pos, speed, heading, is_gw)
+        return VehicleState(vehicle_id, pos, is_gw)
 
     def max_drift_mps(self) -> float:
         return self._max_drift
@@ -410,7 +394,7 @@ def parse_fcd(path: str) -> list[TraceSample]:
             vid = _require(node, "id", where)
             x = _float_attr(node, "x", where)
             y = _float_attr(node, "y", where)
-            speed = _float_attr(node, "speed", where)
+            _float_attr(node, "speed", where)  # validated only; motion comes from x, y
             previous = last_time.get(vid)
             if previous is not None and time_us <= previous:
                 raise TraceParseError(
@@ -418,7 +402,7 @@ def parse_fcd(path: str) -> list[TraceSample]:
                     f"(previous sample at {previous}us)"
                 )
             last_time[vid] = time_us
-            samples.append(TraceSample(time_us, vid, x, y, speed))
+            samples.append(TraceSample(time_us, vid, x, y))
     return samples
 
 

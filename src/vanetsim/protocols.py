@@ -15,26 +15,22 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .engine import SimTime, US_PER_S
+from .engine import SimTime, to_us
 from .mobility import Position, distance
 from .radio import (
     CHANNEL_LOSS,
     OUT_OF_RANGE,
     SHADOWED,
-    HopOutcome,
     ObstacleMap,
     RadioParams,
     channel_loss,
     hop_delay_us,
     line_of_sight,
+    note_cause,
 )
 
 KIND_BEACON = "beacon"
 KIND_EVENT = "event_driven"
-
-# Higher rank wins when several transmissions failed toward the same
-# recipient and we must pick a single recorded cause.
-_CAUSE_RANK = {OUT_OF_RANGE: 1, SHADOWED: 2, CHANNEL_LOSS: 3}
 
 
 @dataclass(frozen=True)
@@ -68,7 +64,6 @@ class BaseStation:
 class GatewayInfo:
     gateway_id: int
     access_delay_us: SimTime = 5_000
-    bandwidth_bps: int = 10_000_000
 
     def __post_init__(self):
         if self.access_delay_us < 0:
@@ -93,15 +88,6 @@ def nearest_station(stations: Sequence[BaseStation], pos: Position) -> BaseStati
     if not stations:
         raise ValueError("no base stations placed")
     return min(stations, key=lambda s: (distance(s.pos, pos), s.station_id))
-
-
-def scan_trans_range(
-    center: Position, positions: dict[int, Position], radius_m: float, exclude: int = -1
-) -> list[int]:
-    """Vehicle ids within radius_m of center, sorted, excluding one id."""
-    return sorted(
-        v for v, p in positions.items() if v != exclude and distance(center, p) <= radius_m
-    )
 
 
 def obstacle_shadowing(vehicle_pos: Position, station_pos: Position, obstacles: ObstacleMap) -> int:
@@ -243,7 +229,7 @@ class Protocol:
         return None
 
 
-def _fmt_ids(ids) -> str:
+def fmt_ids(ids) -> str:
     return ",".join(str(i) for i in ids)
 
 
@@ -299,18 +285,13 @@ class BaselineFlood(Protocol):
                     )
                     relays += 1
             elif rid in targets and not self.rt.is_recorded(mid, rid):
-                self._note_cause(mid, rid, out.loss_cause)
+                note_cause(self._noted, (mid, rid), out.loss_cause)
         self._pending[mid] -= 1
         tail = ""
         if self._pending[mid] == 0:
             self._finalize(mid)
             tail = " final"
         return f"tx msg={mid} from={job.sender} hop={job.hop} ok={delivered} relay={relays}{tail}"
-
-    def _note_cause(self, mid: int, dst: int, cause: str):
-        prev = self._noted.get((mid, dst))
-        if prev is None or _CAUSE_RANK[cause] > _CAUSE_RANK[prev]:
-            self._noted[(mid, dst)] = cause
 
     def _finalize(self, mid: int):
         msg = self._msgs[mid]
@@ -364,7 +345,7 @@ class HybridVehcloud(Protocol):
         src_pos = rt.pos(msg.src, t)
         bs = rt.nearest_station(src_pos)
         region = rt.region_members(bs, t, exclude=msg.src)
-        window_us = int(rt.knobs.window_s * US_PER_S)
+        window_us = to_us(rt.knobs.window_s)
         loc = {
             v: obstacle_shadowing(rt.pos(v, t), bs.pos, rt.obstacles) for v in region
         }
@@ -421,7 +402,7 @@ class HybridVehcloud(Protocol):
                 + rt.gateway_info(g).access_delay_us
             )
             rt.schedule_cloud(GatewayDrop(msg, g, covers[g]), arrive)
-        rt.note(f"gw={_fmt_ids(chosen)}")
+        rt.note(f"gw={fmt_ids(chosen)}")
 
     def _establish_uplink(self, st: _HybridState, t: SimTime):
         if st.uplink != "none":
@@ -515,18 +496,13 @@ class HybridVehcloud(Protocol):
                 # One shot for line-of-sight vehicles: the miss is final.
                 rt.record_loss(msg, rid, out.loss_cause)
             elif job.purpose == "gateway":
-                self._note_cause(mid, rid, out.loss_cause)
+                note_cause(self._noted, (mid, rid), out.loss_cause)
                 if st is not None and rid in st.chances:
                     st.chances[rid] -= 1
                     if st.chances[rid] <= 0:
                         rt.record_loss(msg, rid, self._noted[(mid, rid)])
         self._drop_if_done(mid, t)
         return f"tx msg={mid} from={job.sender} purpose={job.purpose} ok={delivered}"
-
-    def _note_cause(self, mid: int, dst: int, cause: str):
-        prev = self._noted.get((mid, dst))
-        if prev is None or _CAUSE_RANK[cause] > _CAUSE_RANK[prev]:
-            self._noted[(mid, dst)] = cause
 
     def on_cloud(self, payload, t: SimTime) -> str:
         drop: GatewayDrop = payload
@@ -684,7 +660,6 @@ class Dfcv(Protocol):
                             base_station_id=bs_id,
                             anchor=v,
                             members=[v],
-                            threshold=th_cap,
                         )
                     )
             kept, steps = run_maintenance(
@@ -755,7 +730,7 @@ class Dfcv(Protocol):
 
     def on_cloud(self, payload, t: SimTime) -> str:
         drop: FogDrop = payload
-        self.rt.schedule_infra(
+        self.rt.schedule_tx(
             InfraTx(drop.msg, drop.bs_id, drop.receivers, drop.targets), t
         )
         return f"msg={drop.msg.msg_id} bs={drop.bs_id} n={len(drop.receivers)}"
@@ -773,12 +748,6 @@ class Dfcv(Protocol):
             if out.delivered:
                 delivered += 1
         return f"i2v msg={msg.msg_id} bs={job.bs_id} ok={delivered}"
-
-    def tx_receivers(self, job: TxJob, t: SimTime) -> list[int]:  # pragma: no cover
-        return []
-
-    def after_tx(self, job: TxJob, t: SimTime, results) -> str:  # pragma: no cover
-        return ""
 
 
 PROTOCOLS = {

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from random import Random
-from typing import Optional, Sequence
+from typing import Callable, Optional
 
 from .engine import US_PER_S
 from .errors import ConfigError
@@ -22,6 +22,17 @@ OUT_OF_RANGE = "out_of_range"
 SHADOWED = "shadowed"
 CHANNEL_LOSS = "channel_loss"
 LOSS_CAUSES = (OUT_OF_RANGE, SHADOWED, CHANNEL_LOSS)
+
+# Higher rank wins when several transmissions failed toward the same
+# recipient and a single recorded cause must be picked.
+_CAUSE_RANK = {OUT_OF_RANGE: 1, SHADOWED: 2, CHANNEL_LOSS: 3}
+
+
+def note_cause(noted: dict, key, cause: str) -> None:
+    """Keep in ``noted[key]`` the highest-ranked loss cause seen so far."""
+    prev = noted.get(key)
+    if prev is None or _CAUSE_RANK[cause] > _CAUSE_RANK[prev]:
+        noted[key] = cause
 
 
 @dataclass
@@ -127,10 +138,6 @@ class ObstacleMap:
 EMPTY_MAP = ObstacleMap([])
 
 
-def in_range(a: Position, b: Position, params: RadioParams) -> bool:
-    return distance(a, b) <= params.range_m
-
-
 def _segment_blocked(ax, ay, bx, by, rect: Rect) -> bool:
     # Liang-Barsky clip of the segment to the closed rectangle.  The segment
     # is blocked only when the clipped portion has positive length and runs
@@ -214,44 +221,28 @@ def channel_loss(params: RadioParams, concurrent_tx: int, rng: Random) -> bool:
     return rng.random() < q
 
 
-def unicast(
-    sender: Position,
-    receiver: Position,
+def evaluate_hop(
+    src: Position,
+    dst: Position,
+    reach_m: float,
     params: RadioParams,
     obstacles: ObstacleMap,
-    rng: Random,
-    concurrent_tx: int = 0,
-    backoff_us: int = 0,
+    contention: Optional[Callable[[Position], int]] = None,
+    rng: Optional[Random] = None,
 ) -> HopOutcome:
-    """Evaluate one directed hop.  Checks run range, sight, then channel."""
-    d = distance(sender, receiver)
-    if d > params.range_m:
-        return HopOutcome(False, loss_cause=OUT_OF_RANGE)
-    if not line_of_sight(sender, receiver, obstacles):
-        return HopOutcome(False, loss_cause=SHADOWED)
-    if channel_loss(params, concurrent_tx, rng):
-        return HopOutcome(False, loss_cause=CHANNEL_LOSS)
-    return HopOutcome(True, delay_us=hop_delay_us(params, d, backoff_us))
+    """Evaluate one directed hop.  Checks run range, sight, then channel.
 
-
-def broadcast(
-    sender: Position,
-    receivers: Sequence[tuple[int, Position]],
-    params: RadioParams,
-    obstacles: ObstacleMap,
-    rng: Random,
-    concurrent_tx: int = 0,
-    backoff_us: int = 0,
-) -> list[tuple[int, HopOutcome]]:
-    """Evaluate one broadcast against every listed receiver independently.
-
-    Receivers are visited in ascending id order so the loss draws are
-    reproducible.  The shared backoff is the sender's single contention
-    delay for this transmission.
+    ``contention(dst)`` counts the transmissions audible at the receiver.
+    It is called, and one ``channel_loss`` draw is taken from ``rng``, only
+    after range and sight pass, so the loss stream advances once per hop
+    that reaches the channel.  A hop without a contention check (scheduled
+    infrastructure downlink) draws nothing.
     """
-    outcomes = []
-    for rid, pos in sorted(receivers, key=lambda item: item[0]):
-        outcomes.append(
-            (rid, unicast(sender, pos, params, obstacles, rng, concurrent_tx, backoff_us))
-        )
-    return outcomes
+    d = distance(src, dst)
+    if d > reach_m:
+        return HopOutcome(False, loss_cause=OUT_OF_RANGE)
+    if not line_of_sight(src, dst, obstacles):
+        return HopOutcome(False, loss_cause=SHADOWED)
+    if contention is not None and channel_loss(params, contention(dst), rng):
+        return HopOutcome(False, loss_cause=CHANNEL_LOSS)
+    return HopOutcome(True, delay_us=hop_delay_us(params, d))

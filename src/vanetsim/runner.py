@@ -28,10 +28,10 @@ from .engine import (
     MOBILITY_TICK,
     RADIO_DELIVER,
     SIM_END,
-    US_PER_S,
     RunStats,
     SimTime,
     Simulator,
+    to_us,
 )
 from .errors import ConfigError, SimulationError, VanetSimError
 from .metrics import DeliveryRecord, MetricsSummary, summarize
@@ -53,27 +53,17 @@ from .protocols import (
     KIND_BEACON,
     Message,
     TxJob,
+    fmt_ids,
     nearest_station,
 )
 from .radio import (
-    CHANNEL_LOSS,
     OUT_OF_RANGE,
-    SHADOWED,
     HopOutcome,
     RadioParams,
-    channel_loss,
-    hop_delay_us,
+    evaluate_hop,
     line_of_sight,
     tx_time_us,
 )
-
-
-def _us(seconds: float) -> SimTime:
-    return int(seconds * US_PER_S + 0.5)
-
-
-def _fmt_ids(ids) -> str:
-    return ",".join(str(i) for i in ids)
 
 
 class Channel:
@@ -250,10 +240,7 @@ class Runtime:
 
     # -- scheduling helpers ---------------------------------------------------
 
-    def schedule_tx(self, job: TxJob, at: SimTime) -> None:
-        self.sim.schedule(at, RADIO_DELIVER, job)
-
-    def schedule_infra(self, job: InfraTx, at: SimTime) -> None:
+    def schedule_tx(self, job: TxJob | InfraTx, at: SimTime) -> None:
         self.sim.schedule(at, RADIO_DELIVER, job)
 
     def schedule_cloud(self, payload, at: SimTime) -> None:
@@ -305,8 +292,8 @@ class Runtime:
 
     def setup(self) -> None:
         sim = self.sim
-        duration_us = _us(self.cfg.sim_duration_s)
-        self.end_us = duration_us + _us(self.knobs.drain_s)
+        duration_us = to_us(self.cfg.sim_duration_s)
+        self.end_us = duration_us + to_us(self.knobs.drain_s)
 
         for kind, handler in (
             (MESSAGE_INJECT, self._on_inject),
@@ -322,9 +309,9 @@ class Runtime:
         if self.protocol.wants_maintenance:
             sim.schedule(0, FOG_MAINTENANCE)
         if self.protocol.wants_ticks:
-            sim.schedule(_us(self.knobs.mobility_tick_s), MOBILITY_TICK)
+            sim.schedule(to_us(self.knobs.mobility_tick_s), MOBILITY_TICK)
 
-        beacon_us = _us(self.knobs.beacon_interval_s)
+        beacon_us = to_us(self.knobs.beacon_interval_s)
         if beacon_us > 0:
             phase_rng = sim.rng("beacon-phase")
             for v in self.provider.vehicle_ids:
@@ -335,7 +322,7 @@ class Runtime:
         n_msgs = int(self.cfg.sim_duration_s * rate + 1e-9)
         n_vehicles = self.provider.vehicle_count
         for k in range(1, n_msgs + 1):
-            t_k = _us(k / rate)
+            t_k = to_us(k / rate)
             if t_k > duration_us:
                 break
             self._msg_seq += 1
@@ -380,7 +367,7 @@ class Runtime:
         self._messages[msg.msg_id] = msg
         self.all_pairs.update((msg.msg_id, dst) for dst in targets)
         extra = self.protocol.on_inject(msg, t)
-        base = f"msg={msg.msg_id} src={msg.src} targets={_fmt_ids(targets)}"
+        base = f"msg={msg.msg_id} src={msg.src} targets={fmt_ids(targets)}"
         return f"{base} {extra}" if extra else base
 
     def _on_radio(self, event) -> str:
@@ -402,24 +389,20 @@ class Runtime:
             return f"wait msg={job.msg.msg_id} from={job.sender} backoff={wait}"
         return self._fire_tx(job, t)
 
+    def _v2v_hops(
+        self, src: Position, receivers: list[int], t: SimTime
+    ) -> list[tuple[int, HopOutcome]]:
+        """Vehicle-to-vehicle hops at radio range, each with a contention draw."""
+        params, obstacles, rng = self.params, self.obstacles, self.loss_rng
+        near = lambda pos: self.channel.concurrent_near(pos, t)
+        return [
+            (rid, evaluate_hop(src, self.pos(rid, t), params.range_m, params, obstacles, near, rng))
+            for rid in receivers
+        ]
+
     def _fire_tx(self, job: TxJob, t: SimTime) -> str:
         sender_pos = self.pos(job.sender, t)
-        receivers = self.protocol.tx_receivers(job, t)
-        results = []
-        for rid in receivers:
-            rpos = self.pos(rid, t)
-            d = distance(sender_pos, rpos)
-            if d > self.params.range_m:
-                out = HopOutcome(False, loss_cause=OUT_OF_RANGE)
-            elif not self.los(sender_pos, rpos):
-                out = HopOutcome(False, loss_cause=SHADOWED)
-            elif channel_loss(
-                self.params, self.channel.concurrent_near(rpos, t), self.loss_rng
-            ):
-                out = HopOutcome(False, loss_cause=CHANNEL_LOSS)
-            else:
-                out = HopOutcome(True, delay_us=hop_delay_us(self.params, d, 0))
-            results.append((rid, out))
+        results = self._v2v_hops(sender_pos, self.protocol.tx_receivers(job, t), t)
         self.channel.register(
             t, t + self.tx_time_us(job.msg.size_bytes), sender_pos
         )
@@ -427,18 +410,12 @@ class Runtime:
 
     def _fire_infra(self, job: InfraTx, t: SimTime) -> str:
         bs = self.station(job.bs_id)
-        results = []
-        for rid in job.receivers:
-            rpos = self.pos(rid, t)
-            d = distance(bs.pos, rpos)
-            if d > self.knobs.bs_coverage_m:
-                out = HopOutcome(False, loss_cause=OUT_OF_RANGE)
-            elif not self.los(bs.pos, rpos):
-                out = HopOutcome(False, loss_cause=SHADOWED)
-            else:
-                # Scheduled infrastructure downlink: no contention draw.
-                out = HopOutcome(True, delay_us=hop_delay_us(self.params, d, 0))
-            results.append((rid, out))
+        reach = self.knobs.bs_coverage_m
+        # Scheduled infrastructure downlink: no contention draw.
+        results = [
+            (rid, evaluate_hop(bs.pos, self.pos(rid, t), reach, self.params, self.obstacles))
+            for rid in job.receivers
+        ]
         self.channel.register(t, t + self.tx_time_us(job.msg.size_bytes), bs.pos)
         return self.protocol.after_infra(job, t, results)
 
@@ -447,14 +424,14 @@ class Runtime:
 
     def _on_tick(self, event) -> Optional[str]:
         base = self.protocol.on_tick(event.fire_at)
-        nxt = event.fire_at + _us(self.knobs.mobility_tick_s)
+        nxt = event.fire_at + to_us(self.knobs.mobility_tick_s)
         if nxt <= self.end_us:
             self.sim.schedule(nxt, MOBILITY_TICK)
         return base
 
     def _on_maintenance(self, event) -> Optional[str]:
         base = self.protocol.on_maintenance(event.fire_at)
-        nxt = event.fire_at + _us(self.knobs.maintenance_interval_s)
+        nxt = event.fire_at + to_us(self.knobs.maintenance_interval_s)
         if nxt <= self.end_us:
             self.sim.schedule(nxt, FOG_MAINTENANCE)
         return base
@@ -468,7 +445,7 @@ class Runtime:
         if self.knobs.include_beacons_in_metrics:
             base = self._metered_beacon(v, pos, t)
         self.channel.register(t, t + self.tx_time_us(), pos)
-        nxt = t + _us(self.knobs.beacon_interval_s)
+        nxt = t + to_us(self.knobs.beacon_interval_s)
         if nxt <= self.end_us:
             self.sim.schedule(nxt, BEACON_EMIT, job)
         return base
@@ -487,18 +464,12 @@ class Runtime:
         )
         self._messages[msg.msg_id] = msg
         self.all_pairs.update((msg.msg_id, dst) for dst in cand)
-        for rid in cand:
-            rpos = self.pos(rid, t)
-            d = distance(pos, rpos)
-            if not self.los(pos, rpos):
-                self.record_loss(msg, rid, SHADOWED)
-            elif channel_loss(
-                self.params, self.channel.concurrent_near(rpos, t), self.loss_rng
-            ):
-                self.record_loss(msg, rid, CHANNEL_LOSS)
+        for rid, out in self._v2v_hops(pos, cand, t):
+            if out.delivered:
+                self.record_delivery(msg, rid, t + out.delay_us, 1)
             else:
-                self.record_delivery(msg, rid, t + hop_delay_us(self.params, d, 0), 1)
-        return f"v={v} msg={msg.msg_id} targets={_fmt_ids(cand)}"
+                self.record_loss(msg, rid, out.loss_cause)
+        return f"v={v} msg={msg.msg_id} targets={fmt_ids(cand)}"
 
     def _on_sim_end(self, event) -> str:
         self.protocol.on_end(event.fire_at)
@@ -560,15 +531,20 @@ def _run_ident(protocol: str, density: int, seed: int) -> str:
     return f"protocol={protocol} density={density} seed={seed}"
 
 
-def _sweep_task(args) -> MetricsSummary:
-    cfg, protocol, density, seed = args
+def _run_task(task, capture_log: bool = False) -> RunResult:
+    """run_single for one sweep task; a failure names the run it came from."""
+    cfg, protocol, density, seed = task
     ident = _run_ident(protocol, density, seed)
     try:
-        return run_single(cfg, protocol, density, seed).summary
+        return run_single(cfg, protocol, density, seed, capture_log=capture_log)
     except VanetSimError as exc:
         raise type(exc)(f"run {ident}: {exc}") from None
     except Exception as exc:  # pragma: no cover - defensive identification
         raise SimulationError(f"run {ident}: {exc!r}") from exc
+
+
+def _sweep_task(task) -> MetricsSummary:
+    return _run_task(task).summary
 
 
 def run_sweep(
@@ -590,15 +566,11 @@ def run_sweep(
     if collect_logs or workers <= 1:
         summaries = []
         logs: Optional[list[tuple[str, list[str]]]] = [] if collect_logs else None
-        for cfg_, protocol, density, seed in tasks:
-            ident = _run_ident(protocol, density, seed)
-            try:
-                result = run_single(cfg_, protocol, density, seed, capture_log=collect_logs)
-            except VanetSimError as exc:
-                raise type(exc)(f"run {ident}: {exc}") from None
+        for task in tasks:
+            result = _run_task(task, capture_log=collect_logs)
             summaries.append(result.summary)
             if collect_logs:
-                logs.append((ident, result.log or []))
+                logs.append((_run_ident(*task[1:]), result.log or []))
         return summaries, logs
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_sweep_task, tasks)), None

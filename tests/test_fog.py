@@ -18,9 +18,9 @@ from vanetsim.fog import (
 from vanetsim.mobility import Position, distance
 
 
-def cell(cid, members, anchor=None, bs=0, threshold=20):
+def cell(cid, members, anchor=None, bs=0):
     members = sorted(members)
-    return FogCell(cid, bs, members[0] if anchor is None else anchor, members, threshold)
+    return FogCell(cid, bs, members[0] if anchor is None else anchor, members)
 
 
 def line_positions(xs):
@@ -160,7 +160,7 @@ def test_maintenance_is_idempotent_at_fixed_point():
     pos = {i: Position(rng.uniform(0, 2000), 0.0) for i in range(60)}
     first, _ = maintain([cell(0, range(60), anchor=0)], pos)
     again, rounds = maintain([FogCell(c.cell_id, c.base_station_id, c.anchor,
-                                      list(c.members), c.threshold) for c in first], pos)
+                                      list(c.members)) for c in first], pos)
     assert rounds == 1  # nothing to do
     assert [(c.cell_id, c.members, c.anchor) for c in again] == [
         (c.cell_id, c.members, c.anchor) for c in first

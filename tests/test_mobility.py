@@ -120,7 +120,8 @@ def test_highway_random_draws_respect_configured_ranges():
     for state in prov.fleet_at(0):
         assert 0.0 <= state.pos.x < 10_000.0
         assert state.pos.y in (0.0, LANE_WIDTH_M)
-        assert lo <= state.speed <= hi
+        moved = (prov.position_at(state.vehicle_id, US_PER_S).pos.x - state.pos.x) % 10_000.0
+        assert lo - 1e-9 <= moved <= hi + 1e-9  # metres in one second
     assert prov.max_drift_mps() <= hi
     # first 5% of ids are the buses
     flags = [s.is_gateway for s in prov.fleet_at(0)]

@@ -8,16 +8,15 @@ import random
 import pytest
 
 from vanetsim.config import ProtocolKnobs, ScenarioConfig, WorkloadSpec
-from vanetsim.engine import derive_stream_seed
+from vanetsim.engine import Simulator, derive_stream_seed
 from vanetsim.errors import ConfigError
-from vanetsim.mobility import MobilitySpec, Position, distance
+from vanetsim.mobility import MobilitySpec, Position, build_provider, distance
 from vanetsim.protocols import (
     BaseStation,
     CloudModel,
     Message,
     nearest_station,
     obstacle_shadowing,
-    scan_trans_range,
     select_gateways,
     PROTOCOLS,
 )
@@ -30,7 +29,7 @@ from vanetsim.radio import (
     hop_delay_us,
     line_of_sight,
 )
-from vanetsim.runner import run_single
+from vanetsim.runner import Runtime, place_stations, run_single
 
 
 # -- fixture plumbing ---------------------------------------------------------
@@ -107,31 +106,6 @@ def test_nearest_station_by_distance_then_id():
     assert nearest_station(stations, Position(50, 0)).station_id == 0  # tie
     with pytest.raises(ValueError):
         nearest_station([], Position(0, 0))
-
-
-def test_scan_trans_range_matches_brute_force():
-    rng = random.Random(12)
-    for _ in range(50):
-        positions = {
-            i: Position(rng.uniform(0, 1000), rng.uniform(0, 1000))
-            for i in range(rng.randrange(2, 40))
-        }
-        center_id = rng.choice(list(positions))
-        center = positions[center_id]
-        radius = rng.uniform(50, 400)
-        got = scan_trans_range(center, positions, radius, exclude=center_id)
-        want = sorted(
-            v
-            for v, p in positions.items()
-            if v != center_id and distance(center, p) <= radius
-        )
-        assert got == want
-        assert center_id not in got
-
-
-def test_scan_trans_range_radius_inclusive():
-    positions = {0: Position(0, 0), 1: Position(300, 0), 2: Position(300.01, 0)}
-    assert scan_trans_range(Position(0, 0), positions, 300.0, exclude=0) == [1]
 
 
 def test_obstacle_shadowing_binary():
@@ -472,6 +446,18 @@ def test_hybrid_newcomer_gets_one_shot_inside_window(tmp_path):
     assert "ok=1" in newcomer_lines[0]
     # the window closed at 6 s; mover2's 8 s arrival stays silent
     assert int(newcomer_lines[0].split("\t")[0]) <= 6_000_000
+
+
+def test_hybrid_window_rounds_to_the_nearest_microsecond(tmp_path):
+    # truncating 1.001 s would end the window at 1_000_999 us
+    cfg = scenario(static_trace(tmp_path, [(0, 0), (100, 0)]), 2, knobs_kw={"window_s": 1.001})
+    sim = Simulator(seed=1)
+    provider = build_provider(cfg.mobility, sim.rng("mobility"))
+    stations = place_stations(cfg.mobility, provider, cfg.knobs)
+    rt = Runtime(sim, cfg, cfg.mobility, provider, EMPTY_MAP, stations, "hybrid_vehcloud")
+    t = 250_000
+    rt.protocol.on_inject(Message(1, 0, t, (1,)), t)
+    assert rt.protocol._live[1].window_end == t + 1_001_000
 
 
 # -- dfcv ---------------------------------------------------------------------

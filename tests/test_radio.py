@@ -15,13 +15,11 @@ from vanetsim.radio import (
     HopOutcome,
     ObstacleMap,
     RadioParams,
-    broadcast,
     channel_loss,
+    evaluate_hop,
     hop_delay_us,
-    in_range,
     line_of_sight,
     tx_time_us,
-    unicast,
 )
 
 
@@ -120,12 +118,15 @@ def test_hop_delay_never_below_one_microsecond():
 
 # -- range --------------------------------------------------------------------
 
-def test_in_range_is_inclusive_at_the_boundary():
-    p = RadioParams(range_m=300.0)
+def test_hop_reach_is_inclusive_at_the_boundary():
+    p = RadioParams(base_loss=0.0, loss_slope=0.0)
     a = Position(0.0, 0.0)
-    assert in_range(a, Position(300.0, 0.0), p)
-    assert not in_range(a, Position(300.0000001, 0.0), p)
-    assert in_range(a, Position(180.0, 240.0), p)  # 3-4-5 triangle, d=300
+    # radio range and a station's coverage alike: the reach argument decides
+    for reach, diagonal in ((300.0, Position(180.0, 240.0)), (1000.0, Position(600.0, 800.0))):
+        assert evaluate_hop(a, Position(reach, 0.0), reach, p, EMPTY_MAP).delivered
+        assert evaluate_hop(a, diagonal, reach, p, EMPTY_MAP).delivered  # 3-4-5 triangle
+        beyond = evaluate_hop(a, Position(reach + 1e-7, 0.0), reach, p, EMPTY_MAP)
+        assert beyond.loss_cause == OUT_OF_RANGE
 
 
 # -- obstacles ----------------------------------------------------------------
@@ -282,46 +283,55 @@ def test_channel_loss_monte_carlo_rate():
     assert abs(rate - 0.1) < 5 * sigma
 
 
-# -- hop helpers --------------------------------------------------------------
+# -- hop evaluation -------------------------------------------------------------
 
-def test_unicast_checks_range_then_sight_then_channel():
-    p = RadioParams(base_loss=0.0, loss_slope=0.0)
-    rng = random.Random(1)
+class Contention:
+    """A contention check that reports a fixed count and logs where it was asked."""
+
+    def __init__(self, count=0):
+        self.count = count
+        self.asked = []
+
+    def __call__(self, pos):
+        self.asked.append(pos)
+        return self.count
+
+
+def test_hop_checks_range_then_sight_then_channel():
+    p = RadioParams(base_loss=1.0)  # every channel draw loses
     m = ObstacleMap([(100, -10, 110, 10)])
-    far = unicast(Position(0, 0), Position(400, 0), p, m, rng)
-    assert far.loss_cause == OUT_OF_RANGE
-    blocked = unicast(Position(0, 0), Position(200, 0), p, m, rng)
-    assert blocked.loss_cause == SHADOWED
-    clear = unicast(Position(0, 0), Position(200, 5000e-3), p, EMPTY_MAP, rng)
-    assert clear.delivered and clear.delay_us >= 1024
+    src = Position(0, 0)
+    for dst, cause in (
+        (Position(400, 0), OUT_OF_RANGE),  # beyond range and behind the wall
+        (Position(200, 0), SHADOWED),  # in range, behind the wall
+        (Position(200, 50), CHANNEL_LOSS),  # in range and in sight
+    ):
+        assert evaluate_hop(src, dst, 300.0, p, m, Contention(), CountingRng()).loss_cause == cause
 
 
-def test_unicast_sure_loss_channel():
+def test_hop_draws_once_and_only_after_range_and_sight_pass():
+    p = RadioParams(base_loss=0.0, loss_slope=0.0)
+    m = ObstacleMap([(100, -10, 110, 10)])
+    src = Position(0, 0)
+    for dst, draws in ((Position(400, 0), 0), (Position(200, 0), 0), (Position(200, 50), 1)):
+        rng, near = CountingRng(), Contention()
+        evaluate_hop(src, dst, 300.0, p, m, near, rng)
+        assert rng.calls == draws
+        assert near.asked == [dst] * draws
+
+
+def test_hop_contention_count_sets_the_loss_probability():
+    p = RadioParams(base_loss=0.0, loss_slope=0.01)
+    src, dst = Position(0, 0), Position(10, 0)
+    quiet = evaluate_hop(src, dst, 300.0, p, EMPTY_MAP, Contention(10), CountingRng(0.5))
+    busy = evaluate_hop(src, dst, 300.0, p, EMPTY_MAP, Contention(80), CountingRng(0.5))
+    assert quiet.delivered  # q = 0.1
+    assert busy.loss_cause == CHANNEL_LOSS  # q = 0.8
+
+
+def test_hop_without_contention_check_never_draws():
     p = RadioParams(base_loss=1.0)
-    out = unicast(Position(0, 0), Position(10, 0), p, EMPTY_MAP, random.Random(2))
-    assert out.loss_cause == CHANNEL_LOSS
-
-
-def test_broadcast_orders_receivers_by_id():
-    p = RadioParams(base_loss=0.0)
-    rng = random.Random(3)
-    receivers = [(9, Position(10, 0)), (2, Position(500, 0)), (5, Position(20, 0))]
-    out = broadcast(Position(0, 0), receivers, p, EMPTY_MAP, rng)
-    assert [rid for rid, _ in out] == [2, 5, 9]
-    by_id = dict(out)
-    assert by_id[2].loss_cause == OUT_OF_RANGE
-    assert by_id[5].delivered and by_id[9].delivered
-
-
-def test_broadcast_shared_backoff_applies_to_every_delivery():
-    p = RadioParams(base_loss=0.0)
-    out = broadcast(
-        Position(0, 0),
-        [(1, Position(30, 0)), (2, Position(60, 0))],
-        p,
-        EMPTY_MAP,
-        random.Random(4),
-        backoff_us=500,
-    )
-    for _, hop in out:
-        assert hop.delay_us == 1024 + 500
+    rng = CountingRng()
+    out = evaluate_hop(Position(0, 0), Position(150, 0), 300.0, p, EMPTY_MAP, rng=rng)
+    assert out.delivered and out.delay_us == hop_delay_us(p, 150.0)
+    assert rng.calls == 0

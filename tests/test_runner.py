@@ -7,11 +7,12 @@ import re
 import pytest
 
 from vanetsim.config import ProtocolKnobs, ScenarioConfig, WorkloadSpec
+from vanetsim.engine import Simulator
 from vanetsim.errors import BudgetError
 from vanetsim.metrics import csv_text
-from vanetsim.mobility import MobilitySpec, Position, StaticProvider
-from vanetsim.radio import RadioParams
-from vanetsim.runner import Channel, place_stations, run_single, run_sweep
+from vanetsim.mobility import MobilitySpec, Position, StaticProvider, distance
+from vanetsim.radio import EMPTY_MAP, RadioParams
+from vanetsim.runner import Channel, Runtime, place_stations, run_single, run_sweep
 
 
 # -- channel ------------------------------------------------------------------
@@ -54,6 +55,34 @@ def test_channel_backoff_draw_is_bounded_and_seeded():
     again = Channel(RadioParams(max_backoff_us=7), random.Random(0))
     assert [again.draw_backoff() for _ in range(200)] == draws
     assert make_channel(max_backoff_us=0).draw_backoff() == 0
+
+
+# -- neighbor queries ---------------------------------------------------------
+
+def static_runtime(positions):
+    cfg = ScenarioConfig()
+    provider = StaticProvider(positions)
+    stations = place_stations(cfg.mobility, provider, cfg.knobs)
+    return Runtime(Simulator(), cfg, cfg.mobility, provider, EMPTY_MAP, stations, "baseline")
+
+
+def test_neighbors_match_brute_force():
+    rng = random.Random(12)
+    for _ in range(50):
+        positions = [
+            Position(rng.uniform(0, 1000), rng.uniform(0, 1000))
+            for _ in range(rng.randrange(2, 40))
+        ]
+        center = rng.choice(positions)
+        radius = rng.uniform(50, 400)
+        got = static_runtime(positions).neighbors(center, radius, 0)
+        want = [v for v, p in enumerate(positions) if distance(center, p) <= radius]
+        assert got == want
+
+
+def test_neighbors_radius_inclusive():
+    rt = static_runtime([Position(0, 0), Position(300, 0), Position(300.01, 0)])
+    assert rt.neighbors(Position(0, 0), 300.0, 0) == [0, 1]
 
 
 # -- station placement --------------------------------------------------------
