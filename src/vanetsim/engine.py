@@ -27,6 +27,7 @@ def to_us(seconds: float) -> SimTime:
     """Seconds to whole microseconds, rounding half up."""
     return int(seconds * US_PER_S + 0.5)
 
+
 # Event kinds understood by the engine.  The engine itself only orders and
 # dispatches; the meaning of each kind lives in the scenario runtime.
 MOBILITY_TICK = "MobilityTick"
