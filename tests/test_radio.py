@@ -297,7 +297,7 @@ class Contention:
         return self.count
 
 
-def test_hop_checks_range_then_sight_then_channel():
+def test_unicast_checks_range_then_sight_then_channel():
     p = RadioParams(base_loss=1.0)  # every channel draw loses
     m = ObstacleMap([(100, -10, 110, 10)])
     src = Position(0, 0)
@@ -307,6 +307,16 @@ def test_hop_checks_range_then_sight_then_channel():
         (Position(200, 50), CHANNEL_LOSS),  # in range and in sight
     ):
         assert evaluate_hop(src, dst, 300.0, p, m, Contention(), CountingRng()).loss_cause == cause
+    clear = evaluate_hop(src, Position(200, 5), 300.0, RadioParams(base_loss=0.0, loss_slope=0.0),
+                         EMPTY_MAP, Contention(), CountingRng())
+    assert clear.delivered and clear.delay_us >= 1024
+
+
+def test_unicast_sure_loss_channel():
+    p = RadioParams(base_loss=1.0)
+    out = evaluate_hop(Position(0, 0), Position(10, 0), 300.0, p, EMPTY_MAP,
+                       Contention(), random.Random(2))
+    assert out.loss_cause == CHANNEL_LOSS
 
 
 def test_hop_draws_once_and_only_after_range_and_sight_pass():
