@@ -3,7 +3,9 @@
 Simulation time is an integer number of microseconds.  Events are ordered
 by (fire_at, seq) where seq is a monotonically increasing schedule counter,
 so ties fire in the order they were scheduled and a rerun with the same
-seed and configuration replays the exact same event sequence.
+seed and configuration replays the exact same event sequence.  The queue
+holds (fire_at, seq, event) tuples: (fire_at, seq) is unique, so the heap
+never compares two events.
 """
 
 from __future__ import annotations
@@ -11,7 +13,8 @@ from __future__ import annotations
 import hashlib
 import heapq
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from decimal import Decimal, ROUND_HALF_UP
 from typing import Callable, Optional
 
 from .errors import BudgetError, SchedulingError
@@ -23,9 +26,16 @@ US_PER_S = 1_000_000
 DEFAULT_EVENT_BUDGET = 50_000_000
 
 
-def to_us(seconds: float) -> SimTime:
-    """Seconds to whole microseconds, rounding half up."""
-    return int(seconds * US_PER_S + 0.5)
+def to_us(seconds: float | str) -> SimTime:
+    """Seconds to whole microseconds, rounding half up on the exact decimal.
+
+    A number is taken at its shortest decimal form (``repr``), text as
+    written, so 0.0001245 s is 125 us whether it comes from a config value
+    or from a trace file.  Bad text raises ``decimal.InvalidOperation``.
+    """
+    text = seconds if isinstance(seconds, str) else repr(float(seconds))
+    exact = Decimal(text) * US_PER_S
+    return int(exact.quantize(Decimal(1), rounding=ROUND_HALF_UP))
 
 
 # Event kinds understood by the engine.  The engine itself only orders and
@@ -61,12 +71,16 @@ def derive_stream_seed(seed: int, stream_id: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-@dataclass(order=True)
 class Event:
-    fire_at: SimTime
-    seq: int
-    kind: str = field(compare=False)
-    payload: object = field(compare=False, default=None)
+    """One scheduled occurrence, as handed to its handler."""
+
+    __slots__ = ("fire_at", "seq", "kind", "payload")
+
+    def __init__(self, fire_at: SimTime, seq: int, kind: str, payload: object = None):
+        self.fire_at = fire_at
+        self.seq = seq
+        self.kind = kind
+        self.payload = payload
 
 
 @dataclass
@@ -95,11 +109,16 @@ class Simulator:
         self.event_budget = event_budget
         self.clock: SimTime = 0
         self.events_processed = 0
-        self._queue: list[Event] = []
+        self._queue: list[tuple[SimTime, int, Event]] = []
         self._next_seq = 0
         self._handlers: dict[str, Callable[[Event], Optional[str]]] = {}
         self._streams: dict[str, random.Random] = {}
         self._log = log
+
+    @property
+    def has_log(self) -> bool:
+        """True when an event log is attached, so handler summaries are kept."""
+        return self._log is not None
 
     def rng(self, stream_id: str) -> random.Random:
         """Return the named RNG stream, creating it on first use.
@@ -126,28 +145,34 @@ class Simulator:
             raise SchedulingError(
                 f"cannot schedule {kind} at {fire_at}us: clock is already at {self.clock}us"
             )
-        event = Event(fire_at, self._next_seq, kind, payload)
-        self._next_seq += 1
-        heapq.heappush(self._queue, event)
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        event = Event(fire_at, seq, kind, payload)
+        heapq.heappush(self._queue, (fire_at, seq, event))
         return event
 
     def run(self, until: SimTime) -> RunStats:
         """Process events with fire_at <= until in (fire_at, seq) order."""
         until = int(until)
-        while self._queue and self._queue[0].fire_at <= until:
-            event = heapq.heappop(self._queue)
-            self.events_processed += 1
-            if self.events_processed > self.event_budget:
-                raise BudgetError(
-                    f"event budget exceeded: {self.event_budget} events processed, "
-                    f"clock={self.clock}us, next={event.kind}@{event.fire_at}us, "
-                    f"{len(self._queue)} still queued"
-                )
-            self.clock = event.fire_at
-            handler = self._handlers.get(event.kind)
-            summary = handler(event) if handler is not None else None
-            if self._log is not None:
-                self._log.append(
-                    f"{event.fire_at}\t{event.seq}\t{event.kind}\t{summary or '-'}"
-                )
-        return RunStats(self.events_processed, self.clock, len(self._queue))
+        queue, handlers, log = self._queue, self._handlers, self._log
+        budget = self.event_budget
+        pop = heapq.heappop
+        processed = self.events_processed
+        try:
+            while queue and queue[0][0] <= until:
+                fire_at, seq, event = pop(queue)
+                processed += 1
+                if processed > budget:
+                    raise BudgetError(
+                        f"event budget exceeded: {budget} events processed, "
+                        f"clock={self.clock}us, next={event.kind}@{fire_at}us, "
+                        f"{len(queue)} still queued"
+                    )
+                self.clock = fire_at
+                handler = handlers.get(event.kind)
+                summary = handler(event) if handler is not None else None
+                if log is not None:
+                    log.append(f"{fire_at}\t{seq}\t{event.kind}\t{summary or '-'}")
+        finally:
+            self.events_processed = processed
+        return RunStats(self.events_processed, self.clock, len(queue))

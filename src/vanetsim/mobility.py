@@ -1,10 +1,10 @@
 """Vehicle position models: synthetic highway and grid fleets, recorded traces.
 
-All providers answer the same question: where is vehicle v at time t (in
-microseconds), as a VehicleState.  Synthetic fleets draw their initial
-placement and per-vehicle constant speed once from the "mobility" RNG
-stream; trace fleets interpolate linearly between recorded samples and
-clamp at the trace ends.
+All providers answer the same two questions: where is vehicle v at time t
+(in microseconds), as a Position, and is v a gateway.  Synthetic fleets
+draw their initial placement and per-vehicle constant speed once from the
+"mobility" RNG stream; trace fleets interpolate linearly between recorded
+samples and clamp at the trace ends.
 """
 
 from __future__ import annotations
@@ -13,11 +13,11 @@ import math
 import xml.etree.ElementTree as ET
 from bisect import bisect_right
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation, ROUND_HALF_UP
+from decimal import InvalidOperation
 from random import Random
 from typing import NamedTuple, Optional, Sequence
 
-from .engine import SimTime, US_PER_S
+from .engine import SimTime, US_PER_S, to_us
 from .errors import ConfigError, TraceParseError
 
 # 1 mph is exactly 0.44704 m/s.
@@ -107,15 +107,24 @@ class MobilityProvider:
     #: coordinate wrap periods (x, y); None means that axis does not wrap
     wrap_period: tuple[Optional[float], Optional[float]] = (None, None)
 
+    #: the gateways (buses) are the vehicles with the lowest ids
+    _n_gateways = 0
+
     @property
     def vehicle_count(self) -> int:
         return len(self.vehicle_ids)
 
-    def position_at(self, vehicle_id: int, t_us: SimTime) -> VehicleState:
+    def position_at(self, vehicle_id: int, t_us: SimTime) -> Position:
         raise NotImplementedError
 
+    def is_gateway(self, vehicle_id: int) -> bool:
+        return vehicle_id < self._n_gateways
+
     def fleet_at(self, t_us: SimTime) -> list[VehicleState]:
-        return [self.position_at(v, t_us) for v in self.vehicle_ids]
+        return [
+            VehicleState(v, self.position_at(v, t_us), self.is_gateway(v))
+            for v in self.vehicle_ids
+        ]
 
     def max_drift_mps(self) -> float:
         """Upper bound on how fast any vehicle's position can change."""
@@ -164,15 +173,11 @@ class SyntheticHighwayProvider(MobilityProvider):
         self._n_gateways = gateway_count(len(initial), spec.gateway_fraction)
         self.wrap_period = (spec.road_length_m, None)
 
-    def position_at(self, vehicle_id: int, t_us: SimTime) -> VehicleState:
+    def position_at(self, vehicle_id: int, t_us: SimTime) -> Position:
         x = (
             self._start[vehicle_id] + self._speed[vehicle_id] * (t_us / US_PER_S)
         ) % self.spec.road_length_m
-        return VehicleState(
-            vehicle_id,
-            Position(x, self._lane[vehicle_id] * LANE_WIDTH_M),
-            vehicle_id < self._n_gateways,
-        )
+        return Position(x, self._lane[vehicle_id] * LANE_WIDTH_M)
 
     def max_drift_mps(self) -> float:
         return max(self._speed) if self._speed else 0.0
@@ -223,21 +228,15 @@ class SyntheticGridProvider(MobilityProvider):
         self._n_gateways = gateway_count(len(initial), spec.gateway_fraction)
         self.wrap_period = (self.extent_m, self.extent_m)
 
-    def position_at(self, vehicle_id: int, t_us: SimTime) -> VehicleState:
+    def position_at(self, vehicle_id: int, t_us: SimTime) -> Position:
         along = (
             self._offset[vehicle_id]
             + self._dir[vehicle_id] * self._speed[vehicle_id] * (t_us / US_PER_S)
         ) % self.extent_m
         fixed = self._street[vehicle_id] * self.spec.grid_spacing_m
         if self._orient[vehicle_id] == "h":
-            pos = Position(along, fixed)
-        else:
-            pos = Position(fixed, along)
-        return VehicleState(
-            vehicle_id,
-            pos,
-            vehicle_id < self._n_gateways,
-        )
+            return Position(along, fixed)
+        return Position(fixed, along)
 
     def max_drift_mps(self) -> float:
         return max(self._speed) if self._speed else 0.0
@@ -254,12 +253,11 @@ class StaticProvider(MobilityProvider):
         self.vehicle_ids = list(range(len(self._positions)))
         self._gateways = set(gateways)
 
-    def position_at(self, vehicle_id: int, t_us: SimTime) -> VehicleState:
-        return VehicleState(
-            vehicle_id,
-            self._positions[vehicle_id],
-            vehicle_id in self._gateways,
-        )
+    def position_at(self, vehicle_id: int, t_us: SimTime) -> Position:
+        return self._positions[vehicle_id]
+
+    def is_gateway(self, vehicle_id: int) -> bool:
+        return vehicle_id in self._gateways
 
     def max_drift_mps(self) -> float:
         return 0.0
@@ -307,22 +305,20 @@ class TraceProvider(MobilityProvider):
     def label_of(self, vehicle_id: int) -> str:
         return self._labels[vehicle_id]
 
-    def position_at(self, vehicle_id: int, t_us: SimTime) -> VehicleState:
+    def position_at(self, vehicle_id: int, t_us: SimTime) -> Position:
         times = self._times[vehicle_id]
         points = self._points[vehicle_id]
-        is_gw = vehicle_id < self._n_gateways
         if t_us <= times[0]:
-            return VehicleState(vehicle_id, points[0], is_gw)
+            return points[0]
         if t_us >= times[-1]:
-            return VehicleState(vehicle_id, points[-1], is_gw)
+            return points[-1]
         k = bisect_right(times, t_us) - 1
         if times[k] == t_us:
-            return VehicleState(vehicle_id, points[k], is_gw)
+            return points[k]
         t0, t1 = times[k], times[k + 1]
         frac = (t_us - t0) / (t1 - t0)
         p0, p1 = points[k], points[k + 1]
-        pos = Position(p0.x + frac * (p1.x - p0.x), p0.y + frac * (p1.y - p0.y))
-        return VehicleState(vehicle_id, pos, is_gw)
+        return Position(p0.x + frac * (p1.x - p0.x), p0.y + frac * (p1.y - p0.y))
 
     def max_drift_mps(self) -> float:
         return self._max_drift
@@ -335,12 +331,9 @@ class TraceProvider(MobilityProvider):
 
 def _seconds_to_us(text: str, where: str) -> SimTime:
     try:
-        quantized = (Decimal(text) * US_PER_S).quantize(
-            Decimal(1), rounding=ROUND_HALF_UP
-        )
+        return to_us(text)
     except InvalidOperation as exc:
         raise TraceParseError(f"{where}: bad time value {text!r}") from exc
-    return int(quantized)
 
 
 def _require(node: ET.Element, attr: str, where: str) -> str:

@@ -337,6 +337,7 @@ class HybridVehcloud(Protocol):
         self._live: dict[int, _HybridState] = {}
         self._seen: dict[int, set] = {}
         self._noted: dict[tuple[int, int], str] = {}
+        self._window_us = to_us(rt.knobs.window_s)
 
     # -- injection -----------------------------------------------------
 
@@ -345,11 +346,10 @@ class HybridVehcloud(Protocol):
         src_pos = rt.pos(msg.src, t)
         bs = rt.nearest_station(src_pos)
         region = rt.region_members(bs, t, exclude=msg.src)
-        window_us = to_us(rt.knobs.window_s)
         loc = {
             v: obstacle_shadowing(rt.pos(v, t), bs.pos, rt.obstacles) for v in region
         }
-        st = _HybridState(msg, bs, loc, window_end=t + window_us)
+        st = _HybridState(msg, bs, loc, window_end=t + self._window_us)
         st.handled = set(region)
         st.handled.add(msg.src)
         self._live[msg.msg_id] = st

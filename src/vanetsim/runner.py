@@ -198,13 +198,19 @@ class Runtime:
         self._messages: dict[int, Message] = {}
         self._msg_seq = 0
         self._notes: list[str] = []
+        self._logging = sim.has_log
         self.end_us: SimTime = 0
+        # per-event intervals in microseconds, converted once in setup()
+        self._beacon_us: SimTime = 0
+        self._beacon_tx_us: SimTime = 0
+        self._tick_us: SimTime = 0
+        self._maintenance_us: SimTime = 0
         self.protocol = PROTOCOLS[protocol_name](self)
 
     # -- geometry and lookups ------------------------------------------------
 
     def pos(self, vehicle_id: int, t: SimTime) -> Position:
-        return self.provider.position_at(vehicle_id, t).pos
+        return self.provider.position_at(vehicle_id, t)
 
     def fleet_positions(self, t: SimTime) -> dict[int, Position]:
         return {s.vehicle_id: s.pos for s in self.provider.fleet_at(t)}
@@ -249,7 +255,9 @@ class Runtime:
     # -- delivery accounting ----------------------------------------------------
 
     def note(self, text: str) -> None:
-        self._notes.append(text)
+        """Append to the current event's log line; a no-op without a log."""
+        if self._logging:
+            self._notes.append(text)
 
     def is_recorded(self, msg_id: int, dst: int) -> bool:
         return (msg_id, dst) in self.records
@@ -267,7 +275,8 @@ class Runtime:
             protocol=self.protocol.name,
             hop_count=hops,
         )
-        self.note(f"rec={msg.msg_id}:{dst}:ok:{recv_us}")
+        if self._logging:
+            self.note(f"rec={msg.msg_id}:{dst}:ok:{recv_us}")
         return True
 
     def record_loss(self, msg: Message, dst: int, cause: str) -> bool:
@@ -282,7 +291,8 @@ class Runtime:
             loss_cause=cause,
             protocol=self.protocol.name,
         )
-        self.note(f"rec={msg.msg_id}:{dst}:{cause}")
+        if self._logging:
+            self.note(f"rec={msg.msg_id}:{dst}:{cause}")
         return True
 
     def ordered_records(self) -> list[DeliveryRecord]:
@@ -294,6 +304,10 @@ class Runtime:
         sim = self.sim
         duration_us = to_us(self.cfg.sim_duration_s)
         self.end_us = duration_us + to_us(self.knobs.drain_s)
+        self._beacon_us = to_us(self.knobs.beacon_interval_s)
+        self._beacon_tx_us = self.tx_time_us()
+        self._tick_us = to_us(self.knobs.mobility_tick_s)
+        self._maintenance_us = to_us(self.knobs.maintenance_interval_s)
 
         for kind, handler in (
             (MESSAGE_INJECT, self._on_inject),
@@ -304,18 +318,17 @@ class Runtime:
             (BEACON_EMIT, self._on_beacon),
             (SIM_END, self._on_sim_end),
         ):
-            sim.on(kind, self._wrap(handler))
+            sim.on(kind, self._wrap(handler) if self._logging else handler)
 
         if self.protocol.wants_maintenance:
             sim.schedule(0, FOG_MAINTENANCE)
         if self.protocol.wants_ticks:
-            sim.schedule(to_us(self.knobs.mobility_tick_s), MOBILITY_TICK)
+            sim.schedule(self._tick_us, MOBILITY_TICK)
 
-        beacon_us = to_us(self.knobs.beacon_interval_s)
-        if beacon_us > 0:
+        if self._beacon_us > 0:
             phase_rng = sim.rng("beacon-phase")
             for v in self.provider.vehicle_ids:
-                sim.schedule(phase_rng.randrange(beacon_us), BEACON_EMIT, BeaconJob(v))
+                sim.schedule(phase_rng.randrange(self._beacon_us), BEACON_EMIT, BeaconJob(v))
 
         workload_rng = sim.rng("workload")
         rate = self.cfg.workload.rate_per_s
@@ -424,14 +437,14 @@ class Runtime:
 
     def _on_tick(self, event) -> Optional[str]:
         base = self.protocol.on_tick(event.fire_at)
-        nxt = event.fire_at + to_us(self.knobs.mobility_tick_s)
+        nxt = event.fire_at + self._tick_us
         if nxt <= self.end_us:
             self.sim.schedule(nxt, MOBILITY_TICK)
         return base
 
     def _on_maintenance(self, event) -> Optional[str]:
         base = self.protocol.on_maintenance(event.fire_at)
-        nxt = event.fire_at + to_us(self.knobs.maintenance_interval_s)
+        nxt = event.fire_at + self._maintenance_us
         if nxt <= self.end_us:
             self.sim.schedule(nxt, FOG_MAINTENANCE)
         return base
@@ -444,8 +457,8 @@ class Runtime:
         base = f"v={v}"
         if self.knobs.include_beacons_in_metrics:
             base = self._metered_beacon(v, pos, t)
-        self.channel.register(t, t + self.tx_time_us(), pos)
-        nxt = t + to_us(self.knobs.beacon_interval_s)
+        self.channel.register(t, t + self._beacon_tx_us, pos)
+        nxt = t + self._beacon_us
         if nxt <= self.end_us:
             self.sim.schedule(nxt, BEACON_EMIT, job)
         return base

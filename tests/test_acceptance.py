@@ -391,7 +391,7 @@ def test_12_recorded_traces_drive_the_same_pipeline(tmp_path, verdict):
         (1, 500_000): (96.0, 3.5), (1, 1_500_000): (88.0, 3.5),
     }
     for (vid, t), (x, y) in expected.items():
-        pos = provider.position_at(vid, t).pos
+        pos = provider.position_at(vid, t)
         if (pos.x, pos.y) != (x, y):
             failures.append(f"vehicle {vid} at {t}: ({pos.x}, {pos.y}) != ({x}, {y})")
 

@@ -5,7 +5,9 @@ import random
 
 import pytest
 
-from vanetsim.engine import US_PER_S
+from decimal import Decimal
+
+from vanetsim.engine import US_PER_S, to_us
 from vanetsim.errors import ConfigError, TraceParseError
 from vanetsim.mobility import (
     LANE_WIDTH_M,
@@ -17,6 +19,7 @@ from vanetsim.mobility import (
     SyntheticGridProvider,
     SyntheticHighwayProvider,
     TraceProvider,
+    VehicleState,
     build_provider,
     distance,
     gateway_count,
@@ -96,11 +99,11 @@ def test_highway_moves_at_constant_speed_and_wraps():
     spec = MobilitySpec(vehicle_count=2, road_length_m=1000.0)
     prov = SyntheticHighwayProvider(spec, initial=[(990.0, 0, 20.0), (10.0, 1, 15.0)])
     s0 = prov.position_at(0, 0)
-    assert s0.pos == Position(990.0, 0.0)
+    assert s0 == Position(990.0, 0.0)
     # 1 s later: 990 + 20 wraps to 10
-    assert prov.position_at(0, US_PER_S).pos.x == pytest.approx(10.0)
-    assert prov.position_at(1, US_PER_S).pos == Position(25.0, LANE_WIDTH_M)
-    assert prov.position_at(1, 500_000).pos.x == pytest.approx(17.5)
+    assert prov.position_at(0, US_PER_S).x == pytest.approx(10.0)
+    assert prov.position_at(1, US_PER_S) == Position(25.0, LANE_WIDTH_M)
+    assert prov.position_at(1, 500_000).x == pytest.approx(17.5)
 
 
 def test_highway_lane_y_offsets():
@@ -108,7 +111,7 @@ def test_highway_lane_y_offsets():
     prov = SyntheticHighwayProvider(
         spec, initial=[(0.0, 0, 10.0), (0.0, 1, 10.0), (0.0, 2, 10.0)]
     )
-    assert [prov.position_at(v, 0).pos.y for v in range(3)] == [0.0, 3.5, 7.0]
+    assert [prov.position_at(v, 0).y for v in range(3)] == [0.0, 3.5, 7.0]
     assert prov.bounds() == (0.0, 0.0, 10_000.0, 7.0)
 
 
@@ -120,7 +123,7 @@ def test_highway_random_draws_respect_configured_ranges():
     for state in prov.fleet_at(0):
         assert 0.0 <= state.pos.x < 10_000.0
         assert state.pos.y in (0.0, LANE_WIDTH_M)
-        moved = (prov.position_at(state.vehicle_id, US_PER_S).pos.x - state.pos.x) % 10_000.0
+        moved = (prov.position_at(state.vehicle_id, US_PER_S).x - state.pos.x) % 10_000.0
         assert lo - 1e-9 <= moved <= hi + 1e-9  # metres in one second
     assert prov.max_drift_mps() <= hi
     # first 5% of ids are the buses
@@ -156,20 +159,20 @@ def test_grid_pinned_vehicle_shuttles_and_wraps():
     spec = MobilitySpec(mode="synthetic_grid", vehicle_count=1, grid_blocks=2,
                         grid_spacing_m=100.0)
     prov = SyntheticGridProvider(spec, initial=[("v", 1, 190.0, 1, 20.0)])
-    assert prov.position_at(0, 0).pos == Position(100.0, 190.0)
-    assert prov.position_at(0, US_PER_S).pos == Position(100.0, 10.0)  # wrapped at 200
+    assert prov.position_at(0, 0) == Position(100.0, 190.0)
+    assert prov.position_at(0, US_PER_S) == Position(100.0, 10.0)  # wrapped at 200
     back = SyntheticGridProvider(spec, initial=[("h", 0, 10.0, -1, 20.0)])
-    assert back.position_at(0, US_PER_S).pos.x == pytest.approx(190.0)
+    assert back.position_at(0, US_PER_S).x == pytest.approx(190.0)
 
 
 # -- static -------------------------------------------------------------------
 
 def test_static_provider_never_moves():
     prov = StaticProvider([Position(0, 0), Position(50, 10)], gateways=[1])
-    assert prov.position_at(1, 0).pos == prov.position_at(1, 10 * US_PER_S).pos
+    assert prov.position_at(1, 0) == prov.position_at(1, 10 * US_PER_S)
     assert prov.max_drift_mps() == 0.0
-    assert prov.position_at(1, 0).is_gateway
-    assert not prov.position_at(0, 0).is_gateway
+    assert prov.is_gateway(1)
+    assert not prov.is_gateway(0)
     assert prov.bounds() == (0.0, 0.0, 50.0, 10.0)
 
 
@@ -189,6 +192,16 @@ def test_parse_fcd_rounds_seconds_half_up(tmp_path):
     samples = parse_fcd(write_fixture(tmp_path, text))
     times = sorted({s.time_us for s in samples})
     assert times == [0, 1_000_001, 2_000_000]
+
+
+def test_config_and_trace_seconds_round_alike(tmp_path):
+    # 0.0001245 * 1e6 is 124.49999999999999 in binary floating point
+    assert to_us(0.0001245) == 125
+    text = FCD_FIXTURE.replace('time="1.00"', 'time="0.0001245"')
+    samples = parse_fcd(write_fixture(tmp_path, text))
+    assert sorted({s.time_us for s in samples}) == [0, 125, 2_000_000]
+    halves = [str((Decimal(k) + Decimal("0.5")) / US_PER_S) for k in range(20_000)]
+    assert [to_us(float(h)) for h in halves] == [to_us(h) for h in halves]
 
 
 def test_parse_fcd_rejects_wrong_root(tmp_path):
@@ -224,16 +237,43 @@ def test_trace_provider_interpolates_and_clamps(tmp_path):
     a = prov.vehicle_ids[0]
     assert prov.label_of(a) == "veh_a"
     # exact at samples
-    assert prov.position_at(a, 0).pos == Position(100.0, 0.0)
-    assert prov.position_at(a, US_PER_S).pos == Position(110.0, 0.0)
+    assert prov.position_at(a, 0) == Position(100.0, 0.0)
+    assert prov.position_at(a, US_PER_S) == Position(110.0, 0.0)
     # linear halfway between samples
-    assert prov.position_at(a, 500_000).pos.x == pytest.approx(105.0)
-    assert prov.position_at(a, 1_500_000).pos.x == pytest.approx(115.0)
+    assert prov.position_at(a, 500_000).x == pytest.approx(105.0)
+    assert prov.position_at(a, 1_500_000).x == pytest.approx(115.0)
     # clamped outside the recorded window
-    assert prov.position_at(a, 99 * US_PER_S).pos.x == 120.0
+    assert prov.position_at(a, 99 * US_PER_S).x == 120.0
     assert prov.max_drift_mps() == pytest.approx(20.0)
     x0, y0, x1, y1 = prov.bounds()
     assert (x0, y0) == (100.0, 0.0) and (x1, y1) == (440.0, 3.5)
+
+
+def contract_providers(tmp_path):
+    yield SyntheticHighwayProvider(
+        MobilitySpec(vehicle_count=40, gateway_fraction=0.1), rng=random.Random(4)
+    )
+    yield SyntheticGridProvider(
+        MobilitySpec(mode="synthetic_grid", vehicle_count=40, gateway_fraction=0.1),
+        rng=random.Random(4),
+    )
+    yield StaticProvider([Position(10.0 * i, 0.0) for i in range(7)], gateways={2, 5})
+    yield TraceProvider(parse_fcd(write_fixture(tmp_path)), gateway_fraction=0.5)
+
+
+def test_fleet_at_is_position_at_plus_is_gateway(tmp_path):
+    for prov in contract_providers(tmp_path):
+        gateways = [v for v in prov.vehicle_ids if prov.is_gateway(v)]
+        assert gateways, type(prov).__name__
+        for t in (0, 700_000, 1_500_000, 30 * US_PER_S):
+            assert prov.fleet_at(t) == [
+                VehicleState(v, prov.position_at(v, t), prov.is_gateway(v))
+                for v in prov.vehicle_ids
+            ]
+    static = StaticProvider([Position(10.0 * i, 0.0) for i in range(7)], gateways={2, 5})
+    assert [s.is_gateway for s in static.fleet_at(0)] == [
+        False, False, True, False, False, True, False
+    ]
 
 
 def test_build_provider_checks_trace_count(tmp_path):

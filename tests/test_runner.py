@@ -228,6 +228,38 @@ def test_log_tokens_reconcile_with_records():
     assert n == len(res.records)
 
 
+def obstacle_grid_cfg():
+    # the 5x5 grid with one building per block, where hybrid_vehcloud's
+    # gateway and uplink notes fire
+    buildings = tuple(
+        (i * 200.0 + 15, j * 200.0 + 15, (i + 1) * 200.0 - 15, (j + 1) * 200.0 - 15)
+        for i in range(5)
+        for j in range(5)
+    )
+    return ScenarioConfig(
+        mobility=MobilitySpec(mode="synthetic_grid", grid_blocks=5, grid_spacing_m=200.0,
+                              speed_range_mph=(15.0, 35.0), gateway_fraction=0.25),
+        radio=RadioParams(loss_slope=0.02),
+        workload=WorkloadSpec(rate_per_s=4.0),
+        knobs=ProtocolKnobs(ttl_hops=3, k_max_gateways=16),
+        obstacle_rects=buildings,
+        sim_duration_s=1.5,
+    )
+
+
+@pytest.mark.parametrize("protocol", ["baseline", "hybrid_vehcloud", "dfcv"])
+def test_unlogged_run_matches_logged_run(protocol):
+    cfg = obstacle_grid_cfg()
+    logged = run_single(cfg, protocol, 60, 7, capture_log=True)
+    plain = run_single(cfg, protocol, 60, 7, capture_log=False)
+    assert plain.log is None and logged.log
+    if protocol == "hybrid_vehcloud":
+        assert any("uplink=" in line for line in logged.log)
+    assert csv_text([plain.summary]) == csv_text([logged.summary])
+    assert plain.records == logged.records
+    assert plain.stats == logged.stats
+
+
 def test_beacons_can_join_the_metrics():
     cfg_off = small_cfg(knobs=ProtocolKnobs(beacon_interval_s=0.5))
     cfg_on = small_cfg(
