@@ -11,6 +11,7 @@ the transmission starts; there is no MAC state machine.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from random import Random
 from typing import Callable, Optional
 
@@ -65,7 +66,7 @@ class RadioParams:
             raise ConfigError("radio.max_defers: must be non-negative")
 
 
-@dataclass
+@dataclass(frozen=True)
 class HopOutcome:
     delivered: bool
     delay_us: Optional[int] = None
@@ -78,6 +79,18 @@ class HopOutcome:
             self.loss_cause not in LOSS_CAUSES or self.delay_us is not None
         ):
             raise ValueError("lost hop must carry exactly a loss cause")
+
+
+# Outcomes are values: one instance per loss cause, built and validated
+# here, and one per delivered delay (which depends only on the distance).
+_OUT_OF_RANGE_HOP = HopOutcome(False, loss_cause=OUT_OF_RANGE)
+_SHADOWED_HOP = HopOutcome(False, loss_cause=SHADOWED)
+_CHANNEL_LOSS_HOP = HopOutcome(False, loss_cause=CHANNEL_LOSS)
+
+
+@lru_cache(maxsize=1024)
+def _delivered_hop(delay_us: int) -> HopOutcome:
+    return HopOutcome(True, delay_us=delay_us)
 
 
 Rect = tuple[float, float, float, float]  # x_min, y_min, x_max, y_max
@@ -240,9 +253,9 @@ def evaluate_hop(
     """
     d = distance(src, dst)
     if d > reach_m:
-        return HopOutcome(False, loss_cause=OUT_OF_RANGE)
+        return _OUT_OF_RANGE_HOP
     if not line_of_sight(src, dst, obstacles):
-        return HopOutcome(False, loss_cause=SHADOWED)
+        return _SHADOWED_HOP
     if contention is not None and channel_loss(params, contention(dst), rng):
-        return HopOutcome(False, loss_cause=CHANNEL_LOSS)
-    return HopOutcome(True, delay_us=hop_delay_us(params, d))
+        return _CHANNEL_LOSS_HOP
+    return _delivered_hop(hop_delay_us(params, d))

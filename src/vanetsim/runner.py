@@ -15,9 +15,10 @@ from __future__ import annotations
 import dataclasses
 import heapq
 import math
+from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .config import TARGET_EXPLICIT, ScenarioConfig
 from .engine import (
@@ -67,18 +68,53 @@ from .radio import (
 
 
 class Channel:
-    """In-flight transmission registry shared by everything that radiates.
+    """Everything on air: registered transmissions and the beacon schedule.
 
-    Entries are (end, start, x, y) kept in a heap by end time so expired
-    transmissions drop off in O(log n).  A transmission is audible at a
-    point when it has started, has not ended, and its origin lies within
-    radio range of that point.
+    Registered transmissions are (end, start, x, y) entries in a heap by end
+    time, so expired ones drop off in O(log n).  Beacons are not registered:
+    vehicle v sends a frame of ``frame_us`` at ``phase_v + k * period_us``
+    for every k >= 0, so the frames on air at t are found by a bisect over
+    the phases, sorted once.  A frame's origin is its vehicle's position at
+    the frame's start, looked up once per (vehicle, start).
+
+    Tie rule, for both kinds: a frame that starts at s and ends at e is on
+    air for s <= t < e, and audible at a point within radio range of its
+    origin.  A beacon that starts at t is therefore audible at t whatever
+    else happens at t.
     """
 
     def __init__(self, params: RadioParams, backoff_rng):
         self.params = params
         self._rng = backoff_rng
         self._active: list[tuple[SimTime, SimTime, float, float]] = []
+        self._phases: list[SimTime] = []
+        self._beaconers: list[int] = []
+        self._period: SimTime = 0
+        self._frame: SimTime = 0
+        self._locate = None
+        # beacon origins by (vehicle, start), dropped once the frame is over
+        self._origins: dict[tuple[int, SimTime], Position] = {}
+        # beacon frames on air at _air_t, as (end, x, y)
+        self._air_t: SimTime = -1
+        self._air: list[tuple[SimTime, float, float]] = []
+
+    def set_beacons(
+        self,
+        schedule: list[tuple[SimTime, int]],
+        period_us: SimTime,
+        frame_us: SimTime,
+        locate: Callable[[int, SimTime], Position],
+    ) -> None:
+        """Put every vehicle's beacons on air.
+
+        ``schedule`` holds (phase, vehicle) pairs sorted by phase, each
+        phase in [0, period_us); ``locate(v, t)`` is v's position at t.
+        """
+        self._phases = [phase for phase, _ in schedule]
+        self._beaconers = [v for _, v in schedule]
+        self._period, self._frame, self._locate = period_us, frame_us, locate
+        self._origins = {}
+        self._air_t = -1
 
     def register(self, start: SimTime, end: SimTime, pos: Position) -> None:
         heapq.heappush(self._active, (end, start, pos.x, pos.y))
@@ -87,22 +123,68 @@ class Channel:
         while self._active and self._active[0][0] <= t:
             heapq.heappop(self._active)
 
-    def concurrent_near(self, pos: Position, t: SimTime) -> int:
+    def beacon_origin(self, v: int, start: SimTime) -> Position:
+        """Where vehicle ``v`` sent the beacon frame that starts at ``start``."""
+        key = (v, start)
+        pos = self._origins.get(key)
+        if pos is None:
+            pos = self._origins[key] = self._locate(v, start)
+        return pos
+
+    def _beacons_at(self, t: SimTime) -> list[tuple[SimTime, float, float]]:
+        """The beacon frames on air at ``t``.  Every receiver of one
+        transmission asks at the same ``t``, so callers reuse ``_air`` while
+        ``_air_t == t``."""
+        air = []
+        period, frame = self._period, self._frame
+        if period:
+            origins, phases, beaconers = self._origins, self._phases, self._beaconers
+            for key in [key for key in origins if key[1] + frame <= t]:
+                del origins[key]
+            # frame k of v is on air when t - frame < phase_v + k * period <= t
+            for k in range(max(0, (t - frame) // period), t // period + 1):
+                base = k * period
+                for i in range(
+                    bisect_right(phases, t - frame - base), bisect_right(phases, t - base)
+                ):
+                    start = phases[i] + base
+                    x, y = self.beacon_origin(beaconers[i], start)
+                    air.append((start + frame, x, y))
+        self._air_t, self._air = t, air
+        return air
+
+    def concurrent_near(self, pos: Position, t: SimTime, own: Optional[Position] = None) -> int:
+        """Frames on air at ``t`` and audible at ``pos``.
+
+        ``own`` is the origin of a frame on air at ``t`` that is left out:
+        a metered beacon's hops do not hear the beacon's own frame.
+        """
         self._prune(t)
         r = self.params.range_m
-        return sum(
-            1
-            for end, start, x, y in self._active
-            if start <= t and math.hypot(x - pos.x, y - pos.y) <= r
-        )
+        px, py = pos
+        n = 0
+        for end, start, x, y in self._active:
+            if start <= t and math.hypot(x - px, y - py) <= r:
+                n += 1
+        for end, x, y in self._air if t == self._air_t else self._beacons_at(t):
+            if math.hypot(x - px, y - py) <= r:
+                n += 1
+        if own is not None and math.hypot(own.x - px, own.y - py) <= r:
+            n -= 1
+        return n
 
     def busy_until_near(self, pos: Position, t: SimTime) -> Optional[SimTime]:
+        """The latest end of the frames on air at ``t`` and audible at ``pos``."""
         self._prune(t)
         r = self.params.range_m
+        px, py = pos
         busy = None
         for end, start, x, y in self._active:
-            if start <= t and math.hypot(x - pos.x, y - pos.y) <= r:
-                busy = end if busy is None else max(busy, end)
+            if start <= t and math.hypot(x - px, y - py) <= r and (busy is None or end > busy):
+                busy = end
+        for end, x, y in self._air if t == self._air_t else self._beacons_at(t):
+            if math.hypot(x - px, y - py) <= r and (busy is None or end > busy):
+                busy = end
         return busy
 
     def draw_backoff(self) -> int:
@@ -327,8 +409,14 @@ class Runtime:
 
         if self._beacon_us > 0:
             phase_rng = sim.rng("beacon-phase")
-            for v in self.provider.vehicle_ids:
-                sim.schedule(phase_rng.randrange(self._beacon_us), BEACON_EMIT, BeaconJob(v))
+            phases = [(phase_rng.randrange(self._beacon_us), v) for v in self.provider.vehicle_ids]
+            self.channel.set_beacons(
+                sorted(phases), self._beacon_us, self._beacon_tx_us, self.provider.position_at
+            )
+            # beacons are events only to write their delivery records
+            if self.knobs.include_beacons_in_metrics:
+                for phase, v in phases:
+                    sim.schedule(phase, BEACON_EMIT, BeaconJob(v))
 
         workload_rng = sim.rng("workload")
         rate = self.cfg.workload.rate_per_s
@@ -403,11 +491,15 @@ class Runtime:
         return self._fire_tx(job, t)
 
     def _v2v_hops(
-        self, src: Position, receivers: list[int], t: SimTime
+        self, src: Position, receivers: list[int], t: SimTime, own: Optional[Position] = None
     ) -> list[tuple[int, HopOutcome]]:
-        """Vehicle-to-vehicle hops at radio range, each with a contention draw."""
+        """Vehicle-to-vehicle hops at radio range, each with a contention draw.
+
+        ``own`` is the origin of a frame whose contention the hops do not
+        count (see ``Channel.concurrent_near``).
+        """
         params, obstacles, rng = self.params, self.obstacles, self.loss_rng
-        near = lambda pos: self.channel.concurrent_near(pos, t)
+        near = lambda pos: self.channel.concurrent_near(pos, t, own)
         return [
             (rid, evaluate_hop(src, self.pos(rid, t), params.range_m, params, obstacles, near, rng))
             for rid in receivers
@@ -450,20 +542,15 @@ class Runtime:
         return base
 
     def _on_beacon(self, event) -> str:
+        """A metered beacon: one delivery record per vehicle in range.
+
+        The frame is on air through the channel's beacon schedule, like
+        every unmetered beacon; this event only writes the records.
+        """
         job: BeaconJob = event.payload
         t = event.fire_at
         v = job.vehicle
-        pos = self.pos(v, t)
-        base = f"v={v}"
-        if self.knobs.include_beacons_in_metrics:
-            base = self._metered_beacon(v, pos, t)
-        self.channel.register(t, t + self._beacon_tx_us, pos)
-        nxt = t + self._beacon_us
-        if nxt <= self.end_us:
-            self.sim.schedule(nxt, BEACON_EMIT, job)
-        return base
-
-    def _metered_beacon(self, v: int, pos: Position, t: SimTime) -> str:
+        pos = self.channel.beacon_origin(v, t)
         cand = [r for r in self.neighbors(pos, self.params.range_m, t) if r != v]
         self._msg_seq += 1
         msg = Message(
@@ -477,11 +564,14 @@ class Runtime:
         )
         self._messages[msg.msg_id] = msg
         self.all_pairs.update((msg.msg_id, dst) for dst in cand)
-        for rid, out in self._v2v_hops(pos, cand, t):
+        for rid, out in self._v2v_hops(pos, cand, t, own=pos):
             if out.delivered:
                 self.record_delivery(msg, rid, t + out.delay_us, 1)
             else:
                 self.record_loss(msg, rid, out.loss_cause)
+        nxt = t + self._beacon_us
+        if nxt <= self.end_us:
+            self.sim.schedule(nxt, BEACON_EMIT, job)
         return f"v={v} msg={msg.msg_id} targets={fmt_ids(cand)}"
 
     def _on_sim_end(self, event) -> str:

@@ -101,7 +101,7 @@ def digests(name: str, metered: bool, directory) -> tuple[str, str]:
 GOLDEN = {
     ("highway", False): (
         "f6bd08add6f751ecf09217960bf348d9d0a3e4d7562fe985242f499593437989",
-        "2e55d5653a5b25b1dce02c45219250acf4cdbf119dac0238bea2ffb5456f6c78",
+        "cd9e665529be0c84c1b07216eb34257f05b50366d1b599d10790ccb616eed1e0",
     ),
     ("highway", True): (
         "d6fe79ab6b9c08a79bead5b38afac3544c5eb130ad0ca2d458949ed4e15452b4",
@@ -109,7 +109,7 @@ GOLDEN = {
     ),
     ("grid", False): (
         "f32318a4de70ebedf327cf2d0b9e86483e7afcb70f800ea7972302689a225ce7",
-        "b9dc34793ea17536a0ac9b2a225b793c3afe82fa58182b2112029b2fb93ceb21",
+        "4bab84d09132565ca6f7dbcdcca9721502e50ba034eba6eb802a0d0617d36272",
     ),
     ("grid", True): (
         "58a6e9671ddb972728b8e53fb67edb250fe34da7e7ac0e94b41a7967344c4e54",
@@ -117,7 +117,7 @@ GOLDEN = {
     ),
     ("trace", False): (
         "492c4fbb917ba77c117df273fba8e2a3b32c6bde720bf6c9e8b625ecc9c397d3",
-        "d6e2e0d72b58c4eafd43ac3cf55f7e9f78fab3bdaeab00c352939a70109087ab",
+        "3d84aaf6fc51e91df189bceb6e88a9ab7298a452e93e67088fa7200f21f959fd",
     ),
     ("trace", True): (
         "6b8d8a1ae12cde63e847a782d8f9a256846d5f06351393f76ee326f36e7ef9d8",

@@ -5,6 +5,8 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vanetsim.config import ProtocolKnobs, ScenarioConfig, WorkloadSpec
 from vanetsim.engine import Simulator
@@ -55,6 +57,87 @@ def test_channel_backoff_draw_is_bounded_and_seeded():
     again = Channel(RadioParams(max_backoff_us=7), random.Random(0))
     assert [again.draw_backoff() for _ in range(200)] == draws
     assert make_channel(max_backoff_us=0).draw_backoff() == 0
+
+
+# -- beacon schedule ----------------------------------------------------------
+
+@st.composite
+def beacon_schedules(draw):
+    """(phases, period, frame, query times): the period is below, equal to
+    or above the frame, and the times include a start, a start + frame
+    and a time before some phase."""
+    frame = draw(st.integers(1, 40))
+    period = draw(
+        st.one_of(st.integers(1, frame), st.just(frame), st.integers(frame, 3 * frame))
+    )
+    phases = draw(st.lists(st.integers(0, period - 1), min_size=1, max_size=8))
+    horizon = max(phases) + 4 * max(period, frame)
+    start = draw(st.sampled_from(phases)) + period * draw(st.integers(0, 3))
+    times = draw(st.lists(st.integers(0, horizon), max_size=6))
+    times += [start, start + frame, draw(st.integers(0, max(phases)))]
+    return phases, period, frame, sorted(times)
+
+
+def brute_force_on_air(phases, period, frame, t):
+    """(vehicle, start, end) of every frame with start <= t < start + frame."""
+    return sorted(
+        (v, start, start + frame)
+        for v, phase in enumerate(phases)
+        for start in range(phase, t + 1, period)
+        if t < start + frame
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(beacon_schedules())
+def test_beacons_on_air_match_brute_force(case):
+    phases, period, frame, times = case
+    located = []
+
+    def locate(v, start):
+        # encode the frame in its origin so the channel's answer names it
+        located.append((v, start))
+        return Position(float(v), float(start))
+
+    ch = Channel(RadioParams(range_m=1e9), random.Random(0))
+    ch.set_beacons(sorted((p, v) for v, p in enumerate(phases)), period, frame, locate)
+    here = Position(0.0, 0.0)
+    for t in times:  # nondecreasing, as the event loop asks; repeats reuse the cached answer
+        want = brute_force_on_air(phases, period, frame, t)
+        got = sorted((int(x), int(y), end) for end, x, y in ch._beacons_at(t))
+        assert got == want
+        assert ch.concurrent_near(here, t) == len(want)
+        assert ch.busy_until_near(here, t) == max((end for _, _, end in want), default=None)
+    assert len(located) == len(set(located))  # one lookup per (vehicle, start)
+
+
+def test_metered_beacon_does_not_hear_its_own_frame():
+    # Two parked vehicles in range, no data traffic, and a loss probability
+    # equal to the number of other frames on air: a beacon hop delivers
+    # exactly when the other vehicle's frame is not on air at the start.
+    period, frame = 2_000, 1_024
+    cfg = ScenarioConfig(
+        radio=RadioParams(base_loss=0.0, loss_slope=1.0),
+        workload=WorkloadSpec(rate_per_s=0.5),
+        knobs=ProtocolKnobs(
+            beacon_interval_s=period / 1e6, include_beacons_in_metrics=True, drain_s=0.0
+        ),
+        sim_duration_s=0.2,
+    )
+    provider = StaticProvider([Position(0.0, 0.0), Position(100.0, 0.0)])
+    stations = place_stations(cfg.mobility, provider, cfg.knobs)
+    sim = Simulator(seed=3)
+    rt = Runtime(sim, cfg, cfg.mobility, provider, EMPTY_MAP, stations, "baseline")
+    rt.setup()
+    assert rt.tx_time_us() == frame
+    sim.run(rt.end_us)
+    records = rt.ordered_records()
+    assert records and set(rt.records) == rt.all_pairs
+    phase = {v: min(r.sent_us for r in records if r.src == v) for v in (0, 1)}
+    for r in records:
+        other_on_air = (r.sent_us - phase[r.dst]) % period < frame and r.sent_us >= phase[r.dst]
+        assert r.delivered == (not other_on_air), r
+    assert any(r.delivered for r in records)
 
 
 # -- neighbor queries ---------------------------------------------------------
