@@ -151,6 +151,11 @@ class Simulator:
         heapq.heappush(self._queue, (fire_at, seq, event))
         return event
 
+    def stop(self) -> None:
+        """Drop every queued event, so the event being handled is the last
+        one ``run`` processes."""
+        self._queue.clear()
+
     def run(self, until: SimTime) -> RunStats:
         """Process events with fire_at <= until in (fire_at, seq) order."""
         until = int(until)

@@ -417,11 +417,29 @@ def build_provider(spec: MobilitySpec, rng: Optional[Random]) -> MobilityProvide
 class NeighborIndex:
     """Coarse spatial bucket index over the fleet for range queries.
 
-    Buckets are rebuilt lazily when the snapshot is older than the refresh
-    interval; queries widen the radius by the largest possible drift since
-    the snapshot, so the candidate set always contains every vehicle that
-    is actually within the requested radius.  Callers must still do the
-    exact distance check.
+    The buckets hold a snapshot of every vehicle's position, rebuilt lazily
+    once the query time is more than the refresh interval away from the
+    snapshot (before it or after it).  A vehicle moves at most
+    ``slack = max_drift * |t - built_at|`` between its snapshot and ``t``.
+
+    ``candidates`` returns ``(vid, certain)`` pairs sorted by id, one per
+    vehicle whose snapshot lies within ``radius + slack`` of the center.  By
+    the triangle inequality that holds for every vehicle actually within
+    ``radius`` at ``t``, as long as it did not cross the seam of a wrapping
+    axis (see ``wrap_period``): such a vehicle jumps across the map, so the
+    query is repeated from mirror centers on the other side of each seam
+    within reach.
+
+    ``certain`` means the vehicle is within ``radius`` at ``t`` without
+    looking it up.  Again by the triangle inequality, a snapshot within
+    ``radius - slack - 1e-6`` of the center puts the vehicle within
+    ``radius - 1e-6``; the margin absorbs float rounding in the provider and
+    in the distance.  That argument needs the snapshot to be the vehicle's
+    unwrapped path, so a candidate is certain only when it was found from
+    the unmirrored center and its snapshot is at least ``slack + 1e-6`` from
+    every seam of a wrapping axis.  With ``radius <= slack`` nothing is
+    certain.  Callers must locate every other candidate and check its
+    distance exactly.
     """
 
     REFRESH_US = 200_000
@@ -429,25 +447,38 @@ class NeighborIndex:
     def __init__(self, provider: MobilityProvider, cell_m: float):
         self._provider = provider
         self._cell = max(cell_m, 1.0)
+        self._drift = provider.max_drift_mps()
         self._built_at: Optional[SimTime] = None
-        self._buckets: dict[tuple[int, int], list[int]] = {}
-        self._snapshot: dict[int, Position] = {}
+        # (vid, x, y, distance from x, y to the nearest seam) by bucket
+        self._buckets: dict[tuple[int, int], list[tuple[int, float, float, float]]] = {}
 
     def _rebuild(self, t_us: SimTime) -> None:
-        self._buckets = {}
-        self._snapshot = {}
-        for state in self._provider.fleet_at(t_us):
-            key = (int(state.pos.x // self._cell), int(state.pos.y // self._cell))
-            self._buckets.setdefault(key, []).append(state.vehicle_id)
-            self._snapshot[state.vehicle_id] = state.pos
+        cell = self._cell
+        locate = self._provider.position_at
+        wrap_x, wrap_y = self._provider.wrap_period
+        buckets: dict[tuple[int, int], list[tuple[int, float, float, float]]] = {}
+        for vid in self._provider.vehicle_ids:
+            x, y = locate(vid, t_us)
+            seam = math.inf
+            if wrap_x is not None:
+                seam = min(x, wrap_x - x)
+            if wrap_y is not None:
+                seam = min(seam, y, wrap_y - y)
+            buckets.setdefault((int(x // cell), int(y // cell)), []).append((vid, x, y, seam))
+        self._buckets = buckets
         self._built_at = t_us
 
-    def candidates(self, center: Position, radius_m: float, t_us: SimTime) -> list[int]:
-        if self._built_at is None or t_us - self._built_at > self.REFRESH_US:
+    def candidates(
+        self, center: Position, radius_m: float, t_us: SimTime
+    ) -> list[tuple[int, bool]]:
+        if self._built_at is None or abs(t_us - self._built_at) > self.REFRESH_US:
             self._rebuild(t_us)
-        elapsed = max(0, t_us - self._built_at)
-        slack = self._provider.max_drift_mps() * (elapsed / US_PER_S)
+        slack = self._drift * (abs(t_us - self._built_at) / US_PER_S)
         reach = radius_m + slack + 1e-9
+        reach2 = reach * reach
+        sure = radius_m - slack - 1e-6
+        sure2 = sure * sure if sure > 0 else -1.0
+        margin = slack + 1e-6  # the least seam distance of a certain snapshot
         # Near a wrap boundary a vehicle can jump across the map between the
         # snapshot and now, so the query is repeated from mirror centers.
         wrap_x, wrap_y = self._provider.wrap_period
@@ -463,17 +494,17 @@ class NeighborIndex:
                 ys.append(center.y + wrap_y)
             if center.y + reach > wrap_y:
                 ys.append(center.y - wrap_y)
-        found: set[int] = set()
+        cell, buckets = self._cell, self._buckets
+        found: dict[int, bool] = {}
+        bound2 = sure2  # only the unmirrored center, queried first, makes a candidate certain
         for cx in xs:
             for cy in ys:
-                x_lo = int((cx - reach) // self._cell)
-                x_hi = int((cx + reach) // self._cell)
-                y_lo = int((cy - reach) // self._cell)
-                y_hi = int((cy + reach) // self._cell)
-                for bx in range(x_lo, x_hi + 1):
-                    for by in range(y_lo, y_hi + 1):
-                        for vid in self._buckets.get((bx, by), ()):
-                            snap = self._snapshot[vid]
-                            if abs(snap.x - cx) <= reach and abs(snap.y - cy) <= reach:
-                                found.add(vid)
-        return sorted(found)
+                for bx in range(int((cx - reach) // cell), int((cx + reach) // cell) + 1):
+                    for by in range(int((cy - reach) // cell), int((cy + reach) // cell) + 1):
+                        for vid, x, y, seam in buckets.get((bx, by), ()):
+                            dx, dy = x - cx, y - cy
+                            d2 = dx * dx + dy * dy
+                            if d2 <= reach2 and vid not in found:
+                                found[vid] = d2 <= bound2 and seam >= margin
+                bound2 = -1.0
+        return sorted(found.items())

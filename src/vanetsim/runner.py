@@ -280,6 +280,9 @@ class Runtime:
         self._messages: dict[int, Message] = {}
         self._msg_seq = 0
         self._notes: list[str] = []
+        # positions at _pos_t by vehicle, shared by every query at that time
+        self._pos_t: SimTime = -1
+        self._pos: dict[int, Position] = {}
         self._logging = sim.has_log
         self.end_us: SimTime = 0
         # per-event intervals in microseconds, converted once in setup()
@@ -292,16 +295,26 @@ class Runtime:
     # -- geometry and lookups ------------------------------------------------
 
     def pos(self, vehicle_id: int, t: SimTime) -> Position:
-        return self.provider.position_at(vehicle_id, t)
+        """Where ``vehicle_id`` is at ``t``; looked up once per vehicle while
+        the queries stay at one ``t``."""
+        if t != self._pos_t:
+            self._pos_t = t
+            self._pos = {}
+        p = self._pos.get(vehicle_id)
+        if p is None:
+            p = self._pos[vehicle_id] = self.provider.position_at(vehicle_id, t)
+        return p
 
     def fleet_positions(self, t: SimTime) -> dict[int, Position]:
-        return {s.vehicle_id: s.pos for s in self.provider.fleet_at(t)}
+        return {v: self.pos(v, t) for v in self.provider.vehicle_ids}
 
     def neighbors(self, center: Position, radius_m: float, t: SimTime) -> list[int]:
+        """Every vehicle within ``radius_m`` of ``center`` at ``t``, sorted by id."""
+        pos = self.pos
         return [
             v
-            for v in self.index.candidates(center, radius_m, t)
-            if distance(center, self.pos(v, t)) <= radius_m
+            for v, certain in self.index.candidates(center, radius_m, t)
+            if certain or distance(center, pos(v, t)) <= radius_m
         ]
 
     def region_members(self, bs: BaseStation, t: SimTime, exclude: int = -1) -> list[int]:
@@ -581,6 +594,8 @@ class Runtime:
             if (mid, dst) not in self.records:
                 self.record_loss(self._messages[mid], dst, OUT_OF_RANGE)
                 swept += 1
+        # nothing fires after the accounting sweep, not even events due at end_us
+        self.sim.stop()
         return f"records={len(self.records)} swept={swept}"
 
 

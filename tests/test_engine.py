@@ -88,6 +88,24 @@ def test_run_until_is_inclusive_and_leaves_rest_queued():
     assert seen == [10, 20, 30]
 
 
+def test_stop_makes_the_current_event_the_last():
+    sim = Simulator()
+    seen = []
+
+    def on_end(ev):
+        seen.append(ev.kind)
+        sim.stop()
+
+    sim.on(MOBILITY_TICK, lambda ev: seen.append(ev.kind))
+    sim.on(SIM_END, on_end)
+    sim.schedule(10, SIM_END)
+    sim.schedule(10, MOBILITY_TICK)  # same time, scheduled later
+    sim.schedule(20, MOBILITY_TICK)
+    stats = sim.run(100)
+    assert seen == [SIM_END]
+    assert stats.events_processed == 1 and stats.queued == 0
+
+
 def test_handler_can_schedule_followups():
     sim = Simulator()
     hits = []

@@ -2,10 +2,11 @@
 
 Every run, whatever its mobility, obstacles, beacon period and metering,
 must finish with closed accounting (one record per addressed pair),
-causal delays, delivery + loss == 1, and the same CSV bytes on a rerun
-and with or without an event log.
+causal delays, delivery + loss == 1, and the same CSV bytes on a rerun,
+with or without an event log, and in a serial or a parallel sweep.
 """
 
+import dataclasses
 import math
 from unittest import mock
 
@@ -94,3 +95,14 @@ def test_every_small_config_keeps_the_run_invariants(case):
     assert csv_text([runner.run_single(cfg, protocol, vehicles, seed).summary]) == text
     logged = runner.run_single(cfg, protocol, vehicles, seed, capture_log=True)
     assert logged.log and csv_text([logged.summary]) == text
+
+
+# each example starts a two-worker process pool, so only a few
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(small_runs())
+def test_serial_and_parallel_sweeps_give_the_same_bytes(case):
+    cfg, _, vehicles, seed = case
+    cfg = dataclasses.replace(cfg, densities=(vehicles,), seeds=(seed, seed + 1))
+    serial, _ = runner.run_sweep(cfg, workers=1)
+    parallel, _ = runner.run_sweep(cfg, workers=2)
+    assert csv_text(parallel) == csv_text(serial)

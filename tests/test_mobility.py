@@ -296,6 +296,11 @@ def brute_in_range(provider, center, radius, t):
     }
 
 
+def ids(candidates):
+    """The vehicle ids of ``NeighborIndex.candidates``' (vid, certain) pairs."""
+    return [v for v, _ in candidates]
+
+
 def test_neighbor_index_superset_random_fleets():
     rng = random.Random(88)
     for trial in range(10):
@@ -305,7 +310,7 @@ def test_neighbor_index_superset_random_fleets():
         for t in (0, 150_000, 400_000, 2 * US_PER_S):
             center = Position(rng.uniform(0, 10_000), rng.uniform(0, 3.5))
             want = brute_in_range(prov, center, 300.0, t)
-            got = set(index.candidates(center, 300.0, t))
+            got = set(ids(index.candidates(center, 300.0, t)))
             assert want <= got, (trial, t)
 
 
@@ -319,7 +324,7 @@ def test_neighbor_index_handles_wrap_boundary():
     index.candidates(Position(500.0, 0.0), 50.0, 0)  # builds snapshot at t=0
     # 0.5 s later vehicle 0 sits at 10.0; a query near the seam must see it
     t = 500_000
-    got = set(index.candidates(Position(20.0, 0.0), 50.0, t))
+    got = set(ids(index.candidates(Position(20.0, 0.0), 50.0, t)))
     assert 0 in got and 2 in got
     want = brute_in_range(prov, Position(20.0, 0.0), 50.0, t)
     assert want <= got
@@ -329,11 +334,11 @@ def test_neighbor_index_refreshes_after_interval():
     spec = MobilitySpec(vehicle_count=1, road_length_m=10_000.0)
     prov = SyntheticHighwayProvider(spec, initial=[(0.0, 0, 25.0)])
     index = NeighborIndex(prov, cell_m=200.0)
-    assert index.candidates(Position(0.0, 0.0), 100.0, 0) == [0]
+    assert ids(index.candidates(Position(0.0, 0.0), 100.0, 0)) == [0]
     # after 60 s the vehicle is at 1500 m; stale buckets would miss it
     t = 60 * US_PER_S
-    assert 0 in index.candidates(Position(1500.0, 0.0), 100.0, t)
-    assert index.candidates(Position(0.0, 0.0), 100.0, t) == []
+    assert 0 in ids(index.candidates(Position(1500.0, 0.0), 100.0, t))
+    assert ids(index.candidates(Position(0.0, 0.0), 100.0, t)) == []
 
 
 def test_neighbor_index_grid_wraps_both_axes():
@@ -345,5 +350,14 @@ def test_neighbor_index_grid_wraps_both_axes():
     index = NeighborIndex(prov, cell_m=50.0)
     index.candidates(Position(100.0, 100.0), 10.0, 0)
     # 1 s on: the "v" vehicle wrapped from y=195 to y=5
-    got = set(index.candidates(Position(0.0, 10.0), 20.0, US_PER_S))
+    got = set(ids(index.candidates(Position(0.0, 10.0), 20.0, US_PER_S)))
     assert 0 in got
+
+
+def test_neighbor_index_finds_vehicles_before_its_snapshot():
+    spec = MobilitySpec(vehicle_count=1, road_length_m=10_000.0)
+    prov = SyntheticHighwayProvider(spec, initial=[(1000.0, 0, 25.0)])
+    index = NeighborIndex(prov, cell_m=300.0)
+    index.candidates(Position(5000.0, 0.0), 2.0, 150_000)  # builds snapshot at 150 ms
+    # at t = 0 the vehicle sits exactly on the center, 3.75 m behind its snapshot
+    assert ids(index.candidates(Position(1000.0, 0.0), 2.0, 0)) == [0]

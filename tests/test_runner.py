@@ -9,10 +9,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vanetsim.config import ProtocolKnobs, ScenarioConfig, WorkloadSpec
-from vanetsim.engine import Simulator
+from vanetsim.engine import SIM_END, Simulator, to_us
 from vanetsim.errors import BudgetError
 from vanetsim.metrics import csv_text
-from vanetsim.mobility import MobilitySpec, Position, StaticProvider, distance
+from vanetsim.mobility import (
+    MobilitySpec,
+    Position,
+    StaticProvider,
+    SyntheticGridProvider,
+    SyntheticHighwayProvider,
+    TraceProvider,
+    TraceSample,
+    distance,
+)
 from vanetsim.radio import EMPTY_MAP, RadioParams
 from vanetsim.runner import Channel, Runtime, place_stations, run_single, run_sweep
 
@@ -168,6 +177,93 @@ def test_neighbors_radius_inclusive():
     assert rt.neighbors(Position(0, 0), 300.0, 0) == [0, 1]
 
 
+ROAD_M = 400.0
+GRID = MobilitySpec(mode="synthetic_grid", grid_blocks=2, grid_spacing_m=100.0)
+GRID_M = 200.0
+
+
+def near_seams(period):
+    # vehicles this close to a seam cross it within the queried second
+    return st.one_of(
+        st.floats(0.0, 60.0), st.floats(period - 60.0, period), st.floats(0.0, period)
+    )
+
+
+speeds = st.floats(0.0, 60.0)
+
+
+@st.composite
+def moving_fleets(draw):
+    """(provider, query center, query times) on a wrapping highway, a
+    wrapping grid or a trace."""
+    n = draw(st.integers(1, 30))
+    mode = draw(st.sampled_from(("highway", "grid", "trace")))
+    if mode == "highway":
+        initial = [
+            (draw(near_seams(ROAD_M)), draw(st.integers(0, 2)), draw(speeds)) for _ in range(n)
+        ]
+        provider = SyntheticHighwayProvider(MobilitySpec(road_length_m=ROAD_M), initial=initial)
+        center = Position(draw(near_seams(ROAD_M)), draw(st.floats(-5.0, 10.0)))
+    elif mode == "grid":
+        initial = [
+            (
+                draw(st.sampled_from("hv")),
+                draw(st.integers(0, 2)),
+                draw(near_seams(GRID_M)),
+                draw(st.sampled_from((1, -1))),
+                draw(speeds),
+            )
+            for _ in range(n)
+        ]
+        provider = SyntheticGridProvider(GRID, initial=initial)
+        center = Position(draw(near_seams(GRID_M)), draw(near_seams(GRID_M)))
+    else:
+        samples = []
+        for v in range(n):
+            x, y = draw(st.floats(0.0, 300.0)), draw(st.floats(0.0, 300.0))
+            for k in range(draw(st.integers(1, 5))):
+                samples.append(TraceSample(k * 250_000, str(v), x, y))
+                x += draw(st.floats(-15.0, 15.0))
+                y += draw(st.floats(-15.0, 15.0))
+        provider = TraceProvider(samples)
+        center = Position(draw(st.floats(-20.0, 320.0)), draw(st.floats(-20.0, 320.0)))
+    # over several refresh intervals, in any order, each followed by a query
+    # up to one interval before or after it, where the index's slack is large
+    times = []
+    for t, step in draw(
+        st.lists(
+            st.tuples(st.integers(0, 1_000_000), st.integers(-200_000, 200_000)),
+            min_size=1,
+            max_size=5,
+        )
+    ):
+        times += [t, max(0, t + step)]
+    if draw(st.booleans()):
+        # a center next to a vehicle, so some candidates sit on the edge of certainty
+        x, y = provider.position_at(draw(st.integers(0, n - 1)), draw(st.sampled_from(times)))
+        center = Position(x + draw(st.floats(-15.0, 15.0)), y + draw(st.floats(-15.0, 15.0)))
+    return provider, center, times
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+# below, near and above the index's slack (up to 12 m on synthetic fleets), and wide
+@given(moving_fleets(), st.one_of(st.floats(0.0, 16.0), st.floats(16.0, 350.0)))
+def test_neighbors_match_brute_force_on_moving_fleets(fleet, radius):
+    provider, center, times = fleet
+    cfg = ScenarioConfig(radio=RadioParams(range_m=50.0))
+    stations = place_stations(cfg.mobility, provider, cfg.knobs)
+    rt = Runtime(Simulator(), cfg, cfg.mobility, provider, EMPTY_MAP, stations, "baseline")
+    for t in times + times[::-1]:
+        want = [
+            v
+            for v in provider.vehicle_ids
+            if distance(center, provider.position_at(v, t)) <= radius
+        ]
+        assert rt.neighbors(center, radius, t) == want, t
+        for v in provider.vehicle_ids:
+            assert rt.pos(v, t) == provider.position_at(v, t)
+
+
 # -- station placement --------------------------------------------------------
 
 def test_highway_stations_every_spacing_at_roadside():
@@ -309,6 +405,17 @@ def test_log_tokens_reconcile_with_records():
     tail = [line for line in res.log if "records=" in line][-1]
     n = int(tail.split("records=")[1].split()[0])
     assert n == len(res.records)
+
+
+@pytest.mark.parametrize("protocol", ["hybrid_vehcloud", "dfcv"])
+def test_sim_end_is_the_last_event(protocol):
+    # the last tick (hybrid) or maintenance round (dfcv) is due at end_us
+    # too, and is scheduled after SimEnd
+    cfg = ScenarioConfig(sim_duration_s=3.0)
+    res = run_single(cfg, protocol, 50, 1, capture_log=True)
+    end_us = to_us(3.0 + cfg.knobs.drain_s)
+    assert res.log[-1].split("\t")[:3:2] == [str(end_us), SIM_END]
+    assert res.stats.queued == 0
 
 
 def obstacle_grid_cfg():
