@@ -11,8 +11,10 @@ the same event sequence.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass, field
+from math import floor
 from typing import Optional, Sequence
 
 from .engine import SimTime, to_us
@@ -110,32 +112,49 @@ def select_gateways(
     selection stops when everyone is covered, no gateway adds coverage,
     or k_max picks were made.  Returns (chosen ids in pick order,
     coverage sets for every candidate gateway).
+
+    Only the 3x3 cells of shadowed vehicles around a gateway can hold
+    vehicles in its range, and sight is tested against the obstacles near
+    it.  Picks run as lazy greedy: a gain only falls as vehicles get
+    covered, so a re-scored top entry that still beats every stale key is
+    the eager pick.
     """
+    reach = params.range_m
+    # Cells a hair wider than the range: a pair at exactly range_m stays
+    # in neighbouring cells whatever floor(x / cell) rounds to.
+    cell = reach * (1.0 + 1e-6)
+    cells: dict[tuple[int, int], list[tuple[int, Position]]] = {}
+    for v in shadowed:
+        p = positions[v]
+        cells.setdefault((floor(p.x / cell), floor(p.y / cell)), []).append((v, p))
     covers: dict[int, list[int]] = {}
     for g in sorted(gateway_ids):
         gpos = positions[g]
-        covers[g] = sorted(
-            v
-            for v in shadowed
-            if v != g
-            and distance(gpos, positions[v]) <= params.range_m
-            and line_of_sight(gpos, positions[v], obstacles)
-        )
+        # cell, not reach: the margin also covers rounding in distance()
+        near = obstacles.near(gpos.x, gpos.y, cell)
+        cx, cy = floor(gpos.x / cell), floor(gpos.y / cell)
+        cover = []
+        for i in (cx - 1, cx, cx + 1):
+            for j in (cy - 1, cy, cy + 1):
+                for v, p in cells.get((i, j), ()):
+                    if v != g and distance(gpos, p) <= reach and line_of_sight(gpos, p, near):
+                        cover.append(v)
+        cover.sort()
+        covers[g] = cover
     chosen: list[int] = []
     uncovered = set(shadowed)
-    while uncovered and len(chosen) < k_max:
-        best_id = -1
-        best_gain = 0
-        for g in sorted(covers):
-            if g in chosen:
-                continue
-            gain = sum(1 for v in covers[g] if v in uncovered)
-            if gain > best_gain:
-                best_id, best_gain = g, gain
-        if best_gain == 0:
-            break
-        chosen.append(best_id)
-        uncovered.difference_update(covers[best_id])
+    heap = [(-len(cover), g) for g, cover in covers.items() if cover]
+    heapq.heapify(heap)
+    while heap and uncovered and len(chosen) < k_max:
+        _, g = heapq.heappop(heap)
+        gain = sum(1 for v in covers[g] if v in uncovered)
+        if gain == 0:
+            continue
+        if heap and (-gain, g) > heap[0]:
+            heapq.heappush(heap, (-gain, g))
+            continue
+        chosen.append(g)
+        uncovered.difference_update(covers[g])
     return chosen, covers
 
 
@@ -394,8 +413,6 @@ class HybridVehcloud(Protocol):
                 else:
                     st.chances[v] = st.chances.get(v, 0) + covered_count[v]
         for g in chosen:
-            if not covers[g]:
-                continue
             arrive = (
                 max(t, st.cloud_ready)
                 + rt.cloud.downlink_us
@@ -404,20 +421,29 @@ class HybridVehcloud(Protocol):
             rt.schedule_cloud(GatewayDrop(msg, g, covers[g]), arrive)
         rt.note(f"gw={fmt_ids(chosen)}")
 
+    def _nearest_gateway(
+        self, pos: Position, t: SimTime, skip: tuple[int, ...]
+    ) -> Optional[tuple[float, int, Position]]:
+        """(distance, id, position) of the nearest gateway in range and sight
+        of ``pos``, ties to the smaller id, leaving out the ids in ``skip``."""
+        rt = self.rt
+        best = None
+        for g in rt.gateway_ids:
+            if g in skip:
+                continue
+            gpos = rt.pos(g, t)
+            d = distance(pos, gpos)
+            if d <= rt.params.range_m and rt.los(pos, gpos):
+                if best is None or (d, g) < best[:2]:
+                    best = (d, g, gpos)
+        return best
+
     def _establish_uplink(self, st: _HybridState, t: SimTime):
         if st.uplink != "none":
             return
         rt = self.rt
         src_pos = rt.pos(st.msg.src, t)
-        best = None
-        for g in rt.gateway_ids:
-            if g == st.msg.src:
-                continue
-            gpos = rt.pos(g, t)
-            d = distance(src_pos, gpos)
-            if d <= rt.params.range_m and rt.los(src_pos, gpos):
-                if best is None or (d, g) < (best[0], best[1]):
-                    best = (d, g, gpos)
+        best = self._nearest_gateway(src_pos, t, (st.msg.src,))
         if best is not None:
             d, g, gpos = best
             backoff = rt.channel.draw_backoff()
@@ -558,17 +584,7 @@ class HybridVehcloud(Protocol):
         return f"late_attempts={attempts}" if attempts else None
 
     def _covering_gateway(self, st: _HybridState, v: int, t: SimTime) -> Optional[int]:
-        rt = self.rt
-        vpos = rt.pos(v, t)
-        best = None
-        for g in rt.gateway_ids:
-            if g in (v, st.msg.src):
-                continue
-            gpos = rt.pos(g, t)
-            d = distance(gpos, vpos)
-            if d <= rt.params.range_m and rt.los(gpos, vpos):
-                if best is None or (d, g) < (best[0], best[1]):
-                    best = (d, g)
+        best = self._nearest_gateway(self.rt.pos(v, t), t, (v, st.msg.src))
         return None if best is None else best[1]
 
     def _expire(self, t: SimTime):

@@ -118,6 +118,27 @@ class ObstacleMap:
     def __len__(self) -> int:
         return len(self.rects)
 
+    def near(self, x: float, y: float, reach: float) -> "ObstacleMap":
+        """The rectangles whose boxes meet the square of half-side ``reach``
+        around ``(x, y)``, as a map; they are not checked again.
+
+        ``line_of_sight`` from ``(x, y)`` to any point within ``reach`` of it
+        answers the same on this map as on the full one: that segment lies
+        in the square, so its box test skips every other rectangle.  Each
+        comparison subtracts coordinates rather than forming ``x - reach``,
+        so rounding cannot drop a rectangle the box test keeps.
+        """
+        near = object.__new__(ObstacleMap)
+        near.rects = [
+            rect
+            for rect in self.rects
+            if rect[0] - x <= reach
+            and x - rect[2] <= reach
+            and rect[1] - y <= reach
+            and y - rect[3] <= reach
+        ]
+        return near
+
     @classmethod
     def load(cls, path: str) -> "ObstacleMap":
         """Read one rectangle per line: x_min y_min x_max y_max.
@@ -151,58 +172,83 @@ class ObstacleMap:
 EMPTY_MAP = ObstacleMap([])
 
 
-def _segment_blocked(ax, ay, bx, by, rect: Rect) -> bool:
-    # Liang-Barsky clip of the segment to the closed rectangle.  The segment
-    # is blocked only when the clipped portion has positive length and runs
-    # through the interior; corner or edge grazing keeps sight clear.
-    x0, y0, x1, y1 = rect
+def line_of_sight(a: Position, b: Position, obstacles: ObstacleMap) -> bool:
+    """True when no rectangle interior intersects the open segment a-b.
+
+    Each rectangle whose box meets the segment's box is tested with a
+    Liang-Barsky clip of the segment to the closed rectangle.  The segment
+    is blocked only when the clipped portion has positive length and runs
+    through the interior; corner or edge grazing keeps sight clear.
+    """
+    rects = obstacles.rects
+    if not rects:
+        return True
+    ax, ay, bx, by = a.x, a.y, b.x, b.y
+    # Canonical endpoint order makes the test exactly symmetric; it also
+    # leaves ax <= bx, so the clip's x parameters are -dx <= 0 and dx >= 0.
+    if (bx, by) < (ax, ay):
+        ax, ay, bx, by = bx, by, ax, ay
+    lo_y, hi_y = (ay, by) if ay <= by else (by, ay)
     dx = bx - ax
     dy = by - ay
-    if dx == 0.0 and dy == 0.0:
-        return x0 < ax < x1 and y0 < ay < y1
-    t0, t1 = 0.0, 1.0
-    for p, q in (
-        (-dx, ax - x0),
-        (dx, x1 - ax),
-        (-dy, ay - y0),
-        (dy, y1 - ay),
-    ):
-        if p == 0.0:
-            if q < 0.0:
-                return False
-        else:
-            r = q / p
-            if p < 0.0:
-                if r > t1:
-                    return False
-                if r > t0:
-                    t0 = r
-            else:
-                if r < t0:
-                    return False
-                if r < t1:
-                    t1 = r
-    if t1 <= t0:
-        return False
-    tm = (t0 + t1) / 2.0
-    mx = ax + tm * dx
-    my = ay + tm * dy
-    return x0 < mx < x1 and y0 < my < y1
-
-
-def line_of_sight(a: Position, b: Position, obstacles: ObstacleMap) -> bool:
-    """True when no rectangle interior intersects the open segment a-b."""
-    if not obstacles.rects:
-        return True
-    # Canonical endpoint order makes the test exactly symmetric.
-    if (b.x, b.y) < (a.x, a.y):
-        a, b = b, a
-    lo_x, hi_x = (a.x, b.x) if a.x <= b.x else (b.x, a.x)
-    lo_y, hi_y = (a.y, b.y) if a.y <= b.y else (b.y, a.y)
-    for rect in obstacles.rects:
-        if hi_x < rect[0] or lo_x > rect[2] or hi_y < rect[1] or lo_y > rect[3]:
+    point = dx == 0.0 and dy == 0.0
+    for x0, y0, x1, y1 in rects:
+        if bx < x0 or ax > x1 or hi_y < y0 or lo_y > y1:
             continue
-        if _segment_blocked(a.x, a.y, b.x, b.y, rect):
+        if point:
+            if x0 < ax < x1 and y0 < ay < y1:
+                return False
+            continue
+        # Clip against the edges x0, x1, y0, y1 in that order: edge (p, q)
+        # is (-dx, ax - x0), (dx, x1 - ax), (-dy, ay - y0), (dy, y1 - ay).
+        # p == 0 with q < 0 misses; r = q / p raises t0 when p < 0 and
+        # lowers t1 when p > 0; a crossed window misses.
+        t0, t1 = 0.0, 1.0
+        if dx == 0.0:
+            if ax - x0 < 0.0 or x1 - ax < 0.0:
+                continue
+        else:
+            r = (ax - x0) / -dx
+            if r > t1:
+                continue
+            if r > t0:
+                t0 = r
+            r = (x1 - ax) / dx
+            if r < t0:
+                continue
+            if r < t1:
+                t1 = r
+        if dy == 0.0:
+            if ay - y0 < 0.0 or y1 - ay < 0.0:
+                continue
+        elif dy > 0.0:
+            r = (ay - y0) / -dy
+            if r > t1:
+                continue
+            if r > t0:
+                t0 = r
+            r = (y1 - ay) / dy
+            if r < t0:
+                continue
+            if r < t1:
+                t1 = r
+        else:
+            r = (ay - y0) / -dy
+            if r < t0:
+                continue
+            if r < t1:
+                t1 = r
+            r = (y1 - ay) / dy
+            if r > t1:
+                continue
+            if r > t0:
+                t0 = r
+        if t1 <= t0:
+            continue
+        tm = (t0 + t1) / 2.0
+        mx = ax + tm * dx
+        my = ay + tm * dy
+        if x0 < mx < x1 and y0 < my < y1:
             return False
     return True
 

@@ -3,9 +3,12 @@ cloud and fog relay latency arithmetic, late-joiner handling."""
 
 import dataclasses
 import itertools
+import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vanetsim.config import ProtocolKnobs, ScenarioConfig, WorkloadSpec
 from vanetsim.engine import Simulator, derive_stream_seed
@@ -210,6 +213,127 @@ def test_select_gateways_greedy_near_optimal():
         assert len(covered) <= optimal
         # 1 - 1/e bound, and greedy is exact for the sizes k_max=1 hits
         assert len(covered) >= 0.63 * optimal
+
+
+def all_pairs_select_gateways(shadowed, gateway_ids, positions, params, obstacles, k_max=4):
+    # the reference: every (gateway, shadowed vehicle) pair against the full
+    # map, then eager greedy rescoring every gateway for every pick
+    covers = {}
+    for g in sorted(gateway_ids):
+        gpos = positions[g]
+        covers[g] = sorted(
+            v
+            for v in shadowed
+            if v != g
+            and distance(gpos, positions[v]) <= params.range_m
+            and line_of_sight(gpos, positions[v], obstacles)
+        )
+    chosen = []
+    uncovered = set(shadowed)
+    while uncovered and len(chosen) < k_max:
+        best_id = -1
+        best_gain = 0
+        for g in sorted(covers):
+            if g in chosen:
+                continue
+            gain = sum(1 for v in covers[g] if v in uncovered)
+            if gain > best_gain:
+                best_id, best_gain = g, gain
+        if best_gain == 0:
+            break
+        chosen.append(best_id)
+        uncovered.difference_update(covers[best_id])
+    return chosen, covers
+
+
+def grid_blocks(blocks=5, spacing=200.0, inset=15.0):
+    """The obstacle layout of the acceptance test among buildings."""
+    return ObstacleMap(
+        [
+            (i * spacing + inset, j * spacing + inset, (i + 1) * spacing - inset, (j + 1) * spacing - inset)
+            for i in range(blocks)
+            for j in range(blocks)
+        ]
+    )
+
+
+# tenths of the range: 10 is exactly the range along an axis, (6, 8) exactly
+# the range on a diagonal for the ranges below, 5 the middle of a cell
+LATTICE = (-20, -10, -8, -6, -5, 0, 5, 6, 8, 10, 20)
+
+
+@st.composite
+def gateway_scenes(draw):
+    range_m = draw(st.sampled_from((300.0, 120.0, 1.0)))
+    cell = range_m * (1.0 + 1e-6)
+    k = draw(st.integers(-3, 3))
+    anchors = st.one_of(
+        st.sampled_from(
+            (
+                0.0,
+                -1e-20,
+                k * range_m,
+                math.nextafter(k * range_m, -math.inf),
+                k * cell,
+                math.nextafter(k * cell, -math.inf),
+                -1e3 - 0.5,
+                1e5,
+                1e5 - range_m / 3,
+            )
+        ),
+        st.floats(0.0, 1000.0),
+        st.floats(-2e3, 2e3),
+    )
+    offsets = st.one_of(
+        st.sampled_from(LATTICE).map(lambda h: range_m * h / 10),
+        st.floats(-2.5 * range_m, 2.5 * range_m),
+    )
+    # one step exactly the range along an axis, from a point on one of
+    # the anchors above, is where an unpadded cell loses a pair to rounding
+    axis_steps = st.sampled_from(((range_m, 0.0), (-range_m, 0.0), (0.0, range_m), (0.0, -range_m)))
+    points = [Position(draw(anchors), draw(anchors))]
+    for _ in range(draw(st.integers(1, 14))):
+        base = draw(st.sampled_from(points))  # (0, 0) offsets make coincident points
+        dx, dy = draw(st.one_of(axis_steps, st.tuples(offsets, offsets)))
+        points.append(Position(base.x + dx, base.y + dy))
+    ids = draw(st.permutations(range(len(points))))
+    positions = dict(zip(ids, points))
+    gateways = draw(st.lists(st.sampled_from(ids), unique=True))
+    shadowed = sorted(draw(st.lists(st.sampled_from(ids), unique=True)))  # may hold gateways
+    kind = draw(st.sampled_from(("none", "blocks", "random")))
+    if kind == "none":
+        obstacles = EMPTY_MAP
+    elif kind == "blocks":
+        obstacles = grid_blocks()
+    else:
+        rects = []
+        for _ in range(draw(st.integers(1, 6))):
+            base = draw(st.sampled_from(points))
+            xs = sorted({base.x + draw(offsets) for _ in range(2)})
+            ys = sorted({base.y + draw(offsets) for _ in range(2)})
+            if len(xs) == 2 and len(ys) == 2 and xs[0] < xs[1] and ys[0] < ys[1]:
+                rects.append((xs[0], ys[0], xs[1], ys[1]))
+        obstacles = ObstacleMap(rects)
+    k_max = draw(st.integers(1, len(points) + 1))
+    return shadowed, gateways, positions, RadioParams(range_m=range_m), obstacles, k_max
+
+
+def rounding_edge_pair(x):
+    """A gateway at ``x`` and a shadowed vehicle exactly the range (300 m)
+    further along, where x / 300 and (x + 300) / 300 floor two apart."""
+    positions = {1: Position(x, 0.0), 2: Position(x + 300.0, 0.0)}
+    return [2], [1], positions, RadioParams(range_m=300.0), EMPTY_MAP, 1
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(gateway_scenes())
+@example(rounding_edge_pair(-1e-20))
+@example(rounding_edge_pair(math.nextafter(900.0, -math.inf)))
+def test_select_gateways_matches_the_all_pairs_scan(scene):
+    chosen, covers = select_gateways(*scene)
+    want_chosen, want_covers = all_pairs_select_gateways(*scene)
+    assert chosen == want_chosen
+    assert list(covers.items()) == list(want_covers.items())
 
 
 # -- baseline flood -----------------------------------------------------------

@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vanetsim.errors import ConfigError
 from vanetsim.mobility import Position, distance
@@ -240,6 +242,152 @@ def test_los_multiple_rects_any_blocker_counts():
     assert not line_of_sight(Position(0, 15), Position(30, 15), m)  # first
     assert not line_of_sight(Position(30, 15), Position(60, 15), m)  # second
     assert line_of_sight(Position(25, 0), Position(35, 30), m)  # between them
+
+
+def reference_segment_blocked(ax, ay, bx, by, rect):
+    # the Liang-Barsky clip line_of_sight ran per rectangle, kept as written
+    x0, y0, x1, y1 = rect
+    dx = bx - ax
+    dy = by - ay
+    if dx == 0.0 and dy == 0.0:
+        return x0 < ax < x1 and y0 < ay < y1
+    t0, t1 = 0.0, 1.0
+    for p, q in (
+        (-dx, ax - x0),
+        (dx, x1 - ax),
+        (-dy, ay - y0),
+        (dy, y1 - ay),
+    ):
+        if p == 0.0:
+            if q < 0.0:
+                return False
+        else:
+            r = q / p
+            if p < 0.0:
+                if r > t1:
+                    return False
+                if r > t0:
+                    t0 = r
+            else:
+                if r < t0:
+                    return False
+                if r < t1:
+                    t1 = r
+    if t1 <= t0:
+        return False
+    tm = (t0 + t1) / 2.0
+    mx = ax + tm * dx
+    my = ay + tm * dy
+    return x0 < mx < x1 and y0 < my < y1
+
+
+def reference_line_of_sight(a, b, obstacles):
+    if not obstacles.rects:
+        return True
+    if (b.x, b.y) < (a.x, a.y):
+        a, b = b, a
+    lo_x, hi_x = (a.x, b.x) if a.x <= b.x else (b.x, a.x)
+    lo_y, hi_y = (a.y, b.y) if a.y <= b.y else (b.y, a.y)
+    for rect in obstacles.rects:
+        if hi_x < rect[0] or lo_x > rect[2] or hi_y < rect[1] or lo_y > rect[3]:
+            continue
+        if reference_segment_blocked(a.x, a.y, b.x, b.y, rect):
+            return False
+    return True
+
+
+# coordinates on a coarse lattice make shared edges, corners and collinear
+# runs common; free floats cover everything in between
+coords = st.one_of(
+    st.integers(-2, 12).map(lambda k: k * 10.0),
+    st.floats(-30.0, 150.0, allow_nan=False),
+)
+
+
+@st.composite
+def rect_maps(draw):
+    rects = []
+    for _ in range(draw(st.integers(1, 5))):
+        x0, x1 = sorted(draw(st.lists(coords, min_size=2, max_size=2, unique=True)))
+        y0, y1 = sorted(draw(st.lists(coords, min_size=2, max_size=2, unique=True)))
+        rects.append((x0, y0, x1, y1))
+    return ObstacleMap(rects)
+
+
+@st.composite
+def segments_near(draw, obstacles):
+    """Random segments plus zero-length, axis-parallel, edge-collinear,
+    corner-crossing and boundary-ended ones."""
+    x0, y0, x1, y1 = draw(st.sampled_from(obstacles.rects))
+    corner = (draw(st.sampled_from((x0, x1))), draw(st.sampled_from((y0, y1))))
+    on_edge = draw(
+        st.sampled_from(
+            (
+                (x0, draw(st.floats(y0, y1))),
+                (x1, draw(st.floats(y0, y1))),
+                (draw(st.floats(x0, x1)), y0),
+                (draw(st.floats(x0, x1)), y1),
+            )
+        )
+    )
+    a = Position(draw(coords), draw(coords))
+    kind = draw(st.sampled_from(("free", "point", "axis", "edge", "corner", "boundary")))
+    if kind == "point":
+        a = b = draw(st.sampled_from((a, Position(*on_edge), Position(*corner))))
+    elif kind == "axis":
+        b = draw(st.sampled_from((Position(a.x, draw(coords)), Position(draw(coords), a.y))))
+    elif kind == "edge":
+        a = Position(*on_edge)
+        b = draw(st.sampled_from((Position(a.x, draw(coords)), Position(draw(coords), a.y))))
+    elif kind == "corner":
+        d = draw(st.floats(0.5, 40.0))
+        sx, sy = draw(st.sampled_from(((1, 1), (1, -1))))
+        a = Position(corner[0] - sx * d, corner[1] - sy * d)
+        b = Position(corner[0] + sx * d, corner[1] + sy * d)
+    elif kind == "boundary":
+        b = Position(*on_edge)
+    else:
+        b = Position(draw(coords), draw(coords))
+    return a, b
+
+
+@st.composite
+def los_cases(draw):
+    obstacles = draw(rect_maps())
+    segments = draw(st.lists(segments_near(obstacles), min_size=1, max_size=6))
+    return obstacles, segments
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(los_cases())
+def test_los_matches_the_per_rectangle_clip(case):
+    obstacles, segments = case
+    for a, b in segments:
+        want = reference_line_of_sight(a, b, obstacles)
+        assert line_of_sight(a, b, obstacles) == want, (a, b)
+        assert line_of_sight(b, a, obstacles) == want, (b, a)
+    # every segment from a point to an endpoint within reach sees the near
+    # map exactly as it sees the full one, reach set by each endpoint too
+    ends = [p for seg in segments for p in seg]
+    for a in ends:
+        for reach in [distance(a, b) for b in ends] + [25.0]:
+            near = obstacles.near(a.x, a.y, reach)
+            assert set(near.rects) <= set(obstacles.rects)
+            for b in ends:
+                if distance(a, b) <= reach:
+                    assert line_of_sight(a, b, near) == line_of_sight(a, b, obstacles)
+
+
+def test_near_keeps_only_rectangles_meeting_the_square():
+    # one rectangle off each side of the square, and two touching it
+    m = ObstacleMap(
+        [(10, 10, 20, 20), (-40, 10, -15, 20), (-5, 30, 5, 40), (-5, -10, 5, -6), (40, 10, 50, 20)]
+    )
+    assert m.near(0, 15, 10).rects == [(10.0, 10.0, 20.0, 20.0)]
+    assert m.near(0, 15, 15).rects == m.rects[:3]
+    assert m.near(0, 15, 9.99).rects == []
+    assert m.near(0, 15, 1e9).rects == m.rects
+    assert EMPTY_MAP.near(0, 0, 1e9).rects == []
 
 
 # -- channel loss -------------------------------------------------------------
