@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 from dataclasses import dataclass
 from typing import Optional
@@ -187,7 +188,11 @@ def _int(value, path: str) -> int:
 
 
 def _num(value, path: str) -> float:
-    return float(_expect(value, (int, float), path))
+    # json reads NaN, Infinity and 1e400 as floats that no check below catches
+    num = float(_expect(value, (int, float), path))
+    if not math.isfinite(num):
+        raise ConfigError(f"{path}: must be a finite number, got {value!r}")
+    return num
 
 
 def _str(value, path: str) -> str:

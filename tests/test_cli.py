@@ -62,6 +62,25 @@ def test_validate_rejects_bad_value_with_key_path(tmp_path, capsys):
     assert err.startswith("config error:") and "radio.range_m" in err
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"radio": {"range_m": NaN}}', "radio.range_m"),
+        ('{"sim_duration_s": Infinity}', "sim_duration_s"),
+        ('{"cloud": {"uplink_us": 1}, "knobs": {"d_min_m": -Infinity}}', "knobs.d_min_m"),
+        ('{"workload": {"rate_per_s": 1e400}}', "workload.rate_per_s"),
+    ],
+)
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_non_finite_numbers_are_config_errors(tmp_path, capsys, text, key, command):
+    # Python's json reads these literals as floats; both commands refuse them
+    path = tmp_path / "scenario.json"
+    path.write_text(text)
+    assert main([command, "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"{key}: must be a finite number" in err
+
+
 def test_missing_config_file_exits_one(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "none.json")]) == 1
     assert "config error:" in capsys.readouterr().err

@@ -99,6 +99,12 @@ def test_round_trip_preserves_overrides(tmp_path):
         ({"obstacles": 42}, "obstacles: expected a path"),
         ({"obstacles": [[0, 0, 10]]}, "obstacles[0]: expected [x_min, y_min, x_max, y_max]"),
         ({"mobility": {"mode": "teleport"}}, "mobility.mode"),
+        ({"radio": {"range_m": float("nan")}}, "radio.range_m: must be a finite number"),
+        ({"sim_duration_s": float("inf")}, "sim_duration_s: must be a finite number"),
+        ({"knobs": {"window_s": float("-inf")}}, "knobs.window_s: must be a finite number"),
+        ({"mobility": {"speed_range_mph": [10, float("nan")]}},
+         "mobility.speed_range_mph[1]: must be a finite number"),
+        ({"obstacles": [[0, 0, float("inf"), 10]]}, "obstacles[0][2]: must be a finite number"),
     ],
 )
 def test_bad_configs_name_the_offending_key(data, fragment):
