@@ -332,7 +332,7 @@ class TraceProvider(MobilityProvider):
 def _seconds_to_us(text: str, where: str) -> SimTime:
     try:
         return to_us(text)
-    except InvalidOperation as exc:
+    except (InvalidOperation, ValueError) as exc:  # int(Decimal("NaN")) raises ValueError
         raise TraceParseError(f"{where}: bad time value {text!r}") from exc
 
 
@@ -348,9 +348,12 @@ def _require(node: ET.Element, attr: str, where: str) -> str:
 def _float_attr(node: ET.Element, attr: str, where: str) -> float:
     raw = _require(node, attr, where)
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError as exc:
         raise TraceParseError(f"{where}: attribute '{attr}' is not a number: {raw!r}") from exc
+    if not math.isfinite(value):
+        raise TraceParseError(f"{where}: attribute '{attr}' is not finite: {raw!r}")
+    return value
 
 
 def parse_fcd(path: str) -> list[TraceSample]:

@@ -221,6 +221,24 @@ def test_parse_fcd_rejects_non_numeric(tmp_path):
         parse_fcd(write_fixture(tmp_path, text))
 
 
+@pytest.mark.parametrize(
+    "old, new, fragment",
+    [
+        ('x="110.0"', 'x="nan"', "timestep 1.00: attribute 'x' is not finite: 'nan'"),
+        ('y="3.5"', 'y="inf"', "timestep 0.00: attribute 'y' is not finite: 'inf'"),
+        ('x="440.0"', 'x="-Infinity"', "timestep 2.00: attribute 'x' is not finite"),
+        ('speed="20.0"', 'speed="NaN"', "timestep 0.00: attribute 'speed' is not finite"),
+        ('time="1.00"', 'time="nan"', "bad time value 'nan'"),
+        ('time="2.00"', 'time="inf"', "bad time value 'inf'"),
+    ],
+)
+def test_parse_fcd_rejects_non_finite_values(tmp_path, old, new, fragment):
+    path = write_fixture(tmp_path, FCD_FIXTURE.replace(old, new, 1))
+    with pytest.raises(TraceParseError) as err:
+        parse_fcd(path)
+    assert str(err.value).startswith(path) and fragment in str(err.value)
+
+
 def test_parse_fcd_rejects_non_increasing_time(tmp_path):
     text = FCD_FIXTURE.replace('time="1.00"', 'time="0.00"')
     with pytest.raises(TraceParseError, match="does not increase"):
