@@ -13,7 +13,7 @@ from .metrics import (
     summarize,
 )
 from .mobility import MobilitySpec, NeighborIndex, Position, build_provider
-from .protocols import PROTOCOLS, BaseStation, CloudModel, GatewayInfo, Message
+from .protocols import PROTOCOLS, BaseStation, CloudModel, Message
 from .radio import ObstacleMap, RadioParams, line_of_sight
 from .runner import RunResult, place_stations, run_single, run_sweep
 
@@ -37,7 +37,6 @@ __all__ = [
     "PROTOCOLS",
     "BaseStation",
     "CloudModel",
-    "GatewayInfo",
     "Message",
     "ObstacleMap",
     "RadioParams",

@@ -63,16 +63,6 @@ class BaseStation:
 
 
 @dataclass(frozen=True)
-class GatewayInfo:
-    gateway_id: int
-    access_delay_us: SimTime = 5_000
-
-    def __post_init__(self):
-        if self.access_delay_us < 0:
-            raise ValueError("access_delay_us must be >= 0")
-
-
-@dataclass(frozen=True)
 class CloudModel:
     """Cloud access latencies; defaults keep the cloud round trip well
     above the fog processing delay."""
@@ -413,13 +403,14 @@ class HybridVehcloud(Protocol):
                 else:
                     st.chances[v] = st.chances.get(v, 0) + covered_count[v]
         for g in chosen:
-            arrive = (
-                max(t, st.cloud_ready)
-                + rt.cloud.downlink_us
-                + rt.gateway_info(g).access_delay_us
-            )
-            rt.schedule_cloud(GatewayDrop(msg, g, covers[g]), arrive)
+            self._drop_at_gateway(st, g, covers[g], t)
         rt.note(f"gw={fmt_ids(chosen)}")
+
+    def _drop_at_gateway(self, st: _HybridState, g: int, receivers: list[int], t: SimTime):
+        """Have the cloud hand the message to gateway ``g`` once it is there."""
+        rt = self.rt
+        arrive = max(t, st.cloud_ready) + rt.cloud.downlink_us + rt.knobs.gateway_access_us
+        rt.schedule_cloud(GatewayDrop(st.msg, g, receivers), arrive)
 
     def _nearest_gateway(
         self, pos: Position, t: SimTime, skip: tuple[int, ...]
@@ -573,12 +564,7 @@ class HybridVehcloud(Protocol):
                     g = self._covering_gateway(st, v, t)
                     if g is None:
                         continue
-                    arrive = (
-                        max(t, st.cloud_ready)
-                        + rt.cloud.downlink_us
-                        + rt.gateway_info(g).access_delay_us
-                    )
-                    rt.schedule_cloud(GatewayDrop(st.msg, g, [v]), arrive)
+                    self._drop_at_gateway(st, g, [v], t)
                     attempts += 1
         self._expire(t)
         return f"late_attempts={attempts}" if attempts else None

@@ -49,7 +49,6 @@ from .protocols import (
     PROTOCOLS,
     BaseStation,
     BeaconJob,
-    GatewayInfo,
     InfraTx,
     KIND_BEACON,
     Message,
@@ -272,9 +271,6 @@ class Runtime:
         self.channel = Channel(cfg.radio, sim.rng("radio-backoff"))
         self.loss_rng = sim.rng("radio-loss")
         self.gateway_ids = [v.vehicle_id for v in provider.fleet_at(0) if v.is_gateway]
-        self._gateway_info = {
-            g: GatewayInfo(g, cfg.knobs.gateway_access_us) for g in self.gateway_ids
-        }
         self.records: dict[tuple[int, int], DeliveryRecord] = {}
         self.all_pairs: set[tuple[int, int]] = set()
         self._messages: dict[int, Message] = {}
@@ -329,9 +325,6 @@ class Runtime:
 
     def station(self, station_id: int) -> BaseStation:
         return self._station_by_id[station_id]
-
-    def gateway_info(self, gateway_id: int) -> GatewayInfo:
-        return self._gateway_info[gateway_id]
 
     def los(self, a: Position, b: Position) -> bool:
         return line_of_sight(a, b, self.obstacles)
