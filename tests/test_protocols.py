@@ -22,6 +22,7 @@ from vanetsim.protocols import (
     obstacle_shadowing,
     select_gateways,
     PROTOCOLS,
+    _HybridState,
 )
 from vanetsim.radio import (
     EMPTY_MAP,
@@ -664,3 +665,83 @@ def test_protocol_registry_names():
     assert set(PROTOCOLS) == {"baseline", "hybrid_vehcloud", "dfcv"}
     for name, cls in PROTOCOLS.items():
         assert cls.name == name
+
+
+# -- uplinks ------------------------------------------------------------------
+
+class CountingRng:
+    """Passes calls through to a Random and lists the names of the methods called."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.calls = []
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def call(*args):
+            self.calls.append(name)
+            return method(*args)
+
+        return call
+
+
+def uplink_runtime(trace_path, n, protocol, **kw):
+    """A Runtime on a static trace whose backoff and loss streams list their draws."""
+    cfg = scenario(trace_path, n, **kw)
+    sim = Simulator(seed=1)
+    provider = build_provider(cfg.mobility, sim.rng("mobility"))
+    stations = place_stations(cfg.mobility, provider, cfg.knobs)
+    rt = Runtime(sim, cfg, cfg.mobility, provider, cfg.load_obstacles(), stations, protocol)
+    rt.channel._rng = CountingRng(rt.channel._rng)
+    rt.loss_rng = CountingRng(rt.loss_rng)
+    return rt
+
+
+# src (1) at the origin, gateway (0) 200 m east, station at (200, 200)
+GW_BLOCKED = (90.0, -10.0, 110.0, 10.0)    # src-gateway, not src-station
+BS_BLOCKED = (90.0, 90.0, 110.0, 110.0)    # src-station, not src-gateway
+
+
+@pytest.mark.parametrize(
+    "gateway_fraction, rects, coverage, backoffs, losses",
+    [
+        (0.25, [], 1000.0, ["randint"], ["random"]),            # gateway: contends
+        (0.25, [GW_BLOCKED], 1000.0, ["randint"], []),          # station fallback
+        (0.0, [], 1000.0, ["randint"], []),                     # station fallback
+        (0.0, [BS_BLOCKED], 1000.0, [], []),                    # station shadowed
+        (0.0, [], 250.0, [], []),                               # station out of range
+        (0.25, [GW_BLOCKED], 250.0, [], []),                    # neither entry point
+    ],
+)
+def test_hybrid_uplink_draws_only_once_it_has_an_entry_point(
+    tmp_path, gateway_fraction, rects, coverage, backoffs, losses
+):
+    rt = uplink_runtime(
+        hybrid_fixture(tmp_path), 4, "hybrid_vehcloud", rects=rects,
+        gateway_fraction=gateway_fraction, knobs_kw={"bs_coverage_m": coverage},
+    )
+    t = 250_000
+    bs = rt.nearest_station(rt.pos(1, t))
+    st = _HybridState(Message(1, 1, t, (2,)), bs, {}, window_end=t + 1)
+    rt.protocol._establish_uplink(st, t)
+    rt.protocol._establish_uplink(st, t)  # a second call reuses the first outcome
+    assert (rt.channel._rng.calls, rt.loss_rng.calls) == (backoffs, losses)
+
+
+@pytest.mark.parametrize(
+    "rects, coverage, backoffs",
+    [
+        ([], 1000.0, ["randint"]),                      # station in range and sight
+        ([(140.0, -5.0, 160.0, 5.0)], 1000.0, []),      # shadowed
+        ([], 50.0, []),                                 # sender outside coverage
+    ],
+)
+def test_dfcv_uplink_draws_one_backoff_and_no_loss(tmp_path, rects, coverage, backoffs):
+    tracks = [("src", [(0, 100.0, 0.0)]), ("tgt", [(0, 300.0, 0.0)])]
+    rt = uplink_runtime(
+        write_trace(tmp_path, tracks), 2, "dfcv", targets=[1], rects=rects,
+        knobs_kw={"bs_coverage_m": coverage},
+    )
+    rt.protocol.on_inject(Message(1, 0, 0, (1,)), 0)
+    assert (rt.channel._rng.calls, rt.loss_rng.calls) == (backoffs, [])
