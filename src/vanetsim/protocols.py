@@ -20,13 +20,11 @@ from typing import Optional, Sequence
 from .engine import SimTime, to_us
 from .mobility import Position, distance
 from .radio import (
-    CHANNEL_LOSS,
     OUT_OF_RANGE,
     SHADOWED,
+    HopOutcome,
     ObstacleMap,
     RadioParams,
-    channel_loss,
-    hop_delay_us,
     line_of_sight,
     note_cause,
 )
@@ -325,8 +323,7 @@ class _HybridState:
     window_end: SimTime
     handled: set = field(default_factory=set)
     chances: dict[int, int] = field(default_factory=dict)
-    uplink: str = "none"  # none | ok | failed
-    fail_cause: str = SHADOWED
+    uplink: Optional[HopOutcome] = None  # the sender's hop into the cloud, once tried
     cloud_ready: SimTime = 0
 
 
@@ -380,10 +377,10 @@ class HybridVehcloud(Protocol):
         msg = st.msg
         targets = msg.target_set
         self._establish_uplink(st, t)
-        if st.uplink == "failed":
+        if not st.uplink.delivered:
             for v in shadowed:
                 if v in targets and not rt.is_recorded(msg.msg_id, v):
-                    rt.record_loss(msg, v, st.fail_cause)
+                    rt.record_loss(msg, v, st.uplink.loss_cause)
             return
         positions = {v: rt.pos(v, t) for v in shadowed}
         gws = [g for g in rt.gateway_ids if g != msg.src]
@@ -430,37 +427,28 @@ class HybridVehcloud(Protocol):
         return best
 
     def _establish_uplink(self, st: _HybridState, t: SimTime):
-        if st.uplink != "none":
+        """Send the message into the cloud once: through the nearest gateway
+        in range and sight, else straight to the station."""
+        if st.uplink is not None:
             return
         rt = self.rt
-        src_pos = rt.pos(st.msg.src, t)
-        best = self._nearest_gateway(src_pos, t, (st.msg.src,))
+        msg = st.msg
+        src_pos = rt.pos(msg.src, t)
+        best = self._nearest_gateway(src_pos, t, (msg.src,))
         if best is not None:
-            d, g, gpos = best
-            backoff = rt.channel.draw_backoff()
-            concurrent = rt.channel.concurrent_near(gpos, t)
-            if channel_loss(rt.params, concurrent, rt.loss_rng):
-                st.uplink = "failed"
-                st.fail_cause = CHANNEL_LOSS
-                rt.note(f"uplink=lost:{g}")
-                return
-            hop = hop_delay_us(rt.params, d, backoff)
-            st.uplink = "ok"
-            st.cloud_ready = t + hop + rt.cloud.uplink_us + rt.cloud.processing_us
-            rt.note(f"uplink=gw:{g}")
-            return
-        # No gateway in reach: try the station itself as the entry point.
-        d_bs = distance(src_pos, st.bs.pos)
-        if d_bs <= rt.knobs.bs_coverage_m and rt.los(src_pos, st.bs.pos):
-            backoff = rt.channel.draw_backoff()
-            hop = hop_delay_us(rt.params, d_bs, backoff)
-            st.uplink = "ok"
-            st.cloud_ready = t + hop + rt.cloud.uplink_us + rt.cloud.processing_us
-            rt.note("uplink=bs")
+            _, g, gpos = best
+            st.uplink = rt.uplink(msg, src_pos, gpos, rt.params.range_m, t, contend=True)
+            entry = f"gw:{g}"
         else:
-            st.uplink = "failed"
-            st.fail_cause = SHADOWED
-            rt.note("uplink=none")
+            st.uplink = rt.uplink(
+                msg, src_pos, st.bs.pos, rt.knobs.bs_coverage_m, t, contend=False
+            )
+            entry = "bs"
+        if st.uplink.delivered:
+            st.cloud_ready = t + st.uplink.delay_us + rt.cloud.uplink_us + rt.cloud.processing_us
+            rt.note(f"uplink={entry}")
+        else:
+            rt.note(f"uplink={entry}:{st.uplink.loss_cause}")
 
     # -- transmissions ---------------------------------------------------
 
@@ -558,7 +546,7 @@ class HybridVehcloud(Protocol):
                     late_shadowed.append(v)
             if late_shadowed:
                 self._establish_uplink(st, t)
-                if st.uplink != "ok":
+                if not st.uplink.delivered:
                     continue
                 for v in late_shadowed:
                     g = self._covering_gateway(st, v, t)
@@ -689,16 +677,12 @@ class Dfcv(Protocol):
                 rt.record_loss(msg, dst, OUT_OF_RANGE)
             return "sender outside coverage"
         bs = rt.station(src_bs_id)
-        src_pos = rt.pos(msg.src, t)
-        if not rt.los(src_pos, bs.pos):
+        up = rt.uplink(msg, rt.pos(msg.src, t), bs.pos, rt.knobs.bs_coverage_m, t, contend=False)
+        if not up.delivered:
             for dst in msg.targets:
-                rt.record_loss(msg, dst, SHADOWED)
-            return f"bs={src_bs_id} uplink shadowed"
-
-        backoff = rt.channel.draw_backoff()
-        up_delay = hop_delay_us(rt.params, distance(src_pos, bs.pos), backoff)
-        rt.channel.register(t, t + rt.tx_time_us(msg.size_bytes), src_pos)
-        fog_ready = t + up_delay + rt.knobs.fog_processing_us
+                rt.record_loss(msg, dst, up.loss_cause)
+            return f"bs={src_bs_id} uplink {up.loss_cause}"
+        fog_ready = t + up.delay_us + rt.knobs.fog_processing_us
 
         by_bs: dict[int, list[int]] = {}
         for dst in msg.targets:

@@ -57,6 +57,7 @@ from .protocols import (
     nearest_station,
 )
 from .radio import (
+    CHANNEL_LOSS,
     OUT_OF_RANGE,
     HopOutcome,
     RadioParams,
@@ -518,6 +519,33 @@ class Runtime:
             t, t + self.tx_time_us(job.msg.size_bytes), sender_pos
         )
         return self.protocol.after_tx(job, t, results)
+
+    def uplink(
+        self,
+        msg: Message,
+        sender_pos: Position,
+        entry_pos: Position,
+        reach: float,
+        t: SimTime,
+        contend: bool,
+    ) -> HopOutcome:
+        """A vehicle's hop into the infrastructure at ``entry_pos``.
+
+        ``contend`` gives the hop a contention draw at the entry point: true
+        for a gateway vehicle, false for a station.  Once the entry point is
+        in ``reach`` and sight the frame is on air, even if the contention
+        draw then loses it: a backoff is drawn, the frame is registered from
+        ``t``, and a delivered hop's delay includes the backoff.
+        """
+        near = (lambda pos: self.channel.concurrent_near(pos, t)) if contend else None
+        out = evaluate_hop(
+            sender_pos, entry_pos, reach, self.params, self.obstacles, near, self.loss_rng
+        )
+        if not out.delivered and out.loss_cause != CHANNEL_LOSS:
+            return out
+        backoff = self.channel.draw_backoff()
+        self.channel.register(t, t + self.tx_time_us(msg.size_bytes), sender_pos)
+        return HopOutcome(True, out.delay_us + backoff) if out.delivered else out
 
     def _fire_infra(self, job: InfraTx, t: SimTime) -> str:
         bs = self.station(job.bs_id)

@@ -108,20 +108,20 @@ GOLDEN = {
         "7b75680abf3a862ff018fa8ec5227b6eea8b756447e581bd37aabff1f09ab54e",
     ),
     ("grid", False): (
-        "f32318a4de70ebedf327cf2d0b9e86483e7afcb70f800ea7972302689a225ce7",
-        "4bab84d09132565ca6f7dbcdcca9721502e50ba034eba6eb802a0d0617d36272",
+        "c3a61aad5fbb6d31663a3e58053e10d95bb50d12db296c893ad13920f6fae1e5",
+        "4f2f0198024783c6792df24649966d94e1c28e95cb2b293c75b27a08512d6294",
     ),
     ("grid", True): (
-        "58a6e9671ddb972728b8e53fb67edb250fe34da7e7ac0e94b41a7967344c4e54",
-        "7e79f0333c37d61fec324470c1b66e09099ea84c81a5f708846d13a48e278930",
+        "ebaa038b1733f2cbd80f0a7620889f7a65a327242eba8d3c571e4f394183e66c",
+        "5005b8d10901ce137036c75d40c7d31784c38c48d58850fb663ecca90ffa4ac8",
     ),
     ("trace", False): (
-        "492c4fbb917ba77c117df273fba8e2a3b32c6bde720bf6c9e8b625ecc9c397d3",
-        "3d84aaf6fc51e91df189bceb6e88a9ab7298a452e93e67088fa7200f21f959fd",
+        "591985656e0cdf82c3cb6264d60e051ee6836faa3a3a994b8ad64b9665854e6c",
+        "4b485b13340180e55e82af335ef3b060fc1a338d35537cf43f573d38c0ecafdf",
     ),
     ("trace", True): (
-        "6b8d8a1ae12cde63e847a782d8f9a256846d5f06351393f76ee326f36e7ef9d8",
-        "6182b97df7b2b5e04a7325e2b4d7b10a62ecde01c07bbc468bedd995e001bf97",
+        "723ff75cdd120fab4ed4078022183d6a42d3fc327b4e1d0304316fb3e8f3112c",
+        "bdcac664929980908cb016d90a99be8e57223b3053b1a0913ff957337f00f613",
     ),
 }
 

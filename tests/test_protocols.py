@@ -32,6 +32,7 @@ from vanetsim.radio import (
     RadioParams,
     hop_delay_us,
     line_of_sight,
+    tx_time_us,
 )
 from vanetsim.runner import Runtime, place_stations, run_single
 
@@ -670,18 +671,21 @@ def test_protocol_registry_names():
 # -- uplinks ------------------------------------------------------------------
 
 class CountingRng:
-    """Passes calls through to a Random and lists the names of the methods called."""
+    """Passes calls through to a Random and lists the names of the methods
+    called and the values they returned."""
 
     def __init__(self, rng):
         self._rng = rng
         self.calls = []
+        self.values = []
 
     def __getattr__(self, name):
         method = getattr(self._rng, name)
 
         def call(*args):
             self.calls.append(name)
-            return method(*args)
+            self.values.append(method(*args))
+            return self.values[-1]
 
         return call
 
@@ -745,3 +749,52 @@ def test_dfcv_uplink_draws_one_backoff_and_no_loss(tmp_path, rects, coverage, ba
     )
     rt.protocol.on_inject(Message(1, 0, 0, (1,)), 0)
     assert (rt.channel._rng.calls, rt.loss_rng.calls) == (backoffs, [])
+
+
+@pytest.mark.parametrize("base_loss", [0.0, 1.0])
+def test_hybrid_gateway_uplink_frame_is_on_the_channel(tmp_path, base_loss):
+    # delivered or lost to contention, the frame is on air around its sender
+    rt = uplink_runtime(
+        hybrid_fixture(tmp_path), 4, "hybrid_vehcloud", gateway_fraction=0.25,
+        radio_kw={"base_loss": base_loss, "max_backoff_us": 2000},
+    )
+    t = 250_000
+    src = rt.pos(1, t)
+    st = _HybridState(Message(1, 1, t, (2,)), rt.nearest_station(src), {}, window_end=t + 1)
+    rt.protocol._establish_uplink(st, t)
+    end = t + rt.tx_time_us()
+    assert rt.channel.concurrent_near(src, t) == 1
+    assert rt.channel.busy_until_near(src, t) == end
+    assert rt.channel.concurrent_near(src, end - 1) == 1
+    assert rt.channel.busy_until_near(src, end) is None
+    assert rt.loss_rng.calls == ["random"]  # the gateway hop, which contends
+    assert st.uplink.delivered == (base_loss == 0.0)
+    if st.uplink.delivered:
+        backoff, = rt.channel._rng.values
+        assert st.uplink.delay_us == hop_delay_us(rt.params, 200.0) + backoff
+
+
+def test_hybrid_sender_defers_its_broadcast_behind_its_uplink(tmp_path):
+    rects = [(290.0, 90.0, 310.0, 110.0)]
+    cfg = scenario(hybrid_fixture(tmp_path), 4, targets=[0, 2],
+                   rects=rects, gateway_fraction=0.25)
+    res = run_single(cfg, "hybrid_vehcloud", 4, seed_with_src(4, 1), capture_log=True)
+    inject = next(line for line in res.log if "MessageInject" in line)
+    t = int(inject.split("\t")[0])
+    assert "uplink=gw:0" in inject
+    until = t + tx_time_us(cfg.radio)
+    assert any(f"defer msg=1 from=1 until={until}" in line for line in res.log)
+    assert all(r.delivered for r in res.records)
+
+
+def test_hybrid_failed_uplink_records_the_hops_cause(tmp_path):
+    # no gateways; the station at (200, 200) is in sight of src but 283 m
+    # away, beyond its 250 m coverage, and a slab shadows tgt from it
+    tracks = [("src", [(0, 0.0, 0.0)]), ("tgt", [(0, 300.0, 200.0)]),
+              ("decoy", [(0, 400.0, 400.0)])]
+    cfg = scenario(write_trace(tmp_path, tracks), 3, targets=[1],
+                   rects=[(240.0, 190.0, 260.0, 210.0)], knobs_kw={"bs_coverage_m": 250.0})
+    res = run_single(cfg, "hybrid_vehcloud", 3, seed_with_src(3, 0), capture_log=True)
+    r, = res.records
+    assert r.loss_cause == OUT_OF_RANGE
+    assert any("uplink=bs:out_of_range" in line for line in res.log)
