@@ -188,7 +188,7 @@ def _int(value, path: str) -> int:
 
 
 def _num(value, path: str) -> float:
-    # json reads NaN, Infinity and 1e400 as floats that no check below catches
+    # json reads NaN, Infinity and 1e400 as floats, and NaN passes every range check
     num = float(_expect(value, (int, float), path))
     if not math.isfinite(num):
         raise ConfigError(f"{path}: must be a finite number, got {value!r}")
