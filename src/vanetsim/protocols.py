@@ -2,11 +2,12 @@
 relay for shadowed vehicles, and fog-cell directed dissemination.
 
 Each protocol is driven by a Runtime (see runner.py) that owns the event
-loop, the channel, positions and the delivery-record store.  Protocols
-receive injected messages, decide who transmits what and when, and are
-called back with per-receiver radio outcomes after every transmission
-fires.  All iteration is over sorted ids so a given seed always produces
-the same event sequence.
+loop, the channel, positions and the delivery records.  Protocols receive
+injected messages, decide who transmits what and when, and are called back
+with per-receiver radio outcomes after every transmission fires.  They
+report those outcomes to the Runtime, which writes a record only for an
+addressed (message, recipient) pair that has none yet.  All iteration is
+over sorted ids so a given seed always produces the same event sequence.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from math import floor
 from typing import Optional, Sequence
 
 from .engine import SimTime, to_us
+from .errors import ConfigError
 from .mobility import Position, distance
 from .radio import (
     OUT_OF_RANGE,
@@ -26,7 +28,6 @@ from .radio import (
     ObstacleMap,
     RadioParams,
     line_of_sight,
-    note_cause,
 )
 
 KIND_BEACON = "beacon"
@@ -49,10 +50,6 @@ class Message:
         if self.ttl_hops < 1:
             raise ValueError("ttl_hops must be >= 1")
 
-    @property
-    def target_set(self) -> frozenset:
-        return frozenset(self.targets)
-
 
 @dataclass(frozen=True)
 class BaseStation:
@@ -70,8 +67,9 @@ class CloudModel:
     processing_us: SimTime = 10_000
 
     def __post_init__(self):
-        if min(self.uplink_us, self.downlink_us, self.processing_us) < 0:
-            raise ValueError("cloud latencies must be >= 0")
+        for name in ("uplink_us", "downlink_us", "processing_us"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"cloud.{name}: must be non-negative")
 
 
 def nearest_station(stations: Sequence[BaseStation], pos: Position) -> BaseStation:
@@ -174,26 +172,6 @@ class InfraTx:
     msg: Message
     bs_id: int
     receivers: list[int]
-    targets: frozenset
-
-
-@dataclass
-class GatewayDrop:
-    """Cloud handing a message to a gateway for local rebroadcast."""
-
-    msg: Message
-    gateway: int
-    receivers: list[int]
-
-
-@dataclass
-class FogDrop:
-    """Cloud/fog handing a message to a base station for downlink."""
-
-    msg: Message
-    bs_id: int
-    receivers: list[int]
-    targets: frozenset
 
 
 @dataclass
@@ -244,8 +222,8 @@ class BaselineFlood(Protocol):
     """Multi-hop flood: every first-time recipient rebroadcasts once.
 
     Losses are provisional until the flood dies out: a target missed by
-    one relay may still be reached by another, so causes are noted with
-    a severity rank and only recorded when no transmission is pending.
+    one relay may still be reached by another, so causes are only noted
+    with the Runtime and recorded when no transmission is pending.
     """
 
     name = "baseline"
@@ -254,11 +232,8 @@ class BaselineFlood(Protocol):
         super().__init__(rt)
         self._seen: dict[int, set] = {}
         self._pending: dict[int, int] = {}
-        self._noted: dict[tuple[int, int], str] = {}
-        self._msgs: dict[int, Message] = {}
 
     def on_inject(self, msg: Message, t: SimTime) -> str:
-        self._msgs[msg.msg_id] = msg
         self._seen[msg.msg_id] = {msg.src}
         self._pending[msg.msg_id] = 1
         start = t + self.rt.knobs.route_setup_delay_us
@@ -272,10 +247,10 @@ class BaselineFlood(Protocol):
         return [v for v in cand if v != job.sender and v not in seen]
 
     def after_tx(self, job: TxJob, t: SimTime, results) -> str:
+        rt = self.rt
         msg = job.msg
         mid = msg.msg_id
         seen = self._seen[mid]
-        targets = msg.target_set
         relays = 0
         delivered = 0
         for rid, out in results:
@@ -283,16 +258,13 @@ class BaselineFlood(Protocol):
                 recv = t + out.delay_us
                 seen.add(rid)
                 delivered += 1
-                if rid in targets and not self.rt.is_recorded(mid, rid):
-                    self.rt.record_delivery(msg, rid, recv, job.hop)
+                rt.record_delivery(msg, rid, recv, job.hop)
                 if job.hop < msg.ttl_hops:
                     self._pending[mid] += 1
-                    self.rt.schedule_tx(
-                        TxJob(msg, rid, hop=job.hop + 1, purpose="flood"), recv
-                    )
+                    rt.schedule_tx(TxJob(msg, rid, hop=job.hop + 1, purpose="flood"), recv)
                     relays += 1
-            elif rid in targets and not self.rt.is_recorded(mid, rid):
-                note_cause(self._noted, (mid, rid), out.loss_cause)
+            else:
+                rt.note_loss(msg, rid, out.loss_cause)
         self._pending[mid] -= 1
         tail = ""
         if self._pending[mid] == 0:
@@ -301,11 +273,9 @@ class BaselineFlood(Protocol):
         return f"tx msg={mid} from={job.sender} hop={job.hop} ok={delivered} relay={relays}{tail}"
 
     def _finalize(self, mid: int):
-        msg = self._msgs[mid]
+        msg = self.rt.messages[mid]
         for dst in msg.targets:
-            if not self.rt.is_recorded(mid, dst):
-                cause = self._noted.get((mid, dst), OUT_OF_RANGE)
-                self.rt.record_loss(msg, dst, cause)
+            self.rt.record_loss(msg, dst)
 
     def on_end(self, t: SimTime) -> None:
         # Floods cut off by the horizon finalize with what was noted.
@@ -342,7 +312,6 @@ class HybridVehcloud(Protocol):
         super().__init__(rt)
         self._live: dict[int, _HybridState] = {}
         self._seen: dict[int, set] = {}
-        self._noted: dict[tuple[int, int], str] = {}
         self._window_us = to_us(rt.knobs.window_s)
 
     # -- injection -----------------------------------------------------
@@ -375,12 +344,10 @@ class HybridVehcloud(Protocol):
         """Uplink once, pick gateways over this shadowed batch, schedule drops."""
         rt = self.rt
         msg = st.msg
-        targets = msg.target_set
         self._establish_uplink(st, t)
         if not st.uplink.delivered:
             for v in shadowed:
-                if v in targets and not rt.is_recorded(msg.msg_id, v):
-                    rt.record_loss(msg, v, st.uplink.loss_cause)
+                rt.record_loss(msg, v, st.uplink.loss_cause)
             return
         positions = {v: rt.pos(v, t) for v in shadowed}
         gws = [g for g in rt.gateway_ids if g != msg.src]
@@ -394,7 +361,7 @@ class HybridVehcloud(Protocol):
             for v in covers[g]:
                 covered_count[v] += 1
         for v in shadowed:
-            if v in targets and not rt.is_recorded(msg.msg_id, v):
+            if rt.is_open(msg.msg_id, v):
                 if covered_count[v] == 0:
                     rt.record_loss(msg, v, SHADOWED)
                 else:
@@ -407,7 +374,9 @@ class HybridVehcloud(Protocol):
         """Have the cloud hand the message to gateway ``g`` once it is there."""
         rt = self.rt
         arrive = max(t, st.cloud_ready) + rt.cloud.downlink_us + rt.knobs.gateway_access_us
-        rt.schedule_cloud(GatewayDrop(st.msg, g, receivers), arrive)
+        rt.schedule_cloud(
+            TxJob(st.msg, g, hop=2, purpose="gateway", receivers=receivers), arrive
+        )
 
     def _nearest_gateway(
         self, pos: Position, t: SimTime, skip: tuple[int, ...]
@@ -483,39 +452,33 @@ class HybridVehcloud(Protocol):
         mid = msg.msg_id
         rt = self.rt
         seen = self._seen[mid]
-        targets = msg.target_set
         st = self._live.get(mid)
         delivered = 0
         for rid, out in results:
             if out.delivered:
                 seen.add(rid)
                 delivered += 1
-                if rid in targets and not rt.is_recorded(mid, rid):
-                    rt.record_delivery(msg, rid, t + out.delay_us, job.hop)
+                rt.record_delivery(msg, rid, t + out.delay_us, job.hop)
                 if st is not None:
                     st.chances.pop(rid, None)
                 continue
-            if rid not in targets or rt.is_recorded(mid, rid):
+            if not rt.is_open(mid, rid):
                 continue
             if job.purpose == "direct":
                 # One shot for line-of-sight vehicles: the miss is final.
                 rt.record_loss(msg, rid, out.loss_cause)
             elif job.purpose == "gateway":
-                note_cause(self._noted, (mid, rid), out.loss_cause)
+                rt.note_loss(msg, rid, out.loss_cause)
                 if st is not None and rid in st.chances:
                     st.chances[rid] -= 1
                     if st.chances[rid] <= 0:
-                        rt.record_loss(msg, rid, self._noted[(mid, rid)])
+                        rt.record_loss(msg, rid)
         self._drop_if_done(mid, t)
         return f"tx msg={mid} from={job.sender} purpose={job.purpose} ok={delivered}"
 
-    def on_cloud(self, payload, t: SimTime) -> str:
-        drop: GatewayDrop = payload
-        self.rt.schedule_tx(
-            TxJob(drop.msg, drop.gateway, hop=2, purpose="gateway", receivers=drop.receivers),
-            t,
-        )
-        return f"msg={drop.msg.msg_id} gw={drop.gateway} n={len(drop.receivers)}"
+    def on_cloud(self, job: TxJob, t: SimTime) -> str:
+        self.rt.schedule_tx(job, t)
+        return f"msg={job.msg.msg_id} gw={job.sender} n={len(job.receivers)}"
 
     # -- late joiners ------------------------------------------------------
 
@@ -708,31 +671,26 @@ class Dfcv(Protocol):
                     + rt.cloud.downlink_us
                     + rt.knobs.fog_processing_us
                 )
-            rt.schedule_cloud(
-                FogDrop(msg, bs_id, sorted(receivers), frozenset(wanted)), at
-            )
+            rt.schedule_cloud(InfraTx(msg, bs_id, sorted(receivers)), at)
             hops += 1
         return f"bs={src_bs_id} ready={fog_ready} drops={hops}"
 
-    def on_cloud(self, payload, t: SimTime) -> str:
-        drop: FogDrop = payload
-        self.rt.schedule_tx(
-            InfraTx(drop.msg, drop.bs_id, drop.receivers, drop.targets), t
-        )
-        return f"msg={drop.msg.msg_id} bs={drop.bs_id} n={len(drop.receivers)}"
+    def on_cloud(self, job: InfraTx, t: SimTime) -> str:
+        self.rt.schedule_tx(job, t)
+        return f"msg={job.msg.msg_id} bs={job.bs_id} n={len(job.receivers)}"
 
     def after_infra(self, job: InfraTx, t: SimTime, results) -> str:
         rt = self.rt
         msg = job.msg
         delivered = 0
         for rid, out in results:
-            if rid in job.targets and not rt.is_recorded(msg.msg_id, rid):
-                if out.delivered:
-                    rt.record_delivery(msg, rid, t + out.delay_us, 2)
-                else:
-                    rt.record_loss(msg, rid, out.loss_cause)
+            # the Runtime records only targets, and the targets among these
+            # receivers (this station's cells) are the ones this drop is for
             if out.delivered:
+                rt.record_delivery(msg, rid, t + out.delay_us, 2)
                 delivered += 1
+            else:
+                rt.record_loss(msg, rid, out.loss_cause)
         return f"i2v msg={msg.msg_id} bs={job.bs_id} ok={delivered}"
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from math import isfinite
 from random import Random
 from typing import Callable, Optional
 
@@ -158,9 +159,13 @@ class ObstacleMap:
                             f"{path}:{lineno}: expected 4 numbers, got {len(parts)}"
                         )
                     try:
-                        rects.append(tuple(float(p) for p in parts))
+                        rect = tuple(float(p) for p in parts)
                     except ValueError as exc:
                         raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+                    # float() reads nan and inf, and a nan rectangle never blocks sight
+                    if not all(map(isfinite, rect)):
+                        raise ConfigError(f"{path}:{lineno}: coordinates must be finite")
+                    rects.append(rect)
         except OSError as exc:
             raise ConfigError(f"{path}: {exc}") from exc
         try:
@@ -259,15 +264,15 @@ def tx_time_us(params: RadioParams, size_bytes: Optional[int] = None) -> int:
     return max(1, int(raw + 0.5))
 
 
-def hop_delay_us(params: RadioParams, distance_m: float, backoff_us: int = 0) -> int:
-    """Transmission plus propagation plus backoff, in whole microseconds.
+def hop_delay_us(params: RadioParams, distance_m: float) -> int:
+    """Transmission plus propagation, in whole microseconds.
 
     The fractional transmission and propagation terms are rounded half-up;
     the result is always at least one microsecond.
     """
     tx = params.msg_size_bytes * 8 * US_PER_S / params.data_rate_bps
     prop = distance_m * US_PER_S / params.prop_speed_mps
-    return max(1, int(tx + prop + 0.5) + int(backoff_us))
+    return max(1, int(tx + prop + 0.5))
 
 
 def channel_loss(params: RadioParams, concurrent_tx: int, rng: Random) -> bool:

@@ -63,6 +63,7 @@ from .radio import (
     RadioParams,
     evaluate_hop,
     line_of_sight,
+    note_cause,
     tx_time_us,
 )
 
@@ -274,7 +275,10 @@ class Runtime:
         self.gateway_ids = [v.vehicle_id for v in provider.fleet_at(0) if v.is_gateway]
         self.records: dict[tuple[int, int], DeliveryRecord] = {}
         self.all_pairs: set[tuple[int, int]] = set()
-        self._messages: dict[int, Message] = {}
+        # addressed pairs with no record yet, each with the worst loss cause
+        # noted for it so far (None until one is)
+        self._open: dict[tuple[int, int], Optional[str]] = {}
+        self.messages: dict[int, Message] = {}
         self._msg_seq = 0
         self._notes: list[str] = []
         # positions at _pos_t by vehicle, shared by every query at that time
@@ -348,13 +352,29 @@ class Runtime:
         if self._logging:
             self._notes.append(text)
 
-    def is_recorded(self, msg_id: int, dst: int) -> bool:
-        return (msg_id, dst) in self.records
+    def address(self, msg: Message) -> None:
+        """Store ``msg`` and open a (message, target) pair per target."""
+        self.messages[msg.msg_id] = msg
+        pairs = [(msg.msg_id, dst) for dst in msg.targets]
+        self.all_pairs.update(pairs)
+        self._open.update(dict.fromkeys(pairs))
+
+    def is_open(self, msg_id: int, dst: int) -> bool:
+        """True while (msg_id, dst) is addressed and has no record."""
+        return (msg_id, dst) in self._open
+
+    def note_loss(self, msg: Message, dst: int, cause: str) -> None:
+        """Note a provisional loss of an open pair; the worst cause is kept."""
+        key = (msg.msg_id, dst)
+        if key in self._open:
+            note_cause(self._open, key, cause)
 
     def record_delivery(self, msg: Message, dst: int, recv_us: SimTime, hops: int) -> bool:
+        """Close an open pair as delivered; False, writing nothing, for any other."""
         key = (msg.msg_id, dst)
-        if key in self.records:
+        if key not in self._open:
             return False
+        del self._open[key]
         self.records[key] = DeliveryRecord(
             msg.msg_id,
             msg.src,
@@ -368,10 +388,17 @@ class Runtime:
             self.note(f"rec={msg.msg_id}:{dst}:ok:{recv_us}")
         return True
 
-    def record_loss(self, msg: Message, dst: int, cause: str) -> bool:
+    def record_loss(self, msg: Message, dst: int, cause: Optional[str] = None) -> bool:
+        """Close an open pair as lost; False, writing nothing, for any other.
+
+        Without ``cause`` the worst noted cause is recorded, or out_of_range
+        when none was noted.
+        """
         key = (msg.msg_id, dst)
-        if key in self.records:
+        if key not in self._open:
             return False
+        noted = self._open.pop(key)
+        cause = cause or noted or OUT_OF_RANGE
         self.records[key] = DeliveryRecord(
             msg.msg_id,
             msg.src,
@@ -472,8 +499,7 @@ class Runtime:
             size_bytes=self.params.msg_size_bytes,
             ttl_hops=self.knobs.ttl_hops,
         )
-        self._messages[msg.msg_id] = msg
-        self.all_pairs.update((msg.msg_id, dst) for dst in targets)
+        self.address(msg)
         extra = self.protocol.on_inject(msg, t)
         base = f"msg={msg.msg_id} src={msg.src} targets={fmt_ids(targets)}"
         return f"{base} {extra}" if extra else base
@@ -596,8 +622,7 @@ class Runtime:
             ttl_hops=1,
             kind=KIND_BEACON,
         )
-        self._messages[msg.msg_id] = msg
-        self.all_pairs.update((msg.msg_id, dst) for dst in cand)
+        self.address(msg)
         for rid, out in self._v2v_hops(pos, cand, t, own=pos):
             if out.delivered:
                 self.record_delivery(msg, rid, t + out.delay_us, 1)
@@ -610,11 +635,9 @@ class Runtime:
 
     def _on_sim_end(self, event) -> str:
         self.protocol.on_end(event.fire_at)
-        swept = 0
-        for mid, dst in sorted(self.all_pairs):
-            if (mid, dst) not in self.records:
-                self.record_loss(self._messages[mid], dst, OUT_OF_RANGE)
-                swept += 1
+        swept = len(self._open)
+        for mid, dst in sorted(self._open):
+            self.record_loss(self.messages[mid], dst, OUT_OF_RANGE)
         # nothing fires after the accounting sweep, not even events due at end_us
         self.sim.stop()
         return f"records={len(self.records)} swept={swept}"

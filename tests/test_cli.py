@@ -81,6 +81,15 @@ def test_non_finite_numbers_are_config_errors(tmp_path, capsys, text, key, comma
     assert err.startswith("config error:") and f"{key}: must be a finite number" in err
 
 
+@pytest.mark.parametrize("key", ["uplink_us", "downlink_us", "processing_us"])
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_negative_cloud_latency_is_a_config_error(tmp_path, capsys, key, command):
+    path = write_cfg(tmp_path, {"cloud": {key: -1}})
+    assert main([command, "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"cloud.{key}: must be non-negative" in err
+
+
 def test_missing_config_file_exits_one(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "none.json")]) == 1
     assert "config error:" in capsys.readouterr().err

@@ -105,6 +105,9 @@ def test_round_trip_preserves_overrides(tmp_path):
         ({"mobility": {"speed_range_mph": [10, float("nan")]}},
          "mobility.speed_range_mph[1]: must be a finite number"),
         ({"obstacles": [[0, 0, float("inf"), 10]]}, "obstacles[0][2]: must be a finite number"),
+        ({"cloud": {"uplink_us": -1}}, "cloud.uplink_us: must be non-negative"),
+        ({"cloud": {"downlink_us": -1}}, "cloud.downlink_us: must be non-negative"),
+        ({"cloud": {"processing_us": -1}}, "cloud.processing_us: must be non-negative"),
     ],
 )
 def test_bad_configs_name_the_offending_key(data, fragment):

