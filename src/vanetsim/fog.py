@@ -11,6 +11,7 @@ result cannot trigger a split, the split/merge loop always terminates.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -83,22 +84,37 @@ def merge_cells(a: FogCell, b: FogCell) -> FogCell:
 
 
 def _needs_split(cell: FogCell, pos: Mapping[int, Position], d_min: float, th_cap: int) -> bool:
-    return cell.capacity > th_cap or (cell.capacity > 1 and dfcv_distance(cell, pos) > d_min)
+    members = cell.members
+    if len(members) > th_cap:
+        return True
+    if len(members) > 1:
+        # dfcv_distance(cell, pos) > d_min, stopping at the first far member
+        anchor_pos = pos[cell.anchor]
+        for m in members:
+            if distance(anchor_pos, pos[m]) > d_min:
+                return True
+    return False
 
 
 def _merge_ok(
     a: FogCell, b: FogCell, pos: Mapping[int, Position], d_min: float, th_cap: int
 ) -> bool:
-    if a.capacity + b.capacity >= th_cap:
+    if len(a.members) + len(b.members) >= th_cap:
         return False
     if distance(pos[a.anchor], pos[b.anchor]) >= d_min:
         return False
     # The merged cell must not immediately violate the split bound, or the
     # loop would never settle.
     merged_anchor = pos[a.anchor] if a.cell_id <= b.cell_id else pos[b.anchor]
-    return all(
-        distance(merged_anchor, pos[m]) <= d_min for m in a.members + b.members
-    )
+    for members in (a.members, b.members):
+        for m in members:
+            if distance(merged_anchor, pos[m]) > d_min:
+                return False
+    return True
+
+
+def _cell_id(cell: FogCell) -> int:
+    return cell.cell_id
 
 
 def run_maintenance(
@@ -115,11 +131,27 @@ def run_maintenance(
     can never trigger a re-split, so any input settles within two rounds;
     the 2 * |cells| + 2 round cap therefore only trips on a logic
     regression that oscillates.
+
+    Cells stay sorted by id.  Splits go to the first cell that needs one,
+    and merges to the lexicographically first (i, j) slot pair that may
+    merge; each scan makes one pass instead of restarting after every
+    change, and reaches the same cells in the same order:
+
+    - Split scan: a split leaves every cell but the one at slot k as it
+      was, and the cells before k needed no split.  So the scan resumes at
+      k, or at the slot of the new far cell when its id sorts before k
+      (``new_id`` may return any id).
+    - Merge scan: after merging (i, j) the scan goes on at (i, j), which
+      now holds the next cell.  Every pair before it failed, and still
+      fails, because ``_merge_ok`` is monotone under a merge: the cell at
+      i keeps its id and anchor, its capacity only grows, and the set of
+      members that must lie within d_min of the surviving anchor only
+      grows.  A pair that failed before the merge fails after it.
     """
     if th_cap < 1:
         # splitting a singleton makes no progress, so the sweep would spin
         raise ValueError(f"th_cap must be at least 1, got {th_cap}")
-    cells = sorted(cells, key=lambda c: c.cell_id)
+    cells = sorted(cells, key=_cell_id)
     rounds = 0
     while True:
         rounds += 1
@@ -129,34 +161,30 @@ def run_maintenance(
                 f"({len(cells)} cells)"
             )
         changed = False
-        while True:
-            idx = next(
-                (k for k, c in enumerate(cells) if _needs_split(c, pos, d_min, th_cap)),
-                None,
-            )
-            if idx is None:
-                break
-            near, far = split_cell(cells[idx], pos, new_id)
-            cells[idx] = near
-            cells.append(far)
-            cells.sort(key=lambda c: c.cell_id)
+        k = 0
+        while k < len(cells):
+            if not _needs_split(cells[k], pos, d_min, th_cap):
+                k += 1
+                continue
+            near, far = split_cell(cells[k], pos, new_id)
+            cells[k] = near
+            # where append-then-stable-sort would put it
+            slot = bisect_right(cells, far.cell_id, key=_cell_id)
+            cells.insert(slot, far)
+            k = min(k, slot)
             changed = True
-        while True:
-            pair = None
-            for i in range(len(cells)):
-                for j in range(i + 1, len(cells)):
-                    if _merge_ok(cells[i], cells[j], pos, d_min, th_cap):
-                        pair = (i, j)
-                        break
-                if pair is not None:
-                    break
-            if pair is None:
-                break
-            i, j = pair
-            # Smaller id sits at i, so the merged cell keeps slot order.
-            cells[i] = merge_cells(cells[i], cells[j])
-            del cells[j]
-            changed = True
+        i = 0
+        while i < len(cells):
+            j = i + 1
+            while j < len(cells):
+                if _merge_ok(cells[i], cells[j], pos, d_min, th_cap):
+                    # Smaller id sits at i, so the merged cell keeps slot order.
+                    cells[i] = merge_cells(cells[i], cells[j])
+                    del cells[j]
+                    changed = True
+                else:
+                    j += 1
+            i += 1
         if not changed:
             return cells, rounds
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from bisect import insort
 from dataclasses import dataclass, field
 from math import floor
 from typing import Optional, Sequence
@@ -76,6 +77,45 @@ def nearest_station(stations: Sequence[BaseStation], pos: Position) -> BaseStati
     if not stations:
         raise ValueError("no base stations placed")
     return min(stations, key=lambda s: (distance(s.pos, pos), s.station_id))
+
+
+class StationIndex:
+    """The station covering a point, found without scanning every station.
+
+    ``covering(pos)`` is the nearest station by ``(distance, station_id)``
+    when that distance is at most ``coverage_m``, else None: exactly what
+    ``nearest_station`` plus a coverage test gives.  Stations are fixed for
+    a run, so they are bucketed once, in square cells a hair wider than the
+    coverage, and each cell keeps the stations of its 3x3 neighbourhood in
+    id order; a query reads one such list.  Every station within coverage
+    of a point is in that list: the padding is far wider than the float
+    rounding in ``floor(x / cell)`` and in ``distance`` for coordinates up
+    to a billion coverages from the origin.
+    """
+
+    def __init__(self, stations: Sequence[BaseStation], coverage_m: float):
+        self.coverage_m = coverage_m
+        self._cell = cell = coverage_m * (1.0 + 1e-6)
+        near: dict[tuple[int, int], list[BaseStation]] = {}
+        for s in sorted(stations, key=lambda s: s.station_id):
+            cx, cy = floor(s.pos.x / cell), floor(s.pos.y / cell)
+            for i in (cx - 1, cx, cx + 1):
+                for j in (cy - 1, cy, cy + 1):
+                    near.setdefault((i, j), []).append(s)
+        self._near = near
+
+    def covering(self, pos: Position) -> Optional[BaseStation]:
+        cell = self._cell
+        best = None
+        best_d = 0.0
+        for s in self._near.get((floor(pos.x / cell), floor(pos.y / cell)), ()):
+            d = distance(s.pos, pos)
+            # id order, so a tie keeps the lower id
+            if best is None or d < best_d:
+                best, best_d = s, d
+        if best is not None and best_d <= self.coverage_m:
+            return best
+        return None
 
 
 def obstacle_shadowing(vehicle_pos: Position, station_pos: Position, obstacles: ObstacleMap) -> int:
@@ -563,19 +603,22 @@ class Dfcv(Protocol):
 
         Returns (total cells, total maintenance steps) across stations.
         """
+        # Imported at call time: benchmark/tracing.py times these by patching
+        # the fog module's attributes, which a module-level import would bypass.
         from .fog import FogCell, nearest_to_centroid, run_maintenance, check_partition
 
         rt = self.rt
         positions = rt.fleet_positions(t)
+        covering = rt.station_index.covering
         assoc: dict[int, Optional[int]] = {}
         by_bs: dict[int, list[int]] = {s.station_id: [] for s in rt.stations}
         for v in sorted(positions):
-            bs = rt.nearest_station(positions[v])
-            if distance(bs.pos, positions[v]) <= rt.knobs.bs_coverage_m:
+            bs = covering(positions[v])
+            if bs is None:
+                assoc[v] = None
+            else:
                 assoc[v] = bs.station_id
                 by_bs[bs.station_id].append(v)
-            else:
-                assoc[v] = None
         self._assoc = assoc
 
         total_cells = 0
@@ -597,24 +640,29 @@ class Dfcv(Protocol):
                     cell.anchor = nearest_to_centroid(members, positions)
                 claimed.update(members)
                 kept.append(cell)
+            # anchors stay put while newcomers join, so look each up once
+            homes = [(c.cell_id, positions[c.anchor], c) for c in kept]
             for v in current:
                 if v in claimed:
                     continue
-                if kept:
-                    home = min(
-                        kept,
-                        key=lambda c: (distance(positions[c.anchor], positions[v]), c.cell_id),
-                    )
-                    home.members = sorted(home.members + [v])
+                if homes:
+                    # min over (distance to anchor, cell id)
+                    p = positions[v]
+                    best_key = None
+                    for cid, anchor_pos, c in homes:
+                        key = (distance(anchor_pos, p), cid)
+                        if best_key is None or key < best_key:
+                            best_key, home = key, c
+                    insort(home.members, v)
                 else:
-                    kept.append(
-                        FogCell(
-                            cell_id=next(self._cell_seq),
-                            base_station_id=bs_id,
-                            anchor=v,
-                            members=[v],
-                        )
+                    cell = FogCell(
+                        cell_id=next(self._cell_seq),
+                        base_station_id=bs_id,
+                        anchor=v,
+                        members=[v],
                     )
+                    kept.append(cell)
+                    homes.append((cell.cell_id, positions[v], cell))
             kept, steps = run_maintenance(
                 kept, positions, d_min, th_cap, lambda: next(self._cell_seq)
             )

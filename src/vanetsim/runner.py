@@ -52,6 +52,7 @@ from .protocols import (
     InfraTx,
     KIND_BEACON,
     Message,
+    StationIndex,
     TxJob,
     fmt_ids,
     nearest_station,
@@ -269,12 +270,13 @@ class Runtime:
         self.obstacles = obstacles
         self.stations = stations
         self._station_by_id = {s.station_id: s for s in stations}
+        self.station_index = StationIndex(stations, cfg.knobs.bs_coverage_m)
         self.index = NeighborIndex(provider, cell_m=max(cfg.radio.range_m, 1.0))
         self.channel = Channel(cfg.radio, sim.rng("radio-backoff"))
         self.loss_rng = sim.rng("radio-loss")
         self.gateway_ids = [v.vehicle_id for v in provider.fleet_at(0) if v.is_gateway]
         self.records: dict[tuple[int, int], DeliveryRecord] = {}
-        self.all_pairs: set[tuple[int, int]] = set()
+        self.opened = 0  # (message, target) pairs addressed so far
         # addressed pairs with no record yet, each with the worst loss cause
         # noted for it so far (None until one is)
         self._open: dict[tuple[int, int], Optional[str]] = {}
@@ -307,7 +309,16 @@ class Runtime:
         return p
 
     def fleet_positions(self, t: SimTime) -> dict[int, Position]:
-        return {v: self.pos(v, t) for v in self.provider.vehicle_ids}
+        """Every vehicle's position at ``t``, through the same per-``t`` dict as ``pos``."""
+        if t != self._pos_t:
+            self._pos_t = t
+            self._pos = {}
+        known = self._pos
+        locate = self.provider.position_at
+        for v in self.provider.vehicle_ids:
+            if v not in known:
+                known[v] = locate(v, t)
+        return {v: known[v] for v in self.provider.vehicle_ids}
 
     def neighbors(self, center: Position, radius_m: float, t: SimTime) -> list[int]:
         """Every vehicle within ``radius_m`` of ``center`` at ``t``, sorted by id."""
@@ -326,7 +337,13 @@ class Runtime:
         ]
 
     def nearest_station(self, pos: Position) -> BaseStation:
-        return nearest_station(self.stations, pos)
+        """The nearest station by (distance, id), whether it covers ``pos`` or not.
+
+        A covering station is the nearest one, so the index answers unless
+        no station is within coverage; only then are all stations scanned.
+        """
+        bs = self.station_index.covering(pos)
+        return bs if bs is not None else nearest_station(self.stations, pos)
 
     def station(self, station_id: int) -> BaseStation:
         return self._station_by_id[station_id]
@@ -355,9 +372,8 @@ class Runtime:
     def address(self, msg: Message) -> None:
         """Store ``msg`` and open a (message, target) pair per target."""
         self.messages[msg.msg_id] = msg
-        pairs = [(msg.msg_id, dst) for dst in msg.targets]
-        self.all_pairs.update(pairs)
-        self._open.update(dict.fromkeys(pairs))
+        self.opened += len(msg.targets)
+        self._open.update(dict.fromkeys((msg.msg_id, dst) for dst in msg.targets))
 
     def is_open(self, msg_id: int, dst: int) -> bool:
         """True while (msg_id, dst) is addressed and has no record."""
@@ -670,8 +686,8 @@ def run_single(
     rt = Runtime(sim, cfg, spec, provider, obstacles, stations, protocol)
     rt.setup()
     stats = sim.run(until=rt.end_us)
-    if set(rt.records) != rt.all_pairs:
-        missing = len(rt.all_pairs.symmetric_difference(rt.records))
+    if len(rt.records) != rt.opened or rt._open:
+        missing = max(abs(rt.opened - len(rt.records)), len(rt._open))
         raise SimulationError(
             f"delivery accounting out of balance: {missing} (message, target) "
             f"pairs without exactly one record"

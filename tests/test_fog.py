@@ -2,9 +2,13 @@
 
 import itertools
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import vanetsim.fog as fog
 from vanetsim.errors import MaintenanceError
 from vanetsim.fog import (
     FogCell,
@@ -192,8 +196,6 @@ def test_maintenance_rejects_zero_capacity():
 def test_maintenance_cap_trips_on_an_oscillator(monkeypatch):
     # force a split/merge tug of war: every pair merges, every merged
     # cell immediately re-splits; the round cap must cut this off
-    import vanetsim.fog as fog
-
     monkeypatch.setattr(fog, "_merge_ok", lambda a, b, pos, d_min, th_cap: True)
     pos = line_positions([0, 1000])
     with pytest.raises(MaintenanceError, match="did not settle"):
@@ -222,3 +224,126 @@ def test_check_partition_rejects_violations(cells, vehicles, msg):
     th_cap = 2 if msg == "exceeds" else 20
     with pytest.raises(MaintenanceError, match=msg):
         check_partition(cells, vehicles, th_cap=th_cap)
+
+
+# -- one-pass scans against the restarting loop -------------------------------
+
+def restarting_run_maintenance(cells, pos, d_min, th_cap, new_id):
+    # the reference: the loop the one-pass scans replaced, which restarts
+    # the split scan from the first cell after every split and the merge
+    # scan from pair (0, 1) after every merge
+    if th_cap < 1:
+        raise ValueError(f"th_cap must be at least 1, got {th_cap}")
+    cells = sorted(cells, key=lambda c: c.cell_id)
+    rounds = 0
+    while True:
+        rounds += 1
+        if rounds > 2 * len(cells) + 2:
+            raise MaintenanceError(
+                f"cell maintenance did not settle after {rounds} rounds "
+                f"({len(cells)} cells)"
+            )
+        changed = False
+        while True:
+            idx = next(
+                (k for k, c in enumerate(cells) if fog._needs_split(c, pos, d_min, th_cap)),
+                None,
+            )
+            if idx is None:
+                break
+            near, far = fog.split_cell(cells[idx], pos, new_id)
+            cells[idx] = near
+            cells.append(far)
+            cells.sort(key=lambda c: c.cell_id)
+            changed = True
+        while True:
+            pair = None
+            for i in range(len(cells)):
+                for j in range(i + 1, len(cells)):
+                    if fog._merge_ok(cells[i], cells[j], pos, d_min, th_cap):
+                        pair = (i, j)
+                        break
+                if pair is not None:
+                    break
+            if pair is None:
+                break
+            i, j = pair
+            cells[i] = fog.merge_cells(cells[i], cells[j])
+            del cells[j]
+            changed = True
+        if not changed:
+            return cells, rounds
+
+
+def id_source(kind, seed):
+    """Fresh-id callables: above every drawn id, below them, or anywhere
+    among them (duplicates included)."""
+    if kind == "above":
+        return fresh_ids(1000)
+    if kind == "below":
+        counter = itertools.count(-1, -1)
+        return lambda: next(counter)
+    rng = random.Random(seed)
+    return lambda: rng.randrange(-5, 60)
+
+
+@st.composite
+def maintenance_cases(draw):
+    d_min = draw(st.sampled_from((300.0, 50.0, 1.0)) | st.floats(0.5, 500.0))
+    th_cap = draw(st.integers(1, 25))
+    n = draw(st.integers(1, 40))
+    # clumps about d_min wide, some closer than d_min and some farther apart
+    centers = draw(st.lists(st.tuples(st.floats(0.0, 8.0), st.floats(0.0, 2.0)), min_size=1, max_size=6))
+    pos = {}
+    for v in range(n):
+        cx, cy = draw(st.sampled_from(centers))
+        dx, dy = draw(st.tuples(st.floats(-0.6, 0.6), st.floats(-0.6, 0.6)))
+        pos[v] = Position((cx + dx) * d_min, (cy + dy) * d_min)
+    vehicles = list(range(n))
+    draw(st.randoms(use_true_random=False)).shuffle(vehicles)
+    cuts = sorted(draw(st.lists(st.integers(1, max(n - 1, 1)), max_size=8, unique=True)))
+    groups = [vehicles[a:b] for a, b in zip([0] + cuts, cuts + [n]) if vehicles[a:b]]
+    ids = draw(st.lists(st.integers(0, 50), min_size=len(groups), max_size=len(groups), unique=True))
+    cells = [cell(cid, g, anchor=draw(st.sampled_from(g))) for cid, g in zip(ids, groups)]
+    ids_kind = draw(st.sampled_from(("above", "below", "among")))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if draw(st.booleans()):
+        # near a fixed point: settle once, then nudge a few vehicles
+        cells, _ = run_maintenance(cells, pos, d_min, th_cap, id_source(ids_kind, seed + 1))
+        for v in draw(st.lists(st.sampled_from(range(n)), max_size=4)):
+            nudge = draw(st.floats(-0.5, 0.5)) * d_min
+            pos[v] = Position(pos[v].x + nudge, pos[v].y)
+    return cells, pos, d_min, th_cap, ids_kind, seed
+
+
+def traced_maintenance(run, case):
+    """(outcome, split_cell and merge_cells calls) of one maintenance run."""
+    cells, pos, d_min, th_cap, ids_kind, seed = case
+    calls = []
+    split, merge = fog.split_cell, fog.merge_cells
+
+    def traced_split(c, pos, new_id):
+        calls.append(("split", c.cell_id, c.anchor, list(c.members)))
+        return split(c, pos, new_id)
+
+    def traced_merge(a, b):
+        calls.append(("merge", a.cell_id, b.cell_id))
+        return merge(a, b)
+
+    fresh = [FogCell(c.cell_id, c.base_station_id, c.anchor, list(c.members)) for c in cells]
+    with mock.patch.object(fog, "split_cell", traced_split), mock.patch.object(
+        fog, "merge_cells", traced_merge
+    ):
+        try:
+            out, rounds = run(fresh, pos, d_min, th_cap, id_source(ids_kind, seed))
+        except MaintenanceError as exc:
+            return str(exc), calls
+    return ([(c.cell_id, c.anchor, c.members) for c in out], rounds), calls
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(maintenance_cases())
+def test_one_pass_maintenance_matches_the_restarting_loop(case):
+    got = traced_maintenance(fog.run_maintenance, case)
+    want = traced_maintenance(restarting_run_maintenance, case)
+    assert got == want

@@ -82,7 +82,8 @@ def test_every_small_config_keeps_the_run_invariants(case):
     with mock.patch.object(runner, "Runtime", Recording):
         first = runner.run_single(cfg, protocol, vehicles, seed)
     (rt,) = runtimes
-    assert set(rt.records) == rt.all_pairs
+    addressed = {(m.msg_id, d) for m in rt.messages.values() for d in m.targets}
+    assert set(rt.records) == addressed and rt.opened == len(addressed)
     for r in first.records:
         assert r.recv_us is None or r.recv_us >= r.sent_us
     s = first.summary

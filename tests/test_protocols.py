@@ -13,11 +13,12 @@ from hypothesis import strategies as st
 from vanetsim.config import ProtocolKnobs, ScenarioConfig, WorkloadSpec
 from vanetsim.engine import Simulator, derive_stream_seed
 from vanetsim.errors import ConfigError
-from vanetsim.mobility import MobilitySpec, Position, build_provider, distance
+from vanetsim.mobility import MobilitySpec, Position, StaticProvider, build_provider, distance
 from vanetsim.protocols import (
     BaseStation,
     CloudModel,
     Message,
+    StationIndex,
     nearest_station,
     obstacle_shadowing,
     select_gateways,
@@ -111,6 +112,106 @@ def test_nearest_station_by_distance_then_id():
     assert nearest_station(stations, Position(50, 0)).station_id == 0  # tie
     with pytest.raises(ValueError):
         nearest_station([], Position(0, 0))
+
+
+def covering_by_scan(stations, pos, coverage_m):
+    # the reference: the nearest station by (distance, id), kept only when
+    # it is within coverage
+    bs = nearest_station(stations, pos)
+    return bs if distance(bs.pos, pos) <= coverage_m else None
+
+
+# origins far out, where floor(x / cell) rounds the coarsest
+BIG = (-3.5e6, 2.5e5, 4e9)
+
+
+@st.composite
+def station_scenes(draw):
+    """(stations, coverage, query points) from every placement rule."""
+    coverage = draw(st.sampled_from((1000.0, 250.0, 1.0)) | st.floats(0.5, 3000.0))
+    cell = coverage * (1.0 + 1e-6)
+    spacing = draw(st.sampled_from((2.0, 1.0, 0.7)).map(lambda f: f * coverage))
+    knobs = ProtocolKnobs(bs_spacing_m=spacing, bs_coverage_m=coverage)
+    layout = draw(st.sampled_from(("highway", "grid", "trace", "single")))
+    if layout == "highway":
+        spec = MobilitySpec(road_length_m=draw(st.floats(1.0, 25.0 * spacing)))
+        stations = place_stations(spec, None, knobs)
+    elif layout == "grid":
+        spec = MobilitySpec(
+            mode="synthetic_grid",
+            grid_blocks=draw(st.integers(1, 8)),
+            grid_spacing_m=draw(st.sampled_from((spacing / 2, spacing / 3)) | st.floats(1.0, 2.0 * spacing)),
+        )
+        stations = place_stations(spec, None, knobs)
+    else:
+        origin = st.sampled_from((0.0, -1.5 * coverage) + BIG) | st.floats(-10.0 * coverage, 10.0 * coverage)
+        x0, y0 = draw(origin), draw(origin)
+        if layout == "single":
+            w = h = 0.0
+        else:
+            w = draw(st.sampled_from((0.0, spacing)) | st.floats(0.0, 8.0 * spacing))
+            h = draw(st.sampled_from((0.0, spacing)) | st.floats(0.0, 8.0 * spacing))
+        spec = MobilitySpec(mode="trace", trace_path="unused.xml")
+        provider = StaticProvider([Position(x0, y0), Position(x0 + w, y0 + h)])
+        stations = place_stations(spec, provider, knobs)
+    points = []
+    for _ in range(draw(st.integers(1, 12))):
+        a = draw(st.sampled_from(stations))
+        b = draw(st.sampled_from(stations))
+        kind = draw(st.sampled_from(("tie", "rim", "cell", "near")))
+        if kind == "tie":
+            # on the bisector of two stations in a row or a column: equal
+            # distances, so the lower id must win
+            mid = Position((a.pos.x + b.pos.x) / 2, (a.pos.y + b.pos.y) / 2)
+            off = draw(st.sampled_from((0.0, 0.5, 1.0)) | st.floats(-1.5, 1.5)) * coverage
+            points += [mid, Position(mid.x, mid.y + off), Position(mid.x + off, mid.y)]
+        elif kind == "rim":
+            # exactly at the coverage along an axis, and one float either side
+            dx, dy = draw(st.sampled_from(((1, 0), (-1, 0), (0, 1), (0, -1))))
+            for r in (coverage, math.nextafter(coverage, 0.0), math.nextafter(coverage, math.inf)):
+                points.append(Position(a.pos.x + dx * r, a.pos.y + dy * r))
+        elif kind == "cell":
+            # on a multiple of the cell side and just below it
+            k = math.floor(a.pos.x / cell) + draw(st.integers(-2, 2))
+            j = math.floor(a.pos.y / cell) + draw(st.integers(-2, 2))
+            for x in (k * cell, math.nextafter(k * cell, -math.inf)):
+                for y in (j * cell, math.nextafter(j * cell, -math.inf), a.pos.y):
+                    points.append(Position(x, y))
+        else:
+            reach = 3.0 * coverage
+            dx, dy = draw(st.floats(-reach, reach)), draw(st.floats(-reach, reach))
+            points.append(Position(a.pos.x + dx, a.pos.y + dy))
+    return stations, coverage, points
+
+
+def two_station_tie():
+    stations = [BaseStation(0, Position(1000.0, 0.0)), BaseStation(1, Position(3000.0, 0.0))]
+    return stations, 1000.0, [Position(2000.0, 0.0), Position(2000.0, 1.0), Position(2000.0, -1e-9)]
+
+
+def at_the_rim(coverage):
+    s = BaseStation(0, Position(-7.0 * coverage, 3.0 * coverage))
+    return [s], coverage, [
+        Position(s.pos.x + r, s.pos.y)
+        for r in (coverage, math.nextafter(coverage, 0.0), math.nextafter(coverage, math.inf))
+    ]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(station_scenes())
+@example(two_station_tie())
+@example(at_the_rim(1000.0))
+@example(at_the_rim(1.0))
+def test_station_index_matches_the_linear_scan(scene):
+    stations, coverage, points = scene
+    index = StationIndex(stations, coverage)
+    cfg = ScenarioConfig(knobs=ProtocolKnobs(bs_coverage_m=coverage))
+    provider = StaticProvider([Position(0.0, 0.0)])
+    rt = Runtime(Simulator(), cfg, cfg.mobility, provider, EMPTY_MAP, stations, "dfcv")
+    for p in points:
+        assert index.covering(p) == covering_by_scan(stations, p, coverage)
+        # the true nearest station, also when none covers the point
+        assert rt.nearest_station(p) == nearest_station(stations, p)
 
 
 def test_obstacle_shadowing_binary():

@@ -142,7 +142,8 @@ def test_metered_beacon_does_not_hear_its_own_frame():
     assert rt.tx_time_us() == frame
     sim.run(rt.end_us)
     records = rt.ordered_records()
-    assert records and set(rt.records) == rt.all_pairs
+    addressed = {(m.msg_id, d) for m in rt.messages.values() for d in m.targets}
+    assert records and set(rt.records) == addressed and rt.opened == len(addressed)
     phase = {v: min(r.sent_us for r in records if r.src == v) for v in (0, 1)}
     for r in records:
         other_on_air = (r.sent_us - phase[r.dst]) % period < frame and r.sent_us >= phase[r.dst]
@@ -429,7 +430,8 @@ def test_runtime_records_only_open_pairs_with_the_worst_noted_cause():
     # a closed pair takes no second record
     assert not rt.is_open(1, 1)
     assert not rt.record_delivery(msg, 1, 10, 1) and not rt.record_loss(msg, 1, SHADOWED)
-    assert set(rt.records) == {(1, 1), (1, 2), (1, 3)} == rt.all_pairs
+    addressed = {(m.msg_id, d) for m in rt.messages.values() for d in m.targets}
+    assert set(rt.records) == {(1, 1), (1, 2), (1, 3)} == addressed and rt.opened == 3
 
 
 @pytest.mark.parametrize("protocol", ["hybrid_vehcloud", "dfcv"])
