@@ -15,7 +15,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from decimal import InvalidOperation
 from random import Random
-from typing import NamedTuple, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .engine import SimTime, US_PER_S, to_us
 from .errors import ConfigError, TraceParseError
@@ -49,12 +49,9 @@ class VehicleState:
     is_gateway: bool = False
 
 
-@dataclass
-class TraceSample:
-    time_us: SimTime
-    vehicle_id: str
-    x: float
-    y: float
+#: one trace vehicle's samples: strictly increasing times (µs) and the
+#: position recorded at each
+Track = tuple[list[SimTime], list[Position]]
 
 
 @dataclass
@@ -271,34 +268,38 @@ class StaticProvider(MobilityProvider):
 class TraceProvider(MobilityProvider):
     """Playback of recorded samples with linear interpolation.
 
-    Queries before the first or after the last sample of a vehicle clamp
-    to that sample.  Trace vehicle ids (strings) are mapped to integer ids
-    in order of first appearance; ``label_of`` recovers the original id.
+    ``tracks`` maps each trace vehicle id (a string) to its samples, as
+    ``parse_fcd`` returns them; the provider keeps those lists, it does not
+    copy them.  Queries before the first or after the last sample of a
+    vehicle clamp to that sample.  Vehicle ids are mapped to integer ids in
+    the order of ``tracks``; ``label_of`` recovers the original id.
     """
 
-    def __init__(self, samples: Sequence[TraceSample], gateway_fraction: float = 0.0):
-        by_vehicle: dict[str, list[TraceSample]] = {}
-        for sample in samples:
-            by_vehicle.setdefault(sample.vehicle_id, []).append(sample)
-        if not by_vehicle:
+    def __init__(self, tracks: Mapping[str, Track], gateway_fraction: float = 0.0):
+        if not tracks:
             raise ConfigError("trace contains no vehicle samples")
-        self._labels = list(by_vehicle.keys())  # first-appearance order
+        self._labels = list(tracks)  # first-appearance order
         self.vehicle_ids = list(range(len(self._labels)))
         self._times: list[list[SimTime]] = []
         self._points: list[list[Position]] = []
+        hypot = math.hypot
         drift = 0.0
-        for label in self._labels:
-            rows = by_vehicle[label]
-            times = [r.time_us for r in rows]
-            if any(b <= a for a, b in zip(times, times[1:])):
-                raise TraceParseError(
-                    f"vehicle '{label}': sample timestamps must be strictly increasing"
-                )
-            points = [Position(r.x, r.y) for r in rows]
+        for label, (times, points) in tracks.items():
             self._times.append(times)
             self._points.append(points)
-            for (t0, p0), (t1, p1) in zip(zip(times, points), zip(times[1:], points[1:])):
-                drift = max(drift, distance(p0, p1) / ((t1 - t0) / US_PER_S))
+            t0 = times[0]
+            x0, y0 = points[0]
+            for k in range(1, len(times)):
+                t1 = times[k]
+                if t1 <= t0:
+                    raise TraceParseError(
+                        f"vehicle '{label}': sample timestamps must be strictly increasing"
+                    )
+                x1, y1 = points[k]
+                step = hypot(x0 - x1, y0 - y1) / ((t1 - t0) / US_PER_S)
+                if step > drift:
+                    drift = step
+                t0, x0, y0 = t1, x1, y1
         self._max_drift = drift
         self._n_gateways = gateway_count(len(self._labels), gateway_fraction)
 
@@ -356,14 +357,15 @@ def _float_attr(node: ET.Element, attr: str, where: str) -> float:
     return value
 
 
-def parse_fcd(path: str) -> list[TraceSample]:
-    """Parse the floating-car-data XML subset into a flat sample list.
+def parse_fcd(path: str) -> dict[str, Track]:
+    """Parse the floating-car-data XML subset into one track per vehicle.
 
     Expected shape: an ``fcd-export`` root holding ``timestep`` elements
     (attribute ``time`` in seconds), each holding ``vehicle`` elements with
     ``id``, ``x``, ``y`` and ``speed``.  Unknown elements and attributes
     are ignored.  Times are converted to whole microseconds, rounding
-    half-up.  Per vehicle, timestamps must be strictly increasing.
+    half-up.  Per vehicle, timestamps must be strictly increasing.  The
+    tracks are keyed by vehicle id in order of first appearance.
     """
     try:
         tree = ET.parse(path)
@@ -376,8 +378,8 @@ def parse_fcd(path: str) -> list[TraceSample]:
         raise TraceParseError(
             f"{path}: root element is '{root.tag}', expected 'fcd-export'"
         )
-    samples: list[TraceSample] = []
-    last_time: dict[str, SimTime] = {}
+    isfinite = math.isfinite
+    tracks: dict[str, Track] = {}
     for step in root:
         if step.tag != "timestep":
             continue
@@ -387,28 +389,56 @@ def parse_fcd(path: str) -> list[TraceSample]:
         for node in step:
             if node.tag != "vehicle":
                 continue
-            vid = _require(node, "id", where)
-            x = _float_attr(node, "x", where)
-            y = _float_attr(node, "y", where)
-            _float_attr(node, "speed", where)  # validated only; motion comes from x, y
-            previous = last_time.get(vid)
-            if previous is not None and time_us <= previous:
+            attrib = node.attrib
+            try:
+                vid = attrib["id"]
+                x = float(attrib["x"])
+                y = float(attrib["y"])
+                speed = float(attrib["speed"])  # validated only; motion comes from x, y
+            except (KeyError, ValueError):
+                x = y = speed = math.nan
+            if not (isfinite(x) and isfinite(y) and isfinite(speed)):
+                # the attribute-by-attribute checks raise, naming what is wrong
+                vid = _require(node, "id", where)
+                x = _float_attr(node, "x", where)
+                y = _float_attr(node, "y", where)
+                _float_attr(node, "speed", where)
+            track = tracks.get(vid)
+            if track is None:
+                tracks[vid] = ([time_us], [Position(x, y)])
+                continue
+            times, points = track
+            if time_us <= times[-1]:
                 raise TraceParseError(
                     f"{where}: vehicle '{vid}' timestamp does not increase "
-                    f"(previous sample at {previous}us)"
+                    f"(previous sample at {times[-1]}us)"
                 )
-            last_time[vid] = time_us
-            samples.append(TraceSample(time_us, vid, x, y))
-    return samples
+            times.append(time_us)
+            points.append(Position(x, y))
+    if not tracks:
+        raise TraceParseError(f"{path}: trace contains no vehicle samples")
+    return tracks
 
 
-def build_provider(spec: MobilitySpec, rng: Optional[Random]) -> MobilityProvider:
+def load_tracks(spec: MobilitySpec) -> Optional[dict[str, Track]]:
+    """The parsed trace of a trace fleet; None for a synthetic one."""
+    return parse_fcd(spec.trace_path) if spec.mode == MODE_TRACE else None
+
+
+def build_provider(
+    spec: MobilitySpec,
+    rng: Optional[Random],
+    tracks: Optional[Mapping[str, Track]] = None,
+) -> MobilityProvider:
+    """The provider for ``spec``.  A trace fleet plays ``tracks``, the
+    already parsed ``spec.trace_path``; None parses the file here."""
     if spec.mode == MODE_HIGHWAY:
         return SyntheticHighwayProvider(spec, rng)
     if spec.mode == MODE_GRID:
         return SyntheticGridProvider(spec, rng)
-    samples = parse_fcd(spec.trace_path)
-    provider = TraceProvider(samples, spec.gateway_fraction)
+    if tracks is None:
+        tracks = parse_fcd(spec.trace_path)
+    provider = TraceProvider(tracks, spec.gateway_fraction)
     if provider.vehicle_count != spec.vehicle_count:
         raise ConfigError(
             f"mobility.vehicle_count: configured {spec.vehicle_count} but trace "

@@ -18,7 +18,7 @@ import math
 from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Mapping, Optional
 
 from .config import TARGET_EXPLICIT, ScenarioConfig
 from .engine import (
@@ -42,8 +42,10 @@ from .mobility import (
     MobilitySpec,
     NeighborIndex,
     Position,
+    Track,
     build_provider,
     distance,
+    load_tracks,
 )
 from .protocols import (
     PROTOCOLS,
@@ -674,13 +676,16 @@ def run_single(
     vehicle_count: int,
     seed: int,
     capture_log: bool = False,
+    tracks: Optional[Mapping[str, Track]] = None,
 ) -> RunResult:
+    """One (protocol, vehicle_count, seed) run.  ``tracks`` is the parsed
+    trace of a trace config (see ``mobility.load_tracks``); None parses it here."""
     if protocol not in PROTOCOLS:
         raise ConfigError(f"unknown protocol {protocol!r}")
     spec = dataclasses.replace(cfg.mobility, vehicle_count=vehicle_count)
     log: Optional[list[str]] = [] if capture_log else None
     sim = Simulator(seed=seed, event_budget=cfg.knobs.event_budget, log=log)
-    provider = build_provider(spec, sim.rng("mobility"))
+    provider = build_provider(spec, sim.rng("mobility"), tracks)
     obstacles = cfg.load_obstacles()
     stations = place_stations(spec, provider, cfg.knobs)
     rt = Runtime(sim, cfg, spec, provider, obstacles, stations, protocol)
@@ -709,20 +714,31 @@ def _run_ident(protocol: str, density: int, seed: int) -> str:
     return f"protocol={protocol} density={density} seed={seed}"
 
 
-def _run_task(task, capture_log: bool = False) -> RunResult:
+def _run_task(task, tracks, capture_log: bool = False) -> RunResult:
     """run_single for one sweep task; a failure names the run it came from."""
     cfg, protocol, density, seed = task
     ident = _run_ident(protocol, density, seed)
     try:
-        return run_single(cfg, protocol, density, seed, capture_log=capture_log)
+        return run_single(cfg, protocol, density, seed, capture_log=capture_log, tracks=tracks)
     except VanetSimError as exc:
         raise type(exc)(f"run {ident}: {exc}") from None
     except Exception as exc:  # pragma: no cover - defensive identification
         raise SimulationError(f"run {ident}: {exc!r}") from exc
 
 
+# The parsed trace of the sweep a pool worker serves.  The pool sets it once
+# in each worker process, so the tracks reach a worker once instead of being
+# pickled with every task.
+_worker_tracks: Optional[Mapping[str, Track]] = None
+
+
+def _start_worker(tracks: Optional[Mapping[str, Track]]) -> None:
+    global _worker_tracks
+    _worker_tracks = tracks
+
+
 def _sweep_task(task) -> MetricsSummary:
-    return _run_task(task).summary
+    return _run_task(task, _worker_tracks).summary
 
 
 def run_sweep(
@@ -732,9 +748,12 @@ def run_sweep(
 ) -> tuple[list[MetricsSummary], Optional[list[tuple[str, list[str]]]]]:
     """Run the full (protocol, density, seed) grid.
 
-    Returns (summaries, logs); logs is None unless collect_logs, which
-    forces serial execution so the log order matches the task order.
+    A trace is parsed once, before any run, and every run plays the same
+    tracks; a trace error therefore names no run.  Returns (summaries,
+    logs); logs is None unless collect_logs, which forces serial execution
+    so the log order matches the task order.
     """
+    tracks = load_tracks(cfg.mobility)
     tasks = [
         (cfg, protocol, density, seed)
         for protocol in cfg.protocols
@@ -745,10 +764,12 @@ def run_sweep(
         summaries = []
         logs: Optional[list[tuple[str, list[str]]]] = [] if collect_logs else None
         for task in tasks:
-            result = _run_task(task, capture_log=collect_logs)
+            result = _run_task(task, tracks, capture_log=collect_logs)
             summaries.append(result.summary)
             if collect_logs:
                 logs.append((_run_ident(*task[1:]), result.log or []))
         return summaries, logs
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(
+        max_workers=workers, initializer=_start_worker, initargs=(tracks,)
+    ) as pool:
         return list(pool.map(_sweep_task, tasks)), None

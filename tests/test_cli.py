@@ -143,3 +143,27 @@ def test_run_parallel_workers_accepted(tmp_path, capsys):
     path = tiny_scenario(tmp_path, densities=[6, 8], seeds=[1, 2])
     assert main(["run", "--config", path, "--workers", "2"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 5
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "<fcd-export/>",
+        '<fcd-export><timestep time="0.00"/></fcd-export>',
+        # a vehicle outside any timestep is not a sample
+        '<fcd-export><vehicle id="a" x="0" y="0" speed="0"/></fcd-export>',
+    ],
+    ids=["no-timestep", "empty-timestep", "vehicle-outside-timestep"],
+)
+def test_run_empty_trace_names_the_file(tmp_path, capsys, body):
+    trace = tmp_path / "empty.fcd.xml"
+    trace.write_text(body)
+    path = tiny_scenario(
+        tmp_path,
+        mobility={"mode": "trace", "trace_path": str(trace), "vehicle_count": 1},
+        densities=[1],
+    )
+    for workers in ("1", "2"):
+        assert main(["run", "--config", path, "--workers", workers]) == 1
+        err = capsys.readouterr().err
+        assert err == f"config error: {trace}: trace contains no vehicle samples\n"

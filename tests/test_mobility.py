@@ -2,16 +2,22 @@
 
 import math
 import random
+import xml.etree.ElementTree as ET
+from bisect import bisect_right
+from dataclasses import dataclass
+from decimal import Decimal, InvalidOperation
+from xml.sax.saxutils import quoteattr
 
 import pytest
-
-from decimal import Decimal
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from vanetsim.engine import US_PER_S, to_us
 from vanetsim.errors import ConfigError, TraceParseError
 from vanetsim.mobility import (
     LANE_WIDTH_M,
     MPH_TO_MPS,
+    MobilityProvider,
     MobilitySpec,
     NeighborIndex,
     Position,
@@ -178,28 +184,28 @@ def test_static_provider_never_moves():
 
 # -- trace parsing and playback -----------------------------------------------
 
-def test_parse_fcd_flat_samples(tmp_path):
-    samples = parse_fcd(write_fixture(tmp_path))
-    assert len(samples) == 6
-    assert samples[0].vehicle_id == "veh_a"
-    assert samples[0].time_us == 0
-    assert samples[1].x == 400.0
-    assert samples[-1].time_us == 2 * US_PER_S
+def test_parse_fcd_tracks_per_vehicle(tmp_path):
+    tracks = parse_fcd(write_fixture(tmp_path))
+    assert list(tracks) == ["veh_a", "veh_b"]  # first-appearance order
+    assert sum(len(times) for times, _ in tracks.values()) == 6
+    times, points = tracks["veh_a"]
+    assert times == [0, US_PER_S, 2 * US_PER_S]
+    assert points[0] == Position(100.0, 0.0)
+    assert tracks["veh_b"][1][0].x == 400.0
 
 
 def test_parse_fcd_rounds_seconds_half_up(tmp_path):
     text = FCD_FIXTURE.replace('time="1.00"', 'time="1.0000005"')
-    samples = parse_fcd(write_fixture(tmp_path, text))
-    times = sorted({s.time_us for s in samples})
-    assert times == [0, 1_000_001, 2_000_000]
+    tracks = parse_fcd(write_fixture(tmp_path, text))
+    assert all(times == [0, 1_000_001, 2_000_000] for times, _ in tracks.values())
 
 
 def test_config_and_trace_seconds_round_alike(tmp_path):
     # 0.0001245 * 1e6 is 124.49999999999999 in binary floating point
     assert to_us(0.0001245) == 125
     text = FCD_FIXTURE.replace('time="1.00"', 'time="0.0001245"')
-    samples = parse_fcd(write_fixture(tmp_path, text))
-    assert sorted({s.time_us for s in samples}) == [0, 125, 2_000_000]
+    tracks = parse_fcd(write_fixture(tmp_path, text))
+    assert all(times == [0, 125, 2_000_000] for times, _ in tracks.values())
     halves = [str((Decimal(k) + Decimal("0.5")) / US_PER_S) for k in range(20_000)]
     assert [to_us(float(h)) for h in halves] == [to_us(h) for h in halves]
 
@@ -302,6 +308,258 @@ def test_build_provider_checks_trace_count(tmp_path):
     bad = MobilitySpec(mode="trace", trace_path=path, vehicle_count=5)
     with pytest.raises(ConfigError, match="contains 2 vehicles"):
         build_provider(bad, None)
+
+
+# -- trace parser and provider against the flat-sample reference --------------
+#
+# Copies of parse_fcd and TraceProvider as they were before the parser built
+# per-vehicle tracks: the parser returned one flat sample list and the
+# provider regrouped it.  The property test below holds the current pair to
+# them on random documents.
+
+
+@dataclass
+class RefSample:
+    time_us: int
+    vehicle_id: str
+    x: float
+    y: float
+
+
+def ref_seconds_to_us(text, where):
+    try:
+        return to_us(text)
+    except (InvalidOperation, ValueError) as exc:
+        raise TraceParseError(f"{where}: bad time value {text!r}") from exc
+
+
+def ref_require(node, attr, where):
+    value = node.get(attr)
+    if value is None:
+        raise TraceParseError(
+            f"{where}: {node.tag} element missing required attribute '{attr}'"
+        )
+    return value
+
+
+def ref_float_attr(node, attr, where):
+    raw = ref_require(node, attr, where)
+    try:
+        value = float(raw)
+    except ValueError as exc:
+        raise TraceParseError(f"{where}: attribute '{attr}' is not a number: {raw!r}") from exc
+    if not math.isfinite(value):
+        raise TraceParseError(f"{where}: attribute '{attr}' is not finite: {raw!r}")
+    return value
+
+
+def ref_parse_fcd(path):
+    try:
+        tree = ET.parse(path)
+    except ET.ParseError as exc:
+        raise TraceParseError(f"{path}: malformed XML: {exc}") from exc
+    except OSError as exc:
+        raise TraceParseError(f"{path}: {exc}") from exc
+    root = tree.getroot()
+    if root.tag != "fcd-export":
+        raise TraceParseError(
+            f"{path}: root element is '{root.tag}', expected 'fcd-export'"
+        )
+    samples = []
+    last_time = {}
+    for step in root:
+        if step.tag != "timestep":
+            continue
+        raw_time = ref_require(step, "time", path)
+        time_us = ref_seconds_to_us(raw_time, path)
+        where = f"{path}: timestep {raw_time}"
+        for node in step:
+            if node.tag != "vehicle":
+                continue
+            vid = ref_require(node, "id", where)
+            x = ref_float_attr(node, "x", where)
+            y = ref_float_attr(node, "y", where)
+            ref_float_attr(node, "speed", where)
+            previous = last_time.get(vid)
+            if previous is not None and time_us <= previous:
+                raise TraceParseError(
+                    f"{where}: vehicle '{vid}' timestamp does not increase "
+                    f"(previous sample at {previous}us)"
+                )
+            last_time[vid] = time_us
+            samples.append(RefSample(time_us, vid, x, y))
+    return samples
+
+
+class RefTraceProvider(MobilityProvider):
+    def __init__(self, samples, gateway_fraction=0.0):
+        by_vehicle = {}
+        for sample in samples:
+            by_vehicle.setdefault(sample.vehicle_id, []).append(sample)
+        if not by_vehicle:
+            raise ConfigError("trace contains no vehicle samples")
+        self._labels = list(by_vehicle.keys())
+        self.vehicle_ids = list(range(len(self._labels)))
+        self._times = []
+        self._points = []
+        drift = 0.0
+        for label in self._labels:
+            rows = by_vehicle[label]
+            times = [r.time_us for r in rows]
+            if any(b <= a for a, b in zip(times, times[1:])):
+                raise TraceParseError(
+                    f"vehicle '{label}': sample timestamps must be strictly increasing"
+                )
+            points = [Position(r.x, r.y) for r in rows]
+            self._times.append(times)
+            self._points.append(points)
+            for (t0, p0), (t1, p1) in zip(zip(times, points), zip(times[1:], points[1:])):
+                drift = max(drift, distance(p0, p1) / ((t1 - t0) / US_PER_S))
+        self._max_drift = drift
+        self._n_gateways = gateway_count(len(self._labels), gateway_fraction)
+
+    def label_of(self, vehicle_id):
+        return self._labels[vehicle_id]
+
+    def position_at(self, vehicle_id, t_us):
+        times = self._times[vehicle_id]
+        points = self._points[vehicle_id]
+        if t_us <= times[0]:
+            return points[0]
+        if t_us >= times[-1]:
+            return points[-1]
+        k = bisect_right(times, t_us) - 1
+        if times[k] == t_us:
+            return points[k]
+        t0, t1 = times[k], times[k + 1]
+        frac = (t_us - t0) / (t1 - t0)
+        p0, p1 = points[k], points[k + 1]
+        return Position(p0.x + frac * (p1.x - p0.x), p0.y + frac * (p1.y - p0.y))
+
+    def max_drift_mps(self):
+        return self._max_drift
+
+    def bounds(self):
+        xs = [p.x for pts in self._points for p in pts]
+        ys = [p.y for pts in self._points for p in pts]
+        return (min(xs), min(ys), max(xs), max(ys))
+
+
+def rarely(good, bad, one_in):
+    """Draws ``bad`` about once in ``one_in`` draws, ``good`` otherwise."""
+    return st.sampled_from(range(one_in)).flatmap(lambda k: bad if k == one_in - 1 else good)
+
+
+NUMBER_TEXT = rarely(
+    st.floats(-5_000.0, 5_000.0).map(repr) | st.integers(-50, 50).map(str),
+    st.sampled_from(["nan", "NaN", "inf", "-Infinity", "fast", ""]),
+    one_in=100,
+)
+
+
+VEHICLE_IDS = ["veh_a", "veh_b", "c", "d 4", "e"]
+
+
+@st.composite
+def vehicle_element(draw, vid):
+    attrs = {"id": vid}
+    for name in ("x", "y", "speed"):
+        attrs[name] = draw(NUMBER_TEXT)
+    if draw(st.booleans()):
+        attrs["angle"] = draw(st.sampled_from(["90.0", "nan", "left"]))  # never checked
+    missing = draw(rarely(st.none(), st.sampled_from(list(attrs)), one_in=100))
+    attrs.pop(missing, None)
+    return "<vehicle" + "".join(f" {k}={quoteattr(v)}" for k, v in attrs.items()) + "/>"
+
+
+@st.composite
+def fcd_documents(draw):
+    """FCD text: mostly well formed, with half-microsecond times, interleaved
+    and single-sample vehicles, unknown elements and attributes, vehicles
+    outside a timestep, and now and then one of the faults the parser
+    reports."""
+    half_us = 0  # the last timestep's time, in half microseconds
+    children = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["timestep"] * 6 + ["vehicle", "meta"]))
+        if kind == "vehicle":
+            children.append(draw(vehicle_element(draw(st.sampled_from(VEHICLE_IDS)))))
+            continue
+        if kind == "meta":
+            children.append('<meta source="sumo"><vehicle id="veh_a"/></meta>')
+            continue
+        # steps of a few half microseconds can round onto the same microsecond
+        half_us += draw(rarely(st.integers(1, 3_000_000), st.integers(0, 3), one_in=6))
+        time = f"{Decimal(half_us) / (2 * US_PER_S):f}"
+        time = draw(rarely(st.just(time), st.sampled_from(["nan", "soon", "-inf", None]), one_in=30))
+        vids = draw(st.lists(st.sampled_from(VEHICLE_IDS), unique=True, max_size=4))
+        vids += draw(rarely(st.just([]), st.sampled_from(VEHICLE_IDS).map(lambda v: [v]), one_in=30))
+        body = [draw(vehicle_element(vid)) for vid in vids]
+        if draw(st.booleans()):
+            body.insert(draw(st.integers(0, len(body))), '<person id="p" x="1" y="2"/>')
+        open_tag = "<timestep" + ("" if time is None else f" time={quoteattr(time)}") + ">"
+        children.append(open_tag + "".join(body) + "</timestep>")
+    root = draw(rarely(st.just("fcd-export"), st.just("sumo"), one_in=30))
+    text = f'<?xml version="1.0"?>\n<{root}>\n' + "\n".join(children) + f"\n</{root}>\n"
+    if draw(rarely(st.just(False), st.just(True), one_in=30)):
+        text = text[: draw(st.integers(0, len(text.rstrip()) - 1))]  # malformed XML
+    return text
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args), None
+    except Exception as exc:
+        return None, (type(exc), str(exc))
+
+
+@settings(
+    max_examples=400,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(fcd_documents(), st.sampled_from([0.0, 0.3, 1.0]))
+@example(FCD_FIXTURE.replace(' x="100.0"', "", 1), 0.0)  # missing attribute
+@example(FCD_FIXTURE.replace('y="3.5"', 'y="north"', 1), 0.0)  # not a number
+@example(FCD_FIXTURE.replace('speed="20.0"', 'speed="nan"', 1), 0.0)
+@example(FCD_FIXTURE.replace('x="440.0"', 'x="-inf"', 1), 0.0)
+@example(FCD_FIXTURE.replace('time="1.00"', 'time="0.0000004"'), 0.0)  # rounds onto 0 us
+@example(FCD_FIXTURE.replace("fcd-export", "sumo"), 0.0)
+@example(FCD_FIXTURE[:120], 0.0)  # malformed XML
+@example("<fcd-export/>", 0.0)
+def test_parse_fcd_and_trace_provider_match_the_flat_sample_reference(tmp_path, text, fraction):
+    path = str(tmp_path / "trace.xml")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    samples, ref_err = outcome(ref_parse_fcd, path)
+    tracks, err = outcome(parse_fcd, path)
+    if ref_err is not None:
+        assert err == ref_err
+        return
+    if not samples:
+        # the reference left an empty trace to the provider, which named no file
+        assert err == (TraceParseError, f"{path}: trace contains no vehicle samples")
+        return
+    assert err is None
+    ref = RefTraceProvider(samples, fraction)
+    prov = TraceProvider(tracks, fraction)
+    assert prov.vehicle_ids == ref.vehicle_ids
+    labels = [ref.label_of(v) for v in ref.vehicle_ids]
+    assert [prov.label_of(v) for v in prov.vehicle_ids] == labels == list(tracks)
+    for v, label in enumerate(labels):
+        rows = [s for s in samples if s.vehicle_id == label]
+        times, points = tracks[label]
+        assert times == [s.time_us for s in rows]
+        assert points == [Position(s.x, s.y) for s in rows]
+        assert all(type(p) is Position for p in points)
+        probes = [times[0] - 1, times[-1] + 1]
+        probes += times + [(a + b) // 2 for a, b in zip(times, times[1:])]
+        for t in probes:
+            assert prov.position_at(v, t) == ref.position_at(v, t)
+        assert prov.is_gateway(v) == ref.is_gateway(v)
+    assert prov.max_drift_mps() == ref.max_drift_mps()
+    assert prov.bounds() == ref.bounds()
 
 
 # -- neighbor index -----------------------------------------------------------

@@ -1,6 +1,7 @@
 """Run orchestration: channel arithmetic, station placement, replay
 determinism, parallel sweeps, budget enforcement, log accounting."""
 
+import os
 import random
 import re
 
@@ -8,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vanetsim import mobility, runner
 from vanetsim.config import ProtocolKnobs, ScenarioConfig, WorkloadSpec
 from vanetsim.engine import SIM_END, Simulator, to_us
-from vanetsim.errors import BudgetError
+from vanetsim.errors import BudgetError, TraceParseError
 from vanetsim.metrics import csv_text
 from vanetsim.mobility import (
     MobilitySpec,
@@ -19,8 +21,8 @@ from vanetsim.mobility import (
     SyntheticGridProvider,
     SyntheticHighwayProvider,
     TraceProvider,
-    TraceSample,
     distance,
+    parse_fcd,
 )
 from vanetsim.protocols import Message
 from vanetsim.radio import CHANNEL_LOSS, EMPTY_MAP, OUT_OF_RANGE, SHADOWED, RadioParams
@@ -220,14 +222,16 @@ def moving_fleets(draw):
         provider = SyntheticGridProvider(GRID, initial=initial)
         center = Position(draw(near_seams(GRID_M)), draw(near_seams(GRID_M)))
     else:
-        samples = []
+        tracks = {}
         for v in range(n):
             x, y = draw(st.floats(0.0, 300.0)), draw(st.floats(0.0, 300.0))
+            times, points = tracks[str(v)] = ([], [])
             for k in range(draw(st.integers(1, 5))):
-                samples.append(TraceSample(k * 250_000, str(v), x, y))
+                times.append(k * 250_000)
+                points.append(Position(x, y))
                 x += draw(st.floats(-15.0, 15.0))
                 y += draw(st.floats(-15.0, 15.0))
-        provider = TraceProvider(samples)
+        provider = TraceProvider(tracks)
         center = Position(draw(st.floats(-20.0, 320.0)), draw(st.floats(-20.0, 320.0)))
     # over several refresh intervals, in any order, each followed by a query
     # up to one interval before or after it, where the index's slack is large
@@ -353,6 +357,80 @@ def test_collect_logs_forces_serial_and_labels_runs():
     ident, lines = logs[0]
     assert ident == "protocol=baseline density=10 seed=1"
     assert lines and all(line.count("\t") == 3 for line in lines)
+
+
+def write_moving_trace(directory, vehicles=12, steps=7) -> str:
+    """Vehicles driving along x in lanes 20 m apart, sampled every 0.5 s."""
+    lines = ["<fcd-export>"]
+    for k in range(steps):
+        lines.append(f'  <timestep time="{k * 0.5:.2f}">')
+        for v in range(vehicles):
+            x = 60.0 * v + (5.0 + v) * 0.5 * k
+            lines.append(f'    <vehicle id="car{v}" x="{x:.2f}" y="{20.0 * (v % 3):.2f}" speed="{5.0 + v}"/>')
+        lines.append("  </timestep>")
+    lines.append("</fcd-export>")
+    path = directory / "moving.fcd.xml"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def test_trace_sweep_parses_once(tmp_path, monkeypatch):
+    cfg = small_cfg(
+        mobility=MobilitySpec(
+            mode="trace", trace_path=write_moving_trace(tmp_path), vehicle_count=12,
+            gateway_fraction=0.25,
+        ),
+        protocols=("baseline", "hybrid_vehcloud", "dfcv"),
+        densities=(12,),
+        seeds=(1, 2),
+        sim_duration_s=1.0,
+    )
+    alone = [
+        run_single(cfg, protocol, 12, seed).summary
+        for protocol in cfg.protocols
+        for seed in cfg.seeds
+    ]
+    main_pid = os.getpid()
+    calls = []
+
+    def counting_parse(path):
+        # a pool worker that parsed again would fail its run here
+        assert os.getpid() == main_pid, "a worker parsed the trace"
+        calls.append(path)
+        return parse_fcd(path)
+
+    monkeypatch.setattr(mobility, "parse_fcd", counting_parse)
+    serial, _ = run_sweep(cfg, workers=1)
+    assert calls == [cfg.mobility.trace_path]
+    assert csv_text(serial) == csv_text(alone)
+    parallel, _ = run_sweep(cfg, workers=2)
+    assert len(calls) == 2
+    assert csv_text(parallel) == csv_text(alone)
+
+
+def test_trace_sweep_fails_once_before_any_run(tmp_path, monkeypatch):
+    path = tmp_path / "broken.fcd.xml"
+    path.write_text("<fcd-export><timestep")
+    cfg = small_cfg(
+        mobility=MobilitySpec(mode="trace", trace_path=str(path), vehicle_count=3),
+        seeds=(1, 2),
+    )
+    calls = []
+
+    def counting_parse(path):
+        calls.append(path)
+        return parse_fcd(path)
+
+    def no_run(*args, **kw):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(mobility, "parse_fcd", counting_parse)
+    monkeypatch.setattr(runner, "run_single", no_run)
+    for workers in (1, 2):
+        with pytest.raises(TraceParseError) as err:
+            run_sweep(cfg, workers=workers)
+        assert str(err.value).startswith(f"{path}: malformed XML")
+    assert len(calls) == 2
 
 
 def test_event_budget_is_enforced_and_labeled():
