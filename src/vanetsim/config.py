@@ -9,6 +9,7 @@ silently.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -205,99 +206,87 @@ def _bool(value, path: str) -> bool:
     return value
 
 
-def _int_list(value, path: str) -> tuple[int, ...]:
-    _expect(value, list, path)
-    return tuple(_int(v, f"{path}[{i}]") for i, v in enumerate(value))
+def _opt_str(value, path: str) -> Optional[str]:
+    return None if value is None else _str(value, path)
 
 
-# Parsers by field annotation; fields with any other annotation are
-# special-cased in from_dict or passed through as given.
-_PARSERS = {"int": _int, "SimTime": _int, "float": _num, "str": _str, "bool": _bool}
+def _items(parse):
+    # A JSON list read into a tuple, each item through ``parse``.
+    def parse_list(value, path: str) -> tuple:
+        _expect(value, list, path)
+        return tuple(parse(v, f"{path}[{i}]") for i, v in enumerate(value))
+
+    return parse_list
+
+
+def _range(value, path: str) -> Optional[tuple[float, float]]:
+    # a [min, max] pair
+    if value is None:
+        return None
+    if len(_expect(value, list, path)) != 2:
+        raise ConfigError(f"{path}: expected [min, max]")
+    return _items(_num)(value, path)
+
+
+# Parsers by field annotation.  A parser returns None only for a JSON null
+# it accepts, and a None leaves the field at its default.
+_PARSERS = {
+    "int": _int,
+    "SimTime": _int,
+    "float": _num,
+    "str": _str,
+    "bool": _bool,
+    "Optional[str]": _opt_str,
+    "tuple[int, ...]": _items(_int),
+    "tuple[str, ...]": _items(_str),
+    "tuple[float, float]": _range,
+}
 
 
 def _build_section(cls, data, path: str, extra: Optional[dict] = None):
     _expect(data, dict, path)
-    parsers = {f.name: _PARSERS.get(f.type) for f in dataclasses.fields(cls)}
-    _check_keys(data, path, parsers)
+    types = {f.name: f.type for f in dataclasses.fields(cls)}
+    _check_keys(data, path, types)
     kwargs = dict(extra or {})
     for name, raw in data.items():
-        if name in kwargs:
-            continue
-        parse = parsers[name]
-        kwargs[name] = raw if parse is None else parse(raw, f"{path}.{name}")
+        value = _PARSERS[types[name]](raw, f"{path}.{name}" if path else name)
+        if value is not None:
+            kwargs[name] = value
     return cls(**kwargs)
+
+
+_PARSERS.update(
+    (cls.__name__, functools.partial(_build_section, cls))
+    for cls in (MobilitySpec, RadioParams, CloudModel, WorkloadSpec, ProtocolKnobs)
+)
+
+
+def _obstacles(value, base_dir: str) -> dict:
+    # The one "obstacles" key fills one of the two obstacle fields.
+    if value is None:
+        return {}
+    if isinstance(value, str):
+        return {"obstacle_path": _resolve(value, base_dir)}
+    if not isinstance(value, list):
+        raise ConfigError("obstacles: expected a path, a list of rectangles, or null")
+    rects = []
+    for i, rect in enumerate(value):
+        _expect(rect, list, f"obstacles[{i}]")
+        if len(rect) != 4:
+            raise ConfigError(f"obstacles[{i}]: expected [x_min, y_min, x_max, y_max]")
+        rects.append(tuple(_num(v, f"obstacles[{i}][{j}]") for j, v in enumerate(rect)))
+    return {"obstacle_rects": tuple(rects)}
 
 
 def from_dict(data: dict, base_dir: str = ".") -> ScenarioConfig:
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
     _check_keys(data, "", _TOP_KEYS)
-    mobility_raw = dict(_expect(data.get("mobility", {}), dict, "mobility"))
-    speed = mobility_raw.pop("speed_range_mph", None)
-    mob_extra = {}
-    if speed is not None:
-        _expect(speed, list, "mobility.speed_range_mph")
-        if len(speed) != 2:
-            raise ConfigError("mobility.speed_range_mph: expected [min, max]")
-        mob_extra["speed_range_mph"] = (
-            _num(speed[0], "mobility.speed_range_mph[0]"),
-            _num(speed[1], "mobility.speed_range_mph[1]"),
-        )
-    trace = mobility_raw.get("trace_path")
+    fields = {key: value for key, value in data.items() if key != "obstacles"}
+    cfg = _build_section(ScenarioConfig, fields, "", _obstacles(data.get("obstacles"), base_dir))
+    trace = cfg.mobility.trace_path
     if trace is not None:
-        mobility_raw["trace_path"] = _resolve(_str(trace, "mobility.trace_path"), base_dir)
-    mobility = _build_section(MobilitySpec, mobility_raw, "mobility", mob_extra)
-
-    radio = _build_section(RadioParams, data.get("radio", {}), "radio")
-    cloud = _build_section(CloudModel, data.get("cloud", {}), "cloud")
-
-    workload_raw = dict(_expect(data.get("workload", {}), dict, "workload"))
-    wl_extra = {}
-    if "explicit_targets" in workload_raw:
-        wl_extra["explicit_targets"] = _int_list(
-            workload_raw.pop("explicit_targets"), "workload.explicit_targets"
-        )
-    workload = _build_section(WorkloadSpec, workload_raw, "workload", wl_extra)
-
-    knobs = _build_section(ProtocolKnobs, data.get("knobs", {}), "knobs")
-
-    obstacle_path = None
-    obstacle_rects: tuple = ()
-    obstacles = data.get("obstacles")
-    if isinstance(obstacles, str):
-        obstacle_path = _resolve(obstacles, base_dir)
-    elif isinstance(obstacles, list):
-        rects = []
-        for i, rect in enumerate(obstacles):
-            _expect(rect, list, f"obstacles[{i}]")
-            if len(rect) != 4:
-                raise ConfigError(f"obstacles[{i}]: expected [x_min, y_min, x_max, y_max]")
-            rects.append(tuple(_num(v, f"obstacles[{i}][{j}]") for j, v in enumerate(rect)))
-        obstacle_rects = tuple(rects)
-    elif obstacles is not None:
-        raise ConfigError("obstacles: expected a path, a list of rectangles, or null")
-
-    kwargs: dict = {}
-    if "protocols" in data:
-        names = _expect(data["protocols"], list, "protocols")
-        kwargs["protocols"] = tuple(_str(n, f"protocols[{i}]") for i, n in enumerate(names))
-    if "densities" in data:
-        kwargs["densities"] = _int_list(data["densities"], "densities")
-    if "seeds" in data:
-        kwargs["seeds"] = _int_list(data["seeds"], "seeds")
-    if "sim_duration_s" in data:
-        kwargs["sim_duration_s"] = _num(data["sim_duration_s"], "sim_duration_s")
-
-    cfg = ScenarioConfig(
-        mobility=mobility,
-        radio=radio,
-        cloud=cloud,
-        workload=workload,
-        knobs=knobs,
-        obstacle_path=obstacle_path,
-        obstacle_rects=obstacle_rects,
-        **kwargs,
-    )
+        cfg.mobility.trace_path = _resolve(trace, base_dir)
     # Fail now, not at run time, when a referenced file is unreadable.
     cfg.load_obstacles()
     if cfg.mobility.trace_path is not None and not os.path.isfile(cfg.mobility.trace_path):

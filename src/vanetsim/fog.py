@@ -26,16 +26,6 @@ class FogCell:
     anchor: int  # vehicle id the spread is measured from; always a member
     members: list[int] = field(default_factory=list)  # sorted vehicle ids
 
-    @property
-    def capacity(self) -> int:
-        return len(self.members)
-
-
-def dfcv_distance(cell: FogCell, pos: Mapping[int, Position]) -> float:
-    """Largest anchor-to-member distance; 0 for a single-member cell."""
-    anchor_pos = pos[cell.anchor]
-    return max(distance(anchor_pos, pos[m]) for m in cell.members)
-
 
 def _centroid(members: list[int], pos: Mapping[int, Position]) -> Position:
     x = sum(pos[m].x for m in members) / len(members)
@@ -88,7 +78,7 @@ def _needs_split(cell: FogCell, pos: Mapping[int, Position], d_min: float, th_ca
     if len(members) > th_cap:
         return True
     if len(members) > 1:
-        # dfcv_distance(cell, pos) > d_min, stopping at the first far member
+        # the spread exceeds d_min: stop at the first far member
         anchor_pos = pos[cell.anchor]
         for m in members:
             if distance(anchor_pos, pos[m]) > d_min:
@@ -199,9 +189,9 @@ def check_partition(cells: list[FogCell], vehicles: set[int], th_cap: int) -> No
             raise MaintenanceError(
                 f"cell {cell.cell_id}: anchor {cell.anchor} is not a member"
             )
-        if cell.capacity > th_cap:
+        if len(cell.members) > th_cap:
             raise MaintenanceError(
-                f"cell {cell.cell_id}: capacity {cell.capacity} exceeds {th_cap}"
+                f"cell {cell.cell_id}: capacity {len(cell.members)} exceeds {th_cap}"
             )
         overlap = seen.intersection(cell.members)
         if overlap:

@@ -97,7 +97,13 @@ def gateway_count(n: int, fraction: float) -> int:
 
 
 class MobilityProvider:
-    """Interface shared by all providers."""
+    """Interface shared by all providers.
+
+    A provider also defines ``position_at(vehicle_id, t_us)``,
+    ``max_drift_mps()``, an upper bound on how fast any vehicle's position
+    can change, and ``bounds()``, the (x_min, y_min, x_max, y_max) box every
+    vehicle stays inside.
+    """
 
     vehicle_ids: list[int]
 
@@ -111,9 +117,6 @@ class MobilityProvider:
     def vehicle_count(self) -> int:
         return len(self.vehicle_ids)
 
-    def position_at(self, vehicle_id: int, t_us: SimTime) -> Position:
-        raise NotImplementedError
-
     def is_gateway(self, vehicle_id: int) -> bool:
         return vehicle_id < self._n_gateways
 
@@ -122,14 +125,6 @@ class MobilityProvider:
             VehicleState(v, self.position_at(v, t_us), self.is_gateway(v))
             for v in self.vehicle_ids
         ]
-
-    def max_drift_mps(self) -> float:
-        """Upper bound on how fast any vehicle's position can change."""
-        raise NotImplementedError
-
-    def bounds(self) -> tuple[float, float, float, float]:
-        """(x_min, y_min, x_max, y_max) box every vehicle stays inside."""
-        raise NotImplementedError
 
 
 class SyntheticHighwayProvider(MobilityProvider):
@@ -240,29 +235,6 @@ class SyntheticGridProvider(MobilityProvider):
 
     def bounds(self) -> tuple[float, float, float, float]:
         return (0.0, 0.0, self.extent_m, self.extent_m)
-
-
-class StaticProvider(MobilityProvider):
-    """Fixed fleet that never moves; handy for topology experiments."""
-
-    def __init__(self, positions: Sequence[Position], gateways: Sequence[int] = ()):
-        self._positions = [Position(float(x), float(y)) for x, y in positions]
-        self.vehicle_ids = list(range(len(self._positions)))
-        self._gateways = set(gateways)
-
-    def position_at(self, vehicle_id: int, t_us: SimTime) -> Position:
-        return self._positions[vehicle_id]
-
-    def is_gateway(self, vehicle_id: int) -> bool:
-        return vehicle_id in self._gateways
-
-    def max_drift_mps(self) -> float:
-        return 0.0
-
-    def bounds(self) -> tuple[float, float, float, float]:
-        xs = [p.x for p in self._positions]
-        ys = [p.y for p in self._positions]
-        return (min(xs), min(ys), max(xs), max(ys))
 
 
 class TraceProvider(MobilityProvider):

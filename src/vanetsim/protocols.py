@@ -41,15 +41,8 @@ class Message:
     src: int
     origin_us: SimTime
     targets: tuple[int, ...]
-    size_bytes: int = 256
     ttl_hops: int = 8
     kind: str = KIND_EVENT
-
-    def __post_init__(self):
-        if self.size_bytes <= 0:
-            raise ValueError("message size must be positive")
-        if self.ttl_hops < 1:
-            raise ValueError("ttl_hops must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -331,6 +324,7 @@ class _HybridState:
     bs: BaseStation
     loc: dict[int, int]
     window_end: SimTime
+    seen: set = field(default_factory=set)  # vehicles that have the message
     handled: set = field(default_factory=set)
     chances: dict[int, int] = field(default_factory=dict)
     uplink: Optional[HopOutcome] = None  # the sender's hop into the cloud, once tried
@@ -342,7 +336,10 @@ class HybridVehcloud(Protocol):
     message through the vehicular cloud via selected mobile gateways.
 
     Late joiners entering the sender's region during the dissemination
-    window get a one-shot re-delivery down whichever branch applies.
+    window get a one-shot re-delivery down whichever branch applies.  The
+    window bounds only those late attempts: a message's record lives until
+    the run ends, so a broadcast or gateway drop already scheduled still
+    runs when the window has closed.
     """
 
     name = "hybrid_vehcloud"
@@ -351,7 +348,6 @@ class HybridVehcloud(Protocol):
     def __init__(self, rt):
         super().__init__(rt)
         self._live: dict[int, _HybridState] = {}
-        self._seen: dict[int, set] = {}
         self._window_us = to_us(rt.knobs.window_s)
 
     # -- injection -----------------------------------------------------
@@ -364,14 +360,12 @@ class HybridVehcloud(Protocol):
         loc = {
             v: obstacle_shadowing(rt.pos(v, t), bs.pos, rt.obstacles) for v in region
         }
-        st = _HybridState(msg, bs, loc, window_end=t + self._window_us)
+        st = _HybridState(msg, bs, loc, window_end=t + self._window_us, seen={msg.src})
         st.handled = set(region)
         st.handled.add(msg.src)
         self._live[msg.msg_id] = st
-        self._seen[msg.msg_id] = {msg.src}
         if not region:
             # Nobody around the sender's station: nothing to transmit.
-            self._drop_if_done(msg.msg_id, t)
             return f"bs={bs.station_id} n=0 no nearby vehicles"
 
         rt.schedule_tx(TxJob(msg, msg.src, hop=1, purpose="direct"), t)
@@ -446,12 +440,10 @@ class HybridVehcloud(Protocol):
         best = self._nearest_gateway(src_pos, t, (msg.src,))
         if best is not None:
             _, g, gpos = best
-            st.uplink = rt.uplink(msg, src_pos, gpos, rt.params.range_m, t, contend=True)
+            st.uplink = rt.uplink(src_pos, gpos, rt.params.range_m, t, contend=True)
             entry = f"gw:{g}"
         else:
-            st.uplink = rt.uplink(
-                msg, src_pos, st.bs.pos, rt.knobs.bs_coverage_m, t, contend=False
-            )
+            st.uplink = rt.uplink(src_pos, st.bs.pos, rt.knobs.bs_coverage_m, t, contend=False)
             entry = "bs"
         if st.uplink.delivered:
             st.cloud_ready = t + st.uplink.delay_us + rt.cloud.uplink_us + rt.cloud.processing_us
@@ -468,9 +460,8 @@ class HybridVehcloud(Protocol):
 
     def tx_receivers(self, job: TxJob, t: SimTime) -> list[int]:
         rt = self.rt
-        mid = job.msg.msg_id
-        seen = self._seen[mid]
-        st = self._live.get(mid)
+        st = self._live[job.msg.msg_id]
+        seen = st.seen
         if job.purpose == "direct":
             pos = rt.pos(job.sender, t)
             cand = rt.neighbors(pos, rt.params.range_m, t)
@@ -491,16 +482,14 @@ class HybridVehcloud(Protocol):
         msg = job.msg
         mid = msg.msg_id
         rt = self.rt
-        seen = self._seen[mid]
-        st = self._live.get(mid)
+        st = self._live[mid]
         delivered = 0
         for rid, out in results:
             if out.delivered:
-                seen.add(rid)
+                st.seen.add(rid)
                 delivered += 1
                 rt.record_delivery(msg, rid, t + out.delay_us, job.hop)
-                if st is not None:
-                    st.chances.pop(rid, None)
+                st.chances.pop(rid, None)
                 continue
             if not rt.is_open(mid, rid):
                 continue
@@ -509,11 +498,10 @@ class HybridVehcloud(Protocol):
                 rt.record_loss(msg, rid, out.loss_cause)
             elif job.purpose == "gateway":
                 rt.note_loss(msg, rid, out.loss_cause)
-                if st is not None and rid in st.chances:
+                if rid in st.chances:
                     st.chances[rid] -= 1
                     if st.chances[rid] <= 0:
                         rt.record_loss(msg, rid)
-        self._drop_if_done(mid, t)
         return f"tx msg={mid} from={job.sender} purpose={job.purpose} ok={delivered}"
 
     def on_cloud(self, job: TxJob, t: SimTime) -> str:
@@ -534,10 +522,9 @@ class HybridVehcloud(Protocol):
             if not fresh:
                 continue
             st.handled.update(fresh)
-            seen = self._seen[mid]
             late_shadowed = []
             for v in fresh:
-                if v in seen:
+                if v in st.seen:
                     continue
                 if obstacle_shadowing(rt.pos(v, t), st.bs.pos, rt.obstacles) == 0:
                     rt.schedule_tx(
@@ -557,27 +544,11 @@ class HybridVehcloud(Protocol):
                         continue
                     self._drop_at_gateway(st, g, [v], t)
                     attempts += 1
-        self._expire(t)
         return f"late_attempts={attempts}" if attempts else None
 
     def _covering_gateway(self, st: _HybridState, v: int, t: SimTime) -> Optional[int]:
         best = self._nearest_gateway(self.rt.pos(v, t), t, (v, st.msg.src))
         return None if best is None else best[1]
-
-    def _expire(self, t: SimTime):
-        for mid in sorted(self._live):
-            if t > self._live[mid].window_end:
-                self._drop_if_done(mid, t, force=True)
-
-    def _drop_if_done(self, mid: int, t: SimTime, force: bool = False):
-        st = self._live.get(mid)
-        if st is None:
-            return
-        if force or (t > st.window_end and not st.chances):
-            self._live.pop(mid, None)
-
-    def on_end(self, t: SimTime) -> None:
-        self._live.clear()
 
 
 class Dfcv(Protocol):
@@ -688,7 +659,7 @@ class Dfcv(Protocol):
                 rt.record_loss(msg, dst, OUT_OF_RANGE)
             return "sender outside coverage"
         bs = rt.station(src_bs_id)
-        up = rt.uplink(msg, rt.pos(msg.src, t), bs.pos, rt.knobs.bs_coverage_m, t, contend=False)
+        up = rt.uplink(rt.pos(msg.src, t), bs.pos, rt.knobs.bs_coverage_m, t, contend=False)
         if not up.delivered:
             for dst in msg.targets:
                 rt.record_loss(msg, dst, up.loss_cause)

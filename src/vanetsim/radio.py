@@ -258,9 +258,9 @@ def line_of_sight(a: Position, b: Position, obstacles: ObstacleMap) -> bool:
     return True
 
 
-def tx_time_us(params: RadioParams, size_bytes: Optional[int] = None) -> int:
-    size = params.msg_size_bytes if size_bytes is None else size_bytes
-    raw = size * 8 * US_PER_S / params.data_rate_bps
+def tx_time_us(params: RadioParams) -> int:
+    """How long a frame is on air: every frame is ``msg_size_bytes`` long."""
+    raw = params.msg_size_bytes * 8 * US_PER_S / params.data_rate_bps
     return max(1, int(raw + 0.5))
 
 

@@ -266,6 +266,8 @@ class Runtime:
         self.cfg = cfg
         self.spec = spec
         self.params = cfg.radio
+        # every frame is radio.msg_size_bytes long, so on air this long
+        self.frame_us = tx_time_us(cfg.radio)
         self.knobs = cfg.knobs
         self.cloud = cfg.cloud
         self.provider = provider
@@ -292,7 +294,6 @@ class Runtime:
         self.end_us: SimTime = 0
         # per-event intervals in microseconds, converted once in setup()
         self._beacon_us: SimTime = 0
-        self._beacon_tx_us: SimTime = 0
         self._tick_us: SimTime = 0
         self._maintenance_us: SimTime = 0
         self.protocol = PROTOCOLS[protocol_name](self)
@@ -352,9 +353,6 @@ class Runtime:
 
     def los(self, a: Position, b: Position) -> bool:
         return line_of_sight(a, b, self.obstacles)
-
-    def tx_time_us(self, size_bytes: Optional[int] = None) -> int:
-        return tx_time_us(self.params, size_bytes)
 
     # -- scheduling helpers ---------------------------------------------------
 
@@ -429,9 +427,6 @@ class Runtime:
             self.note(f"rec={msg.msg_id}:{dst}:{cause}")
         return True
 
-    def ordered_records(self) -> list[DeliveryRecord]:
-        return list(self.records.values())
-
     # -- setup ------------------------------------------------------------------
 
     def setup(self) -> None:
@@ -439,7 +434,6 @@ class Runtime:
         duration_us = to_us(self.cfg.sim_duration_s)
         self.end_us = duration_us + to_us(self.knobs.drain_s)
         self._beacon_us = to_us(self.knobs.beacon_interval_s)
-        self._beacon_tx_us = self.tx_time_us()
         self._tick_us = to_us(self.knobs.mobility_tick_s)
         self._maintenance_us = to_us(self.knobs.maintenance_interval_s)
 
@@ -463,7 +457,7 @@ class Runtime:
             phase_rng = sim.rng("beacon-phase")
             phases = [(phase_rng.randrange(self._beacon_us), v) for v in self.provider.vehicle_ids]
             self.channel.set_beacons(
-                sorted(phases), self._beacon_us, self._beacon_tx_us, self.provider.position_at
+                sorted(phases), self._beacon_us, self.frame_us, self.provider.position_at
             )
             # beacons are events only to write their delivery records
             if self.knobs.include_beacons_in_metrics:
@@ -509,14 +503,7 @@ class Runtime:
         spec: _Inject = event.payload
         t = event.fire_at
         targets = self._targets_for(spec.src, t)
-        msg = Message(
-            spec.msg_id,
-            spec.src,
-            t,
-            targets,
-            size_bytes=self.params.msg_size_bytes,
-            ttl_hops=self.knobs.ttl_hops,
-        )
+        msg = Message(spec.msg_id, spec.src, t, targets, ttl_hops=self.knobs.ttl_hops)
         self.address(msg)
         extra = self.protocol.on_inject(msg, t)
         base = f"msg={msg.msg_id} src={msg.src} targets={fmt_ids(targets)}"
@@ -559,19 +546,11 @@ class Runtime:
     def _fire_tx(self, job: TxJob, t: SimTime) -> str:
         sender_pos = self.pos(job.sender, t)
         results = self._v2v_hops(sender_pos, self.protocol.tx_receivers(job, t), t)
-        self.channel.register(
-            t, t + self.tx_time_us(job.msg.size_bytes), sender_pos
-        )
+        self.channel.register(t, t + self.frame_us, sender_pos)
         return self.protocol.after_tx(job, t, results)
 
     def uplink(
-        self,
-        msg: Message,
-        sender_pos: Position,
-        entry_pos: Position,
-        reach: float,
-        t: SimTime,
-        contend: bool,
+        self, sender_pos: Position, entry_pos: Position, reach: float, t: SimTime, contend: bool
     ) -> HopOutcome:
         """A vehicle's hop into the infrastructure at ``entry_pos``.
 
@@ -588,7 +567,7 @@ class Runtime:
         if not out.delivered and out.loss_cause != CHANNEL_LOSS:
             return out
         backoff = self.channel.draw_backoff()
-        self.channel.register(t, t + self.tx_time_us(msg.size_bytes), sender_pos)
+        self.channel.register(t, t + self.frame_us, sender_pos)
         return HopOutcome(True, out.delay_us + backoff) if out.delivered else out
 
     def _fire_infra(self, job: InfraTx, t: SimTime) -> str:
@@ -599,7 +578,7 @@ class Runtime:
             (rid, evaluate_hop(bs.pos, self.pos(rid, t), reach, self.params, self.obstacles))
             for rid in job.receivers
         ]
-        self.channel.register(t, t + self.tx_time_us(job.msg.size_bytes), bs.pos)
+        self.channel.register(t, t + self.frame_us, bs.pos)
         return self.protocol.after_infra(job, t, results)
 
     def _on_cloud(self, event) -> str:
@@ -631,15 +610,7 @@ class Runtime:
         pos = self.channel.beacon_origin(v, t)
         cand = [r for r in self.neighbors(pos, self.params.range_m, t) if r != v]
         self._msg_seq += 1
-        msg = Message(
-            self._msg_seq,
-            v,
-            t,
-            tuple(cand),
-            size_bytes=self.params.msg_size_bytes,
-            ttl_hops=1,
-            kind=KIND_BEACON,
-        )
+        msg = Message(self._msg_seq, v, t, tuple(cand), ttl_hops=1, kind=KIND_BEACON)
         self.address(msg)
         for rid, out in self._v2v_hops(pos, cand, t, own=pos):
             if out.delivered:
@@ -697,7 +668,7 @@ def run_single(
             f"delivery accounting out of balance: {missing} (message, target) "
             f"pairs without exactly one record"
         )
-    records = rt.ordered_records()
+    records = list(rt.records.values())
     summary = summarize(
         records,
         protocol,

@@ -167,3 +167,26 @@ def test_run_empty_trace_names_the_file(tmp_path, capsys, body):
         assert main(["run", "--config", path, "--workers", workers]) == 1
         err = capsys.readouterr().err
         assert err == f"config error: {trace}: trace contains no vehicle samples\n"
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("<fcd-export/>", "trace contains no vehicle samples"),
+        ("<fcd-export><timestep", "malformed XML"),
+    ],
+    ids=["empty", "malformed"],
+)
+def test_validate_reads_the_trace(tmp_path, capsys, body, message):
+    trace = tmp_path / "bad.fcd.xml"
+    trace.write_text(body)
+    path = tiny_scenario(
+        tmp_path,
+        mobility={"mode": "trace", "trace_path": str(trace), "vehicle_count": 1},
+        densities=[1],
+    )
+    assert main(["validate", "--config", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: {trace}: ")
+    assert message in captured.err

@@ -13,7 +13,6 @@ from vanetsim.errors import MaintenanceError
 from vanetsim.fog import (
     FogCell,
     check_partition,
-    dfcv_distance,
     merge_cells,
     nearest_to_centroid,
     run_maintenance,
@@ -38,6 +37,12 @@ def fresh_ids(start=1000):
 
 def maintain(cells, pos, d_min=300.0, th_cap=20):
     return run_maintenance(cells, pos, d_min, th_cap, fresh_ids())
+
+
+def dfcv_distance(cell, pos):
+    """A cell's spread: the largest anchor-to-member distance."""
+    anchor_pos = pos[cell.anchor]
+    return max(distance(anchor_pos, pos[m]) for m in cell.members)
 
 
 # -- spread -------------------------------------------------------------------
@@ -90,7 +95,7 @@ def test_split_respects_half_bound_on_random_cells():
         parent = cell(5, range(n), anchor=rng.randrange(n))
         near, far = split_cell(parent, pos, fresh_ids())
         bound = (n + 1) // 2
-        assert near.capacity <= bound and far.capacity <= bound
+        assert len(near.members) <= bound and len(far.members) <= bound
         assert sorted(near.members + far.members) == list(range(n))
         assert near.anchor in near.members and far.anchor in far.members
         # near keeps everything not farther than any far member
@@ -131,8 +136,8 @@ def test_maintenance_splits_over_capacity_cell():
     # all at nearly the same spot, but 25 members > th_cap 20
     pos = {i: Position(float(i), 0.0) for i in range(25)}
     cells, _ = maintain([cell(0, range(25), anchor=0)], pos)
-    assert all(c.capacity <= 20 for c in cells)
-    assert sum(c.capacity for c in cells) == 25
+    assert all(len(c.members) <= 20 for c in cells)
+    assert sum(len(c.members) for c in cells) == 25
     assert len(cells) == 2
 
 
@@ -183,8 +188,8 @@ def test_maintenance_settles_on_random_fleets_within_cap():
         assert rounds <= 2 * 1 + 2
         check_partition(cells, set(range(n)), 20)
         for c in cells:
-            assert not (c.capacity > 20) and (
-                c.capacity == 1 or dfcv_distance(c, pos) <= 300.0
+            assert not (len(c.members) > 20) and (
+                len(c.members) == 1 or dfcv_distance(c, pos) <= 300.0
             )
 
 

@@ -1,9 +1,10 @@
 """Invariants over the knob space: small configs drawn at random.
 
-Every run, whatever its mobility, obstacles, beacon period and metering,
-must finish with closed accounting (one record per addressed pair),
-causal delays, delivery + loss == 1, and the same CSV bytes on a rerun,
-with or without an event log, and in a serial or a parallel sweep.
+Every run, whatever its mobility, obstacles, frame length, beacon period,
+metering, hybrid window and gateway budget, must finish with closed
+accounting (one record per addressed pair), causal delays, delivery + loss
+== 1, and the same CSV bytes on a rerun, with or without an event log, and
+in a serial or a parallel sweep.
 """
 
 import dataclasses
@@ -20,8 +21,10 @@ from vanetsim.mobility import MobilitySpec
 from vanetsim.radio import RadioParams, tx_time_us
 
 FRAME_S = tx_time_us(RadioParams()) / 1e6
-# beacons off, and periods below, equal to and above the frame time
+# beacons off, and periods below, equal to and above the default frame time
 BEACON_INTERVALS_S = (0.0, FRAME_S / 2, FRAME_S, 0.05)
+# frames a quarter of, equal to and about six times the default
+MSG_SIZES = (64, 256, 1500)
 
 HIGHWAY_BUILDINGS = ((600.0, -20.0, 650.0, 20.0), (1300.0, -5.0, 1400.0, 30.0))
 GRID_BUILDINGS = tuple(
@@ -35,6 +38,10 @@ GRID_BUILDINGS = tuple(
 def small_runs(draw):
     grid = draw(st.booleans())
     obstacles = draw(st.booleans())
+    radio = RadioParams(
+        msg_size_bytes=draw(st.sampled_from(MSG_SIZES)),
+        loss_slope=draw(st.sampled_from((0.0, 0.05))),
+    )
     interval = draw(st.sampled_from(BEACON_INTERVALS_S))
     metered = draw(st.booleans())
     if grid:
@@ -47,7 +54,7 @@ def small_runs(draw):
         rects = HIGHWAY_BUILDINGS
     cfg = ScenarioConfig(
         mobility=mobility,
-        radio=RadioParams(loss_slope=draw(st.sampled_from((0.0, 0.05)))),
+        radio=radio,
         workload=WorkloadSpec(rate_per_s=8.0),
         knobs=ProtocolKnobs(
             ttl_hops=3,
@@ -55,15 +62,20 @@ def small_runs(draw):
             bs_coverage_m=400.0,
             beacon_interval_s=interval,
             include_beacons_in_metrics=metered,
+            # a window that closes before the broadcast fires, or before the
+            # gateway drops arrive, or that outlasts the run
+            window_s=draw(st.sampled_from((0.0, 0.001, 5.0))),
+            k_max_gateways=draw(st.sampled_from((1, 4))),
             maintenance_interval_s=0.1,
-            mobility_tick_s=0.1,
+            mobility_tick_s=draw(st.sampled_from((0.001, 0.1))),
             drain_s=0.1,
         ),
         obstacle_rects=rects if obstacles else (),
         sim_duration_s=0.2,
     )
     protocol = draw(st.sampled_from(sorted(runner.PROTOCOLS)))
-    # a period at or below the frame time keeps the channel busy: few vehicles
+    # a period at or below the default frame time keeps the channel busy,
+    # and slow to simulate, whatever frame length was drawn: few vehicles
     vehicles = draw(st.integers(2, 5 if 0 < interval <= FRAME_S else 24))
     return cfg, protocol, vehicles, draw(st.integers(0, 1_000))
 

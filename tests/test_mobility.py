@@ -21,7 +21,6 @@ from vanetsim.mobility import (
     MobilitySpec,
     NeighborIndex,
     Position,
-    StaticProvider,
     SyntheticGridProvider,
     SyntheticHighwayProvider,
     TraceProvider,
@@ -31,6 +30,8 @@ from vanetsim.mobility import (
     gateway_count,
     parse_fcd,
 )
+
+from static_fleet import StaticProvider
 
 FCD_FIXTURE = """<?xml version="1.0" encoding="UTF-8"?>
 <fcd-export>

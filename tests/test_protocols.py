@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from vanetsim.config import ProtocolKnobs, ScenarioConfig, WorkloadSpec
 from vanetsim.engine import Simulator, derive_stream_seed
 from vanetsim.errors import ConfigError
-from vanetsim.mobility import MobilitySpec, Position, StaticProvider, build_provider, distance
+from vanetsim.mobility import MobilitySpec, Position, build_provider, distance
 from vanetsim.protocols import (
     BaseStation,
     CloudModel,
@@ -26,6 +26,7 @@ from vanetsim.protocols import (
     _HybridState,
 )
 from vanetsim.radio import (
+    CHANNEL_LOSS,
     EMPTY_MAP,
     OUT_OF_RANGE,
     SHADOWED,
@@ -36,6 +37,8 @@ from vanetsim.radio import (
     tx_time_us,
 )
 from vanetsim.runner import Runtime, place_stations, run_single
+
+from static_fleet import StaticProvider
 
 
 # -- fixture plumbing ---------------------------------------------------------
@@ -223,7 +226,7 @@ def test_obstacle_shadowing_binary():
 
 def test_message_is_frozen_with_target_set():
     msg = Message(1, 0, 0, (3, 4, 5))
-    assert msg.ttl_hops == 8 and msg.size_bytes == 256
+    assert msg.ttl_hops == 8
     with pytest.raises(dataclasses.FrozenInstanceError):
         msg.src = 9
 
@@ -686,6 +689,50 @@ def test_hybrid_window_rounds_to_the_nearest_microsecond(tmp_path):
     assert rt.protocol._live[1].window_end == t + 1_001_000
 
 
+def test_hybrid_broadcast_after_a_closed_window_completes():
+    # A zero window with 1 ms ticks: the window has closed before most
+    # direct broadcasts fire.  Each message's record lives for the whole
+    # run, so every one runs and every addressed pair ends with one record.
+    cfg = ScenarioConfig(
+        mobility=MobilitySpec(road_length_m=2_000.0, vehicle_count=40),
+        workload=WorkloadSpec(rate_per_s=3.0),
+        knobs=ProtocolKnobs(window_s=0.0, mobility_tick_s=0.001),
+        sim_duration_s=1.0,
+    )
+    sim = Simulator(seed=1)
+    provider = build_provider(cfg.mobility, sim.rng("mobility"))
+    stations = place_stations(cfg.mobility, provider, cfg.knobs)
+    rt = Runtime(sim, cfg, cfg.mobility, provider, EMPTY_MAP, stations, "hybrid_vehcloud")
+    rt.setup()
+    sim.run(rt.end_us)
+    addressed = {(m.msg_id, d) for m in rt.messages.values() for d in m.targets}
+    assert addressed and set(rt.records) == addressed and rt.opened == len(addressed)
+
+
+def test_hybrid_gateway_miss_after_the_window_records_at_once(tmp_path):
+    # The window closes at injection and a tick passes before the gateway
+    # drop arrives.  The shadowed target's only chance is lost to the
+    # channel, so it is recorded at that transmission with the cause noted
+    # there, not swept as out_of_range at the end of the run.
+    tracks = [
+        ("gw", [(0, 700.0, 0.0)]),      # out of the sender's range: station uplink
+        ("src", [(0, 0.0, 0.0)]),
+        ("tgt", [(0, 600.0, 0.0)]),     # in the gateway's range and sight
+        ("decoy", [(0, 350.0, 400.0)]), # puts the station at (350, 200)
+    ]
+    rects = [(465.0, 90.0, 485.0, 110.0)]  # shadows tgt from the station
+    cfg = scenario(write_trace(tmp_path, tracks), 4, targets=[2], rects=rects,
+                   gateway_fraction=0.25, radio_kw={"base_loss": 1.0},
+                   knobs_kw={"window_s": 0.0, "mobility_tick_s": 0.01})
+    res = run_single(cfg, "hybrid_vehcloud", 4, seed_with_src(4, 1), capture_log=True)
+    r, = res.records
+    assert r.loss_cause == CHANNEL_LOSS
+    line, = [l for l in res.log if "rec=1:2:" in l]
+    kind, summary = line.split("\t")[2:]
+    assert kind == "RadioDeliver" and "purpose=gateway" in summary
+    assert summary.endswith("rec=1:2:channel_loss")
+
+
 # -- dfcv ---------------------------------------------------------------------
 
 def test_dfcv_same_station_latency_sum(tmp_path):
@@ -862,7 +909,7 @@ def test_hybrid_gateway_uplink_frame_is_on_the_channel(tmp_path, base_loss):
     src = rt.pos(1, t)
     st = _HybridState(Message(1, 1, t, (2,)), rt.nearest_station(src), {}, window_end=t + 1)
     rt.protocol._establish_uplink(st, t)
-    end = t + rt.tx_time_us()
+    end = t + rt.frame_us
     assert rt.channel.concurrent_near(src, t) == 1
     assert rt.channel.busy_until_near(src, t) == end
     assert rt.channel.concurrent_near(src, end - 1) == 1

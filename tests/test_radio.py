@@ -97,9 +97,10 @@ def test_tx_time_rounds_half_up_and_floors_at_one():
     p = RadioParams(data_rate_bps=3_000_000)
     # 256*8/3 = 682.666... -> 683
     assert tx_time_us(p) == 683
-    assert tx_time_us(p, size_bytes=0) == 1
-    # 1 bytes at 16 Mb/s -> 0.5 us exactly, half-up to 1
-    assert tx_time_us(RadioParams(data_rate_bps=16_000_000), size_bytes=1) == 1
+    # 1 byte at 2 Gb/s -> 0.004 us, floored at 1
+    assert tx_time_us(RadioParams(data_rate_bps=2_000_000_000, msg_size_bytes=1)) == 1
+    # 1 byte at 16 Mb/s -> 0.5 us exactly, half-up to 1
+    assert tx_time_us(RadioParams(data_rate_bps=16_000_000, msg_size_bytes=1)) == 1
 
 
 def test_hop_delay_sums_tx_prop_backoff():

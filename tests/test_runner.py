@@ -17,7 +17,6 @@ from vanetsim.metrics import csv_text
 from vanetsim.mobility import (
     MobilitySpec,
     Position,
-    StaticProvider,
     SyntheticGridProvider,
     SyntheticHighwayProvider,
     TraceProvider,
@@ -27,6 +26,8 @@ from vanetsim.mobility import (
 from vanetsim.protocols import Message
 from vanetsim.radio import CHANNEL_LOSS, EMPTY_MAP, OUT_OF_RANGE, SHADOWED, RadioParams
 from vanetsim.runner import Channel, Runtime, place_stations, run_single, run_sweep
+
+from static_fleet import StaticProvider
 
 
 # -- channel ------------------------------------------------------------------
@@ -141,9 +142,9 @@ def test_metered_beacon_does_not_hear_its_own_frame():
     sim = Simulator(seed=3)
     rt = Runtime(sim, cfg, cfg.mobility, provider, EMPTY_MAP, stations, "baseline")
     rt.setup()
-    assert rt.tx_time_us() == frame
+    assert rt.frame_us == frame
     sim.run(rt.end_us)
-    records = rt.ordered_records()
+    records = list(rt.records.values())
     addressed = {(m.msg_id, d) for m in rt.messages.values() for d in m.targets}
     assert records and set(rt.records) == addressed and rt.opened == len(addressed)
     phase = {v: min(r.sent_us for r in records if r.src == v) for v in (0, 1)}
