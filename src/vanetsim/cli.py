@@ -15,8 +15,7 @@ from . import __version__
 from .config import config_json, load_config
 from .errors import ConfigError, VanetSimError
 from .metrics import csv_text, plot_data_texts
-from .mobility import load_tracks
-from .runner import run_sweep
+from .runner import run_sweep, sweep_tracks
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -73,8 +72,8 @@ def main(argv: Optional[list] = None) -> int:
             return 0
         cfg = load_config(args.config)
         if args.command == "validate":
-            # a trace is read as run reads it, so a bad one fails here too
-            load_tracks(cfg.mobility)
+            # a trace is read and checked as run reads it, so a bad one fails here too
+            sweep_tracks(cfg)
             print(config_json(cfg))
             return 0
         collect_logs = args.event_log is not None

@@ -1,10 +1,10 @@
 """Vehicle position models: synthetic highway and grid fleets, recorded traces.
 
 All providers answer the same two questions: where is vehicle v at time t
-(in microseconds), as a Position, and is v a gateway.  Synthetic fleets
-draw their initial placement and per-vehicle constant speed once from the
-"mobility" RNG stream; trace fleets interpolate linearly between recorded
-samples and clamp at the trace ends.
+(in microseconds), as a Position, and is v a gateway.  Synthetic fleets are
+street fleets: they draw each vehicle's street, start and constant speed
+once from the "mobility" RNG stream.  Trace fleets interpolate linearly
+between recorded samples and clamp at the trace ends.
 """
 
 from __future__ import annotations
@@ -99,10 +99,9 @@ def gateway_count(n: int, fraction: float) -> int:
 class MobilityProvider:
     """Interface shared by all providers.
 
-    A provider also defines ``position_at(vehicle_id, t_us)``,
+    A provider also defines ``position_at(vehicle_id, t_us)`` and
     ``max_drift_mps()``, an upper bound on how fast any vehicle's position
-    can change, and ``bounds()``, the (x_min, y_min, x_max, y_max) box every
-    vehicle stays inside.
+    can change.
     """
 
     vehicle_ids: list[int]
@@ -127,114 +126,94 @@ class MobilityProvider:
         ]
 
 
-class SyntheticHighwayProvider(MobilityProvider):
-    """Constant-speed vehicles on a straight multi-lane road that wraps.
+class StreetProvider(MobilityProvider):
+    """Constant-velocity vehicles, each on one straight street that wraps.
 
-    Each vehicle draws (start position, lane, speed) once; afterwards it
-    moves along +x at its speed and wraps modulo the road length, so the
-    fleet size and the relative spacing statistics stay put for the whole
-    run.  ``initial`` bypasses the random draws with explicit
-    (x0_m, lane, speed_mps) triples, which experiments and tests use to
-    pin down exact geometries.
+    A vehicle is ``(horizontal, fixed_m, offset_m, velocity_mps)``: at time
+    t it sits ``(offset + velocity * t) % period`` along x when horizontal,
+    else along y, and at ``fixed`` on the other axis.
     """
 
     def __init__(
-        self,
-        spec: MobilitySpec,
-        rng: Optional[Random] = None,
-        initial: Optional[Sequence[tuple[float, int, float]]] = None,
+        self, vehicles: Sequence, period_m: float, wrap_period: tuple, gateway_fraction: float
     ):
-        self.spec = spec
-        if initial is None:
-            if rng is None:
-                raise ConfigError("synthetic mobility needs an RNG stream")
-            lo = spec.speed_range_mph[0] * MPH_TO_MPS
-            hi = spec.speed_range_mph[1] * MPH_TO_MPS
-            initial = [
-                (
-                    rng.uniform(0.0, spec.road_length_m),
-                    rng.randrange(spec.lanes),
-                    rng.uniform(lo, hi),
-                )
-                for _ in range(spec.vehicle_count)
-            ]
-        self._start = [float(x) for x, _, _ in initial]
-        self._lane = [int(lane) for _, lane, _ in initial]
-        self._speed = [float(s) for _, _, s in initial]
-        self.vehicle_ids = list(range(len(initial)))
-        self._n_gateways = gateway_count(len(initial), spec.gateway_fraction)
-        self.wrap_period = (spec.road_length_m, None)
+        self._vehicles = list(vehicles)
+        self._period = period_m
+        self.wrap_period = wrap_period
+        self.vehicle_ids = list(range(len(self._vehicles)))
+        self._n_gateways = gateway_count(len(self._vehicles), gateway_fraction)
 
     def position_at(self, vehicle_id: int, t_us: SimTime) -> Position:
-        x = (
-            self._start[vehicle_id] + self._speed[vehicle_id] * (t_us / US_PER_S)
-        ) % self.spec.road_length_m
-        return Position(x, self._lane[vehicle_id] * LANE_WIDTH_M)
+        horizontal, fixed, offset, velocity = self._vehicles[vehicle_id]
+        along = (offset + velocity * (t_us / US_PER_S)) % self._period
+        return Position(along, fixed) if horizontal else Position(fixed, along)
 
     def max_drift_mps(self) -> float:
-        return max(self._speed) if self._speed else 0.0
-
-    def bounds(self) -> tuple[float, float, float, float]:
-        return (0.0, 0.0, self.spec.road_length_m, (self.spec.lanes - 1) * LANE_WIDTH_M)
+        return max((abs(v[3]) for v in self._vehicles), default=0.0)
 
 
-class SyntheticGridProvider(MobilityProvider):
-    """Constant-speed vehicles on a square street grid.
+def _speed_range_mps(spec: MobilitySpec, rng: Optional[Random]) -> tuple[float, float]:
+    """The bounds of a random fleet's speed draw, in m/s."""
+    if rng is None:
+        raise ConfigError("synthetic mobility needs an RNG stream")
+    lo, hi = spec.speed_range_mph
+    return lo * MPH_TO_MPS, hi * MPH_TO_MPS
 
-    Streets run along every line x = i * spacing and y = j * spacing for
-    0 <= i, j <= blocks.  Each vehicle picks one street, a travel
-    direction and a speed, then shuttles along it, wrapping at the grid
-    edge.  Block interiors are left to the obstacle map.
+
+class SyntheticHighwayProvider(StreetProvider):
+    """Constant-speed vehicles on a straight multi-lane road that wraps.
+
+    Each vehicle draws (start x, lane, speed) once and moves along +x, so
+    the fleet's spacing statistics stay put for the whole run.  ``initial``
+    replaces the draws with explicit (x0_m, lane, speed_mps) triples.
     """
 
     def __init__(
-        self,
-        spec: MobilitySpec,
-        rng: Optional[Random] = None,
-        initial: Optional[Sequence[tuple[str, int, float, int, float]]] = None,
+        self, spec: MobilitySpec, rng: Optional[Random] = None, initial: Optional[Sequence] = None
     ):
-        # initial entries: (orientation "h"|"v", street index, offset_m, direction +-1, speed_mps)
-        self.spec = spec
-        self.extent_m = spec.grid_blocks * spec.grid_spacing_m
+        length = spec.road_length_m
         if initial is None:
-            if rng is None:
-                raise ConfigError("synthetic mobility needs an RNG stream")
-            lo = spec.speed_range_mph[0] * MPH_TO_MPS
-            hi = spec.speed_range_mph[1] * MPH_TO_MPS
+            lo, hi = _speed_range_mps(spec, rng)
+            initial = [
+                (rng.uniform(0.0, length), rng.randrange(spec.lanes), rng.uniform(lo, hi))
+                for _ in range(spec.vehicle_count)
+            ]
+        super().__init__(
+            [(True, int(lane) * LANE_WIDTH_M, float(x), float(s)) for x, lane, s in initial],
+            length, (length, None), spec.gateway_fraction,
+        )
+
+
+class SyntheticGridProvider(StreetProvider):
+    """Constant-speed vehicles on a square street grid that wraps.
+
+    Streets run along x = i * spacing and y = j * spacing, 0 <= i, j <= blocks.
+    Each vehicle draws a street, start, direction and speed once; block
+    interiors are left to the obstacle map.  ``initial`` replaces the draws
+    with explicit (orientation "h"|"v", street, offset_m, +-1, speed_mps).
+    """
+
+    def __init__(
+        self, spec: MobilitySpec, rng: Optional[Random] = None, initial: Optional[Sequence] = None
+    ):
+        extent = spec.grid_blocks * spec.grid_spacing_m
+        if initial is None:
+            lo, hi = _speed_range_mps(spec, rng)
             initial = [
                 (
                     "h" if rng.random() < 0.5 else "v",
                     rng.randrange(spec.grid_blocks + 1),
-                    rng.uniform(0.0, self.extent_m),
+                    rng.uniform(0.0, extent),
                     1 if rng.random() < 0.5 else -1,
                     rng.uniform(lo, hi),
                 )
                 for _ in range(spec.vehicle_count)
             ]
-        self._orient = [o for o, _, _, _, _ in initial]
-        self._street = [int(i) for _, i, _, _, _ in initial]
-        self._offset = [float(d) for _, _, d, _, _ in initial]
-        self._dir = [int(s) for _, _, _, s, _ in initial]
-        self._speed = [float(v) for _, _, _, _, v in initial]
-        self.vehicle_ids = list(range(len(initial)))
-        self._n_gateways = gateway_count(len(initial), spec.gateway_fraction)
-        self.wrap_period = (self.extent_m, self.extent_m)
-
-    def position_at(self, vehicle_id: int, t_us: SimTime) -> Position:
-        along = (
-            self._offset[vehicle_id]
-            + self._dir[vehicle_id] * self._speed[vehicle_id] * (t_us / US_PER_S)
-        ) % self.extent_m
-        fixed = self._street[vehicle_id] * self.spec.grid_spacing_m
-        if self._orient[vehicle_id] == "h":
-            return Position(along, fixed)
-        return Position(fixed, along)
-
-    def max_drift_mps(self) -> float:
-        return max(self._speed) if self._speed else 0.0
-
-    def bounds(self) -> tuple[float, float, float, float]:
-        return (0.0, 0.0, self.extent_m, self.extent_m)
+        super().__init__(
+            [(o == "h", int(i) * spec.grid_spacing_m, float(d), int(s) * float(v))
+             for o, i, d, s, v in initial],
+            extent, (extent, extent), spec.gateway_fraction,
+        )
 
 
 class TraceProvider(MobilityProvider):

@@ -256,7 +256,9 @@ class BaselineFlood(Protocol):
 
     Losses are provisional until the flood dies out: a target missed by
     one relay may still be reached by another, so causes are only noted
-    with the Runtime and recorded when no transmission is pending.
+    with the Runtime and recorded when no transmission is pending.  A flood
+    still spreading at the horizon is closed by the Runtime's accounting
+    sweep, which records the same noted causes.
     """
 
     name = "baseline"
@@ -309,13 +311,6 @@ class BaselineFlood(Protocol):
         msg = self.rt.messages[mid]
         for dst in msg.targets:
             self.rt.record_loss(msg, dst)
-
-    def on_end(self, t: SimTime) -> None:
-        # Floods cut off by the horizon finalize with what was noted.
-        for mid, n in self._pending.items():
-            if n > 0:
-                self._finalize(mid)
-                self._pending[mid] = 0
 
 
 @dataclass
@@ -566,6 +561,8 @@ class Dfcv(Protocol):
         self._assoc: dict[int, Optional[int]] = {}
         self._cell_seq = itertools.count(1)
         self.audit: list[tuple[SimTime, int, int, int]] = []
+        # Maintenance reaches a fixed point, so the hooks maintain each t once.
+        self._maintained_at: Optional[SimTime] = None
 
     # -- membership upkeep -------------------------------------------------
 
@@ -642,17 +639,23 @@ class Dfcv(Protocol):
             self.audit.append((t, bs_id, steps, len(kept)))
             total_cells += len(kept)
             total_steps += steps
+        self._maintained_at = t
         return total_cells, total_steps
 
     def on_maintenance(self, t: SimTime) -> Optional[str]:
-        cells, steps = self.maintain(t)
+        if t == self._maintained_at:
+            # what a rerun at the fixed point returns: the cells, one round per station
+            cells, steps = sum(map(len, self._cells.values())), len(self.rt.stations)
+        else:
+            cells, steps = self.maintain(t)
         return f"cells={cells} steps={steps}"
 
     # -- dissemination -------------------------------------------------------
 
     def on_inject(self, msg: Message, t: SimTime) -> str:
         rt = self.rt
-        self.maintain(t)
+        if t != self._maintained_at:
+            self.maintain(t)
         src_bs_id = self._assoc.get(msg.src)
         if src_bs_id is None:
             for dst in msg.targets:

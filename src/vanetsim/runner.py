@@ -205,8 +205,8 @@ def place_stations(spec: MobilitySpec, provider, knobs) -> list[BaseStation]:
 
     Highway: stations on the roadside (y=0) every bs_spacing_m, centered
     in their segment.  Grid: an even tiling snapped to the nearest street
-    intersection.  Traces and anything else: an even tiling of the
-    bounding box of the recorded positions.
+    intersection.  Traces: an even tiling of ``provider.bounds()``, the box
+    of the recorded positions; the synthetic layouts come from ``spec`` alone.
     """
     if spec.mode == MODE_HIGHWAY:
         step = knobs.bs_spacing_m
@@ -626,7 +626,7 @@ class Runtime:
         self.protocol.on_end(event.fire_at)
         swept = len(self._open)
         for mid, dst in sorted(self._open):
-            self.record_loss(self.messages[mid], dst, OUT_OF_RANGE)
+            self.record_loss(self.messages[mid], dst)
         # nothing fires after the accounting sweep, not even events due at end_us
         self.sim.stop()
         return f"records={len(self.records)} swept={swept}"
@@ -650,7 +650,7 @@ def run_single(
     tracks: Optional[Mapping[str, Track]] = None,
 ) -> RunResult:
     """One (protocol, vehicle_count, seed) run.  ``tracks`` is the parsed
-    trace of a trace config (see ``mobility.load_tracks``); None parses it here."""
+    trace of a trace config (see ``sweep_tracks``); None parses it here."""
     if protocol not in PROTOCOLS:
         raise ConfigError(f"unknown protocol {protocol!r}")
     spec = dataclasses.replace(cfg.mobility, vehicle_count=vehicle_count)
@@ -679,6 +679,20 @@ def run_single(
     )
     audit = getattr(rt.protocol, "audit", [])
     return RunResult(summary, records, stats, log, audit)
+
+
+def sweep_tracks(cfg: ScenarioConfig) -> Optional[dict[str, Track]]:
+    """The parsed trace of a trace config, None for a synthetic one.  A
+    trace fixes the fleet, so every density must equal its vehicle count."""
+    tracks = load_tracks(cfg.mobility)
+    if tracks is not None:
+        for density in cfg.densities:
+            if density != len(tracks):
+                raise ConfigError(
+                    f"densities: {density} but trace '{cfg.mobility.trace_path}' "
+                    f"contains {len(tracks)} vehicles"
+                )
+    return tracks
 
 
 def _run_ident(protocol: str, density: int, seed: int) -> str:
@@ -719,12 +733,12 @@ def run_sweep(
 ) -> tuple[list[MetricsSummary], Optional[list[tuple[str, list[str]]]]]:
     """Run the full (protocol, density, seed) grid.
 
-    A trace is parsed once, before any run, and every run plays the same
-    tracks; a trace error therefore names no run.  Returns (summaries,
-    logs); logs is None unless collect_logs, which forces serial execution
-    so the log order matches the task order.
+    A trace is parsed and checked against the densities once, before any
+    run, and every run plays the same tracks; a trace error therefore names
+    no run.  Returns (summaries, logs); logs is None unless collect_logs,
+    which forces serial execution so the log order matches the task order.
     """
-    tracks = load_tracks(cfg.mobility)
+    tracks = sweep_tracks(cfg)
     tasks = [
         (cfg, protocol, density, seed)
         for protocol in cfg.protocols

@@ -190,3 +190,23 @@ def test_validate_reads_the_trace(tmp_path, capsys, body, message):
     assert captured.out == ""
     assert captured.err.startswith(f"config error: {trace}: ")
     assert message in captured.err
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_trace_densities_must_equal_the_vehicle_count(tmp_path, capsys, command):
+    trace = tmp_path / "six.fcd.xml"
+    vehicles = "".join(
+        f'<vehicle id="v{i}" x="{40 * i}.0" y="0.0" speed="0.0"/>' for i in range(6)
+    )
+    trace.write_text(f'<fcd-export><timestep time="0.00">{vehicles}</timestep></fcd-export>')
+    mobility = {"mode": "trace", "trace_path": str(trace), "vehicle_count": 6}
+    path = tiny_scenario(tmp_path, mobility=mobility, densities=[6, 5])
+    assert main([command, "--config", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # named before any run, so without a run prefix
+    assert captured.err == (
+        f"config error: densities: 5 but trace '{trace}' contains 6 vehicles\n"
+    )
+    ok = tiny_scenario(tmp_path, mobility=mobility, densities=[6])
+    assert main([command, "--config", ok]) == 0

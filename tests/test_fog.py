@@ -49,15 +49,21 @@ def dfcv_distance(cell, pos):
 
 def test_dfcv_distance_is_max_anchor_member_distance():
     pos = line_positions([0, 50, 120, 260])
-    c = cell(0, [0, 1, 2, 3], anchor=0)
-    assert dfcv_distance(c, pos) == pytest.approx(260.0)
-    # measured from the anchor, not between arbitrary members
+    c = cell(0, [0, 1, 2, 3], anchor=0)  # spread 260
+    assert fog._needs_split(c, pos, 259.9, th_cap=20)
+    assert not fog._needs_split(c, pos, 260.0, th_cap=20)
+    # measured from the anchor (spread 140), not between members (260)
     c2 = cell(0, [0, 1, 2, 3], anchor=2)
-    assert dfcv_distance(c2, pos) == pytest.approx(140.0)
+    assert fog._needs_split(c2, pos, 139.0, th_cap=20)
+    assert not fog._needs_split(c2, pos, 200.0, th_cap=20)
 
 
 def test_dfcv_distance_singleton_is_zero():
-    assert dfcv_distance(cell(0, [4], anchor=4), {4: Position(9, 9)}) == 0.0
+    pos = {4: Position(9, 9)}
+    # a lone member is its own anchor: no spread to split on, however small d_min
+    for d_min in (1e-9, 0.0, -1.0):
+        assert not fog._needs_split(cell(0, [4], anchor=4), pos, d_min, th_cap=1)
+    assert fog._needs_split(cell(0, [4], anchor=4), pos, 1e-9, th_cap=0)  # capacity still counts
 
 
 def test_nearest_to_centroid_breaks_ties_low():

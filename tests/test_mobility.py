@@ -119,7 +119,6 @@ def test_highway_lane_y_offsets():
         spec, initial=[(0.0, 0, 10.0), (0.0, 1, 10.0), (0.0, 2, 10.0)]
     )
     assert [prov.position_at(v, 0).y for v in range(3)] == [0.0, 3.5, 7.0]
-    assert prov.bounds() == (0.0, 0.0, 10_000.0, 7.0)
 
 
 def test_highway_random_draws_respect_configured_ranges():
@@ -152,7 +151,6 @@ def test_grid_keeps_vehicles_on_streets():
     spec = MobilitySpec(mode="synthetic_grid", vehicle_count=100, grid_blocks=4,
                         grid_spacing_m=250.0)
     prov = SyntheticGridProvider(spec, rng=random.Random(3))
-    assert prov.bounds() == (0.0, 0.0, 1000.0, 1000.0)
     for t in (0, 5 * US_PER_S, 30 * US_PER_S):
         for state in prov.fleet_at(t):
             on_h = state.pos.y % 250.0 == 0.0
@@ -170,6 +168,149 @@ def test_grid_pinned_vehicle_shuttles_and_wraps():
     assert prov.position_at(0, US_PER_S) == Position(100.0, 10.0)  # wrapped at 200
     back = SyntheticGridProvider(spec, initial=[("h", 0, 10.0, -1, 20.0)])
     assert back.position_at(0, US_PER_S).x == pytest.approx(190.0)
+
+
+# -- one street model for both synthetic fleets ---------------------------------
+#
+# Copies of the highway and grid providers as they were before both became
+# street fleets, each with its own position_at and max_drift_mps.  The
+# property test below holds the street fleets to them.
+
+
+class RefHighwayProvider(MobilityProvider):
+    def __init__(self, spec, rng=None, initial=None):
+        self.spec = spec
+        if initial is None:
+            if rng is None:
+                raise ConfigError("synthetic mobility needs an RNG stream")
+            lo = spec.speed_range_mph[0] * MPH_TO_MPS
+            hi = spec.speed_range_mph[1] * MPH_TO_MPS
+            initial = [
+                (rng.uniform(0.0, spec.road_length_m), rng.randrange(spec.lanes), rng.uniform(lo, hi))
+                for _ in range(spec.vehicle_count)
+            ]
+        self._start = [float(x) for x, _, _ in initial]
+        self._lane = [int(lane) for _, lane, _ in initial]
+        self._speed = [float(s) for _, _, s in initial]
+        self.vehicle_ids = list(range(len(initial)))
+        self._n_gateways = gateway_count(len(initial), spec.gateway_fraction)
+        self.wrap_period = (spec.road_length_m, None)
+
+    def position_at(self, vehicle_id, t_us):
+        x = (
+            self._start[vehicle_id] + self._speed[vehicle_id] * (t_us / US_PER_S)
+        ) % self.spec.road_length_m
+        return Position(x, self._lane[vehicle_id] * LANE_WIDTH_M)
+
+    def max_drift_mps(self):
+        return max(self._speed) if self._speed else 0.0
+
+
+class RefGridProvider(MobilityProvider):
+    def __init__(self, spec, rng=None, initial=None):
+        self.spec = spec
+        self.extent_m = spec.grid_blocks * spec.grid_spacing_m
+        if initial is None:
+            if rng is None:
+                raise ConfigError("synthetic mobility needs an RNG stream")
+            lo = spec.speed_range_mph[0] * MPH_TO_MPS
+            hi = spec.speed_range_mph[1] * MPH_TO_MPS
+            initial = [
+                (
+                    "h" if rng.random() < 0.5 else "v",
+                    rng.randrange(spec.grid_blocks + 1),
+                    rng.uniform(0.0, self.extent_m),
+                    1 if rng.random() < 0.5 else -1,
+                    rng.uniform(lo, hi),
+                )
+                for _ in range(spec.vehicle_count)
+            ]
+        self._orient = [o for o, _, _, _, _ in initial]
+        self._street = [int(i) for _, i, _, _, _ in initial]
+        self._offset = [float(d) for _, _, d, _, _ in initial]
+        self._dir = [int(s) for _, _, _, s, _ in initial]
+        self._speed = [float(v) for _, _, _, _, v in initial]
+        self.vehicle_ids = list(range(len(initial)))
+        self._n_gateways = gateway_count(len(initial), spec.gateway_fraction)
+        self.wrap_period = (self.extent_m, self.extent_m)
+
+    def position_at(self, vehicle_id, t_us):
+        along = (
+            self._offset[vehicle_id]
+            + self._dir[vehicle_id] * self._speed[vehicle_id] * (t_us / US_PER_S)
+        ) % self.extent_m
+        fixed = self._street[vehicle_id] * self.spec.grid_spacing_m
+        if self._orient[vehicle_id] == "h":
+            return Position(along, fixed)
+        return Position(fixed, along)
+
+    def max_drift_mps(self):
+        return max(self._speed) if self._speed else 0.0
+
+
+@st.composite
+def street_fleets(draw):
+    """(grid?, spec, seed, initial): a drawn spec, then either a seed for
+    the random draws (initial None) or explicit initial tuples (seed None)."""
+    grid = draw(st.booleans())
+    lo = draw(st.floats(0.0, 80.0))
+    spec = MobilitySpec(
+        mode="synthetic_grid" if grid else "synthetic_highway",
+        vehicle_count=draw(st.integers(1, 25)),
+        road_length_m=draw(st.floats(1.0, 20_000.0)),
+        lanes=draw(st.integers(1, 4)),
+        speed_range_mph=(lo, lo + draw(st.floats(0.0, 80.0))),
+        grid_blocks=draw(st.integers(1, 6)),
+        grid_spacing_m=draw(st.floats(1.0, 400.0)),
+        gateway_fraction=draw(st.sampled_from([0.0, 0.05, 0.5, 1.0])),
+    )
+    if draw(st.booleans()):
+        return grid, spec, draw(st.integers(0, 2**32)), None
+    coord = st.floats(-1e5, 1e5)
+    speed = st.floats(0.0, 60.0)
+    if grid:
+        one = st.tuples(
+            st.sampled_from("hv"), st.integers(0, spec.grid_blocks), coord,
+            st.sampled_from([1, -1]), speed,
+        )
+    else:
+        one = st.tuples(coord, st.integers(0, spec.lanes - 1), speed)
+    return grid, spec, None, draw(st.lists(one, max_size=12))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(street_fleets(), st.lists(st.integers(0, 3_600 * US_PER_S), min_size=1, max_size=6))
+def test_street_fleets_match_the_two_provider_reference(fleet, times):
+    grid, spec, seed, initial = fleet
+    cls, ref_cls = (
+        (SyntheticGridProvider, RefGridProvider)
+        if grid
+        else (SyntheticHighwayProvider, RefHighwayProvider)
+    )
+    rng = ref_rng = None
+    if seed is not None:
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+    prov = cls(spec, rng, initial)
+    ref = ref_cls(spec, ref_rng, initial)
+    if seed is not None:
+        assert rng.getstate() == ref_rng.getstate()  # the same draws, in the same order
+    assert prov.vehicle_ids == ref.vehicle_ids
+    for t in [0] + times:
+        assert [prov.position_at(v, t) for v in prov.vehicle_ids] == [
+            ref.position_at(v, t) for v in ref.vehicle_ids
+        ]
+    assert [prov.is_gateway(v) for v in prov.vehicle_ids] == [
+        ref.is_gateway(v) for v in ref.vehicle_ids
+    ]
+    assert prov.max_drift_mps() == ref.max_drift_mps()
+    assert prov.wrap_period == ref.wrap_period
+
+
+@pytest.mark.parametrize("cls", [SyntheticHighwayProvider, SyntheticGridProvider])
+def test_random_street_fleet_needs_an_rng(cls):
+    with pytest.raises(ConfigError, match="RNG stream"):
+        cls(MobilitySpec())
+    assert cls(MobilitySpec(), initial=[]).vehicle_count == 0
 
 
 # -- static -------------------------------------------------------------------

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vanetsim.config import ProtocolKnobs, ScenarioConfig, WorkloadSpec
-from vanetsim.engine import Simulator, derive_stream_seed
+from vanetsim.engine import US_PER_S, Simulator, derive_stream_seed
 from vanetsim.errors import ConfigError
 from vanetsim.mobility import MobilitySpec, Position, build_provider, distance
 from vanetsim.protocols import (
@@ -807,6 +807,30 @@ def test_dfcv_maintenance_audit_trail(tmp_path):
     for t, bs_id, rounds, n_cells in res.audit:
         assert rounds <= 2 * max(n_cells, 1) + 2
         assert n_cells >= 0
+
+
+def test_dfcv_maintains_each_instant_once():
+    # injections every 0.25 s fall on every 1 s maintenance tick
+    cfg = ScenarioConfig(
+        mobility=MobilitySpec(vehicle_count=80, road_length_m=4_000.0),
+        workload=WorkloadSpec(rate_per_s=4.0),
+        knobs=ProtocolKnobs(maintenance_interval_s=1.0),
+        protocols=("dfcv",),
+        densities=(80,),
+        sim_duration_s=3.0,
+    )
+    res = run_single(cfg, "dfcv", 80, seed=1, capture_log=True)
+    rows = [(t, bs_id) for t, bs_id, _, _ in res.audit]
+    assert len(rows) == len(set(rows)), "a (t, station) was maintained twice"
+    cells_at: dict = {}
+    for t, _, _, n_cells in res.audit:
+        cells_at[t] = cells_at.get(t, 0) + n_cells
+    ticks = [line.split("\t") for line in res.log if "\tFogMaintenance\t" in line]
+    assert [int(t) for t, *_ in ticks] == [k * US_PER_S for k in range(len(ticks))]
+    assert len(ticks) >= 4
+    for t, _, _, text in ticks:
+        # a tick at an instant an injection already maintained reports the same cells
+        assert text.startswith(f"cells={cells_at[int(t)]} steps=")
 
 
 def test_protocol_registry_names():

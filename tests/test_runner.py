@@ -24,7 +24,14 @@ from vanetsim.mobility import (
     parse_fcd,
 )
 from vanetsim.protocols import Message
-from vanetsim.radio import CHANNEL_LOSS, EMPTY_MAP, OUT_OF_RANGE, SHADOWED, RadioParams
+from vanetsim.radio import (
+    CHANNEL_LOSS,
+    EMPTY_MAP,
+    OUT_OF_RANGE,
+    SHADOWED,
+    ObstacleMap,
+    RadioParams,
+)
 from vanetsim.runner import Channel, Runtime, place_stations, run_single, run_sweep
 
 from static_fleet import StaticProvider
@@ -511,6 +518,51 @@ def test_runtime_records_only_open_pairs_with_the_worst_noted_cause():
     assert not rt.record_delivery(msg, 1, 10, 1) and not rt.record_loss(msg, 1, SHADOWED)
     addressed = {(m.msg_id, d) for m in rt.messages.values() for d in m.targets}
     assert set(rt.records) == {(1, 1), (1, 2), (1, 3)} == addressed and rt.opened == 3
+
+
+def quiet_runtime(positions, protocol, obstacles=EMPTY_MAP):
+    """A set-up Runtime over a static fleet that injects nothing itself
+    (rate * duration < 1), with beacons off and a lossless, backoff-free radio."""
+    cfg = ScenarioConfig(
+        workload=WorkloadSpec(rate_per_s=0.5),
+        radio=RadioParams(base_loss=0.0, loss_slope=0.0, max_backoff_us=0),
+        knobs=ProtocolKnobs(beacon_interval_s=0.0),
+        sim_duration_s=1.0,
+    )
+    provider = StaticProvider(positions)
+    stations = place_stations(cfg.mobility, provider, cfg.knobs)
+    rt = Runtime(Simulator(), cfg, cfg.mobility, provider, obstacles, stations, protocol)
+    rt.setup()
+    return rt
+
+
+@pytest.mark.parametrize("protocol", ["hybrid_vehcloud", "dfcv"])
+def test_horizon_sweep_records_the_worst_noted_cause(protocol):
+    rt = quiet_runtime([Position(0, 0), Position(100, 0), Position(200, 0)], protocol)
+    msg = Message(1, 0, 0, (1, 2))
+    rt.address(msg)
+    rt.note_loss(msg, 1, SHADOWED)
+    rt.note_loss(msg, 1, CHANNEL_LOSS)
+    rt.sim.run(until=rt.end_us)
+    assert not rt._open
+    assert rt.records[(1, 1)].loss_cause == CHANNEL_LOSS  # noted, then left open
+    assert rt.records[(1, 2)].loss_cause == OUT_OF_RANGE  # nothing noted
+
+
+def test_flood_cut_off_by_the_horizon_records_the_noted_causes():
+    # 0 floods; 1 receives it and would relay after the horizon; the
+    # building hides 2 from 0; 3 is out of everyone's range.
+    building = ObstacleMap([(-10.0, 50.0, 10.0, 100.0)])
+    positions = [Position(0, 0), Position(100, 0), Position(0, 150), Position(5_000, 0)]
+    rt = quiet_runtime(positions, "baseline", building)
+    msg = Message(1, 0, 0, (1, 2, 3), ttl_hops=4)
+    rt.address(msg)
+    rt.protocol.on_inject(msg, rt.end_us - 100)  # its first hop lands after the horizon
+    rt.sim.run(until=rt.end_us)
+    assert not rt._open and len(rt.records) == rt.opened == 3
+    assert rt.records[(1, 1)].delivered and rt.records[(1, 1)].recv_us > rt.end_us
+    assert rt.records[(1, 2)].loss_cause == SHADOWED
+    assert rt.records[(1, 3)].loss_cause == OUT_OF_RANGE
 
 
 @pytest.mark.parametrize("protocol", ["hybrid_vehcloud", "dfcv"])
