@@ -15,7 +15,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from decimal import InvalidOperation
 from random import Random
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Collection, Mapping, NamedTuple, Optional, Sequence
 
 from .engine import SimTime, US_PER_S, to_us
 from .errors import ConfigError, TraceParseError
@@ -424,6 +424,11 @@ class NeighborIndex:
     every seam of a wrapping axis.  With ``radius <= slack`` nothing is
     certain.  Callers must locate every other candidate and check its
     distance exactly.
+
+    Ids in ``exclude`` are skipped before any distance math, so the result
+    is exactly the unexcluded one minus those ids.  A candidate's flag
+    depends only on its own snapshot and the first center that finds it,
+    so a skip never changes another's.
     """
 
     REFRESH_US = 200_000
@@ -453,7 +458,7 @@ class NeighborIndex:
         self._built_at = t_us
 
     def candidates(
-        self, center: Position, radius_m: float, t_us: SimTime
+        self, center: Position, radius_m: float, t_us: SimTime, exclude: Collection[int] = ()
     ) -> list[tuple[int, bool]]:
         if self._built_at is None or abs(t_us - self._built_at) > self.REFRESH_US:
             self._rebuild(t_us)
@@ -486,6 +491,8 @@ class NeighborIndex:
                 for bx in range(int((cx - reach) // cell), int((cx + reach) // cell) + 1):
                     for by in range(int((cy - reach) // cell), int((cy + reach) // cell) + 1):
                         for vid, x, y, seam in buckets.get((bx, by), ()):
+                            if vid in exclude:
+                                continue
                             dx, dy = x - cx, y - cy
                             d2 = dx * dx + dy * dy
                             if d2 <= reach2 and vid not in found:

@@ -278,8 +278,8 @@ class BaselineFlood(Protocol):
     def tx_receivers(self, job: TxJob, t: SimTime) -> list[int]:
         seen = self._seen[job.msg.msg_id]
         pos = self.rt.pos(job.sender, t)
-        cand = self.rt.neighbors(pos, self.rt.params.range_m, t)
-        return [v for v in cand if v != job.sender and v not in seen]
+        # ``seen`` always holds the sender, so the query skips it too
+        return self.rt.neighbors(pos, self.rt.params.range_m, t, exclude=seen)
 
     def after_tx(self, job: TxJob, t: SimTime, results) -> str:
         rt = self.rt
@@ -351,7 +351,7 @@ class HybridVehcloud(Protocol):
         rt = self.rt
         src_pos = rt.pos(msg.src, t)
         bs = rt.nearest_station(src_pos)
-        region = rt.region_members(bs, t, exclude=msg.src)
+        region = rt.region_members(bs, t, exclude=(msg.src,))
         loc = {
             v: obstacle_shadowing(rt.pos(v, t), bs.pos, rt.obstacles) for v in region
         }
@@ -459,12 +459,8 @@ class HybridVehcloud(Protocol):
         seen = st.seen
         if job.purpose == "direct":
             pos = rt.pos(job.sender, t)
-            cand = rt.neighbors(pos, rt.params.range_m, t)
-            out = {
-                v
-                for v in cand
-                if v != job.sender and v not in seen and self._loc_of(st, v, t) == 0
-            }
+            cand = rt.neighbors(pos, rt.params.range_m, t, exclude=seen)
+            out = {v for v in cand if self._loc_of(st, v, t) == 0}
             # Addressed line-of-sight targets beyond range must still be
             # accounted for, so they join the evaluation explicitly.
             for v in job.msg.targets:
@@ -512,7 +508,7 @@ class HybridVehcloud(Protocol):
             st = self._live[mid]
             if t > st.window_end:
                 continue
-            current = rt.region_members(st.bs, t, exclude=st.msg.src)
+            current = rt.region_members(st.bs, t, exclude=(st.msg.src,))
             fresh = sorted(set(current) - st.handled)
             if not fresh:
                 continue

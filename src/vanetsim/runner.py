@@ -18,7 +18,7 @@ import math
 from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional
+from typing import Callable, Collection, Mapping, Optional
 
 from .config import TARGET_EXPLICIT, ScenarioConfig
 from .engine import (
@@ -323,21 +323,22 @@ class Runtime:
                 known[v] = locate(v, t)
         return {v: known[v] for v in self.provider.vehicle_ids}
 
-    def neighbors(self, center: Position, radius_m: float, t: SimTime) -> list[int]:
-        """Every vehicle within ``radius_m`` of ``center`` at ``t``, sorted by id."""
+    def neighbors(
+        self, center: Position, radius_m: float, t: SimTime, exclude: Collection[int] = ()
+    ) -> list[int]:
+        """Every vehicle within ``radius_m`` of ``center`` at ``t`` and not in
+        ``exclude``, sorted by id.  Excluded ids are never located."""
         pos = self.pos
         return [
             v
-            for v, certain in self.index.candidates(center, radius_m, t)
+            for v, certain in self.index.candidates(center, radius_m, t, exclude)
             if certain or distance(center, pos(v, t)) <= radius_m
         ]
 
-    def region_members(self, bs: BaseStation, t: SimTime, exclude: int = -1) -> list[int]:
-        return [
-            v
-            for v in self.neighbors(bs.pos, self.knobs.bs_coverage_m, t)
-            if v != exclude
-        ]
+    def region_members(
+        self, bs: BaseStation, t: SimTime, exclude: Collection[int] = ()
+    ) -> list[int]:
+        return self.neighbors(bs.pos, self.knobs.bs_coverage_m, t, exclude)
 
     def nearest_station(self, pos: Position) -> BaseStation:
         """The nearest station by (distance, id), whether it covers ``pos`` or not.
@@ -497,7 +498,7 @@ class Runtime:
             wanted = set(self.cfg.workload.explicit_targets)
             return tuple(sorted(v for v in wanted if v in valid and v != src))
         bs = self.nearest_station(self.pos(src, t))
-        return tuple(self.region_members(bs, t, exclude=src))
+        return tuple(self.region_members(bs, t, exclude=(src,)))
 
     def _on_inject(self, event) -> str:
         spec: _Inject = event.payload
@@ -608,7 +609,7 @@ class Runtime:
         t = event.fire_at
         v = job.vehicle
         pos = self.channel.beacon_origin(v, t)
-        cand = [r for r in self.neighbors(pos, self.params.range_m, t) if r != v]
+        cand = self.neighbors(pos, self.params.range_m, t, exclude=(v,))
         self._msg_seq += 1
         msg = Message(self._msg_seq, v, t, tuple(cand), ttl_hops=1, kind=KIND_BEACON)
         self.address(msg)

@@ -1,10 +1,10 @@
 """Invariants over the knob space: small configs drawn at random.
 
 Every run, whatever its mobility, obstacles, frame length, beacon period,
-metering, hybrid window and gateway budget, must finish with closed
-accounting (one record per addressed pair), causal delays, delivery + loss
-== 1, and the same CSV bytes on a rerun, with or without an event log, and
-in a serial or a parallel sweep.
+metering, hybrid window, gateway budget, hop limit and target rule, must
+finish with closed accounting (one record per addressed pair), causal
+delays, delivery + loss == 1, and the same CSV bytes on a rerun, with or
+without an event log, and in a serial or a parallel sweep.
 """
 
 import dataclasses
@@ -15,7 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vanetsim import runner
-from vanetsim.config import ProtocolKnobs, ScenarioConfig, WorkloadSpec
+from vanetsim.config import (
+    TARGET_BS_REGION,
+    TARGET_EXPLICIT,
+    ProtocolKnobs,
+    ScenarioConfig,
+    WorkloadSpec,
+)
 from vanetsim.metrics import csv_text
 from vanetsim.mobility import MobilitySpec
 from vanetsim.radio import RadioParams, tx_time_us
@@ -52,32 +58,43 @@ def small_runs(draw):
     else:
         mobility = MobilitySpec(road_length_m=2_000.0, gateway_fraction=0.2)
         rects = HIGHWAY_BUILDINGS
-    cfg = ScenarioConfig(
-        mobility=mobility,
-        radio=radio,
-        workload=WorkloadSpec(rate_per_s=8.0),
-        knobs=ProtocolKnobs(
-            ttl_hops=3,
-            bs_spacing_m=500.0,
-            bs_coverage_m=400.0,
-            beacon_interval_s=interval,
-            include_beacons_in_metrics=metered,
-            # a window that closes before the broadcast fires, or before the
-            # gateway drops arrive, or that outlasts the run
-            window_s=draw(st.sampled_from((0.0, 0.001, 5.0))),
-            k_max_gateways=draw(st.sampled_from((1, 4))),
-            maintenance_interval_s=0.1,
-            mobility_tick_s=draw(st.sampled_from((0.001, 0.1))),
-            drain_s=0.1,
-        ),
-        obstacle_rects=rects if obstacles else (),
-        sim_duration_s=0.2,
+    knobs = ProtocolKnobs(
+        bs_spacing_m=500.0,
+        bs_coverage_m=400.0,
+        beacon_interval_s=interval,
+        include_beacons_in_metrics=metered,
+        # a window that closes before the broadcast fires, or before the
+        # gateway drops arrive, or that outlasts the run
+        window_s=draw(st.sampled_from((0.0, 0.001, 5.0))),
+        k_max_gateways=draw(st.sampled_from((1, 4))),
+        maintenance_interval_s=0.1,
+        mobility_tick_s=draw(st.sampled_from((0.001, 0.1))),
+        drain_s=0.1,
     )
     protocol = draw(st.sampled_from(sorted(runner.PROTOCOLS)))
     # a period at or below the default frame time keeps the channel busy,
     # and slow to simulate, whatever frame length was drawn: few vehicles
     vehicles = draw(st.integers(2, 5 if 0 < interval <= FRAME_S else 24))
-    return cfg, protocol, vehicles, draw(st.integers(0, 1_000))
+    seed = draw(st.integers(0, 1_000))
+    # drawn after the knobs above: drawn among them, they moved many
+    # examples onto slow busy-channel runs
+    knobs = dataclasses.replace(knobs, ttl_hops=draw(st.sampled_from((1, 3))))
+    rule = draw(st.sampled_from((TARGET_EXPLICIT, TARGET_BS_REGION)))
+    targets = ()
+    if rule == TARGET_EXPLICIT:
+        # a few addressed ids, which may name the source or lie outside the fleet
+        ids = st.integers(0, vehicles + 1)
+        targets = tuple(draw(st.lists(ids, min_size=1, max_size=4, unique=True)))
+    workload = WorkloadSpec(rate_per_s=8.0, target_rule=rule, explicit_targets=targets)
+    cfg = ScenarioConfig(
+        mobility=mobility,
+        radio=radio,
+        workload=workload,
+        knobs=knobs,
+        obstacle_rects=rects if obstacles else (),
+        sim_duration_s=0.2,
+    )
+    return cfg, protocol, vehicles, seed
 
 
 @settings(max_examples=32, deadline=None, derandomize=True)

@@ -779,3 +779,61 @@ def test_neighbor_index_finds_vehicles_before_its_snapshot():
     index.candidates(Position(5000.0, 0.0), 2.0, 150_000)  # builds snapshot at 150 ms
     # at t = 0 the vehicle sits exactly on the center, 3.75 m behind its snapshot
     assert ids(index.candidates(Position(1000.0, 0.0), 2.0, 0)) == [0]
+
+
+class CountingProvider(MobilityProvider):
+    """Forwards to ``inner`` and logs the id of every ``position_at`` call."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.vehicle_ids = inner.vehicle_ids
+        self.wrap_period = inner.wrap_period
+        self.located = []
+
+    def position_at(self, vehicle_id, t_us):
+        self.located.append(vehicle_id)
+        return self._inner.position_at(vehicle_id, t_us)
+
+    def max_drift_mps(self):
+        return self._inner.max_drift_mps()
+
+
+EXCLUDE_GRID = MobilitySpec(mode="synthetic_grid", grid_blocks=2, grid_spacing_m=100.0)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from("hv"),
+            st.integers(0, 2),
+            # many within a second's drive of a seam of the 200 m grid
+            st.one_of(st.floats(0.0, 30.0), st.floats(170.0, 200.0), st.floats(0.0, 200.0)),
+            st.sampled_from((1, -1)),
+            st.floats(0.0, 60.0),
+        ),
+        min_size=1,
+        max_size=25,
+    ),
+    st.tuples(st.floats(-10.0, 210.0), st.floats(-10.0, 210.0)),
+    st.one_of(st.floats(0.0, 16.0), st.floats(16.0, 250.0)),
+    st.integers(0, 1_000_000),
+    st.integers(-NeighborIndex.REFRESH_US, NeighborIndex.REFRESH_US),
+    # fleet ids and ids outside the fleet
+    st.sets(st.integers(-3, 28), max_size=10),
+)
+def test_neighbor_index_exclude_drops_only_the_excluded_ids(
+    initial, center, radius, built_at, step, exclude
+):
+    prov = CountingProvider(SyntheticGridProvider(EXCLUDE_GRID, initial=initial))
+    index = NeighborIndex(prov, cell_m=50.0)
+    index.candidates(Position(0.0, 0.0), 1.0, built_at)  # the snapshot
+    assert sorted(prov.located) == prov.vehicle_ids
+    center, t = Position(*center), max(0, built_at + step)
+    full = index.candidates(center, radius, t)
+    for skip in (exclude, exclude | {v for v, _ in full[::2]}, {v for v, _ in full}):
+        prov.located.clear()
+        got = index.candidates(center, radius, t, exclude=skip)
+        assert got == [(v, certain) for v, certain in full if v not in skip], skip
+        # the index locates only to build its snapshot: never a candidate
+        assert prov.located == []

@@ -1,6 +1,7 @@
 """Run orchestration: channel arithmetic, station placement, replay
 determinism, parallel sweeps, budget enforcement, log accounting."""
 
+import math
 import os
 import random
 import re
@@ -259,23 +260,55 @@ def moving_fleets(draw):
     return provider, center, times
 
 
+def seam_distance(provider, p):
+    """How far ``p`` lies from the nearest seam of a wrapping axis."""
+    wrap_x, wrap_y = provider.wrap_period
+    d = math.inf
+    if wrap_x is not None:
+        d = min(d, p.x, wrap_x - p.x)
+    if wrap_y is not None:
+        d = min(d, p.y, wrap_y - p.y)
+    return d
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 # below, near and above the index's slack (up to 12 m on synthetic fleets), and wide
-@given(moving_fleets(), st.one_of(st.floats(0.0, 16.0), st.floats(16.0, 350.0)))
-def test_neighbors_match_brute_force_on_moving_fleets(fleet, radius):
+@given(
+    moving_fleets(),
+    st.one_of(st.floats(0.0, 16.0), st.floats(16.0, 350.0)),
+    # fleet ids and ids outside the fleet
+    st.sets(st.integers(-3, 33), max_size=8),
+)
+def test_neighbors_match_brute_force_on_moving_fleets(fleet, radius, drawn):
     provider, center, times = fleet
     cfg = ScenarioConfig(radio=RadioParams(range_m=50.0))
     stations = place_stations(cfg.mobility, provider, cfg.knobs)
     rt = Runtime(Simulator(), cfg, cfg.mobility, provider, EMPTY_MAP, stations, "baseline")
+    located = []
+    locate = rt.pos
+
+    def counting_pos(v, t):
+        located.append(v)
+        return locate(v, t)
+
+    rt.pos = counting_pos
     for t in times + times[::-1]:
-        want = [
-            v
-            for v in provider.vehicle_ids
-            if distance(center, provider.position_at(v, t)) <= radius
-        ]
-        assert rt.neighbors(center, radius, t) == want, t
+        at = {v: provider.position_at(v, t) for v in provider.vehicle_ids}
+        want = [v for v in provider.vehicle_ids if distance(center, at[v]) <= radius]
+        # the vehicle at or next to the center, as a flood's sender is
+        nearest = min(provider.vehicle_ids, key=lambda v: distance(center, at[v]))
+        # vehicles that may sit across a seam from their snapshot, found
+        # only from a mirror center
+        seam = {v for v in at if seam_distance(provider, at[v]) <= radius + 15.0}
+        everyone = set(provider.vehicle_ids)
+        for exclude in (set(), drawn, {nearest}, seam, drawn | {nearest}, everyone):
+            located.clear()
+            assert rt.neighbors(center, radius, t, exclude) == [
+                v for v in want if v not in exclude
+            ], (t, exclude)
+            assert not exclude.intersection(located), (t, exclude)
         for v in provider.vehicle_ids:
-            assert rt.pos(v, t) == provider.position_at(v, t)
+            assert locate(v, t) == provider.position_at(v, t)
 
 
 # -- station placement --------------------------------------------------------
