@@ -1,7 +1,8 @@
 """Command line entry point: run sweeps, validate configs, show version.
 
-Exit codes: 0 success, 1 configuration problem (including bad flags),
-2 runtime failure inside a simulation run.
+Exit codes: 0 success, 1 configuration problem (including bad flags and
+output paths that cannot be written), 2 runtime failure inside a
+simulation run.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 from typing import Optional
 
 from . import __version__
@@ -49,8 +51,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextmanager
+def _writing(flag: str, path: str):
+    """An OSError inside the block becomes a config error naming the flag and the path."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"{flag} {path}: {exc.strerror or exc}") from None
+
+
+def _check_outputs(args) -> None:
+    """Refuse output paths that cannot be written before any run starts:
+    a file's directory must exist, and the plot directory is made here."""
+    for flag, path in (("--out", args.out), ("--event-log", args.event_log)):
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            raise ConfigError(f"{flag} {path}: directory does not exist")
+    if args.plot_data:
+        with _writing("--plot-data", args.plot_data):
+            os.makedirs(args.plot_data, exist_ok=True)
+
+
 def _write_event_log(path: str, logs) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _writing("--event-log", path), open(path, "w", encoding="utf-8") as fh:
         for ident, lines in logs:
             fh.write(f"# run {ident}\n")
             for line in lines:
@@ -76,20 +98,21 @@ def main(argv: Optional[list] = None) -> int:
             sweep_tracks(cfg)
             print(config_json(cfg))
             return 0
+        _check_outputs(args)
         collect_logs = args.event_log is not None
         summaries, logs = run_sweep(
             cfg, workers=max(1, args.workers), collect_logs=collect_logs
         )
         text = csv_text(summaries)
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
+            with _writing("--out", args.out), open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         else:
             sys.stdout.write(text)
         if args.plot_data:
-            os.makedirs(args.plot_data, exist_ok=True)
             for name, body in sorted(plot_data_texts(summaries).items()):
-                with open(os.path.join(args.plot_data, name), "w", encoding="utf-8") as fh:
+                path = os.path.join(args.plot_data, name)
+                with _writing("--plot-data", path), open(path, "w", encoding="utf-8") as fh:
                     fh.write(body)
         if collect_logs and logs is not None:
             _write_event_log(args.event_log, logs)

@@ -3,9 +3,9 @@
 Simulation time is an integer number of microseconds.  Events are ordered
 by (fire_at, seq) where seq is a monotonically increasing schedule counter,
 so ties fire in the order they were scheduled and a rerun with the same
-seed and configuration replays the exact same event sequence.  The queue
-holds (fire_at, seq, event) tuples: (fire_at, seq) is unique, so the heap
-never compares two events.
+seed and configuration replays the exact same event sequence.  An event is
+nothing but its heap entry, a (fire_at, seq, kind, payload) tuple:
+(fire_at, seq) is unique, so the heap never compares kinds or payloads.
 """
 
 from __future__ import annotations
@@ -20,6 +20,9 @@ from typing import Callable, Optional
 from .errors import BudgetError, SchedulingError
 
 SimTime = int  # microseconds since simulation start
+
+# called with an event's (fire_at, payload); may return a log summary
+Handler = Callable[[SimTime, object], Optional[str]]
 
 US_PER_S = 1_000_000
 
@@ -71,18 +74,6 @@ def derive_stream_seed(seed: int, stream_id: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-class Event:
-    """One scheduled occurrence, as handed to its handler."""
-
-    __slots__ = ("fire_at", "seq", "kind", "payload")
-
-    def __init__(self, fire_at: SimTime, seq: int, kind: str, payload: object = None):
-        self.fire_at = fire_at
-        self.seq = seq
-        self.kind = kind
-        self.payload = payload
-
-
 @dataclass
 class RunStats:
     events_processed: int
@@ -93,10 +84,12 @@ class RunStats:
 class Simulator:
     """Single-threaded event loop with named deterministic RNG streams.
 
-    Handlers are registered per event kind and may schedule further events
-    while the loop runs.  A handler may return a short summary string; when
-    an event log is attached, one tab-separated line per processed event is
-    appended to it: ``time_us seq kind summary``.
+    Handlers are registered per event kind and called as
+    ``handler(fire_at, payload)`` with the two ends of the event's
+    (fire_at, seq, kind, payload) heap entry; they may schedule further
+    events while the loop runs.  A handler may return a short summary
+    string; when an event log is attached, one tab-separated line per
+    processed event is appended to it: ``time_us seq kind summary``.
     """
 
     def __init__(
@@ -109,9 +102,9 @@ class Simulator:
         self.event_budget = event_budget
         self.clock: SimTime = 0
         self.events_processed = 0
-        self._queue: list[tuple[SimTime, int, Event]] = []
+        self._queue: list[tuple[SimTime, int, str, object]] = []
         self._next_seq = 0
-        self._handlers: dict[str, Callable[[Event], Optional[str]]] = {}
+        self._handlers: dict[str, Handler] = {}
         self._streams: dict[str, random.Random] = {}
         self._log = log
 
@@ -132,12 +125,12 @@ class Simulator:
             self._streams[stream_id] = stream
         return stream
 
-    def on(self, kind: str, handler: Callable[[Event], Optional[str]]) -> None:
+    def on(self, kind: str, handler: Handler) -> None:
         if kind not in EVENT_KINDS:
             raise ValueError(f"unknown event kind {kind!r}")
         self._handlers[kind] = handler
 
-    def schedule(self, fire_at: SimTime, kind: str, payload: object = None) -> Event:
+    def schedule(self, fire_at: SimTime, kind: str, payload: object = None) -> None:
         if kind not in EVENT_KINDS:
             raise ValueError(f"unknown event kind {kind!r}")
         fire_at = int(fire_at)
@@ -147,9 +140,7 @@ class Simulator:
             )
         seq = self._next_seq
         self._next_seq = seq + 1
-        event = Event(fire_at, seq, kind, payload)
-        heapq.heappush(self._queue, (fire_at, seq, event))
-        return event
+        heapq.heappush(self._queue, (fire_at, seq, kind, payload))
 
     def stop(self) -> None:
         """Drop every queued event, so the event being handled is the last
@@ -165,19 +156,19 @@ class Simulator:
         processed = self.events_processed
         try:
             while queue and queue[0][0] <= until:
-                fire_at, seq, event = pop(queue)
+                fire_at, seq, kind, payload = pop(queue)
                 processed += 1
                 if processed > budget:
                     raise BudgetError(
                         f"event budget exceeded: {budget} events processed, "
-                        f"clock={self.clock}us, next={event.kind}@{fire_at}us, "
+                        f"clock={self.clock}us, next={kind}@{fire_at}us, "
                         f"{len(queue)} still queued"
                     )
                 self.clock = fire_at
-                handler = handlers.get(event.kind)
-                summary = handler(event) if handler is not None else None
+                handler = handlers.get(kind)
+                summary = handler(fire_at, payload) if handler is not None else None
                 if log is not None:
-                    log.append(f"{fire_at}\t{seq}\t{event.kind}\t{summary or '-'}")
+                    log.append(f"{fire_at}\t{seq}\t{kind}\t{summary or '-'}")
         finally:
             self.events_processed = processed
         return RunStats(self.events_processed, self.clock, len(queue))

@@ -37,7 +37,6 @@ class DeliveryRecord:
     sent_us: SimTime
     recv_us: Optional[SimTime] = None
     loss_cause: Optional[str] = None
-    protocol: str = ""
     hop_count: int = 0
 
     def __post_init__(self):

@@ -207,11 +207,6 @@ class InfraTx:
     receivers: list[int]
 
 
-@dataclass
-class BeaconJob:
-    vehicle: int
-
-
 class Protocol:
     """Shared callbacks; the Runtime dispatches events to these."""
 
@@ -232,6 +227,8 @@ class Protocol:
         raise NotImplementedError
 
     def on_cloud(self, payload, t: SimTime) -> str:
+        # Never called: the Runtime relays cloud arrivals itself.  Kept
+        # because benchmark/tracing.py patches every hook in PROTOCOL_HOOKS.
         raise NotImplementedError
 
     def after_infra(self, job: InfraTx, t: SimTime, results) -> str:
@@ -495,10 +492,6 @@ class HybridVehcloud(Protocol):
                         rt.record_loss(msg, rid)
         return f"tx msg={mid} from={job.sender} purpose={job.purpose} ok={delivered}"
 
-    def on_cloud(self, job: TxJob, t: SimTime) -> str:
-        self.rt.schedule_tx(job, t)
-        return f"msg={job.msg.msg_id} gw={job.sender} n={len(job.receivers)}"
-
     # -- late joiners ------------------------------------------------------
 
     def on_tick(self, t: SimTime) -> Optional[str]:
@@ -692,10 +685,6 @@ class Dfcv(Protocol):
             rt.schedule_cloud(InfraTx(msg, bs_id, sorted(receivers)), at)
             hops += 1
         return f"bs={src_bs_id} ready={fog_ready} drops={hops}"
-
-    def on_cloud(self, job: InfraTx, t: SimTime) -> str:
-        self.rt.schedule_tx(job, t)
-        return f"msg={job.msg.msg_id} bs={job.bs_id} n={len(job.receivers)}"
 
     def after_infra(self, job: InfraTx, t: SimTime, results) -> str:
         rt = self.rt

@@ -50,7 +50,6 @@ from .mobility import (
 from .protocols import (
     PROTOCOLS,
     BaseStation,
-    BeaconJob,
     InfraTx,
     KIND_BEACON,
     Message,
@@ -243,12 +242,6 @@ def place_stations(spec: MobilitySpec, provider, knobs) -> list[BaseStation]:
     return stations
 
 
-@dataclass
-class _Inject:
-    msg_id: int
-    src: int
-
-
 class Runtime:
     """Owns one run: positions, channel, records, and the protocol."""
 
@@ -360,8 +353,16 @@ class Runtime:
     def schedule_tx(self, job: TxJob | InfraTx, at: SimTime) -> None:
         self.sim.schedule(at, RADIO_DELIVER, job)
 
-    def schedule_cloud(self, payload, at: SimTime) -> None:
-        self.sim.schedule(at, CLOUD_DELIVER, payload)
+    def schedule_cloud(self, job: TxJob | InfraTx, at: SimTime) -> None:
+        """Have the infrastructure put ``job`` on the radio at ``at``."""
+        self.sim.schedule(at, CLOUD_DELIVER, job)
+
+    def _repeat(self, kind: str, at: SimTime, payload: object = None) -> None:
+        """Schedule the next round of a periodic event unless it falls past
+        end_us.  Handlers call this last, so what they scheduled at their
+        instant keeps the lower seq numbers."""
+        if at <= self.end_us:
+            self.sim.schedule(at, kind, payload)
 
     # -- delivery accounting ----------------------------------------------------
 
@@ -393,13 +394,7 @@ class Runtime:
             return False
         del self._open[key]
         self.records[key] = DeliveryRecord(
-            msg.msg_id,
-            msg.src,
-            dst,
-            msg.origin_us,
-            recv_us=recv_us,
-            protocol=self.protocol.name,
-            hop_count=hops,
+            msg.msg_id, msg.src, dst, msg.origin_us, recv_us=recv_us, hop_count=hops
         )
         if self._logging:
             self.note(f"rec={msg.msg_id}:{dst}:ok:{recv_us}")
@@ -417,12 +412,7 @@ class Runtime:
         noted = self._open.pop(key)
         cause = cause or noted or OUT_OF_RANGE
         self.records[key] = DeliveryRecord(
-            msg.msg_id,
-            msg.src,
-            dst,
-            msg.origin_us,
-            loss_cause=cause,
-            protocol=self.protocol.name,
+            msg.msg_id, msg.src, dst, msg.origin_us, loss_cause=cause
         )
         if self._logging:
             self.note(f"rec={msg.msg_id}:{dst}:{cause}")
@@ -463,7 +453,7 @@ class Runtime:
             # beacons are events only to write their delivery records
             if self.knobs.include_beacons_in_metrics:
                 for phase, v in phases:
-                    sim.schedule(phase, BEACON_EMIT, BeaconJob(v))
+                    sim.schedule(phase, BEACON_EMIT, v)
 
         workload_rng = sim.rng("workload")
         rate = self.cfg.workload.rate_per_s
@@ -475,16 +465,16 @@ class Runtime:
                 break
             self._msg_seq += 1
             src = workload_rng.randrange(n_vehicles)
-            sim.schedule(t_k, MESSAGE_INJECT, _Inject(self._msg_seq, src))
+            sim.schedule(t_k, MESSAGE_INJECT, (self._msg_seq, src))
 
         sim.schedule(self.end_us, SIM_END)
 
     # -- handlers ---------------------------------------------------------------
 
     def _wrap(self, fn):
-        def handler(event):
+        def handler(t, payload):
             self._notes = []
-            base = fn(event)
+            base = fn(t, payload)
             if self._notes:
                 extra = " ".join(self._notes)
                 base = f"{base} {extra}" if base else extra
@@ -500,22 +490,18 @@ class Runtime:
         bs = self.nearest_station(self.pos(src, t))
         return tuple(self.region_members(bs, t, exclude=(src,)))
 
-    def _on_inject(self, event) -> str:
-        spec: _Inject = event.payload
-        t = event.fire_at
-        targets = self._targets_for(spec.src, t)
-        msg = Message(spec.msg_id, spec.src, t, targets, ttl_hops=self.knobs.ttl_hops)
+    def _on_inject(self, t: SimTime, payload: tuple[int, int]) -> str:
+        msg_id, src = payload
+        targets = self._targets_for(src, t)
+        msg = Message(msg_id, src, t, targets, ttl_hops=self.knobs.ttl_hops)
         self.address(msg)
         extra = self.protocol.on_inject(msg, t)
         base = f"msg={msg.msg_id} src={msg.src} targets={fmt_ids(targets)}"
         return f"{base} {extra}" if extra else base
 
-    def _on_radio(self, event) -> str:
-        payload = event.payload
-        t = event.fire_at
-        if isinstance(payload, InfraTx):
-            return self._fire_infra(payload, t)
-        job: TxJob = payload
+    def _on_radio(self, t: SimTime, job: TxJob | InfraTx) -> str:
+        if isinstance(job, InfraTx):
+            return self._fire_infra(job, t)
         if not job.fire:
             pos = self.pos(job.sender, t)
             busy = self.channel.busy_until_near(pos, t)
@@ -582,32 +568,30 @@ class Runtime:
         self.channel.register(t, t + self.frame_us, bs.pos)
         return self.protocol.after_infra(job, t, results)
 
-    def _on_cloud(self, event) -> str:
-        return self.protocol.on_cloud(event.payload, event.fire_at)
+    def _on_cloud(self, t: SimTime, job: TxJob | InfraTx) -> str:
+        """A gateway drop (``TxJob``) or a station downlink (``InfraTx``)
+        reaches its transmitter and goes on the radio."""
+        self.schedule_tx(job, t)
+        if isinstance(job, InfraTx):
+            return f"msg={job.msg.msg_id} bs={job.bs_id} n={len(job.receivers)}"
+        return f"msg={job.msg.msg_id} gw={job.sender} n={len(job.receivers)}"
 
-    def _on_tick(self, event) -> Optional[str]:
-        base = self.protocol.on_tick(event.fire_at)
-        nxt = event.fire_at + self._tick_us
-        if nxt <= self.end_us:
-            self.sim.schedule(nxt, MOBILITY_TICK)
-        return base
+    def _on_tick(self, t: SimTime, _payload: None) -> Optional[str]:
+        summary = self.protocol.on_tick(t)
+        self._repeat(MOBILITY_TICK, t + self._tick_us)
+        return summary
 
-    def _on_maintenance(self, event) -> Optional[str]:
-        base = self.protocol.on_maintenance(event.fire_at)
-        nxt = event.fire_at + self._maintenance_us
-        if nxt <= self.end_us:
-            self.sim.schedule(nxt, FOG_MAINTENANCE)
-        return base
+    def _on_maintenance(self, t: SimTime, _payload: None) -> Optional[str]:
+        summary = self.protocol.on_maintenance(t)
+        self._repeat(FOG_MAINTENANCE, t + self._maintenance_us)
+        return summary
 
-    def _on_beacon(self, event) -> str:
+    def _on_beacon(self, t: SimTime, v: int) -> str:
         """A metered beacon: one delivery record per vehicle in range.
 
         The frame is on air through the channel's beacon schedule, like
         every unmetered beacon; this event only writes the records.
         """
-        job: BeaconJob = event.payload
-        t = event.fire_at
-        v = job.vehicle
         pos = self.channel.beacon_origin(v, t)
         cand = self.neighbors(pos, self.params.range_m, t, exclude=(v,))
         self._msg_seq += 1
@@ -618,13 +602,11 @@ class Runtime:
                 self.record_delivery(msg, rid, t + out.delay_us, 1)
             else:
                 self.record_loss(msg, rid, out.loss_cause)
-        nxt = t + self._beacon_us
-        if nxt <= self.end_us:
-            self.sim.schedule(nxt, BEACON_EMIT, job)
+        self._repeat(BEACON_EMIT, t + self._beacon_us, v)
         return f"v={v} msg={msg.msg_id} targets={fmt_ids(cand)}"
 
-    def _on_sim_end(self, event) -> str:
-        self.protocol.on_end(event.fire_at)
+    def _on_sim_end(self, t: SimTime, _payload: None) -> str:
+        self.protocol.on_end(t)
         swept = len(self._open)
         for mid, dst in sorted(self._open):
             self.record_loss(self.messages[mid], dst)

@@ -5,6 +5,7 @@ import json
 import pytest
 
 import vanetsim
+from vanetsim import cli
 from vanetsim.cli import main
 from vanetsim.metrics import CSV_HEADER
 
@@ -130,6 +131,36 @@ def test_run_writes_requested_artifacts(tmp_path, capsys):
     log_text = ev_log.read_text()
     assert log_text.startswith("# run protocol=baseline density=8 seed=1\n")
     assert "\tSimEnd\t" in log_text
+
+
+@pytest.mark.parametrize(
+    "flag, name",
+    [
+        ("--out", "missing/metrics.csv"),
+        ("--event-log", "missing/events.log"),
+        ("--plot-data", "taken.txt"),
+    ],
+)
+def test_unwritable_output_is_refused_before_any_run(tmp_path, capsys, monkeypatch, flag, name):
+    (tmp_path / "taken.txt").write_text("a file, not a directory\n")
+    path = str(tmp_path / name)
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(cli, "run_sweep", no_run)
+    assert main(["run", "--config", tiny_scenario(tmp_path), flag, path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {flag} {path}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["--out", "--event-log"])
+def test_an_output_that_cannot_be_written_is_one_config_error(tmp_path, capsys, flag):
+    # a directory passes the up-front check, so opening it fails after the run
+    path = str(tmp_path)
+    assert main(["run", "--config", tiny_scenario(tmp_path), flag, path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {flag} {path}: ") and err.count("\n") == 1
 
 
 def test_run_budget_exhaustion_exits_two(tmp_path, capsys):

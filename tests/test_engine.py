@@ -58,8 +58,8 @@ def test_rng_streams_do_not_interleave():
 def test_events_fire_in_time_then_seq_order():
     sim = Simulator()
     fired = []
-    sim.on(RADIO_DELIVER, lambda ev: fired.append(("r", ev.fire_at, ev.payload)))
-    sim.on(BEACON_EMIT, lambda ev: fired.append(("b", ev.fire_at, ev.payload)))
+    sim.on(RADIO_DELIVER, lambda t, payload: fired.append(("r", t, payload)))
+    sim.on(BEACON_EMIT, lambda t, payload: fired.append(("b", t, payload)))
     sim.schedule(300, RADIO_DELIVER, "late")
     sim.schedule(100, RADIO_DELIVER, "first")
     sim.schedule(100, BEACON_EMIT, "second")  # same time, scheduled after
@@ -76,7 +76,7 @@ def test_events_fire_in_time_then_seq_order():
 def test_run_until_is_inclusive_and_leaves_rest_queued():
     sim = Simulator()
     seen = []
-    sim.on(MOBILITY_TICK, lambda ev: seen.append(ev.fire_at))
+    sim.on(MOBILITY_TICK, lambda t, payload: seen.append(t))
     for t in (10, 20, 30):
         sim.schedule(t, MOBILITY_TICK)
     stats = sim.run(20)
@@ -92,11 +92,11 @@ def test_stop_makes_the_current_event_the_last():
     sim = Simulator()
     seen = []
 
-    def on_end(ev):
-        seen.append(ev.kind)
+    def on_end(t, payload):
+        seen.append(SIM_END)
         sim.stop()
 
-    sim.on(MOBILITY_TICK, lambda ev: seen.append(ev.kind))
+    sim.on(MOBILITY_TICK, lambda t, payload: seen.append(MOBILITY_TICK))
     sim.on(SIM_END, on_end)
     sim.schedule(10, SIM_END)
     sim.schedule(10, MOBILITY_TICK)  # same time, scheduled later
@@ -110,10 +110,10 @@ def test_handler_can_schedule_followups():
     sim = Simulator()
     hits = []
 
-    def chain(ev):
-        hits.append(ev.fire_at)
-        if ev.fire_at < 50:
-            sim.schedule(ev.fire_at + 10, MESSAGE_INJECT)
+    def chain(t, payload):
+        hits.append(t)
+        if t < 50:
+            sim.schedule(t + 10, MESSAGE_INJECT)
 
     sim.on(MESSAGE_INJECT, chain)
     sim.schedule(10, MESSAGE_INJECT)
@@ -123,7 +123,7 @@ def test_handler_can_schedule_followups():
 
 def test_schedule_into_past_raises():
     sim = Simulator()
-    sim.on(SIM_END, lambda ev: None)
+    sim.on(SIM_END, lambda t, payload: None)
     sim.schedule(100, SIM_END)
     sim.run(100)
     with pytest.raises(SchedulingError):
@@ -137,15 +137,15 @@ def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         sim.schedule(0, "Teleport")
     with pytest.raises(ValueError):
-        sim.on("Teleport", lambda ev: None)
+        sim.on("Teleport", lambda t, payload: None)
     assert "SimEnd" in EVENT_KINDS and len(EVENT_KINDS) == 7
 
 
 def test_budget_exceeded_raises():
     sim = Simulator(event_budget=5)
 
-    def respawn(ev):
-        sim.schedule(ev.fire_at + 1, MOBILITY_TICK)
+    def respawn(t, payload):
+        sim.schedule(t + 1, MOBILITY_TICK)
 
     sim.on(MOBILITY_TICK, respawn)
     sim.schedule(0, MOBILITY_TICK)
@@ -157,7 +157,7 @@ def test_budget_exceeded_raises():
 def test_log_lines_are_tab_separated_with_dash_placeholder():
     log = []
     sim = Simulator(log=log)
-    sim.on(RADIO_DELIVER, lambda ev: "hop done")
+    sim.on(RADIO_DELIVER, lambda t, payload: "hop done")
     sim.schedule(5, RADIO_DELIVER)
     sim.schedule(6, SIM_END)  # no handler: '-' summary
     sim.run(10)
@@ -169,10 +169,10 @@ def test_identical_runs_replay_identical_logs():
         log = []
         sim = Simulator(seed=seed, log=log)
 
-        def hop(ev):
+        def hop(t, payload):
             wait = sim.rng("radio-backoff").randrange(1, 100)
-            if ev.fire_at < 2_000:
-                sim.schedule(ev.fire_at + wait, RADIO_DELIVER, None)
+            if t < 2_000:
+                sim.schedule(t + wait, RADIO_DELIVER, None)
             return f"wait={wait}"
 
         sim.on(RADIO_DELIVER, hop)

@@ -1,10 +1,11 @@
 """Invariants over the knob space: small configs drawn at random.
 
 Every run, whatever its mobility, obstacles, frame length, beacon period,
-metering, hybrid window, gateway budget, hop limit and target rule, must
-finish with closed accounting (one record per addressed pair), causal
-delays, delivery + loss == 1, and the same CSV bytes on a rerun, with or
-without an event log, and in a serial or a parallel sweep.
+metering, hybrid window, gateway budget, hop limit, target rule, cloud and
+fog latencies and fog cell bounds, must finish with closed accounting (one
+record per addressed pair), causal delays, delivery + loss == 1, and the
+same CSV bytes on a rerun, with or without an event log, and in a serial or
+a parallel sweep.
 """
 
 import dataclasses
@@ -24,6 +25,7 @@ from vanetsim.config import (
 )
 from vanetsim.metrics import csv_text
 from vanetsim.mobility import MobilitySpec
+from vanetsim.protocols import CloudModel
 from vanetsim.radio import RadioParams, tx_time_us
 
 FRAME_S = tx_time_us(RadioParams()) / 1e6
@@ -31,6 +33,7 @@ FRAME_S = tx_time_us(RadioParams()) / 1e6
 BEACON_INTERVALS_S = (0.0, FRAME_S / 2, FRAME_S, 0.05)
 # frames a quarter of, equal to and about six times the default
 MSG_SIZES = (64, 256, 1500)
+CLOUD_LATENCIES = ("uplink_us", "downlink_us", "processing_us")
 
 HIGHWAY_BUILDINGS = ((600.0, -20.0, 650.0, 20.0), (1300.0, -5.0, 1400.0, 30.0))
 GRID_BUILDINGS = tuple(
@@ -86,11 +89,27 @@ def small_runs(draw):
         ids = st.integers(0, vehicles + 1)
         targets = tuple(draw(st.lists(ids, min_size=1, max_size=4, unique=True)))
     workload = WorkloadSpec(rate_per_s=8.0, target_rule=rule, explicit_targets=targets)
+    # drawn last, after the knobs above: each cloud and fog latency at zero
+    # or its default, and the fog cell bounds at both ends of their range
+    def zero_or_default(obj, name):
+        return draw(st.sampled_from((0, getattr(obj, name))))
+
+    cloud = CloudModel(
+        **{name: zero_or_default(CloudModel(), name) for name in CLOUD_LATENCIES}
+    )
+    knobs = dataclasses.replace(
+        knobs,
+        gateway_access_us=zero_or_default(knobs, "gateway_access_us"),
+        fog_processing_us=zero_or_default(knobs, "fog_processing_us"),
+        th_cap=draw(st.sampled_from((1, 20))),
+        d_min_m=draw(st.sampled_from((50.0, 300.0))),
+    )
     cfg = ScenarioConfig(
         mobility=mobility,
         radio=radio,
         workload=workload,
         knobs=knobs,
+        cloud=cloud,
         obstacle_rects=rects if obstacles else (),
         sim_duration_s=0.2,
     )
