@@ -62,9 +62,14 @@ def _writing(flag: str, path: str):
 
 def _check_outputs(args) -> None:
     """Refuse output paths that cannot be written before any run starts:
-    a file's directory must exist, and the plot directory is made here."""
+    a file must not be a directory and its directory must exist, and the
+    plot directory is made here."""
     for flag, path in (("--out", args.out), ("--event-log", args.event_log)):
-        if path and not os.path.isdir(os.path.dirname(path) or "."):
+        if not path:
+            continue
+        if os.path.isdir(path):
+            raise ConfigError(f"{flag} {path}: is a directory")
+        if not os.path.isdir(os.path.dirname(path) or "."):
             raise ConfigError(f"{flag} {path}: directory does not exist")
     if args.plot_data:
         with _writing("--plot-data", args.plot_data):

@@ -131,6 +131,13 @@ class ScenarioConfig:
         for s in self.seeds:
             if not 0 <= s < 2**64:
                 raise ConfigError(f"seeds: {s} does not fit in 64 bits")
+        # a repeated entry would run, and count, the same runs again
+        for key in ("protocols", "densities", "seeds"):
+            listed = set()
+            for value in getattr(self, key):
+                if value in listed:
+                    raise ConfigError(f"{key}: {value!r} is listed twice")
+                listed.add(value)
         if self.sim_duration_s <= 0:
             raise ConfigError("sim_duration_s: must be positive")
         if self.obstacle_path is not None and self.obstacle_rects:

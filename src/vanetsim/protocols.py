@@ -6,8 +6,10 @@ loop, the channel, positions and the delivery records.  Protocols receive
 injected messages, decide who transmits what and when, and are called back
 with per-receiver radio outcomes after every transmission fires.  They
 report those outcomes to the Runtime, which writes a record only for an
-addressed (message, recipient) pair that has none yet.  All iteration is
-over sorted ids so a given seed always produces the same event sequence.
+addressed (message, recipient) pair that has none yet, and whose accounting
+sweep at the end of the run closes every pair nothing reached.  All
+iteration is over sorted ids so a given seed always produces the same event
+sequence.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .engine import SimTime, to_us
 from .errors import ConfigError
 from .mobility import Position, distance
 from .radio import (
-    OUT_OF_RANGE,
     SHADOWED,
     HopOutcome,
     ObstacleMap,
@@ -251,11 +252,9 @@ def fmt_ids(ids) -> str:
 class BaselineFlood(Protocol):
     """Multi-hop flood: every first-time recipient rebroadcasts once.
 
-    Losses are provisional until the flood dies out: a target missed by
-    one relay may still be reached by another, so causes are only noted
-    with the Runtime and recorded when no transmission is pending.  A flood
-    still spreading at the horizon is closed by the Runtime's accounting
-    sweep, which records the same noted causes.
+    A target missed by one relay may still be reached by another, so a
+    miss is only noted with the Runtime; the accounting sweep at the end
+    of the run records the worst cause noted for a target nothing reached.
     """
 
     name = "baseline"
@@ -263,11 +262,9 @@ class BaselineFlood(Protocol):
     def __init__(self, rt):
         super().__init__(rt)
         self._seen: dict[int, set] = {}
-        self._pending: dict[int, int] = {}
 
     def on_inject(self, msg: Message, t: SimTime) -> str:
         self._seen[msg.msg_id] = {msg.src}
-        self._pending[msg.msg_id] = 1
         start = t + self.rt.knobs.route_setup_delay_us
         self.rt.schedule_tx(TxJob(msg, msg.src, hop=1, purpose="flood"), start)
         return f"flood start={start}"
@@ -292,22 +289,11 @@ class BaselineFlood(Protocol):
                 delivered += 1
                 rt.record_delivery(msg, rid, recv, job.hop)
                 if job.hop < msg.ttl_hops:
-                    self._pending[mid] += 1
                     rt.schedule_tx(TxJob(msg, rid, hop=job.hop + 1, purpose="flood"), recv)
                     relays += 1
             else:
                 rt.note_loss(msg, rid, out.loss_cause)
-        self._pending[mid] -= 1
-        tail = ""
-        if self._pending[mid] == 0:
-            self._finalize(mid)
-            tail = " final"
-        return f"tx msg={mid} from={job.sender} hop={job.hop} ok={delivered} relay={relays}{tail}"
-
-    def _finalize(self, mid: int):
-        msg = self.rt.messages[mid]
-        for dst in msg.targets:
-            self.rt.record_loss(msg, dst)
+        return f"tx msg={mid} from={job.sender} hop={job.hop} ok={delivered} relay={relays}"
 
 
 @dataclass
@@ -318,7 +304,6 @@ class _HybridState:
     window_end: SimTime
     seen: set = field(default_factory=set)  # vehicles that have the message
     handled: set = field(default_factory=set)
-    chances: dict[int, int] = field(default_factory=dict)
     uplink: Optional[HopOutcome] = None  # the sender's hop into the cloud, once tried
     cloud_ready: SimTime = 0
 
@@ -326,6 +311,12 @@ class _HybridState:
 class HybridVehcloud(Protocol):
     """Direct broadcast for line-of-sight vehicles; shadowed ones get the
     message through the vehicular cloud via selected mobile gateways.
+
+    A miss is recorded at once when nothing else can reach the target: the
+    direct broadcast is a line-of-sight target's one shot, and a shadowed
+    target is lost when the uplink fails or no chosen gateway covers it.
+    A gateway miss is only noted, since another gateway may still reach the
+    target; the Runtime's accounting sweep closes what none reached.
 
     Late joiners entering the sender's region during the dissemination
     window get a one-shot re-delivery down whichever branch applies.  The
@@ -382,16 +373,10 @@ class HybridVehcloud(Protocol):
         chosen, covers = select_gateways(
             shadowed, gws, positions, rt.params, rt.obstacles, rt.knobs.k_max_gateways
         )
-        covered_count = {v: 0 for v in shadowed}
-        for g in chosen:
-            for v in covers[g]:
-                covered_count[v] += 1
+        covered = set().union(*(covers[g] for g in chosen))
         for v in shadowed:
-            if rt.is_open(msg.msg_id, v):
-                if covered_count[v] == 0:
-                    rt.record_loss(msg, v, SHADOWED)
-                else:
-                    st.chances[v] = st.chances.get(v, 0) + covered_count[v]
+            if v not in covered:
+                rt.record_loss(msg, v, SHADOWED)
         for g in chosen:
             self._drop_at_gateway(st, g, covers[g], t)
         rt.note(f"gw={fmt_ids(chosen)}")
@@ -477,19 +462,11 @@ class HybridVehcloud(Protocol):
                 st.seen.add(rid)
                 delivered += 1
                 rt.record_delivery(msg, rid, t + out.delay_us, job.hop)
-                st.chances.pop(rid, None)
-                continue
-            if not rt.is_open(mid, rid):
-                continue
-            if job.purpose == "direct":
+            elif job.purpose == "direct":
                 # One shot for line-of-sight vehicles: the miss is final.
                 rt.record_loss(msg, rid, out.loss_cause)
             elif job.purpose == "gateway":
                 rt.note_loss(msg, rid, out.loss_cause)
-                if rid in st.chances:
-                    st.chances[rid] -= 1
-                    if st.chances[rid] <= 0:
-                        rt.record_loss(msg, rid)
         return f"tx msg={mid} from={job.sender} purpose={job.purpose} ok={delivered}"
 
     # -- late joiners ------------------------------------------------------
@@ -647,8 +624,6 @@ class Dfcv(Protocol):
             self.maintain(t)
         src_bs_id = self._assoc.get(msg.src)
         if src_bs_id is None:
-            for dst in msg.targets:
-                rt.record_loss(msg, dst, OUT_OF_RANGE)
             return "sender outside coverage"
         bs = rt.station(src_bs_id)
         up = rt.uplink(rt.pos(msg.src, t), bs.pos, rt.knobs.bs_coverage_m, t, contend=False)
@@ -661,9 +636,7 @@ class Dfcv(Protocol):
         by_bs: dict[int, list[int]] = {}
         for dst in msg.targets:
             dst_bs = self._assoc.get(dst)
-            if dst_bs is None:
-                rt.record_loss(msg, dst, OUT_OF_RANGE)
-            else:
+            if dst_bs is not None:
                 by_bs.setdefault(dst_bs, []).append(dst)
         hops = 0
         for bs_id in sorted(by_bs):

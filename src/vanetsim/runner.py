@@ -377,10 +377,6 @@ class Runtime:
         self.opened += len(msg.targets)
         self._open.update(dict.fromkeys((msg.msg_id, dst) for dst in msg.targets))
 
-    def is_open(self, msg_id: int, dst: int) -> bool:
-        """True while (msg_id, dst) is addressed and has no record."""
-        return (msg_id, dst) in self._open
-
     def note_loss(self, msg: Message, dst: int, cause: str) -> None:
         """Note a provisional loss of an open pair; the worst cause is kept."""
         key = (msg.msg_id, dst)

@@ -139,10 +139,13 @@ def test_run_writes_requested_artifacts(tmp_path, capsys):
         ("--out", "missing/metrics.csv"),
         ("--event-log", "missing/events.log"),
         ("--plot-data", "taken.txt"),
+        ("--out", "adir"),
+        ("--event-log", "adir"),
     ],
 )
 def test_unwritable_output_is_refused_before_any_run(tmp_path, capsys, monkeypatch, flag, name):
     (tmp_path / "taken.txt").write_text("a file, not a directory\n")
+    (tmp_path / "adir").mkdir()
     path = str(tmp_path / name)
 
     def no_run(*args, **kwargs):
@@ -156,8 +159,9 @@ def test_unwritable_output_is_refused_before_any_run(tmp_path, capsys, monkeypat
 
 @pytest.mark.parametrize("flag", ["--out", "--event-log"])
 def test_an_output_that_cannot_be_written_is_one_config_error(tmp_path, capsys, flag):
-    # a directory passes the up-front check, so opening it fails after the run
-    path = str(tmp_path)
+    # a name too long for the file system passes the up-front checks, so
+    # opening it fails after the run
+    path = str(tmp_path / ("x" * 300))
     assert main(["run", "--config", tiny_scenario(tmp_path), flag, path]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {flag} {path}: ") and err.count("\n") == 1

@@ -108,6 +108,9 @@ def test_round_trip_preserves_overrides(tmp_path):
         ({"cloud": {"uplink_us": -1}}, "cloud.uplink_us: must be non-negative"),
         ({"cloud": {"downlink_us": -1}}, "cloud.downlink_us: must be non-negative"),
         ({"cloud": {"processing_us": -1}}, "cloud.processing_us: must be non-negative"),
+        ({"protocols": ["baseline", "dfcv", "baseline"]}, "protocols: 'baseline' is listed twice"),
+        ({"densities": [20, 30, 20]}, "densities: 20 is listed twice"),
+        ({"seeds": [3, 3]}, "seeds: 3 is listed twice"),
     ],
 )
 def test_bad_configs_name_the_offending_key(data, fragment):

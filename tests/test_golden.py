@@ -106,31 +106,31 @@ def digests(name: str, metered: bool, directory) -> tuple[str, str]:
 GOLDEN = {
     ("highway", False): (
         "f6bd08add6f751ecf09217960bf348d9d0a3e4d7562fe985242f499593437989",
-        "cd9e665529be0c84c1b07216eb34257f05b50366d1b599d10790ccb616eed1e0",
+        "a747fd96d75cf3a13d36c6d21a3c8eb0d36a19304c9af3b025a718d4ffb6f3d8",
     ),
     ("highway", True): (
         "d6fe79ab6b9c08a79bead5b38afac3544c5eb130ad0ca2d458949ed4e15452b4",
-        "7b75680abf3a862ff018fa8ec5227b6eea8b756447e581bd37aabff1f09ab54e",
+        "b6d2040e5eafa0cba86589a6c7525ea1205c145f2cf370acc4a68fb111128f8b",
     ),
     ("highway_1ms_ticks", False): (
         "f6bd08add6f751ecf09217960bf348d9d0a3e4d7562fe985242f499593437989",
-        "8d71f8f339c7e1940033ee866de5d00e023e6cd51f6dc5af58699dc8a199b760",
+        "f1329de5b8244555dd9070de50cbc76b650e6a6d2da43cf450e8c2d37e410b95",
     ),
     ("grid", False): (
         "c3a61aad5fbb6d31663a3e58053e10d95bb50d12db296c893ad13920f6fae1e5",
-        "4f2f0198024783c6792df24649966d94e1c28e95cb2b293c75b27a08512d6294",
+        "240697183393c7b800f1838e56d33c9d11ec87681f27196cd576051e1994ab5e",
     ),
     ("grid", True): (
         "ebaa038b1733f2cbd80f0a7620889f7a65a327242eba8d3c571e4f394183e66c",
-        "5005b8d10901ce137036c75d40c7d31784c38c48d58850fb663ecca90ffa4ac8",
+        "9149521dcb34bad2951e50c8953164e975aa25c7d0bb4fe3949246a6e1bc4911",
     ),
     ("trace", False): (
         "591985656e0cdf82c3cb6264d60e051ee6836faa3a3a994b8ad64b9665854e6c",
-        "4b485b13340180e55e82af335ef3b060fc1a338d35537cf43f573d38c0ecafdf",
+        "6c97f3d0bd0ceb6be09431c7688a7db96e1b550d2a487689bddcdfce8d08790f",
     ),
     ("trace", True): (
         "723ff75cdd120fab4ed4078022183d6a42d3fc327b4e1d0304316fb3e8f3112c",
-        "bdcac664929980908cb016d90a99be8e57223b3053b1a0913ff957337f00f613",
+        "336afb3648be035192588f75c533febe5c08d9807930495acafe2ce994a78b3f",
     ),
 }
 

@@ -1,15 +1,17 @@
 """Invariants over the knob space: small configs drawn at random.
 
-Every run, whatever its mobility, obstacles, frame length, beacon period,
-metering, hybrid window, gateway budget, hop limit, target rule, cloud and
-fog latencies and fog cell bounds, must finish with closed accounting (one
-record per addressed pair), causal delays, delivery + loss == 1, and the
-same CSV bytes on a rerun, with or without an event log, and in a serial or
-a parallel sweep.
+Every run, whatever its street or trace fleet, obstacles, frame length,
+beacon period, metering, hybrid window, gateway budget, hop limit, target
+rule, cloud and fog latencies and fog cell bounds, must finish with closed
+accounting (one record per addressed pair), causal delays, delivery + loss
+== 1, and the same CSV bytes on a rerun, with or without an event log, and
+in a serial or a parallel sweep.
 """
 
 import dataclasses
 import math
+import os
+import tempfile
 from unittest import mock
 
 from hypothesis import given, settings
@@ -41,6 +43,24 @@ GRID_BUILDINGS = tuple(
     for i in range(3)
     for j in range(3)
 )
+TRACE_STEP_S = 0.1
+# the drawn trace fleets' files, removed when the tests exit
+TRACE_DIR = tempfile.TemporaryDirectory(prefix="vanetsim-invariants-")
+
+
+def fcd_text(tracks, steps: int) -> str:
+    """An FCD export of straight-line tracks, one (x, y, dx, dy) per vehicle
+    in metres and metres per step, sampled every TRACE_STEP_S for ``steps``."""
+    lines = ["<fcd-export>"]
+    for k in range(steps):
+        lines.append(f'<timestep time="{k * TRACE_STEP_S:.1f}">')
+        for v, (x, y, dx, dy) in enumerate(tracks):
+            speed = math.hypot(dx, dy) / TRACE_STEP_S
+            lines.append(
+                f'<vehicle id="car{v}" x="{x + k * dx}" y="{y + k * dy}" speed="{speed:.2f}"/>'
+            )
+        lines.append("</timestep>")
+    return "\n".join(lines + ["</fcd-export>", ""])
 
 
 @st.composite
@@ -104,6 +124,26 @@ def small_runs(draw):
         th_cap=draw(st.sampled_from((1, 20))),
         d_min_m=draw(st.sampled_from((50.0, 300.0))),
     )
+    # drawn after every knob above: a trace fleet of as many straight-line
+    # tracks as vehicles, over the street layout's area, sampled through
+    # the run and the drain
+    if draw(st.booleans()):
+        width, y_range = (600, (0, 600)) if grid else (2_000, (-20, 20))
+        track = st.tuples(
+            st.integers(0, width), st.integers(*y_range), st.integers(-3, 3), st.integers(-3, 3)
+        )
+        tracks = draw(st.lists(track, min_size=vehicles, max_size=vehicles))
+        # samples through sim_duration_s (0.2, below) and the drain
+        steps = round((0.2 + knobs.drain_s) / TRACE_STEP_S) + 1
+        fd, path = tempfile.mkstemp(suffix=".fcd.xml", dir=TRACE_DIR.name)
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(fcd_text(tracks, steps))
+        mobility = MobilitySpec(
+            mode="trace",
+            trace_path=path,
+            vehicle_count=vehicles,
+            gateway_fraction=mobility.gateway_fraction,
+        )
     cfg = ScenarioConfig(
         mobility=mobility,
         radio=radio,

@@ -534,11 +534,11 @@ def test_runtime_records_only_open_pairs_with_the_worst_noted_cause():
     assert not rt.record_delivery(stray, 1, 10, 1)
     assert not rt.record_loss(stray, 1, CHANNEL_LOSS)
     rt.note_loss(stray, 1, SHADOWED)
-    assert rt.records == {} and not rt.is_open(2, 1)
+    assert rt.records == {} and (2, 1) not in rt._open
 
     msg = Message(1, 0, 0, (1, 2, 3))
     rt.address(msg)
-    assert rt.is_open(1, 1) and not rt.is_open(1, 0)
+    assert (1, 1) in rt._open and (1, 0) not in rt._open
     assert not rt.record_delivery(msg, 0, 10, 1)  # the sender is no target
     for cause in (SHADOWED, CHANNEL_LOSS, OUT_OF_RANGE):
         rt.note_loss(msg, 1, cause)
@@ -547,7 +547,7 @@ def test_runtime_records_only_open_pairs_with_the_worst_noted_cause():
     causes = [rt.records[(1, dst)].loss_cause for dst in (1, 2, 3)]
     assert causes == [CHANNEL_LOSS, SHADOWED, OUT_OF_RANGE]
     # a closed pair takes no second record
-    assert not rt.is_open(1, 1)
+    assert (1, 1) not in rt._open
     assert not rt.record_delivery(msg, 1, 10, 1) and not rt.record_loss(msg, 1, SHADOWED)
     addressed = {(m.msg_id, d) for m in rt.messages.values() for d in m.targets}
     assert set(rt.records) == {(1, 1), (1, 2), (1, 3)} == addressed and rt.opened == 3
