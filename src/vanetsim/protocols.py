@@ -401,7 +401,7 @@ class HybridVehcloud(Protocol):
                 continue
             gpos = rt.pos(g, t)
             d = distance(pos, gpos)
-            if d <= rt.params.range_m and rt.los(pos, gpos):
+            if d <= rt.params.range_m and line_of_sight(pos, gpos, rt.obstacles):
                 if best is None or (d, g) < best[:2]:
                     best = (d, g, gpos)
         return best
@@ -417,10 +417,11 @@ class HybridVehcloud(Protocol):
         best = self._nearest_gateway(src_pos, t, (msg.src,))
         if best is not None:
             _, g, gpos = best
-            st.uplink = rt.uplink(src_pos, gpos, rt.params.range_m, t, contend=True)
+            st.uplink = rt.channel.uplink(src_pos, gpos, rt.params.range_m, t, contend=True)
             entry = f"gw:{g}"
         else:
-            st.uplink = rt.uplink(src_pos, st.bs.pos, rt.knobs.bs_coverage_m, t, contend=False)
+            reach = rt.knobs.bs_coverage_m
+            st.uplink = rt.channel.uplink(src_pos, st.bs.pos, reach, t, contend=False)
             entry = "bs"
         if st.uplink.delivered:
             st.cloud_ready = t + st.uplink.delay_us + rt.cloud.uplink_us + rt.cloud.processing_us
@@ -626,7 +627,7 @@ class Dfcv(Protocol):
         if src_bs_id is None:
             return "sender outside coverage"
         bs = rt.station(src_bs_id)
-        up = rt.uplink(rt.pos(msg.src, t), bs.pos, rt.knobs.bs_coverage_m, t, contend=False)
+        up = rt.channel.uplink(rt.pos(msg.src, t), bs.pos, rt.knobs.bs_coverage_m, t, contend=False)
         if not up.delivered:
             for dst in msg.targets:
                 rt.record_loss(msg, dst, up.loss_cause)

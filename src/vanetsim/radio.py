@@ -1,22 +1,27 @@
-"""DSRC-style radio abstraction: range gate, sight blockage, timing, loss.
+"""DSRC-style radio: range gate, sight blockage, timing, loss, and the
+channel that owns what is on the air and who hears it.
 
 A hop either delivers or fails for exactly one reason: out_of_range (the
 receiver is beyond the radio range), shadowed (the straight line between
 the two positions passes through a building), or channel_loss (a Bernoulli
-draw whose probability grows with the number of concurrent transmissions
-near the receiver).  Contention is abstracted as a random backoff before
-the transmission starts; there is no MAC state machine.
+draw whose probability grows with the number of other transmissions
+audible at the receiver when the hop fires).  There is no MAC state
+machine: while another transmission is audible at a vehicle sender, its
+attempt waits until the channel frees up (a bounded number of times),
+then a random backoff is added and the frame goes out.
 """
 
 from __future__ import annotations
 
+import heapq
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import isfinite
+from math import hypot, isfinite
 from random import Random
 from typing import Callable, Optional
 
-from .engine import US_PER_S
+from .engine import US_PER_S, SimTime
 from .errors import ConfigError
 from .mobility import Position, distance
 
@@ -310,3 +315,178 @@ def evaluate_hop(
     if contention is not None and channel_loss(params, contention(dst), rng):
         return _CHANNEL_LOSS_HOP
     return _delivered_hop(hop_delay_us(params, d))
+
+
+class Channel:
+    """Everything on air: registered transmissions and the beacon schedule.
+
+    The channel owns the frame length, the ``radio-loss`` stream every
+    contention draw takes from and the backoff stream; hops, uplinks and
+    carrier sense all ask it.
+
+    Registered transmissions are (end, start, x, y) entries in a heap by end
+    time, so expired ones drop off in O(log n).  Beacons are not registered:
+    vehicle v sends a frame of ``frame_us`` at ``phase_v + k * period_us``
+    for every k >= 0, so the frames on air at t are found by a bisect over
+    the phases, sorted once.  A frame's origin is its vehicle's position at
+    the frame's start, looked up once per (vehicle, start).
+
+    Tie rule, for both kinds: a frame that starts at s and ends at e is on
+    air for s <= t < e, and audible at a point within radio range of its
+    origin.  A beacon that starts at t is therefore audible at t whatever
+    else happens at t.
+    """
+
+    def __init__(self, params: RadioParams, obstacles: ObstacleMap, backoff_rng, loss_rng):
+        self.params = params
+        self.obstacles = obstacles
+        # every frame is radio.msg_size_bytes long, so on air this long
+        self.frame_us = tx_time_us(params)
+        self._rng = backoff_rng
+        self.loss_rng = loss_rng
+        self._active: list[tuple[SimTime, SimTime, float, float]] = []
+        self._phases: list[SimTime] = []
+        self._beaconers: list[int] = []
+        self._period: SimTime = 0
+        self._locate = None
+        # beacon origins by (vehicle, start), dropped once the frame is over
+        self._origins: dict[tuple[int, SimTime], Position] = {}
+        # beacon frames on air at _air_t, as (end, x, y)
+        self._air_t: SimTime = -1
+        self._air: list[tuple[SimTime, float, float]] = []
+
+    def set_beacons(
+        self,
+        schedule: list[tuple[SimTime, int]],
+        period_us: SimTime,
+        locate: Callable[[int, SimTime], Position],
+    ) -> None:
+        """Put every vehicle's beacons on air.
+
+        ``schedule`` holds (phase, vehicle) pairs sorted by phase, each
+        phase in [0, period_us); ``locate(v, t)`` is v's position at t.
+        """
+        self._phases = [phase for phase, _ in schedule]
+        self._beaconers = [v for _, v in schedule]
+        self._period, self._locate = period_us, locate
+        self._origins = {}
+        self._air_t = -1
+
+    def register(self, start: SimTime, end: SimTime, pos: Position) -> None:
+        heapq.heappush(self._active, (end, start, pos.x, pos.y))
+
+    def _prune(self, t: SimTime) -> None:
+        while self._active and self._active[0][0] <= t:
+            heapq.heappop(self._active)
+
+    def beacon_origin(self, v: int, start: SimTime) -> Position:
+        """Where vehicle ``v`` sent the beacon frame that starts at ``start``."""
+        key = (v, start)
+        pos = self._origins.get(key)
+        if pos is None:
+            pos = self._origins[key] = self._locate(v, start)
+        return pos
+
+    def _beacons_at(self, t: SimTime) -> list[tuple[SimTime, float, float]]:
+        """The beacon frames on air at ``t``.  Every receiver of one
+        transmission asks at the same ``t``, so callers reuse ``_air`` while
+        ``_air_t == t``."""
+        air = []
+        period, frame = self._period, self.frame_us
+        if period:
+            origins, phases, beaconers = self._origins, self._phases, self._beaconers
+            for key in [key for key in origins if key[1] + frame <= t]:
+                del origins[key]
+            # frame k of v is on air when t - frame < phase_v + k * period <= t
+            for k in range(max(0, (t - frame) // period), t // period + 1):
+                base = k * period
+                for i in range(
+                    bisect_right(phases, t - frame - base), bisect_right(phases, t - base)
+                ):
+                    start = phases[i] + base
+                    x, y = self.beacon_origin(beaconers[i], start)
+                    air.append((start + frame, x, y))
+        self._air_t, self._air = t, air
+        return air
+
+    def concurrent_near(self, pos: Position, t: SimTime, own: Optional[Position] = None) -> int:
+        """Frames on air at ``t`` and audible at ``pos``.
+
+        ``own`` is the origin of a frame on air at ``t`` that is left out:
+        a metered beacon's hops do not hear the beacon's own frame.
+        """
+        self._prune(t)
+        r = self.params.range_m
+        px, py = pos
+        n = 0
+        for end, start, x, y in self._active:
+            if start <= t and hypot(x - px, y - py) <= r:
+                n += 1
+        for end, x, y in self._air if t == self._air_t else self._beacons_at(t):
+            if hypot(x - px, y - py) <= r:
+                n += 1
+        if own is not None and hypot(own.x - px, own.y - py) <= r:
+            n -= 1
+        return n
+
+    def busy_until_near(self, pos: Position, t: SimTime) -> Optional[SimTime]:
+        """The latest end of the frames on air at ``t`` and audible at ``pos``."""
+        self._prune(t)
+        r = self.params.range_m
+        px, py = pos
+        busy = None
+        for end, start, x, y in self._active:
+            if start <= t and hypot(x - px, y - py) <= r and (busy is None or end > busy):
+                busy = end
+        for end, x, y in self._air if t == self._air_t else self._beacons_at(t):
+            if hypot(x - px, y - py) <= r and (busy is None or end > busy):
+                busy = end
+        return busy
+
+    def draw_backoff(self) -> int:
+        return self._rng.randint(0, self.params.max_backoff_us)
+
+    def hops(
+        self,
+        src: Position,
+        receivers: list[int],
+        locate: Callable[[int, SimTime], Position],
+        reach: float,
+        t: SimTime,
+        contend: bool = True,
+        own: Optional[Position] = None,
+    ) -> list[tuple[int, HopOutcome]]:
+        """The hop from ``src`` to each receiver, located by ``locate(v, t)``.
+
+        ``contend`` gives each hop a contention draw at its receiver: true
+        for a vehicle's frame, false for a scheduled station downlink.
+        ``own`` is the origin of a frame whose contention the hops do not
+        count (see ``concurrent_near``).
+        """
+        params, obstacles, rng = self.params, self.obstacles, self.loss_rng
+        near = (lambda pos: self.concurrent_near(pos, t, own)) if contend else None
+        return [
+            (rid, evaluate_hop(src, locate(rid, t), reach, params, obstacles, near, rng))
+            for rid in receivers
+        ]
+
+    def uplink(
+        self, sender_pos: Position, entry_pos: Position, reach: float, t: SimTime, contend: bool
+    ) -> HopOutcome:
+        """A vehicle's hop into the infrastructure at ``entry_pos``.
+
+        ``contend`` gives the hop a contention draw at the entry point: true
+        for a gateway vehicle, false for a station.  Once the entry point is
+        in ``reach`` and sight the frame is on air, even if the contention
+        draw then loses it: a backoff is drawn, the frame is registered from
+        ``t``, and a delivered hop's delay includes the backoff.
+        """
+        near = (lambda pos: self.concurrent_near(pos, t)) if contend else None
+        out = evaluate_hop(
+            sender_pos, entry_pos, reach, self.params, self.obstacles, near, self.loss_rng
+        )
+        if not out.delivered and out.loss_cause != CHANNEL_LOSS:
+            return out
+        backoff = self.draw_backoff()
+        self.register(t, t + self.frame_us, sender_pos)
+        return HopOutcome(True, out.delay_us + backoff) if out.delivered else out

@@ -1,24 +1,18 @@
 """Run orchestration: wires mobility, stations, channel and a protocol
 into the event loop, injects the workload, and sweeps densities/seeds.
 
-One run = one (protocol, vehicle_count, seed) triple.  Every vehicle
-transmission goes through carrier sense: while another transmission is
-audible at the sender the attempt is pushed to the moment the channel
-frees up (bounded number of times), then a random backoff is added and
-the frame goes out.  Receivers are evaluated at fire time against range,
-sight and a loss draw whose probability grows with the number of other
-transmissions audible at the receiver.
+One run = one (protocol, vehicle_count, seed) triple.  The medium itself,
+carrier sense and contention included, is ``radio.Channel``; the Runtime
+schedules each transmission's deferrals and backoff as events.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import heapq
 import math
-from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Collection, Mapping, Optional
+from typing import Collection, Mapping, Optional
 
 from .config import TARGET_EXPLICIT, ScenarioConfig
 from .engine import (
@@ -58,140 +52,7 @@ from .protocols import (
     fmt_ids,
     nearest_station,
 )
-from .radio import (
-    CHANNEL_LOSS,
-    OUT_OF_RANGE,
-    HopOutcome,
-    RadioParams,
-    evaluate_hop,
-    line_of_sight,
-    note_cause,
-    tx_time_us,
-)
-
-
-class Channel:
-    """Everything on air: registered transmissions and the beacon schedule.
-
-    Registered transmissions are (end, start, x, y) entries in a heap by end
-    time, so expired ones drop off in O(log n).  Beacons are not registered:
-    vehicle v sends a frame of ``frame_us`` at ``phase_v + k * period_us``
-    for every k >= 0, so the frames on air at t are found by a bisect over
-    the phases, sorted once.  A frame's origin is its vehicle's position at
-    the frame's start, looked up once per (vehicle, start).
-
-    Tie rule, for both kinds: a frame that starts at s and ends at e is on
-    air for s <= t < e, and audible at a point within radio range of its
-    origin.  A beacon that starts at t is therefore audible at t whatever
-    else happens at t.
-    """
-
-    def __init__(self, params: RadioParams, backoff_rng):
-        self.params = params
-        self._rng = backoff_rng
-        self._active: list[tuple[SimTime, SimTime, float, float]] = []
-        self._phases: list[SimTime] = []
-        self._beaconers: list[int] = []
-        self._period: SimTime = 0
-        self._frame: SimTime = 0
-        self._locate = None
-        # beacon origins by (vehicle, start), dropped once the frame is over
-        self._origins: dict[tuple[int, SimTime], Position] = {}
-        # beacon frames on air at _air_t, as (end, x, y)
-        self._air_t: SimTime = -1
-        self._air: list[tuple[SimTime, float, float]] = []
-
-    def set_beacons(
-        self,
-        schedule: list[tuple[SimTime, int]],
-        period_us: SimTime,
-        frame_us: SimTime,
-        locate: Callable[[int, SimTime], Position],
-    ) -> None:
-        """Put every vehicle's beacons on air.
-
-        ``schedule`` holds (phase, vehicle) pairs sorted by phase, each
-        phase in [0, period_us); ``locate(v, t)`` is v's position at t.
-        """
-        self._phases = [phase for phase, _ in schedule]
-        self._beaconers = [v for _, v in schedule]
-        self._period, self._frame, self._locate = period_us, frame_us, locate
-        self._origins = {}
-        self._air_t = -1
-
-    def register(self, start: SimTime, end: SimTime, pos: Position) -> None:
-        heapq.heappush(self._active, (end, start, pos.x, pos.y))
-
-    def _prune(self, t: SimTime) -> None:
-        while self._active and self._active[0][0] <= t:
-            heapq.heappop(self._active)
-
-    def beacon_origin(self, v: int, start: SimTime) -> Position:
-        """Where vehicle ``v`` sent the beacon frame that starts at ``start``."""
-        key = (v, start)
-        pos = self._origins.get(key)
-        if pos is None:
-            pos = self._origins[key] = self._locate(v, start)
-        return pos
-
-    def _beacons_at(self, t: SimTime) -> list[tuple[SimTime, float, float]]:
-        """The beacon frames on air at ``t``.  Every receiver of one
-        transmission asks at the same ``t``, so callers reuse ``_air`` while
-        ``_air_t == t``."""
-        air = []
-        period, frame = self._period, self._frame
-        if period:
-            origins, phases, beaconers = self._origins, self._phases, self._beaconers
-            for key in [key for key in origins if key[1] + frame <= t]:
-                del origins[key]
-            # frame k of v is on air when t - frame < phase_v + k * period <= t
-            for k in range(max(0, (t - frame) // period), t // period + 1):
-                base = k * period
-                for i in range(
-                    bisect_right(phases, t - frame - base), bisect_right(phases, t - base)
-                ):
-                    start = phases[i] + base
-                    x, y = self.beacon_origin(beaconers[i], start)
-                    air.append((start + frame, x, y))
-        self._air_t, self._air = t, air
-        return air
-
-    def concurrent_near(self, pos: Position, t: SimTime, own: Optional[Position] = None) -> int:
-        """Frames on air at ``t`` and audible at ``pos``.
-
-        ``own`` is the origin of a frame on air at ``t`` that is left out:
-        a metered beacon's hops do not hear the beacon's own frame.
-        """
-        self._prune(t)
-        r = self.params.range_m
-        px, py = pos
-        n = 0
-        for end, start, x, y in self._active:
-            if start <= t and math.hypot(x - px, y - py) <= r:
-                n += 1
-        for end, x, y in self._air if t == self._air_t else self._beacons_at(t):
-            if math.hypot(x - px, y - py) <= r:
-                n += 1
-        if own is not None and math.hypot(own.x - px, own.y - py) <= r:
-            n -= 1
-        return n
-
-    def busy_until_near(self, pos: Position, t: SimTime) -> Optional[SimTime]:
-        """The latest end of the frames on air at ``t`` and audible at ``pos``."""
-        self._prune(t)
-        r = self.params.range_m
-        px, py = pos
-        busy = None
-        for end, start, x, y in self._active:
-            if start <= t and math.hypot(x - px, y - py) <= r and (busy is None or end > busy):
-                busy = end
-        for end, x, y in self._air if t == self._air_t else self._beacons_at(t):
-            if math.hypot(x - px, y - py) <= r and (busy is None or end > busy):
-                busy = end
-        return busy
-
-    def draw_backoff(self) -> int:
-        return self._rng.randint(0, self.params.max_backoff_us)
+from .radio import OUT_OF_RANGE, Channel, note_cause
 
 
 def _snap_to_grid(v: float, spacing: float, extent: float) -> float:
@@ -259,8 +120,6 @@ class Runtime:
         self.cfg = cfg
         self.spec = spec
         self.params = cfg.radio
-        # every frame is radio.msg_size_bytes long, so on air this long
-        self.frame_us = tx_time_us(cfg.radio)
         self.knobs = cfg.knobs
         self.cloud = cfg.cloud
         self.provider = provider
@@ -269,8 +128,8 @@ class Runtime:
         self._station_by_id = {s.station_id: s for s in stations}
         self.station_index = StationIndex(stations, cfg.knobs.bs_coverage_m)
         self.index = NeighborIndex(provider, cell_m=max(cfg.radio.range_m, 1.0))
-        self.channel = Channel(cfg.radio, sim.rng("radio-backoff"))
-        self.loss_rng = sim.rng("radio-loss")
+        backoff_rng, loss_rng = sim.rng("radio-backoff"), sim.rng("radio-loss")
+        self.channel = Channel(cfg.radio, obstacles, backoff_rng, loss_rng)
         self.gateway_ids = [v.vehicle_id for v in provider.fleet_at(0) if v.is_gateway]
         self.records: dict[tuple[int, int], DeliveryRecord] = {}
         self.opened = 0  # (message, target) pairs addressed so far
@@ -344,9 +203,6 @@ class Runtime:
 
     def station(self, station_id: int) -> BaseStation:
         return self._station_by_id[station_id]
-
-    def los(self, a: Position, b: Position) -> bool:
-        return line_of_sight(a, b, self.obstacles)
 
     # -- scheduling helpers ---------------------------------------------------
 
@@ -443,9 +299,7 @@ class Runtime:
         if self._beacon_us > 0:
             phase_rng = sim.rng("beacon-phase")
             phases = [(phase_rng.randrange(self._beacon_us), v) for v in self.provider.vehicle_ids]
-            self.channel.set_beacons(
-                sorted(phases), self._beacon_us, self.frame_us, self.provider.position_at
-            )
+            self.channel.set_beacons(sorted(phases), self._beacon_us, self.provider.position_at)
             # beacons are events only to write their delivery records
             if self.knobs.include_beacons_in_metrics:
                 for phase, v in phases:
@@ -511,57 +365,19 @@ class Runtime:
             return f"wait msg={job.msg.msg_id} from={job.sender} backoff={wait}"
         return self._fire_tx(job, t)
 
-    def _v2v_hops(
-        self, src: Position, receivers: list[int], t: SimTime, own: Optional[Position] = None
-    ) -> list[tuple[int, HopOutcome]]:
-        """Vehicle-to-vehicle hops at radio range, each with a contention draw.
-
-        ``own`` is the origin of a frame whose contention the hops do not
-        count (see ``Channel.concurrent_near``).
-        """
-        params, obstacles, rng = self.params, self.obstacles, self.loss_rng
-        near = lambda pos: self.channel.concurrent_near(pos, t, own)
-        return [
-            (rid, evaluate_hop(src, self.pos(rid, t), params.range_m, params, obstacles, near, rng))
-            for rid in receivers
-        ]
-
     def _fire_tx(self, job: TxJob, t: SimTime) -> str:
         sender_pos = self.pos(job.sender, t)
-        results = self._v2v_hops(sender_pos, self.protocol.tx_receivers(job, t), t)
-        self.channel.register(t, t + self.frame_us, sender_pos)
+        receivers = self.protocol.tx_receivers(job, t)
+        results = self.channel.hops(sender_pos, receivers, self.pos, self.params.range_m, t)
+        self.channel.register(t, t + self.channel.frame_us, sender_pos)
         return self.protocol.after_tx(job, t, results)
-
-    def uplink(
-        self, sender_pos: Position, entry_pos: Position, reach: float, t: SimTime, contend: bool
-    ) -> HopOutcome:
-        """A vehicle's hop into the infrastructure at ``entry_pos``.
-
-        ``contend`` gives the hop a contention draw at the entry point: true
-        for a gateway vehicle, false for a station.  Once the entry point is
-        in ``reach`` and sight the frame is on air, even if the contention
-        draw then loses it: a backoff is drawn, the frame is registered from
-        ``t``, and a delivered hop's delay includes the backoff.
-        """
-        near = (lambda pos: self.channel.concurrent_near(pos, t)) if contend else None
-        out = evaluate_hop(
-            sender_pos, entry_pos, reach, self.params, self.obstacles, near, self.loss_rng
-        )
-        if not out.delivered and out.loss_cause != CHANNEL_LOSS:
-            return out
-        backoff = self.channel.draw_backoff()
-        self.channel.register(t, t + self.frame_us, sender_pos)
-        return HopOutcome(True, out.delay_us + backoff) if out.delivered else out
 
     def _fire_infra(self, job: InfraTx, t: SimTime) -> str:
         bs = self.station(job.bs_id)
         reach = self.knobs.bs_coverage_m
         # Scheduled infrastructure downlink: no contention draw.
-        results = [
-            (rid, evaluate_hop(bs.pos, self.pos(rid, t), reach, self.params, self.obstacles))
-            for rid in job.receivers
-        ]
-        self.channel.register(t, t + self.frame_us, bs.pos)
+        results = self.channel.hops(bs.pos, job.receivers, self.pos, reach, t, contend=False)
+        self.channel.register(t, t + self.channel.frame_us, bs.pos)
         return self.protocol.after_infra(job, t, results)
 
     def _on_cloud(self, t: SimTime, job: TxJob | InfraTx) -> str:
@@ -593,7 +409,7 @@ class Runtime:
         self._msg_seq += 1
         msg = Message(self._msg_seq, v, t, tuple(cand), ttl_hops=1, kind=KIND_BEACON)
         self.address(msg)
-        for rid, out in self._v2v_hops(pos, cand, t, own=pos):
+        for rid, out in self.channel.hops(pos, cand, self.pos, self.params.range_m, t, own=pos):
             if out.delivered:
                 self.record_delivery(msg, rid, t + out.delay_us, 1)
             else:
@@ -724,6 +540,8 @@ def run_sweep(
         for density in cfg.densities
         for seed in cfg.seeds
     ]
+    # a pool forks all its workers on its first task, so never more than runs
+    workers = min(workers, len(tasks))
     if collect_logs or workers <= 1:
         summaries = []
         logs: Optional[list[tuple[str, list[str]]]] = [] if collect_logs else None

@@ -1,10 +1,13 @@
 """Acceptance gate: twelve end-to-end checks covering determinism, link
 arithmetic, reachability and coverage oracles, fog partition invariants,
-density trends, metric bookkeeping, and trace ingestion.
+density trends, metric bookkeeping, and trace ingestion, plus the pinned
+metrics CSV of the acceptance-size sweep.
 
-Each test prints one `ACCEPTANCE <nn> PASS/FAIL` line on the terminal.
+Each numbered check prints one `ACCEPTANCE <nn> PASS/FAIL` line on the
+terminal.
 """
 
+import hashlib
 import math
 import os
 import random
@@ -23,6 +26,8 @@ from vanetsim.runner import run_single, run_sweep
 DENSITIES = (50, 150, 250, 350, 450)
 SWEEP_SEEDS = (3, 9, 12)
 DIP_TOLERANCE = 0.05
+# SHA-256 of the metrics CSV of the sweep in ``sweep_runs``
+DENSITY_SWEEP_SHA256 = "ba24ae1712dfa445f86b6634b71c47e6ee156398e32a17dc9916e1793cdb8575"
 
 WORKERS = min(4, os.cpu_count() or 1)
 
@@ -78,8 +83,9 @@ def small_sweep_cfg():
 
 
 @pytest.fixture(scope="module")
-def density_sweep():
-    """Seed-averaged highway sweep shared by the three trend checks."""
+def sweep_runs():
+    """The acceptance-size highway sweep: one summary per (protocol,
+    density, seed) run, in task order."""
     cfg = ScenarioConfig(
         workload=WorkloadSpec(rate_per_s=4.0),
         densities=DENSITIES,
@@ -87,7 +93,13 @@ def density_sweep():
         sim_duration_s=15.0,
     )
     summaries, _ = run_sweep(cfg, workers=WORKERS)
-    return {(r.protocol, r.vehicle_count): r for r in aggregate_sweep(summaries)}
+    return summaries
+
+
+@pytest.fixture(scope="module")
+def density_sweep(sweep_runs):
+    """Seed-averaged highway sweep shared by the three trend checks."""
+    return {(r.protocol, r.vehicle_count): r for r in aggregate_sweep(sweep_runs)}
 
 
 def dip_failures(series, label):
@@ -287,6 +299,13 @@ def test_09_throughput_grows_with_density(density_sweep, verdict):
             if v1 < v0:
                 failures.append(f"{protocol}: {v1:.1f} bps @ {d1} < {v0:.1f} bps @ {d0}")
     verdict(9, failures)
+
+
+def test_density_sweep_csv_is_pinned(sweep_runs):
+    # The sweep's metrics CSV is the same serial or parallel and on every
+    # supported Python; a change that moves it must say which bytes and why.
+    digest = hashlib.sha256(csv_text(sweep_runs).encode("utf-8")).hexdigest()
+    assert digest == DENSITY_SWEEP_SHA256
 
 
 # -- 10..12: equivalences and ingestion ----------------------------------------

@@ -5,15 +5,20 @@ metered; the 1 ms tick variant of the highway, which exists to pin when
 hybrid's late-joiner attempts are scheduled, runs unmetered only.  A
 refactor that claims to keep behaviour must leave every digest here
 unchanged; a change that moves one must say which bytes moved and why.
-Run this file directly to print the current digests:
+Run this file directly, with or without pytest installed, to print the
+current digests; it exits 1 when any differs from ``GOLDEN``:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 import hashlib
+import sys
 import tempfile
 
-import pytest
+try:
+    import pytest
+except ImportError:  # run as a script: only the test's parametrize needs pytest
+    pytest = None
 
 from vanetsim.config import ProtocolKnobs, ScenarioConfig, WorkloadSpec
 from vanetsim.metrics import csv_text
@@ -135,13 +140,23 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("name,metered", sorted(GOLDEN))
 def test_outputs_match_the_golden_digests(name, metered, tmp_path):
     assert digests(name, metered, tmp_path) == GOLDEN[(name, metered)]
 
 
+if pytest is not None:
+    test_outputs_match_the_golden_digests = pytest.mark.parametrize(
+        "name,metered", sorted(GOLDEN)
+    )(test_outputs_match_the_golden_digests)
+
+
 if __name__ == "__main__":
+    moved = []
     with tempfile.TemporaryDirectory() as tmp:
         for name, metered in GOLDEN:
             csv_sha, log_sha = digests(name, metered, tmp)
             print(f'    ("{name}", {metered}): (\n        "{csv_sha}",\n        "{log_sha}",\n    ),')
+            if (csv_sha, log_sha) != GOLDEN[(name, metered)]:
+                moved.append(f"({name!r}, {metered})")
+    if moved:
+        sys.exit("digests differ from GOLDEN: " + ", ".join(moved))

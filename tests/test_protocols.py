@@ -865,7 +865,7 @@ def uplink_runtime(trace_path, n, protocol, **kw):
     stations = place_stations(cfg.mobility, provider, cfg.knobs)
     rt = Runtime(sim, cfg, cfg.mobility, provider, cfg.load_obstacles(), stations, protocol)
     rt.channel._rng = CountingRng(rt.channel._rng)
-    rt.loss_rng = CountingRng(rt.loss_rng)
+    rt.channel.loss_rng = CountingRng(rt.channel.loss_rng)
     return rt
 
 
@@ -897,7 +897,7 @@ def test_hybrid_uplink_draws_only_once_it_has_an_entry_point(
     st = _HybridState(Message(1, 1, t, (2,)), bs, {}, window_end=t + 1)
     rt.protocol._establish_uplink(st, t)
     rt.protocol._establish_uplink(st, t)  # a second call reuses the first outcome
-    assert (rt.channel._rng.calls, rt.loss_rng.calls) == (backoffs, losses)
+    assert (rt.channel._rng.calls, rt.channel.loss_rng.calls) == (backoffs, losses)
 
 
 @pytest.mark.parametrize(
@@ -915,7 +915,7 @@ def test_dfcv_uplink_draws_one_backoff_and_no_loss(tmp_path, rects, coverage, ba
         knobs_kw={"bs_coverage_m": coverage},
     )
     rt.protocol.on_inject(Message(1, 0, 0, (1,)), 0)
-    assert (rt.channel._rng.calls, rt.loss_rng.calls) == (backoffs, [])
+    assert (rt.channel._rng.calls, rt.channel.loss_rng.calls) == (backoffs, [])
 
 
 @pytest.mark.parametrize("base_loss", [0.0, 1.0])
@@ -929,12 +929,12 @@ def test_hybrid_gateway_uplink_frame_is_on_the_channel(tmp_path, base_loss):
     src = rt.pos(1, t)
     st = _HybridState(Message(1, 1, t, (2,)), rt.nearest_station(src), {}, window_end=t + 1)
     rt.protocol._establish_uplink(st, t)
-    end = t + rt.frame_us
+    end = t + rt.channel.frame_us
     assert rt.channel.concurrent_near(src, t) == 1
     assert rt.channel.busy_until_near(src, t) == end
     assert rt.channel.concurrent_near(src, end - 1) == 1
     assert rt.channel.busy_until_near(src, end) is None
-    assert rt.loss_rng.calls == ["random"]  # the gateway hop, which contends
+    assert rt.channel.loss_rng.calls == ["random"]  # the gateway hop, which contends
     assert st.uplink.delivered == (base_loss == 0.0)
     if st.uplink.delivered:
         backoff, = rt.channel._rng.values

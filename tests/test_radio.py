@@ -1,4 +1,5 @@
-"""Radio link model: timing, range, sight blocking, loss draws."""
+"""Radio link model: timing, range, sight blocking, loss draws, and the
+channel's occupancy, beacon schedule and backoff draws."""
 
 import math
 import random
@@ -14,6 +15,7 @@ from vanetsim.radio import (
     EMPTY_MAP,
     OUT_OF_RANGE,
     SHADOWED,
+    Channel,
     HopOutcome,
     ObstacleMap,
     RadioParams,
@@ -502,3 +504,98 @@ def test_hop_without_contention_check_never_draws():
     out = evaluate_hop(Position(0, 0), Position(150, 0), 300.0, p, EMPTY_MAP, rng=rng)
     assert out.delivered and out.delay_us == hop_delay_us(p, 150.0)
     assert rng.calls == 0
+
+
+# -- channel ------------------------------------------------------------------
+
+def make_channel(**kw):
+    return Channel(RadioParams(**kw), EMPTY_MAP, random.Random(0), random.Random(0))
+
+
+def test_channel_audibility_is_range_limited():
+    ch = make_channel()
+    ch.register(0, 1_000, Position(0.0, 0.0))
+    assert ch.concurrent_near(Position(100.0, 0.0), 500) == 1
+    assert ch.concurrent_near(Position(301.0, 0.0), 500) == 0
+    assert ch.busy_until_near(Position(100.0, 0.0), 500) == 1_000
+    assert ch.busy_until_near(Position(301.0, 0.0), 500) is None
+
+
+def test_channel_expires_and_ignores_future_starts():
+    ch = make_channel()
+    ch.register(0, 1_000, Position(0.0, 0.0))
+    ch.register(2_000, 3_000, Position(0.0, 0.0))
+    here = Position(0.0, 0.0)
+    assert ch.concurrent_near(here, 999) == 1
+    assert ch.concurrent_near(here, 1_000) == 0  # end is exclusive occupancy
+    assert ch.concurrent_near(here, 1_500) == 0  # second tx not started yet
+    assert ch.concurrent_near(here, 2_000) == 1
+
+
+def test_channel_busy_until_is_latest_overlap():
+    ch = make_channel()
+    ch.register(0, 1_000, Position(0.0, 0.0))
+    ch.register(0, 4_000, Position(50.0, 0.0))
+    assert ch.busy_until_near(Position(0.0, 0.0), 10) == 4_000
+
+
+def test_channel_backoff_draw_is_bounded_and_seeded():
+    ch = make_channel(max_backoff_us=7)
+    draws = [ch.draw_backoff() for _ in range(200)]
+    assert all(0 <= d <= 7 for d in draws)
+    again = make_channel(max_backoff_us=7)
+    assert [again.draw_backoff() for _ in range(200)] == draws
+    assert make_channel(max_backoff_us=0).draw_backoff() == 0
+
+
+# -- beacon schedule ----------------------------------------------------------
+
+@st.composite
+def beacon_schedules(draw):
+    """(phases, period, frame, query times): the period is below, equal to
+    or above the frame, and the times include a start, a start + frame
+    and a time before some phase."""
+    frame = draw(st.integers(1, 40))
+    period = draw(
+        st.one_of(st.integers(1, frame), st.just(frame), st.integers(frame, 3 * frame))
+    )
+    phases = draw(st.lists(st.integers(0, period - 1), min_size=1, max_size=8))
+    horizon = max(phases) + 4 * max(period, frame)
+    start = draw(st.sampled_from(phases)) + period * draw(st.integers(0, 3))
+    times = draw(st.lists(st.integers(0, horizon), max_size=6))
+    times += [start, start + frame, draw(st.integers(0, max(phases)))]
+    return phases, period, frame, sorted(times)
+
+
+def brute_force_on_air(phases, period, frame, t):
+    """(vehicle, start, end) of every frame with start <= t < start + frame."""
+    return sorted(
+        (v, start, start + frame)
+        for v, phase in enumerate(phases)
+        for start in range(phase, t + 1, period)
+        if t < start + frame
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(beacon_schedules())
+def test_beacons_on_air_match_brute_force(case):
+    phases, period, frame, times = case
+    located = []
+
+    def locate(v, start):
+        # encode the frame in its origin so the channel's answer names it
+        located.append((v, start))
+        return Position(float(v), float(start))
+
+    # 8 Mb/s sends one byte per microsecond, so a frame is on air for ``frame`` us
+    ch = make_channel(range_m=1e9, data_rate_bps=8_000_000, msg_size_bytes=frame)
+    ch.set_beacons(sorted((p, v) for v, p in enumerate(phases)), period, locate)
+    here = Position(0.0, 0.0)
+    for t in times:  # nondecreasing, as the event loop asks; repeats reuse the cached answer
+        want = brute_force_on_air(phases, period, frame, t)
+        got = sorted((int(x), int(y), end) for end, x, y in ch._beacons_at(t))
+        assert got == want
+        assert ch.concurrent_near(here, t) == len(want)
+        assert ch.busy_until_near(here, t) == max((end for _, _, end in want), default=None)
+    assert len(located) == len(set(located))  # one lookup per (vehicle, start)

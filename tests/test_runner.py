@@ -1,5 +1,5 @@
-"""Run orchestration: channel arithmetic, station placement, replay
-determinism, parallel sweeps, budget enforcement, log accounting."""
+"""Run orchestration: station placement, replay determinism, parallel
+sweeps, budget enforcement, log accounting."""
 
 import math
 import os
@@ -33,103 +33,9 @@ from vanetsim.radio import (
     ObstacleMap,
     RadioParams,
 )
-from vanetsim.runner import Channel, Runtime, place_stations, run_single, run_sweep
+from vanetsim.runner import Runtime, place_stations, run_single, run_sweep
 
 from static_fleet import StaticProvider
-
-
-# -- channel ------------------------------------------------------------------
-
-def make_channel(**kw):
-    return Channel(RadioParams(**kw), random.Random(0))
-
-
-def test_channel_audibility_is_range_limited():
-    ch = make_channel()
-    ch.register(0, 1_000, Position(0.0, 0.0))
-    assert ch.concurrent_near(Position(100.0, 0.0), 500) == 1
-    assert ch.concurrent_near(Position(301.0, 0.0), 500) == 0
-    assert ch.busy_until_near(Position(100.0, 0.0), 500) == 1_000
-    assert ch.busy_until_near(Position(301.0, 0.0), 500) is None
-
-
-def test_channel_expires_and_ignores_future_starts():
-    ch = make_channel()
-    ch.register(0, 1_000, Position(0.0, 0.0))
-    ch.register(2_000, 3_000, Position(0.0, 0.0))
-    here = Position(0.0, 0.0)
-    assert ch.concurrent_near(here, 999) == 1
-    assert ch.concurrent_near(here, 1_000) == 0  # end is exclusive occupancy
-    assert ch.concurrent_near(here, 1_500) == 0  # second tx not started yet
-    assert ch.concurrent_near(here, 2_000) == 1
-
-
-def test_channel_busy_until_is_latest_overlap():
-    ch = make_channel()
-    ch.register(0, 1_000, Position(0.0, 0.0))
-    ch.register(0, 4_000, Position(50.0, 0.0))
-    assert ch.busy_until_near(Position(0.0, 0.0), 10) == 4_000
-
-
-def test_channel_backoff_draw_is_bounded_and_seeded():
-    ch = make_channel(max_backoff_us=7)
-    draws = [ch.draw_backoff() for _ in range(200)]
-    assert all(0 <= d <= 7 for d in draws)
-    again = Channel(RadioParams(max_backoff_us=7), random.Random(0))
-    assert [again.draw_backoff() for _ in range(200)] == draws
-    assert make_channel(max_backoff_us=0).draw_backoff() == 0
-
-
-# -- beacon schedule ----------------------------------------------------------
-
-@st.composite
-def beacon_schedules(draw):
-    """(phases, period, frame, query times): the period is below, equal to
-    or above the frame, and the times include a start, a start + frame
-    and a time before some phase."""
-    frame = draw(st.integers(1, 40))
-    period = draw(
-        st.one_of(st.integers(1, frame), st.just(frame), st.integers(frame, 3 * frame))
-    )
-    phases = draw(st.lists(st.integers(0, period - 1), min_size=1, max_size=8))
-    horizon = max(phases) + 4 * max(period, frame)
-    start = draw(st.sampled_from(phases)) + period * draw(st.integers(0, 3))
-    times = draw(st.lists(st.integers(0, horizon), max_size=6))
-    times += [start, start + frame, draw(st.integers(0, max(phases)))]
-    return phases, period, frame, sorted(times)
-
-
-def brute_force_on_air(phases, period, frame, t):
-    """(vehicle, start, end) of every frame with start <= t < start + frame."""
-    return sorted(
-        (v, start, start + frame)
-        for v, phase in enumerate(phases)
-        for start in range(phase, t + 1, period)
-        if t < start + frame
-    )
-
-
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(beacon_schedules())
-def test_beacons_on_air_match_brute_force(case):
-    phases, period, frame, times = case
-    located = []
-
-    def locate(v, start):
-        # encode the frame in its origin so the channel's answer names it
-        located.append((v, start))
-        return Position(float(v), float(start))
-
-    ch = Channel(RadioParams(range_m=1e9), random.Random(0))
-    ch.set_beacons(sorted((p, v) for v, p in enumerate(phases)), period, frame, locate)
-    here = Position(0.0, 0.0)
-    for t in times:  # nondecreasing, as the event loop asks; repeats reuse the cached answer
-        want = brute_force_on_air(phases, period, frame, t)
-        got = sorted((int(x), int(y), end) for end, x, y in ch._beacons_at(t))
-        assert got == want
-        assert ch.concurrent_near(here, t) == len(want)
-        assert ch.busy_until_near(here, t) == max((end for _, _, end in want), default=None)
-    assert len(located) == len(set(located))  # one lookup per (vehicle, start)
 
 
 def test_metered_beacon_does_not_hear_its_own_frame():
@@ -150,7 +56,7 @@ def test_metered_beacon_does_not_hear_its_own_frame():
     sim = Simulator(seed=3)
     rt = Runtime(sim, cfg, cfg.mobility, provider, EMPTY_MAP, stations, "baseline")
     rt.setup()
-    assert rt.frame_us == frame
+    assert rt.channel.frame_us == frame
     sim.run(rt.end_us)
     records = list(rt.records.values())
     addressed = {(m.msg_id, d) for m in rt.messages.values() for d in m.targets}
@@ -398,6 +304,42 @@ def test_collect_logs_forces_serial_and_labels_runs():
     ident, lines = logs[0]
     assert ident == "protocol=baseline density=10 seed=1"
     assert lines and all(line.count("\t") == 3 for line in lines)
+
+
+def test_pool_is_never_larger_than_the_sweep(monkeypatch):
+    # A fork pool starts all its workers on its first task, so the size it
+    # is asked for is the number of processes forked.  The stand-in records
+    # that size and runs the tasks in this process.
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers, initializer, initargs):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return list(map(fn, tasks))
+
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(runner, "_worker_tracks", None)
+    cfg = small_cfg(densities=(10,), seeds=(1, 2, 3), protocols=("baseline",),
+                    sim_duration_s=1.0)
+    serial, _ = run_sweep(cfg, workers=1)
+    assert sizes == []
+    pooled, _ = run_sweep(cfg, workers=1000)
+    assert sizes == [3]
+    assert csv_text(pooled) == csv_text(serial)
+    run_sweep(small_cfg(densities=(10,), seeds=(1,), sim_duration_s=1.0), workers=8)
+    assert sizes == [3, 3]  # three protocols, one run each
+    run_sweep(small_cfg(densities=(10,), seeds=(1,), protocols=("dfcv",),
+                        sim_duration_s=1.0), workers=8)
+    assert sizes == [3, 3]  # a single run goes serially
 
 
 def write_moving_trace(directory, vehicles=12, steps=7) -> str:
