@@ -103,11 +103,11 @@ def main(argv: Optional[list] = None) -> int:
             sweep_tracks(cfg)
             print(config_json(cfg))
             return 0
+        if args.workers < 1:
+            raise ConfigError("--workers: must be at least 1")
         _check_outputs(args)
         collect_logs = args.event_log is not None
-        summaries, logs = run_sweep(
-            cfg, workers=max(1, args.workers), collect_logs=collect_logs
-        )
+        summaries, logs = run_sweep(cfg, workers=args.workers, collect_logs=collect_logs)
         text = csv_text(summaries)
         if args.out:
             with _writing("--out", args.out), open(args.out, "w", encoding="utf-8") as fh:

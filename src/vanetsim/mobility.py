@@ -101,13 +101,11 @@ class MobilityProvider:
 
     A provider also defines ``position_at(vehicle_id, t_us)`` and
     ``max_drift_mps()``, an upper bound on how fast any vehicle's position
-    can change.
+    can change.  Between two wraps (see ``wrap_period``) a vehicle's path
+    is continuous.
     """
 
     vehicle_ids: list[int]
-
-    #: coordinate wrap periods (x, y); None means that axis does not wrap
-    wrap_period: tuple[Optional[float], Optional[float]] = (None, None)
 
     #: the gateways (buses) are the vehicles with the lowest ids
     _n_gateways = 0
@@ -118,6 +116,12 @@ class MobilityProvider:
 
     def is_gateway(self, vehicle_id: int) -> bool:
         return vehicle_id < self._n_gateways
+
+    def wrap_period(self, vehicle_id: int) -> tuple[Optional[float], Optional[float]]:
+        """The periods (x, y) of the axes on which ``vehicle_id``'s coordinate
+        wraps, jumping from one end of ``[0, period]`` to the other; None
+        means it never wraps on that axis."""
+        return (None, None)
 
     def fleet_at(self, t_us: SimTime) -> list[VehicleState]:
         return [
@@ -134,12 +138,11 @@ class StreetProvider(MobilityProvider):
     else along y, and at ``fixed`` on the other axis.
     """
 
-    def __init__(
-        self, vehicles: Sequence, period_m: float, wrap_period: tuple, gateway_fraction: float
-    ):
+    def __init__(self, vehicles: Sequence, period_m: float, gateway_fraction: float):
         self._vehicles = list(vehicles)
         self._period = period_m
-        self.wrap_period = wrap_period
+        # the wrap periods (x, y) of a vertical and of a horizontal vehicle
+        self._wraps = ((None, period_m), (period_m, None))
         self.vehicle_ids = list(range(len(self._vehicles)))
         self._n_gateways = gateway_count(len(self._vehicles), gateway_fraction)
 
@@ -150,6 +153,10 @@ class StreetProvider(MobilityProvider):
 
     def max_drift_mps(self) -> float:
         return max((abs(v[3]) for v in self._vehicles), default=0.0)
+
+    def wrap_period(self, vehicle_id: int) -> tuple[Optional[float], Optional[float]]:
+        """A vehicle wraps on the axis it drives along, and only there."""
+        return self._wraps[self._vehicles[vehicle_id][0]]
 
 
 def _speed_range_mps(spec: MobilitySpec, rng: Optional[Random]) -> tuple[float, float]:
@@ -180,7 +187,7 @@ class SyntheticHighwayProvider(StreetProvider):
             ]
         super().__init__(
             [(True, int(lane) * LANE_WIDTH_M, float(x), float(s)) for x, lane, s in initial],
-            length, (length, None), spec.gateway_fraction,
+            length, spec.gateway_fraction,
         )
 
 
@@ -212,7 +219,7 @@ class SyntheticGridProvider(StreetProvider):
         super().__init__(
             [(o == "h", int(i) * spec.grid_spacing_m, float(d), int(s) * float(v))
              for o, i, d, s, v in initial],
-            extent, (extent, extent), spec.gateway_fraction,
+            extent, spec.gateway_fraction,
         )
 
 
@@ -405,30 +412,37 @@ class NeighborIndex:
     once the query time is more than the refresh interval away from the
     snapshot (before it or after it).  A vehicle moves at most
     ``slack = max_drift * |t - built_at|`` between its snapshot and ``t``.
+    A query more than the refresh interval away rebuilds the snapshot
+    first, so ``slack`` never exceeds ``edge``, the drift over one refresh
+    interval plus 1e-6.
+
+    A vehicle that wraps on an axis (see ``MobilityProvider.wrap_period``)
+    jumps across the map when it crosses that axis's seam.  It can do so
+    only if its snapshot lies within ``edge`` of the seam, so such a vehicle
+    also gets image entries, its snapshot shifted by the period across each
+    seam within ``edge``, and the diagonal image when it is near seams on
+    both axes.  Whether it crossed or not, one of its entries lies within
+    ``slack`` of where it is at ``t``.
 
     ``candidates`` returns ``(vid, certain)`` pairs sorted by id, one per
-    vehicle whose snapshot lies within ``radius + slack`` of the center.  By
-    the triangle inequality that holds for every vehicle actually within
-    ``radius`` at ``t``, as long as it did not cross the seam of a wrapping
-    axis (see ``wrap_period``): such a vehicle jumps across the map, so the
-    query is repeated from mirror centers on the other side of each seam
-    within reach.
+    vehicle with an entry within ``radius + slack`` of the center; by the
+    triangle inequality that holds for every vehicle actually within
+    ``radius`` at ``t``.  Only the buckets around the center are scanned.
 
     ``certain`` means the vehicle is within ``radius`` at ``t`` without
     looking it up.  Again by the triangle inequality, a snapshot within
     ``radius - slack - 1e-6`` of the center puts the vehicle within
     ``radius - 1e-6``; the margin absorbs float rounding in the provider and
     in the distance.  That argument needs the snapshot to be the vehicle's
-    unwrapped path, so a candidate is certain only when it was found from
-    the unmirrored center and its snapshot is at least ``slack + 1e-6`` from
-    every seam of a wrapping axis.  With ``radius <= slack`` nothing is
-    certain.  Callers must locate every other candidate and check its
-    distance exactly.
+    unwrapped path, so only a vehicle's own entry can make it certain, and
+    only when that entry is at least ``slack + 1e-6`` from every seam of an
+    axis the vehicle wraps on.  An image is never certain.  With ``radius <=
+    slack`` nothing is certain.  Callers must locate every other candidate
+    and check its distance exactly.
 
     Ids in ``exclude`` are skipped before any distance math, so the result
     is exactly the unexcluded one minus those ids.  A candidate's flag
-    depends only on its own snapshot and the first center that finds it,
-    so a skip never changes another's.
+    depends only on its own entries, so a skip never changes another's.
     """
 
     REFRESH_US = 200_000
@@ -437,23 +451,32 @@ class NeighborIndex:
         self._provider = provider
         self._cell = max(cell_m, 1.0)
         self._drift = provider.max_drift_mps()
+        self._edge = self._drift * (self.REFRESH_US / US_PER_S) + 1e-6
+        # each vehicle's wrap periods, in vehicle_ids order, read once
+        self._wraps = [provider.wrap_period(v) for v in provider.vehicle_ids]
         self._built_at: Optional[SimTime] = None
-        # (vid, x, y, distance from x, y to the nearest seam) by bucket
+        # (vid, x, y, distance from x, y to the nearest seam) by bucket; an
+        # image's seam distance is -inf, so it is never certain
         self._buckets: dict[tuple[int, int], list[tuple[int, float, float, float]]] = {}
 
     def _rebuild(self, t_us: SimTime) -> None:
-        cell = self._cell
+        cell, edge = self._cell, self._edge
         locate = self._provider.position_at
-        wrap_x, wrap_y = self._provider.wrap_period
+        inf = math.inf
         buckets: dict[tuple[int, int], list[tuple[int, float, float, float]]] = {}
-        for vid in self._provider.vehicle_ids:
+        for vid, (wrap_x, wrap_y) in zip(self._provider.vehicle_ids, self._wraps):
             x, y = locate(vid, t_us)
-            seam = math.inf
+            seam = inf
             if wrap_x is not None:
                 seam = min(x, wrap_x - x)
             if wrap_y is not None:
                 seam = min(seam, y, wrap_y - y)
             buckets.setdefault((int(x // cell), int(y // cell)), []).append((vid, x, y, seam))
+            if seam < edge:
+                for ix, iy in _images(x, y, wrap_x, wrap_y, edge):
+                    buckets.setdefault((int(ix // cell), int(iy // cell)), []).append(
+                        (vid, ix, iy, -inf)
+                    )
         self._buckets = buckets
         self._built_at = t_us
 
@@ -468,34 +491,39 @@ class NeighborIndex:
         sure = radius_m - slack - 1e-6
         sure2 = sure * sure if sure > 0 else -1.0
         margin = slack + 1e-6  # the least seam distance of a certain snapshot
-        # Near a wrap boundary a vehicle can jump across the map between the
-        # snapshot and now, so the query is repeated from mirror centers.
-        wrap_x, wrap_y = self._provider.wrap_period
-        xs = [center.x]
-        if wrap_x is not None:
-            if center.x - reach < 0:
-                xs.append(center.x + wrap_x)
-            if center.x + reach > wrap_x:
-                xs.append(center.x - wrap_x)
-        ys = [center.y]
-        if wrap_y is not None:
-            if center.y - reach < 0:
-                ys.append(center.y + wrap_y)
-            if center.y + reach > wrap_y:
-                ys.append(center.y - wrap_y)
+        cx, cy = center
         cell, buckets = self._cell, self._buckets
         found: dict[int, bool] = {}
-        bound2 = sure2  # only the unmirrored center, queried first, makes a candidate certain
-        for cx in xs:
-            for cy in ys:
-                for bx in range(int((cx - reach) // cell), int((cx + reach) // cell) + 1):
-                    for by in range(int((cy - reach) // cell), int((cy + reach) // cell) + 1):
-                        for vid, x, y, seam in buckets.get((bx, by), ()):
-                            if vid in exclude:
-                                continue
-                            dx, dy = x - cx, y - cy
-                            d2 = dx * dx + dy * dy
-                            if d2 <= reach2 and vid not in found:
-                                found[vid] = d2 <= bound2 and seam >= margin
-                bound2 = -1.0
+        for bx in range(int((cx - reach) // cell), int((cx + reach) // cell) + 1):
+            for by in range(int((cy - reach) // cell), int((cy + reach) // cell) + 1):
+                for vid, x, y, seam in buckets.get((bx, by), ()):
+                    if vid in exclude:
+                        continue
+                    dx, dy = x - cx, y - cy
+                    d2 = dx * dx + dy * dy
+                    if d2 <= reach2:
+                        if d2 <= sure2 and seam >= margin:
+                            found[vid] = True
+                        elif vid not in found:
+                            found[vid] = False
         return sorted(found.items())
+
+
+def _images(
+    x: float, y: float, wrap_x: Optional[float], wrap_y: Optional[float], edge: float
+) -> list[tuple[float, float]]:
+    """The copies of ``(x, y)`` shifted by a period across each seam within
+    ``edge``, diagonal copies included; the first product pair is ``(x, y)``
+    itself."""
+    xs, ys = [x], [y]
+    if wrap_x is not None:
+        if x < edge:
+            xs.append(x + wrap_x)
+        if x > wrap_x - edge:
+            xs.append(x - wrap_x)
+    if wrap_y is not None:
+        if y < edge:
+            ys.append(y + wrap_y)
+        if y > wrap_y - edge:
+            ys.append(y - wrap_y)
+    return [(ix, iy) for ix in xs for iy in ys][1:]

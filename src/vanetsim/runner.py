@@ -110,7 +110,6 @@ class Runtime:
         self,
         sim: Simulator,
         cfg: ScenarioConfig,
-        spec: MobilitySpec,
         provider,
         obstacles,
         stations: list[BaseStation],
@@ -118,7 +117,6 @@ class Runtime:
     ):
         self.sim = sim
         self.cfg = cfg
-        self.spec = spec
         self.params = cfg.radio
         self.knobs = cfg.knobs
         self.cloud = cfg.cloud
@@ -454,7 +452,7 @@ def run_single(
     provider = build_provider(spec, sim.rng("mobility"), tracks)
     obstacles = cfg.load_obstacles()
     stations = place_stations(spec, provider, cfg.knobs)
-    rt = Runtime(sim, cfg, spec, provider, obstacles, stations, protocol)
+    rt = Runtime(sim, cfg, provider, obstacles, stations, protocol)
     rt.setup()
     stats = sim.run(until=rt.end_us)
     if len(rt.records) != rt.opened or rt._open:

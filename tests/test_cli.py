@@ -180,6 +180,16 @@ def test_run_parallel_workers_accepted(tmp_path, capsys):
     assert len(capsys.readouterr().out.splitlines()) == 5
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_are_refused_before_any_run(tmp_path, capsys, monkeypatch, workers):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(cli, "run_sweep", no_run)
+    assert main(["run", "--config", tiny_scenario(tmp_path), "--workers", workers]) == 1
+    assert capsys.readouterr().err == "config error: --workers: must be at least 1\n"
+
+
 @pytest.mark.parametrize(
     "body",
     [

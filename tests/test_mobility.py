@@ -194,7 +194,9 @@ class RefHighwayProvider(MobilityProvider):
         self._speed = [float(s) for _, _, s in initial]
         self.vehicle_ids = list(range(len(initial)))
         self._n_gateways = gateway_count(len(initial), spec.gateway_fraction)
-        self.wrap_period = (spec.road_length_m, None)
+
+    def wrap_period(self, vehicle_id):
+        return (self.spec.road_length_m, None)
 
     def position_at(self, vehicle_id, t_us):
         x = (
@@ -232,7 +234,11 @@ class RefGridProvider(MobilityProvider):
         self._speed = [float(v) for _, _, _, _, v in initial]
         self.vehicle_ids = list(range(len(initial)))
         self._n_gateways = gateway_count(len(initial), spec.gateway_fraction)
-        self.wrap_period = (self.extent_m, self.extent_m)
+
+    def wrap_period(self, vehicle_id):
+        if self._orient[vehicle_id] == "h":
+            return (self.extent_m, None)
+        return (None, self.extent_m)
 
     def position_at(self, vehicle_id, t_us):
         along = (
@@ -303,7 +309,9 @@ def test_street_fleets_match_the_two_provider_reference(fleet, times):
         ref.is_gateway(v) for v in ref.vehicle_ids
     ]
     assert prov.max_drift_mps() == ref.max_drift_mps()
-    assert prov.wrap_period == ref.wrap_period
+    assert [prov.wrap_period(v) for v in prov.vehicle_ids] == [
+        ref.wrap_period(v) for v in ref.vehicle_ids
+    ]
 
 
 @pytest.mark.parametrize("cls", [SyntheticHighwayProvider, SyntheticGridProvider])
@@ -781,18 +789,121 @@ def test_neighbor_index_finds_vehicles_before_its_snapshot():
     assert ids(index.candidates(Position(1000.0, 0.0), 2.0, 0)) == [0]
 
 
+def test_edge_street_vehicles_are_certain_away_from_their_travel_seams():
+    # a 1 km grid whose fleet drives the four edge streets, each vehicle at
+    # least 300 m from the seams of the axis it drives along
+    spec = MobilitySpec(mode="synthetic_grid", grid_blocks=5, grid_spacing_m=200.0)
+    initial = [
+        (orient, street, offset, sign, 15.0)
+        for orient in "hv"
+        for street in (0, 5)
+        for offset in (300.0, 420.0, 500.0, 580.0, 700.0)
+        for sign in (1, -1)
+    ]
+    prov = SyntheticGridProvider(spec, initial=initial)
+    index = NeighborIndex(prov, cell_m=300.0)
+    index.candidates(Position(500.0, 500.0), 1.0, 0)  # the snapshot
+    snap = {v: prov.position_at(v, 0) for v in prov.vehicle_ids}
+    t, radius = 150_000, 250.0
+    slack = 15.0 * 0.15
+    for center in (Position(500.0, 0.0), Position(500.0, 1000.0),
+                   Position(0.0, 500.0), Position(1000.0, 500.0)):
+        got = index.candidates(center, radius, t)
+        sure = [v for v in prov.vehicle_ids if distance(center, snap[v]) <= radius - slack - 1e-3]
+        assert len(sure) == 10
+        assert [v for v, certain in got if certain] == sure, center
+        # the far edge street never wraps onto this one, so nothing from it
+        assert ids(got) == [
+            v for v in prov.vehicle_ids if distance(center, snap[v]) <= radius + slack
+        ], center
+
+
+class TorusProvider(MobilityProvider):
+    """Vehicles ``(x0, y0, vx, vy)`` on straight diagonal paths across a
+    square torus, so each one wraps on both axes."""
+
+    def __init__(self, side_m, vehicles):
+        self._side = side_m
+        self._vehicles = list(vehicles)
+        self.vehicle_ids = list(range(len(self._vehicles)))
+
+    def position_at(self, vehicle_id, t_us):
+        x0, y0, vx, vy = self._vehicles[vehicle_id]
+        s = t_us / US_PER_S
+        return Position((x0 + vx * s) % self._side, (y0 + vy * s) % self._side)
+
+    def max_drift_mps(self):
+        return max((math.hypot(vx, vy) for _, _, vx, vy in self._vehicles), default=0.0)
+
+    def wrap_period(self, vehicle_id):
+        return (self._side, self._side)
+
+
+def test_neighbor_index_finds_a_vehicle_that_crossed_a_corner():
+    # vehicle 0 drives at the fleet's top speed, 7.07 m/s, so it can cross
+    # a seam within a refresh interval from 1.41 m away; its snapshot is 0.8 m
+    # from both seams
+    prov = TorusProvider(1000.0, [(999.2, 999.2, 5.0, 5.0), (500.0, 500.0, 0.0, 0.0)])
+    index = NeighborIndex(prov, cell_m=100.0)
+    index.candidates(Position(500.0, 500.0), 1.0, 0)  # the snapshot
+    # a full interval on, it sits at (0.2, 0.2): only its diagonal image is near
+    t = NeighborIndex.REFRESH_US
+    assert prov.position_at(0, t) == pytest.approx((0.2, 0.2))
+    assert index.candidates(Position(0.0, 0.0), 1.0, t) == [(0, False)]
+
+
+def test_a_vehicle_found_twice_keeps_the_flag_of_its_own_entry():
+    # on a 20 m road a vehicle 1 m from the seam is also imaged at 21 m,
+    # and a query reaches both; only its own entry can make it certain
+    spec = MobilitySpec(vehicle_count=1, road_length_m=20.0)
+    prov = SyntheticHighwayProvider(spec, initial=[(1.0, 0, 10.0)])
+    index = NeighborIndex(prov, cell_m=50.0)
+    assert index.candidates(Position(10.0, 0.0), 12.0, 0) == [(0, True)]
+    assert index.candidates(Position(19.0, 0.0), 3.0, 0) == [(0, False)]
+
+
+TORUS_COORD = st.one_of(st.floats(0.0, 12.0), st.floats(188.0, 200.0), st.floats(0.0, 200.0))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    # a map wider than any query, and one narrower than the index's slack
+    st.sampled_from((200.0, 8.0)),
+    st.lists(
+        st.tuples(TORUS_COORD, TORUS_COORD, st.floats(-40.0, 40.0), st.floats(-40.0, 40.0)),
+        min_size=1,
+        max_size=20,
+    ),
+    st.tuples(TORUS_COORD, TORUS_COORD),
+    st.one_of(st.floats(0.0, 16.0), st.floats(16.0, 120.0)),
+    st.integers(0, 1_000_000),
+    st.integers(-NeighborIndex.REFRESH_US, NeighborIndex.REFRESH_US),
+)
+def test_neighbor_index_misses_no_one_on_a_torus(side, vehicles, center, radius, built_at, step):
+    prov = TorusProvider(side, vehicles)
+    index = NeighborIndex(prov, cell_m=50.0)
+    index.candidates(Position(0.0, 0.0), 1.0, built_at)  # the snapshot
+    center, t = Position(*center), max(0, built_at + step)
+    got = index.candidates(center, radius, t)
+    assert brute_in_range(prov, center, radius, t) <= set(ids(got))
+    for v, certain in got:
+        assert not certain or distance(center, prov.position_at(v, t)) <= radius, v
+
+
 class CountingProvider(MobilityProvider):
     """Forwards to ``inner`` and logs the id of every ``position_at`` call."""
 
     def __init__(self, inner):
         self._inner = inner
         self.vehicle_ids = inner.vehicle_ids
-        self.wrap_period = inner.wrap_period
         self.located = []
 
     def position_at(self, vehicle_id, t_us):
         self.located.append(vehicle_id)
         return self._inner.position_at(vehicle_id, t_us)
+
+    def wrap_period(self, vehicle_id):
+        return self._inner.wrap_period(vehicle_id)
 
     def max_drift_mps(self):
         return self._inner.max_drift_mps()

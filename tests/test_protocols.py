@@ -210,7 +210,7 @@ def test_station_index_matches_the_linear_scan(scene):
     index = StationIndex(stations, coverage)
     cfg = ScenarioConfig(knobs=ProtocolKnobs(bs_coverage_m=coverage))
     provider = StaticProvider([Position(0.0, 0.0)])
-    rt = Runtime(Simulator(), cfg, cfg.mobility, provider, EMPTY_MAP, stations, "dfcv")
+    rt = Runtime(Simulator(), cfg, provider, EMPTY_MAP, stations, "dfcv")
     for p in points:
         assert index.covering(p) == covering_by_scan(stations, p, coverage)
         # the true nearest station, also when none covers the point
@@ -679,7 +679,7 @@ def test_hybrid_window_rounds_to_the_nearest_microsecond(tmp_path):
     sim = Simulator(seed=1)
     provider = build_provider(cfg.mobility, sim.rng("mobility"))
     stations = place_stations(cfg.mobility, provider, cfg.knobs)
-    rt = Runtime(sim, cfg, cfg.mobility, provider, EMPTY_MAP, stations, "hybrid_vehcloud")
+    rt = Runtime(sim, cfg, provider, EMPTY_MAP, stations, "hybrid_vehcloud")
     t = 250_000
     rt.protocol.on_inject(Message(1, 0, t, (1,)), t)
     assert rt.protocol._live[1].window_end == t + 1_001_000
@@ -698,7 +698,7 @@ def test_hybrid_broadcast_after_a_closed_window_completes():
     sim = Simulator(seed=1)
     provider = build_provider(cfg.mobility, sim.rng("mobility"))
     stations = place_stations(cfg.mobility, provider, cfg.knobs)
-    rt = Runtime(sim, cfg, cfg.mobility, provider, EMPTY_MAP, stations, "hybrid_vehcloud")
+    rt = Runtime(sim, cfg, provider, EMPTY_MAP, stations, "hybrid_vehcloud")
     rt.setup()
     sim.run(rt.end_us)
     addressed = {(m.msg_id, d) for m in rt.messages.values() for d in m.targets}
@@ -863,7 +863,7 @@ def uplink_runtime(trace_path, n, protocol, **kw):
     sim = Simulator(seed=1)
     provider = build_provider(cfg.mobility, sim.rng("mobility"))
     stations = place_stations(cfg.mobility, provider, cfg.knobs)
-    rt = Runtime(sim, cfg, cfg.mobility, provider, cfg.load_obstacles(), stations, protocol)
+    rt = Runtime(sim, cfg, provider, cfg.load_obstacles(), stations, protocol)
     rt.channel._rng = CountingRng(rt.channel._rng)
     rt.channel.loss_rng = CountingRng(rt.channel.loss_rng)
     return rt

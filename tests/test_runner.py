@@ -54,7 +54,7 @@ def test_metered_beacon_does_not_hear_its_own_frame():
     provider = StaticProvider([Position(0.0, 0.0), Position(100.0, 0.0)])
     stations = place_stations(cfg.mobility, provider, cfg.knobs)
     sim = Simulator(seed=3)
-    rt = Runtime(sim, cfg, cfg.mobility, provider, EMPTY_MAP, stations, "baseline")
+    rt = Runtime(sim, cfg, provider, EMPTY_MAP, stations, "baseline")
     rt.setup()
     assert rt.channel.frame_us == frame
     sim.run(rt.end_us)
@@ -74,7 +74,7 @@ def static_runtime(positions):
     cfg = ScenarioConfig()
     provider = StaticProvider(positions)
     stations = place_stations(cfg.mobility, provider, cfg.knobs)
-    return Runtime(Simulator(), cfg, cfg.mobility, provider, EMPTY_MAP, stations, "baseline")
+    return Runtime(Simulator(), cfg, provider, EMPTY_MAP, stations, "baseline")
 
 
 def test_neighbors_match_brute_force():
@@ -166,9 +166,9 @@ def moving_fleets(draw):
     return provider, center, times
 
 
-def seam_distance(provider, p):
-    """How far ``p`` lies from the nearest seam of a wrapping axis."""
-    wrap_x, wrap_y = provider.wrap_period
+def seam_distance(provider, v, p):
+    """How far ``p`` lies from the nearest seam of an axis ``v`` wraps on."""
+    wrap_x, wrap_y = provider.wrap_period(v)
     d = math.inf
     if wrap_x is not None:
         d = min(d, p.x, wrap_x - p.x)
@@ -189,7 +189,7 @@ def test_neighbors_match_brute_force_on_moving_fleets(fleet, radius, drawn):
     provider, center, times = fleet
     cfg = ScenarioConfig(radio=RadioParams(range_m=50.0))
     stations = place_stations(cfg.mobility, provider, cfg.knobs)
-    rt = Runtime(Simulator(), cfg, cfg.mobility, provider, EMPTY_MAP, stations, "baseline")
+    rt = Runtime(Simulator(), cfg, provider, EMPTY_MAP, stations, "baseline")
     located = []
     locate = rt.pos
 
@@ -204,8 +204,10 @@ def test_neighbors_match_brute_force_on_moving_fleets(fleet, radius, drawn):
         # the vehicle at or next to the center, as a flood's sender is
         nearest = min(provider.vehicle_ids, key=lambda v: distance(center, at[v]))
         # vehicles that may sit across a seam from their snapshot, found
-        # only from a mirror center
-        seam = {v for v in at if seam_distance(provider, at[v]) <= radius + 15.0}
+        # only through an image
+        seam = {v for v in at if seam_distance(provider, v, at[v]) <= radius + 15.0}
+        for v, certain in rt.index.candidates(center, radius, t):
+            assert not certain or distance(center, at[v]) <= radius, (t, v)
         everyone = set(provider.vehicle_ids)
         for exclude in (set(), drawn, {nearest}, seam, drawn | {nearest}, everyone):
             located.clear()
@@ -506,7 +508,7 @@ def quiet_runtime(positions, protocol, obstacles=EMPTY_MAP):
     )
     provider = StaticProvider(positions)
     stations = place_stations(cfg.mobility, provider, cfg.knobs)
-    rt = Runtime(Simulator(), cfg, cfg.mobility, provider, obstacles, stations, protocol)
+    rt = Runtime(Simulator(), cfg, provider, obstacles, stations, protocol)
     rt.setup()
     return rt
 
