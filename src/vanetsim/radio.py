@@ -5,7 +5,9 @@ A hop either delivers or fails for exactly one reason: out_of_range (the
 receiver is beyond the radio range), shadowed (the straight line between
 the two positions passes through a building), or channel_loss (a Bernoulli
 draw whose probability grows with the number of other transmissions
-audible at the receiver when the hop fires).  There is no MAC state
+audible at the receiver when the hop fires).  ``Channel.hops`` is the one
+hop evaluator: vehicle frames, metered beacons, station downlinks and
+``Channel.uplink`` all go through it.  There is no MAC state
 machine: while another transmission is audible at a vehicle sender, its
 attempt waits until the channel frees up (a bounded number of times),
 then a random backoff is added and the frame goes out.
@@ -23,7 +25,7 @@ from typing import Callable, Optional
 
 from .engine import US_PER_S, SimTime
 from .errors import ConfigError
-from .mobility import Position, distance
+from .mobility import Position
 
 OUT_OF_RANGE = "out_of_range"
 SHADOWED = "shadowed"
@@ -290,33 +292,6 @@ def channel_loss(params: RadioParams, concurrent_tx: int, rng: Random) -> bool:
     return rng.random() < q
 
 
-def evaluate_hop(
-    src: Position,
-    dst: Position,
-    reach_m: float,
-    params: RadioParams,
-    obstacles: ObstacleMap,
-    contention: Optional[Callable[[Position], int]] = None,
-    rng: Optional[Random] = None,
-) -> HopOutcome:
-    """Evaluate one directed hop.  Checks run range, sight, then channel.
-
-    ``contention(dst)`` counts the transmissions audible at the receiver.
-    It is called, and one ``channel_loss`` draw is taken from ``rng``, only
-    after range and sight pass, so the loss stream advances once per hop
-    that reaches the channel.  A hop without a contention check (scheduled
-    infrastructure downlink) draws nothing.
-    """
-    d = distance(src, dst)
-    if d > reach_m:
-        return _OUT_OF_RANGE_HOP
-    if not line_of_sight(src, dst, obstacles):
-        return _SHADOWED_HOP
-    if contention is not None and channel_loss(params, contention(dst), rng):
-        return _CHANNEL_LOSS_HOP
-    return _delivered_hop(hop_delay_us(params, d))
-
-
 class Channel:
     """Everything on air: registered transmissions and the beacon schedule.
 
@@ -458,33 +433,46 @@ class Channel:
     ) -> list[tuple[int, HopOutcome]]:
         """The hop from ``src`` to each receiver, located by ``locate(v, t)``.
 
-        ``contend`` gives each hop a contention draw at its receiver: true
-        for a vehicle's frame, false for a scheduled station downlink.
+        This is the one hop evaluator.  Checks run range, sight, then
+        channel: a receiver beyond ``reach`` is out of range, one behind a
+        building is shadowed, and only then is the channel asked.
+        ``contend`` gives each such hop one ``channel_loss`` draw from
+        ``loss_rng`` with the transmissions audible at its receiver
+        (``concurrent_near``): true for a vehicle's frame, false for a
+        scheduled station downlink, which draws nothing.  So the loss stream
+        advances once per contending hop that passes range and sight.
         ``own`` is the origin of a frame whose contention the hops do not
         count (see ``concurrent_near``).
         """
         params, obstacles, rng = self.params, self.obstacles, self.loss_rng
-        near = (lambda pos: self.concurrent_near(pos, t, own)) if contend else None
-        return [
-            (rid, evaluate_hop(src, locate(rid, t), reach, params, obstacles, near, rng))
-            for rid in receivers
-        ]
+        sx, sy = src
+        out = []
+        for rid in receivers:
+            dst = locate(rid, t)
+            d = hypot(sx - dst.x, sy - dst.y)
+            if d > reach:
+                out.append((rid, _OUT_OF_RANGE_HOP))
+            elif not line_of_sight(src, dst, obstacles):
+                out.append((rid, _SHADOWED_HOP))
+            elif contend and channel_loss(params, self.concurrent_near(dst, t, own), rng):
+                out.append((rid, _CHANNEL_LOSS_HOP))
+            else:
+                out.append((rid, _delivered_hop(hop_delay_us(params, d))))
+        return out
 
     def uplink(
         self, sender_pos: Position, entry_pos: Position, reach: float, t: SimTime, contend: bool
     ) -> HopOutcome:
         """A vehicle's hop into the infrastructure at ``entry_pos``.
 
+        The hop is evaluated by ``hops`` as one receiver at the entry point.
         ``contend`` gives the hop a contention draw at the entry point: true
         for a gateway vehicle, false for a station.  Once the entry point is
         in ``reach`` and sight the frame is on air, even if the contention
         draw then loses it: a backoff is drawn, the frame is registered from
         ``t``, and a delivered hop's delay includes the backoff.
         """
-        near = (lambda pos: self.concurrent_near(pos, t)) if contend else None
-        out = evaluate_hop(
-            sender_pos, entry_pos, reach, self.params, self.obstacles, near, self.loss_rng
-        )
+        [(_, out)] = self.hops(sender_pos, [0], lambda _v, _t: entry_pos, reach, t, contend)
         if not out.delivered and out.loss_cause != CHANNEL_LOSS:
             return out
         backoff = self.draw_backoff()

@@ -396,7 +396,7 @@ class Runtime:
         self._repeat(FOG_MAINTENANCE, t + self._maintenance_us)
         return summary
 
-    def _on_beacon(self, t: SimTime, v: int) -> str:
+    def _on_beacon(self, t: SimTime, v: int) -> Optional[str]:
         """A metered beacon: one delivery record per vehicle in range.
 
         The frame is on air through the channel's beacon schedule, like
@@ -413,7 +413,9 @@ class Runtime:
             else:
                 self.record_loss(msg, rid, out.loss_cause)
         self._repeat(BEACON_EMIT, t + self._beacon_us, v)
-        return f"v={v} msg={msg.msg_id} targets={fmt_ids(cand)}"
+        if self._logging:
+            return f"v={v} msg={msg.msg_id} targets={fmt_ids(cand)}"
+        return None
 
     def _on_sim_end(self, t: SimTime, _payload: None) -> str:
         self.protocol.on_end(t)

@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vanetsim.metrics import (
     CSV_HEADER,
@@ -120,6 +122,49 @@ def test_summarize_counts_add_up():
     assert s.mean_e2e_delay_s == pytest.approx(0.0002)
     assert s.delivery_probability + s.plr == pytest.approx(1.0, abs=1e-9)
     assert s.avg_throughput_bps == pytest.approx(2 * 256 * 8 / 10.0)
+
+
+@st.composite
+def record_lists(draw):
+    """The empty list, all lost, all delivered, or a mix."""
+    shape = draw(st.sampled_from(["empty", "lost", "delivered", "mixed"]))
+    if shape == "empty":
+        return []
+    records = []
+    for i in range(draw(st.integers(1, 60))):
+        sent = draw(st.integers(0, 10**9))
+        if shape == "delivered" or (shape == "mixed" and draw(st.booleans())):
+            records.append(ok(i, i + 1, sent, sent + draw(st.integers(0, 10**7))))
+        else:
+            cause = draw(st.sampled_from([OUT_OF_RANGE, SHADOWED, CHANNEL_LOSS]))
+            records.append(lost(i, i + 1, sent, cause))
+    return records
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    record_lists(),
+    st.floats(1e-3, 1e4, allow_nan=False),
+    st.integers(1, 4096),
+)
+def test_summarize_equals_the_metric_functions(records, window_s, msg_size_bytes):
+    s = summarize(records, "dfcv", 50, 3, window_s, msg_size_bytes)
+    delivered = sum(1 for r in records if r.delivered)
+    assert (s.n_sent, s.n_delivered, s.n_lost) == (
+        len(records), delivered, len(records) - delivered
+    )
+    # the same floats, not merely close ones
+    assert s.mean_e2e_delay_s == end_to_end_delay_s(records)
+    assert s.delivery_probability == delivery_probability(records)
+    assert s.plr == packet_loss_ratio(records)
+    assert s.avg_throughput_bps == average_throughput_bps(records, window_s, msg_size_bytes)
+
+
+@pytest.mark.parametrize("window_s", [0.0, -1.0])
+def test_summarize_rejects_a_window_that_is_not_positive(window_s):
+    for records in ([], [ok(1, 1, 0, 100), lost(1, 2, 0)]):
+        with pytest.raises(ValueError):
+            summarize(records, "dfcv", 50, 3, window_s, 256)
 
 
 def test_aggregate_mean_and_sample_std():

@@ -20,7 +20,6 @@ from vanetsim.radio import (
     ObstacleMap,
     RadioParams,
     channel_loss,
-    evaluate_hop,
     hop_delay_us,
     line_of_sight,
     tx_time_us,
@@ -127,9 +126,9 @@ def test_hop_reach_is_inclusive_at_the_boundary():
     a = Position(0.0, 0.0)
     # radio range and a station's coverage alike: the reach argument decides
     for reach, diagonal in ((300.0, Position(180.0, 240.0)), (1000.0, Position(600.0, 800.0))):
-        assert evaluate_hop(a, Position(reach, 0.0), reach, p, EMPTY_MAP).delivered
-        assert evaluate_hop(a, diagonal, reach, p, EMPTY_MAP).delivered  # 3-4-5 triangle
-        beyond = evaluate_hop(a, Position(reach + 1e-7, 0.0), reach, p, EMPTY_MAP)
+        assert one_hop(a, Position(reach, 0.0), reach, p, EMPTY_MAP).delivered
+        assert one_hop(a, diagonal, reach, p, EMPTY_MAP).delivered  # 3-4-5 triangle
+        beyond = one_hop(a, Position(reach + 1e-7, 0.0), reach, p, EMPTY_MAP)
         assert beyond.loss_cause == OUT_OF_RANGE
 
 
@@ -444,16 +443,45 @@ def test_channel_loss_monte_carlo_rate():
 
 # -- hop evaluation -------------------------------------------------------------
 
+def evaluate_hop(src, dst, reach_m, params, obstacles, contention=None, rng=None):
+    """The per-hop reference that ``Channel.hops`` is checked against.
+
+    Checks run range, sight, then channel.  ``contention(dst)`` counts the
+    transmissions audible at the receiver; it is called, and one
+    ``channel_loss`` draw is taken from ``rng``, only after range and sight
+    pass.  Without a contention check the hop draws nothing.
+    """
+    d = distance(src, dst)
+    if d > reach_m:
+        return HopOutcome(False, loss_cause=OUT_OF_RANGE)
+    if not line_of_sight(src, dst, obstacles):
+        return HopOutcome(False, loss_cause=SHADOWED)
+    if contention is not None and channel_loss(params, contention(dst), rng):
+        return HopOutcome(False, loss_cause=CHANNEL_LOSS)
+    return HopOutcome(True, delay_us=hop_delay_us(params, d))
+
+
 class Contention:
-    """A contention check that reports a fixed count and logs where it was asked."""
+    """A stand-in for ``Channel.concurrent_near`` that reports a fixed count
+    and logs where it was asked."""
 
     def __init__(self, count=0):
         self.count = count
         self.asked = []
 
-    def __call__(self, pos):
+    def __call__(self, pos, t=None, own=None):
         self.asked.append(pos)
         return self.count
+
+
+def one_hop(src, dst, reach, params, obstacles, contention=None, rng=None):
+    """The hop from ``src`` to ``dst`` through ``Channel.hops``, its
+    contention count given by ``contention``; contends only with one."""
+    ch = Channel(params, obstacles, random.Random(0), rng)
+    if contention is not None:
+        ch.concurrent_near = contention
+    [(_, out)] = ch.hops(src, [7], lambda v, t: dst, reach, 0, contend=contention is not None)
+    return out
 
 
 def test_unicast_checks_range_then_sight_then_channel():
@@ -465,16 +493,16 @@ def test_unicast_checks_range_then_sight_then_channel():
         (Position(200, 0), SHADOWED),  # in range, behind the wall
         (Position(200, 50), CHANNEL_LOSS),  # in range and in sight
     ):
-        assert evaluate_hop(src, dst, 300.0, p, m, Contention(), CountingRng()).loss_cause == cause
-    clear = evaluate_hop(src, Position(200, 5), 300.0, RadioParams(base_loss=0.0, loss_slope=0.0),
-                         EMPTY_MAP, Contention(), CountingRng())
+        assert one_hop(src, dst, 300.0, p, m, Contention(), CountingRng()).loss_cause == cause
+    clear = one_hop(src, Position(200, 5), 300.0, RadioParams(base_loss=0.0, loss_slope=0.0),
+                    EMPTY_MAP, Contention(), CountingRng())
     assert clear.delivered and clear.delay_us >= 1024
 
 
 def test_unicast_sure_loss_channel():
     p = RadioParams(base_loss=1.0)
-    out = evaluate_hop(Position(0, 0), Position(10, 0), 300.0, p, EMPTY_MAP,
-                       Contention(), random.Random(2))
+    out = one_hop(Position(0, 0), Position(10, 0), 300.0, p, EMPTY_MAP,
+                  Contention(), random.Random(2))
     assert out.loss_cause == CHANNEL_LOSS
 
 
@@ -484,7 +512,7 @@ def test_hop_draws_once_and_only_after_range_and_sight_pass():
     src = Position(0, 0)
     for dst, draws in ((Position(400, 0), 0), (Position(200, 0), 0), (Position(200, 50), 1)):
         rng, near = CountingRng(), Contention()
-        evaluate_hop(src, dst, 300.0, p, m, near, rng)
+        one_hop(src, dst, 300.0, p, m, near, rng)
         assert rng.calls == draws
         assert near.asked == [dst] * draws
 
@@ -492,8 +520,8 @@ def test_hop_draws_once_and_only_after_range_and_sight_pass():
 def test_hop_contention_count_sets_the_loss_probability():
     p = RadioParams(base_loss=0.0, loss_slope=0.01)
     src, dst = Position(0, 0), Position(10, 0)
-    quiet = evaluate_hop(src, dst, 300.0, p, EMPTY_MAP, Contention(10), CountingRng(0.5))
-    busy = evaluate_hop(src, dst, 300.0, p, EMPTY_MAP, Contention(80), CountingRng(0.5))
+    quiet = one_hop(src, dst, 300.0, p, EMPTY_MAP, Contention(10), CountingRng(0.5))
+    busy = one_hop(src, dst, 300.0, p, EMPTY_MAP, Contention(80), CountingRng(0.5))
     assert quiet.delivered  # q = 0.1
     assert busy.loss_cause == CHANNEL_LOSS  # q = 0.8
 
@@ -501,7 +529,7 @@ def test_hop_contention_count_sets_the_loss_probability():
 def test_hop_without_contention_check_never_draws():
     p = RadioParams(base_loss=1.0)
     rng = CountingRng()
-    out = evaluate_hop(Position(0, 0), Position(150, 0), 300.0, p, EMPTY_MAP, rng=rng)
+    out = one_hop(Position(0, 0), Position(150, 0), 300.0, p, EMPTY_MAP, rng=rng)
     assert out.delivered and out.delay_us == hop_delay_us(p, 150.0)
     assert rng.calls == 0
 
@@ -599,3 +627,82 @@ def test_beacons_on_air_match_brute_force(case):
         assert ch.concurrent_near(here, t) == len(want)
         assert ch.busy_until_near(here, t) == max((end for _, _, end in want), default=None)
     assert len(located) == len(set(located))  # one lookup per (vehicle, start)
+
+
+# -- hops against the per-hop reference ----------------------------------------
+
+coords = st.floats(-400.0, 400.0, allow_nan=False)
+
+
+@st.composite
+def hop_cases(draw):
+    """A channel with registered and beacon frames on air, a source and
+    receivers inside, at and beyond ``reach``, with or without buildings,
+    contending or not, and with or without an own frame left out."""
+    params = RadioParams(
+        range_m=draw(st.sampled_from([100.0, 250.0])),
+        base_loss=draw(st.sampled_from([0.0, 0.1, 0.5, 1.0])),
+        loss_slope=draw(st.sampled_from([0.0, 0.05, 0.5, 1.0])),
+    )
+    reach = draw(st.sampled_from([params.range_m, 180.0]))
+    src = Position(draw(coords), draw(coords))
+    rims = [
+        Position(src.x + reach, src.y),
+        Position(src.x, src.y - reach),
+        Position(src.x + 0.6 * reach, src.y + 0.8 * reach),
+        Position(src.x - reach - 1e-6, src.y),
+    ]
+    spots = draw(st.lists(st.one_of(st.builds(Position, coords, coords), st.sampled_from(rims)),
+                          min_size=1, max_size=10))
+    rects = []
+    for _ in range(draw(st.integers(0, 4))):
+        x0, y0 = draw(coords), draw(coords)
+        rects.append((x0, y0, x0 + draw(st.floats(5.0, 150.0)), y0 + draw(st.floats(5.0, 150.0))))
+    t = draw(st.integers(0, 6_000))
+    frames = [
+        (start, start + draw(st.integers(1, 3_000)), Position(draw(coords), draw(coords)))
+        for start in draw(st.lists(st.integers(0, 6_000), max_size=6))
+    ]
+    period = draw(st.integers(500, 3_000))
+    beaconers = draw(st.lists(st.builds(Position, coords, coords), max_size=8))
+    phases = [draw(st.integers(0, period - 1)) for _ in beaconers]
+    own = draw(st.sampled_from([None, src]))
+    if own is not None:
+        frames.append((t, t + 1_024, own))  # the own frame is on air at t
+    return dict(
+        params=params, obstacles=ObstacleMap(rects), reach=reach, src=src, spots=spots,
+        receivers=draw(st.permutations(range(len(spots)))), t=t, frames=frames,
+        beacons=(sorted((p, v) for v, p in enumerate(phases)), period, beaconers),
+        contend=draw(st.booleans()), own=own, seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+def channel_for(case):
+    ch = Channel(case["params"], case["obstacles"], random.Random(0), random.Random(case["seed"]))
+    for start, end, pos in case["frames"]:
+        ch.register(start, end, pos)
+    schedule, period, beaconers = case["beacons"]
+    ch.set_beacons(schedule, period, lambda v, start: beaconers[v])
+    return ch
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(hop_cases())
+def test_hops_equal_the_per_hop_reference(case):
+    src, spots, t, own, reach = case["src"], case["spots"], case["t"], case["own"], case["reach"]
+
+    def locate(v, at):
+        assert at == t
+        return spots[v]
+
+    ch = channel_for(case)
+    got = ch.hops(src, case["receivers"], locate, reach, t, case["contend"], own)
+    ref = channel_for(case)
+    near = (lambda pos: ref.concurrent_near(pos, t, own)) if case["contend"] else None
+    want = [
+        (rid, evaluate_hop(src, spots[rid], reach, case["params"], case["obstacles"], near,
+                           ref.loss_rng))
+        for rid in case["receivers"]
+    ]
+    assert got == want
+    assert ch.loss_rng.getstate() == ref.loss_rng.getstate()

@@ -553,7 +553,7 @@ def test_sim_end_is_the_last_event(protocol):
     assert res.stats.queued == 0
 
 
-def obstacle_grid_cfg():
+def obstacle_grid_cfg(metered=False):
     # the 5x5 grid with one building per block, where hybrid_vehcloud's
     # gateway and uplink notes fire
     buildings = tuple(
@@ -566,20 +566,29 @@ def obstacle_grid_cfg():
                               speed_range_mph=(15.0, 35.0), gateway_fraction=0.25),
         radio=RadioParams(loss_slope=0.02),
         workload=WorkloadSpec(rate_per_s=4.0),
-        knobs=ProtocolKnobs(ttl_hops=3, k_max_gateways=16),
+        knobs=ProtocolKnobs(ttl_hops=3, k_max_gateways=16, include_beacons_in_metrics=metered),
         obstacle_rects=buildings,
         sim_duration_s=1.5,
     )
 
 
-@pytest.mark.parametrize("protocol", ["baseline", "hybrid_vehcloud", "dfcv"])
-def test_unlogged_run_matches_logged_run(protocol):
-    cfg = obstacle_grid_cfg()
+@pytest.mark.parametrize(
+    "protocol, metered",
+    [
+        pytest.param(protocol, metered, id=protocol + ("-metered" if metered else ""))
+        for metered in (False, True)
+        for protocol in ("baseline", "hybrid_vehcloud", "dfcv")
+    ],
+)
+def test_unlogged_run_matches_logged_run(protocol, metered):
+    cfg = obstacle_grid_cfg(metered)
     logged = run_single(cfg, protocol, 60, 7, capture_log=True)
     plain = run_single(cfg, protocol, 60, 7, capture_log=False)
     assert plain.log is None and logged.log
     if protocol == "hybrid_vehcloud":
         assert any("uplink=" in line for line in logged.log)
+    if metered:
+        assert any(" targets=" in line for line in logged.log)
     assert csv_text([plain.summary]) == csv_text([logged.summary])
     assert plain.records == logged.records
     assert plain.stats == logged.stats
