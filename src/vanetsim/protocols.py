@@ -18,7 +18,7 @@ import heapq
 import itertools
 from bisect import insort
 from dataclasses import dataclass, field
-from math import floor
+from math import floor, hypot
 from typing import Optional, Sequence
 
 from .engine import SimTime, to_us
@@ -150,14 +150,20 @@ def select_gateways(
     covers: dict[int, list[int]] = {}
     for g in sorted(gateway_ids):
         gpos = positions[g]
-        # cell, not reach: the margin also covers rounding in distance()
-        near = obstacles.near(gpos.x, gpos.y, cell)
-        cx, cy = floor(gpos.x / cell), floor(gpos.y / cell)
+        gx, gy = gpos
+        # cell, not reach: the margin also covers rounding in the distance
+        near = obstacles.near(gx, gy, cell)
+        cx, cy = floor(gx / cell), floor(gy / cell)
         cover = []
         for i in (cx - 1, cx, cx + 1):
             for j in (cy - 1, cy, cy + 1):
                 for v, p in cells.get((i, j), ()):
-                    if v != g and distance(gpos, p) <= reach and line_of_sight(gpos, p, near):
+                    # hypot: the float distance() gives, without its call
+                    if (
+                        v != g
+                        and hypot(gx - p[0], gy - p[1]) <= reach
+                        and line_of_sight(gpos, p, near)
+                    ):
                         cover.append(v)
         cover.sort()
         covers[g] = cover

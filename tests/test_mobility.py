@@ -840,10 +840,11 @@ class TorusProvider(MobilityProvider):
 
 
 def test_neighbor_index_finds_a_vehicle_that_crossed_a_corner():
-    # vehicle 0 drives at the fleet's top speed, 7.07 m/s, so it can cross
-    # a seam within a refresh interval from 1.41 m away; its snapshot is 0.8 m
-    # from both seams
-    prov = TorusProvider(1000.0, [(999.2, 999.2, 5.0, 5.0), (500.0, 500.0, 0.0, 0.0)])
+    # vehicle 0 drives 1 m along each axis per refresh interval, the fleet's
+    # top speed, so it can cross a seam within an interval from 1.41 m away;
+    # its snapshot is 0.8 m from both seams
+    v = 1.0 / (NeighborIndex.REFRESH_US / US_PER_S)
+    prov = TorusProvider(1000.0, [(999.2, 999.2, v, v), (500.0, 500.0, 0.0, 0.0)])
     index = NeighborIndex(prov, cell_m=100.0)
     index.candidates(Position(500.0, 500.0), 1.0, 0)  # the snapshot
     # a full interval on, it sits at (0.2, 0.2): only its diagonal image is near
@@ -907,6 +908,25 @@ class CountingProvider(MobilityProvider):
 
     def max_drift_mps(self):
         return self._inner.max_drift_mps()
+
+
+@pytest.mark.parametrize("side", (1, -1), ids=("after", "before"))
+def test_neighbor_index_rebuilds_only_beyond_one_interval(side):
+    spec = MobilitySpec(vehicle_count=20, road_length_m=2_000.0)
+    prov = CountingProvider(SyntheticHighwayProvider(spec, rng=random.Random(5)))
+    index = NeighborIndex(prov, cell_m=300.0)
+    built_at = 5 * NeighborIndex.REFRESH_US
+    index.candidates(Position(0.0, 0.0), 300.0, built_at)  # the snapshot
+    prov.located.clear()
+    # exactly one interval away: the snapshot still answers
+    t = built_at + side * NeighborIndex.REFRESH_US
+    index.candidates(Position(1_000.0, 0.0), 300.0, t)
+    assert prov.located == []
+    # 1 us further: the whole fleet is located again
+    t += side
+    got = index.candidates(Position(1_000.0, 0.0), 300.0, t)
+    assert sorted(prov.located) == prov.vehicle_ids
+    assert brute_in_range(prov, Position(1_000.0, 0.0), 300.0, t) <= set(ids(got))
 
 
 EXCLUDE_GRID = MobilitySpec(mode="synthetic_grid", grid_blocks=2, grid_spacing_m=100.0)

@@ -143,7 +143,11 @@ def station_scenes(draw):
         spec = MobilitySpec(
             mode="synthetic_grid",
             grid_blocks=draw(st.integers(1, 8)),
-            grid_spacing_m=draw(st.sampled_from((spacing / 2, spacing / 3)) | st.floats(1.0, 2.0 * spacing)),
+            # at least 1 m, unless twice the spacing is less
+            grid_spacing_m=draw(
+                st.sampled_from((spacing / 2, spacing / 3))
+                | st.floats(min(1.0, 2.0 * spacing), 2.0 * spacing)
+            ),
         )
         stations = place_stations(spec, None, knobs)
     else:
