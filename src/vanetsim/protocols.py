@@ -5,11 +5,11 @@ Each protocol is driven by a Runtime (see runner.py) that owns the event
 loop, the channel, positions and the delivery records.  Protocols receive
 injected messages, decide who transmits what and when, and are called back
 with per-receiver radio outcomes after every transmission fires.  They
-report those outcomes to the Runtime, which writes a record only for an
-addressed (message, recipient) pair that has none yet, and whose accounting
-sweep at the end of the run closes every pair nothing reached.  All
-iteration is over sorted ids so a given seed always produces the same event
-sequence.
+hand those outcomes to ``Runtime.settle``, saying only whether a miss is
+final; the Runtime writes a record only for an addressed (message,
+recipient) pair that has none yet, and its accounting sweep at the end of
+the run closes every pair nothing reached.  All iteration is over sorted
+ids so a given seed always produces the same event sequence.
 """
 
 from __future__ import annotations
@@ -258,9 +258,9 @@ def fmt_ids(ids) -> str:
 class BaselineFlood(Protocol):
     """Multi-hop flood: every first-time recipient rebroadcasts once.
 
-    A target missed by one relay may still be reached by another, so a
-    miss is only noted with the Runtime; the accounting sweep at the end
-    of the run records the worst cause noted for a target nothing reached.
+    A target missed by one relay may still be reached by another, so no
+    miss is final; the accounting sweep at the end of the run records the
+    worst cause noted for a target nothing reached.
     """
 
     name = "baseline"
@@ -284,22 +284,15 @@ class BaselineFlood(Protocol):
     def after_tx(self, job: TxJob, t: SimTime, results) -> str:
         rt = self.rt
         msg = job.msg
-        mid = msg.msg_id
-        seen = self._seen[mid]
-        relays = 0
-        delivered = 0
-        for rid, out in results:
-            if out.delivered:
-                recv = t + out.delay_us
-                seen.add(rid)
-                delivered += 1
-                rt.record_delivery(msg, rid, recv, job.hop)
-                if job.hop < msg.ttl_hops:
-                    rt.schedule_tx(TxJob(msg, rid, hop=job.hop + 1, purpose="flood"), recv)
-                    relays += 1
-            else:
-                rt.note_loss(msg, rid, out.loss_cause)
-        return f"tx msg={mid} from={job.sender} hop={job.hop} ok={delivered} relay={relays}"
+        reached = rt.settle(msg, results, t, job.hop, final=False)
+        self._seen[msg.msg_id].update(rid for rid, _ in reached)
+        relays = reached if job.hop < msg.ttl_hops else []
+        for rid, recv_us in relays:
+            rt.schedule_tx(TxJob(msg, rid, hop=job.hop + 1, purpose="flood"), recv_us)
+        return (
+            f"tx msg={msg.msg_id} from={job.sender} hop={job.hop} "
+            f"ok={len(reached)} relay={len(relays)}"
+        )
 
 
 @dataclass
@@ -321,14 +314,19 @@ class HybridVehcloud(Protocol):
     A miss is recorded at once when nothing else can reach the target: the
     direct broadcast is a line-of-sight target's one shot, and a shadowed
     target is lost when the uplink fails or no chosen gateway covers it.
-    A gateway miss is only noted, since another gateway may still reach the
-    target; the Runtime's accounting sweep closes what none reached.
+    A gateway miss and a late joiner's re-delivery miss are only noted,
+    since another transmission of the message may still reach the target;
+    the Runtime's accounting sweep closes what none reached, with the worst
+    noted cause.
 
     Late joiners entering the sender's region during the dissemination
     window get a one-shot re-delivery down whichever branch applies.  The
     window bounds only those late attempts: a message's record lives until
     the run ends, so a broadcast or gateway drop already scheduled still
-    runs when the window has closed.
+    runs when the window has closed.  Under the default ``bs_region``
+    target rule the region is addressed at inject time, so no late joiner
+    is a target: the window then affects delivery metrics only through the
+    channel load of its sends.
     """
 
     name = "hybrid_vehcloud"
@@ -460,21 +458,11 @@ class HybridVehcloud(Protocol):
 
     def after_tx(self, job: TxJob, t: SimTime, results) -> str:
         msg = job.msg
-        mid = msg.msg_id
-        rt = self.rt
-        st = self._live[mid]
-        delivered = 0
-        for rid, out in results:
-            if out.delivered:
-                st.seen.add(rid)
-                delivered += 1
-                rt.record_delivery(msg, rid, t + out.delay_us, job.hop)
-            elif job.purpose == "direct":
-                # One shot for line-of-sight vehicles: the miss is final.
-                rt.record_loss(msg, rid, out.loss_cause)
-            elif job.purpose == "gateway":
-                rt.note_loss(msg, rid, out.loss_cause)
-        return f"tx msg={mid} from={job.sender} purpose={job.purpose} ok={delivered}"
+        # One shot for line-of-sight vehicles: a direct miss is final.
+        final = job.purpose == "direct"
+        reached = self.rt.settle(msg, results, t, job.hop, final=final)
+        self._live[msg.msg_id].seen.update(rid for rid, _ in reached)
+        return f"tx msg={msg.msg_id} from={job.sender} purpose={job.purpose} ok={len(reached)}"
 
     # -- late joiners ------------------------------------------------------
 
@@ -667,18 +655,10 @@ class Dfcv(Protocol):
         return f"bs={src_bs_id} ready={fog_ready} drops={hops}"
 
     def after_infra(self, job: InfraTx, t: SimTime, results) -> str:
-        rt = self.rt
-        msg = job.msg
-        delivered = 0
-        for rid, out in results:
-            # the Runtime records only targets, and the targets among these
-            # receivers (this station's cells) are the ones this drop is for
-            if out.delivered:
-                rt.record_delivery(msg, rid, t + out.delay_us, 2)
-                delivered += 1
-            else:
-                rt.record_loss(msg, rid, out.loss_cause)
-        return f"i2v msg={msg.msg_id} bs={job.bs_id} ok={delivered}"
+        # the Runtime records only targets, and the targets among these
+        # receivers (this station's cells) are the ones this drop is for
+        reached = self.rt.settle(job.msg, results, t, 2)
+        return f"i2v msg={job.msg.msg_id} bs={job.bs_id} ok={len(reached)}"
 
 
 PROTOCOLS = {

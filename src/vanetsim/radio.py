@@ -123,9 +123,6 @@ class ObstacleMap:
             cleaned.append((x0, y0, x1, y1))
         self.rects = cleaned
 
-    def __len__(self) -> int:
-        return len(self.rects)
-
     def near(self, x: float, y: float, reach: float) -> "ObstacleMap":
         """The rectangles whose boxes meet the square of half-side ``reach``
         around ``(x, y)``, as a map; they are not checked again.

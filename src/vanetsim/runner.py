@@ -231,12 +231,6 @@ class Runtime:
         self.opened += len(msg.targets)
         self._open.update(dict.fromkeys((msg.msg_id, dst) for dst in msg.targets))
 
-    def note_loss(self, msg: Message, dst: int, cause: str) -> None:
-        """Note a provisional loss of an open pair; the worst cause is kept."""
-        key = (msg.msg_id, dst)
-        if key in self._open:
-            note_cause(self._open, key, cause)
-
     def record_delivery(self, msg: Message, dst: int, recv_us: SimTime, hops: int) -> bool:
         """Close an open pair as delivered; False, writing nothing, for any other."""
         key = (msg.msg_id, dst)
@@ -267,6 +261,29 @@ class Runtime:
         if self._logging:
             self.note(f"rec={msg.msg_id}:{dst}:{cause}")
         return True
+
+    def settle(
+        self, msg: Message, results, t: SimTime, hops: int, final: bool = True
+    ) -> list[tuple[int, SimTime]]:
+        """Apply one transmission's hop outcomes, sent at ``t``, to ``msg``'s
+        open pairs, and return ``(rid, recv_us)`` for every delivered hop in
+        results order, open pair or not.
+
+        A delivered hop closes its pair as delivered.  A miss closes it as
+        lost when ``final``; otherwise the miss is only noted on the open
+        pair, which keeps the worst cause noted for the accounting sweep.
+        """
+        reached = []
+        for rid, out in results:
+            if out.delivered:
+                recv_us = t + out.delay_us
+                self.record_delivery(msg, rid, recv_us, hops)
+                reached.append((rid, recv_us))
+            elif final:
+                self.record_loss(msg, rid, out.loss_cause)
+            elif (msg.msg_id, rid) in self._open:
+                note_cause(self._open, (msg.msg_id, rid), out.loss_cause)
+        return reached
 
     # -- setup ------------------------------------------------------------------
 
@@ -407,11 +424,8 @@ class Runtime:
         self._msg_seq += 1
         msg = Message(self._msg_seq, v, t, tuple(cand), ttl_hops=1, kind=KIND_BEACON)
         self.address(msg)
-        for rid, out in self.channel.hops(pos, cand, self.pos, self.params.range_m, t, own=pos):
-            if out.delivered:
-                self.record_delivery(msg, rid, t + out.delay_us, 1)
-            else:
-                self.record_loss(msg, rid, out.loss_cause)
+        results = self.channel.hops(pos, cand, self.pos, self.params.range_m, t, own=pos)
+        self.settle(msg, results, t, 1)
         self._repeat(BEACON_EMIT, t + self._beacon_us, v)
         if self._logging:
             return f"v={v} msg={msg.msg_id} targets={fmt_ids(cand)}"

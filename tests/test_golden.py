@@ -1,8 +1,10 @@
 """Golden digests: the metrics CSV and the event log of a small fixed matrix.
 
 Every scenario runs all three protocols, with beacons unmetered and
-metered; the 1 ms tick variant of the highway, which exists to pin when
-hybrid's late-joiner attempts are scheduled, runs unmetered only.  A
+metered; two highway variants run unmetered only: 1 ms ticks, which pin
+when hybrid's late-joiner attempts are scheduled, and explicit targets
+with 10 ms ticks, which pin the cause recorded for an addressed late
+joiner whose re-delivery is lost.  A
 refactor that claims to keep behaviour must leave every digest here
 unchanged; a change that moves one must say which bytes moved and why.
 Run this file directly, with or without pytest installed, to print the
@@ -55,6 +57,23 @@ def scenario(name: str, metered: bool, directory) -> ScenarioConfig:
     if name == "highway_1ms_ticks":
         # hybrid looks for late joiners every millisecond, so some get a late attempt
         knobs.update(mobility_tick_s=0.001)
+    if name == "highway_explicit_10ms_ticks":
+        # addressed late joiners: the rec= tokens of the SimEnd line pin the
+        # cause recorded when a late joiner's re-delivery is lost
+        return ScenarioConfig(
+            mobility=MobilitySpec(road_length_m=2_000.0),
+            workload=WorkloadSpec(
+                rate_per_s=2.0,
+                target_rule="explicit",
+                explicit_targets=(0, 1, 4, 5, 7, 8, 9, 10, 14, 16, 17, 19),
+            ),
+            knobs=ProtocolKnobs(
+                mobility_tick_s=0.01, bs_coverage_m=300.0, bs_spacing_m=600.0, **knobs
+            ),
+            densities=(20,),
+            seeds=(9,),
+            sim_duration_s=2.0,
+        )
     common = dict(seeds=(7,), sim_duration_s=1.5)
     if name.startswith("highway"):
         return ScenarioConfig(
@@ -120,6 +139,10 @@ GOLDEN = {
     ("highway_1ms_ticks", False): (
         "f6bd08add6f751ecf09217960bf348d9d0a3e4d7562fe985242f499593437989",
         "f1329de5b8244555dd9070de50cbc76b650e6a6d2da43cf450e8c2d37e410b95",
+    ),
+    ("highway_explicit_10ms_ticks", False): (
+        "9da08d9780fde32bebc5bb2bba127d4d9c8687e571ad4991917b930b8094601c",
+        "9505f663c89a0dd996552752382b15713789f891ece21ed8dfa9953eb0d9e9fa",
     ),
     ("grid", False): (
         "c3a61aad5fbb6d31663a3e58053e10d95bb50d12db296c893ad13920f6fae1e5",

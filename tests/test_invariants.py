@@ -3,8 +3,9 @@
 Every run, whatever its street or trace fleet, obstacles, frame length,
 beacon period, metering, hybrid window, gateway budget, hop limit, target
 rule, cloud and fog latencies and fog cell bounds, must finish with closed
-accounting (one record per addressed pair), causal delays, delivery + loss
-== 1, and the same CSV bytes on a rerun, with or without an event log, and
+accounting (one record per addressed pair), no pair a hop lost to the
+channel recorded out of range, causal delays, delivery + loss == 1, and
+the same CSV bytes on a rerun, with or without an event log, and
 in a serial or a parallel sweep.
 """
 
@@ -28,7 +29,7 @@ from vanetsim.config import (
 from vanetsim.metrics import csv_text
 from vanetsim.mobility import MobilitySpec
 from vanetsim.protocols import CloudModel
-from vanetsim.radio import RadioParams, tx_time_us
+from vanetsim.radio import CHANNEL_LOSS, OUT_OF_RANGE, RadioParams, tx_time_us
 
 FRAME_S = tx_time_us(RadioParams()) / 1e6
 # beacons off, and periods below, equal to and above the default frame time
@@ -161,17 +162,28 @@ def small_runs(draw):
 def test_every_small_config_keeps_the_run_invariants(case):
     cfg, protocol, vehicles, seed = case
     runtimes = []
+    channel_lost = set()  # open pairs a hop lost to the channel
 
     class Recording(runner.Runtime):
         def setup(self):
             runtimes.append(self)
             super().setup()
 
+        def settle(self, msg, results, t, hops, final=True):
+            channel_lost.update(
+                (msg.msg_id, rid)
+                for rid, out in results
+                if out.loss_cause == CHANNEL_LOSS and (msg.msg_id, rid) in self._open
+            )
+            return super().settle(msg, results, t, hops, final)
+
     with mock.patch.object(runner, "Runtime", Recording):
         first = runner.run_single(cfg, protocol, vehicles, seed)
     (rt,) = runtimes
     addressed = {(m.msg_id, d) for m in rt.messages.values() for d in m.targets}
     assert set(rt.records) == addressed and rt.opened == len(addressed)
+    # a miss is final or noted, so no pair a hop lost to the channel is swept out of range
+    assert not [key for key in channel_lost if rt.records[key].loss_cause == OUT_OF_RANGE]
     for r in first.records:
         assert r.recv_us is None or r.recv_us >= r.sent_us
     s = first.summary

@@ -733,6 +733,32 @@ def test_hybrid_gateway_miss_after_the_window_keeps_its_noted_cause(tmp_path):
     assert kind == "SimEnd" and summary.endswith("rec=1:2:channel_loss")
 
 
+def test_hybrid_late_joiner_lost_to_the_channel_keeps_its_cause():
+    # Vehicle 10 is addressed but out of message 3's region at inject, so it
+    # is a late joiner.  Its first re-delivery reaches another late joiner;
+    # the one sent to it at 3,771,494 us is lost to the channel.  The miss is
+    # noted, so the accounting sweep records channel_loss, not out_of_range.
+    cfg = ScenarioConfig(
+        mobility=MobilitySpec(road_length_m=2_000.0, vehicle_count=20),
+        workload=WorkloadSpec(
+            rate_per_s=2.0,
+            target_rule="explicit",
+            explicit_targets=(0, 1, 4, 5, 7, 8, 9, 10, 14, 16, 17, 19),
+        ),
+        knobs=ProtocolKnobs(mobility_tick_s=0.01, bs_coverage_m=300.0, bs_spacing_m=600.0),
+        sim_duration_s=2.0,
+    )
+    res = run_single(cfg, "hybrid_vehcloud", 20, seed=9, capture_log=True)
+    r, = [r for r in res.records if (r.msg_id, r.dst) == (3, 10)]
+    assert r.loss_cause == CHANNEL_LOSS
+    assert any(
+        l.startswith("3771494\t") and "tx msg=3 from=2 purpose=newcomer ok=0" in l
+        for l in res.log
+    )
+    line, = [l for l in res.log if "rec=3:10:" in l]
+    assert line.split("\t")[2] == "SimEnd" and " rec=3:10:channel_loss" in line
+
+
 # -- dfcv ---------------------------------------------------------------------
 
 def test_dfcv_same_station_latency_sum(tmp_path):

@@ -141,8 +141,8 @@ def test_obstacle_map_rejects_degenerate_rects():
         ObstacleMap([(0, 0, 5, 5), (3, 8, 2, 9)])
     with pytest.raises(ConfigError, match="4 numbers"):
         ObstacleMap([(1, 2, 3)])
-    assert len(ObstacleMap([(0, 0, 5, 5)])) == 1
-    assert len(EMPTY_MAP) == 0
+    assert len(ObstacleMap([(0, 0, 5, 5)]).rects) == 1
+    assert len(EMPTY_MAP.rects) == 0
 
 
 def test_obstacle_map_load_parses_comments_and_blanks(tmp_path):

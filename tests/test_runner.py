@@ -32,6 +32,7 @@ from vanetsim.radio import (
     EMPTY_MAP,
     OUT_OF_RANGE,
     SHADOWED,
+    HopOutcome,
     ObstacleMap,
     RadioParams,
 )
@@ -509,21 +510,28 @@ def test_log_tokens_reconcile_with_records():
     assert n == len(res.records)
 
 
+def missed(*pairs):
+    """Lost hop outcomes, one per (receiver, cause), as a transmission gives them."""
+    return [(rid, HopOutcome(False, loss_cause=cause)) for rid, cause in pairs]
+
+
 def test_runtime_records_only_open_pairs_with_the_worst_noted_cause():
     rt = static_runtime([Position(0, 0), Position(100, 0), Position(200, 0), Position(300, 0)])
     stray = Message(2, 0, 0, (1,))  # never addressed
     assert not rt.record_delivery(stray, 1, 10, 1)
     assert not rt.record_loss(stray, 1, CHANNEL_LOSS)
-    rt.note_loss(stray, 1, SHADOWED)
+    assert rt.settle(stray, missed((1, SHADOWED)), 0, 1, final=False) == []
     assert rt.records == {} and (2, 1) not in rt._open
 
     msg = Message(1, 0, 0, (1, 2, 3))
     rt.address(msg)
     assert (1, 1) in rt._open and (1, 0) not in rt._open
     assert not rt.record_delivery(msg, 0, 10, 1)  # the sender is no target
-    for cause in (SHADOWED, CHANNEL_LOSS, OUT_OF_RANGE):
-        rt.note_loss(msg, 1, cause)
-    rt.note_loss(msg, 2, SHADOWED)
+    # a delivered hop is reached whether or not its pair is open
+    assert rt.settle(msg, [(0, HopOutcome(True, delay_us=5))], 10, 1) == [(0, 15)]
+    misses = missed((1, SHADOWED), (1, CHANNEL_LOSS), (1, OUT_OF_RANGE), (2, SHADOWED))
+    assert rt.settle(msg, misses, 0, 1, final=False) == []
+    assert rt.records == {}
     assert all(rt.record_loss(msg, dst) for dst in (1, 2, 3))
     causes = [rt.records[(1, dst)].loss_cause for dst in (1, 2, 3)]
     assert causes == [CHANNEL_LOSS, SHADOWED, OUT_OF_RANGE]
@@ -555,8 +563,7 @@ def test_horizon_sweep_records_the_worst_noted_cause(protocol):
     rt = quiet_runtime([Position(0, 0), Position(100, 0), Position(200, 0)], protocol)
     msg = Message(1, 0, 0, (1, 2))
     rt.address(msg)
-    rt.note_loss(msg, 1, SHADOWED)
-    rt.note_loss(msg, 1, CHANNEL_LOSS)
+    rt.settle(msg, missed((1, SHADOWED), (1, CHANNEL_LOSS)), 0, 2, final=False)
     rt.sim.run(until=rt.end_us)
     assert not rt._open
     assert rt.records[(1, 1)].loss_cause == CHANNEL_LOSS  # noted, then left open
