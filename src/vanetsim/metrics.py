@@ -1,10 +1,11 @@
 """Delivery records and the four summary metrics, plus CSV emission.
 
-A DeliveryRecord is written once per (message, intended recipient) pair:
+A DeliveryRecord stands for one (message, intended recipient) pair:
 either the recipient got the message (recv_us set) or it did not
-(loss_cause set), never both.  All metrics are plain functions over a
-record list, so they can be recomputed independently from an event log
-and compared.
+(loss_cause set), never both.  A run keeps its pairs as flat rows and
+counts as they close (see ``runner.Runtime``); ``summary_from_counts``
+turns those counts into a summary, and ``summarize`` recounts them from
+a record list, so the two agree to the bit.
 """
 
 from __future__ import annotations
@@ -57,36 +58,6 @@ class DeliveryRecord:
         return self.recv_us is not None
 
 
-def end_to_end_delay_s(records: Sequence[DeliveryRecord]) -> Optional[float]:
-    """Mean (recv - sent) in seconds over delivered records; None if none."""
-    delays = [r.recv_us - r.sent_us for r in records if r.delivered]
-    if not delays:
-        return None
-    return (sum(delays) / len(delays)) / US_PER_S
-
-
-def delivery_probability(records: Sequence[DeliveryRecord]) -> Optional[float]:
-    if not records:
-        return None
-    return sum(1 for r in records if r.delivered) / len(records)
-
-
-def packet_loss_ratio(records: Sequence[DeliveryRecord]) -> Optional[float]:
-    if not records:
-        return None
-    return sum(1 for r in records if not r.delivered) / len(records)
-
-
-def average_throughput_bps(
-    records: Sequence[DeliveryRecord], window_s: float, msg_size_bytes: int
-) -> float:
-    """Delivered payload bits per second of observation window."""
-    if window_s <= 0:
-        raise ValueError("window_s must be positive")
-    delivered = sum(1 for r in records if r.delivered)
-    return delivered * msg_size_bytes * 8 / window_s
-
-
 @dataclass
 class MetricsSummary:
     protocol: str
@@ -101,6 +72,34 @@ class MetricsSummary:
     avg_throughput_bps: float
 
 
+def summary_from_counts(
+    protocol: str,
+    vehicle_count: int,
+    seed: int,
+    n_sent: int,
+    delivered: int,
+    delay_sum_us: SimTime,
+    window_s: float,
+    msg_size_bytes: int,
+) -> MetricsSummary:
+    """The summary of ``n_sent`` pairs, ``delivered`` of them with delays
+    summing to ``delay_sum_us``; the one place its floats are computed."""
+    if window_s <= 0:
+        raise ValueError("window_s must be positive")
+    return MetricsSummary(
+        protocol=protocol,
+        vehicle_count=vehicle_count,
+        seed=seed,
+        n_sent=n_sent,
+        n_delivered=delivered,
+        n_lost=n_sent - delivered,
+        mean_e2e_delay_s=(delay_sum_us / delivered) / US_PER_S if delivered else None,
+        delivery_probability=delivered / n_sent if n_sent else None,
+        plr=(n_sent - delivered) / n_sent if n_sent else None,
+        avg_throughput_bps=delivered * msg_size_bytes * 8 / window_s,
+    )
+
+
 def summarize(
     records: Sequence[DeliveryRecord],
     protocol: str,
@@ -109,31 +108,14 @@ def summarize(
     window_s: float,
     msg_size_bytes: int,
 ) -> MetricsSummary:
-    """One pass over ``records``; the floats equal those of the four metric
-    functions, which recompute each metric independently.
-
-    The delays are summed as they are read, with no list of them: that list
-    raised the peak RSS of a metered-beacon sweep by about 0.4 MiB.
-    """
-    if window_s <= 0:
-        raise ValueError("window_s must be positive")
-    n_sent = len(records)
+    """The summary of ``records``, counted in one pass."""
     delivered = delay_sum = 0
     for r in records:
         if r.recv_us is not None:
             delivered += 1
             delay_sum += r.recv_us - r.sent_us
-    return MetricsSummary(
-        protocol=protocol,
-        vehicle_count=vehicle_count,
-        seed=seed,
-        n_sent=n_sent,
-        n_delivered=delivered,
-        n_lost=n_sent - delivered,
-        mean_e2e_delay_s=(delay_sum / delivered) / US_PER_S if delivered else None,
-        delivery_probability=delivered / n_sent if n_sent else None,
-        plr=(n_sent - delivered) / n_sent if n_sent else None,
-        avg_throughput_bps=delivered * msg_size_bytes * 8 / window_s,
+    return summary_from_counts(
+        protocol, vehicle_count, seed, len(records), delivered, delay_sum, window_s, msg_size_bytes
     )
 
 

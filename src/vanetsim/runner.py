@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from functools import cached_property
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Collection, Mapping, Optional
@@ -29,7 +30,7 @@ from .engine import (
     to_us,
 )
 from .errors import ConfigError, SimulationError, VanetSimError
-from .metrics import DeliveryRecord, MetricsSummary, summarize
+from .metrics import DeliveryRecord, MetricsSummary, summary_from_counts
 from .mobility import (
     MODE_GRID,
     MODE_HIGHWAY,
@@ -52,7 +53,7 @@ from .protocols import (
     fmt_ids,
     nearest_station,
 )
-from .radio import OUT_OF_RANGE, Channel, note_cause
+from .radio import LOSS_CAUSES, OUT_OF_RANGE, Channel, note_cause
 
 
 def _snap_to_grid(v: float, spacing: float, extent: float) -> float:
@@ -103,8 +104,14 @@ def place_stations(spec: MobilitySpec, provider, knobs) -> list[BaseStation]:
     return stations
 
 
+# One closed (message, target) pair: (msg_id, src, dst, sent_us, recv_us,
+# loss_cause, hop_count), the fields of a DeliveryRecord in order.  Exactly
+# one of recv_us and loss_cause is None; a loss has hop_count 0.
+Row = tuple[int, int, int, SimTime, Optional[SimTime], Optional[str], int]
+
+
 class Runtime:
-    """Owns one run: positions, channel, records, and the protocol."""
+    """Owns one run: positions, channel, delivery ledger, and the protocol."""
 
     def __init__(
         self,
@@ -129,11 +136,16 @@ class Runtime:
         backoff_rng, loss_rng = sim.rng("radio-backoff"), sim.rng("radio-loss")
         self.channel = Channel(cfg.radio, obstacles, backoff_rng, loss_rng)
         self.gateway_ids = [v.vehicle_id for v in provider.fleet_at(0) if v.is_gateway]
-        self.records: dict[tuple[int, int], DeliveryRecord] = {}
+        # the ledger: one row per closed (message, target) pair, in close order
+        self.rows: list[Row] = []
+        self.delivered = 0
+        self.delay_sum_us: SimTime = 0  # over the delivered rows
         self.opened = 0  # (message, target) pairs addressed so far
-        # addressed pairs with no record yet, each with the worst loss cause
-        # noted for it so far (None until one is)
-        self._open: dict[tuple[int, int], Optional[str]] = {}
+        # the open pairs, addressed with no row yet: by message id, each
+        # target with the worst loss cause noted for it so far (None until
+        # one is); a message leaves with its last open pair
+        self._open: dict[int, dict[int, Optional[str]]] = {}
+        # the messages with an open pair, which the accounting sweep closes
         self.messages: dict[int, Message] = {}
         self._msg_seq = 0
         self._notes: list[str] = []
@@ -226,22 +238,37 @@ class Runtime:
             self._notes.append(text)
 
     def address(self, msg: Message) -> None:
-        """Store ``msg`` and open a (message, target) pair per target."""
-        self.messages[msg.msg_id] = msg
+        """Open a (message, target) pair per target, and keep ``msg`` while
+        any of them is open."""
         self.opened += len(msg.targets)
-        self._open.update(dict.fromkeys((msg.msg_id, dst) for dst in msg.targets))
+        if msg.targets:
+            self.messages[msg.msg_id] = msg
+            self._open[msg.msg_id] = dict.fromkeys(msg.targets)
+
+    # record_delivery and record_loss are the only methods that close a
+    # pair (the benchmark's tracer counts records there): each appends its
+    # row, and drops the message with its last pair.
 
     def record_delivery(self, msg: Message, dst: int, recv_us: SimTime, hops: int) -> bool:
         """Close an open pair as delivered; False, writing nothing, for any other."""
-        key = (msg.msg_id, dst)
-        if key not in self._open:
+        mid = msg.msg_id
+        pending = self._open.get(mid)
+        if pending is None or dst not in pending:
             return False
-        del self._open[key]
-        self.records[key] = DeliveryRecord(
-            msg.msg_id, msg.src, dst, msg.origin_us, recv_us=recv_us, hop_count=hops
-        )
+        sent_us = msg.origin_us
+        if recv_us < sent_us:
+            raise SimulationError(
+                f"pair (msg={mid}, dst={dst}) received at {recv_us} us, "
+                f"before it was sent at {sent_us} us"
+            )
+        del pending[dst]
+        if not pending:
+            del self._open[mid], self.messages[mid]
+        self.rows.append((mid, msg.src, dst, sent_us, recv_us, None, hops))
+        self.delivered += 1
+        self.delay_sum_us += recv_us - sent_us
         if self._logging:
-            self.note(f"rec={msg.msg_id}:{dst}:ok:{recv_us}")
+            self.note(f"rec={mid}:{dst}:ok:{recv_us}")
         return True
 
     def record_loss(self, msg: Message, dst: int, cause: Optional[str] = None) -> bool:
@@ -250,16 +277,19 @@ class Runtime:
         Without ``cause`` the worst noted cause is recorded, or out_of_range
         when none was noted.
         """
-        key = (msg.msg_id, dst)
-        if key not in self._open:
+        mid = msg.msg_id
+        pending = self._open.get(mid)
+        if pending is None or dst not in pending:
             return False
-        noted = self._open.pop(key)
-        cause = cause or noted or OUT_OF_RANGE
-        self.records[key] = DeliveryRecord(
-            msg.msg_id, msg.src, dst, msg.origin_us, loss_cause=cause
-        )
+        cause = cause or pending[dst] or OUT_OF_RANGE
+        if cause not in LOSS_CAUSES:
+            raise SimulationError(f"pair (msg={mid}, dst={dst}) lost to unknown cause {cause!r}")
+        del pending[dst]
+        if not pending:
+            del self._open[mid], self.messages[mid]
+        self.rows.append((mid, msg.src, dst, msg.origin_us, None, cause, 0))
         if self._logging:
-            self.note(f"rec={msg.msg_id}:{dst}:{cause}")
+            self.note(f"rec={mid}:{dst}:{cause}")
         return True
 
     def settle(
@@ -281,8 +311,10 @@ class Runtime:
                 reached.append((rid, recv_us))
             elif final:
                 self.record_loss(msg, rid, out.loss_cause)
-            elif (msg.msg_id, rid) in self._open:
-                note_cause(self._open, (msg.msg_id, rid), out.loss_cause)
+            else:
+                pending = self._open.get(msg.msg_id, {})
+                if rid in pending:
+                    note_cause(pending, rid, out.loss_cause)
         return reached
 
     # -- setup ------------------------------------------------------------------
@@ -433,21 +465,30 @@ class Runtime:
 
     def _on_sim_end(self, t: SimTime, _payload: None) -> str:
         self.protocol.on_end(t)
-        swept = len(self._open)
-        for mid, dst in sorted(self._open):
-            self.record_loss(self.messages[mid], dst)
+        swept = 0
+        for mid in sorted(self._open):
+            msg, targets = self.messages[mid], sorted(self._open[mid])
+            swept += len(targets)
+            for dst in targets:
+                self.record_loss(msg, dst)
         # nothing fires after the accounting sweep, not even events due at end_us
         self.sim.stop()
-        return f"records={len(self.records)} swept={swept}"
+        return f"records={len(self.rows)} swept={swept}"
 
 
 @dataclass
 class RunResult:
     summary: MetricsSummary
-    records: list[DeliveryRecord]
+    rows: list[Row]
     stats: RunStats
     log: Optional[list[str]]
     audit: list
+
+    @cached_property
+    def records(self) -> list[DeliveryRecord]:
+        """The run's delivery records in close order, built from its rows
+        when first read."""
+        return [DeliveryRecord(*row) for row in self.rows]
 
 
 def run_single(
@@ -471,23 +512,26 @@ def run_single(
     rt = Runtime(sim, cfg, provider, obstacles, stations, protocol)
     rt.setup()
     stats = sim.run(until=rt.end_us)
-    if len(rt.records) != rt.opened or rt._open:
-        missing = max(abs(rt.opened - len(rt.records)), len(rt._open))
+    rows = rt.rows
+    if len(rows) != rt.opened or rt._open:
+        still_open = sum(map(len, rt._open.values()))
+        missing = max(abs(rt.opened - len(rows)), still_open)
         raise SimulationError(
             f"delivery accounting out of balance: {missing} (message, target) "
             f"pairs without exactly one record"
         )
-    records = list(rt.records.values())
-    summary = summarize(
-        records,
+    summary = summary_from_counts(
         protocol,
         vehicle_count,
         seed,
+        len(rows),
+        rt.delivered,
+        rt.delay_sum_us,
         window_s=cfg.sim_duration_s,
         msg_size_bytes=cfg.radio.msg_size_bytes,
     )
     audit = getattr(rt.protocol, "audit", [])
-    return RunResult(summary, records, stats, log, audit)
+    return RunResult(summary, rows, stats, log, audit)
 
 
 def sweep_tracks(cfg: ScenarioConfig) -> Optional[dict[str, Track]]:

@@ -3,10 +3,11 @@
 Every run, whatever its street or trace fleet, obstacles, frame length,
 beacon period, metering, hybrid window, gateway budget, hop limit, target
 rule, cloud and fog latencies and fog cell bounds, must finish with closed
-accounting (one record per addressed pair), no pair a hop lost to the
-channel recorded out of range, causal delays, delivery + loss == 1, and
-the same CSV bytes on a rerun, with or without an event log, and
-in a serial or a parallel sweep.
+accounting (one record per addressed pair), records that are each either
+delivered or lost to a known cause, no pair a hop lost to the channel
+recorded out of range, causal delays, running counts that match a recount
+of the records, delivery + loss == 1, and the same CSV bytes on a rerun,
+with or without an event log, and in a serial or a parallel sweep.
 """
 
 import dataclasses
@@ -26,10 +27,12 @@ from vanetsim.config import (
     ScenarioConfig,
     WorkloadSpec,
 )
-from vanetsim.metrics import csv_text
+from vanetsim.metrics import csv_text, summarize
 from vanetsim.mobility import MobilitySpec
 from vanetsim.protocols import CloudModel
-from vanetsim.radio import CHANNEL_LOSS, OUT_OF_RANGE, RadioParams, tx_time_us
+from vanetsim.radio import CHANNEL_LOSS, LOSS_CAUSES, OUT_OF_RANGE, RadioParams, tx_time_us
+
+from reference import closed_pairs, spy_addresses
 
 FRAME_S = tx_time_us(RadioParams()) / 1e6
 # beacons off, and periods below, equal to and above the default frame time
@@ -170,23 +173,28 @@ def test_every_small_config_keeps_the_run_invariants(case):
             super().setup()
 
         def settle(self, msg, results, t, hops, final=True):
+            pending = self._open.get(msg.msg_id, ())
             channel_lost.update(
                 (msg.msg_id, rid)
                 for rid, out in results
-                if out.loss_cause == CHANNEL_LOSS and (msg.msg_id, rid) in self._open
+                if out.loss_cause == CHANNEL_LOSS and rid in pending
             )
             return super().settle(msg, results, t, hops, final)
 
-    with mock.patch.object(runner, "Runtime", Recording):
+    with mock.patch.object(runner, "Runtime", Recording), spy_addresses() as addressed:
         first = runner.run_single(cfg, protocol, vehicles, seed)
     (rt,) = runtimes
-    addressed = {(m.msg_id, d) for m in rt.messages.values() for d in m.targets}
-    assert set(rt.records) == addressed and rt.opened == len(addressed)
+    closed = closed_pairs(rt)
+    assert set(closed) == addressed and rt.opened == len(addressed)
     # a miss is final or noted, so no pair a hop lost to the channel is swept out of range
-    assert not [key for key in channel_lost if rt.records[key].loss_cause == OUT_OF_RANGE]
+    assert not [key for key in channel_lost if closed[key].loss_cause == OUT_OF_RANGE]
     for r in first.records:
+        assert (r.recv_us is None) != (r.loss_cause is None)
+        assert r.loss_cause is None or r.loss_cause in LOSS_CAUSES
         assert r.recv_us is None or r.recv_us >= r.sent_us
     s = first.summary
+    window_s, size = cfg.sim_duration_s, cfg.radio.msg_size_bytes
+    assert summarize(first.records, protocol, vehicles, seed, window_s, size) == s
     if s.n_sent:
         assert math.isclose(s.delivery_probability + s.plr, 1.0, rel_tol=1e-12)
     else:

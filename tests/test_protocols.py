@@ -38,6 +38,7 @@ from vanetsim.radio import (
 )
 from vanetsim.runner import Runtime, place_stations, run_single
 
+from reference import closed_pairs, spy_addresses
 from static_fleet import StaticProvider
 
 
@@ -704,9 +705,9 @@ def test_hybrid_broadcast_after_a_closed_window_completes():
     stations = place_stations(cfg.mobility, provider, cfg.knobs)
     rt = Runtime(sim, cfg, provider, EMPTY_MAP, stations, "hybrid_vehcloud")
     rt.setup()
-    sim.run(rt.end_us)
-    addressed = {(m.msg_id, d) for m in rt.messages.values() for d in m.targets}
-    assert addressed and set(rt.records) == addressed and rt.opened == len(addressed)
+    with spy_addresses() as addressed:
+        sim.run(rt.end_us)
+    assert addressed and set(closed_pairs(rt)) == addressed and rt.opened == len(addressed)
 
 
 def test_hybrid_gateway_miss_after_the_window_keeps_its_noted_cause(tmp_path):

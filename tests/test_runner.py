@@ -6,6 +6,7 @@ import math
 import os
 import random
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from vanetsim import mobility, runner
 from vanetsim.config import ProtocolKnobs, ScenarioConfig, WorkloadSpec
 from vanetsim.engine import SIM_END, US_PER_S, Simulator, to_us
-from vanetsim.errors import BudgetError, TraceParseError
+from vanetsim.errors import BudgetError, SimulationError, TraceParseError
 from vanetsim.metrics import csv_text
 from vanetsim.mobility import (
     MobilitySpec,
@@ -38,6 +39,7 @@ from vanetsim.radio import (
 )
 from vanetsim.runner import Runtime, place_stations, run_single, run_sweep
 
+from reference import closed_pairs, spy_addresses
 from static_fleet import StaticProvider
 
 
@@ -60,10 +62,11 @@ def test_metered_beacon_does_not_hear_its_own_frame():
     rt = Runtime(sim, cfg, provider, EMPTY_MAP, stations, "baseline")
     rt.setup()
     assert rt.channel.frame_us == frame
-    sim.run(rt.end_us)
-    records = list(rt.records.values())
-    addressed = {(m.msg_id, d) for m in rt.messages.values() for d in m.targets}
-    assert records and set(rt.records) == addressed and rt.opened == len(addressed)
+    with spy_addresses() as addressed:
+        sim.run(rt.end_us)
+    closed = closed_pairs(rt)
+    records = list(closed.values())
+    assert records and set(closed) == addressed and rt.opened == len(addressed)
     phase = {v: min(r.sent_us for r in records if r.src == v) for v in (0, 1)}
     for r in records:
         other_on_air = (r.sent_us - phase[r.dst]) % period < frame and r.sent_us >= phase[r.dst]
@@ -521,25 +524,78 @@ def test_runtime_records_only_open_pairs_with_the_worst_noted_cause():
     assert not rt.record_delivery(stray, 1, 10, 1)
     assert not rt.record_loss(stray, 1, CHANNEL_LOSS)
     assert rt.settle(stray, missed((1, SHADOWED)), 0, 1, final=False) == []
-    assert rt.records == {} and (2, 1) not in rt._open
+    assert closed_pairs(rt) == {} and 2 not in rt._open
 
     msg = Message(1, 0, 0, (1, 2, 3))
-    rt.address(msg)
-    assert (1, 1) in rt._open and (1, 0) not in rt._open
+    with spy_addresses() as addressed:
+        rt.address(msg)
+    assert 1 in rt._open[1] and 0 not in rt._open[1]
     assert not rt.record_delivery(msg, 0, 10, 1)  # the sender is no target
     # a delivered hop is reached whether or not its pair is open
     assert rt.settle(msg, [(0, HopOutcome(True, delay_us=5))], 10, 1) == [(0, 15)]
     misses = missed((1, SHADOWED), (1, CHANNEL_LOSS), (1, OUT_OF_RANGE), (2, SHADOWED))
     assert rt.settle(msg, misses, 0, 1, final=False) == []
-    assert rt.records == {}
+    assert closed_pairs(rt) == {}
     assert all(rt.record_loss(msg, dst) for dst in (1, 2, 3))
-    causes = [rt.records[(1, dst)].loss_cause for dst in (1, 2, 3)]
+    closed = closed_pairs(rt)
+    causes = [closed[(1, dst)].loss_cause for dst in (1, 2, 3)]
     assert causes == [CHANNEL_LOSS, SHADOWED, OUT_OF_RANGE]
     # a closed pair takes no second record
-    assert (1, 1) not in rt._open
+    assert 1 not in rt._open.get(1, {})
     assert not rt.record_delivery(msg, 1, 10, 1) and not rt.record_loss(msg, 1, SHADOWED)
-    addressed = {(m.msg_id, d) for m in rt.messages.values() for d in m.targets}
-    assert set(rt.records) == {(1, 1), (1, 2), (1, 3)} == addressed and rt.opened == 3
+    assert set(closed_pairs(rt)) == {(1, 1), (1, 2), (1, 3)} == addressed and rt.opened == 3
+
+
+def test_record_delivery_refuses_a_receipt_before_the_origin():
+    rt = static_runtime([Position(0, 0), Position(100, 0)])
+    msg = Message(1, 0, 500, (1,))
+    rt.address(msg)
+    with pytest.raises(SimulationError, match="before it was sent"):
+        rt.record_delivery(msg, 1, 499, 1)
+    assert closed_pairs(rt) == {}
+    assert rt.record_delivery(msg, 1, 500, 1)  # zero delay is legal
+
+
+def test_record_loss_refuses_an_unknown_cause():
+    rt = static_runtime([Position(0, 0), Position(100, 0)])
+    msg = Message(1, 0, 0, (1,))
+    rt.address(msg)
+    with pytest.raises(SimulationError, match="gremlins"):
+        rt.record_loss(msg, 1, "gremlins")
+    assert closed_pairs(rt) == {}
+    assert rt.record_loss(msg, 1, SHADOWED)
+
+
+def test_a_message_is_kept_exactly_while_it_has_an_open_pair():
+    # A flood leaves a pair open until a relay reaches it or the accounting
+    # sweep closes it, which needs the pair's message; every metered beacon
+    # closes all of its pairs in its own event.  No other message is kept.
+    cfg = small_cfg(
+        workload=WorkloadSpec(rate_per_s=4.0),
+        knobs=ProtocolKnobs(beacon_interval_s=0.1, include_beacons_in_metrics=True),
+        sim_duration_s=1.0,
+    )
+    runtimes, kept = [], []
+
+    def with_an_open_pair(rt):
+        return {mid for mid, _ in addressed - closed_pairs(rt).keys()}
+
+    class Checking(Runtime):
+        def setup(self):
+            runtimes.append(self)
+            super().setup()
+
+        def _on_beacon(self, t, v):
+            line = super()._on_beacon(t, v)
+            assert set(self.messages) == with_an_open_pair(self), t
+            kept.append(len(self.messages))
+            return line
+
+    with mock.patch.object(runner, "Runtime", Checking), spy_addresses() as addressed:
+        run_single(cfg, "baseline", 12, 4)
+    (rt,) = runtimes
+    assert max(kept) > 0  # a data message was in flight at some beacon
+    assert rt.messages == {} and with_an_open_pair(rt) == set()
 
 
 def quiet_runtime(positions, protocol, obstacles=EMPTY_MAP):
@@ -566,8 +622,9 @@ def test_horizon_sweep_records_the_worst_noted_cause(protocol):
     rt.settle(msg, missed((1, SHADOWED), (1, CHANNEL_LOSS)), 0, 2, final=False)
     rt.sim.run(until=rt.end_us)
     assert not rt._open
-    assert rt.records[(1, 1)].loss_cause == CHANNEL_LOSS  # noted, then left open
-    assert rt.records[(1, 2)].loss_cause == OUT_OF_RANGE  # nothing noted
+    closed = closed_pairs(rt)
+    assert closed[(1, 1)].loss_cause == CHANNEL_LOSS  # noted, then left open
+    assert closed[(1, 2)].loss_cause == OUT_OF_RANGE  # nothing noted
 
 
 def test_flood_cut_off_by_the_horizon_records_the_noted_causes():
@@ -580,10 +637,11 @@ def test_flood_cut_off_by_the_horizon_records_the_noted_causes():
     rt.address(msg)
     rt.protocol.on_inject(msg, rt.end_us - 100)  # its first hop lands after the horizon
     rt.sim.run(until=rt.end_us)
-    assert not rt._open and len(rt.records) == rt.opened == 3
-    assert rt.records[(1, 1)].delivered and rt.records[(1, 1)].recv_us > rt.end_us
-    assert rt.records[(1, 2)].loss_cause == SHADOWED
-    assert rt.records[(1, 3)].loss_cause == OUT_OF_RANGE
+    closed = closed_pairs(rt)
+    assert not rt._open and len(closed) == rt.opened == 3
+    assert closed[(1, 1)].delivered and closed[(1, 1)].recv_us > rt.end_us
+    assert closed[(1, 2)].loss_cause == SHADOWED
+    assert closed[(1, 3)].loss_cause == OUT_OF_RANGE
 
 
 @pytest.mark.parametrize("protocol", ["hybrid_vehcloud", "dfcv"])
