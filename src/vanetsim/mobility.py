@@ -230,14 +230,13 @@ class TraceProvider(MobilityProvider):
     ``parse_fcd`` returns them; the provider keeps those lists, it does not
     copy them.  Queries before the first or after the last sample of a
     vehicle clamp to that sample.  Vehicle ids are mapped to integer ids in
-    the order of ``tracks``; ``label_of`` recovers the original id.
+    the order of ``tracks``.
     """
 
     def __init__(self, tracks: Mapping[str, Track], gateway_fraction: float = 0.0):
         if not tracks:
             raise ConfigError("trace contains no vehicle samples")
-        self._labels = list(tracks)  # first-appearance order
-        self.vehicle_ids = list(range(len(self._labels)))
+        self.vehicle_ids = list(range(len(tracks)))  # first-appearance order
         self._times: list[list[SimTime]] = []
         self._points: list[list[Position]] = []
         hypot = math.hypot
@@ -259,10 +258,7 @@ class TraceProvider(MobilityProvider):
                     drift = step
                 t0, x0, y0 = t1, x1, y1
         self._max_drift = drift
-        self._n_gateways = gateway_count(len(self._labels), gateway_fraction)
-
-    def label_of(self, vehicle_id: int) -> str:
-        return self._labels[vehicle_id]
+        self._n_gateways = gateway_count(len(tracks), gateway_fraction)
 
     def position_at(self, vehicle_id: int, t_us: SimTime) -> Position:
         times = self._times[vehicle_id]
@@ -446,9 +442,12 @@ class NeighborIndex:
 
     The interval trades rebuilds, each of which locates every vehicle,
     against slack, which returns candidates the caller must locate and drop.
-    At 600 ms the benchmark workloads keep at least 97% of the candidates
-    (at 700 ms one kept 96.9%); at 4 messages/s a rebuild then serves three
-    injects instead of one.
+    At 600 ms the benchmark workloads kept at least 97% of the candidates
+    while every caller queried a station's region on its own (at 700 ms one
+    kept 96.9%).  ``Runtime.region_members`` now queries each region once
+    per instant, and those queries keep nearly every candidate, so the
+    share over all queries reads 96.8% or more.  At 4 messages/s a rebuild
+    serves three injects instead of one.
     """
 
     REFRESH_US = 600_000

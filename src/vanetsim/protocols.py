@@ -17,6 +17,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from bisect import insort
+from collections import deque
 from dataclasses import dataclass, field
 from math import floor, hypot
 from typing import Optional, Sequence
@@ -334,7 +335,12 @@ class HybridVehcloud(Protocol):
 
     def __init__(self, rt):
         super().__init__(rt)
+        # every message injected: sends scheduled before a window closed
+        # still read its state afterwards
         self._live: dict[int, _HybridState] = {}
+        # the ids of messages whose window may still be open, in inject
+        # order; each window is one fixed length, so they close from the front
+        self._windows: deque[int] = deque()
         self._window_us = to_us(rt.knobs.window_s)
 
     # -- injection -----------------------------------------------------
@@ -351,6 +357,7 @@ class HybridVehcloud(Protocol):
         st.handled = set(region)
         st.handled.add(msg.src)
         self._live[msg.msg_id] = st
+        self._windows.append(msg.msg_id)
         if not region:
             # Nobody around the sender's station: nothing to transmit.
             return f"bs={bs.station_id} n=0 no nearby vehicles"
@@ -468,13 +475,14 @@ class HybridVehcloud(Protocol):
 
     def on_tick(self, t: SimTime) -> Optional[str]:
         rt = self.rt
+        live, windows = self._live, self._windows
+        while windows and t > live[windows[0]].window_end:
+            windows.popleft()
         attempts = 0
-        for mid in sorted(self._live):
-            st = self._live[mid]
-            if t > st.window_end:
-                continue
-            current = rt.region_members(st.bs, t, exclude=(st.msg.src,))
-            fresh = sorted(set(current) - st.handled)
+        for mid in windows:
+            st = live[mid]
+            # the region is sorted by id, and handled holds the source
+            fresh = [v for v in rt.region_members(st.bs, t) if v not in st.handled]
             if not fresh:
                 continue
             st.handled.update(fresh)

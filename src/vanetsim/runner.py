@@ -149,9 +149,13 @@ class Runtime:
         self.messages: dict[int, Message] = {}
         self._msg_seq = 0
         self._notes: list[str] = []
-        # positions at _pos_t by vehicle, shared by every query at that time
+        # the one per-instant cache, shared by every query at _pos_t and
+        # reset when t changes: each vehicle's position by its id, and each
+        # station's region by its BaseStation.  One dict, not a second
+        # attribute: a 30th Runtime attribute takes CPython 3.11 off its
+        # inline attribute values, and every attribute load slows.
         self._pos_t: SimTime = -1
-        self._pos: dict[int, Position] = {}
+        self._pos: dict = {}
         self._logging = sim.has_log
         self.end_us: SimTime = 0
         # per-event intervals in microseconds, converted once in setup()
@@ -199,8 +203,24 @@ class Runtime:
 
     def region_members(
         self, bs: BaseStation, t: SimTime, exclude: Collection[int] = ()
-    ) -> list[int]:
-        return self.neighbors(bs.pos, self.knobs.bs_coverage_m, t, exclude)
+    ) -> tuple[int, ...]:
+        """The vehicles within ``bs``'s coverage at ``t`` and not in
+        ``exclude``, sorted by id.
+
+        The region is queried once per station and instant, with no
+        ``exclude``, and ``exclude`` is applied to that answer: positions
+        depend only on (vehicle, t), and an excluded id is only skipped
+        before the distance math, so the result is the one a query with
+        ``exclude`` returns.
+        """
+        if t != self._pos_t:
+            self._pos_t = t
+            self._pos = {}
+        region = self._pos.get(bs)
+        if region is None:
+            region = tuple(self.neighbors(bs.pos, self.knobs.bs_coverage_m, t))
+            self._pos[bs] = region
+        return tuple(v for v in region if v not in exclude) if exclude else region
 
     def nearest_station(self, pos: Position) -> BaseStation:
         """The nearest station by (distance, id), whether it covers ``pos`` or not.
@@ -385,7 +405,7 @@ class Runtime:
             wanted = set(self.cfg.workload.explicit_targets)
             return tuple(sorted(v for v in wanted if v in valid and v != src))
         bs = self.nearest_station(self.pos(src, t))
-        return tuple(self.region_members(bs, t, exclude=(src,)))
+        return self.region_members(bs, t, exclude=(src,))
 
     def _on_inject(self, t: SimTime, payload: tuple[int, int]) -> str:
         msg_id, src = payload

@@ -4,7 +4,10 @@ The four metric functions recompute each summary metric on its own from a
 record list, so ``metrics.summarize`` and a run's running counts can be
 checked against them.  ``closed_pairs`` and ``spy_addresses`` read a
 ``Runtime``'s ledger by (message, target) pair: the rows it closed, and
-every pair it was asked to open.
+every pair it was asked to open.  ``unshared_regions`` swaps in the
+hybrid late-joiner tick that walks every message and a region query made
+afresh by every caller, so a whole run can be compared byte for byte
+with the per-instant region memo and the open-window tick.
 """
 
 from __future__ import annotations
@@ -13,9 +16,10 @@ from contextlib import contextmanager
 from typing import Optional, Sequence
 from unittest import mock
 
-from vanetsim import runner
+from vanetsim import protocols, runner
 from vanetsim.engine import US_PER_S
 from vanetsim.metrics import DeliveryRecord
+from vanetsim.protocols import TxJob, obstacle_shadowing
 
 
 def end_to_end_delay_s(records: Sequence[DeliveryRecord]) -> Optional[float]:
@@ -66,3 +70,55 @@ def spy_addresses():
 
     with mock.patch.object(runner.Runtime, "address", spy):
         yield addressed
+
+
+def region_members(rt, bs, t, exclude=()):
+    """A station's region at ``t`` from a query of its own, ``exclude`` and all."""
+    return tuple(rt.neighbors(bs.pos, rt.knobs.bs_coverage_m, t, exclude))
+
+
+def hybrid_on_tick(self, t):
+    """Hybrid's late-joiner tick over every message ever injected, each
+    open one querying its station's region without its source."""
+    rt = self.rt
+    attempts = 0
+    for mid in sorted(self._live):
+        st = self._live[mid]
+        if t > st.window_end:
+            continue
+        current = rt.region_members(st.bs, t, exclude=(st.msg.src,))
+        fresh = sorted(set(current) - st.handled)
+        if not fresh:
+            continue
+        st.handled.update(fresh)
+        late_shadowed = []
+        for v in fresh:
+            if v in st.seen:
+                continue
+            if obstacle_shadowing(rt.pos(v, t), st.bs.pos, rt.obstacles) == 0:
+                rt.schedule_tx(
+                    TxJob(st.msg, st.msg.src, hop=1, purpose="newcomer", receivers=[v]),
+                    t,
+                )
+                attempts += 1
+            else:
+                late_shadowed.append(v)
+        if late_shadowed:
+            self._establish_uplink(st, t)
+            if not st.uplink.delivered:
+                continue
+            for v in late_shadowed:
+                g = self._covering_gateway(st, v, t)
+                if g is None:
+                    continue
+                self._drop_at_gateway(st, g, [v], t)
+                attempts += 1
+    return f"late_attempts={attempts}" if attempts else None
+
+
+@contextmanager
+def unshared_regions():
+    """Run every Runtime with ``region_members`` and hybrid's ``on_tick`` above."""
+    with mock.patch.object(runner.Runtime, "region_members", region_members):
+        with mock.patch.object(protocols.HybridVehcloud, "on_tick", hybrid_on_tick):
+            yield

@@ -407,9 +407,12 @@ def test_parse_fcd_malformed_xml(tmp_path):
 
 
 def test_trace_provider_interpolates_and_clamps(tmp_path):
-    prov = TraceProvider(parse_fcd(write_fixture(tmp_path)))
+    tracks = parse_fcd(write_fixture(tmp_path))
+    prov = TraceProvider(tracks)
     a = prov.vehicle_ids[0]
-    assert prov.label_of(a) == "veh_a"
+    # ids follow the order of tracks: id 0 plays veh_a's samples
+    assert list(tracks)[a] == "veh_a"
+    assert [prov.position_at(a, t) for t in tracks["veh_a"][0]] == tracks["veh_a"][1]
     # exact at samples
     assert prov.position_at(a, 0) == Position(100.0, 0.0)
     assert prov.position_at(a, US_PER_S) == Position(110.0, 0.0)
@@ -568,9 +571,6 @@ class RefTraceProvider(MobilityProvider):
         self._max_drift = drift
         self._n_gateways = gateway_count(len(self._labels), gateway_fraction)
 
-    def label_of(self, vehicle_id):
-        return self._labels[vehicle_id]
-
     def position_at(self, vehicle_id, t_us):
         times = self._times[vehicle_id]
         points = self._points[vehicle_id]
@@ -695,13 +695,15 @@ def test_parse_fcd_and_trace_provider_match_the_flat_sample_reference(tmp_path, 
     ref = RefTraceProvider(samples, fraction)
     prov = TraceProvider(tracks, fraction)
     assert prov.vehicle_ids == ref.vehicle_ids
-    labels = [ref.label_of(v) for v in ref.vehicle_ids]
-    assert [prov.label_of(v) for v in prov.vehicle_ids] == labels == list(tracks)
+    labels = list(tracks)
     for v, label in enumerate(labels):
         rows = [s for s in samples if s.vehicle_id == label]
         times, points = tracks[label]
         assert times == [s.time_us for s in rows]
         assert points == [Position(s.x, s.y) for s in rows]
+        # id v plays the samples of the v-th vehicle of tracks, in both providers
+        assert [prov.position_at(v, t) for t in times] == points
+        assert [ref.position_at(v, t) for t in times] == points
         assert all(type(p) is Position for p in points)
         probes = [times[0] - 1, times[-1] + 1]
         probes += times + [(a + b) // 2 for a, b in zip(times, times[1:])]

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from vanetsim.config import ProtocolKnobs, ScenarioConfig, WorkloadSpec
 from vanetsim.engine import US_PER_S, Simulator, derive_stream_seed
 from vanetsim.errors import ConfigError
+from vanetsim.metrics import csv_text
 from vanetsim.mobility import MobilitySpec, Position, build_provider, distance
 from vanetsim.protocols import (
     BaseStation,
@@ -38,7 +39,7 @@ from vanetsim.radio import (
 )
 from vanetsim.runner import Runtime, place_stations, run_single
 
-from reference import closed_pairs, spy_addresses
+from reference import closed_pairs, spy_addresses, unshared_regions
 from static_fleet import StaticProvider
 
 
@@ -758,6 +759,103 @@ def test_hybrid_late_joiner_lost_to_the_channel_keeps_its_cause():
     )
     line, = [l for l in res.log if "rec=3:10:" in l]
     assert line.split("\t")[2] == "SimEnd" and " rec=3:10:channel_loss" in line
+
+
+def test_hybrid_queries_each_region_once_per_instant():
+    # One station, 10 ms ticks and a window that keeps several messages
+    # open at once.  An inject asks for its station's region once, for its
+    # targets and hybrid's broadcast alike; a tick asks at most once per
+    # station with an open window, however many messages are open there.
+    cfg = ScenarioConfig(
+        mobility=MobilitySpec(road_length_m=1_000.0, vehicle_count=30),
+        workload=WorkloadSpec(rate_per_s=4.0),
+        knobs=ProtocolKnobs(mobility_tick_s=0.01, window_s=2.0),
+        sim_duration_s=2.0,
+    )
+    coverage = cfg.knobs.bs_coverage_m
+    # one row per event: its kind, the region queries it made, and the
+    # stations of the windows open when it started
+    queries = []
+
+    class Counting(Runtime):
+        def neighbors(self, center, radius_m, t, exclude=()):
+            if radius_m == coverage:
+                queries[-1][1] += 1
+            return super().neighbors(center, radius_m, t, exclude)
+
+        def _on_inject(self, t, payload):
+            queries.append(["inject", 0, ()])
+            return super()._on_inject(t, payload)
+
+        def _on_tick(self, t, payload):
+            live = self.protocol._live.values()
+            queries.append(["tick", 0, [st.bs for st in live if t <= st.window_end]])
+            return super()._on_tick(t, payload)
+
+    sim = Simulator(seed=1)
+    provider = build_provider(cfg.mobility, sim.rng("mobility"))
+    stations = place_stations(cfg.mobility, provider, cfg.knobs)
+    assert len(stations) == 1
+    rt = Counting(sim, cfg, provider, EMPTY_MAP, stations, "hybrid_vehcloud")
+    rt.setup()
+    sim.run(rt.end_us)
+    injects = [n for kind, n, _ in queries if kind == "inject"]
+    assert len(injects) == 8 and set(injects) == {1}
+    ticks = [(n, open_) for kind, n, open_ in queries if kind == "tick"]
+    assert all(n <= len(set(open_)) for n, open_ in ticks)
+    assert max(len(open_) for _, open_ in ticks) == 8
+
+
+HYBRID_HIGHWAY_BUILDINGS = ((300.0, -20.0, 340.0, 20.0), (900.0, -5.0, 980.0, 30.0))
+
+
+@st.composite
+def small_hybrid_runs(draw):
+    if draw(st.booleans()):
+        mobility = MobilitySpec(
+            mode="synthetic_grid", grid_blocks=3, grid_spacing_m=200.0, gateway_fraction=0.25
+        )
+        rects = tuple(grid_blocks(3).rects)
+    else:
+        mobility = MobilitySpec(road_length_m=1_200.0, gateway_fraction=0.2)
+        rects = HYBRID_HIGHWAY_BUILDINGS
+    vehicles = draw(st.sampled_from((40, 20, 3)))
+    knobs = ProtocolKnobs(
+        mobility_tick_s=draw(st.sampled_from((10, 1, 50)) | st.integers(1, 50)) / 1000,
+        window_s=draw(st.sampled_from((6.0, 0.3, 0.01, 0.0))),
+        # one station, or several whose regions overlap or leave gaps
+        bs_spacing_m=draw(st.sampled_from((300.0, 5_000.0))),
+        bs_coverage_m=draw(st.sampled_from((120.0, 400.0))),
+        beacon_interval_s=0.0,
+        drain_s=1.0,
+    )
+    if draw(st.booleans()):
+        ids = st.integers(0, vehicles)
+        targets = tuple(draw(st.lists(ids, min_size=1, max_size=6, unique=True)))
+        workload = WorkloadSpec(rate_per_s=8.0, target_rule="explicit", explicit_targets=targets)
+    else:
+        workload = WorkloadSpec(rate_per_s=8.0)
+    cfg = ScenarioConfig(
+        mobility=mobility,
+        workload=workload,
+        knobs=knobs,
+        obstacle_rects=rects if draw(st.booleans()) else (),
+        sim_duration_s=2.0,
+    )
+    return cfg, vehicles, draw(st.integers(0, 1_000))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(small_hybrid_runs())
+def test_hybrid_matches_a_run_with_unshared_region_queries(case):
+    # The per-instant region memo and the open-window tick, against the
+    # tick that walks every message and a region query made by every caller.
+    cfg, vehicles, seed = case
+    real = run_single(cfg, "hybrid_vehcloud", vehicles, seed, capture_log=True)
+    with unshared_regions():
+        ref = run_single(cfg, "hybrid_vehcloud", vehicles, seed, capture_log=True)
+    assert csv_text([real.summary]) == csv_text([ref.summary])
+    assert real.log == ref.log
 
 
 # -- dfcv ---------------------------------------------------------------------
