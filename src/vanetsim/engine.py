@@ -21,8 +21,11 @@ from .errors import BudgetError, SchedulingError
 
 SimTime = int  # microseconds since simulation start
 
-# called with an event's (fire_at, payload); may return a log summary
-Handler = Callable[[SimTime, object], Optional[str]]
+# an event-log record: a constant str.format template, then its raw fields
+Record = tuple
+
+# called with an event's (fire_at, payload); returns None or the event's Record
+Handler = Callable[[SimTime, object], Optional[Record]]
 
 US_PER_S = 1_000_000
 
@@ -64,6 +67,11 @@ EVENT_KINDS = frozenset(
 )
 
 
+def render(fmt: str, fields: tuple) -> str:
+    """One record's text; a list or tuple field is written comma-joined."""
+    return fmt.format(*[",".join(map(str, f)) if type(f) in (list, tuple) else f for f in fields])
+
+
 def derive_stream_seed(seed: int, stream_id: str) -> int:
     """Derive a child seed for a named stream from the run seed.
 
@@ -87,9 +95,11 @@ class Simulator:
     Handlers are registered per event kind and called as
     ``handler(fire_at, payload)`` with the two ends of the event's
     (fire_at, seq, kind, payload) heap entry; they may schedule further
-    events while the loop runs.  A handler may return a short summary
-    string; when an event log is attached, one tab-separated line per
-    processed event is appended to it: ``time_us seq kind summary``.
+    events while the loop runs.  With an event log attached, one
+    tab-separated line per event is appended to it, ``time_us seq kind
+    summary``: the Record the handler returns, then each ``note`` made while
+    the event ran, joined by spaces, or ``-`` for neither.  Without a log
+    nothing is rendered and ``note`` returns at once.
     """
 
     def __init__(
@@ -107,11 +117,18 @@ class Simulator:
         self._handlers: dict[str, Handler] = {}
         self._streams: dict[str, random.Random] = {}
         self._log = log
+        self._notes: list[str] = []  # the rendered notes of the event being handled
 
     @property
     def has_log(self) -> bool:
         """True when an event log is attached, so handler summaries are kept."""
         return self._log is not None
+
+    def note(self, fmt: str, *fields) -> None:
+        """Add the Record ``(fmt, *fields)`` to the current event's log line,
+        after the handler's own; returns at once without a log."""
+        if self._log is not None:
+            self._notes.append(render(fmt, fields))
 
     def rng(self, stream_id: str) -> random.Random:
         """Return the named RNG stream, creating it on first use.
@@ -166,9 +183,15 @@ class Simulator:
                     )
                 self.clock = fire_at
                 handler = handlers.get(kind)
-                summary = handler(fire_at, payload) if handler is not None else None
-                if log is not None:
-                    log.append(f"{fire_at}\t{seq}\t{kind}\t{summary or '-'}")
+                if log is None:
+                    if handler is not None:
+                        handler(fire_at, payload)
+                    continue
+                notes = self._notes = []
+                record = handler(fire_at, payload) if handler is not None else None
+                if record:
+                    notes.insert(0, render(record[0], record[1:]))
+                log.append(f"{fire_at}\t{seq}\t{kind}\t{' '.join(notes) or '-'}")
         finally:
             self.events_processed = processed
         return RunStats(self.events_processed, self.clock, len(queue))

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from math import floor, hypot
 from typing import Optional, Sequence
 
-from .engine import SimTime, to_us
+from .engine import Record, SimTime, to_us
 from .errors import ConfigError
 from .mobility import Position, distance
 from .radio import (
@@ -194,7 +194,8 @@ class TxJob:
 
     receivers=None means broadcast to whoever the protocol finds in range
     at fire time; an explicit list is an addressed delivery attempt whose
-    misses must be accounted for.
+    misses must be accounted for.  ``seen``, the vehicles that have the
+    message, is one set shared by all flood jobs of one message.
     """
 
     msg: Message
@@ -202,6 +203,7 @@ class TxJob:
     hop: int
     purpose: str  # flood | direct | gateway | newcomer
     receivers: Optional[list[int]] = None
+    seen: Optional[set] = None
     defers: int = 0
     fire: bool = False
 
@@ -216,7 +218,9 @@ class InfraTx:
 
 
 class Protocol:
-    """Shared callbacks; the Runtime dispatches events to these."""
+    """Shared callbacks; the Runtime dispatches events to these.  A hook
+    whose value is the event's summary returns a Record (see engine.py);
+    the rest of the log goes to ``rt.sim.note``, ``on_inject``'s summary first."""
 
     name = "?"
     wants_ticks = False
@@ -225,13 +229,13 @@ class Protocol:
     def __init__(self, rt):
         self.rt = rt
 
-    def on_inject(self, msg: Message, t: SimTime) -> str:
+    def on_inject(self, msg: Message, t: SimTime) -> None:
         raise NotImplementedError
 
     def tx_receivers(self, job: TxJob, t: SimTime) -> list[int]:
         raise NotImplementedError
 
-    def after_tx(self, job: TxJob, t: SimTime, results) -> str:
+    def after_tx(self, job: TxJob, t: SimTime, results) -> Record:
         raise NotImplementedError
 
     def on_cloud(self, payload, t: SimTime) -> str:
@@ -239,21 +243,17 @@ class Protocol:
         # because benchmark/tracing.py patches every hook in PROTOCOL_HOOKS.
         raise NotImplementedError
 
-    def after_infra(self, job: InfraTx, t: SimTime, results) -> str:
+    def after_infra(self, job: InfraTx, t: SimTime, results) -> Record:
         raise NotImplementedError
 
-    def on_tick(self, t: SimTime) -> Optional[str]:
+    def on_tick(self, t: SimTime) -> Optional[Record]:
         return None
 
-    def on_maintenance(self, t: SimTime) -> Optional[str]:
+    def on_maintenance(self, t: SimTime) -> Optional[Record]:
         return None
 
     def on_end(self, t: SimTime) -> None:
         return None
-
-
-def fmt_ids(ids) -> str:
-    return ",".join(str(i) for i in ids)
 
 
 class BaselineFlood(Protocol):
@@ -266,34 +266,26 @@ class BaselineFlood(Protocol):
 
     name = "baseline"
 
-    def __init__(self, rt):
-        super().__init__(rt)
-        self._seen: dict[int, set] = {}
-
-    def on_inject(self, msg: Message, t: SimTime) -> str:
-        self._seen[msg.msg_id] = {msg.src}
+    def on_inject(self, msg: Message, t: SimTime) -> None:
         start = t + self.rt.knobs.route_setup_delay_us
-        self.rt.schedule_tx(TxJob(msg, msg.src, hop=1, purpose="flood"), start)
-        return f"flood start={start}"
+        self.rt.schedule_tx(TxJob(msg, msg.src, hop=1, purpose="flood", seen={msg.src}), start)
+        self.rt.sim.note("flood start={}", start)
 
     def tx_receivers(self, job: TxJob, t: SimTime) -> list[int]:
-        seen = self._seen[job.msg.msg_id]
         pos = self.rt.pos(job.sender, t)
         # ``seen`` always holds the sender, so the query skips it too
-        return self.rt.neighbors(pos, self.rt.params.range_m, t, exclude=seen)
+        return self.rt.neighbors(pos, self.rt.params.range_m, t, exclude=job.seen)
 
-    def after_tx(self, job: TxJob, t: SimTime, results) -> str:
+    def after_tx(self, job: TxJob, t: SimTime, results) -> Record:
         rt = self.rt
         msg = job.msg
         reached = rt.settle(msg, results, t, job.hop, final=False)
-        self._seen[msg.msg_id].update(rid for rid, _ in reached)
+        job.seen.update(rid for rid, _ in reached)
         relays = reached if job.hop < msg.ttl_hops else []
-        for rid, recv_us in relays:
-            rt.schedule_tx(TxJob(msg, rid, hop=job.hop + 1, purpose="flood"), recv_us)
-        return (
-            f"tx msg={msg.msg_id} from={job.sender} hop={job.hop} "
-            f"ok={len(reached)} relay={len(relays)}"
-        )
+        for rid, at in relays:
+            rt.schedule_tx(TxJob(msg, rid, hop=job.hop + 1, purpose="flood", seen=job.seen), at)
+        fmt = "tx msg={} from={} hop={} ok={} relay={}"
+        return fmt, msg.msg_id, job.sender, job.hop, len(reached), len(relays)
 
 
 @dataclass
@@ -345,7 +337,7 @@ class HybridVehcloud(Protocol):
 
     # -- injection -----------------------------------------------------
 
-    def on_inject(self, msg: Message, t: SimTime) -> str:
+    def on_inject(self, msg: Message, t: SimTime) -> None:
         rt = self.rt
         src_pos = rt.pos(msg.src, t)
         bs = rt.nearest_station(src_pos)
@@ -360,13 +352,14 @@ class HybridVehcloud(Protocol):
         self._windows.append(msg.msg_id)
         if not region:
             # Nobody around the sender's station: nothing to transmit.
-            return f"bs={bs.station_id} n=0 no nearby vehicles"
+            rt.sim.note("bs={} n=0 no nearby vehicles", bs.station_id)
+            return
 
         rt.schedule_tx(TxJob(msg, msg.src, hop=1, purpose="direct"), t)
         shadowed = sorted(v for v in region if loc[v] == 1)
+        rt.sim.note("bs={} n={} shadowed={}", bs.station_id, len(region), len(shadowed))
         if shadowed:
             self._cloud_round(st, shadowed, t)
-        return f"bs={bs.station_id} n={len(region)} shadowed={len(shadowed)}"
 
     def _cloud_round(self, st: _HybridState, shadowed: list[int], t: SimTime):
         """Uplink once, pick gateways over this shadowed batch, schedule drops."""
@@ -390,7 +383,7 @@ class HybridVehcloud(Protocol):
                 rt.record_loss(msg, v, SHADOWED)
         for g in chosen:
             self._drop_at_gateway(st, g, covers[g], t)
-        rt.note(f"gw={fmt_ids(chosen)}")
+        rt.sim.note("gw={}", chosen)
 
     def _drop_at_gateway(self, st: _HybridState, g: int, receivers: list[int], t: SimTime):
         """Have the cloud hand the message to gateway ``g`` once it is there."""
@@ -429,16 +422,16 @@ class HybridVehcloud(Protocol):
         if best is not None:
             _, g, gpos = best
             st.uplink = rt.channel.uplink(src_pos, gpos, rt.params.range_m, t, contend=True)
-            entry = f"gw:{g}"
+            sent, lost = "uplink=gw:{}", "uplink=gw:{}:{}"
         else:
-            reach = rt.knobs.bs_coverage_m
+            g, reach = None, rt.knobs.bs_coverage_m
             st.uplink = rt.channel.uplink(src_pos, st.bs.pos, reach, t, contend=False)
-            entry = "bs"
+            sent, lost = "uplink=bs", "uplink=bs:{1}"  # {1}: the cause, after g=None
         if st.uplink.delivered:
             st.cloud_ready = t + st.uplink.delay_us + rt.cloud.uplink_us + rt.cloud.processing_us
-            rt.note(f"uplink={entry}")
+            rt.sim.note(sent, g)
         else:
-            rt.note(f"uplink={entry}:{st.uplink.loss_cause}")
+            rt.sim.note(lost, g, st.uplink.loss_cause)
 
     # -- transmissions ---------------------------------------------------
 
@@ -463,17 +456,18 @@ class HybridVehcloud(Protocol):
             return sorted(out)
         return [v for v in (job.receivers or []) if v not in seen]
 
-    def after_tx(self, job: TxJob, t: SimTime, results) -> str:
+    def after_tx(self, job: TxJob, t: SimTime, results) -> Record:
         msg = job.msg
         # One shot for line-of-sight vehicles: a direct miss is final.
         final = job.purpose == "direct"
         reached = self.rt.settle(msg, results, t, job.hop, final=final)
         self._live[msg.msg_id].seen.update(rid for rid, _ in reached)
-        return f"tx msg={msg.msg_id} from={job.sender} purpose={job.purpose} ok={len(reached)}"
+        fmt = "tx msg={} from={} purpose={} ok={}"
+        return fmt, msg.msg_id, job.sender, job.purpose, len(reached)
 
     # -- late joiners ------------------------------------------------------
 
-    def on_tick(self, t: SimTime) -> Optional[str]:
+    def on_tick(self, t: SimTime) -> Optional[Record]:
         rt = self.rt
         live, windows = self._live, self._windows
         while windows and t > live[windows[0]].window_end:
@@ -508,7 +502,7 @@ class HybridVehcloud(Protocol):
                         continue
                     self._drop_at_gateway(st, g, [v], t)
                     attempts += 1
-        return f"late_attempts={attempts}" if attempts else None
+        return ("late_attempts={}", attempts) if attempts else None
 
     def _covering_gateway(self, st: _HybridState, v: int, t: SimTime) -> Optional[int]:
         best = self._nearest_gateway(self.rt.pos(v, t), t, (v, st.msg.src))
@@ -611,29 +605,31 @@ class Dfcv(Protocol):
         self._maintained_at = t
         return total_cells, total_steps
 
-    def on_maintenance(self, t: SimTime) -> Optional[str]:
+    def on_maintenance(self, t: SimTime) -> Record:
         if t == self._maintained_at:
             # what a rerun at the fixed point returns: the cells, one round per station
             cells, steps = sum(map(len, self._cells.values())), len(self.rt.stations)
         else:
             cells, steps = self.maintain(t)
-        return f"cells={cells} steps={steps}"
+        return "cells={} steps={}", cells, steps
 
     # -- dissemination -------------------------------------------------------
 
-    def on_inject(self, msg: Message, t: SimTime) -> str:
+    def on_inject(self, msg: Message, t: SimTime) -> None:
         rt = self.rt
         if t != self._maintained_at:
             self.maintain(t)
         src_bs_id = self._assoc.get(msg.src)
         if src_bs_id is None:
-            return "sender outside coverage"
+            rt.sim.note("sender outside coverage")
+            return
         bs = rt.station(src_bs_id)
         up = rt.channel.uplink(rt.pos(msg.src, t), bs.pos, rt.knobs.bs_coverage_m, t, contend=False)
         if not up.delivered:
+            rt.sim.note("bs={} uplink {}", src_bs_id, up.loss_cause)
             for dst in msg.targets:
                 rt.record_loss(msg, dst, up.loss_cause)
-            return f"bs={src_bs_id} uplink {up.loss_cause}"
+            return
         fog_ready = t + up.delay_us + rt.knobs.fog_processing_us
 
         by_bs: dict[int, list[int]] = {}
@@ -641,7 +637,6 @@ class Dfcv(Protocol):
             dst_bs = self._assoc.get(dst)
             if dst_bs is not None:
                 by_bs.setdefault(dst_bs, []).append(dst)
-        hops = 0
         for bs_id in sorted(by_bs):
             wanted = set(by_bs[bs_id])
             receivers: set = set()
@@ -659,14 +654,13 @@ class Dfcv(Protocol):
                     + rt.knobs.fog_processing_us
                 )
             rt.schedule_cloud(InfraTx(msg, bs_id, sorted(receivers)), at)
-            hops += 1
-        return f"bs={src_bs_id} ready={fog_ready} drops={hops}"
+        rt.sim.note("bs={} ready={} drops={}", src_bs_id, fog_ready, len(by_bs))
 
-    def after_infra(self, job: InfraTx, t: SimTime, results) -> str:
+    def after_infra(self, job: InfraTx, t: SimTime, results) -> Record:
         # the Runtime records only targets, and the targets among these
         # receivers (this station's cells) are the ones this drop is for
         reached = self.rt.settle(job.msg, results, t, 2)
-        return f"i2v msg={job.msg.msg_id} bs={job.bs_id} ok={len(reached)}"
+        return "i2v msg={} bs={} ok={}", job.msg.msg_id, job.bs_id, len(reached)
 
 
 PROTOCOLS = {

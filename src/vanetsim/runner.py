@@ -24,6 +24,7 @@ from .engine import (
     MOBILITY_TICK,
     RADIO_DELIVER,
     SIM_END,
+    Record,
     RunStats,
     SimTime,
     Simulator,
@@ -50,7 +51,6 @@ from .protocols import (
     Message,
     StationIndex,
     TxJob,
-    fmt_ids,
     nearest_station,
 )
 from .radio import LOSS_CAUSES, OUT_OF_RANGE, Channel, note_cause
@@ -148,7 +148,6 @@ class Runtime:
         # the messages with an open pair, which the accounting sweep closes
         self.messages: dict[int, Message] = {}
         self._msg_seq = 0
-        self._notes: list[str] = []
         # the one per-instant cache, shared by every query at _pos_t and
         # reset when t changes: each vehicle's position by its id, and each
         # station's region by its BaseStation.  One dict, not a second
@@ -252,11 +251,6 @@ class Runtime:
 
     # -- delivery accounting ----------------------------------------------------
 
-    def note(self, text: str) -> None:
-        """Append to the current event's log line; a no-op without a log."""
-        if self._logging:
-            self._notes.append(text)
-
     def address(self, msg: Message) -> None:
         """Open a (message, target) pair per target, and keep ``msg`` while
         any of them is open."""
@@ -267,7 +261,8 @@ class Runtime:
 
     # record_delivery and record_loss are the only methods that close a
     # pair (the benchmark's tracer counts records there): each appends its
-    # row, and drops the message with its last pair.
+    # row, and drops the message with its last pair.  They run once per
+    # pair, so each tests _logging before it calls note.
 
     def record_delivery(self, msg: Message, dst: int, recv_us: SimTime, hops: int) -> bool:
         """Close an open pair as delivered; False, writing nothing, for any other."""
@@ -288,7 +283,7 @@ class Runtime:
         self.delivered += 1
         self.delay_sum_us += recv_us - sent_us
         if self._logging:
-            self.note(f"rec={mid}:{dst}:ok:{recv_us}")
+            self.sim.note("rec={}:{}:ok:{}", mid, dst, recv_us)
         return True
 
     def record_loss(self, msg: Message, dst: int, cause: Optional[str] = None) -> bool:
@@ -309,7 +304,7 @@ class Runtime:
             del self._open[mid], self.messages[mid]
         self.rows.append((mid, msg.src, dst, msg.origin_us, None, cause, 0))
         if self._logging:
-            self.note(f"rec={mid}:{dst}:{cause}")
+            self.sim.note("rec={}:{}:{}", mid, dst, cause)
         return True
 
     def settle(
@@ -356,7 +351,7 @@ class Runtime:
             (BEACON_EMIT, self._on_beacon),
             (SIM_END, self._on_sim_end),
         ):
-            sim.on(kind, self._wrap(handler) if self._logging else handler)
+            sim.on(kind, handler)
 
         if self.protocol.wants_maintenance:
             sim.schedule(0, FOG_MAINTENANCE)
@@ -388,17 +383,6 @@ class Runtime:
 
     # -- handlers ---------------------------------------------------------------
 
-    def _wrap(self, fn):
-        def handler(t, payload):
-            self._notes = []
-            base = fn(t, payload)
-            if self._notes:
-                extra = " ".join(self._notes)
-                base = f"{base} {extra}" if base else extra
-            return base
-
-        return handler
-
     def _targets_for(self, src: int, t: SimTime) -> tuple[int, ...]:
         if self.cfg.workload.target_rule == TARGET_EXPLICIT:
             valid = set(self.provider.vehicle_ids)
@@ -407,16 +391,15 @@ class Runtime:
         bs = self.nearest_station(self.pos(src, t))
         return self.region_members(bs, t, exclude=(src,))
 
-    def _on_inject(self, t: SimTime, payload: tuple[int, int]) -> str:
+    def _on_inject(self, t: SimTime, payload: tuple[int, int]) -> Record:
         msg_id, src = payload
         targets = self._targets_for(src, t)
         msg = Message(msg_id, src, t, targets, ttl_hops=self.knobs.ttl_hops)
         self.address(msg)
-        extra = self.protocol.on_inject(msg, t)
-        base = f"msg={msg.msg_id} src={msg.src} targets={fmt_ids(targets)}"
-        return f"{base} {extra}" if extra else base
+        self.protocol.on_inject(msg, t)
+        return "msg={} src={} targets={}", msg_id, src, targets
 
-    def _on_radio(self, t: SimTime, job: TxJob | InfraTx) -> str:
+    def _on_radio(self, t: SimTime, job: TxJob | InfraTx) -> Record:
         if isinstance(job, InfraTx):
             return self._fire_infra(job, t)
         if not job.fire:
@@ -425,21 +408,21 @@ class Runtime:
             if busy is not None and job.defers < self.params.max_defers:
                 job.defers += 1
                 self.sim.schedule(busy, RADIO_DELIVER, job)
-                return f"defer msg={job.msg.msg_id} from={job.sender} until={busy}"
+                return "defer msg={} from={} until={}", job.msg.msg_id, job.sender, busy
             job.fire = True
             wait = self.channel.draw_backoff()
             self.sim.schedule(t + wait, RADIO_DELIVER, job)
-            return f"wait msg={job.msg.msg_id} from={job.sender} backoff={wait}"
+            return "wait msg={} from={} backoff={}", job.msg.msg_id, job.sender, wait
         return self._fire_tx(job, t)
 
-    def _fire_tx(self, job: TxJob, t: SimTime) -> str:
+    def _fire_tx(self, job: TxJob, t: SimTime) -> Record:
         sender_pos = self.pos(job.sender, t)
         receivers = self.protocol.tx_receivers(job, t)
         results = self.channel.hops(sender_pos, receivers, self.pos, self.params.range_m, t)
         self.channel.register(t, t + self.channel.frame_us, sender_pos)
         return self.protocol.after_tx(job, t, results)
 
-    def _fire_infra(self, job: InfraTx, t: SimTime) -> str:
+    def _fire_infra(self, job: InfraTx, t: SimTime) -> Record:
         bs = self.station(job.bs_id)
         reach = self.knobs.bs_coverage_m
         # Scheduled infrastructure downlink: no contention draw.
@@ -447,25 +430,25 @@ class Runtime:
         self.channel.register(t, t + self.channel.frame_us, bs.pos)
         return self.protocol.after_infra(job, t, results)
 
-    def _on_cloud(self, t: SimTime, job: TxJob | InfraTx) -> str:
+    def _on_cloud(self, t: SimTime, job: TxJob | InfraTx) -> Record:
         """A gateway drop (``TxJob``) or a station downlink (``InfraTx``)
         reaches its transmitter and goes on the radio."""
         self.schedule_tx(job, t)
         if isinstance(job, InfraTx):
-            return f"msg={job.msg.msg_id} bs={job.bs_id} n={len(job.receivers)}"
-        return f"msg={job.msg.msg_id} gw={job.sender} n={len(job.receivers)}"
+            return "msg={} bs={} n={}", job.msg.msg_id, job.bs_id, len(job.receivers)
+        return "msg={} gw={} n={}", job.msg.msg_id, job.sender, len(job.receivers)
 
-    def _on_tick(self, t: SimTime, _payload: None) -> Optional[str]:
+    def _on_tick(self, t: SimTime, _payload: None) -> Optional[Record]:
         summary = self.protocol.on_tick(t)
         self._repeat(MOBILITY_TICK, t + self._tick_us)
         return summary
 
-    def _on_maintenance(self, t: SimTime, _payload: None) -> Optional[str]:
+    def _on_maintenance(self, t: SimTime, _payload: None) -> Optional[Record]:
         summary = self.protocol.on_maintenance(t)
         self._repeat(FOG_MAINTENANCE, t + self._maintenance_us)
         return summary
 
-    def _on_beacon(self, t: SimTime, v: int) -> Optional[str]:
+    def _on_beacon(self, t: SimTime, v: int) -> Record:
         """A metered beacon: one delivery record per vehicle in range.
 
         The frame is on air through the channel's beacon schedule, like
@@ -479,11 +462,9 @@ class Runtime:
         results = self.channel.hops(pos, cand, self.pos, self.params.range_m, t, own=pos)
         self.settle(msg, results, t, 1)
         self._repeat(BEACON_EMIT, t + self._beacon_us, v)
-        if self._logging:
-            return f"v={v} msg={msg.msg_id} targets={fmt_ids(cand)}"
-        return None
+        return "v={} msg={} targets={}", v, msg.msg_id, cand
 
-    def _on_sim_end(self, t: SimTime, _payload: None) -> str:
+    def _on_sim_end(self, t: SimTime, _payload: None) -> Record:
         self.protocol.on_end(t)
         swept = 0
         for mid in sorted(self._open):
@@ -493,7 +474,7 @@ class Runtime:
                 self.record_loss(msg, dst)
         # nothing fires after the accounting sweep, not even events due at end_us
         self.sim.stop()
-        return f"records={len(self.rows)} swept={swept}"
+        return "records={} swept={}", len(self.rows), swept
 
 
 @dataclass

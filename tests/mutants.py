@@ -1,0 +1,257 @@
+"""Seeded mutation check: each mutant is a small, deliberate bug that named
+tests must catch.
+
+    python tests/mutants.py
+
+A mutant is a file under ``src/vanetsim``, an exact old text, a new text,
+and the tests that must fail on it (test files or pytest node ids).  For
+each mutant the script copies ``src/`` to a temporary directory, replaces
+the old text by the new one there, and runs the named tests with ``-x``
+against the copy.  The mutant is killed when they fail, or when they are
+still running at the time limit (a mutant can make a run endless); it
+survives when they pass.
+
+The script exits 1 when a mutant survives, when its tests cannot run (a
+node id that no longer exists), or when its old text is not found exactly
+once: a refactor that moves guarded code must update the mutant here, not
+drop it without a trace.  It needs pytest and hypothesis, and is not a
+test module itself, so pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import signal
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+LIMIT_S = 90.0  # per mutant; the slowest kill here takes under 10 s
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to src/vanetsim
+    old: str
+    new: str
+    tests: tuple[str, ...]  # relative to the checkout
+
+
+HYBRID_DIFFERENTIAL = (
+    "tests/test_protocols.py::test_hybrid_matches_a_run_with_unshared_region_queries",
+)
+
+MUTANTS = (
+    # -- the event log: the engine writes the line ------------------------
+    Mutant(
+        "log-summary-after-notes",
+        "engine.py",
+        "notes.insert(0, render(record[0], record[1:]))",
+        "notes.append(render(record[0], record[1:]))",
+        ("tests/test_engine.py",),
+    ),
+    Mutant(
+        "log-sequence-not-comma-joined",
+        "engine.py",
+        '",".join(map(str, f))',
+        '", ".join(map(str, f))',
+        ("tests/test_engine.py",),
+    ),
+    Mutant(
+        "log-note-rendered-without-a-log",
+        "engine.py",
+        """        if self._log is not None:
+            self._notes.append(render(fmt, fields))""",
+        """        self._notes.append(render(fmt, fields))""",
+        ("tests/test_engine.py",),
+    ),
+    # -- neighbor queries ----------------------------------------------------
+    Mutant(
+        "image-entry-certain",
+        "mobility.py",
+        "(vid, ix, iy, -inf)",
+        "(vid, ix, iy, inf)",
+        ("tests/test_mobility.py",),
+    ),
+    Mutant(
+        "certain-without-float-margin",
+        "mobility.py",
+        "sure = radius_m - slack - 1e-6",
+        "sure = radius_m - slack",
+        ("tests/test_mobility.py::test_a_vehicle_one_float_step_beyond_the_radius_is_never_certain",),
+    ),
+    Mutant(
+        "station-cells-without-padding",
+        "protocols.py",
+        "self._cell = cell = coverage_m * (1.0 + 1e-6)",
+        "self._cell = cell = coverage_m",
+        ("tests/test_protocols.py::test_station_index_matches_the_linear_scan",),
+    ),
+    # -- the channel -----------------------------------------------------------
+    Mutant(
+        "contention-draw-without-contention",
+        "radio.py",
+        "elif contend and channel_loss(params, self.concurrent_near(dst, t, own), rng):",
+        "elif channel_loss(params, self.concurrent_near(dst, t, own), rng) and contend:",
+        ("tests/test_radio.py",),
+    ),
+    Mutant(
+        "frame-heard-before-its-start",
+        "radio.py",
+        "if start <= t and hypot(x - px, y - py) <= r:",
+        "if hypot(x - px, y - py) <= r:",
+        ("tests/test_radio.py::test_channel_expires_and_ignores_future_starts",),
+    ),
+    # -- delivery accounting ---------------------------------------------------
+    Mutant(
+        "every-miss-final",
+        "runner.py",
+        "elif final:",
+        "elif True:",
+        ("tests/test_runner.py::test_horizon_sweep_records_the_worst_noted_cause",),
+    ),
+    # -- the flood's visited set -------------------------------------------------
+    Mutant(
+        "relay-with-its-own-visited-set",
+        "protocols.py",
+        'purpose="flood", seen=job.seen), at)',
+        'purpose="flood", seen=set(job.seen)), at)',
+        ("tests/test_protocols.py::test_flood_never_rebroadcasts_twice",),
+    ),
+    # -- hybrid's shared region query and open windows ---------------------------
+    Mutant(
+        "region-cache-kept-across-instants",
+        "runner.py",
+        """        if t != self._pos_t:
+            self._pos_t = t
+            self._pos = {}
+        region = self._pos.get(bs)""",
+        """        region = self._pos.get(bs)""",
+        HYBRID_DIFFERENTIAL,
+    ),
+    Mutant(
+        "region-ignores-exclude",
+        "runner.py",
+        "return tuple(v for v in region if v not in exclude) if exclude else region",
+        "return region",
+        HYBRID_DIFFERENTIAL,
+    ),
+    Mutant(
+        "window-closed-at-its-end",
+        "protocols.py",
+        "while windows and t > live[windows[0]].window_end:",
+        "while windows and t >= live[windows[0]].window_end:",
+        HYBRID_DIFFERENTIAL,
+    ),
+    Mutant(
+        "windows-walked-in-reverse",
+        "protocols.py",
+        "for mid in windows:",
+        "for mid in reversed(windows):",
+        HYBRID_DIFFERENTIAL,
+    ),
+    Mutant(
+        "late-joiners-never-handled",
+        "protocols.py",
+        "fresh = [v for v in rt.region_members(st.bs, t) if v not in st.handled]",
+        "fresh = list(rt.region_members(st.bs, t))",
+        HYBRID_DIFFERENTIAL,
+    ),
+)
+
+
+# pytest with hypothesis shrinking off: a mutant needs one failing example,
+# not the smallest, and shrinking a failure took up to a minute
+RUN_PYTEST = """
+import sys
+import pytest
+from hypothesis import Phase, settings
+settings.register_profile("mutants", phases=[Phase.explicit, Phase.reuse, Phase.generate])
+settings.load_profile("mutants")
+sys.exit(pytest.main(sys.argv[1:]))
+"""
+
+
+def apply(src: Path, mutant: Mutant) -> None:
+    path = src / "vanetsim" / mutant.path
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+
+
+def stale(mutant: Mutant) -> str:
+    """Why the mutant no longer applies to the checkout, or ''."""
+    path = ROOT / "src" / "vanetsim" / mutant.path
+    if not path.is_file():
+        return f"no file src/vanetsim/{mutant.path}"
+    found = path.read_text(encoding="utf-8").count(mutant.old)
+    return "" if found == 1 else f"old text found {found} times in src/vanetsim/{mutant.path}"
+
+
+def run_tests(src: Path, tests: tuple[str, ...]) -> str:
+    """'killed', 'survived' or 'error', running ``tests`` against ``src``;
+    a run still going at the limit is killed."""
+    path = os.pathsep.join(p for p in (str(src), os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONPATH=path)
+    cmd = [sys.executable, "-c", RUN_PYTEST, "-x", "-q", "-p", "no:cacheprovider", *tests]
+    # its own session, so a run stopped at the limit takes its children along
+    proc = subprocess.Popen(
+        cmd, cwd=ROOT, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        start_new_session=True,
+    )
+    try:
+        code = proc.wait(timeout=LIMIT_S)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+        return "killed"
+    # pytest: 0 all passed, 1 some failed; anything else ran no verdict
+    return {0: "survived", 1: "killed"}.get(code, "error")
+
+
+def imported_from(src: Path) -> Path:
+    """Where ``vanetsim`` is imported from with ``src`` first on the path."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c", "import vanetsim; print(vanetsim.__file__)"],
+        cwd=src, env=env, capture_output=True, text=True, check=True,
+    )
+    return Path(out.stdout.strip()).resolve()
+
+
+def main() -> int:
+    failed = []
+    for m in MUTANTS:
+        why = stale(m)
+        if why:
+            print(f"stale     {m.name}: {why}")
+            failed.append(m.name)
+    if failed:
+        return 1
+
+    with tempfile.TemporaryDirectory(prefix="vanetsim-mutants-") as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        if not imported_from(src).is_relative_to(src.resolve()):
+            print("the tests would not import the copy of src/", file=sys.stderr)
+            return 1
+        for m in MUTANTS:
+            shutil.rmtree(src)
+            shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+            apply(src, m)
+            started = time.monotonic()
+            verdict = run_tests(src, m.tests)
+            print(f"{verdict:9} {m.name} ({time.monotonic() - started:.1f} s)", flush=True)
+            if verdict != "killed":
+                failed.append(m.name)
+    print(f"{len(MUTANTS) - len(failed)} of {len(MUTANTS)} mutants killed")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -113,7 +113,7 @@ def hybrid_on_tick(self, t):
                     continue
                 self._drop_at_gateway(st, g, [v], t)
                 attempts += 1
-    return f"late_attempts={attempts}" if attempts else None
+    return ("late_attempts={}", attempts) if attempts else None
 
 
 @contextmanager

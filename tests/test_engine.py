@@ -1,10 +1,11 @@
-"""Event loop ordering, budget, RNG stream determinism."""
+"""Event loop ordering, budget, RNG stream determinism, the event log."""
 
 import hashlib
 import random
 
 import pytest
 
+from vanetsim import engine
 from vanetsim.engine import (
     BEACON_EMIT,
     DEFAULT_EVENT_BUDGET,
@@ -157,7 +158,7 @@ def test_budget_exceeded_raises():
 def test_log_lines_are_tab_separated_with_dash_placeholder():
     log = []
     sim = Simulator(log=log)
-    sim.on(RADIO_DELIVER, lambda t, payload: "hop done")
+    sim.on(RADIO_DELIVER, lambda t, payload: ("hop {}", "done"))
     sim.schedule(5, RADIO_DELIVER)
     sim.schedule(6, SIM_END)  # no handler: '-' summary
     sim.run(10)
@@ -173,7 +174,7 @@ def test_identical_runs_replay_identical_logs():
             wait = sim.rng("radio-backoff").randrange(1, 100)
             if t < 2_000:
                 sim.schedule(t + wait, RADIO_DELIVER, None)
-            return f"wait={wait}"
+            return "wait={}", wait
 
         sim.on(RADIO_DELIVER, hop)
         sim.schedule(0, RADIO_DELIVER)
@@ -182,3 +183,80 @@ def test_identical_runs_replay_identical_logs():
 
     assert drive(11) == drive(11)
     assert drive(11) != drive(12)
+
+
+def logged_line(handler, *, at=5):
+    """The summary of one event's log line, for ``handler``."""
+    log = []
+    sim = Simulator(log=log)
+    sim.on(RADIO_DELIVER, lambda t, payload: handler(sim, t))
+    sim.schedule(at, RADIO_DELIVER)
+    sim.run(at)
+    (line,) = log
+    return line.split("\t")[3]
+
+
+def test_a_list_or_tuple_field_is_written_comma_joined():
+    def handler(sim, t):
+        return "ids={} pair={} none={} t={}", [3, 1, 2], (4, 5), [], t
+
+    assert logged_line(handler) == "ids=3,1,2 pair=4,5 none= t=5"
+
+
+def test_notes_follow_the_summary_in_call_order():
+    def handler(sim, t):
+        sim.note("first={}", 1)
+        sim.note("then {} of {}", [2, 3], "ids")
+        sim.note("last")
+        return "summary t={}", t
+
+    assert logged_line(handler) == "summary t=5 first=1 then 2,3 of ids last"
+
+
+def test_a_line_with_notes_and_no_summary():
+    def handler(sim, t):
+        sim.note("only={}", t)
+
+    assert logged_line(handler) == "only=5"
+
+
+def test_notes_never_carry_over_into_the_next_event():
+    log = []
+    sim = Simulator(log=log)
+    sim.note("before any event")
+
+    def hop(t, noisy):
+        if noisy:
+            sim.note("noted at {}", t)
+            return None
+        return "quiet at {}", t
+
+    sim.on(RADIO_DELIVER, hop)
+    sim.schedule(1, RADIO_DELIVER, True)
+    sim.schedule(2, RADIO_DELIVER, False)
+    sim.schedule(3, RADIO_DELIVER, True)
+    sim.schedule(4, SIM_END)
+    sim.run(10)
+    assert [line.split("\t")[3] for line in log] == [
+        "noted at 1", "quiet at 2", "noted at 3", "-"
+    ]
+
+
+def test_without_a_log_nothing_is_rendered(monkeypatch):
+    def render(fmt, fields):
+        raise AssertionError(f"rendered {fmt!r} without a log")
+
+    monkeypatch.setattr(engine, "render", render)
+    sim = Simulator()
+    seen = []
+
+    def hop(t, payload):
+        sim.note("noted={}", [t])
+        seen.append(t)
+        return "summary={}", t
+
+    sim.on(RADIO_DELIVER, hop)
+    sim.schedule(1, RADIO_DELIVER)
+    sim.schedule(2, RADIO_DELIVER)
+    sim.run(10)
+    assert seen == [1, 2]

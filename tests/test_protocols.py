@@ -548,6 +548,28 @@ def test_flood_never_rebroadcasts_twice(tmp_path):
     assert len(pairs) == len(set(pairs))
 
 
+def test_a_flood_keeps_nothing_per_message(tmp_path):
+    # the flood jobs of a message share its visited set, which goes with
+    # the message's last job instead of staying in the protocol
+    rng = random.Random(5)
+    positions = [(rng.uniform(0, 800), rng.uniform(0, 400)) for _ in range(20)]
+    cfg = scenario(static_trace(tmp_path, positions), 20, targets=range(20),
+                   knobs_kw={"ttl_hops": 64})
+    sim = Simulator(seed=2)
+    provider = build_provider(cfg.mobility, sim.rng("mobility"))
+    stations = place_stations(cfg.mobility, provider, cfg.knobs)
+    rt = Runtime(sim, cfg, provider, cfg.load_obstacles(), stations, "baseline")
+    rt.setup()
+    sim.run(until=rt.end_us)
+    msg_ids = {row[0] for row in rt.rows}
+    assert msg_ids and rt.delivered
+    keyed = [
+        name for name, value in vars(rt.protocol).items()
+        if isinstance(value, dict) and msg_ids & value.keys()
+    ]
+    assert keyed == []
+
+
 def test_flood_respects_route_setup_delay(tmp_path):
     positions = [(0.0, 0.0), (100.0, 0.0)]
     cfg = scenario(static_trace(tmp_path, positions), 2, targets=range(2),

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vanetsim import mobility, runner
+from vanetsim import engine, mobility, runner
 from vanetsim.config import ProtocolKnobs, ScenarioConfig, WorkloadSpec
 from vanetsim.engine import SIM_END, US_PER_S, Simulator, to_us
 from vanetsim.errors import BudgetError, SimulationError, TraceParseError
@@ -694,6 +694,42 @@ def test_unlogged_run_matches_logged_run(protocol, metered):
     assert csv_text([plain.summary]) == csv_text([logged.summary])
     assert plain.records == logged.records
     assert plain.stats == logged.stats
+
+
+@pytest.mark.parametrize("protocol", ["baseline", "hybrid_vehcloud", "dfcv"])
+def test_an_unlogged_run_renders_nothing_and_has_the_same_handlers(protocol, monkeypatch):
+    # metered beacons, obstacles and 10 ms ticks, so each protocol reaches
+    # every hook of its own that logs
+    cfg = obstacle_grid_cfg(metered=True)
+    cfg = dataclasses.replace(cfg, knobs=dataclasses.replace(cfg.knobs, mobility_tick_s=0.01))
+    registered = {True: {}, False: {}}  # by has_log: each kind's handler function
+    register = Simulator.on
+
+    def spy(sim, kind, handler):
+        registered[sim.has_log][kind] = getattr(handler, "__func__", handler)
+        register(sim, kind, handler)
+
+    monkeypatch.setattr(Simulator, "on", spy)
+    logged = run_single(cfg, protocol, 60, 7, capture_log=True)
+
+    def render(fmt, fields):
+        raise AssertionError(f"an unlogged run rendered {fmt!r}")
+
+    monkeypatch.setattr(engine, "render", render)
+    plain = run_single(cfg, protocol, 60, 7)
+    assert plain.rows == logged.rows and plain.stats == logged.stats
+    assert registered[False] == registered[True]
+    assert set(registered[False]) == engine.EVENT_KINDS
+
+
+@pytest.mark.parametrize("protocol", ["baseline", "hybrid_vehcloud", "dfcv"])
+def test_runtime_keeps_at_most_29_instance_attributes(protocol):
+    """CPython 3.11 keeps an instance's attribute values inline only while
+    it has fewer than 30 attributes.  At 30 every load of a Runtime
+    attribute takes a slower path, and baseline runs read about 3% slower
+    on three benchmark workloads (``BENCH_22.json``, ``first_round``)."""
+    rt = quiet_runtime([Position(0, 0), Position(100, 0)], protocol)
+    assert len(vars(rt)) <= 29
 
 
 def test_beacons_can_join_the_metrics():
