@@ -14,6 +14,7 @@ import xml.etree.ElementTree as ET
 from bisect import bisect_right
 from dataclasses import dataclass
 from decimal import InvalidOperation
+from functools import partial
 from random import Random
 from typing import Collection, Mapping, NamedTuple, Optional, Sequence
 
@@ -36,6 +37,11 @@ MAX_VEHICLES = 10_000
 class Position(NamedTuple):
     x: float
     y: float
+
+
+#: ``_position((x, y))`` is ``Position(x, y)``, built without the Python
+#: frame of the NamedTuple constructor; the providers build one per lookup
+_position = partial(tuple.__new__, Position)
 
 
 def distance(a: Position, b: Position) -> float:
@@ -149,7 +155,7 @@ class StreetProvider(MobilityProvider):
     def position_at(self, vehicle_id: int, t_us: SimTime) -> Position:
         horizontal, fixed, offset, velocity = self._vehicles[vehicle_id]
         along = (offset + velocity * (t_us / US_PER_S)) % self._period
-        return Position(along, fixed) if horizontal else Position(fixed, along)
+        return _position((along, fixed) if horizontal else (fixed, along))
 
     def max_drift_mps(self) -> float:
         return max((abs(v[3]) for v in self._vehicles), default=0.0)
@@ -273,7 +279,7 @@ class TraceProvider(MobilityProvider):
         t0, t1 = times[k], times[k + 1]
         frac = (t_us - t0) / (t1 - t0)
         p0, p1 = points[k], points[k + 1]
-        return Position(p0.x + frac * (p1.x - p0.x), p0.y + frac * (p1.y - p0.y))
+        return _position((p0.x + frac * (p1.x - p0.x), p0.y + frac * (p1.y - p0.y)))
 
     def max_drift_mps(self) -> float:
         return self._max_drift
@@ -359,7 +365,7 @@ def parse_fcd(path: str) -> dict[str, Track]:
                 _float_attr(node, "speed", where)
             track = tracks.get(vid)
             if track is None:
-                tracks[vid] = ([time_us], [Position(x, y)])
+                tracks[vid] = ([time_us], [_position((x, y))])
                 continue
             times, points = track
             if time_us <= times[-1]:
@@ -368,7 +374,7 @@ def parse_fcd(path: str) -> dict[str, Track]:
                     f"(previous sample at {times[-1]}us)"
                 )
             times.append(time_us)
-            points.append(Position(x, y))
+            points.append(_position((x, y)))
     if not tracks:
         raise TraceParseError(f"{path}: trace contains no vehicle samples")
     return tracks

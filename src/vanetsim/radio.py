@@ -262,21 +262,14 @@ def line_of_sight(a: Position, b: Position, obstacles: ObstacleMap) -> bool:
     return True
 
 
+def _tx_us(params: RadioParams) -> float:
+    """A frame's transmission time in fractional microseconds."""
+    return params.msg_size_bytes * 8 * US_PER_S / params.data_rate_bps
+
+
 def tx_time_us(params: RadioParams) -> int:
     """How long a frame is on air: every frame is ``msg_size_bytes`` long."""
-    raw = params.msg_size_bytes * 8 * US_PER_S / params.data_rate_bps
-    return max(1, int(raw + 0.5))
-
-
-def hop_delay_us(params: RadioParams, distance_m: float) -> int:
-    """Transmission plus propagation, in whole microseconds.
-
-    The fractional transmission and propagation terms are rounded half-up;
-    the result is always at least one microsecond.
-    """
-    tx = params.msg_size_bytes * 8 * US_PER_S / params.data_rate_bps
-    prop = distance_m * US_PER_S / params.prop_speed_mps
-    return max(1, int(tx + prop + 0.5))
+    return max(1, int(_tx_us(params) + 0.5))
 
 
 def channel_loss(params: RadioParams, concurrent_tx: int, rng: Random) -> bool:
@@ -314,6 +307,8 @@ class Channel:
         self.obstacles = obstacles
         # every frame is radio.msg_size_bytes long, so on air this long
         self.frame_us = tx_time_us(params)
+        # and its unrounded transmission time, the first term of a hop's delay
+        self._tx_us = _tx_us(params)
         self._rng = backoff_rng
         self.loss_rng = loss_rng
         self._active: list[tuple[SimTime, SimTime, float, float]] = []
@@ -348,8 +343,11 @@ class Channel:
         heapq.heappush(self._active, (end, start, pos.x, pos.y))
 
     def _prune(self, t: SimTime) -> None:
-        while self._active and self._active[0][0] <= t:
-            heapq.heappop(self._active)
+        """Drop the registered frames that have ended by ``t``; callers ask
+        only once the earliest has."""
+        active = self._active
+        while active and active[0][0] <= t:
+            heapq.heappop(active)
 
     def beacon_origin(self, v: int, start: SimTime) -> Position:
         """Where vehicle ``v`` sent the beacon frame that starts at ``start``."""
@@ -387,11 +385,13 @@ class Channel:
         ``own`` is the origin of a frame on air at ``t`` that is left out:
         a metered beacon's hops do not hear the beacon's own frame.
         """
-        self._prune(t)
+        active = self._active
+        if active and active[0][0] <= t:
+            self._prune(t)
         r = self.params.range_m
         px, py = pos
         n = 0
-        for end, start, x, y in self._active:
+        for end, start, x, y in active:
             if start <= t and hypot(x - px, y - py) <= r:
                 n += 1
         for end, x, y in self._air if t == self._air_t else self._beacons_at(t):
@@ -403,11 +403,13 @@ class Channel:
 
     def busy_until_near(self, pos: Position, t: SimTime) -> Optional[SimTime]:
         """The latest end of the frames on air at ``t`` and audible at ``pos``."""
-        self._prune(t)
+        active = self._active
+        if active and active[0][0] <= t:
+            self._prune(t)
         r = self.params.range_m
         px, py = pos
         busy = None
-        for end, start, x, y in self._active:
+        for end, start, x, y in active:
             if start <= t and hypot(x - px, y - py) <= r and (busy is None or end > busy):
                 busy = end
         for end, x, y in self._air if t == self._air_t else self._beacons_at(t):
@@ -440,8 +442,15 @@ class Channel:
         advances once per contending hop that passes range and sight.
         ``own`` is the origin of a frame whose contention the hops do not
         count (see ``concurrent_near``).
+
+        Sight is asked only of a map with rectangles: on an empty one
+        ``line_of_sight`` is always clear.  A delivered hop's delay is the
+        transmission plus the propagation time, rounded half-up to whole
+        microseconds and at least one.
         """
         params, obstacles, rng = self.params, self.obstacles, self.loss_rng
+        walls = bool(obstacles.rects)
+        tx, speed = self._tx_us, params.prop_speed_mps
         sx, sy = src
         out = []
         for rid in receivers:
@@ -449,12 +458,13 @@ class Channel:
             d = hypot(sx - dst.x, sy - dst.y)
             if d > reach:
                 out.append((rid, _OUT_OF_RANGE_HOP))
-            elif not line_of_sight(src, dst, obstacles):
+            elif walls and not line_of_sight(src, dst, obstacles):
                 out.append((rid, _SHADOWED_HOP))
             elif contend and channel_loss(params, self.concurrent_near(dst, t, own), rng):
                 out.append((rid, _CHANNEL_LOSS_HOP))
             else:
-                out.append((rid, _delivered_hop(hop_delay_us(params, d))))
+                delay = int(tx + d * US_PER_S / speed + 0.5)
+                out.append((rid, _delivered_hop(delay if delay > 1 else 1)))
         return out
 
     def uplink(

@@ -108,6 +108,53 @@ MUTANTS = (
         "if hypot(x - px, y - py) <= r:",
         ("tests/test_radio.py::test_channel_expires_and_ignores_future_starts",),
     ),
+    Mutant(
+        "frame-heard-at-its-end",
+        "radio.py",
+        """        if active and active[0][0] <= t:
+            self._prune(t)
+        r = self.params.range_m
+        px, py = pos
+        n = 0""",
+        """        if active and active[0][0] < t:
+            self._prune(t)
+        r = self.params.range_m
+        px, py = pos
+        n = 0""",
+        ("tests/test_radio.py::test_channel_expires_and_ignores_future_starts",),
+    ),
+    Mutant(
+        "carrier-sensed-at-a-frame-end",
+        "radio.py",
+        """        if active and active[0][0] <= t:
+            self._prune(t)
+        r = self.params.range_m
+        px, py = pos
+        busy = None""",
+        """        if active and active[0][0] < t:
+            self._prune(t)
+        r = self.params.range_m
+        px, py = pos
+        busy = None""",
+        ("tests/test_radio.py::test_carrier_sense_does_not_hear_a_frame_at_its_end",),
+    ),
+    Mutant(
+        "sight-asked-only-without-buildings",
+        "radio.py",
+        "elif walls and not line_of_sight(src, dst, obstacles):",
+        "elif not walls and not line_of_sight(src, dst, obstacles):",
+        ("tests/test_radio.py::test_unicast_checks_range_then_sight_then_channel",),
+    ),
+    Mutant(
+        "delay-rounded-down",
+        "radio.py",
+        "delay = int(tx + d * US_PER_S / speed + 0.5)",
+        "delay = int(tx + d * US_PER_S / speed)",
+        (
+            "tests/test_radio.py::test_hop_delay_sums_tx_prop_backoff",
+            "tests/test_radio.py::test_hops_equal_the_per_hop_reference",
+        ),
+    ),
     # -- delivery accounting ---------------------------------------------------
     Mutant(
         "every-miss-final",

@@ -1,5 +1,8 @@
 """What the tests hold the simulator to, kept apart from ``src/``.
 
+``evaluate_hop`` and ``hop_delay_us`` evaluate one hop on their own, as
+``Channel.hops`` does for each of its receivers.
+
 The four metric functions recompute each summary metric on its own from a
 record list, so ``metrics.summarize`` and a run's running counts can be
 checked against them.  ``closed_pairs`` and ``spy_addresses`` read a
@@ -19,7 +22,46 @@ from unittest import mock
 from vanetsim import protocols, runner
 from vanetsim.engine import US_PER_S
 from vanetsim.metrics import DeliveryRecord
+from vanetsim.mobility import distance
 from vanetsim.protocols import TxJob, obstacle_shadowing
+from vanetsim.radio import (
+    CHANNEL_LOSS,
+    OUT_OF_RANGE,
+    SHADOWED,
+    HopOutcome,
+    RadioParams,
+    channel_loss,
+    line_of_sight,
+)
+
+
+def hop_delay_us(params: RadioParams, distance_m: float) -> int:
+    """Transmission plus propagation, in whole microseconds.
+
+    The fractional transmission and propagation terms are rounded half-up;
+    the result is always at least one microsecond.
+    """
+    tx = params.msg_size_bytes * 8 * US_PER_S / params.data_rate_bps
+    prop = distance_m * US_PER_S / params.prop_speed_mps
+    return max(1, int(tx + prop + 0.5))
+
+
+def evaluate_hop(src, dst, reach_m, params, obstacles, contention=None, rng=None):
+    """The per-hop reference that ``Channel.hops`` is checked against.
+
+    Checks run range, sight, then channel.  ``contention(dst)`` counts the
+    transmissions audible at the receiver; it is called, and one
+    ``channel_loss`` draw is taken from ``rng``, only after range and sight
+    pass.  Without a contention check the hop draws nothing.
+    """
+    d = distance(src, dst)
+    if d > reach_m:
+        return HopOutcome(False, loss_cause=OUT_OF_RANGE)
+    if not line_of_sight(src, dst, obstacles):
+        return HopOutcome(False, loss_cause=SHADOWED)
+    if contention is not None and channel_loss(params, contention(dst), rng):
+        return HopOutcome(False, loss_cause=CHANNEL_LOSS)
+    return HopOutcome(True, delay_us=hop_delay_us(params, d))
 
 
 def end_to_end_delay_s(records: Sequence[DeliveryRecord]) -> Optional[float]:

@@ -1,6 +1,7 @@
 """Mobility providers, trace ingestion, and the neighbor index."""
 
 import math
+import pickle
 import random
 import xml.etree.ElementTree as ET
 from bisect import bisect_right
@@ -424,6 +425,44 @@ def test_trace_provider_interpolates_and_clamps(tmp_path):
     assert prov.max_drift_mps() == pytest.approx(20.0)
     x0, y0, x1, y1 = prov.bounds()
     assert (x0, y0) == (100.0, 0.0) and (x1, y1) == (440.0, 3.5)
+
+
+def assert_real_position(p, x, y):
+    """``p`` is the ``Position(x, y)`` its constructor builds, and comes back
+    from a pickle round trip as one: a parallel trace sweep pickles the
+    tracks into its workers."""
+    assert type(p) is Position
+    assert p == Position(x, y) and (p.x, p.y) == (x, y)
+    back = pickle.loads(pickle.dumps(p))
+    assert type(back) is Position and back == p
+
+
+def test_providers_return_real_positions(tmp_path):
+    highway = SyntheticHighwayProvider(MobilitySpec(vehicle_count=20), rng=random.Random(4))
+    grid = SyntheticGridProvider(
+        MobilitySpec(mode="synthetic_grid", vehicle_count=20), rng=random.Random(4)
+    )
+    for prov in (highway, grid):
+        for v in prov.vehicle_ids:
+            p = prov.position_at(v, 1_234_567)
+            assert_real_position(p, p[0], p[1])
+    # the grid has vehicles on both street directions
+    assert {grid._vehicles[v][0] for v in grid.vehicle_ids} == {False, True}
+
+    tracks = parse_fcd(write_fixture(tmp_path))
+    for times, points in tracks.values():
+        for p in points:
+            assert_real_position(p, p[0], p[1])
+    assert tracks["veh_b"][1][1] == Position(420.0, 3.5)
+    prov = TraceProvider(tracks)
+    a = prov.vehicle_ids[0]
+    for t, (x, y) in (
+        (US_PER_S, (110.0, 0.0)),  # at a sample
+        (500_000, (105.0, 0.0)),  # between samples
+        (-1, (100.0, 0.0)),  # clamped before the first sample
+        (99 * US_PER_S, (120.0, 0.0)),  # and after the last
+    ):
+        assert_real_position(prov.position_at(a, t), x, y)
 
 
 def contract_providers(tmp_path):

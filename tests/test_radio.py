@@ -20,10 +20,11 @@ from vanetsim.radio import (
     ObstacleMap,
     RadioParams,
     channel_loss,
-    hop_delay_us,
     line_of_sight,
     tx_time_us,
 )
+
+from reference import evaluate_hop, hop_delay_us
 
 
 def _inside(px, py, rect, margin=0.0):
@@ -106,17 +107,19 @@ def test_tx_time_rounds_half_up_and_floors_at_one():
 
 def test_hop_delay_sums_tx_prop_backoff():
     p = RadioParams()
-    # 150 m at 3e8 m/s -> 0.5 us of propagation; 1024 + 0.5 rounds to 1025 wait
-    # int(1024.5 + 0) = half-up -> 1025? No: 1024 + 0.5 = 1024.5 -> +0.5 -> 1025.0
-    assert hop_delay_us(p, 150.0) == 1025
-    assert hop_delay_us(p, 0.0) == 1024
-    # propagation below rounding threshold keeps the bare frame time
-    assert hop_delay_us(p, 60.0) == 1024  # 0.2 us, 1024.2 + .5 -> 1024
+    here = Position(0.0, 0.0)
+    # a 1024 us frame: 150 m at 3e8 m/s adds 0.5 us, and 1024.5 rounds half-up
+    # to 1025; 60 m adds 0.2 us, which rounds away
+    for d, want in ((150.0, 1025), (0.0, 1024), (60.0, 1024)):
+        assert hop_delay_us(p, d) == want
+        assert one_hop(here, Position(d, 0.0), 300.0, p, EMPTY_MAP).delay_us == want
 
 
 def test_hop_delay_never_below_one_microsecond():
     p = RadioParams(data_rate_bps=2_000_000_000, msg_size_bytes=1)
+    here = Position(0.0, 0.0)
     assert hop_delay_us(p, 0.0) == 1
+    assert one_hop(here, here, 300.0, p, EMPTY_MAP).delay_us == 1
 
 
 # -- range --------------------------------------------------------------------
@@ -443,24 +446,6 @@ def test_channel_loss_monte_carlo_rate():
 
 # -- hop evaluation -------------------------------------------------------------
 
-def evaluate_hop(src, dst, reach_m, params, obstacles, contention=None, rng=None):
-    """The per-hop reference that ``Channel.hops`` is checked against.
-
-    Checks run range, sight, then channel.  ``contention(dst)`` counts the
-    transmissions audible at the receiver; it is called, and one
-    ``channel_loss`` draw is taken from ``rng``, only after range and sight
-    pass.  Without a contention check the hop draws nothing.
-    """
-    d = distance(src, dst)
-    if d > reach_m:
-        return HopOutcome(False, loss_cause=OUT_OF_RANGE)
-    if not line_of_sight(src, dst, obstacles):
-        return HopOutcome(False, loss_cause=SHADOWED)
-    if contention is not None and channel_loss(params, contention(dst), rng):
-        return HopOutcome(False, loss_cause=CHANNEL_LOSS)
-    return HopOutcome(True, delay_us=hop_delay_us(params, d))
-
-
 class Contention:
     """A stand-in for ``Channel.concurrent_near`` that reports a fixed count
     and logs where it was asked."""
@@ -560,6 +545,14 @@ def test_channel_expires_and_ignores_future_starts():
     assert ch.concurrent_near(here, 2_000) == 1
 
 
+def test_carrier_sense_does_not_hear_a_frame_at_its_end():
+    ch = make_channel()
+    ch.register(0, 1_000, Position(0.0, 0.0))
+    here = Position(0.0, 0.0)
+    assert ch.busy_until_near(here, 999) == 1_000
+    assert ch.busy_until_near(here, 1_000) is None  # end is exclusive occupancy
+
+
 def test_channel_busy_until_is_latest_overlap():
     ch = make_channel()
     ch.register(0, 1_000, Position(0.0, 0.0))
@@ -643,6 +636,9 @@ def hop_cases(draw):
         range_m=draw(st.sampled_from([100.0, 250.0])),
         base_loss=draw(st.sampled_from([0.0, 0.1, 0.5, 1.0])),
         loss_slope=draw(st.sampled_from([0.0, 0.05, 0.5, 1.0])),
+        # a 1-byte frame at 2 Gb/s leaves a near hop's delay to the floor of 1 us
+        data_rate_bps=draw(st.sampled_from([2_000_000, 2_000_000_000])),
+        msg_size_bytes=draw(st.sampled_from([256, 1])),
     )
     reach = draw(st.sampled_from([params.range_m, 180.0]))
     src = Position(draw(coords), draw(coords))
