@@ -14,36 +14,30 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 from .engine import DEFAULT_EVENT_BUDGET
 from .errors import ConfigError
 from .mobility import MAX_VEHICLES, MobilitySpec
-from .protocols import PROTOCOLS, CloudModel, KIND_EVENT
-from .radio import EMPTY_MAP, ObstacleMap, RadioParams
-
-TARGET_BS_REGION = "bs_region"
-TARGET_EXPLICIT = "explicit"
+from .protocols import PROTOCOLS, CloudModel
+from .radio import EMPTY_MAP, ObstacleMap, RadioParams, Rect
 
 DEFAULT_DENSITIES = (50, 150, 250, 350, 450)
+
+# The "obstacles" key: a rectangle file's path, inline rectangles, or none.
+Obstacles = Union[str, tuple[Rect, ...], None]
 
 
 @dataclass(frozen=True)
 class WorkloadSpec:
     rate_per_s: float = 1.0
-    kind: str = KIND_EVENT
-    target_rule: str = TARGET_BS_REGION
+    # A non-empty list addresses every message to these vehicles; without
+    # one, a message goes to its sender's station region.
     explicit_targets: tuple[int, ...] = ()
 
     def __post_init__(self):
         if self.rate_per_s <= 0:
             raise ConfigError("workload.rate_per_s: must be positive")
-        if self.kind != KIND_EVENT:
-            raise ConfigError(f"workload.kind: unsupported kind {self.kind!r}")
-        if self.target_rule not in (TARGET_BS_REGION, TARGET_EXPLICIT):
-            raise ConfigError(f"workload.target_rule: unknown rule {self.target_rule!r}")
-        if self.target_rule == TARGET_EXPLICIT and not self.explicit_targets:
-            raise ConfigError("workload.explicit_targets: required for explicit targeting")
 
 
 @dataclass(frozen=True)
@@ -105,8 +99,7 @@ class ScenarioConfig:
     cloud: CloudModel = dataclasses.field(default_factory=CloudModel)
     workload: WorkloadSpec = dataclasses.field(default_factory=WorkloadSpec)
     knobs: ProtocolKnobs = dataclasses.field(default_factory=ProtocolKnobs)
-    obstacle_path: Optional[str] = None
-    obstacle_rects: tuple[tuple[float, float, float, float], ...] = ()
+    obstacles: Obstacles = None
     protocols: tuple[str, ...] = tuple(sorted(PROTOCOLS))
     densities: tuple[int, ...] = DEFAULT_DENSITIES
     seeds: tuple[int, ...] = (1,)
@@ -140,22 +133,15 @@ class ScenarioConfig:
                 listed.add(value)
         if self.sim_duration_s <= 0:
             raise ConfigError("sim_duration_s: must be positive")
-        if self.obstacle_path is not None and self.obstacle_rects:
-            raise ConfigError("obstacles: give a path or inline rectangles, not both")
 
     def load_obstacles(self) -> ObstacleMap:
-        if self.obstacle_path is not None:
-            return ObstacleMap.load(self.obstacle_path)
-        if self.obstacle_rects:
-            return ObstacleMap(list(self.obstacle_rects))
-        return EMPTY_MAP
+        if isinstance(self.obstacles, str):
+            return ObstacleMap.load(self.obstacles)
+        return ObstacleMap(list(self.obstacles)) if self.obstacles else EMPTY_MAP
 
     def to_dict(self) -> dict:
-        """The JSON form that from_dict reads back; obstacles become one key."""
-        out = _plain(self)
-        path, rects = out.pop("obstacle_path"), out.pop("obstacle_rects")
-        out["obstacles"] = path if path is not None else (rects or None)
-        return out
+        """The JSON form that from_dict reads back."""
+        return _plain(self)
 
 
 def _plain(value):
@@ -165,13 +151,6 @@ def _plain(value):
     if isinstance(value, tuple):
         return [_plain(v) for v in value]
     return value
-
-
-# Top-level config keys: the ScenarioConfig fields, with both obstacle
-# fields read from the one "obstacles" key.
-_TOP_KEYS = {"obstacles"} | {
-    f.name for f in dataclasses.fields(ScenarioConfig) if not f.name.startswith("obstacle_")
-}
 
 
 def _check_keys(section: dict, path: str, allowed) -> None:
@@ -235,6 +214,15 @@ def _range(value, path: str) -> Optional[tuple[float, float]]:
     return _items(_num)(value, path)
 
 
+def _obstacles(value, path: str) -> Obstacles:
+    # JSON types only: ObstacleMap checks each rectangle when it is loaded
+    if value is None or isinstance(value, str):
+        return value
+    if not isinstance(value, list):
+        raise ConfigError(f"{path}: expected a path, a list of rectangles, or null")
+    return _items(_items(_num))(value, path)
+
+
 # Parsers by field annotation.  A parser returns None only for a JSON null
 # it accepts, and a None leaves the field at its default.
 _PARSERS = {
@@ -247,14 +235,15 @@ _PARSERS = {
     "tuple[int, ...]": _items(_int),
     "tuple[str, ...]": _items(_str),
     "tuple[float, float]": _range,
+    "Obstacles": _obstacles,
 }
 
 
-def _build_section(cls, data, path: str, extra: Optional[dict] = None):
+def _build_section(cls, data, path: str):
     _expect(data, dict, path)
     types = {f.name: f.type for f in dataclasses.fields(cls)}
     _check_keys(data, path, types)
-    kwargs = dict(extra or {})
+    kwargs = {}
     for name, raw in data.items():
         value = _PARSERS[types[name]](raw, f"{path}.{name}" if path else name)
         if value is not None:
@@ -268,29 +257,12 @@ _PARSERS.update(
 )
 
 
-def _obstacles(value, base_dir: str) -> dict:
-    # The one "obstacles" key fills one of the two obstacle fields.
-    if value is None:
-        return {}
-    if isinstance(value, str):
-        return {"obstacle_path": _resolve(value, base_dir)}
-    if not isinstance(value, list):
-        raise ConfigError("obstacles: expected a path, a list of rectangles, or null")
-    rects = []
-    for i, rect in enumerate(value):
-        _expect(rect, list, f"obstacles[{i}]")
-        if len(rect) != 4:
-            raise ConfigError(f"obstacles[{i}]: expected [x_min, y_min, x_max, y_max]")
-        rects.append(tuple(_num(v, f"obstacles[{i}][{j}]") for j, v in enumerate(rect)))
-    return {"obstacle_rects": tuple(rects)}
-
-
 def from_dict(data: dict, base_dir: str = ".") -> ScenarioConfig:
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
-    _check_keys(data, "", _TOP_KEYS)
-    fields = {key: value for key, value in data.items() if key != "obstacles"}
-    cfg = _build_section(ScenarioConfig, fields, "", _obstacles(data.get("obstacles"), base_dir))
+    cfg = _build_section(ScenarioConfig, data, "")
+    if isinstance(cfg.obstacles, str):
+        cfg.obstacles = _resolve(cfg.obstacles, base_dir)
     trace = cfg.mobility.trace_path
     if trace is not None:
         cfg.mobility.trace_path = _resolve(trace, base_dir)

@@ -22,7 +22,6 @@ from .mobility import Position, distance
 @dataclass
 class FogCell:
     cell_id: int
-    base_station_id: int
     anchor: int  # vehicle id the spread is measured from; always a member
     members: list[int] = field(default_factory=list)  # sorted vehicle ids
 
@@ -52,25 +51,15 @@ def split_cell(
     order = sorted(cell.members, key=lambda m: (distance(anchor_pos, pos[m]), m))
     near_n = len(order) - len(order) // 2
     near, far = sorted(order[:near_n]), sorted(order[near_n:])
-    near_cell = FogCell(cell.cell_id, cell.base_station_id, cell.anchor, near)
-    far_cell = FogCell(
-        new_id(),
-        cell.base_station_id,
-        nearest_to_centroid(far, pos),
-        far,
-    )
+    near_cell = FogCell(cell.cell_id, cell.anchor, near)
+    far_cell = FogCell(new_id(), nearest_to_centroid(far, pos), far)
     return near_cell, far_cell
 
 
 def merge_cells(a: FogCell, b: FogCell) -> FogCell:
     """Combine two cells; the smaller cell id and its anchor survive."""
     keep, other = (a, b) if a.cell_id <= b.cell_id else (b, a)
-    return FogCell(
-        keep.cell_id,
-        keep.base_station_id,
-        keep.anchor,
-        sorted(keep.members + other.members),
-    )
+    return FogCell(keep.cell_id, keep.anchor, sorted(keep.members + other.members))
 
 
 def _needs_split(cell: FogCell, pos: Mapping[int, Position], d_min: float, th_cap: int) -> bool:

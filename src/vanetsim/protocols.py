@@ -20,7 +20,7 @@ from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
 from math import floor, hypot
-from typing import Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from .engine import Record, SimTime, to_us
 from .errors import ConfigError
@@ -194,8 +194,9 @@ class TxJob:
 
     receivers=None means broadcast to whoever the protocol finds in range
     at fire time; an explicit list is an addressed delivery attempt whose
-    misses must be accounted for.  ``seen``, the vehicles that have the
-    message, is one set shared by all flood jobs of one message.
+    misses must be accounted for.  ``state`` is the protocol's own record
+    of the message, one object shared by all jobs of one message: the
+    flood's set of vehicles that have it, hybrid's ``_HybridState``.
     """
 
     msg: Message
@@ -203,7 +204,7 @@ class TxJob:
     hop: int
     purpose: str  # flood | direct | gateway | newcomer
     receivers: Optional[list[int]] = None
-    seen: Optional[set] = None
+    state: Any = None
     defers: int = 0
     fire: bool = False
 
@@ -268,22 +269,22 @@ class BaselineFlood(Protocol):
 
     def on_inject(self, msg: Message, t: SimTime) -> None:
         start = t + self.rt.knobs.route_setup_delay_us
-        self.rt.schedule_tx(TxJob(msg, msg.src, hop=1, purpose="flood", seen={msg.src}), start)
+        self.rt.schedule_tx(TxJob(msg, msg.src, hop=1, purpose="flood", state={msg.src}), start)
         self.rt.sim.note("flood start={}", start)
 
     def tx_receivers(self, job: TxJob, t: SimTime) -> list[int]:
         pos = self.rt.pos(job.sender, t)
-        # ``seen`` always holds the sender, so the query skips it too
-        return self.rt.neighbors(pos, self.rt.params.range_m, t, exclude=job.seen)
+        # the visited set always holds the sender, so the query skips it too
+        return self.rt.neighbors(pos, self.rt.params.range_m, t, exclude=job.state)
 
     def after_tx(self, job: TxJob, t: SimTime, results) -> Record:
         rt = self.rt
         msg = job.msg
         reached = rt.settle(msg, results, t, job.hop, final=False)
-        job.seen.update(rid for rid, _ in reached)
+        job.state.update(rid for rid, _ in reached)
         relays = reached if job.hop < msg.ttl_hops else []
         for rid, at in relays:
-            rt.schedule_tx(TxJob(msg, rid, hop=job.hop + 1, purpose="flood", seen=job.seen), at)
+            rt.schedule_tx(TxJob(msg, rid, hop=job.hop + 1, purpose="flood", state=job.state), at)
         fmt = "tx msg={} from={} hop={} ok={} relay={}"
         return fmt, msg.msg_id, job.sender, job.hop, len(reached), len(relays)
 
@@ -314,12 +315,12 @@ class HybridVehcloud(Protocol):
 
     Late joiners entering the sender's region during the dissemination
     window get a one-shot re-delivery down whichever branch applies.  The
-    window bounds only those late attempts: a message's record lives until
-    the run ends, so a broadcast or gateway drop already scheduled still
-    runs when the window has closed.  Under the default ``bs_region``
-    target rule the region is addressed at inject time, so no late joiner
-    is a target: the window then affects delivery metrics only through the
-    channel load of its sends.
+    window bounds only those late attempts: a message's state travels on
+    its jobs, so a broadcast or gateway drop already scheduled still runs
+    when the window has closed.  Without ``explicit_targets`` the region
+    is addressed at inject time, so no late joiner is a target: the window
+    then affects delivery metrics only through the channel load of its
+    sends.
     """
 
     name = "hybrid_vehcloud"
@@ -327,12 +328,9 @@ class HybridVehcloud(Protocol):
 
     def __init__(self, rt):
         super().__init__(rt)
-        # every message injected: sends scheduled before a window closed
-        # still read its state afterwards
-        self._live: dict[int, _HybridState] = {}
-        # the ids of messages whose window may still be open, in inject
+        # the states of messages whose window may still be open, in inject
         # order; each window is one fixed length, so they close from the front
-        self._windows: deque[int] = deque()
+        self._windows: deque[_HybridState] = deque()
         self._window_us = to_us(rt.knobs.window_s)
 
     # -- injection -----------------------------------------------------
@@ -348,14 +346,13 @@ class HybridVehcloud(Protocol):
         st = _HybridState(msg, bs, loc, window_end=t + self._window_us, seen={msg.src})
         st.handled = set(region)
         st.handled.add(msg.src)
-        self._live[msg.msg_id] = st
-        self._windows.append(msg.msg_id)
+        self._windows.append(st)
         if not region:
             # Nobody around the sender's station: nothing to transmit.
             rt.sim.note("bs={} n=0 no nearby vehicles", bs.station_id)
             return
 
-        rt.schedule_tx(TxJob(msg, msg.src, hop=1, purpose="direct"), t)
+        rt.schedule_tx(TxJob(msg, msg.src, hop=1, purpose="direct", state=st), t)
         shadowed = sorted(v for v in region if loc[v] == 1)
         rt.sim.note("bs={} n={} shadowed={}", bs.station_id, len(region), len(shadowed))
         if shadowed:
@@ -390,7 +387,7 @@ class HybridVehcloud(Protocol):
         rt = self.rt
         arrive = max(t, st.cloud_ready) + rt.cloud.downlink_us + rt.knobs.gateway_access_us
         rt.schedule_cloud(
-            TxJob(st.msg, g, hop=2, purpose="gateway", receivers=receivers), arrive
+            TxJob(st.msg, g, hop=2, purpose="gateway", receivers=receivers, state=st), arrive
         )
 
     def _nearest_gateway(
@@ -442,7 +439,7 @@ class HybridVehcloud(Protocol):
 
     def tx_receivers(self, job: TxJob, t: SimTime) -> list[int]:
         rt = self.rt
-        st = self._live[job.msg.msg_id]
+        st = job.state
         seen = st.seen
         if job.purpose == "direct":
             pos = rt.pos(job.sender, t)
@@ -461,7 +458,7 @@ class HybridVehcloud(Protocol):
         # One shot for line-of-sight vehicles: a direct miss is final.
         final = job.purpose == "direct"
         reached = self.rt.settle(msg, results, t, job.hop, final=final)
-        self._live[msg.msg_id].seen.update(rid for rid, _ in reached)
+        job.state.seen.update(rid for rid, _ in reached)
         fmt = "tx msg={} from={} purpose={} ok={}"
         return fmt, msg.msg_id, job.sender, job.purpose, len(reached)
 
@@ -469,12 +466,11 @@ class HybridVehcloud(Protocol):
 
     def on_tick(self, t: SimTime) -> Optional[Record]:
         rt = self.rt
-        live, windows = self._live, self._windows
-        while windows and t > live[windows[0]].window_end:
+        windows = self._windows
+        while windows and t > windows[0].window_end:
             windows.popleft()
         attempts = 0
-        for mid in windows:
-            st = live[mid]
+        for st in windows:
             # the region is sorted by id, and handled holds the source
             fresh = [v for v in rt.region_members(st.bs, t) if v not in st.handled]
             if not fresh:
@@ -486,7 +482,9 @@ class HybridVehcloud(Protocol):
                     continue
                 if obstacle_shadowing(rt.pos(v, t), st.bs.pos, rt.obstacles) == 0:
                     rt.schedule_tx(
-                        TxJob(st.msg, st.msg.src, hop=1, purpose="newcomer", receivers=[v]),
+                        TxJob(
+                            st.msg, st.msg.src, hop=1, purpose="newcomer", receivers=[v], state=st
+                        ),
                         t,
                     )
                     attempts += 1
@@ -586,12 +584,7 @@ class Dfcv(Protocol):
                             best_key, home = key, c
                     insort(home.members, v)
                 else:
-                    cell = FogCell(
-                        cell_id=next(self._cell_seq),
-                        base_station_id=bs_id,
-                        anchor=v,
-                        members=[v],
-                    )
+                    cell = FogCell(cell_id=next(self._cell_seq), anchor=v, members=[v])
                     kept.append(cell)
                     homes.append((cell.cell_id, positions[v], cell))
             kept, steps = run_maintenance(

@@ -104,6 +104,25 @@ def _delivered_hop(delay_us: int) -> HopOutcome:
 Rect = tuple[float, float, float, float]  # x_min, y_min, x_max, y_max
 
 
+def _rect(values, where: str) -> Rect:
+    """``values`` as a rectangle: 4 finite numbers with x_min < x_max and
+    y_min < y_max.  An error names the rectangle by ``where``."""
+    if len(values) != 4:
+        raise ConfigError(
+            f"{where}: expected [x_min, y_min, x_max, y_max] (4 numbers), got {len(values)}"
+        )
+    try:
+        rect = x0, y0, x1, y1 = tuple(float(v) for v in values)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+    # float() reads nan and inf, and a nan rectangle never blocks sight
+    if not all(map(isfinite, rect)):
+        raise ConfigError(f"{where}: coordinates must be finite")
+    if x0 >= x1 or y0 >= y1:
+        raise ConfigError(f"{where}: degenerate rectangle {rect}")
+    return rect
+
+
 @dataclass
 class ObstacleMap:
     """Axis-aligned rectangles whose interiors block line of sight."""
@@ -111,17 +130,7 @@ class ObstacleMap:
     rects: list[Rect] = field(default_factory=list)
 
     def __post_init__(self):
-        cleaned = []
-        for i, rect in enumerate(self.rects):
-            if len(rect) != 4:
-                raise ConfigError(f"obstacles[{i}]: need 4 numbers, got {len(rect)}")
-            x0, y0, x1, y1 = (float(v) for v in rect)
-            if x0 >= x1 or y0 >= y1:
-                raise ConfigError(
-                    f"obstacles[{i}]: degenerate rectangle ({x0}, {y0}, {x1}, {y1})"
-                )
-            cleaned.append((x0, y0, x1, y1))
-        self.rects = cleaned
+        self.rects = [_rect(r, f"obstacles[{i}]") for i, r in enumerate(self.rects)]
 
     def near(self, x: float, y: float, reach: float) -> "ObstacleMap":
         """The rectangles whose boxes meet the square of half-side ``reach``
@@ -157,25 +166,10 @@ class ObstacleMap:
                     text = line.split("#", 1)[0].strip()
                     if not text:
                         continue
-                    parts = text.split()
-                    if len(parts) != 4:
-                        raise ConfigError(
-                            f"{path}:{lineno}: expected 4 numbers, got {len(parts)}"
-                        )
-                    try:
-                        rect = tuple(float(p) for p in parts)
-                    except ValueError as exc:
-                        raise ConfigError(f"{path}:{lineno}: {exc}") from exc
-                    # float() reads nan and inf, and a nan rectangle never blocks sight
-                    if not all(map(isfinite, rect)):
-                        raise ConfigError(f"{path}:{lineno}: coordinates must be finite")
-                    rects.append(rect)
+                    rects.append(_rect(text.split(), f"{path}:{lineno}"))
         except OSError as exc:
             raise ConfigError(f"{path}: {exc}") from exc
-        try:
-            return cls(rects)
-        except ConfigError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
+        return cls(rects)
 
 
 EMPTY_MAP = ObstacleMap([])

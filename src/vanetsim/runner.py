@@ -15,7 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Collection, Mapping, Optional
 
-from .config import TARGET_EXPLICIT, ScenarioConfig
+from .config import ScenarioConfig
 from .engine import (
     BEACON_EMIT,
     CLOUD_DELIVER,
@@ -384,7 +384,7 @@ class Runtime:
     # -- handlers ---------------------------------------------------------------
 
     def _targets_for(self, src: int, t: SimTime) -> tuple[int, ...]:
-        if self.cfg.workload.target_rule == TARGET_EXPLICIT:
+        if self.cfg.workload.explicit_targets:
             valid = set(self.provider.vehicle_ids)
             wanted = set(self.cfg.workload.explicit_targets)
             return tuple(sorted(v for v in wanted if v in valid and v != src))

@@ -139,6 +139,13 @@ MUTANTS = (
         ("tests/test_radio.py::test_carrier_sense_does_not_hear_a_frame_at_its_end",),
     ),
     Mutant(
+        "rectangle-not-checked-finite",
+        "radio.py",
+        "if not all(map(isfinite, rect)):",
+        "if False:",
+        ("tests/test_radio.py::test_obstacle_map_rejects_non_finite_rects",),
+    ),
+    Mutant(
         "sight-asked-only-without-buildings",
         "radio.py",
         "elif walls and not line_of_sight(src, dst, obstacles):",
@@ -167,8 +174,8 @@ MUTANTS = (
     Mutant(
         "relay-with-its-own-visited-set",
         "protocols.py",
-        'purpose="flood", seen=job.seen), at)',
-        'purpose="flood", seen=set(job.seen)), at)',
+        'purpose="flood", state=job.state), at)',
+        'purpose="flood", state=set(job.state)), at)',
         ("tests/test_protocols.py::test_flood_never_rebroadcasts_twice",),
     ),
     # -- hybrid's shared region query and open windows ---------------------------
@@ -192,15 +199,15 @@ MUTANTS = (
     Mutant(
         "window-closed-at-its-end",
         "protocols.py",
-        "while windows and t > live[windows[0]].window_end:",
-        "while windows and t >= live[windows[0]].window_end:",
+        "while windows and t > windows[0].window_end:",
+        "while windows and t >= windows[0].window_end:",
         HYBRID_DIFFERENTIAL,
     ),
     Mutant(
         "windows-walked-in-reverse",
         "protocols.py",
-        "for mid in windows:",
-        "for mid in reversed(windows):",
+        "for st in windows:",
+        "for st in reversed(windows):",
         HYBRID_DIFFERENTIAL,
     ),
     Mutant(

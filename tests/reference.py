@@ -121,11 +121,12 @@ def region_members(rt, bs, t, exclude=()):
 
 def hybrid_on_tick(self, t):
     """Hybrid's late-joiner tick over every message ever injected, each
-    open one querying its station's region without its source."""
+    open one querying its station's region without its source.  Nothing
+    pops the window deque under this tick, so it holds every message, in
+    inject order."""
     rt = self.rt
     attempts = 0
-    for mid in sorted(self._live):
-        st = self._live[mid]
+    for st in list(self._windows):
         if t > st.window_end:
             continue
         current = rt.region_members(st.bs, t, exclude=(st.msg.src,))
@@ -139,7 +140,7 @@ def hybrid_on_tick(self, t):
                 continue
             if obstacle_shadowing(rt.pos(v, t), st.bs.pos, rt.obstacles) == 0:
                 rt.schedule_tx(
-                    TxJob(st.msg, st.msg.src, hop=1, purpose="newcomer", receivers=[v]),
+                    TxJob(st.msg, st.msg.src, hop=1, purpose="newcomer", receivers=[v], state=st),
                     t,
                 )
                 attempts += 1

@@ -63,11 +63,9 @@ def lossless_cfg(trace_path, n, rects=(), ttl_hops=64):
     return ScenarioConfig(
         mobility=MobilitySpec(mode="trace", trace_path=trace_path, vehicle_count=n),
         radio=RadioParams(base_loss=0.0, loss_slope=0.0, max_backoff_us=0),
-        workload=WorkloadSpec(
-            rate_per_s=1.0, target_rule="explicit", explicit_targets=tuple(range(n))
-        ),
+        workload=WorkloadSpec(rate_per_s=1.0, explicit_targets=tuple(range(n))),
         knobs=ProtocolKnobs(ttl_hops=ttl_hops, beacon_interval_s=0.0),
-        obstacle_rects=tuple(rects),
+        obstacles=tuple(rects),
         sim_duration_s=1.0,
     )
 
@@ -262,7 +260,7 @@ def test_07_gateways_beat_flooding_among_obstacles(verdict):
         radio=RadioParams(loss_slope=0.02),
         workload=WorkloadSpec(rate_per_s=2.0),
         knobs=ProtocolKnobs(ttl_hops=3, k_max_gateways=16),
-        obstacle_rects=tuple(rects),
+        obstacles=tuple(rects),
         protocols=("baseline", "hybrid_vehcloud"),
         densities=DENSITIES,
         seeds=SWEEP_SEEDS,

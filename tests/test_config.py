@@ -2,6 +2,9 @@
 obstacle wiring, path resolution, serialization round trips."""
 
 import json
+import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -48,11 +51,7 @@ def test_round_trip_preserves_overrides(tmp_path):
         },
         "radio": {"range_m": 250.0, "base_loss": 0.05},
         "cloud": {"uplink_us": 60_000},
-        "workload": {
-            "rate_per_s": 2.5,
-            "target_rule": "explicit",
-            "explicit_targets": [3, 4],
-        },
+        "workload": {"rate_per_s": 2.5, "explicit_targets": [3, 4]},
         "knobs": {"ttl_hops": 3, "th_cap": 12, "include_beacons_in_metrics": True},
         "obstacles": [[0, 0, 10, 10], [50, 50, 80, 90]],
         "protocols": ["baseline", "dfcv"],
@@ -62,7 +61,7 @@ def test_round_trip_preserves_overrides(tmp_path):
     }
     cfg = from_dict(data, base_dir=str(tmp_path))
     assert from_dict(cfg.to_dict(), base_dir=str(tmp_path)) == cfg
-    assert cfg.obstacle_rects == ((0.0, 0.0, 10.0, 10.0), (50.0, 50.0, 80.0, 90.0))
+    assert cfg.obstacles == ((0.0, 0.0, 10.0, 10.0), (50.0, 50.0, 80.0, 90.0))
     assert cfg.workload.explicit_targets == (3, 4)
     assert cfg.knobs.include_beacons_in_metrics is True
 
@@ -82,13 +81,12 @@ def test_round_trip_preserves_overrides(tmp_path):
             "knobs.include_beacons_in_metrics: expected true or false",
         ),
         ({"mobility": {"speed_range_mph": [30]}}, "speed_range_mph: expected [min, max]"),
-        ({"workload": {"explicit_targets": [1, "x"], "target_rule": "explicit"}},
-         "workload.explicit_targets[1]"),
+        ({"workload": {"explicit_targets": [1, "x"]}}, "workload.explicit_targets[1]"),
         ({"radio": {"range_m": -5}}, "radio.range_m"),
         ({"knobs": {"th_cap": 0}}, "knobs.th_cap"),
         ({"workload": {"rate_per_s": 0}}, "workload.rate_per_s"),
         ({"workload": {"target_rule": "broadcast"}}, "workload.target_rule"),
-        ({"workload": {"target_rule": "explicit"}}, "workload.explicit_targets"),
+        ({"workload": {"explicit_targets": 3}}, "workload.explicit_targets"),
         ({"densities": [0]}, "densities: 0 outside"),
         ({"densities": []}, "densities: must not be empty"),
         ({"seeds": [2**64]}, "seeds"),
@@ -111,6 +109,10 @@ def test_round_trip_preserves_overrides(tmp_path):
         ({"protocols": ["baseline", "dfcv", "baseline"]}, "protocols: 'baseline' is listed twice"),
         ({"densities": [20, 30, 20]}, "densities: 20 is listed twice"),
         ({"seeds": [3, 3]}, "seeds: 3 is listed twice"),
+        # beacons have their own knobs, and explicit_targets alone picks the targets
+        ({"workload": {"kind": "event_driven"}}, "workload.kind: unknown key"),
+        ({"workload": {"target_rule": "explicit", "explicit_targets": [1]}},
+         "workload.target_rule: unknown key"),
     ],
 )
 def test_bad_configs_name_the_offending_key(data, fragment):
@@ -119,11 +121,19 @@ def test_bad_configs_name_the_offending_key(data, fragment):
     assert fragment in str(err.value)
 
 
-def test_obstacle_path_and_inline_rects_conflict(tmp_path):
-    fp = tmp_path / "m.txt"
-    fp.write_text("0 0 1 1\n")
-    with pytest.raises(ConfigError, match="path or inline rectangles"):
-        ScenarioConfig(obstacle_path=str(fp), obstacle_rects=((0, 0, 1, 1),))
+def test_library_rectangles_are_checked_finite():
+    # from_dict refuses these through _num; a library caller gets the same
+    # answer from ObstacleMap, where a nan rectangle would never block sight
+    cfg = ScenarioConfig(obstacles=((0, 0, 5, 5), (0, 0, math.inf, 10)))
+    with pytest.raises(ConfigError, match=re.escape("obstacles[1]: coordinates must be finite")):
+        cfg.load_obstacles()
+
+
+def test_readme_example_config_parses():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block, = re.findall(r"```json\n(.*?)```", readme, re.S)
+    cfg = from_dict(json.loads(block))
+    assert cfg.load_obstacles().rects == [(215.0, 215.0, 385.0, 385.0)]
 
 
 def test_obstacle_file_resolved_relative_to_config(tmp_path):
@@ -132,6 +142,7 @@ def test_obstacle_file_resolved_relative_to_config(tmp_path):
     cfg_file = tmp_path / "scenario.json"
     cfg_file.write_text(json.dumps({"obstacles": "maps/town.txt"}))
     cfg = load_config(str(cfg_file))
+    assert cfg.obstacles == str(tmp_path / "maps" / "town.txt")
     assert len(cfg.load_obstacles().rects) == 2
 
 
@@ -186,10 +197,9 @@ def test_config_json_is_sorted_and_parseable():
 
 
 def test_workload_spec_validation():
-    spec = WorkloadSpec(rate_per_s=2.0)
-    assert spec.target_rule == "bs_region"
-    with pytest.raises(ConfigError, match="workload.kind"):
-        WorkloadSpec(kind="periodic")
+    assert WorkloadSpec(rate_per_s=2.0).explicit_targets == ()
+    with pytest.raises(ConfigError, match="workload.rate_per_s"):
+        WorkloadSpec(rate_per_s=-1.0)
 
 
 def test_knob_validation_messages():

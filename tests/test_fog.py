@@ -21,9 +21,9 @@ from vanetsim.fog import (
 from vanetsim.mobility import Position, distance
 
 
-def cell(cid, members, anchor=None, bs=0):
+def cell(cid, members, anchor=None):
     members = sorted(members)
-    return FogCell(cid, bs, members[0] if anchor is None else anchor, members)
+    return FogCell(cid, members[0] if anchor is None else anchor, members)
 
 
 def line_positions(xs):
@@ -83,7 +83,6 @@ def test_split_halves_at_distance_median():
     assert far.members == [3, 4, 5]
     assert far.cell_id == 1000
     assert far.anchor == 4  # middle of the far clump
-    assert far.base_station_id == near.base_station_id == 0
 
 
 def test_split_odd_count_keeps_extra_near():
@@ -174,8 +173,7 @@ def test_maintenance_is_idempotent_at_fixed_point():
     rng = random.Random(17)
     pos = {i: Position(rng.uniform(0, 2000), 0.0) for i in range(60)}
     first, _ = maintain([cell(0, range(60), anchor=0)], pos)
-    again, rounds = maintain([FogCell(c.cell_id, c.base_station_id, c.anchor,
-                                      list(c.members)) for c in first], pos)
+    again, rounds = maintain([FogCell(c.cell_id, c.anchor, list(c.members)) for c in first], pos)
     assert rounds == 1  # nothing to do
     assert [(c.cell_id, c.members, c.anchor) for c in again] == [
         (c.cell_id, c.members, c.anchor) for c in first
@@ -223,7 +221,7 @@ def test_check_partition_passes_a_clean_layout():
 @pytest.mark.parametrize(
     "cells, vehicles, msg",
     [
-        ([FogCell(0, 0, 0, [])], set(), "empty"),
+        ([FogCell(0, 0, [])], set(), "empty"),
         ([cell(0, [1, 2], anchor=3)], {1, 2}, "not a member"),
         ([cell(0, [0, 1, 2])], {0, 1, 2}, "exceeds"),
         ([cell(0, [0, 1]), cell(1, [1, 2])], {0, 1, 2}, "twice"),
@@ -341,7 +339,7 @@ def traced_maintenance(run, case):
         calls.append(("merge", a.cell_id, b.cell_id))
         return merge(a, b)
 
-    fresh = [FogCell(c.cell_id, c.base_station_id, c.anchor, list(c.members)) for c in cells]
+    fresh = [FogCell(c.cell_id, c.anchor, list(c.members)) for c in cells]
     with mock.patch.object(fog, "split_cell", traced_split), mock.patch.object(
         fog, "merge_cells", traced_merge
     ):

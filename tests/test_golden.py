@@ -64,7 +64,6 @@ def scenario(name: str, metered: bool, directory) -> ScenarioConfig:
             mobility=MobilitySpec(road_length_m=2_000.0),
             workload=WorkloadSpec(
                 rate_per_s=2.0,
-                target_rule="explicit",
                 explicit_targets=(0, 1, 4, 5, 7, 8, 9, 10, 14, 16, 17, 19),
             ),
             knobs=ProtocolKnobs(
@@ -94,7 +93,7 @@ def scenario(name: str, metered: bool, directory) -> ScenarioConfig:
             radio=RadioParams(loss_slope=0.02),
             workload=WorkloadSpec(rate_per_s=4.0),
             knobs=ProtocolKnobs(ttl_hops=3, k_max_gateways=16, **knobs),
-            obstacle_rects=grid_buildings(),
+            obstacles=grid_buildings(),
             densities=(60,),
             **common,
         )
@@ -106,10 +105,10 @@ def scenario(name: str, metered: bool, directory) -> ScenarioConfig:
             gateway_fraction=0.1,
         ),
         workload=WorkloadSpec(
-            rate_per_s=2.0, target_rule="explicit", explicit_targets=tuple(range(0, TRACE_VEHICLES, 3))
+            rate_per_s=2.0, explicit_targets=tuple(range(0, TRACE_VEHICLES, 3))
         ),
         knobs=ProtocolKnobs(bs_spacing_m=800.0, bs_coverage_m=600.0, **knobs),
-        obstacle_rects=((300.0, 100.0, 500.0, 200.0), (900.0, 0.0, 950.0, 250.0)),
+        obstacles=((300.0, 100.0, 500.0, 200.0), (900.0, 0.0, 950.0, 250.0)),
         densities=(TRACE_VEHICLES,),
         **common,
     )

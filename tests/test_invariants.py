@@ -20,13 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vanetsim import runner
-from vanetsim.config import (
-    TARGET_BS_REGION,
-    TARGET_EXPLICIT,
-    ProtocolKnobs,
-    ScenarioConfig,
-    WorkloadSpec,
-)
+from vanetsim.config import ProtocolKnobs, ScenarioConfig, WorkloadSpec
 from vanetsim.metrics import csv_text, summarize
 from vanetsim.mobility import MobilitySpec
 from vanetsim.protocols import CloudModel
@@ -106,13 +100,13 @@ def small_runs(draw):
     # drawn after the knobs above: drawn among them, they moved many
     # examples onto slow busy-channel runs
     knobs = dataclasses.replace(knobs, ttl_hops=draw(st.sampled_from((1, 3))))
-    rule = draw(st.sampled_from((TARGET_EXPLICIT, TARGET_BS_REGION)))
+    # explicit targets, or the sender's station region
     targets = ()
-    if rule == TARGET_EXPLICIT:
+    if draw(st.sampled_from(("explicit", "bs_region"))) == "explicit":
         # a few addressed ids, which may name the source or lie outside the fleet
         ids = st.integers(0, vehicles + 1)
         targets = tuple(draw(st.lists(ids, min_size=1, max_size=4, unique=True)))
-    workload = WorkloadSpec(rate_per_s=8.0, target_rule=rule, explicit_targets=targets)
+    workload = WorkloadSpec(rate_per_s=8.0, explicit_targets=targets)
     # drawn last, after the knobs above: each cloud and fog latency at zero
     # or its default, and the fog cell bounds at both ends of their range
     def zero_or_default(obj, name):
@@ -154,7 +148,7 @@ def small_runs(draw):
         workload=workload,
         knobs=knobs,
         cloud=cloud,
-        obstacle_rects=rects if obstacles else (),
+        obstacles=rects if obstacles else (),
         sim_duration_s=0.2,
     )
     return cfg, protocol, vehicles, seed

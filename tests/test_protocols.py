@@ -2,16 +2,20 @@
 cloud and fog relay latency arithmetic, late-joiner handling."""
 
 import dataclasses
+import gc
 import itertools
 import math
 import random
+import weakref
+from unittest import mock
 
 import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from vanetsim.config import ProtocolKnobs, ScenarioConfig, WorkloadSpec
-from vanetsim.engine import US_PER_S, Simulator, derive_stream_seed
+from vanetsim import protocols
+from vanetsim.engine import US_PER_S, Simulator, derive_stream_seed, to_us
 from vanetsim.errors import ConfigError
 from vanetsim.metrics import csv_text
 from vanetsim.mobility import MobilitySpec, Position, build_provider, distance
@@ -76,14 +80,7 @@ def scenario(trace_path, n, targets=None, *, rects=(), gateway_fraction=0.0,
     radio_kw.setdefault("max_backoff_us", 0)
     knobs_kw = dict(knobs_kw or {})
     knobs_kw.setdefault("beacon_interval_s", 0.0)
-    if targets is None:
-        workload = WorkloadSpec(rate_per_s=1.0 / seconds)
-    else:
-        workload = WorkloadSpec(
-            rate_per_s=1.0 / seconds,
-            target_rule="explicit",
-            explicit_targets=tuple(targets),
-        )
+    workload = WorkloadSpec(rate_per_s=1.0 / seconds, explicit_targets=tuple(targets or ()))
     return ScenarioConfig(
         mobility=MobilitySpec(
             mode="trace",
@@ -95,7 +92,7 @@ def scenario(trace_path, n, targets=None, *, rects=(), gateway_fraction=0.0,
         cloud=cloud or CloudModel(),
         workload=workload,
         knobs=ProtocolKnobs(**knobs_kw),
-        obstacle_rects=tuple(rects),
+        obstacles=tuple(rects),
         sim_duration_s=seconds,
     )
 
@@ -709,7 +706,7 @@ def test_hybrid_window_rounds_to_the_nearest_microsecond(tmp_path):
     rt = Runtime(sim, cfg, provider, EMPTY_MAP, stations, "hybrid_vehcloud")
     t = 250_000
     rt.protocol.on_inject(Message(1, 0, t, (1,)), t)
-    assert rt.protocol._live[1].window_end == t + 1_001_000
+    assert rt.protocol._windows[0].window_end == t + 1_001_000
 
 
 def test_hybrid_broadcast_after_a_closed_window_completes():
@@ -765,7 +762,6 @@ def test_hybrid_late_joiner_lost_to_the_channel_keeps_its_cause():
         mobility=MobilitySpec(road_length_m=2_000.0, vehicle_count=20),
         workload=WorkloadSpec(
             rate_per_s=2.0,
-            target_rule="explicit",
             explicit_targets=(0, 1, 4, 5, 7, 8, 9, 10, 14, 16, 17, 19),
         ),
         knobs=ProtocolKnobs(mobility_tick_s=0.01, bs_coverage_m=300.0, bs_spacing_m=600.0),
@@ -809,8 +805,8 @@ def test_hybrid_queries_each_region_once_per_instant():
             return super()._on_inject(t, payload)
 
         def _on_tick(self, t, payload):
-            live = self.protocol._live.values()
-            queries.append(["tick", 0, [st.bs for st in live if t <= st.window_end]])
+            windows = self.protocol._windows
+            queries.append(["tick", 0, [st.bs for st in windows if t <= st.window_end]])
             return super()._on_tick(t, payload)
 
     sim = Simulator(seed=1)
@@ -825,6 +821,39 @@ def test_hybrid_queries_each_region_once_per_instant():
     ticks = [(n, open_) for kind, n, open_ in queries if kind == "tick"]
     assert all(n <= len(set(open_)) for n, open_ in ticks)
     assert max(len(open_) for _, open_ in ticks) == 8
+
+
+
+def test_hybrid_holds_only_the_states_of_open_windows():
+    # A message's state travels on its jobs, and the window deque holds it
+    # while its window may be open.  The run's last event drops every queued
+    # job, so after it only states whose window is open at the last tick are
+    # still alive: those of the messages sent within a window of the end.
+    made = []
+
+    class Tracked(_HybridState):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(weakref.ref(self))
+
+    cfg = ScenarioConfig(
+        mobility=MobilitySpec(road_length_m=2_000.0, vehicle_count=40),
+        workload=WorkloadSpec(rate_per_s=4.0),
+        knobs=ProtocolKnobs(mobility_tick_s=0.01, window_s=2.5),
+        sim_duration_s=3.0,
+    )
+    sim = Simulator(seed=1)
+    provider = build_provider(cfg.mobility, sim.rng("mobility"))
+    stations = place_stations(cfg.mobility, provider, cfg.knobs)
+    rt = Runtime(sim, cfg, provider, EMPTY_MAP, stations, "hybrid_vehcloud")
+    with mock.patch.object(protocols, "_HybridState", Tracked):
+        rt.setup()
+        sim.run(rt.end_us)
+    gc.collect()
+    alive = [st for st in (ref() for ref in made) if st is not None]
+    last_tick = rt.end_us - to_us(cfg.knobs.mobility_tick_s)
+    assert len(made) == 12
+    assert alive and all(st.window_end >= last_tick for st in alive)
 
 
 HYBRID_HIGHWAY_BUILDINGS = ((300.0, -20.0, 340.0, 20.0), (900.0, -5.0, 980.0, 30.0))
@@ -853,14 +882,14 @@ def small_hybrid_runs(draw):
     if draw(st.booleans()):
         ids = st.integers(0, vehicles)
         targets = tuple(draw(st.lists(ids, min_size=1, max_size=6, unique=True)))
-        workload = WorkloadSpec(rate_per_s=8.0, target_rule="explicit", explicit_targets=targets)
+        workload = WorkloadSpec(rate_per_s=8.0, explicit_targets=targets)
     else:
         workload = WorkloadSpec(rate_per_s=8.0)
     cfg = ScenarioConfig(
         mobility=mobility,
         workload=workload,
         knobs=knobs,
-        obstacle_rects=rects if draw(st.booleans()) else (),
+        obstacles=rects if draw(st.booleans()) else (),
         sim_duration_s=2.0,
     )
     return cfg, vehicles, draw(st.integers(0, 1_000))

@@ -148,6 +148,16 @@ def test_obstacle_map_rejects_degenerate_rects():
     assert len(EMPTY_MAP.rects) == 0
 
 
+@pytest.mark.parametrize(
+    "rect", [(math.nan, 0, 10, 10), (0, 0, math.inf, 10), (0, -math.inf, 10, 10)]
+)
+def test_obstacle_map_rejects_non_finite_rects(rect):
+    # a nan rectangle never blocks sight; the file and JSON parsers refuse
+    # these too, through the same check
+    with pytest.raises(ConfigError, match=r"obstacles\[1\]: coordinates must be finite"):
+        ObstacleMap([(0, 0, 5, 5), rect])
+
+
 def test_obstacle_map_load_parses_comments_and_blanks(tmp_path):
     fp = tmp_path / "city.txt"
     fp.write_text(

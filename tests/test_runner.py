@@ -669,7 +669,7 @@ def obstacle_grid_cfg(metered=False):
         radio=RadioParams(loss_slope=0.02),
         workload=WorkloadSpec(rate_per_s=4.0),
         knobs=ProtocolKnobs(ttl_hops=3, k_max_gateways=16, include_beacons_in_metrics=metered),
-        obstacle_rects=buildings,
+        obstacles=buildings,
         sim_duration_s=1.5,
     )
 
