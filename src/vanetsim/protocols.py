@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from math import floor, hypot
 from typing import Any, Optional, Sequence
 
+from . import fog
 from .engine import Record, SimTime, to_us
 from .errors import ConfigError
 from .mobility import Position, distance
@@ -532,10 +533,6 @@ class Dfcv(Protocol):
 
         Returns (total cells, total maintenance steps) across stations.
         """
-        # Imported at call time: benchmark/tracing.py times these by patching
-        # the fog module's attributes, which a module-level import would bypass.
-        from .fog import FogCell, nearest_to_centroid, run_maintenance, check_partition
-
         rt = self.rt
         positions = rt.fleet_positions(t)
         covering = rt.station_index.covering
@@ -566,7 +563,7 @@ class Dfcv(Protocol):
                     continue
                 cell.members = members
                 if cell.anchor not in current_set:
-                    cell.anchor = nearest_to_centroid(members, positions)
+                    cell.anchor = fog.nearest_to_centroid(members, positions)
                 claimed.update(members)
                 kept.append(cell)
             # anchors stay put while newcomers join, so look each up once
@@ -584,13 +581,13 @@ class Dfcv(Protocol):
                             best_key, home = key, c
                     insort(home.members, v)
                 else:
-                    cell = FogCell(cell_id=next(self._cell_seq), anchor=v, members=[v])
+                    cell = fog.FogCell(cell_id=next(self._cell_seq), anchor=v, members=[v])
                     kept.append(cell)
                     homes.append((cell.cell_id, positions[v], cell))
-            kept, steps = run_maintenance(
+            kept, steps = fog.run_maintenance(
                 kept, positions, d_min, th_cap, lambda: next(self._cell_seq)
             )
-            check_partition(kept, current_set, th_cap)
+            fog.check_partition(kept, current_set, th_cap)
             self._cells[bs_id] = kept
             self.audit.append((t, bs_id, steps, len(kept)))
             total_cells += len(kept)

@@ -113,6 +113,14 @@ Row = tuple[int, int, int, SimTime, Optional[SimTime], Optional[str], int]
 class Runtime:
     """Owns one run: positions, channel, delivery ledger, and the protocol."""
 
+    __slots__ = (
+        "sim", "cfg", "params", "knobs", "cloud", "provider", "obstacles", "stations",
+        "_station_by_id", "station_index", "index", "channel", "gateway_ids",
+        "rows", "delivered", "delay_sum_us", "opened", "_open", "messages", "_msg_seq",
+        "_pos_t", "_pos", "_regions_t", "_regions", "_logging",
+        "end_us", "_beacon_us", "_tick_us", "_maintenance_us", "protocol",
+    )
+
     def __init__(
         self,
         sim: Simulator,
@@ -148,13 +156,13 @@ class Runtime:
         # the messages with an open pair, which the accounting sweep closes
         self.messages: dict[int, Message] = {}
         self._msg_seq = 0
-        # the one per-instant cache, shared by every query at _pos_t and
-        # reset when t changes: each vehicle's position by its id, and each
-        # station's region by its BaseStation.  One dict, not a second
-        # attribute: a 30th Runtime attribute takes CPython 3.11 off its
-        # inline attribute values, and every attribute load slows.
+        # per-instant caches, each reset when t changes: each vehicle's
+        # position at _pos_t by its id, and each station's region at
+        # _regions_t by its BaseStation
         self._pos_t: SimTime = -1
-        self._pos: dict = {}
+        self._pos: dict[int, Position] = {}
+        self._regions_t: SimTime = -1
+        self._regions: dict[BaseStation, tuple[int, ...]] = {}
         self._logging = sim.has_log
         self.end_us: SimTime = 0
         # per-event intervals in microseconds, converted once in setup()
@@ -177,7 +185,8 @@ class Runtime:
         return p
 
     def fleet_positions(self, t: SimTime) -> dict[int, Position]:
-        """Every vehicle's position at ``t``, through the same per-``t`` dict as ``pos``."""
+        """Every vehicle's position at ``t``: the per-``t`` dict that ``pos``
+        fills, completed and returned itself, so callers only read it."""
         if t != self._pos_t:
             self._pos_t = t
             self._pos = {}
@@ -186,7 +195,7 @@ class Runtime:
         for v in self.provider.vehicle_ids:
             if v not in known:
                 known[v] = locate(v, t)
-        return {v: known[v] for v in self.provider.vehicle_ids}
+        return known
 
     def neighbors(
         self, center: Position, radius_m: float, t: SimTime, exclude: Collection[int] = ()
@@ -212,13 +221,13 @@ class Runtime:
         before the distance math, so the result is the one a query with
         ``exclude`` returns.
         """
-        if t != self._pos_t:
-            self._pos_t = t
-            self._pos = {}
-        region = self._pos.get(bs)
+        if t != self._regions_t:
+            self._regions_t = t
+            self._regions = {}
+        region = self._regions.get(bs)
         if region is None:
             region = tuple(self.neighbors(bs.pos, self.knobs.bs_coverage_m, t))
-            self._pos[bs] = region
+            self._regions[bs] = region
         return tuple(v for v in region if v not in exclude) if exclude else region
 
     def nearest_station(self, pos: Position) -> BaseStation:

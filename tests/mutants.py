@@ -182,12 +182,31 @@ MUTANTS = (
     Mutant(
         "region-cache-kept-across-instants",
         "runner.py",
+        """        if t != self._regions_t:
+            self._regions_t = t
+            self._regions = {}
+        region = self._regions.get(bs)""",
+        """        region = self._regions.get(bs)""",
+        HYBRID_DIFFERENTIAL,
+    ),
+    Mutant(
+        "region-memo-in-the-position-dict",
+        "runner.py",
+        """        if t != self._regions_t:
+            self._regions_t = t
+            self._regions = {}
+        region = self._regions.get(bs)
+        if region is None:
+            region = tuple(self.neighbors(bs.pos, self.knobs.bs_coverage_m, t))
+            self._regions[bs] = region""",
         """        if t != self._pos_t:
             self._pos_t = t
             self._pos = {}
-        region = self._pos.get(bs)""",
-        """        region = self._pos.get(bs)""",
-        HYBRID_DIFFERENTIAL,
+        region = self._pos.get(bs)
+        if region is None:
+            region = tuple(self.neighbors(bs.pos, self.knobs.bs_coverage_m, t))
+            self._pos[bs] = region""",
+        ("tests/test_runner.py::test_fleet_positions_hold_only_the_fleet_after_region_queries",),
     ),
     Mutant(
         "region-ignores-exclude",

@@ -200,32 +200,50 @@ def test_neighbors_match_brute_force_on_moving_fleets(fleet, radius, drawn):
     stations = place_stations(cfg.mobility, provider, cfg.knobs)
     rt = Runtime(Simulator(), cfg, provider, EMPTY_MAP, stations, "baseline")
     located = []
-    locate = rt.pos
+    locate = Runtime.pos
 
-    def counting_pos(v, t):
+    def counting_pos(self, v, t):
         located.append(v)
-        return locate(v, t)
+        return locate(self, v, t)
 
-    rt.pos = counting_pos
-    for t in times + times[::-1]:
-        at = {v: provider.position_at(v, t) for v in provider.vehicle_ids}
-        want = [v for v in provider.vehicle_ids if distance(center, at[v]) <= radius]
-        # the vehicle at or next to the center, as a flood's sender is
-        nearest = min(provider.vehicle_ids, key=lambda v: distance(center, at[v]))
-        # vehicles that may sit across a seam from their snapshot, found
-        # only through an image
-        seam = {v for v in at if seam_distance(provider, v, at[v]) <= radius + MAX_SLACK_M + 3.0}
-        for v, certain in rt.index.candidates(center, radius, t):
-            assert not certain or distance(center, at[v]) <= radius, (t, v)
-        everyone = set(provider.vehicle_ids)
-        for exclude in (set(), drawn, {nearest}, seam, drawn | {nearest}, everyone):
-            located.clear()
-            assert rt.neighbors(center, radius, t, exclude) == [
-                v for v in want if v not in exclude
-            ], (t, exclude)
-            assert not exclude.intersection(located), (t, exclude)
+    # a function-scoped fixture would not reset between hypothesis examples
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Runtime, "pos", counting_pos)
+        for t in times + times[::-1]:
+            at = {v: provider.position_at(v, t) for v in provider.vehicle_ids}
+            want = [v for v in provider.vehicle_ids if distance(center, at[v]) <= radius]
+            # the vehicle at or next to the center, as a flood's sender is
+            nearest = min(provider.vehicle_ids, key=lambda v: distance(center, at[v]))
+            # vehicles that may sit across a seam from their snapshot, found
+            # only through an image
+            seam = {v for v in at if seam_distance(provider, v, at[v]) <= radius + MAX_SLACK_M + 3.0}
+            for v, certain in rt.index.candidates(center, radius, t):
+                assert not certain or distance(center, at[v]) <= radius, (t, v)
+            everyone = set(provider.vehicle_ids)
+            for exclude in (set(), drawn, {nearest}, seam, drawn | {nearest}, everyone):
+                located.clear()
+                assert rt.neighbors(center, radius, t, exclude) == [
+                    v for v in want if v not in exclude
+                ], (t, exclude)
+                assert not exclude.intersection(located), (t, exclude)
+            for v in provider.vehicle_ids:
+                assert locate(rt, v, t) == provider.position_at(v, t)
+
+
+def test_fleet_positions_hold_only_the_fleet_after_region_queries():
+    spec = MobilitySpec(vehicle_count=30, road_length_m=2_000.0)
+    provider = SyntheticHighwayProvider(spec, random.Random(5))
+    cfg = ScenarioConfig(mobility=spec)
+    stations = place_stations(cfg.mobility, provider, cfg.knobs)
+    rt = Runtime(Simulator(), cfg, provider, EMPTY_MAP, stations, "baseline")
+    for t in (0, 1_500_000, 1_500_000, 4_000_000):
+        rt.pos(3, t)
+        rt.pos(17, t)
+        assert rt.region_members(stations[0], t)
+        positions = rt.fleet_positions(t)
+        assert sorted(positions) == sorted(provider.vehicle_ids)
         for v in provider.vehicle_ids:
-            assert locate(v, t) == provider.position_at(v, t)
+            assert positions[v] == provider.position_at(v, t), (t, v)
 
 
 @pytest.mark.parametrize("scenario", ("highway", "grid"))
@@ -723,13 +741,13 @@ def test_an_unlogged_run_renders_nothing_and_has_the_same_handlers(protocol, mon
 
 
 @pytest.mark.parametrize("protocol", ["baseline", "hybrid_vehcloud", "dfcv"])
-def test_runtime_keeps_at_most_29_instance_attributes(protocol):
-    """CPython 3.11 keeps an instance's attribute values inline only while
-    it has fewer than 30 attributes.  At 30 every load of a Runtime
-    attribute takes a slower path, and baseline runs read about 3% slower
-    on three benchmark workloads (``BENCH_22.json``, ``first_round``)."""
+def test_runtime_state_is_declared_in_its_slots(protocol):
+    """Every Runtime attribute is named in ``Runtime.__slots__``, so one
+    set anywhere else fails at once instead of growing the instance."""
     rt = quiet_runtime([Position(0, 0), Position(100, 0)], protocol)
-    assert len(vars(rt)) <= 29
+    assert not hasattr(rt, "__dict__")
+    with pytest.raises(AttributeError):
+        rt.undeclared = 1
 
 
 def test_beacons_can_join_the_metrics():
