@@ -277,23 +277,26 @@ def channel_loss(params: RadioParams, concurrent_tx: int, rng: Random) -> bool:
 
 
 class Channel:
-    """Everything on air: registered transmissions and the beacon schedule.
+    """Everything on air: transmissions and beacons, in one heap.
 
     The channel owns the frame length, the ``radio-loss`` stream every
     contention draw takes from and the backoff stream; hops, uplinks and
     carrier sense all ask it.
 
-    Registered transmissions are (end, start, x, y) entries in a heap by end
-    time, so expired ones drop off in O(log n).  Beacons are not registered:
-    vehicle v sends a frame of ``frame_us`` at ``phase_v + k * period_us``
-    for every k >= 0, so the frames on air at t are found by a bisect over
-    the phases, sorted once.  A frame's origin is its vehicle's position at
-    the frame's start, looked up once per (vehicle, start).
+    Frames on air are (end, start, x, y) entries in a heap by end time, so
+    ended ones drop off in O(log n).  A transmission is registered when it
+    is sent.  Vehicle v beacons a frame of ``frame_us`` at ``phase_v + k *
+    period_us`` for every k >= 0; a beacon frame joins the heap once the
+    channel is asked about a time at or after its start, found by a bisect
+    over the phases, sorted once.  Its origin is its vehicle's position at
+    the frame's start, looked up once as it joins, and it leaves the heap
+    when it ends, like every frame.
 
-    Tie rule, for both kinds: a frame that starts at s and ends at e is on
+    Tie rule, for every frame: a frame that starts at s and ends at e is on
     air for s <= t < e, and audible at a point within radio range of its
     origin.  A beacon that starts at t is therefore audible at t whatever
-    else happens at t.
+    else happens at t.  Queries come at nondecreasing times, as the event
+    loop asks.
     """
 
     def __init__(self, params: RadioParams, obstacles: ObstacleMap, backoff_rng, loss_rng):
@@ -310,11 +313,8 @@ class Channel:
         self._beaconers: list[int] = []
         self._period: SimTime = 0
         self._locate = None
-        # beacon origins by (vehicle, start), dropped once the frame is over
-        self._origins: dict[tuple[int, SimTime], Position] = {}
-        # beacon frames on air at _air_t, as (end, x, y)
-        self._air_t: SimTime = -1
-        self._air: list[tuple[SimTime, float, float]] = []
+        # the latest time asked about: each beacon frame started by then has joined _active
+        self._asked: SimTime = -1
 
     def set_beacons(
         self,
@@ -330,48 +330,34 @@ class Channel:
         self._phases = [phase for phase, _ in schedule]
         self._beaconers = [v for _, v in schedule]
         self._period, self._locate = period_us, locate
-        self._origins = {}
-        self._air_t = -1
 
     def register(self, start: SimTime, end: SimTime, pos: Position) -> None:
         heapq.heappush(self._active, (end, start, pos.x, pos.y))
 
     def _prune(self, t: SimTime) -> None:
-        """Drop the registered frames that have ended by ``t``; callers ask
-        only once the earliest has."""
+        """Drop the frames that have ended by ``t``; callers ask only once
+        the earliest has."""
         active = self._active
         while active and active[0][0] <= t:
             heapq.heappop(active)
 
-    def beacon_origin(self, v: int, start: SimTime) -> Position:
-        """Where vehicle ``v`` sent the beacon frame that starts at ``start``."""
-        key = (v, start)
-        pos = self._origins.get(key)
-        if pos is None:
-            pos = self._origins[key] = self._locate(v, start)
-        return pos
-
-    def _beacons_at(self, t: SimTime) -> list[tuple[SimTime, float, float]]:
-        """The beacon frames on air at ``t``.  Every receiver of one
-        transmission asks at the same ``t``, so callers reuse ``_air`` while
-        ``_air_t == t``."""
-        air = []
+    def _beacons_to(self, t: SimTime) -> None:
+        """Push the beacon frames that started after the last query and are
+        on air at ``t``; callers ask only when ``t`` is later."""
         period, frame = self._period, self.frame_us
-        if period:
-            origins, phases, beaconers = self._origins, self._phases, self._beaconers
-            for key in [key for key in origins if key[1] + frame <= t]:
-                del origins[key]
-            # frame k of v is on air when t - frame < phase_v + k * period <= t
-            for k in range(max(0, (t - frame) // period), t // period + 1):
-                base = k * period
-                for i in range(
-                    bisect_right(phases, t - frame - base), bisect_right(phases, t - base)
-                ):
-                    start = phases[i] + base
-                    x, y = self.beacon_origin(beaconers[i], start)
-                    air.append((start + frame, x, y))
-        self._air_t, self._air = t, air
-        return air
+        after = max(self._asked, t - frame)
+        self._asked = t
+        if not period:
+            return
+        active, locate = self._active, self._locate
+        phases, beaconers = self._phases, self._beaconers
+        # frame k of v is pushed when after < phase_v + k * period <= t
+        for k in range(max(0, after // period), t // period + 1):
+            base = k * period
+            for i in range(bisect_right(phases, after - base), bisect_right(phases, t - base)):
+                start = phases[i] + base
+                x, y = locate(beaconers[i], start)
+                heapq.heappush(active, (start + frame, start, x, y))
 
     def concurrent_near(self, pos: Position, t: SimTime, own: Optional[Position] = None) -> int:
         """Frames on air at ``t`` and audible at ``pos``.
@@ -379,6 +365,8 @@ class Channel:
         ``own`` is the origin of a frame on air at ``t`` that is left out:
         a metered beacon's hops do not hear the beacon's own frame.
         """
+        if t > self._asked:
+            self._beacons_to(t)
         active = self._active
         if active and active[0][0] <= t:
             self._prune(t)
@@ -388,15 +376,14 @@ class Channel:
         for end, start, x, y in active:
             if start <= t and hypot(x - px, y - py) <= r:
                 n += 1
-        for end, x, y in self._air if t == self._air_t else self._beacons_at(t):
-            if hypot(x - px, y - py) <= r:
-                n += 1
         if own is not None and hypot(own.x - px, own.y - py) <= r:
             n -= 1
         return n
 
     def busy_until_near(self, pos: Position, t: SimTime) -> Optional[SimTime]:
         """The latest end of the frames on air at ``t`` and audible at ``pos``."""
+        if t > self._asked:
+            self._beacons_to(t)
         active = self._active
         if active and active[0][0] <= t:
             self._prune(t)
@@ -405,9 +392,6 @@ class Channel:
         busy = None
         for end, start, x, y in active:
             if start <= t and hypot(x - px, y - py) <= r and (busy is None or end > busy):
-                busy = end
-        for end, x, y in self._air if t == self._air_t else self._beacons_at(t):
-            if hypot(x - px, y - py) <= r and (busy is None or end > busy):
                 busy = end
         return busy
 

@@ -463,7 +463,7 @@ class Runtime:
         The frame is on air through the channel's beacon schedule, like
         every unmetered beacon; this event only writes the records.
         """
-        pos = self.channel.beacon_origin(v, t)
+        pos = self.pos(v, t)
         cand = self.neighbors(pos, self.params.range_m, t, exclude=(v,))
         self._msg_seq += 1
         msg = Message(self._msg_seq, v, t, tuple(cand), ttl_hops=1, kind=KIND_BEACON)

@@ -139,6 +139,21 @@ MUTANTS = (
         ("tests/test_radio.py::test_carrier_sense_does_not_hear_a_frame_at_its_end",),
     ),
     Mutant(
+        "beacon-registered-again",
+        "radio.py",
+        "after = max(self._asked, t - frame)",
+        "after = t - frame",
+        ("tests/test_radio.py::test_beacons_on_air_match_brute_force",),
+    ),
+    Mutant(
+        # bisect_left over the integer phases: the frame starting at t is left out
+        "beacon-missed-at-its-start",
+        "radio.py",
+        "bisect_right(phases, t - base)",
+        "bisect_right(phases, t - base - 1)",
+        ("tests/test_radio.py::test_beacons_on_air_match_brute_force",),
+    ),
+    Mutant(
         "rectangle-not-checked-finite",
         "radio.py",
         "if not all(map(isfinite, rect)):",
@@ -169,6 +184,14 @@ MUTANTS = (
         "elif final:",
         "elif True:",
         ("tests/test_runner.py::test_horizon_sweep_records_the_worst_noted_cause",),
+    ),
+    # -- scheduled station downlinks ---------------------------------------------
+    Mutant(
+        "station-downlink-contends",
+        "runner.py",
+        "results = self.channel.hops(bs.pos, job.receivers, self.pos, reach, t, contend=False)",
+        "results = self.channel.hops(bs.pos, job.receivers, self.pos, reach, t, contend=True)",
+        ("tests/test_invariants.py::test_dfcv_bytes_do_not_depend_on_the_loss_rate",),
     ),
     # -- the flood's visited set -------------------------------------------------
     Mutant(

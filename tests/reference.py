@@ -11,11 +11,14 @@ every pair it was asked to open.  ``unshared_regions`` swaps in the
 hybrid late-joiner tick that walks every message and a region query made
 afresh by every caller, so a whole run can be compared byte for byte
 with the per-instant region memo and the open-window tick.
+``brute_force_channel`` does the same for the channel: carrier sense and
+contention counted from every registered frame and every beacon.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
+from math import hypot
 from typing import Optional, Sequence
 from unittest import mock
 
@@ -28,6 +31,7 @@ from vanetsim.radio import (
     CHANNEL_LOSS,
     OUT_OF_RANGE,
     SHADOWED,
+    Channel,
     HopOutcome,
     RadioParams,
     channel_loss,
@@ -164,4 +168,43 @@ def unshared_regions():
     """Run every Runtime with ``region_members`` and hybrid's ``on_tick`` above."""
     with mock.patch.object(runner.Runtime, "region_members", region_members):
         with mock.patch.object(protocols.HybridVehcloud, "on_tick", hybrid_on_tick):
+            yield
+
+
+def frames_on_air(ch: Channel, t) -> list[tuple[int, float, float]]:
+    """(end, x, y) of every frame on air at ``t``: each registered frame with
+    start <= t < end, and each beacon of each vehicle, enumerated start by
+    start from its phase and located at its start."""
+    frames = [(end, x, y) for end, start, x, y in ch._active if start <= t < end]
+    if ch._period:
+        for phase, v in zip(ch._phases, ch._beaconers):
+            for start in range(phase, t + 1, ch._period):
+                if t < start + ch.frame_us:
+                    x, y = ch._locate(v, start)
+                    frames.append((start + ch.frame_us, x, y))
+    return frames
+
+
+def concurrent_near(ch, pos, t, own=None):
+    """``Channel.concurrent_near`` from ``frames_on_air``."""
+    r, (px, py) = ch.params.range_m, pos
+    n = sum(1 for _, x, y in frames_on_air(ch, t) if hypot(x - px, y - py) <= r)
+    if own is not None and hypot(own.x - px, own.y - py) <= r:
+        n -= 1
+    return n
+
+
+def busy_until_near(ch, pos, t):
+    """``Channel.busy_until_near`` from ``frames_on_air``."""
+    r, (px, py) = ch.params.range_m, pos
+    ends = [end for end, x, y in frames_on_air(ch, t) if hypot(x - px, y - py) <= r]
+    return max(ends, default=None)
+
+
+@contextmanager
+def brute_force_channel():
+    """Run every Channel with the two queries above.  Nothing is pruned and
+    no beacon is pushed, so the heap holds every transmission registered."""
+    with mock.patch.object(Channel, "concurrent_near", concurrent_near):
+        with mock.patch.object(Channel, "busy_until_near", busy_until_near):
             yield

@@ -8,6 +8,10 @@ delivered or lost to a known cause, no pair a hop lost to the channel
 recorded out of range, causal delays, running counts that match a recount
 of the records, delivery + loss == 1, and the same CSV bytes on a rerun,
 with or without an event log, and in a serial or a parallel sweep.
+
+The same configs also drive a differential test against a brute-force
+channel and two metamorphic relations: dfcv bytes do not depend on the
+loss rate, and a longer drain leaves the log before the old end alone.
 """
 
 import dataclasses
@@ -16,7 +20,7 @@ import os
 import tempfile
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from vanetsim import runner
@@ -26,7 +30,7 @@ from vanetsim.mobility import MobilitySpec
 from vanetsim.protocols import CloudModel
 from vanetsim.radio import CHANNEL_LOSS, LOSS_CAUSES, OUT_OF_RANGE, RadioParams, tx_time_us
 
-from reference import closed_pairs, spy_addresses
+from reference import brute_force_channel, closed_pairs, spy_addresses
 
 FRAME_S = tx_time_us(RadioParams()) / 1e6
 # beacons off, and periods below, equal to and above the default frame time
@@ -209,3 +213,57 @@ def test_serial_and_parallel_sweeps_give_the_same_bytes(case):
     serial, _ = runner.run_sweep(cfg, workers=1)
     parallel, _ = runner.run_sweep(cfg, workers=2)
     assert csv_text(parallel) == csv_text(serial)
+
+
+# no shrink phase: a failing example is reported as drawn, in seconds, where
+# shrinking a whole run took up to a minute
+NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate)
+
+
+def logged_run(cfg, protocol, vehicles, seed):
+    res = runner.run_single(cfg, protocol, vehicles, seed, capture_log=True)
+    return csv_text([res.summary]), res.log
+
+
+@settings(max_examples=24, deadline=None, derandomize=True, phases=NO_SHRINK)
+@given(small_runs())
+def test_runs_match_a_brute_force_channel(case):
+    # the channel's one heap, against every frame and beacon enumerated afresh
+    real = logged_run(*case)
+    with brute_force_channel():
+        assert logged_run(*case) == real
+
+
+@settings(max_examples=16, deadline=None, derandomize=True, phases=NO_SHRINK)
+@given(small_runs())
+def test_dfcv_bytes_do_not_depend_on_the_loss_rate(case):
+    # no dfcv hop contends, so no loss draw is taken; metered beacons would
+    cfg, _, vehicles, seed = case
+    cfg = dataclasses.replace(
+        cfg, knobs=dataclasses.replace(cfg.knobs, include_beacons_in_metrics=False)
+    )
+    runs = [
+        logged_run(
+            dataclasses.replace(cfg, radio=dataclasses.replace(cfg.radio, base_loss=base_loss)),
+            "dfcv", vehicles, seed,
+        )
+        for base_loss in (0.02, 0.5, 1.0)
+    ]
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+@settings(max_examples=8, deadline=None, derandomize=True, phases=NO_SHRINK)
+@given(small_runs())
+def test_a_longer_drain_keeps_the_past(case):
+    cfg, protocol, vehicles, seed = case
+
+    def fields(drain_s):
+        knobs = dataclasses.replace(cfg.knobs, drain_s=drain_s)
+        _, log = logged_run(dataclasses.replace(cfg, knobs=knobs), protocol, vehicles, seed)
+        # time, kind and notes: the seq column counts what was scheduled past the end
+        return [(int(t), kind, notes) for t, _, kind, notes in (line.split("\t") for line in log)]
+
+    short, longer = fields(2.0), fields(5.0)
+    end, kind, _ = short[-1]
+    assert kind == "SimEnd"
+    assert [f for f in longer if f[0] < end] == [f for f in short if f[0] < end]

@@ -623,11 +623,11 @@ def test_beacons_on_air_match_brute_force(case):
     ch = make_channel(range_m=1e9, data_rate_bps=8_000_000, msg_size_bytes=frame)
     ch.set_beacons(sorted((p, v) for v, p in enumerate(phases)), period, locate)
     here = Position(0.0, 0.0)
-    for t in times:  # nondecreasing, as the event loop asks; repeats reuse the cached answer
+    for t in times:  # nondecreasing, as the event loop asks; repeats push nothing
         want = brute_force_on_air(phases, period, frame, t)
-        got = sorted((int(x), int(y), end) for end, x, y in ch._beacons_at(t))
-        assert got == want
         assert ch.concurrent_near(here, t) == len(want)
+        got = sorted((int(x), int(y), end) for end, start, x, y in ch._active if start <= t)
+        assert got == want
         assert ch.busy_until_near(here, t) == max((end for _, _, end in want), default=None)
     assert len(located) == len(set(located))  # one lookup per (vehicle, start)
 
