@@ -297,17 +297,15 @@ def _seconds_to_us(text: str, where: str) -> SimTime:
         raise TraceParseError(f"{where}: bad time value {text!r}") from exc
 
 
-def _require(node: ET.Element, attr: str, where: str) -> str:
-    value = node.get(attr)
+def _require(tag: str, attrib: Mapping[str, str], attr: str, where: str) -> str:
+    value = attrib.get(attr)
     if value is None:
-        raise TraceParseError(
-            f"{where}: {node.tag} element missing required attribute '{attr}'"
-        )
+        raise TraceParseError(f"{where}: {tag} element missing required attribute '{attr}'")
     return value
 
 
-def _float_attr(node: ET.Element, attr: str, where: str) -> float:
-    raw = _require(node, attr, where)
+def _float_attr(tag: str, attrib: Mapping[str, str], attr: str, where: str) -> float:
+    raw = _require(tag, attrib, attr, where)
     try:
         value = float(raw)
     except ValueError as exc:
@@ -315,6 +313,91 @@ def _float_attr(node: ET.Element, attr: str, where: str) -> float:
     if not math.isfinite(value):
         raise TraceParseError(f"{where}: attribute '{attr}' is not finite: {raw!r}")
     return value
+
+
+class _FcdTarget:
+    """The expat target of ``parse_fcd``: it reads each sample from its
+    start tag, so no element is ever built.
+
+    A depth-3 ``vehicle`` under a depth-2 ``timestep`` is one sample.  Each
+    callback only records: the root's tag, the tracks, and the first sample
+    error, after which it collects nothing more.  ``parse_fcd`` raises that
+    error once the document has parsed and its root has been checked.
+    """
+
+    __slots__ = ("path", "root", "tracks", "error", "_depth", "_time_us", "_where")
+
+    def __init__(self, path: str):
+        self.path = path
+        self.root: Optional[str] = None
+        self.tracks: dict[str, Track] = {}
+        self.error: Optional[TraceParseError] = None
+        self._depth = 0
+        # the open timestep's time, None while the open depth-2 element is
+        # not a timestep and once an error is recorded; and the text that
+        # names the timestep in sample errors
+        self._time_us: Optional[SimTime] = None
+        self._where = ""
+
+    def start(self, tag: str, attrib: dict[str, str]) -> None:
+        depth = self._depth = self._depth + 1
+        if depth == 3:
+            # one sample, read here rather than in a helper: this runs once
+            # per vehicle element, and a call more per sample shows in setup_s
+            time_us = self._time_us
+            if tag != "vehicle" or time_us is None:
+                return
+            try:
+                vid = attrib["id"]
+                x = float(attrib["x"])
+                y = float(attrib["y"])
+                speed = float(attrib["speed"])  # validated only; motion comes from x, y
+            except (KeyError, ValueError):
+                x = y = speed = math.nan
+            isfinite = math.isfinite
+            try:
+                if not (isfinite(x) and isfinite(y) and isfinite(speed)):
+                    # the attribute-by-attribute checks raise, naming what is wrong
+                    where = self._where
+                    vid = _require(tag, attrib, "id", where)
+                    x = _float_attr(tag, attrib, "x", where)
+                    y = _float_attr(tag, attrib, "y", where)
+                    _float_attr(tag, attrib, "speed", where)
+                track = self.tracks.get(vid)
+                if track is None:
+                    self.tracks[vid] = ([time_us], [_position((x, y))])
+                    return
+                times, points = track
+                if time_us <= times[-1]:
+                    raise TraceParseError(
+                        f"{self._where}: vehicle '{vid}' timestamp does not increase "
+                        f"(previous sample at {times[-1]}us)"
+                    )
+            except TraceParseError as exc:
+                self._fail(exc)
+                return
+            times.append(time_us)
+            points.append(_position((x, y)))
+        elif depth == 2:
+            self._time_us = None
+            if tag == "timestep" and self.error is None:
+                try:
+                    raw_time = _require(tag, attrib, "time", self.path)
+                    self._time_us = _seconds_to_us(raw_time, self.path)
+                except TraceParseError as exc:
+                    self._fail(exc)
+                    return
+                self._where = f"{self.path}: timestep {raw_time}"
+        elif depth == 1:
+            self.root = tag
+
+    def end(self, tag: str) -> None:
+        self._depth -= 1
+
+    def _fail(self, exc: TraceParseError) -> None:
+        """Record the first sample error and collect nothing more."""
+        self.error = exc
+        self._time_us = None
 
 
 def parse_fcd(path: str) -> dict[str, Track]:
@@ -326,58 +409,34 @@ def parse_fcd(path: str) -> dict[str, Track]:
     are ignored.  Times are converted to whole microseconds, rounding
     half-up.  Per vehicle, timestamps must be strictly increasing.  The
     tracks are keyed by vehicle id in order of first appearance.
+
+    The file streams through expat, the parser ``ET.parse`` uses, and each
+    sample is read from its start tag; no element tree is built.  Faults are
+    reported in this order, whatever their place in the file: malformed XML,
+    a wrong root, the first bad sample in document order (a missing or
+    non-finite attribute, a bad time, a time that does not increase), then
+    a trace with no samples.
     """
+    target = _FcdTarget(path)
+    parser = ET.XMLParser(target=target)
     try:
-        tree = ET.parse(path)
+        with open(path, "rb") as fh:
+            while chunk := fh.read(1 << 16):
+                parser.feed(chunk)
+        parser.close()
     except ET.ParseError as exc:
         raise TraceParseError(f"{path}: malformed XML: {exc}") from exc
     except OSError as exc:
         raise TraceParseError(f"{path}: {exc}") from exc
-    root = tree.getroot()
-    if root.tag != "fcd-export":
+    if target.root != "fcd-export":
         raise TraceParseError(
-            f"{path}: root element is '{root.tag}', expected 'fcd-export'"
+            f"{path}: root element is '{target.root}', expected 'fcd-export'"
         )
-    isfinite = math.isfinite
-    tracks: dict[str, Track] = {}
-    for step in root:
-        if step.tag != "timestep":
-            continue
-        raw_time = _require(step, "time", path)
-        time_us = _seconds_to_us(raw_time, path)
-        where = f"{path}: timestep {raw_time}"
-        for node in step:
-            if node.tag != "vehicle":
-                continue
-            attrib = node.attrib
-            try:
-                vid = attrib["id"]
-                x = float(attrib["x"])
-                y = float(attrib["y"])
-                speed = float(attrib["speed"])  # validated only; motion comes from x, y
-            except (KeyError, ValueError):
-                x = y = speed = math.nan
-            if not (isfinite(x) and isfinite(y) and isfinite(speed)):
-                # the attribute-by-attribute checks raise, naming what is wrong
-                vid = _require(node, "id", where)
-                x = _float_attr(node, "x", where)
-                y = _float_attr(node, "y", where)
-                _float_attr(node, "speed", where)
-            track = tracks.get(vid)
-            if track is None:
-                tracks[vid] = ([time_us], [_position((x, y))])
-                continue
-            times, points = track
-            if time_us <= times[-1]:
-                raise TraceParseError(
-                    f"{where}: vehicle '{vid}' timestamp does not increase "
-                    f"(previous sample at {times[-1]}us)"
-                )
-            times.append(time_us)
-            points.append(_position((x, y)))
-    if not tracks:
+    if target.error is not None:
+        raise target.error
+    if not target.tracks:
         raise TraceParseError(f"{path}: trace contains no vehicle samples")
-    return tracks
+    return target.tracks
 
 
 def load_tracks(spec: MobilitySpec) -> Optional[dict[str, Track]]:

@@ -184,6 +184,15 @@ class Runtime:
             p = self._pos[vehicle_id] = self.provider.position_at(vehicle_id, t)
         return p
 
+    def _beacon_origin(self, vehicle_id: int, start: SimTime) -> Position:
+        """Where ``vehicle_id``'s beacon frame starting at ``start`` is sent
+        from: through ``pos`` when ``start`` is the instant it caches, so a
+        metered beacon is located once, and from the provider otherwise,
+        which leaves that cache alone."""
+        if start == self._pos_t:
+            return self.pos(vehicle_id, start)
+        return self.provider.position_at(vehicle_id, start)
+
     def fleet_positions(self, t: SimTime) -> dict[int, Position]:
         """Every vehicle's position at ``t``: the per-``t`` dict that ``pos``
         fills, completed and returned itself, so callers only read it."""
@@ -370,7 +379,7 @@ class Runtime:
         if self._beacon_us > 0:
             phase_rng = sim.rng("beacon-phase")
             phases = [(phase_rng.randrange(self._beacon_us), v) for v in self.provider.vehicle_ids]
-            self.channel.set_beacons(sorted(phases), self._beacon_us, self.provider.position_at)
+            self.channel.set_beacons(sorted(phases), self._beacon_us, self._beacon_origin)
             # beacons are events only to write their delivery records
             if self.knobs.include_beacons_in_metrics:
                 for phase, v in phases:

@@ -47,6 +47,10 @@ HYBRID_DIFFERENTIAL = (
     "tests/test_protocols.py::test_hybrid_matches_a_run_with_unshared_region_queries",
 )
 
+FCD_DIFFERENTIAL = (
+    "tests/test_mobility.py::test_parse_fcd_and_trace_provider_match_the_flat_sample_reference",
+)
+
 MUTANTS = (
     # -- the event log: the engine writes the line ------------------------
     Mutant(
@@ -92,6 +96,31 @@ MUTANTS = (
         "self._cell = cell = coverage_m * (1.0 + 1e-6)",
         "self._cell = cell = coverage_m",
         ("tests/test_protocols.py::test_station_index_matches_the_linear_scan",),
+    ),
+    # -- trace parsing -----------------------------------------------------------
+    Mutant(
+        "fcd-parsed-into-a-tree",
+        "mobility.py",
+        """        with open(path, "rb") as fh:""",
+        """        ET.parse(path)
+        with open(path, "rb") as fh:""",
+        ("tests/test_mobility.py::test_parse_fcd_holds_little_more_than_its_tracks_at_its_peak",),
+    ),
+    Mutant(
+        "fcd-sample-error-raised-mid-parse",
+        "mobility.py",
+        "self.error = exc",
+        "raise exc",
+        FCD_DIFFERENTIAL,
+    ),
+    Mutant(
+        "fcd-sample-error-before-root-check",
+        "mobility.py",
+        """    if target.root != "fcd-export":""",
+        """    if target.error is not None:
+        raise target.error
+    if target.root != "fcd-export":""",
+        FCD_DIFFERENTIAL,
     ),
     # -- the channel -----------------------------------------------------------
     Mutant(

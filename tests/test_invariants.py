@@ -10,15 +10,18 @@ of the records, delivery + loss == 1, and the same CSV bytes on a rerun,
 with or without an event log, and in a serial or a parallel sweep.
 
 The same configs also drive a differential test against a brute-force
-channel and two metamorphic relations: dfcv bytes do not depend on the
-loss rate, and a longer drain leaves the log before the old end alone.
+channel and three metamorphic relations: dfcv bytes do not depend on the
+loss rate, a longer drain leaves the log before the old end alone, and a
+trace written in another dress plays the same tracks and bytes.
 """
 
 import dataclasses
 import math
 import os
 import tempfile
+import xml.etree.ElementTree as ET
 from unittest import mock
+from xml.sax.saxutils import quoteattr
 
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
@@ -26,7 +29,7 @@ from hypothesis import strategies as st
 from vanetsim import runner
 from vanetsim.config import ProtocolKnobs, ScenarioConfig, WorkloadSpec
 from vanetsim.metrics import csv_text, summarize
-from vanetsim.mobility import MobilitySpec
+from vanetsim.mobility import MobilitySpec, parse_fcd
 from vanetsim.protocols import CloudModel
 from vanetsim.radio import CHANNEL_LOSS, LOSS_CAUSES, OUT_OF_RANGE, RadioParams, tx_time_us
 
@@ -267,3 +270,47 @@ def test_a_longer_drain_keeps_the_past(case):
     end, kind, _ = short[-1]
     assert kind == "SimEnd"
     assert [f for f in longer if f[0] < end] == [f for f in short if f[0] < end]
+
+
+def redressed(text: str) -> str:
+    """The FCD document ``text`` in another dress: SUMO's schema header, a
+    comment before every element, tab indentation, each element's attributes
+    in reverse order plus an unknown one, and explicit close tags."""
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        "<!-- re-dressed -->",
+    ]
+
+    def write(node, depth):
+        attrs = [*reversed(node.attrib.items()), ("type", "DEFAULT_VEHTYPE")]
+        if depth == 0:
+            attrs += [
+                ("xmlns:xsi", "http://www.w3.org/2001/XMLSchema-instance"),
+                ("xsi:noNamespaceSchemaLocation", "http://sumo.dlr.de/xsd/fcd_file.xsd"),
+            ]
+        indent = "\t" * depth
+        lines.append(f"{indent}<!-- {node.tag} -->")
+        lines.append(f"{indent}<{node.tag}" + "".join(f" {k}={quoteattr(v)}" for k, v in attrs) + ">")
+        for child in node:
+            write(child, depth + 1)
+        lines.append(f"{indent}</{node.tag}>")
+
+    write(ET.fromstring(text), 0)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=24, deadline=None, derandomize=True, phases=NO_SHRINK)
+@given(small_runs().filter(lambda case: case[0].mobility.mode == "trace"))
+def test_a_redressed_trace_plays_the_same_tracks_and_bytes(case):
+    cfg, protocol, vehicles, seed = case
+    path = cfg.mobility.trace_path
+    with open(path, encoding="utf-8") as fh:
+        text = redressed(fh.read())
+    fd, dressed = tempfile.mkstemp(suffix=".fcd.xml", dir=TRACE_DIR.name)
+    with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    assert parse_fcd(dressed) == parse_fcd(path)
+    mobility = dataclasses.replace(cfg.mobility, trace_path=dressed)
+    assert logged_run(dataclasses.replace(cfg, mobility=mobility), protocol, vehicles, seed) == (
+        logged_run(cfg, protocol, vehicles, seed)
+    )

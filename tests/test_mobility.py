@@ -1,8 +1,10 @@
 """Mobility providers, trace ingestion, and the neighbor index."""
 
+import gc
 import math
 import pickle
 import random
+import tracemalloc
 import xml.etree.ElementTree as ET
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -50,6 +52,13 @@ FCD_FIXTURE = """<?xml version="1.0" encoding="UTF-8"?>
   </timestep>
 </fcd-export>
 """
+
+
+# the root element of a SUMO export, with its schema header
+SUMO_ROOT = (
+    '<fcd-export xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance" '
+    'xsi:noNamespaceSchemaLocation="http://sumo.dlr.de/xsd/fcd_file.xsd">'
+)
 
 
 def write_fixture(tmp_path, text=FCD_FIXTURE, name="trace.xml"):
@@ -407,6 +416,29 @@ def test_parse_fcd_malformed_xml(tmp_path):
         parse_fcd(write_fixture(tmp_path, "<fcd-export><timestep"))
 
 
+def test_parse_fcd_holds_little_more_than_its_tracks_at_its_peak(tmp_path):
+    # an element tree of the document would peak at five to six times the
+    # tracks; reading each sample from its start tag stays near them
+    lines = ["<fcd-export>"]
+    for k in range(100):
+        lines.append(f'  <timestep time="{k * 0.1:.2f}">')
+        lines += [
+            f'    <vehicle id="veh{v}" x="{10.0 * v + k:.2f}" y="{v % 4 * 3.5:.2f}" speed="10.00"/>'
+            for v in range(100)
+        ]
+        lines.append("  </timestep>")
+    path = write_fixture(tmp_path, "\n".join(lines + ["</fcd-export>", ""]))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        tracks = parse_fcd(path)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(len(times) for times, _ in tracks.values()) == 100 * 100
+    assert peak <= 2 * held, f"parse peak {peak} B against {held} B held"
+
+
 def test_trace_provider_interpolates_and_clamps(tmp_path):
     tracks = parse_fcd(write_fixture(tmp_path))
     prov = TraceProvider(tracks)
@@ -717,6 +749,37 @@ def outcome(fn, *args):
 @example(FCD_FIXTURE.replace("fcd-export", "sumo"), 0.0)
 @example(FCD_FIXTURE[:120], 0.0)  # malformed XML
 @example("<fcd-export/>", 0.0)
+@example(FCD_FIXTURE.replace("<fcd-export>", '<fcd-export xmlns="urn:x">'), 0.0)  # {urn:x}fcd-export
+@example(FCD_FIXTURE.replace("<fcd-export>", SUMO_ROOT), 0.0)
+@example(FCD_FIXTURE.replace('"veh_b"', '"veh&amp;b"'), 0.0)
+@example(FCD_FIXTURE.replace('"veh_b"', '"veh&b;"', 1), 0.0)  # an undefined entity
+@example(FCD_FIXTURE.replace('x="100.0"', 'x="&#49;"'), 0.0)
+@example(
+    FCD_FIXTURE.replace(
+        "<fcd-export>",
+        '<fcd-export xmlns:v="urn:v"><meta><vehicle id="m" x="nan" y="0" speed="0"/></meta>',
+    )
+    .replace(
+        '<vehicle id="veh_a" x="100.0" y="0.0" speed="10.0"/>',
+        '<vehicle id="veh_a" x="100.0" y="0.0" speed="10.0">'
+        '<vehicle id="inner" x="1" y="2" speed="3"/></vehicle>',
+    )
+    .replace("</timestep>", '<v:vehicle id="veh_a" x="-inf" y="0" speed="0"/></timestep>', 1),
+    0.0,
+)  # vehicles in meta, in a vehicle, and in another namespace: all ignored
+@example(
+    FCD_FIXTURE.replace("<timestep", "<!-- sample --><?sumo step?><timestep")
+    .replace("<vehicle", "<!-- v --><?pi?><vehicle"),
+    0.0,
+)
+@example(
+    FCD_FIXTURE.replace(
+        "<fcd-export>", '<!DOCTYPE fcd-export [<!ENTITY start "100.0">]>\n<fcd-export>'
+    ).replace('x="100.0"', 'x="&start;"'),
+    0.0,
+)
+@example(FCD_FIXTURE.replace('x="100.0"', 'x="fast"', 1)[:-40], 0.0)  # malformed XML wins
+@example(FCD_FIXTURE.replace("fcd-export", "sumo").replace('time="0.00"', 'time="nan"'), 0.0)
 def test_parse_fcd_and_trace_provider_match_the_flat_sample_reference(tmp_path, text, fraction):
     path = str(tmp_path / "trace.xml")
     with open(path, "w", encoding="utf-8") as fh:
