@@ -486,9 +486,19 @@ class NeighborIndex:
     ``slack`` of where it is at ``t``.
 
     ``candidates`` returns ``(vid, certain)`` pairs sorted by id, one per
-    vehicle with an entry within ``radius + slack`` of the center; by the
-    triangle inequality that holds for every vehicle actually within
-    ``radius`` at ``t``.  Only the buckets around the center are scanned.
+    vehicle with an entry within ``reach = radius + slack + 1e-9`` of the
+    center; by the triangle inequality that holds for every vehicle actually
+    within ``radius`` at ``t``.
+
+    A bucket is a square cell ``span * (1 + 1e-6)`` wide, where ``span =
+    cell_m + edge``.  Every query with ``radius <= cell_m`` has ``reach <=
+    span``, since ``slack < edge``.  Every entry within a reach of at most
+    ``span`` lies in the 3x3 cells around the center's cell: the padding is
+    far wider than the float rounding in ``x // cell`` and in the squared
+    distance for coordinates up to a billion cells from the origin.  Such a
+    query reads that neighbourhood as one list, joined from the buckets on
+    first use and kept until the next rebuild.  A wider query, such as a
+    station's region, scans every bucket its reach overlaps.
 
     ``certain`` means the vehicle is within ``radius`` at ``t`` without
     looking it up.  Again by the triangle inequality, a snapshot within
@@ -519,15 +529,19 @@ class NeighborIndex:
 
     def __init__(self, provider: MobilityProvider, cell_m: float):
         self._provider = provider
-        self._cell = max(cell_m, 1.0)
         self._drift = provider.max_drift_mps()
         self._edge = self._drift * (self.REFRESH_US / US_PER_S) + 1e-6
+        # the widest reach that one 3x3 neighbourhood holds, and the padded cell
+        self._span = max(cell_m, 1.0) + self._edge
+        self._cell = self._span * (1.0 + 1e-6)
         # each vehicle's wrap periods, in vehicle_ids order, read once
         self._wraps = [provider.wrap_period(v) for v in provider.vehicle_ids]
         self._built_at: Optional[SimTime] = None
         # (vid, x, y, distance from x, y to the nearest seam) by bucket; an
         # image's seam distance is -inf, so it is never certain
         self._buckets: dict[tuple[int, int], list[tuple[int, float, float, float]]] = {}
+        # the entries of the 3x3 buckets around a cell, by that cell, joined on first use
+        self._near: dict[tuple[int, int], list[tuple[int, float, float, float]]] = {}
 
     def _rebuild(self, t_us: SimTime) -> None:
         cell, edge = self._cell, self._edge
@@ -548,6 +562,7 @@ class NeighborIndex:
                         (vid, ix, iy, -inf)
                     )
         self._buckets = buckets
+        self._near = {}
         self._built_at = t_us
 
     def candidates(
@@ -563,19 +578,35 @@ class NeighborIndex:
         margin = slack + 1e-6  # the least seam distance of a certain snapshot
         cx, cy = center
         cell, buckets = self._cell, self._buckets
+        if reach <= self._span:
+            key = (int(cx // cell), int(cy // cell))
+            near = self._near.get(key)
+            if near is None:
+                near = self._near[key] = [
+                    entry
+                    for bx in (key[0] - 1, key[0], key[0] + 1)
+                    for by in (key[1] - 1, key[1], key[1] + 1)
+                    for entry in buckets.get((bx, by), ())
+                ]
+            lists = (near,)
+        else:
+            lists = [
+                buckets.get((bx, by), ())
+                for bx in range(int((cx - reach) // cell), int((cx + reach) // cell) + 1)
+                for by in range(int((cy - reach) // cell), int((cy + reach) // cell) + 1)
+            ]
         found: dict[int, bool] = {}
-        for bx in range(int((cx - reach) // cell), int((cx + reach) // cell) + 1):
-            for by in range(int((cy - reach) // cell), int((cy + reach) // cell) + 1):
-                for vid, x, y, seam in buckets.get((bx, by), ()):
-                    if vid in exclude:
-                        continue
-                    dx, dy = x - cx, y - cy
-                    d2 = dx * dx + dy * dy
-                    if d2 <= reach2:
-                        if d2 <= sure2 and seam >= margin:
-                            found[vid] = True
-                        elif vid not in found:
-                            found[vid] = False
+        for entries in lists:
+            for vid, x, y, seam in entries:
+                if vid in exclude:
+                    continue
+                dx, dy = x - cx, y - cy
+                d2 = dx * dx + dy * dy
+                if d2 <= reach2:
+                    if d2 <= sure2 and seam >= margin:
+                        found[vid] = True
+                    elif vid not in found:
+                        found[vid] = False
         return sorted(found.items())
 
 

@@ -297,6 +297,12 @@ class Channel:
     origin.  A beacon that starts at t is therefore audible at t whatever
     else happens at t.  Queries come at nondecreasing times, as the event
     loop asks.
+
+    A query skips a frame whose ``dx`` from the query point exceeds the
+    range before it calls ``hypot``.  That is exact: ``hypot(dx, dy)`` is
+    faithfully rounded, and ``|dx|`` is a float no greater than the exact
+    length, so ``hypot(dx, dy) >= |dx|`` and a skipped frame would have
+    failed the range test anyway.
     """
 
     def __init__(self, params: RadioParams, obstacles: ObstacleMap, backoff_rng, loss_rng):
@@ -374,7 +380,7 @@ class Channel:
         px, py = pos
         n = 0
         for end, start, x, y in active:
-            if start <= t and hypot(x - px, y - py) <= r:
+            if -r <= (dx := x - px) <= r and start <= t and hypot(dx, y - py) <= r:
                 n += 1
         if own is not None and hypot(own.x - px, own.y - py) <= r:
             n -= 1
@@ -391,8 +397,9 @@ class Channel:
         px, py = pos
         busy = None
         for end, start, x, y in active:
-            if start <= t and hypot(x - px, y - py) <= r and (busy is None or end > busy):
-                busy = end
+            if -r <= (dx := x - px) <= r and start <= t and hypot(dx, y - py) <= r:
+                if busy is None or end > busy:
+                    busy = end
         return busy
 
     def draw_backoff(self) -> int:

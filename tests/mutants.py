@@ -77,6 +77,13 @@ MUTANTS = (
     ),
     # -- neighbor queries ----------------------------------------------------
     Mutant(
+        "neighbourhood-beyond-its-reach",
+        "mobility.py",
+        "if reach <= self._span:",
+        "if reach <= self._span * 1.1:",
+        ("tests/test_mobility.py::test_neighbor_index_answers_do_not_depend_on_the_cell_size",),
+    ),
+    Mutant(
         "image-entry-certain",
         "mobility.py",
         "(vid, ix, iy, -inf)",
@@ -133,9 +140,20 @@ MUTANTS = (
     Mutant(
         "frame-heard-before-its-start",
         "radio.py",
-        "if start <= t and hypot(x - px, y - py) <= r:",
-        "if hypot(x - px, y - py) <= r:",
+        """            if -r <= (dx := x - px) <= r and start <= t and hypot(dx, y - py) <= r:
+                n += 1""",
+        """            if -r <= (dx := x - px) <= r and hypot(dx, y - py) <= r:
+                n += 1""",
         ("tests/test_radio.py::test_channel_expires_and_ignores_future_starts",),
+    ),
+    Mutant(
+        "frame-skipped-at-exact-range",
+        "radio.py",
+        """            if -r <= (dx := x - px) <= r and start <= t and hypot(dx, y - py) <= r:
+                if busy is None or end > busy:""",
+        """            if -r < (dx := x - px) < r and start <= t and hypot(dx, y - py) <= r:
+                if busy is None or end > busy:""",
+        ("tests/test_radio.py::test_a_frame_exactly_at_range_is_heard_along_either_axis",),
     ),
     Mutant(
         "frame-heard-at-its-end",

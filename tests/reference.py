@@ -13,6 +13,8 @@ afresh by every caller, so a whole run can be compared byte for byte
 with the per-instant region memo and the open-window tick.
 ``brute_force_channel`` does the same for the channel: carrier sense and
 contention counted from every registered frame and every beacon.
+``brute_force_neighbors`` stands in for ``Runtime.neighbors``: every
+vehicle located afresh and checked at its exact distance.
 """
 
 from __future__ import annotations
@@ -169,6 +171,18 @@ def unshared_regions():
     with mock.patch.object(runner.Runtime, "region_members", region_members):
         with mock.patch.object(protocols.HybridVehcloud, "on_tick", hybrid_on_tick):
             yield
+
+
+def brute_force_neighbors(rt, center, radius_m, t, exclude=()):
+    """``Runtime.neighbors`` without the index or the position cache: every
+    vehicle not in ``exclude`` within ``radius_m`` of ``center`` at ``t``,
+    located through ``provider.position_at``, sorted by id."""
+    locate = rt.provider.position_at
+    return sorted(
+        v
+        for v in rt.provider.vehicle_ids
+        if v not in exclude and distance(center, locate(v, t)) <= radius_m
+    )
 
 
 def frames_on_air(ch: Channel, t) -> list[tuple[int, float, float]]:

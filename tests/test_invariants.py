@@ -9,10 +9,11 @@ recorded out of range, causal delays, running counts that match a recount
 of the records, delivery + loss == 1, and the same CSV bytes on a rerun,
 with or without an event log, and in a serial or a parallel sweep.
 
-The same configs also drive a differential test against a brute-force
-channel and three metamorphic relations: dfcv bytes do not depend on the
-loss rate, a longer drain leaves the log before the old end alone, and a
-trace written in another dress plays the same tracks and bytes.
+The same configs also drive differential tests against a brute-force
+channel and a brute-force neighbor query, and three metamorphic relations:
+dfcv bytes do not depend on the loss rate, a longer drain leaves the log
+before the old end alone, and a trace written in another dress plays the
+same tracks and bytes.
 """
 
 import dataclasses
@@ -33,7 +34,7 @@ from vanetsim.mobility import MobilitySpec, parse_fcd
 from vanetsim.protocols import CloudModel
 from vanetsim.radio import CHANNEL_LOSS, LOSS_CAUSES, OUT_OF_RANGE, RadioParams, tx_time_us
 
-from reference import brute_force_channel, closed_pairs, spy_addresses
+from reference import brute_force_channel, brute_force_neighbors, closed_pairs, spy_addresses
 
 FRAME_S = tx_time_us(RadioParams()) / 1e6
 # beacons off, and periods below, equal to and above the default frame time
@@ -234,6 +235,16 @@ def test_runs_match_a_brute_force_channel(case):
     # the channel's one heap, against every frame and beacon enumerated afresh
     real = logged_run(*case)
     with brute_force_channel():
+        assert logged_run(*case) == real
+
+
+@settings(max_examples=24, deadline=None, derandomize=True, phases=NO_SHRINK)
+@given(small_runs())
+def test_runs_match_a_brute_force_neighbor_query(case):
+    # the index's snapshot, slack, images and neighbourhood lists, and the
+    # position cache, against every vehicle located afresh at its distance
+    real = logged_run(*case)
+    with mock.patch.object(runner.Runtime, "neighbors", brute_force_neighbors):
         assert logged_run(*case) == real
 
 

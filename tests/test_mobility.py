@@ -1083,3 +1083,84 @@ def test_neighbor_index_exclude_drops_only_the_excluded_ids(
         assert got == [(v, certain) for v, certain in full if v not in skip], skip
         # the index locates only to build its snapshot: never a candidate
         assert prov.located == []
+
+
+# the base cell of the cell-size property below; its maps span a few cells
+CELL_M = 40.0
+
+
+@st.composite
+def index_fleets(draw):
+    """A highway that wraps in x, a grid that wraps on both axes, or a trace
+    fleet of straight tracks sampled every second, each a few CELL_M across;
+    speeds include 0, so some fleets have no slack at all."""
+    kind = draw(st.sampled_from(("highway", "grid", "trace")))
+    n = draw(st.integers(1, 25))
+    speed = st.one_of(st.just(0.0), st.floats(0.0, 40.0))
+    if kind == "highway":
+        initial = draw(st.lists(
+            st.tuples(st.floats(0.0, 300.0, exclude_max=True), st.integers(0, 2), speed),
+            min_size=n, max_size=n,
+        ))
+        spec = MobilitySpec(vehicle_count=n, road_length_m=300.0, lanes=3)
+        return SyntheticHighwayProvider(spec, initial=initial)
+    if kind == "grid":
+        initial = draw(st.lists(
+            st.tuples(
+                st.sampled_from("hv"),
+                st.integers(0, 2),
+                st.floats(0.0, 200.0, exclude_max=True),
+                st.sampled_from((1, -1)),
+                speed,
+            ),
+            min_size=n, max_size=n,
+        ))
+        return SyntheticGridProvider(EXCLUDE_GRID, initial=initial)
+    step = st.floats(-30.0, 30.0)
+    tracks = {}
+    for v in range(n):
+        x, y = draw(st.floats(0.0, 300.0)), draw(st.floats(0.0, 200.0))
+        dx, dy = draw(step), draw(step)
+        times = [k * US_PER_S for k in range(4)]
+        tracks[f"car{v}"] = (times, [Position(x + k * dx, y + k * dy) for k in range(4)])
+    return TraceProvider(tracks)
+
+
+# two parked cars 41.6 m apart, in cells 0 and 2 of a 40 m index: a query
+# from the second, 5% wider than a cell, finds the first only in a bucket
+# outside its own cell's neighbourhood
+TWO_CELLS_APART = SyntheticHighwayProvider(
+    MobilitySpec(vehicle_count=2, road_length_m=300.0), initial=[(39.4, 0, 0.0), (81.0, 0, 0.0)]
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@example(TWO_CELLS_APART, (81.0, 0.0), "beyond", 0, 0)
+@given(
+    index_fleets(),
+    st.tuples(st.floats(-20.0, 320.0), st.floats(-20.0, 220.0)),
+    # the widest radius one neighbourhood holds at any slack, the widest at
+    # no slack, 5% beyond that, and anything from none to three cells
+    st.one_of(st.sampled_from(("cell", "span", "beyond")), st.floats(0.0, 3.0)),
+    st.integers(0, 1_000_000),
+    # at the snapshot, and anywhere up to an interval before or after it
+    st.one_of(st.just(0), st.integers(-NeighborIndex.REFRESH_US, NeighborIndex.REFRESH_US)),
+)
+def test_neighbor_index_answers_do_not_depend_on_the_cell_size(
+    prov, center, radius, built_at, step
+):
+    # a query within a cell's reach reads one neighbourhood list, a wider one
+    # scans the buckets; either way the answer is every entry within reach
+    span = CELL_M + prov.max_drift_mps() * (NeighborIndex.REFRESH_US / US_PER_S)
+    if isinstance(radius, str):
+        radius = {"cell": CELL_M, "span": span, "beyond": 1.05 * span}[radius]
+    else:
+        radius *= span
+    center, t = Position(*center), max(0, built_at + step)
+    answers = []
+    for cell_m in (CELL_M / 4, CELL_M, CELL_M * 4):
+        index = NeighborIndex(prov, cell_m=cell_m)
+        index.candidates(Position(0.0, 0.0), 1.0, built_at)  # the snapshot
+        answers.append(index.candidates(center, radius, t))
+    assert answers[0] == answers[1] == answers[2]
+    assert brute_in_range(prov, center, radius, t) <= set(ids(answers[1]))

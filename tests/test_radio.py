@@ -544,6 +544,33 @@ def test_channel_audibility_is_range_limited():
     assert ch.busy_until_near(Position(301.0, 0.0), 500) is None
 
 
+def test_a_frame_exactly_at_range_is_heard_along_either_axis():
+    # the queries skip a frame whose dx exceeds the range before hypot; at
+    # exactly the range, on either side and on either axis, it is heard
+    r = RadioParams().range_m
+    for here in (Position(r, 0.0), Position(-r, 0.0), Position(0.0, r), Position(0.0, -r)):
+        ch = make_channel()
+        ch.register(0, 1_000, Position(0.0, 0.0))
+        assert ch.concurrent_near(here, 500) == 1, here
+        assert ch.busy_until_near(here, 500) == 1_000, here
+
+
+# finite floats, subnormal ones, and ones near the largest
+LEGS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-1e-307, 1e-307),
+    st.floats(1e300, 1.7976931348623157e308),
+    st.floats(-1.7976931348623157e308, -1e300),
+)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(LEGS, LEGS)
+def test_hypot_is_never_below_either_leg(dx, dy):
+    # the premise of the channel's prefilter, which skips a frame whose |dx| exceeds the range
+    assert math.hypot(dx, dy) >= max(abs(dx), abs(dy))
+
+
 def test_channel_expires_and_ignores_future_starts():
     ch = make_channel()
     ch.register(0, 1_000, Position(0.0, 0.0))
