@@ -15,6 +15,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from decimal import InvalidOperation
 from functools import partial
+from math import floor
 from random import Random
 from typing import Collection, Mapping, NamedTuple, Optional, Sequence
 
@@ -466,10 +467,65 @@ def build_provider(
     return provider
 
 
-class NeighborIndex:
-    """Coarse spatial bucket index over the fleet for range queries.
+class CellGrid:
+    """Items filed by point in square cells a hair wider than ``reach``.
 
-    The buckets hold a snapshot of every vehicle's position, rebuilt lazily
+    A cell is ``reach * (1 + 1e-6)`` wide, and a point's cell is
+    ``(floor(x / cell), floor(y / cell))``.  Every item filed at a point
+    within ``reach`` of ``(x, y)`` lies in the 3x3 cells around the cell of
+    ``(x, y)``, which ``near`` returns: the padding is far wider than the
+    float rounding in ``x / cell``, and than a distance test that accepts a
+    point a few float steps beyond the reach, for coordinates up to a
+    billion cells from the origin.  A caller that tests each item at its
+    distance therefore misses nothing within the reach, whichever cells the
+    rounding picks.  ``within`` serves a wider reach.
+
+    Items are filed before the first query: a neighbourhood is joined cell
+    by cell, in filing order within a cell, on first use and kept.
+    """
+
+    __slots__ = ("cell", "_cells", "_near")
+
+    def __init__(self, reach: float):
+        self.cell = reach * (1.0 + 1e-6)
+        self._cells: dict[tuple[int, int], list] = {}
+        self._near: dict[tuple[int, int], list] = {}
+
+    def add(self, x: float, y: float, item) -> None:
+        cell = self.cell
+        self._cells.setdefault((floor(x / cell), floor(y / cell)), []).append(item)
+
+    def near(self, x: float, y: float) -> list:
+        """The items of the 3x3 cells around the cell of ``(x, y)``."""
+        cell = self.cell
+        key = (floor(x / cell), floor(y / cell))
+        near = self._near.get(key)
+        if near is None:
+            i, j = key
+            cells = self._cells
+            near = self._near[key] = [
+                item
+                for a in (i - 1, i, i + 1)
+                for b in (j - 1, j, j + 1)
+                for item in cells.get((a, b), ())
+            ]
+        return near
+
+    def within(self, x: float, y: float, r: float) -> list[list]:
+        """The item lists of every cell that the square of half-side ``r``
+        around ``(x, y)`` overlaps."""
+        cell, cells = self.cell, self._cells
+        return [
+            cells.get((a, b), ())
+            for a in range(floor((x - r) / cell), floor((x + r) / cell) + 1)
+            for b in range(floor((y - r) / cell), floor((y + r) / cell) + 1)
+        ]
+
+
+class NeighborIndex:
+    """Coarse spatial index over the fleet for range queries.
+
+    The index holds a snapshot of every vehicle's position, rebuilt lazily
     once the query time is more than the refresh interval, ``REFRESH_US``,
     away from the snapshot (before it or after it).  A vehicle moves at most
     ``slack = max_drift * |t - built_at|`` between its snapshot and ``t``.
@@ -490,15 +546,11 @@ class NeighborIndex:
     center; by the triangle inequality that holds for every vehicle actually
     within ``radius`` at ``t``.
 
-    A bucket is a square cell ``span * (1 + 1e-6)`` wide, where ``span =
-    cell_m + edge``.  Every query with ``radius <= cell_m`` has ``reach <=
-    span``, since ``slack < edge``.  Every entry within a reach of at most
-    ``span`` lies in the 3x3 cells around the center's cell: the padding is
-    far wider than the float rounding in ``x // cell`` and in the squared
-    distance for coordinates up to a billion cells from the origin.  Such a
-    query reads that neighbourhood as one list, joined from the buckets on
-    first use and kept until the next rebuild.  A wider query, such as a
-    station's region, scans every bucket its reach overlaps.
+    The entries are filed in a ``CellGrid`` of reach ``span = cell_m +
+    edge``.  Every query with ``radius <= cell_m`` has ``reach <= span``,
+    since ``slack < edge``, so it reads the grid's 3x3 neighbourhood of the
+    center.  A wider query, such as a station's region, scans every cell
+    its reach overlaps.
 
     ``certain`` means the vehicle is within ``radius`` at ``t`` without
     looking it up.  Again by the triangle inequality, a snapshot within
@@ -531,23 +583,20 @@ class NeighborIndex:
         self._provider = provider
         self._drift = provider.max_drift_mps()
         self._edge = self._drift * (self.REFRESH_US / US_PER_S) + 1e-6
-        # the widest reach that one 3x3 neighbourhood holds, and the padded cell
+        # the widest reach that one 3x3 neighbourhood holds
         self._span = max(cell_m, 1.0) + self._edge
-        self._cell = self._span * (1.0 + 1e-6)
         # each vehicle's wrap periods, in vehicle_ids order, read once
         self._wraps = [provider.wrap_period(v) for v in provider.vehicle_ids]
         self._built_at: Optional[SimTime] = None
-        # (vid, x, y, distance from x, y to the nearest seam) by bucket; an
-        # image's seam distance is -inf, so it is never certain
-        self._buckets: dict[tuple[int, int], list[tuple[int, float, float, float]]] = {}
-        # the entries of the 3x3 buckets around a cell, by that cell, joined on first use
-        self._near: dict[tuple[int, int], list[tuple[int, float, float, float]]] = {}
+        # (vid, x, y, distance from x, y to the nearest seam), filed at x, y;
+        # an image's seam distance is -inf, so it is never certain
+        self._grid = CellGrid(self._span)
 
     def _rebuild(self, t_us: SimTime) -> None:
-        cell, edge = self._cell, self._edge
+        edge = self._edge
         locate = self._provider.position_at
         inf = math.inf
-        buckets: dict[tuple[int, int], list[tuple[int, float, float, float]]] = {}
+        grid = self._grid = CellGrid(self._span)
         for vid, (wrap_x, wrap_y) in zip(self._provider.vehicle_ids, self._wraps):
             x, y = locate(vid, t_us)
             seam = inf
@@ -555,14 +604,10 @@ class NeighborIndex:
                 seam = min(x, wrap_x - x)
             if wrap_y is not None:
                 seam = min(seam, y, wrap_y - y)
-            buckets.setdefault((int(x // cell), int(y // cell)), []).append((vid, x, y, seam))
+            grid.add(x, y, (vid, x, y, seam))
             if seam < edge:
                 for ix, iy in _images(x, y, wrap_x, wrap_y, edge):
-                    buckets.setdefault((int(ix // cell), int(iy // cell)), []).append(
-                        (vid, ix, iy, -inf)
-                    )
-        self._buckets = buckets
-        self._near = {}
+                    grid.add(ix, iy, (vid, ix, iy, -inf))
         self._built_at = t_us
 
     def candidates(
@@ -577,24 +622,8 @@ class NeighborIndex:
         sure2 = sure * sure if sure > 0 else -1.0
         margin = slack + 1e-6  # the least seam distance of a certain snapshot
         cx, cy = center
-        cell, buckets = self._cell, self._buckets
-        if reach <= self._span:
-            key = (int(cx // cell), int(cy // cell))
-            near = self._near.get(key)
-            if near is None:
-                near = self._near[key] = [
-                    entry
-                    for bx in (key[0] - 1, key[0], key[0] + 1)
-                    for by in (key[1] - 1, key[1], key[1] + 1)
-                    for entry in buckets.get((bx, by), ())
-                ]
-            lists = (near,)
-        else:
-            lists = [
-                buckets.get((bx, by), ())
-                for bx in range(int((cx - reach) // cell), int((cx + reach) // cell) + 1)
-                for by in range(int((cy - reach) // cell), int((cy + reach) // cell) + 1)
-            ]
+        grid = self._grid
+        lists = (grid.near(cx, cy),) if reach <= self._span else grid.within(cx, cy, reach)
         found: dict[int, bool] = {}
         for entries in lists:
             for vid, x, y, seam in entries:

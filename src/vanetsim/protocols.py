@@ -19,13 +19,13 @@ import itertools
 from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
-from math import floor, hypot
+from math import hypot
 from typing import Any, Optional, Sequence
 
 from . import fog
 from .engine import Record, SimTime, to_us
 from .errors import ConfigError
-from .mobility import Position, distance
+from .mobility import CellGrid, Position, distance
 from .radio import (
     SHADOWED,
     HopOutcome,
@@ -81,37 +81,26 @@ class StationIndex:
     ``covering(pos)`` is the nearest station by ``(distance, station_id)``
     when that distance is at most ``coverage_m``, else None: exactly what
     ``nearest_station`` plus a coverage test gives.  Stations are fixed for
-    a run, so they are bucketed once, in square cells a hair wider than the
-    coverage, and each cell keeps the stations of its 3x3 neighbourhood in
-    id order; a query reads one such list.  Every station within coverage
-    of a point is in that list: the padding is far wider than the float
-    rounding in ``floor(x / cell)`` and in ``distance`` for coordinates up
-    to a billion coverages from the origin.
+    a run, so they are filed once in a ``CellGrid`` of reach ``coverage_m``,
+    whose neighbourhood of a point holds every station covering it.
     """
 
     def __init__(self, stations: Sequence[BaseStation], coverage_m: float):
         self.coverage_m = coverage_m
-        self._cell = cell = coverage_m * (1.0 + 1e-6)
-        near: dict[tuple[int, int], list[BaseStation]] = {}
-        for s in sorted(stations, key=lambda s: s.station_id):
-            cx, cy = floor(s.pos.x / cell), floor(s.pos.y / cell)
-            for i in (cx - 1, cx, cx + 1):
-                for j in (cy - 1, cy, cy + 1):
-                    near.setdefault((i, j), []).append(s)
-        self._near = near
+        self._grid = CellGrid(coverage_m)
+        for s in stations:
+            self._grid.add(s.pos.x, s.pos.y, s)
 
     def covering(self, pos: Position) -> Optional[BaseStation]:
-        cell = self._cell
-        best = None
-        best_d = 0.0
-        for s in self._near.get((floor(pos.x / cell), floor(pos.y / cell)), ()):
-            d = distance(s.pos, pos)
-            # id order, so a tie keeps the lower id
-            if best is None or d < best_d:
+        px, py = pos
+        best, best_d = None, 0.0
+        for s in self._grid.near(px, py):
+            sx, sy = s.pos
+            d = hypot(sx - px, sy - py)  # the float distance() gives
+            # the neighbourhood is not in id order, so a tie is broken here, to the lower id
+            if best is None or d < best_d or d == best_d and s.station_id < best.station_id:
                 best, best_d = s, d
-        if best is not None and best_d <= self.coverage_m:
-            return best
-        return None
+        return best if best is not None and best_d <= self.coverage_m else None
 
 
 def obstacle_shadowing(vehicle_pos: Position, station_pos: Position, obstacles: ObstacleMap) -> int:
@@ -135,38 +124,28 @@ def select_gateways(
     or k_max picks were made.  Returns (chosen ids in pick order,
     coverage sets for every candidate gateway).
 
-    Only the 3x3 cells of shadowed vehicles around a gateway can hold
+    Only the ``CellGrid`` neighbourhood of a gateway can hold shadowed
     vehicles in its range, and sight is tested against the obstacles near
     it.  Picks run as lazy greedy: a gain only falls as vehicles get
     covered, so a re-scored top entry that still beats every stale key is
     the eager pick.
     """
     reach = params.range_m
-    # Cells a hair wider than the range: a pair at exactly range_m stays
-    # in neighbouring cells whatever floor(x / cell) rounds to.
-    cell = reach * (1.0 + 1e-6)
-    cells: dict[tuple[int, int], list[tuple[int, Position]]] = {}
+    grid = CellGrid(reach)
     for v in shadowed:
         p = positions[v]
-        cells.setdefault((floor(p.x / cell), floor(p.y / cell)), []).append((v, p))
+        grid.add(p.x, p.y, (v, p))
     covers: dict[int, list[int]] = {}
     for g in sorted(gateway_ids):
         gpos = positions[g]
         gx, gy = gpos
-        # cell, not reach: the margin also covers rounding in the distance
-        near = obstacles.near(gx, gy, cell)
-        cx, cy = floor(gx / cell), floor(gy / cell)
+        # the cell width, not reach: the padding also covers rounding in the distance
+        near = obstacles.near(gx, gy, grid.cell)
         cover = []
-        for i in (cx - 1, cx, cx + 1):
-            for j in (cy - 1, cy, cy + 1):
-                for v, p in cells.get((i, j), ()):
-                    # hypot: the float distance() gives, without its call
-                    if (
-                        v != g
-                        and hypot(gx - p[0], gy - p[1]) <= reach
-                        and line_of_sight(gpos, p, near)
-                    ):
-                        cover.append(v)
+        for v, p in grid.near(gx, gy):
+            # hypot: the float distance() gives, without its call
+            if v != g and hypot(gx - p[0], gy - p[1]) <= reach and line_of_sight(gpos, p, near):
+                cover.append(v)
         cover.sort()
         covers[g] = cover
     chosen: list[int] = []

@@ -1,7 +1,12 @@
 """Seeded mutation check: each mutant is a small, deliberate bug that named
 tests must catch.
 
-    python tests/mutants.py
+    python tests/mutants.py [NAME ...] [--tests NODE ...]
+
+With no argument every mutant runs against its own tests.  Names run only
+those mutants, and ``--tests`` runs the given test files or node ids
+instead of each mutant's own, so a new test's kills can be checked before
+it joins a mutant's list.
 
 A mutant is a file under ``src/vanetsim``, an exact old text, a new text,
 and the tests that must fail on it (test files or pytest node ids).  For
@@ -20,6 +25,7 @@ test module itself, so pytest does not collect it.
 
 from __future__ import annotations
 
+import argparse
 import os
 import shutil
 import signal
@@ -46,6 +52,8 @@ class Mutant(NamedTuple):
 HYBRID_DIFFERENTIAL = (
     "tests/test_protocols.py::test_hybrid_matches_a_run_with_unshared_region_queries",
 )
+
+NEIGHBOR_DIFFERENTIAL = "tests/test_invariants.py::test_runs_match_a_brute_force_neighbor_query"
 
 FCD_DIFFERENTIAL = (
     "tests/test_mobility.py::test_parse_fcd_and_trace_provider_match_the_flat_sample_reference",
@@ -79,16 +87,19 @@ MUTANTS = (
     Mutant(
         "neighbourhood-beyond-its-reach",
         "mobility.py",
-        "if reach <= self._span:",
-        "if reach <= self._span * 1.1:",
-        ("tests/test_mobility.py::test_neighbor_index_answers_do_not_depend_on_the_cell_size",),
+        "if reach <= self._span else",
+        "if reach <= self._span * 1.1 else",
+        (
+            "tests/test_mobility.py::test_neighbor_index_answers_do_not_depend_on_the_cell_size",
+            NEIGHBOR_DIFFERENTIAL,
+        ),
     ),
     Mutant(
         "image-entry-certain",
         "mobility.py",
         "(vid, ix, iy, -inf)",
         "(vid, ix, iy, inf)",
-        ("tests/test_mobility.py",),
+        ("tests/test_mobility.py", NEIGHBOR_DIFFERENTIAL),
     ),
     Mutant(
         "certain-without-float-margin",
@@ -97,12 +108,27 @@ MUTANTS = (
         "sure = radius_m - slack",
         ("tests/test_mobility.py::test_a_vehicle_one_float_step_beyond_the_radius_is_never_certain",),
     ),
+    # -- the cell grid: one padded-cell rule for every neighbourhood -----------
     Mutant(
-        "station-cells-without-padding",
-        "protocols.py",
-        "self._cell = cell = coverage_m * (1.0 + 1e-6)",
-        "self._cell = cell = coverage_m",
-        ("tests/test_protocols.py::test_station_index_matches_the_linear_scan",),
+        "grid-cells-without-padding",
+        "mobility.py",
+        "self.cell = reach * (1.0 + 1e-6)",
+        "self.cell = reach",
+        (
+            "tests/test_protocols.py::test_station_index_matches_the_linear_scan",
+            "tests/test_protocols.py::test_select_gateways_matches_the_all_pairs_scan",
+            "tests/test_mobility.py::test_a_query_as_wide_as_a_neighbourhood_finds_an_entry_two_cell_edges_away",
+        ),
+    ),
+    Mutant(
+        "neighbourhood-missing-a-column",
+        "mobility.py",
+        "for a in (i - 1, i, i + 1)",
+        "for a in (i, i + 1)",
+        (
+            "tests/test_invariants.py::test_runs_match_an_all_items_cell_grid",
+            "tests/test_protocols.py::test_station_index_matches_the_linear_scan",
+        ),
     ),
     # -- trace parsing -----------------------------------------------------------
     Mutant(
@@ -199,6 +225,23 @@ MUTANTS = (
         "bisect_right(phases, t - base)",
         "bisect_right(phases, t - base - 1)",
         ("tests/test_radio.py::test_beacons_on_air_match_brute_force",),
+    ),
+    Mutant(
+        # hops ask sight only of a map with rectangles; hybrid asks it of every map
+        "sight-blocked-on-an-empty-map",
+        "radio.py",
+        """    if not rects:
+        return True""",
+        """    if not rects:
+        return False""",
+        ("tests/test_invariants.py::test_a_far_building_changes_nothing",),
+    ),
+    Mutant(
+        "loss-capped-below-certain",
+        "radio.py",
+        "q = min(1.0, params.base_loss + params.loss_slope * concurrent_tx)",
+        "q = min(0.99, params.base_loss + params.loss_slope * concurrent_tx)",
+        ("tests/test_invariants.py::test_certain_loss_delivers_nothing_over_vehicle_hops",),
     ),
     Mutant(
         "rectangle-not-checked-finite",
@@ -367,9 +410,29 @@ def imported_from(src: Path) -> Path:
     return Path(out.stdout.strip()).resolve()
 
 
-def main() -> int:
+def chosen_mutants(argv: list[str]) -> list[Mutant]:
+    """The mutants that the command line names, each with the tests to run."""
+    parser = argparse.ArgumentParser(description="Run seeded mutants against their tests.")
+    parser.add_argument("names", nargs="*", metavar="NAME", help="mutants to run (default: all)")
+    parser.add_argument(
+        "--tests", nargs="+", metavar="NODE",
+        help="test files or node ids to run instead of each mutant's own",
+    )
+    args = parser.parse_args(argv)
+    by_name = {m.name: m for m in MUTANTS}
+    unknown = [name for name in args.names if name not in by_name]
+    if unknown:
+        parser.error(f"no mutant named {', '.join(unknown)}")
+    mutants = [by_name[name] for name in args.names] if args.names else list(MUTANTS)
+    if args.tests:
+        mutants = [m._replace(tests=tuple(args.tests)) for m in mutants]
+    return mutants
+
+
+def main(argv: list[str]) -> int:
+    mutants = chosen_mutants(argv)
     failed = []
-    for m in MUTANTS:
+    for m in mutants:
         why = stale(m)
         if why:
             print(f"stale     {m.name}: {why}")
@@ -383,7 +446,7 @@ def main() -> int:
         if not imported_from(src).is_relative_to(src.resolve()):
             print("the tests would not import the copy of src/", file=sys.stderr)
             return 1
-        for m in MUTANTS:
+        for m in mutants:
             shutil.rmtree(src)
             shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
             apply(src, m)
@@ -392,9 +455,9 @@ def main() -> int:
             print(f"{verdict:9} {m.name} ({time.monotonic() - started:.1f} s)", flush=True)
             if verdict != "killed":
                 failed.append(m.name)
-    print(f"{len(MUTANTS) - len(failed)} of {len(MUTANTS)} mutants killed")
+    print(f"{len(mutants) - len(failed)} of {len(mutants)} mutants killed")
     return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -15,6 +15,9 @@ with the per-instant region memo and the open-window tick.
 contention counted from every registered frame and every beacon.
 ``brute_force_neighbors`` stands in for ``Runtime.neighbors``: every
 vehicle located afresh and checked at its exact distance.
+``all_items_grid`` answers every ``CellGrid`` query with every item the
+grid holds, which turns the neighbor index, the station index and the
+gateway cover into scans of every entry, station and shadowed vehicle.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from unittest import mock
 from vanetsim import protocols, runner
 from vanetsim.engine import US_PER_S
 from vanetsim.metrics import DeliveryRecord
-from vanetsim.mobility import distance
+from vanetsim.mobility import CellGrid, distance
 from vanetsim.protocols import TxJob, obstacle_shadowing
 from vanetsim.radio import (
     CHANNEL_LOSS,
@@ -221,4 +224,17 @@ def brute_force_channel():
     no beacon is pushed, so the heap holds every transmission registered."""
     with mock.patch.object(Channel, "concurrent_near", concurrent_near):
         with mock.patch.object(Channel, "busy_until_near", busy_until_near):
+            yield
+
+
+def every_item(grid: CellGrid, *_) -> list:
+    """Every item filed in ``grid``, whatever point is asked about."""
+    return [item for items in grid._cells.values() for item in items]
+
+
+@contextmanager
+def all_items_grid():
+    """Run every CellGrid with ``near`` and ``within`` answering every item."""
+    with mock.patch.object(CellGrid, "near", every_item):
+        with mock.patch.object(CellGrid, "within", lambda grid, *_: [every_item(grid)]):
             yield

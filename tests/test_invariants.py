@@ -1,19 +1,23 @@
 """Invariants over the knob space: small configs drawn at random.
 
-Every run, whatever its street or trace fleet, obstacles, frame length,
-beacon period, metering, hybrid window, gateway budget, hop limit, target
-rule, cloud and fog latencies and fog cell bounds, must finish with closed
-accounting (one record per addressed pair), records that are each either
-delivered or lost to a known cause, no pair a hop lost to the channel
-recorded out of range, causal delays, running counts that match a recount
-of the records, delivery + loss == 1, and the same CSV bytes on a rerun,
-with or without an event log, and in a serial or a parallel sweep.
+Every run, whatever its street or trace fleet (some of them edge maps,
+whose seams and station regions reach the neighbor index's edges),
+obstacles, frame length, beacon period, metering, hybrid window, gateway
+budget, hop limit, target rule, cloud and fog latencies and fog cell
+bounds, must finish with closed accounting (one record per addressed
+pair), records that are each either delivered or lost to a known cause, no
+pair a hop lost to the channel recorded out of range, causal delays,
+running counts that match a recount of the records, delivery + loss == 1,
+and the same CSV bytes on a rerun, with or without an event log, and in a
+serial or a parallel sweep.
 
 The same configs also drive differential tests against a brute-force
-channel and a brute-force neighbor query, and three metamorphic relations:
-dfcv bytes do not depend on the loss rate, a longer drain leaves the log
-before the old end alone, and a trace written in another dress plays the
-same tracks and bytes.
+channel, a brute-force neighbor query and a cell grid that answers every
+query with every item, and five metamorphic relations: dfcv bytes do not
+depend on the loss rate, a longer drain leaves the log before the old end
+alone, a trace written in another dress plays the same tracks and bytes, a
+far building changes no byte, and certain loss delivers nothing over
+vehicle hops.
 """
 
 import dataclasses
@@ -30,11 +34,18 @@ from hypothesis import strategies as st
 from vanetsim import runner
 from vanetsim.config import ProtocolKnobs, ScenarioConfig, WorkloadSpec
 from vanetsim.metrics import csv_text, summarize
-from vanetsim.mobility import MobilitySpec, parse_fcd
+from vanetsim.engine import US_PER_S
+from vanetsim.mobility import MPH_TO_MPS, MobilitySpec, NeighborIndex, parse_fcd
 from vanetsim.protocols import CloudModel
 from vanetsim.radio import CHANNEL_LOSS, LOSS_CAUSES, OUT_OF_RANGE, RadioParams, tx_time_us
 
-from reference import brute_force_channel, brute_force_neighbors, closed_pairs, spy_addresses
+from reference import (
+    all_items_grid,
+    brute_force_channel,
+    brute_force_neighbors,
+    closed_pairs,
+    spy_addresses,
+)
 
 FRAME_S = tx_time_us(RadioParams()) / 1e6
 # beacons off, and periods below, equal to and above the default frame time
@@ -50,6 +61,15 @@ GRID_BUILDINGS = tuple(
     for j in range(3)
 )
 TRACE_STEP_S = 0.1
+# The neighbor index's widest neighbourhood reach at the default range on a
+# street fleet whose every vehicle drives 60 mph: range_m plus one refresh
+# interval's drift.  An edge map puts a station one metre past two of these
+# from the origin (on the grid, at the seam), and a station region just
+# wider than one, so that region reaches a cell beyond the station's 3x3
+# neighbourhood.
+NEIGHBOURHOOD_M = RadioParams().range_m + 60 * MPH_TO_MPS * NeighborIndex.REFRESH_US / US_PER_S
+EDGE_PERIOD_M = 2 * NEIGHBOURHOOD_M + 1.0
+EDGE_COVERAGE_M = NEIGHBOURHOOD_M + 16.0
 # the drawn trace fleets' files, removed when the tests exit
 TRACE_DIR = tempfile.TemporaryDirectory(prefix="vanetsim-invariants-")
 
@@ -73,6 +93,9 @@ def fcd_text(tracks, steps: int) -> str:
 def small_runs(draw):
     grid = draw(st.booleans())
     obstacles = draw(st.booleans())
+    # an edge map: 60 mph, a period of two to three radio ranges, stations
+    # near the seams, and regions just wider than one neighbourhood
+    edge = draw(st.booleans())
     radio = RadioParams(
         msg_size_bytes=draw(st.sampled_from(MSG_SIZES)),
         loss_slope=draw(st.sampled_from((0.0, 0.05))),
@@ -80,16 +103,22 @@ def small_runs(draw):
     interval = draw(st.sampled_from(BEACON_INTERVALS_S))
     metered = draw(st.booleans())
     if grid:
+        # at the edge, stations snap to every street crossing, seams included
+        spacing, bs_spacing = (EDGE_PERIOD_M / 3, 100.0) if edge else (200.0, 500.0)
         mobility = MobilitySpec(
-            mode="synthetic_grid", grid_blocks=3, grid_spacing_m=200.0, gateway_fraction=0.25
+            mode="synthetic_grid", grid_blocks=3, grid_spacing_m=spacing, gateway_fraction=0.25
         )
         rects = GRID_BUILDINGS
     else:
-        mobility = MobilitySpec(road_length_m=2_000.0, gateway_fraction=0.2)
+        # at the edge, stations at a third of EDGE_PERIOD_M and at all of it
+        road, bs_spacing = (750.0, EDGE_PERIOD_M * 2 / 3) if edge else (2_000.0, 500.0)
+        mobility = MobilitySpec(road_length_m=road, gateway_fraction=0.2)
         rects = HIGHWAY_BUILDINGS
+    if edge:
+        mobility = dataclasses.replace(mobility, speed_range_mph=(60.0, 60.0))
     knobs = ProtocolKnobs(
-        bs_spacing_m=500.0,
-        bs_coverage_m=400.0,
+        bs_spacing_m=bs_spacing,
+        bs_coverage_m=EDGE_COVERAGE_M if edge else 400.0,
         beacon_interval_s=interval,
         include_beacons_in_metrics=metered,
         # a window that closes before the broadcast fires, or before the
@@ -103,18 +132,22 @@ def small_runs(draw):
     protocol = draw(st.sampled_from(sorted(runner.PROTOCOLS)))
     # a period at or below the default frame time keeps the channel busy,
     # and slow to simulate, whatever frame length was drawn: few vehicles
-    vehicles = draw(st.integers(2, 5 if 0 < interval <= FRAME_S else 24))
+    busy = 0 < interval <= FRAME_S
+    # an edge map needs a few vehicles for one to sit near a seam or a cell edge
+    vehicles = draw(st.integers(12 if edge and not busy else 2, 5 if busy else 24))
     seed = draw(st.integers(0, 1_000))
     # drawn after the knobs above: drawn among them, they moved many
     # examples onto slow busy-channel runs
     knobs = dataclasses.replace(knobs, ttl_hops=draw(st.sampled_from((1, 3))))
     # explicit targets, or the sender's station region
     targets = ()
-    if draw(st.sampled_from(("explicit", "bs_region"))) == "explicit":
+    # (at the edge always the region, whose targets show a vehicle wrongly in it)
+    if not edge and draw(st.sampled_from(("explicit", "bs_region"))) == "explicit":
         # a few addressed ids, which may name the source or lie outside the fleet
         ids = st.integers(0, vehicles + 1)
         targets = tuple(draw(st.lists(ids, min_size=1, max_size=4, unique=True)))
-    workload = WorkloadSpec(rate_per_s=8.0, explicit_targets=targets)
+    # at the edge, injects from many senders, so many stations query their regions
+    workload = WorkloadSpec(rate_per_s=40.0 if edge else 8.0, explicit_targets=targets)
     # drawn last, after the knobs above: each cloud and fog latency at zero
     # or its default, and the fog cell bounds at both ends of their range
     def zero_or_default(obj, name):
@@ -132,8 +165,8 @@ def small_runs(draw):
     )
     # drawn after every knob above: a trace fleet of as many straight-line
     # tracks as vehicles, over the street layout's area, sampled through
-    # the run and the drain
-    if draw(st.booleans()):
+    # the run and the drain; a trace fleet never wraps, so not at the edge
+    if not edge and draw(st.booleans()):
         width, y_range = (600, (0, 600)) if grid else (2_000, (-20, 20))
         track = st.tuples(
             st.integers(0, width), st.integers(*y_range), st.integers(-3, 3), st.integers(-3, 3)
@@ -246,6 +279,41 @@ def test_runs_match_a_brute_force_neighbor_query(case):
     real = logged_run(*case)
     with mock.patch.object(runner.Runtime, "neighbors", brute_force_neighbors):
         assert logged_run(*case) == real
+
+
+@settings(max_examples=24, deadline=None, derandomize=True, phases=NO_SHRINK)
+@given(small_runs())
+def test_runs_match_an_all_items_cell_grid(case):
+    # every neighbourhood the cell grid reads (neighbor queries, station
+    # cover and gateway cover), against every item it holds
+    real = logged_run(*case)
+    with all_items_grid():
+        assert logged_run(*case) == real
+
+
+# a building far beyond every drawn map, which blocks no line within one
+FAR_BUILDING = (1e6, 1e6, 1e6 + 50.0, 1e6 + 50.0)
+
+
+@settings(max_examples=16, deadline=None, derandomize=True, phases=NO_SHRINK)
+@given(small_runs())
+def test_a_far_building_changes_nothing(case):
+    cfg, _, vehicles, seed = case
+    far = dataclasses.replace(cfg, obstacles=(*(cfg.obstacles or ()), FAR_BUILDING))
+    for protocol in sorted(runner.PROTOCOLS):
+        assert logged_run(far, protocol, vehicles, seed) == logged_run(cfg, protocol, vehicles, seed)
+
+
+@settings(max_examples=16, deadline=None, derandomize=True, phases=NO_SHRINK)
+@given(small_runs())
+def test_certain_loss_delivers_nothing_over_vehicle_hops(case):
+    # every flood hop and every hybrid delivery to a vehicle (direct,
+    # newcomer, gateway drop) contends, so at base_loss 1 none arrives;
+    # dfcv's station downlinks do not contend
+    cfg, _, vehicles, seed = case
+    cfg = dataclasses.replace(cfg, radio=dataclasses.replace(cfg.radio, base_loss=1.0))
+    for protocol in ("baseline", "hybrid_vehcloud"):
+        assert runner.run_single(cfg, protocol, vehicles, seed).summary.n_delivered == 0
 
 
 @settings(max_examples=16, deadline=None, derandomize=True, phases=NO_SHRINK)

@@ -1006,6 +1006,25 @@ def test_a_vehicle_one_float_step_beyond_the_radius_is_never_certain():
     assert index.candidates(Position(0.0, 0.0), radius, 0) == [(0, False)]
 
 
+def test_a_query_as_wide_as_a_neighbourhood_finds_an_entry_two_cell_edges_away():
+    # A parked fleet has no slack, so the index files its entries in a grid
+    # of reach span = 300 m plus the 1e-6 margin of its edge, and a query
+    # whose reach (radius + 1e-9) is exactly that span reads one 3x3
+    # neighbourhood.  The parked car is exactly one span from the center:
+    # unpadded cells one span wide would put the center at -1e-20 in cell
+    # -1 and the car in cell 1, outside that neighbourhood.
+    span = 300.0 + 1e-6
+    radius = span - 1e-9
+    while radius + 1e-9 < span:
+        radius = math.nextafter(radius, math.inf)
+    while radius + 1e-9 > span:
+        radius = math.nextafter(radius, 0.0)
+    assert radius + 1e-9 == span
+    index = NeighborIndex(StaticProvider([Position(span, 0.0)]), cell_m=300.0)
+    # an entry within reach, though beyond the radius itself
+    assert index.candidates(Position(-1e-20, 0.0), radius, 0) == [(0, False)]
+
+
 class CountingProvider(MobilityProvider):
     """Forwards to ``inner`` and logs the id of every ``position_at`` call."""
 
