@@ -289,8 +289,15 @@ class Channel:
     period_us`` for every k >= 0; a beacon frame joins the heap once the
     channel is asked about a time at or after its start, found by a bisect
     over the phases, sorted once.  Its origin is its vehicle's position at
-    the frame's start, looked up once as it joins, and it leaves the heap
-    when it ends, like every frame.
+    the frame's start, looked up once as it joins.
+
+    Ended frames leave the heap in one place: when a query asks about a
+    time later than any asked before, the beacon frames started since join
+    and every frame ended by then is popped.  That is exact because every
+    frame is registered at the current event time and ends after it
+    (``start + frame_us``, uplinks included), and every beacon frame that
+    joins is still on air: at an instant already asked about, no frame on
+    the heap has ended.
 
     Tie rule, for every frame: a frame that starts at s and ends at e is on
     air for s <= t < e, and audible at a point within radio range of its
@@ -319,7 +326,8 @@ class Channel:
         self._beaconers: list[int] = []
         self._period: SimTime = 0
         self._locate = None
-        # the latest time asked about: each beacon frame started by then has joined _active
+        # the latest time asked about: each beacon frame started by then has
+        # joined _active, and each frame ended by then has left it
         self._asked: SimTime = -1
 
     def set_beacons(
@@ -340,30 +348,24 @@ class Channel:
     def register(self, start: SimTime, end: SimTime, pos: Position) -> None:
         heapq.heappush(self._active, (end, start, pos.x, pos.y))
 
-    def _prune(self, t: SimTime) -> None:
-        """Drop the frames that have ended by ``t``; callers ask only once
-        the earliest has."""
-        active = self._active
-        while active and active[0][0] <= t:
-            heapq.heappop(active)
-
-    def _beacons_to(self, t: SimTime) -> None:
-        """Push the beacon frames that started after the last query and are
-        on air at ``t``; callers ask only when ``t`` is later."""
-        period, frame = self._period, self.frame_us
+    def _advance_to(self, t: SimTime) -> None:
+        """Bring the heap to ``t``: push the beacon frames that started
+        after the last query and are on air at ``t``, then pop every frame
+        that has ended by ``t``.  Callers ask only when ``t`` is later."""
+        active, period, frame = self._active, self._period, self.frame_us
         after = max(self._asked, t - frame)
         self._asked = t
-        if not period:
-            return
-        active, locate = self._active, self._locate
-        phases, beaconers = self._phases, self._beaconers
-        # frame k of v is pushed when after < phase_v + k * period <= t
-        for k in range(max(0, after // period), t // period + 1):
-            base = k * period
-            for i in range(bisect_right(phases, after - base), bisect_right(phases, t - base)):
-                start = phases[i] + base
-                x, y = locate(beaconers[i], start)
-                heapq.heappush(active, (start + frame, start, x, y))
+        if period:
+            locate, phases, beaconers = self._locate, self._phases, self._beaconers
+            # frame k of v is pushed when after < phase_v + k * period <= t
+            for k in range(max(0, after // period), t // period + 1):
+                base = k * period
+                for i in range(bisect_right(phases, after - base), bisect_right(phases, t - base)):
+                    start = phases[i] + base
+                    x, y = locate(beaconers[i], start)
+                    heapq.heappush(active, (start + frame, start, x, y))
+        while active and active[0][0] <= t:
+            heapq.heappop(active)
 
     def concurrent_near(self, pos: Position, t: SimTime, own: Optional[Position] = None) -> int:
         """Frames on air at ``t`` and audible at ``pos``.
@@ -372,14 +374,11 @@ class Channel:
         a metered beacon's hops do not hear the beacon's own frame.
         """
         if t > self._asked:
-            self._beacons_to(t)
-        active = self._active
-        if active and active[0][0] <= t:
-            self._prune(t)
+            self._advance_to(t)
         r = self.params.range_m
         px, py = pos
         n = 0
-        for end, start, x, y in active:
+        for end, start, x, y in self._active:
             if -r <= (dx := x - px) <= r and start <= t and hypot(dx, y - py) <= r:
                 n += 1
         if own is not None and hypot(own.x - px, own.y - py) <= r:
@@ -389,14 +388,11 @@ class Channel:
     def busy_until_near(self, pos: Position, t: SimTime) -> Optional[SimTime]:
         """The latest end of the frames on air at ``t`` and audible at ``pos``."""
         if t > self._asked:
-            self._beacons_to(t)
-        active = self._active
-        if active and active[0][0] <= t:
-            self._prune(t)
+            self._advance_to(t)
         r = self.params.range_m
         px, py = pos
         busy = None
-        for end, start, x, y in active:
+        for end, start, x, y in self._active:
             if -r <= (dx := x - px) <= r and start <= t and hypot(dx, y - py) <= r:
                 if busy is None or end > busy:
                     busy = end

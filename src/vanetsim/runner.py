@@ -61,13 +61,22 @@ def _snap_to_grid(v: float, spacing: float, extent: float) -> float:
     return min(max(k * spacing, 0.0), extent)
 
 
+def _tile_centers(lo: float, width: float, spacing: float) -> list[float]:
+    """The centers of an even split of [lo, lo + width] into parts at most
+    ``spacing`` wide, in increasing order; one center at ``lo`` for a zero width."""
+    n = max(1, math.ceil(width / spacing))
+    return [lo + (i + 0.5) * width / n if width > 0 else lo for i in range(n)]
+
+
 def place_stations(spec: MobilitySpec, provider, knobs) -> list[BaseStation]:
     """Fixed infrastructure along the scenario geometry.
 
     Highway: stations on the roadside (y=0) every bs_spacing_m, centered
-    in their segment.  Grid: an even tiling snapped to the nearest street
-    intersection.  Traces: an even tiling of ``provider.bounds()``, the box
-    of the recorded positions; the synthetic layouts come from ``spec`` alone.
+    in their segment.  Grid and traces share one even tiling, numbered row
+    by row: a trace tiles ``provider.bounds()``, the box of the recorded
+    positions; the grid tiles its street box [0, extent]², each center
+    snapped to the nearest street and the repeats dropped.  The synthetic
+    layouts come from ``spec`` alone.
     """
     if spec.mode == MODE_HIGHWAY:
         step = knobs.bs_spacing_m
@@ -79,29 +88,20 @@ def place_stations(spec: MobilitySpec, provider, knobs) -> list[BaseStation]:
         if not xs:
             xs = [spec.road_length_m / 2]
         return [BaseStation(i, Position(x, 0.0)) for i, x in enumerate(xs)]
+    spacing = knobs.bs_spacing_m
     if spec.mode == MODE_GRID:
-        extent = spec.grid_blocks * spec.grid_spacing_m
-        n = max(1, math.ceil(extent / knobs.bs_spacing_m))
-        centers = {
-            _snap_to_grid((i + 0.5) * extent / n, spec.grid_spacing_m, extent)
-            for i in range(n)
-        }
-        stations = []
-        for j, y in enumerate(sorted(centers)):
-            for i, x in enumerate(sorted(centers)):
-                stations.append(BaseStation(j * len(centers) + i, Position(x, y)))
-        return stations
-    x0, y0, x1, y1 = provider.bounds()
-    w, h = x1 - x0, y1 - y0
-    nx = max(1, math.ceil(w / knobs.bs_spacing_m))
-    ny = max(1, math.ceil(h / knobs.bs_spacing_m))
-    stations = []
-    for j in range(ny):
-        cy = y0 + (j + 0.5) * h / ny if h > 0 else y0
-        for i in range(nx):
-            cx = x0 + (i + 0.5) * w / nx if w > 0 else x0
-            stations.append(BaseStation(j * nx + i, Position(cx, cy)))
-    return stations
+        street = spec.grid_spacing_m
+        extent = spec.grid_blocks * street
+        centers = _tile_centers(0.0, extent, spacing)
+        xs = ys = sorted({_snap_to_grid(c, street, extent) for c in centers})
+    else:
+        x0, y0, x1, y1 = provider.bounds()
+        xs, ys = _tile_centers(x0, x1 - x0, spacing), _tile_centers(y0, y1 - y0, spacing)
+    return [
+        BaseStation(j * len(xs) + i, Position(x, y))
+        for j, y in enumerate(ys)
+        for i, x in enumerate(xs)
+    ]
 
 
 # One closed (message, target) pair: (msg_id, src, dst, sent_us, recv_us,

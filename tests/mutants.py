@@ -55,6 +55,8 @@ HYBRID_DIFFERENTIAL = (
 
 NEIGHBOR_DIFFERENTIAL = "tests/test_invariants.py::test_runs_match_a_brute_force_neighbor_query"
 
+FLOOD_LAWS = "tests/test_invariants.py::test_a_flood_sends_once_per_vehicle_and_sweeps_its_losses"
+
 FCD_DIFFERENTIAL = (
     "tests/test_mobility.py::test_parse_fcd_and_trace_provider_match_the_flat_sample_reference",
 )
@@ -182,33 +184,27 @@ MUTANTS = (
         ("tests/test_radio.py::test_a_frame_exactly_at_range_is_heard_along_either_axis",),
     ),
     Mutant(
+        "carrier-sensed-before-a-frame-start",
+        "radio.py",
+        """            if -r <= (dx := x - px) <= r and start <= t and hypot(dx, y - py) <= r:
+                if busy is None or end > busy:""",
+        """            if -r <= (dx := x - px) <= r and hypot(dx, y - py) <= r:
+                if busy is None or end > busy:""",
+        ("tests/test_radio.py::test_channel_expires_and_ignores_future_starts",),
+    ),
+    # the one prune: both queries pop ended frames through it
+    Mutant(
         "frame-heard-at-its-end",
         "radio.py",
-        """        if active and active[0][0] <= t:
-            self._prune(t)
-        r = self.params.range_m
-        px, py = pos
-        n = 0""",
-        """        if active and active[0][0] < t:
-            self._prune(t)
-        r = self.params.range_m
-        px, py = pos
-        n = 0""",
+        "while active and active[0][0] <= t:",
+        "while active and active[0][0] < t:",
         ("tests/test_radio.py::test_channel_expires_and_ignores_future_starts",),
     ),
     Mutant(
         "carrier-sensed-at-a-frame-end",
         "radio.py",
-        """        if active and active[0][0] <= t:
-            self._prune(t)
-        r = self.params.range_m
-        px, py = pos
-        busy = None""",
-        """        if active and active[0][0] < t:
-            self._prune(t)
-        r = self.params.range_m
-        px, py = pos
-        busy = None""",
+        "while active and active[0][0] <= t:",
+        "while active and active[0][0] < t:",
         ("tests/test_radio.py::test_carrier_sense_does_not_hear_a_frame_at_its_end",),
     ),
     Mutant(
@@ -267,13 +263,28 @@ MUTANTS = (
             "tests/test_radio.py::test_hops_equal_the_per_hop_reference",
         ),
     ),
+    # -- sweeps and config files -------------------------------------------------
+    Mutant(
+        "run-seeded-by-its-sweep",
+        "runner.py",
+        "sim = Simulator(seed=seed, event_budget=cfg.knobs.event_budget, log=log)",
+        "sim = Simulator(seed=cfg.seeds[0], event_budget=cfg.knobs.event_budget, log=log)",
+        ("tests/test_invariants.py::test_a_sweep_split_by_seed_gives_the_same_summaries",),
+    ),
+    Mutant(
+        "obstacle-file-ignored",
+        "config.py",
+        "            return ObstacleMap.load(self.obstacles)",
+        "            return EMPTY_MAP",
+        ("tests/test_invariants.py::test_rectangles_from_a_file_play_as_inline_rectangles",),
+    ),
     # -- delivery accounting ---------------------------------------------------
     Mutant(
         "every-miss-final",
         "runner.py",
         "elif final:",
         "elif True:",
-        ("tests/test_runner.py::test_horizon_sweep_records_the_worst_noted_cause",),
+        ("tests/test_runner.py::test_horizon_sweep_records_the_worst_noted_cause", FLOOD_LAWS),
     ),
     # -- scheduled station downlinks ---------------------------------------------
     Mutant(
@@ -289,7 +300,7 @@ MUTANTS = (
         "protocols.py",
         'purpose="flood", state=job.state), at)',
         'purpose="flood", state=set(job.state)), at)',
-        ("tests/test_protocols.py::test_flood_never_rebroadcasts_twice",),
+        ("tests/test_protocols.py::test_flood_never_rebroadcasts_twice", FLOOD_LAWS),
     ),
     # -- hybrid's shared region query and open windows ---------------------------
     Mutant(

@@ -18,13 +18,15 @@ vehicle located afresh and checked at its exact distance.
 ``all_items_grid`` answers every ``CellGrid`` query with every item the
 grid holds, which turns the neighbor index, the station index and the
 gateway cover into scans of every entry, station and shadowed vehicle.
+``parse_log`` reads a run's event log back into fields, for laws checked
+over every event of a run.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from math import hypot
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 from unittest import mock
 
 from vanetsim import protocols, runner
@@ -238,3 +240,34 @@ def all_items_grid():
     with mock.patch.object(CellGrid, "near", every_item):
         with mock.patch.object(CellGrid, "within", lambda grid, *_: [every_item(grid)]):
             yield
+
+
+class LogLine(NamedTuple):
+    """One event-log line: its time and kind, the bare words of its notes
+    (``tx``, ``wait``, ...), its ``key=value`` notes (the first of each key)
+    and its ``rec=`` notes as (msg, dst, ``ok`` or the loss cause)."""
+
+    t: int
+    kind: str
+    words: tuple[str, ...]
+    fields: dict[str, str]
+    records: list[tuple[int, int, str]]
+
+
+def parse_log(log: Sequence[str]) -> list[LogLine]:
+    """The lines of an event log (``time seq kind notes``, tab-separated)."""
+    lines = []
+    for line in log:
+        t, _seq, kind, notes = line.split("\t")
+        words, fields, records = [], {}, []
+        for note in notes.split(" "):
+            key, eq, value = note.partition("=")
+            if not eq:
+                words.append(note)
+            elif key == "rec":
+                mid, dst, outcome = value.split(":")[:3]
+                records.append((int(mid), int(dst), outcome))
+            else:
+                fields.setdefault(key, value)
+        lines.append(LogLine(int(t), kind, tuple(words), fields, records))
+    return lines

@@ -13,11 +13,15 @@ serial or a parallel sweep.
 
 The same configs also drive differential tests against a brute-force
 channel, a brute-force neighbor query and a cell grid that answers every
-query with every item, and five metamorphic relations: dfcv bytes do not
+query with every item; six metamorphic relations (dfcv bytes do not
 depend on the loss rate, a longer drain leaves the log before the old end
 alone, a trace written in another dress plays the same tracks and bytes, a
-far building changes no byte, and certain loss delivers nothing over
-vehicle hops.
+far building changes no byte, certain loss delivers nothing over vehicle
+hops, and rectangles read from a file play as the same rectangles inline);
+and two flood laws read off the event log (a vehicle transmits a message
+at most once, and only the accounting sweep closes a flood pair as lost).
+A seventh relation runs on a fixed highway sweep and a fixed trace sweep:
+split into one sweep per seed, each gives the same summaries.
 """
 
 import dataclasses
@@ -25,9 +29,11 @@ import math
 import os
 import tempfile
 import xml.etree.ElementTree as ET
+from collections import Counter
 from unittest import mock
 from xml.sax.saxutils import quoteattr
 
+import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
@@ -44,6 +50,7 @@ from reference import (
     brute_force_channel,
     brute_force_neighbors,
     closed_pairs,
+    parse_log,
     spy_addresses,
 )
 
@@ -70,7 +77,7 @@ TRACE_STEP_S = 0.1
 NEIGHBOURHOOD_M = RadioParams().range_m + 60 * MPH_TO_MPS * NeighborIndex.REFRESH_US / US_PER_S
 EDGE_PERIOD_M = 2 * NEIGHBOURHOOD_M + 1.0
 EDGE_COVERAGE_M = NEIGHBOURHOOD_M + 16.0
-# the drawn trace fleets' files, removed when the tests exit
+# the drawn trace fleets' and the rectangle files, removed when the tests exit
 TRACE_DIR = tempfile.TemporaryDirectory(prefix="vanetsim-invariants-")
 
 
@@ -289,6 +296,71 @@ def test_runs_match_an_all_items_cell_grid(case):
     real = logged_run(*case)
     with all_items_grid():
         assert logged_run(*case) == real
+
+
+@settings(max_examples=48, deadline=None, derandomize=True, phases=NO_SHRINK)
+@given(small_runs())
+def test_a_flood_sends_once_per_vehicle_and_sweeps_its_losses(case):
+    # two laws of the flood over a whole run's event log: a vehicle
+    # transmits a message at most once, and a miss is only noted, so no
+    # flood pair closes as lost before the SimEnd sweep (a metered beacon
+    # closes its own losses on its BeaconEmit line)
+    cfg, _, vehicles, seed = case
+    # several floods in flight, where the drawn 8 injects/s give one
+    cfg = dataclasses.replace(cfg, workload=dataclasses.replace(cfg.workload, rate_per_s=40.0))
+    _, log = logged_run(cfg, "baseline", vehicles, seed)
+    *lines, end = parse_log(log)
+    assert end.kind == "SimEnd"
+    sends = Counter((line.fields["msg"], line.fields["from"]) for line in lines if "tx" in line.words)
+    assert [send for send, n in sends.items() if n > 1] == []
+    early = [
+        (line.t, line.kind, rec)
+        for line in lines
+        for rec in line.records
+        if rec[2] != "ok" and not (line.kind == "BeaconEmit" and rec[0] == int(line.fields["msg"]))
+    ]
+    assert early == []
+
+
+@settings(max_examples=16, deadline=None, derandomize=True, phases=NO_SHRINK)
+@given(small_runs().filter(lambda case: case[0].obstacles))
+def test_rectangles_from_a_file_play_as_inline_rectangles(case):
+    cfg, protocol, vehicles, seed = case
+    fd, path = tempfile.mkstemp(suffix=".rects", dir=TRACE_DIR.name)
+    with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        fh.write("# x_min y_min x_max y_max\n\n")
+        fh.writelines(" ".join(repr(float(v)) for v in rect) + "\n" for rect in cfg.obstacles)
+    from_file = dataclasses.replace(cfg, obstacles=path)
+    assert logged_run(from_file, protocol, vehicles, seed) == logged_run(cfg, protocol, vehicles, seed)
+
+
+def split_sweep_config(mode: str) -> ScenarioConfig:
+    """A highway or a trace sweep of all three protocols over three seeds."""
+    cfg = ScenarioConfig(
+        mobility=MobilitySpec(road_length_m=2_000.0, gateway_fraction=0.2),
+        workload=WorkloadSpec(rate_per_s=10.0),
+        knobs=ProtocolKnobs(drain_s=0.1, maintenance_interval_s=0.1),
+        obstacles=HIGHWAY_BUILDINGS,
+        sim_duration_s=0.2,
+        densities=(6, 14),
+        seeds=(1, 2, 3),
+    )
+    if mode == "highway":
+        return cfg
+    tracks = [(150.0 * v, 10.0 * (v % 3) - 10.0, 2.0, 0.5 * (v % 2)) for v in range(10)]
+    fd, path = tempfile.mkstemp(suffix=".fcd.xml", dir=TRACE_DIR.name)
+    with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        fh.write(fcd_text(tracks, 4))
+    mobility = MobilitySpec(mode="trace", trace_path=path, vehicle_count=10, gateway_fraction=0.2)
+    return dataclasses.replace(cfg, mobility=mobility, densities=(10,))
+
+
+@pytest.mark.parametrize("mode", ["highway", "trace"])
+def test_a_sweep_split_by_seed_gives_the_same_summaries(mode):
+    cfg = split_sweep_config(mode)
+    full, _ = runner.run_sweep(cfg)
+    parts = [runner.run_sweep(dataclasses.replace(cfg, seeds=(seed,)))[0] for seed in cfg.seeds]
+    assert csv_text([s for part in parts for s in part]) == csv_text(full)
 
 
 # a building far beyond every drawn map, which blocks no line within one

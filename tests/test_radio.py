@@ -577,9 +577,13 @@ def test_channel_expires_and_ignores_future_starts():
     ch.register(2_000, 3_000, Position(0.0, 0.0))
     here = Position(0.0, 0.0)
     assert ch.concurrent_near(here, 999) == 1
+    assert ch.busy_until_near(here, 999) == 1_000
     assert ch.concurrent_near(here, 1_000) == 0  # end is exclusive occupancy
+    assert ch.busy_until_near(here, 1_000) is None
     assert ch.concurrent_near(here, 1_500) == 0  # second tx not started yet
+    assert ch.busy_until_near(here, 1_500) is None
     assert ch.concurrent_near(here, 2_000) == 1
+    assert ch.busy_until_near(here, 2_000) == 3_000
 
 
 def test_carrier_sense_does_not_hear_a_frame_at_its_end():
