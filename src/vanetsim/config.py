@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .engine import DEFAULT_EVENT_BUDGET
-from .errors import ConfigError
+from .errors import AT_LEAST_1, NON_NEGATIVE, POSITIVE, ConfigError, check_bounds
 from .mobility import MAX_VEHICLES, MobilitySpec
 from .protocols import PROTOCOLS, CloudModel
 from .radio import EMPTY_MAP, ObstacleMap, RadioParams, Rect
@@ -36,8 +36,7 @@ class WorkloadSpec:
     explicit_targets: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.rate_per_s <= 0:
-            raise ConfigError("workload.rate_per_s: must be positive")
+        check_bounds("workload", self, {"rate_per_s": POSITIVE})
 
 
 @dataclass(frozen=True)
@@ -60,36 +59,15 @@ class ProtocolKnobs:
     event_budget: int = DEFAULT_EVENT_BUDGET
 
     def __post_init__(self):
-        if self.ttl_hops < 1:
-            raise ConfigError("knobs.ttl_hops: must be at least 1")
-        if self.route_setup_delay_us < 0:
-            raise ConfigError("knobs.route_setup_delay_us: must be non-negative")
-        if self.bs_spacing_m <= 0:
-            raise ConfigError("knobs.bs_spacing_m: must be positive")
-        if self.bs_coverage_m <= 0:
-            raise ConfigError("knobs.bs_coverage_m: must be positive")
-        if self.k_max_gateways < 1:
-            raise ConfigError("knobs.k_max_gateways: must be at least 1")
-        if self.window_s < 0:
-            raise ConfigError("knobs.window_s: must be non-negative")
-        if self.gateway_access_us < 0:
-            raise ConfigError("knobs.gateway_access_us: must be non-negative")
-        if self.fog_processing_us < 0:
-            raise ConfigError("knobs.fog_processing_us: must be non-negative")
-        if self.d_min_m <= 0:
-            raise ConfigError("knobs.d_min_m: must be positive")
-        if self.th_cap < 1:
-            raise ConfigError("knobs.th_cap: must be at least 1")
-        if self.maintenance_interval_s <= 0:
-            raise ConfigError("knobs.maintenance_interval_s: must be positive")
-        if self.mobility_tick_s <= 0:
-            raise ConfigError("knobs.mobility_tick_s: must be positive")
-        if self.beacon_interval_s < 0:
-            raise ConfigError("knobs.beacon_interval_s: must be non-negative")
-        if self.drain_s < 0:
-            raise ConfigError("knobs.drain_s: must be non-negative")
-        if self.event_budget < 1:
-            raise ConfigError("knobs.event_budget: must be at least 1")
+        check_bounds("knobs", self, {
+            "ttl_hops": AT_LEAST_1, "route_setup_delay_us": NON_NEGATIVE,
+            "bs_spacing_m": POSITIVE, "bs_coverage_m": POSITIVE, "k_max_gateways": AT_LEAST_1,
+            "window_s": NON_NEGATIVE, "gateway_access_us": NON_NEGATIVE,
+            "fog_processing_us": NON_NEGATIVE, "d_min_m": POSITIVE, "th_cap": AT_LEAST_1,
+            "maintenance_interval_s": POSITIVE, "mobility_tick_s": POSITIVE,
+            "beacon_interval_s": NON_NEGATIVE, "drain_s": NON_NEGATIVE,
+            "event_budget": AT_LEAST_1,
+        })
 
 
 @dataclass
@@ -131,8 +109,7 @@ class ScenarioConfig:
                 if value in listed:
                     raise ConfigError(f"{key}: {value!r} is listed twice")
                 listed.add(value)
-        if self.sim_duration_s <= 0:
-            raise ConfigError("sim_duration_s: must be positive")
+        check_bounds("", self, {"sim_duration_s": POSITIVE})
 
     def load_obstacles(self) -> ObstacleMap:
         if isinstance(self.obstacles, str):

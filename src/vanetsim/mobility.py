@@ -20,7 +20,7 @@ from random import Random
 from typing import Collection, Mapping, NamedTuple, Optional, Sequence
 
 from .engine import SimTime, US_PER_S, to_us
-from .errors import ConfigError, TraceParseError
+from .errors import AT_LEAST_1, POSITIVE, UNIT_INTERVAL, ConfigError, TraceParseError, check_bounds
 
 # 1 mph is exactly 0.44704 m/s.
 MPH_TO_MPS = 0.44704
@@ -80,10 +80,7 @@ class MobilitySpec:
             raise ConfigError(
                 f"mobility.vehicle_count: {self.vehicle_count} outside [1, {MAX_VEHICLES}]"
             )
-        if self.road_length_m <= 0:
-            raise ConfigError("mobility.road_length_m: must be positive")
-        if self.lanes < 1:
-            raise ConfigError("mobility.lanes: must be at least 1")
+        check_bounds("mobility", self, {"road_length_m": POSITIVE, "lanes": AT_LEAST_1})
         lo, hi = self.speed_range_mph
         if lo < 0 or hi < lo:
             raise ConfigError(
@@ -91,12 +88,10 @@ class MobilitySpec:
             )
         if self.mode == MODE_TRACE and not self.trace_path:
             raise ConfigError("mobility.trace_path: required when mode is 'trace'")
-        if self.grid_blocks < 1:
-            raise ConfigError("mobility.grid_blocks: must be at least 1")
-        if self.grid_spacing_m <= 0:
-            raise ConfigError("mobility.grid_spacing_m: must be positive")
-        if not 0.0 <= self.gateway_fraction <= 1.0:
-            raise ConfigError("mobility.gateway_fraction: must lie in [0, 1]")
+        check_bounds("mobility", self, {
+            "grid_blocks": AT_LEAST_1, "grid_spacing_m": POSITIVE,
+            "gateway_fraction": UNIT_INTERVAL,
+        })
 
 
 def gateway_count(n: int, fraction: float) -> int:
@@ -131,6 +126,8 @@ class MobilityProvider:
         return (None, None)
 
     def fleet_at(self, t_us: SimTime) -> list[VehicleState]:
+        """Every vehicle's state at ``t_us``.  No run calls this; tests and
+        the benchmark's ``fleet_at`` metrics still do."""
         return [
             VehicleState(v, self.position_at(v, t_us), self.is_gateway(v))
             for v in self.vehicle_ids

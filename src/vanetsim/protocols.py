@@ -24,7 +24,7 @@ from typing import Any, Optional, Sequence
 
 from . import fog
 from .engine import Record, SimTime, to_us
-from .errors import ConfigError
+from .errors import NON_NEGATIVE, check_bounds
 from .mobility import CellGrid, Position, distance
 from .radio import (
     SHADOWED,
@@ -64,9 +64,8 @@ class CloudModel:
     processing_us: SimTime = 10_000
 
     def __post_init__(self):
-        for name in ("uplink_us", "downlink_us", "processing_us"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"cloud.{name}: must be non-negative")
+        latencies = ("uplink_us", "downlink_us", "processing_us")
+        check_bounds("cloud", self, dict.fromkeys(latencies, NON_NEGATIVE))
 
 
 def nearest_station(stations: Sequence[BaseStation], pos: Position) -> BaseStation:
@@ -194,7 +193,7 @@ class InfraTx:
     """Downlink broadcast from a base station to listed vehicles."""
 
     msg: Message
-    bs_id: int
+    bs: BaseStation
     receivers: list[int]
 
 
@@ -460,7 +459,7 @@ class HybridVehcloud(Protocol):
             for v in fresh:
                 if v in st.seen:
                     continue
-                if obstacle_shadowing(rt.pos(v, t), st.bs.pos, rt.obstacles) == 0:
+                if self._loc_of(st, v, t) == 0:
                     rt.schedule_tx(
                         TxJob(
                             st.msg, st.msg.src, hop=1, purpose="newcomer", receivers=[v], state=st
@@ -499,7 +498,8 @@ class Dfcv(Protocol):
     def __init__(self, rt):
         super().__init__(rt)
         self._cells: dict[int, list] = {}
-        self._assoc: dict[int, Optional[int]] = {}
+        # each covered vehicle's station, as of the last maintenance
+        self._assoc: dict[int, BaseStation] = {}
         self._cell_seq = itertools.count(1)
         self.audit: list[tuple[SimTime, int, int, int]] = []
         # Maintenance reaches a fixed point, so the hooks maintain each t once.
@@ -515,14 +515,12 @@ class Dfcv(Protocol):
         rt = self.rt
         positions = rt.fleet_positions(t)
         covering = rt.station_index.covering
-        assoc: dict[int, Optional[int]] = {}
+        assoc: dict[int, BaseStation] = {}
         by_bs: dict[int, list[int]] = {s.station_id: [] for s in rt.stations}
         for v in sorted(positions):
             bs = covering(positions[v])
-            if bs is None:
-                assoc[v] = None
-            else:
-                assoc[v] = bs.station_id
+            if bs is not None:
+                assoc[v] = bs
                 by_bs[bs.station_id].append(v)
         self._assoc = assoc
 
@@ -588,31 +586,31 @@ class Dfcv(Protocol):
         rt = self.rt
         if t != self._maintained_at:
             self.maintain(t)
-        src_bs_id = self._assoc.get(msg.src)
-        if src_bs_id is None:
+        src_bs = self._assoc.get(msg.src)
+        if src_bs is None:
             rt.sim.note("sender outside coverage")
             return
-        bs = rt.station(src_bs_id)
-        up = rt.channel.uplink(rt.pos(msg.src, t), bs.pos, rt.knobs.bs_coverage_m, t, contend=False)
+        reach = rt.knobs.bs_coverage_m
+        up = rt.channel.uplink(rt.pos(msg.src, t), src_bs.pos, reach, t, contend=False)
         if not up.delivered:
-            rt.sim.note("bs={} uplink {}", src_bs_id, up.loss_cause)
+            rt.sim.note("bs={} uplink {}", src_bs.station_id, up.loss_cause)
             for dst in msg.targets:
                 rt.record_loss(msg, dst, up.loss_cause)
             return
         fog_ready = t + up.delay_us + rt.knobs.fog_processing_us
 
-        by_bs: dict[int, list[int]] = {}
+        by_bs: dict[BaseStation, list[int]] = {}
         for dst in msg.targets:
             dst_bs = self._assoc.get(dst)
             if dst_bs is not None:
                 by_bs.setdefault(dst_bs, []).append(dst)
-        for bs_id in sorted(by_bs):
-            wanted = set(by_bs[bs_id])
+        for bs in sorted(by_bs, key=lambda s: s.station_id):
+            wanted = set(by_bs[bs])
             receivers: set = set()
-            for cell in self._cells.get(bs_id, []):
+            for cell in self._cells.get(bs.station_id, []):
                 if wanted.intersection(cell.members):
                     receivers.update(cell.members)
-            if bs_id == src_bs_id:
+            if bs == src_bs:
                 at = fog_ready
             else:
                 at = (
@@ -622,14 +620,14 @@ class Dfcv(Protocol):
                     + rt.cloud.downlink_us
                     + rt.knobs.fog_processing_us
                 )
-            rt.schedule_cloud(InfraTx(msg, bs_id, sorted(receivers)), at)
-        rt.sim.note("bs={} ready={} drops={}", src_bs_id, fog_ready, len(by_bs))
+            rt.schedule_cloud(InfraTx(msg, bs, sorted(receivers)), at)
+        rt.sim.note("bs={} ready={} drops={}", src_bs.station_id, fog_ready, len(by_bs))
 
     def after_infra(self, job: InfraTx, t: SimTime, results) -> Record:
         # the Runtime records only targets, and the targets among these
         # receivers (this station's cells) are the ones this drop is for
         reached = self.rt.settle(job.msg, results, t, 2)
-        return "i2v msg={} bs={} ok={}", job.msg.msg_id, job.bs_id, len(reached)
+        return "i2v msg={} bs={} ok={}", job.msg.msg_id, job.bs.station_id, len(reached)
 
 
 PROTOCOLS = {

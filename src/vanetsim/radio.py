@@ -24,7 +24,7 @@ from random import Random
 from typing import Callable, Optional
 
 from .engine import US_PER_S, SimTime
-from .errors import ConfigError
+from .errors import NON_NEGATIVE, POSITIVE, UNIT_INTERVAL, ConfigError, check_bounds
 from .mobility import Position
 
 OUT_OF_RANGE = "out_of_range"
@@ -56,22 +56,11 @@ class RadioParams:
     max_defers: int = 16  # carrier-sense deferrals before transmitting anyway
 
     def __post_init__(self):
-        if self.range_m <= 0:
-            raise ConfigError("radio.range_m: must be positive")
-        if self.data_rate_bps <= 0:
-            raise ConfigError("radio.data_rate_bps: must be positive")
-        if self.msg_size_bytes <= 0:
-            raise ConfigError("radio.msg_size_bytes: must be positive")
-        if self.prop_speed_mps <= 0:
-            raise ConfigError("radio.prop_speed_mps: must be positive")
-        if not 0.0 <= self.base_loss <= 1.0:
-            raise ConfigError("radio.base_loss: must lie in [0, 1]")
-        if self.loss_slope < 0:
-            raise ConfigError("radio.loss_slope: must be non-negative")
-        if self.max_backoff_us < 0:
-            raise ConfigError("radio.max_backoff_us: must be non-negative")
-        if self.max_defers < 0:
-            raise ConfigError("radio.max_defers: must be non-negative")
+        check_bounds("radio", self, {
+            "range_m": POSITIVE, "data_rate_bps": POSITIVE, "msg_size_bytes": POSITIVE,
+            "prop_speed_mps": POSITIVE, "base_loss": UNIT_INTERVAL, "loss_slope": NON_NEGATIVE,
+            "max_backoff_us": NON_NEGATIVE, "max_defers": NON_NEGATIVE,
+        })
 
 
 @dataclass(frozen=True)

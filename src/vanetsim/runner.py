@@ -115,7 +115,7 @@ class Runtime:
 
     __slots__ = (
         "sim", "cfg", "params", "knobs", "cloud", "provider", "obstacles", "stations",
-        "_station_by_id", "station_index", "index", "channel", "gateway_ids",
+        "station_index", "index", "channel", "gateway_ids",
         "rows", "delivered", "delay_sum_us", "opened", "_open", "messages", "_msg_seq",
         "_pos_t", "_pos", "_regions_t", "_regions", "_logging",
         "end_us", "_beacon_us", "_tick_us", "_maintenance_us", "protocol",
@@ -138,12 +138,11 @@ class Runtime:
         self.provider = provider
         self.obstacles = obstacles
         self.stations = stations
-        self._station_by_id = {s.station_id: s for s in stations}
         self.station_index = StationIndex(stations, cfg.knobs.bs_coverage_m)
         self.index = NeighborIndex(provider, cell_m=max(cfg.radio.range_m, 1.0))
         backoff_rng, loss_rng = sim.rng("radio-backoff"), sim.rng("radio-loss")
         self.channel = Channel(cfg.radio, obstacles, backoff_rng, loss_rng)
-        self.gateway_ids = [v.vehicle_id for v in provider.fleet_at(0) if v.is_gateway]
+        self.gateway_ids = [v for v in provider.vehicle_ids if provider.is_gateway(v)]
         # the ledger: one row per closed (message, target) pair, in close order
         self.rows: list[Row] = []
         self.delivered = 0
@@ -247,9 +246,6 @@ class Runtime:
         """
         bs = self.station_index.covering(pos)
         return bs if bs is not None else nearest_station(self.stations, pos)
-
-    def station(self, station_id: int) -> BaseStation:
-        return self._station_by_id[station_id]
 
     # -- scheduling helpers ---------------------------------------------------
 
@@ -441,7 +437,7 @@ class Runtime:
         return self.protocol.after_tx(job, t, results)
 
     def _fire_infra(self, job: InfraTx, t: SimTime) -> Record:
-        bs = self.station(job.bs_id)
+        bs = job.bs
         reach = self.knobs.bs_coverage_m
         # Scheduled infrastructure downlink: no contention draw.
         results = self.channel.hops(bs.pos, job.receivers, self.pos, reach, t, contend=False)
@@ -453,7 +449,7 @@ class Runtime:
         reaches its transmitter and goes on the radio."""
         self.schedule_tx(job, t)
         if isinstance(job, InfraTx):
-            return "msg={} bs={} n={}", job.msg.msg_id, job.bs_id, len(job.receivers)
+            return "msg={} bs={} n={}", job.msg.msg_id, job.bs.station_id, len(job.receivers)
         return "msg={} gw={} n={}", job.msg.msg_id, job.sender, len(job.receivers)
 
     def _on_tick(self, t: SimTime, _payload: None) -> Optional[Record]:

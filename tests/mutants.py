@@ -61,6 +61,10 @@ FCD_DIFFERENTIAL = (
     "tests/test_mobility.py::test_parse_fcd_and_trace_provider_match_the_flat_sample_reference",
 )
 
+CONFIG_BOUNDS = (
+    "tests/test_config.py::test_every_numeric_bound_refuses_just_outside_and_accepts_its_edge"
+)
+
 MUTANTS = (
     # -- the event log: the engine writes the line ------------------------
     Mutant(
@@ -84,6 +88,21 @@ MUTANTS = (
             self._notes.append(render(fmt, fields))""",
         """        self._notes.append(render(fmt, fields))""",
         ("tests/test_engine.py",),
+    ),
+    # -- config bounds: each written once, in errors.py -------------------------
+    Mutant(
+        "non-negative-refuses-zero",
+        "errors.py",
+        "(lambda v: v < 0, ",
+        "(lambda v: v <= 0, ",
+        (CONFIG_BOUNDS,),
+    ),
+    Mutant(
+        "unit-interval-refuses-zero",
+        "errors.py",
+        "(lambda v: not 0 <= v <= 1, ",
+        "(lambda v: not 0 < v <= 1, ",
+        (CONFIG_BOUNDS,),
     ),
     # -- neighbor queries ----------------------------------------------------
     Mutant(
@@ -272,6 +291,20 @@ MUTANTS = (
         ("tests/test_invariants.py::test_a_sweep_split_by_seed_gives_the_same_summaries",),
     ),
     Mutant(
+        "run-sized-by-its-sweep",
+        "runner.py",
+        "spec = dataclasses.replace(cfg.mobility, vehicle_count=vehicle_count)",
+        "spec = dataclasses.replace(cfg.mobility, vehicle_count=cfg.densities[0])",
+        ("tests/test_invariants.py::test_a_sweep_split_by_seed_gives_the_same_summaries",),
+    ),
+    Mutant(
+        "budget-reached-is-exceeded",
+        "engine.py",
+        "if processed > budget:",
+        "if processed >= budget:",
+        ("tests/test_invariants.py::test_a_larger_event_budget_changes_nothing",),
+    ),
+    Mutant(
         "obstacle-file-ignored",
         "config.py",
         "            return ObstacleMap.load(self.obstacles)",
@@ -293,6 +326,16 @@ MUTANTS = (
         "results = self.channel.hops(bs.pos, job.receivers, self.pos, reach, t, contend=False)",
         "results = self.channel.hops(bs.pos, job.receivers, self.pos, reach, t, contend=True)",
         ("tests/test_invariants.py::test_dfcv_bytes_do_not_depend_on_the_loss_rate",),
+    ),
+    Mutant(
+        "downlink-from-the-senders-station",
+        "protocols.py",
+        "rt.schedule_cloud(InfraTx(msg, bs, sorted(receivers)), at)",
+        "rt.schedule_cloud(InfraTx(msg, src_bs, sorted(receivers)), at)",
+        (
+            "tests/test_invariants.py::"
+            "test_a_station_downlink_carries_whole_fog_cells_of_its_own_station",
+        ),
     ),
     # -- the flood's visited set -------------------------------------------------
     Mutant(

@@ -209,3 +209,74 @@ def test_knob_validation_messages():
         ProtocolKnobs(mobility_tick_s=0)
     with pytest.raises(ConfigError, match="knobs.window_s"):
         ProtocolKnobs(window_s=-1)
+
+
+# Every numeric bound of the config, written out here rather than read from
+# src/: (section, key, bound, type), "" for a top-level key.
+POSITIVE, NON_NEGATIVE, AT_LEAST_1, UNIT = (
+    "must be positive", "must be non-negative", "must be at least 1", "must lie in [0, 1]"
+)
+BOUNDS = [
+    ("workload", "rate_per_s", POSITIVE, float),
+    ("knobs", "ttl_hops", AT_LEAST_1, int),
+    ("knobs", "route_setup_delay_us", NON_NEGATIVE, int),
+    ("knobs", "bs_spacing_m", POSITIVE, float),
+    ("knobs", "bs_coverage_m", POSITIVE, float),
+    ("knobs", "k_max_gateways", AT_LEAST_1, int),
+    ("knobs", "window_s", NON_NEGATIVE, float),
+    ("knobs", "gateway_access_us", NON_NEGATIVE, int),
+    ("knobs", "fog_processing_us", NON_NEGATIVE, int),
+    ("knobs", "d_min_m", POSITIVE, float),
+    ("knobs", "th_cap", AT_LEAST_1, int),
+    ("knobs", "maintenance_interval_s", POSITIVE, float),
+    ("knobs", "mobility_tick_s", POSITIVE, float),
+    ("knobs", "beacon_interval_s", NON_NEGATIVE, float),
+    ("knobs", "drain_s", NON_NEGATIVE, float),
+    ("knobs", "event_budget", AT_LEAST_1, int),
+    ("radio", "range_m", POSITIVE, float),
+    ("radio", "data_rate_bps", POSITIVE, int),
+    ("radio", "msg_size_bytes", POSITIVE, int),
+    ("radio", "prop_speed_mps", POSITIVE, float),
+    ("radio", "base_loss", UNIT, float),
+    ("radio", "loss_slope", NON_NEGATIVE, float),
+    ("radio", "max_backoff_us", NON_NEGATIVE, int),
+    ("radio", "max_defers", NON_NEGATIVE, int),
+    ("cloud", "uplink_us", NON_NEGATIVE, int),
+    ("cloud", "downlink_us", NON_NEGATIVE, int),
+    ("cloud", "processing_us", NON_NEGATIVE, int),
+    ("", "sim_duration_s", POSITIVE, float),
+    ("mobility", "road_length_m", POSITIVE, float),
+    ("mobility", "lanes", AT_LEAST_1, int),
+    ("mobility", "grid_blocks", AT_LEAST_1, int),
+    ("mobility", "grid_spacing_m", POSITIVE, float),
+    ("mobility", "gateway_fraction", UNIT, float),
+]
+
+
+def refused_and_edges(bound, kind):
+    """The values just outside ``bound``, and its edge values, of type ``kind``."""
+    below_zero = -1 if kind is int else math.nextafter(0.0, -1.0)
+    return {
+        POSITIVE: ([kind(0)], [kind(1)]),
+        NON_NEGATIVE: ([below_zero], [kind(0)]),
+        AT_LEAST_1: ([kind(0)], [kind(1)]),
+        UNIT: ([below_zero, math.nextafter(1.0, 2.0)], [0.0, 1.0]),
+    }[bound]
+
+
+@pytest.mark.parametrize(
+    "section, key, bound, kind", BOUNDS, ids=[f"{s}.{k}".lstrip(".") for s, k, _, _ in BOUNDS]
+)
+def test_every_numeric_bound_refuses_just_outside_and_accepts_its_edge(section, key, bound, kind):
+    def config(value):
+        return {section: {key: value}} if section else {key: value}
+
+    refused, edges = refused_and_edges(bound, kind)
+    name = f"{section}.{key}" if section else key
+    for value in refused:
+        with pytest.raises(ConfigError) as err:
+            from_dict(config(value))
+        assert str(err.value) == f"{name}: {bound}"
+    for value in edges:
+        cfg = from_dict(config(value))
+        assert getattr(getattr(cfg, section) if section else cfg, key) == value

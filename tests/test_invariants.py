@@ -13,15 +13,17 @@ serial or a parallel sweep.
 
 The same configs also drive differential tests against a brute-force
 channel, a brute-force neighbor query and a cell grid that answers every
-query with every item; six metamorphic relations (dfcv bytes do not
+query with every item; seven metamorphic relations (dfcv bytes do not
 depend on the loss rate, a longer drain leaves the log before the old end
 alone, a trace written in another dress plays the same tracks and bytes, a
 far building changes no byte, certain loss delivers nothing over vehicle
-hops, and rectangles read from a file play as the same rectangles inline);
-and two flood laws read off the event log (a vehicle transmits a message
-at most once, and only the accounting sweep closes a flood pair as lost).
-A seventh relation runs on a fixed highway sweep and a fixed trace sweep:
-split into one sweep per seed, each gives the same summaries.
+hops, rectangles read from a file play as the same rectangles inline, and
+a larger event budget changes no byte); two flood laws read off the event
+log (a vehicle transmits a message at most once, and only the accounting
+sweep closes a flood pair as lost); and a dfcv law checked on every station
+downlink (it carries whole fog cells of its own station).  An eighth
+relation runs on a fixed highway sweep and a fixed trace sweep: split into
+one sweep per seed or per density, each gives the same summaries.
 """
 
 import dataclasses
@@ -42,7 +44,7 @@ from vanetsim.config import ProtocolKnobs, ScenarioConfig, WorkloadSpec
 from vanetsim.metrics import csv_text, summarize
 from vanetsim.engine import US_PER_S
 from vanetsim.mobility import MPH_TO_MPS, MobilitySpec, NeighborIndex, parse_fcd
-from vanetsim.protocols import CloudModel
+from vanetsim.protocols import CloudModel, InfraTx
 from vanetsim.radio import CHANNEL_LOSS, LOSS_CAUSES, OUT_OF_RANGE, RadioParams, tx_time_us
 
 from reference import (
@@ -322,6 +324,39 @@ def test_a_flood_sends_once_per_vehicle_and_sweeps_its_losses(case):
     assert early == []
 
 
+def test_a_station_downlink_carries_whole_fog_cells_of_its_own_station():
+    # a dfcv law, checked on every InfraTx as it is scheduled: its receivers
+    # are the vehicles of the fog cells, under its station, that hold a
+    # target associated with that station
+    schedule_cloud = runner.Runtime.schedule_cloud
+    drops = []  # (the downlink's station, the sender's) of every drop checked
+
+    def checked(rt, job, at):
+        if isinstance(job, InfraTx):
+            dfcv = rt.protocol
+            assoc = dfcv._assoc
+            receivers = set(job.receivers)
+            assert all(assoc.get(v) == job.bs for v in receivers)
+            assert {v for v in job.msg.targets if assoc.get(v) == job.bs} <= receivers
+            for cell in dfcv._cells.get(job.bs.station_id, []):
+                assert receivers.issuperset(cell.members) or receivers.isdisjoint(cell.members)
+            drops.append((job.bs.station_id, assoc[job.msg.src].station_id))
+        schedule_cloud(rt, job, at)
+
+    @settings(max_examples=24, deadline=None, derandomize=True, phases=NO_SHRINK)
+    @given(small_runs())
+    def law(case):
+        cfg, _, vehicles, seed = case
+        # several messages, where the drawn 8 injects/s give one
+        workload = dataclasses.replace(cfg.workload, rate_per_s=40.0)
+        runner.run_single(dataclasses.replace(cfg, workload=workload), "dfcv", vehicles, seed)
+
+    with mock.patch.object(runner.Runtime, "schedule_cloud", checked):
+        law()
+    # not vacuous: some drop crosses the cloud to another station
+    assert any(bs != src_bs for bs, src_bs in drops)
+
+
 @settings(max_examples=16, deadline=None, derandomize=True, phases=NO_SHRINK)
 @given(small_runs().filter(lambda case: case[0].obstacles))
 def test_rectangles_from_a_file_play_as_inline_rectangles(case):
@@ -357,10 +392,28 @@ def split_sweep_config(mode: str) -> ScenarioConfig:
 
 @pytest.mark.parametrize("mode", ["highway", "trace"])
 def test_a_sweep_split_by_seed_gives_the_same_summaries(mode):
+    # split by seed, and by density too: a trace sweep has one density
     cfg = split_sweep_config(mode)
-    full, _ = runner.run_sweep(cfg)
-    parts = [runner.run_sweep(dataclasses.replace(cfg, seeds=(seed,)))[0] for seed in cfg.seeds]
-    assert csv_text([s for part in parts for s in part]) == csv_text(full)
+    full = csv_text(runner.run_sweep(cfg)[0])
+    for key in ("seeds", "densities"):
+        parts = [
+            runner.run_sweep(dataclasses.replace(cfg, **{key: (value,)}))[0]
+            for value in getattr(cfg, key)
+        ]
+        assert csv_text([s for part in parts for s in part]) == full, key
+
+
+@settings(max_examples=16, deadline=None, derandomize=True, phases=NO_SHRINK)
+@given(small_runs())
+def test_a_larger_event_budget_changes_nothing(case):
+    # the budget only stops a run: one exactly as large as the run's event
+    # count, and one ten times larger, give the default budget's bytes
+    cfg, protocol, vehicles, seed = case
+    real = logged_run(cfg, protocol, vehicles, seed)
+    events = runner.run_single(cfg, protocol, vehicles, seed).stats.events_processed
+    for budget in (events, 10 * events):
+        knobs = dataclasses.replace(cfg.knobs, event_budget=budget)
+        assert logged_run(dataclasses.replace(cfg, knobs=knobs), protocol, vehicles, seed) == real
 
 
 # a building far beyond every drawn map, which blocks no line within one

@@ -477,6 +477,21 @@ def test_trace_sweep_fails_once_before_any_run(tmp_path, monkeypatch):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("mode", ["synthetic_highway", "synthetic_grid", "trace"])
+def test_a_run_never_builds_the_fleet_of_vehicle_states(tmp_path, monkeypatch, mode):
+    # the gateways come from is_gateway, and every position from position_at
+    trace = write_moving_trace(tmp_path) if mode == "trace" else None
+    spec = MobilitySpec(mode=mode, trace_path=trace, vehicle_count=12, gateway_fraction=0.25)
+    cfg = small_cfg(mobility=spec, densities=(12,), sim_duration_s=1.0)
+
+    def no_fleet(self, t_us):
+        raise AssertionError("a run built the fleet of VehicleStates")
+
+    monkeypatch.setattr(mobility.MobilityProvider, "fleet_at", no_fleet)
+    for protocol in sorted(runner.PROTOCOLS):
+        assert run_single(cfg, protocol, 12, 1).summary.n_sent
+
+
 def test_event_budget_is_enforced_and_labeled():
     cfg = small_cfg(knobs=ProtocolKnobs(event_budget=40), densities=(10,),
                     protocols=("baseline",))
