@@ -543,24 +543,23 @@ class Dfcv(Protocol):
                     cell.anchor = fog.nearest_to_centroid(members, positions)
                 claimed.update(members)
                 kept.append(cell)
+            if current and not kept:
+                # no cell left here: the newcomers, in id order, form one
+                kept = [fog.FogCell(next(self._cell_seq), anchor=current[0], members=current)]
+                claimed = current_set
             # anchors stay put while newcomers join, so look each up once
             homes = [(c.cell_id, positions[c.anchor], c) for c in kept]
             for v in current:
                 if v in claimed:
                     continue
-                if homes:
-                    # min over (distance to anchor, cell id)
-                    p = positions[v]
-                    best_key = None
-                    for cid, anchor_pos, c in homes:
-                        key = (distance(anchor_pos, p), cid)
-                        if best_key is None or key < best_key:
-                            best_key, home = key, c
-                    insort(home.members, v)
-                else:
-                    cell = fog.FogCell(cell_id=next(self._cell_seq), anchor=v, members=[v])
-                    kept.append(cell)
-                    homes.append((cell.cell_id, positions[v], cell))
+                # the nearest anchor's cell: min over (distance to anchor, cell id)
+                p = positions[v]
+                best_key = None
+                for cid, anchor_pos, c in homes:
+                    key = (distance(anchor_pos, p), cid)
+                    if best_key is None or key < best_key:
+                        best_key, home = key, c
+                insort(home.members, v)
             kept, steps = fog.run_maintenance(
                 kept, positions, d_min, th_cap, lambda: next(self._cell_seq)
             )

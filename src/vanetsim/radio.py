@@ -165,76 +165,47 @@ EMPTY_MAP = ObstacleMap([])
 
 
 def line_of_sight(a: Position, b: Position, obstacles: ObstacleMap) -> bool:
-    """True when no rectangle interior intersects the open segment a-b.
+    """True when no rectangle interior intersects the segment a-b.
 
-    Each rectangle whose box meets the segment's box is tested with a
-    Liang-Barsky clip of the segment to the closed rectangle.  The segment
-    is blocked only when the clipped portion has positive length and runs
-    through the interior; corner or edge grazing keeps sight clear.
+    Edges and corners do not block, a point inside a rectangle does, and
+    the answer is the same either way round.  Each rectangle whose box
+    meets the segment's box clips the segment's parameter window [0, 1]
+    once per axis, to its x slab and its y slab (the slab test).  The
+    segment is blocked when a window of positive length is left and its
+    midpoint lies strictly inside the rectangle.
     """
     rects = obstacles.rects
     if not rects:
         return True
     ax, ay, bx, by = a.x, a.y, b.x, b.y
     # Canonical endpoint order makes the test exactly symmetric; it also
-    # leaves ax <= bx, so the clip's x parameters are -dx <= 0 and dx >= 0.
+    # leaves ax <= bx, so dx >= 0 and the x slab needs no swap.
     if (bx, by) < (ax, ay):
         ax, ay, bx, by = bx, by, ax, ay
     lo_y, hi_y = (ay, by) if ay <= by else (by, ay)
     dx = bx - ax
     dy = by - ay
-    point = dx == 0.0 and dy == 0.0
     for x0, y0, x1, y1 in rects:
         if bx < x0 or ax > x1 or hi_y < y0 or lo_y > y1:
             continue
-        if point:
-            if x0 < ax < x1 and y0 < ay < y1:
-                return False
-            continue
-        # Clip against the edges x0, x1, y0, y1 in that order: edge (p, q)
-        # is (-dx, ax - x0), (dx, x1 - ax), (-dy, ay - y0), (dy, y1 - ay).
-        # p == 0 with q < 0 misses; r = q / p raises t0 when p < 0 and
-        # lowers t1 when p > 0; a crossed window misses.
+        # Past the box test the segment meets both slabs, so an axis it
+        # does not move along leaves the window whole.
         t0, t1 = 0.0, 1.0
-        if dx == 0.0:
-            if ax - x0 < 0.0 or x1 - ax < 0.0:
-                continue
-        else:
-            r = (ax - x0) / -dx
-            if r > t1:
-                continue
-            if r > t0:
-                t0 = r
-            r = (x1 - ax) / dx
-            if r < t0:
-                continue
-            if r < t1:
-                t1 = r
-        if dy == 0.0:
-            if ay - y0 < 0.0 or y1 - ay < 0.0:
-                continue
-        elif dy > 0.0:
-            r = (ay - y0) / -dy
-            if r > t1:
-                continue
-            if r > t0:
-                t0 = r
-            r = (y1 - ay) / dy
-            if r < t0:
-                continue
-            if r < t1:
-                t1 = r
-        else:
-            r = (ay - y0) / -dy
-            if r < t0:
-                continue
-            if r < t1:
-                t1 = r
-            r = (y1 - ay) / dy
-            if r > t1:
-                continue
-            if r > t0:
-                t0 = r
+        if dx:
+            t = (x0 - ax) / dx
+            if t > t0:
+                t0 = t
+            t = (x1 - ax) / dx
+            if t < t1:
+                t1 = t
+        if dy:
+            enter, leave = (y0 - ay) / dy, (y1 - ay) / dy
+            if dy < 0.0:
+                enter, leave = leave, enter
+            if enter > t0:
+                t0 = enter
+            if leave < t1:
+                t1 = leave
         if t1 <= t0:
             continue
         tm = (t0 + t1) / 2.0

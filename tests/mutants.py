@@ -57,6 +57,11 @@ NEIGHBOR_DIFFERENTIAL = "tests/test_invariants.py::test_runs_match_a_brute_force
 
 FLOOD_LAWS = "tests/test_invariants.py::test_a_flood_sends_once_per_vehicle_and_sweeps_its_losses"
 
+HYBRID_LAWS = (
+    "tests/test_invariants.py::"
+    "test_hybrid_late_attempts_stay_in_their_window_once_each_in_inject_order"
+)
+
 FCD_DIFFERENTIAL = (
     "tests/test_mobility.py::test_parse_fcd_and_trace_provider_match_the_flat_sample_reference",
 )
@@ -251,6 +256,30 @@ MUTANTS = (
         return False""",
         ("tests/test_invariants.py::test_a_far_building_changes_nothing",),
     ),
+    # -- the slab clip: one window per rectangle, clipped once per axis --------
+    Mutant(
+        "descending-segment-clipped-as-ascending",
+        "radio.py",
+        """            if dy < 0.0:
+                enter, leave = leave, enter
+""",
+        "",
+        ("tests/test_radio.py::test_los_matches_point_sampling_oracle",),
+    ),
+    Mutant(
+        "grazing-clip-blocks",
+        "radio.py",
+        "if t1 <= t0:",
+        "if t1 < t0:",
+        ("tests/test_radio.py::test_los_matches_the_per_rectangle_clip",),
+    ),
+    Mutant(
+        "boundary-midpoint-blocks",
+        "radio.py",
+        "if x0 < mx < x1 and y0 < my < y1:",
+        "if x0 <= mx <= x1 and y0 <= my <= y1:",
+        ("tests/test_radio.py::test_los_edge_grazing_does_not_block",),
+    ),
     Mutant(
         "loss-capped-below-certain",
         "radio.py",
@@ -318,6 +347,17 @@ MUTANTS = (
         "elif final:",
         "elif True:",
         ("tests/test_runner.py::test_horizon_sweep_records_the_worst_noted_cause", FLOOD_LAWS),
+    ),
+    # -- fog cells ------------------------------------------------------------------
+    Mutant(
+        "newcomers-each-alone",
+        "protocols.py",
+        "kept = [fog.FogCell(next(self._cell_seq), anchor=current[0], members=current)]",
+        "kept = [fog.FogCell(next(self._cell_seq), anchor=v, members=[v]) for v in current]",
+        (
+            "tests/test_protocols.py::"
+            "test_a_station_without_cells_puts_all_its_newcomers_in_one_cell",
+        ),
     ),
     # -- scheduled station downlinks ---------------------------------------------
     Mutant(
@@ -390,18 +430,25 @@ MUTANTS = (
         HYBRID_DIFFERENTIAL,
     ),
     Mutant(
+        "window-never-closed",
+        "protocols.py",
+        "while windows and t > windows[0].window_end:",
+        "while False:",
+        (HYBRID_LAWS,),
+    ),
+    Mutant(
         "windows-walked-in-reverse",
         "protocols.py",
         "for st in windows:",
         "for st in reversed(windows):",
-        HYBRID_DIFFERENTIAL,
+        (*HYBRID_DIFFERENTIAL, HYBRID_LAWS),
     ),
     Mutant(
         "late-joiners-never-handled",
         "protocols.py",
         "fresh = [v for v in rt.region_members(st.bs, t) if v not in st.handled]",
         "fresh = list(rt.region_members(st.bs, t))",
-        HYBRID_DIFFERENTIAL,
+        (*HYBRID_DIFFERENTIAL, HYBRID_LAWS),
     ),
 )
 

@@ -20,8 +20,10 @@ far building changes no byte, certain loss delivers nothing over vehicle
 hops, rectangles read from a file play as the same rectangles inline, and
 a larger event budget changes no byte); two flood laws read off the event
 log (a vehicle transmits a message at most once, and only the accounting
-sweep closes a flood pair as lost); and a dfcv law checked on every station
-downlink (it carries whole fog cells of its own station).  An eighth
+sweep closes a flood pair as lost); a dfcv law checked on every station
+downlink (it carries whole fog cells of its own station); and three hybrid
+laws checked on every late attempt (it falls within its message's window,
+once per message and vehicle, and in inject order at each tick).  An eighth
 relation runs on a fixed highway sweep and a fixed trace sweep: split into
 one sweep per seed or per density, each gives the same summaries.
 """
@@ -44,7 +46,7 @@ from vanetsim.config import ProtocolKnobs, ScenarioConfig, WorkloadSpec
 from vanetsim.metrics import csv_text, summarize
 from vanetsim.engine import US_PER_S
 from vanetsim.mobility import MPH_TO_MPS, MobilitySpec, NeighborIndex, parse_fcd
-from vanetsim.protocols import CloudModel, InfraTx
+from vanetsim.protocols import CloudModel, HybridVehcloud, InfraTx
 from vanetsim.radio import CHANNEL_LOSS, LOSS_CAUSES, OUT_OF_RANGE, RadioParams, tx_time_us
 
 from reference import (
@@ -355,6 +357,58 @@ def test_a_station_downlink_carries_whole_fog_cells_of_its_own_station():
         law()
     # not vacuous: some drop crosses the cloud to another station
     assert any(bs != src_bs for bs, src_bs in drops)
+
+
+def test_hybrid_late_attempts_stay_in_their_window_once_each_in_inject_order():
+    # three hybrid laws, checked on every late attempt (a job scheduled while
+    # HybridVehcloud.on_tick runs): it is made at a tick no later than its
+    # message's window end, a (message, vehicle) pair gets at most one, and
+    # at one tick the attempts follow inject order, which is message id order
+    on_tick = HybridVehcloud.on_tick
+    ticking = []  # the tick on_tick is running, while it runs
+    attempts = []  # (tick, message id, vehicle) of each late attempt in a run
+    made = []  # how many late attempts each run made
+
+    def tick(protocol, t):
+        ticking.append(t)
+        try:
+            return on_tick(protocol, t)
+        finally:
+            ticking.pop()
+
+    def spied(schedule):
+        def checked(rt, job, at):
+            if ticking:
+                (t,) = ticking
+                assert t <= job.state.window_end
+                attempts.extend((t, job.msg.msg_id, v) for v in job.receivers)
+            schedule(rt, job, at)
+
+        return checked
+
+    @settings(max_examples=24, deadline=None, derandomize=True, phases=NO_SHRINK)
+    @given(small_runs())
+    def law(case):
+        cfg, _, vehicles, seed = case
+        # several windows open at once, where the drawn 8 injects/s give one,
+        # and 2 s for vehicles to enter a region, where 0.2 s rarely gives one
+        workload = dataclasses.replace(cfg.workload, rate_per_s=40.0)
+        cfg = dataclasses.replace(cfg, workload=workload, sim_duration_s=2.0)
+        attempts.clear()
+        runner.run_single(cfg, "hybrid_vehcloud", vehicles, seed)
+        pairs = Counter((msg_id, v) for _, msg_id, v in attempts)
+        assert [pair for pair, n in pairs.items() if n > 1] == []
+        assert attempts == sorted(attempts, key=lambda a: a[:2])
+        made.append(len(attempts))
+
+    with (
+        mock.patch.object(HybridVehcloud, "on_tick", tick),
+        mock.patch.object(runner.Runtime, "schedule_tx", spied(runner.Runtime.schedule_tx)),
+        mock.patch.object(runner.Runtime, "schedule_cloud", spied(runner.Runtime.schedule_cloud)),
+    ):
+        law()
+    # not vacuous: some run made a late attempt
+    assert sum(made) > 0
 
 
 @settings(max_examples=16, deadline=None, derandomize=True, phases=NO_SHRINK)

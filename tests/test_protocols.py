@@ -991,6 +991,27 @@ def test_dfcv_maintenance_audit_trail(tmp_path):
         assert n_cells >= 0
 
 
+def test_a_station_without_cells_puts_all_its_newcomers_in_one_cell():
+    # at the first maintenance no station keeps a cell: the vehicles of each
+    # station, in id order, form one cell anchored at the lowest id, before
+    # any split or merge
+    stations = [BaseStation(0, Position(0.0, 0.0)), BaseStation(1, Position(5_000.0, 0.0))]
+    xs = (300.0, 4_900.0, 100.0, 5_200.0, 200.0)  # ids 0, 2 and 4 under station 0
+    provider = StaticProvider([Position(x, 0.0) for x in xs])
+    cfg = ScenarioConfig(knobs=ProtocolKnobs(bs_coverage_m=1_000.0))
+    rt = Runtime(Simulator(), cfg, provider, EMPTY_MAP, stations, "dfcv")
+    handed = []
+    run_maintenance = protocols.fog.run_maintenance
+
+    def spy(cells, *args):
+        handed.append([(c.cell_id, c.anchor, list(c.members)) for c in cells])
+        return run_maintenance(cells, *args)
+
+    with mock.patch.object(protocols.fog, "run_maintenance", spy):
+        rt.protocol.maintain(0)
+    assert handed == [[(1, 0, [0, 2, 4])], [(2, 1, [1, 3])]]
+
+
 def test_dfcv_maintains_each_instant_once():
     # injections every 0.25 s fall on every 1 s maintenance tick
     cfg = ScenarioConfig(
