@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from math import hypot
 from typing import Callable, Mapping
 
 from .errors import MaintenanceError
@@ -68,9 +69,10 @@ def _needs_split(cell: FogCell, pos: Mapping[int, Position], d_min: float, th_ca
         return True
     if len(members) > 1:
         # the spread exceeds d_min: stop at the first far member
-        anchor_pos = pos[cell.anchor]
+        ax, ay = pos[cell.anchor]
         for m in members:
-            if distance(anchor_pos, pos[m]) > d_min:
+            mx, my = pos[m]
+            if hypot(ax - mx, ay - my) > d_min:  # the float distance() gives
                 return True
     return False
 
@@ -84,10 +86,11 @@ def _merge_ok(
         return False
     # The merged cell must not immediately violate the split bound, or the
     # loop would never settle.
-    merged_anchor = pos[a.anchor] if a.cell_id <= b.cell_id else pos[b.anchor]
+    ax, ay = pos[a.anchor] if a.cell_id <= b.cell_id else pos[b.anchor]
     for members in (a.members, b.members):
         for m in members:
-            if distance(merged_anchor, pos[m]) > d_min:
+            mx, my = pos[m]
+            if hypot(ax - mx, ay - my) > d_min:
                 return False
     return True
 

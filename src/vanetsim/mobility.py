@@ -17,7 +17,7 @@ from decimal import InvalidOperation
 from functools import partial
 from math import floor
 from random import Random
-from typing import Collection, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Collection, Mapping, NamedTuple, Optional, Sequence
 
 from .engine import SimTime, US_PER_S, to_us
 from .errors import AT_LEAST_1, POSITIVE, UNIT_INTERVAL, ConfigError, TraceParseError, check_bounds
@@ -524,8 +524,12 @@ class NeighborIndex:
 
     The index holds a snapshot of every vehicle's position, rebuilt lazily
     once the query time is more than the refresh interval, ``REFRESH_US``,
-    away from the snapshot (before it or after it).  A vehicle moves at most
-    ``slack = max_drift * |t - built_at|`` between its snapshot and ``t``.
+    away from the snapshot (before it or after it).  A rebuild at ``t``
+    reads the positions from ``fleet_positions(t)``, a run's own positions
+    at that instant, so a vehicle the run has located at ``t`` is not
+    located again for the index, nor the other way round.  A vehicle moves
+    at most ``slack = max_drift * |t - built_at|`` between its snapshot
+    and ``t``.
     A query more than the refresh interval away rebuilds the snapshot
     first, so ``slack`` never exceeds ``edge``, the drift over one refresh
     interval plus 1e-6.
@@ -576,8 +580,14 @@ class NeighborIndex:
 
     REFRESH_US = 600_000
 
-    def __init__(self, provider: MobilityProvider, cell_m: float):
+    def __init__(
+        self,
+        provider: MobilityProvider,
+        cell_m: float,
+        fleet_positions: Callable[[SimTime], Mapping[int, Position]],
+    ):
         self._provider = provider
+        self._fleet_positions = fleet_positions
         self._drift = provider.max_drift_mps()
         self._edge = self._drift * (self.REFRESH_US / US_PER_S) + 1e-6
         # the widest reach that one 3x3 neighbourhood holds
@@ -591,11 +601,11 @@ class NeighborIndex:
 
     def _rebuild(self, t_us: SimTime) -> None:
         edge = self._edge
-        locate = self._provider.position_at
+        positions = self._fleet_positions(t_us)
         inf = math.inf
         grid = self._grid = CellGrid(self._span)
         for vid, (wrap_x, wrap_y) in zip(self._provider.vehicle_ids, self._wraps):
-            x, y = locate(vid, t_us)
+            x, y = positions[vid]
             seam = inf
             if wrap_x is not None:
                 seam = min(x, wrap_x - x)

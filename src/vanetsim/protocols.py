@@ -19,7 +19,8 @@ import itertools
 from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
-from math import hypot
+from functools import cached_property
+from math import hypot, inf
 from typing import Any, Optional, Sequence
 
 from . import fog
@@ -82,16 +83,48 @@ class StationIndex:
     ``nearest_station`` plus a coverage test gives.  Stations are fixed for
     a run, so they are filed once in a ``CellGrid`` of reach ``coverage_m``,
     whose neighbourhood of a point holds every station covering it.
+
+    Each station also has a sure radius, ``min(coverage_m, gap / 2 -
+    1e-6)``, where ``gap`` is the distance to its nearest other station,
+    looked for within ``2 * coverage_m + 2e-6``; with none there the radius
+    is the coverage, and two stations at one spot get a negative one.
+    Every other station is then at least ``2 * radius + 2e-6`` away, so a
+    point within the radius is nearer to the station than to any other by
+    more than ``2e-6``, far more than the float rounding of either
+    distance: the disc lies inside the station's Voronoi cell.
+    ``covering(pos, guess)`` returns ``guess`` after one distance when
+    ``pos`` lies in its disc, and scans otherwise, so a guess changes only
+    the cost of the answer.
     """
 
     def __init__(self, stations: Sequence[BaseStation], coverage_m: float):
         self.coverage_m = coverage_m
+        self._stations = stations
         self._grid = CellGrid(coverage_m)
         for s in stations:
             self._grid.add(s.pos.x, s.pos.y, s)
 
-    def covering(self, pos: Position) -> Optional[BaseStation]:
+    @cached_property
+    def _sure(self) -> dict[int, float]:
+        """Each station's sure radius by its id, worked out at the first
+        guess, so a run that never guesses never pays for it."""
+        coverage_m = self.coverage_m
+        sure = {}
+        for s in self._stations:
+            sx, sy = s.pos
+            others = self._grid.within(sx, sy, 2.0 * coverage_m + 2e-6)
+            gaps = [hypot(o.pos.x - sx, o.pos.y - sy) for c in others for o in c if o is not s]
+            sure[s.station_id] = min(coverage_m, min(gaps, default=inf) / 2 - 1e-6)
+        return sure
+
+    def covering(
+        self, pos: Position, guess: Optional[BaseStation] = None
+    ) -> Optional[BaseStation]:
         px, py = pos
+        if guess is not None:
+            gx, gy = guess.pos
+            if hypot(gx - px, gy - py) <= self._sure[guess.station_id]:
+                return guess
         best, best_d = None, 0.0
         for s in self._grid.near(px, py):
             sx, sy = s.pos
@@ -515,10 +548,12 @@ class Dfcv(Protocol):
         rt = self.rt
         positions = rt.fleet_positions(t)
         covering = rt.station_index.covering
+        # a vehicle's last station is the guess: most have not left its sure disc
+        last = self._assoc.get
         assoc: dict[int, BaseStation] = {}
         by_bs: dict[int, list[int]] = {s.station_id: [] for s in rt.stations}
         for v in sorted(positions):
-            bs = covering(positions[v])
+            bs = covering(positions[v], last(v))
             if bs is not None:
                 assoc[v] = bs
                 by_bs[bs.station_id].append(v)

@@ -139,7 +139,7 @@ class Runtime:
         self.obstacles = obstacles
         self.stations = stations
         self.station_index = StationIndex(stations, cfg.knobs.bs_coverage_m)
-        self.index = NeighborIndex(provider, cell_m=max(cfg.radio.range_m, 1.0))
+        self.index = NeighborIndex(provider, max(cfg.radio.range_m, 1.0), self.fleet_positions)
         backoff_rng, loss_rng = sim.rng("radio-backoff"), sim.rng("radio-loss")
         self.channel = Channel(cfg.radio, obstacles, backoff_rng, loss_rng)
         self.gateway_ids = [v for v in provider.vehicle_ids if provider.is_gateway(v)]

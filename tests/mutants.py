@@ -66,6 +66,12 @@ FCD_DIFFERENTIAL = (
     "tests/test_mobility.py::test_parse_fcd_and_trace_provider_match_the_flat_sample_reference",
 )
 
+STATION_SCAN = "tests/test_protocols.py::test_station_index_matches_the_linear_scan"
+
+DFCV_SCAN_DIFFERENTIAL = (
+    "tests/test_invariants.py::test_dfcv_runs_match_runs_that_scan_every_association"
+)
+
 CONFIG_BOUNDS = (
     "tests/test_config.py::test_every_numeric_bound_refuses_just_outside_and_accepts_its_edge"
 )
@@ -141,7 +147,7 @@ MUTANTS = (
         "self.cell = reach * (1.0 + 1e-6)",
         "self.cell = reach",
         (
-            "tests/test_protocols.py::test_station_index_matches_the_linear_scan",
+            STATION_SCAN,
             "tests/test_protocols.py::test_select_gateways_matches_the_all_pairs_scan",
             "tests/test_mobility.py::test_a_query_as_wide_as_a_neighbourhood_finds_an_entry_two_cell_edges_away",
         ),
@@ -153,7 +159,33 @@ MUTANTS = (
         "for a in (i, i + 1)",
         (
             "tests/test_invariants.py::test_runs_match_an_all_items_cell_grid",
-            "tests/test_protocols.py::test_station_index_matches_the_linear_scan",
+            STATION_SCAN,
+        ),
+    ),
+    # -- the station index: a sure disc around each station ----------------------
+    Mutant(
+        "sure-radius-is-the-whole-gap",
+        "protocols.py",
+        "sure[s.station_id] = min(coverage_m, min(gaps, default=inf) / 2 - 1e-6)",
+        "sure[s.station_id] = min(coverage_m, min(gaps, default=inf) - 1e-6)",
+        (STATION_SCAN, DFCV_SCAN_DIFFERENTIAL),
+    ),
+    Mutant(
+        "sure-radius-without-slack",
+        "protocols.py",
+        "sure[s.station_id] = min(coverage_m, min(gaps, default=inf) / 2 - 1e-6)",
+        "sure[s.station_id] = min(coverage_m, min(gaps, default=inf) / 2)",
+        (STATION_SCAN,),
+    ),
+    # -- one location per vehicle per instant ------------------------------------
+    Mutant(
+        "index-locates-the-fleet-itself",
+        "mobility.py",
+        "x, y = positions[vid]",
+        "x, y = self._provider.position_at(vid, t_us)",
+        (
+            "tests/test_runner.py::"
+            "test_an_instant_that_rebuilds_the_index_and_maintains_dfcv_locates_each_vehicle_once",
         ),
     ),
     # -- trace parsing -----------------------------------------------------------

@@ -4,7 +4,10 @@ Every scenario runs all three protocols, with beacons unmetered and
 metered; two highway variants run unmetered only: 1 ms ticks, which pin
 when hybrid's late-joiner attempts are scheduled, and explicit targets
 with 10 ms ticks, which pin the cause recorded for an addressed late
-joiner whose re-delivery is lost.  A
+joiner whose re-delivery is lost.  One more highway row runs dfcv alone
+with stations much closer than their coverage, which pins the station each
+vehicle is associated with as vehicles cross from one station's Voronoi
+cell to the next.  A
 refactor that claims to keep behaviour must leave every digest here
 unchanged; a change that moves one must say which bytes moved and why.
 Run this file directly, with or without pytest installed, to print the
@@ -72,6 +75,18 @@ def scenario(name: str, metered: bool, directory) -> ScenarioConfig:
             densities=(20,),
             seeds=(9,),
             sim_duration_s=2.0,
+        )
+    if name == "highway_dfcv_dense_stations":
+        # stations 300 m apart with 1 km coverage: each station's sure radius
+        # is far below its coverage, so vehicles associated last time cross
+        # Voronoi edges and the station index must scan for them
+        return ScenarioConfig(
+            workload=WorkloadSpec(rate_per_s=4.0),
+            knobs=ProtocolKnobs(bs_spacing_m=300.0, bs_coverage_m=1_000.0, **knobs),
+            protocols=("dfcv",),
+            densities=(120,),
+            seeds=(7,),
+            sim_duration_s=4.0,
         )
     common = dict(seeds=(7,), sim_duration_s=1.5)
     if name.startswith("highway"):
@@ -142,6 +157,10 @@ GOLDEN = {
     ("highway_explicit_10ms_ticks", False): (
         "9da08d9780fde32bebc5bb2bba127d4d9c8687e571ad4991917b930b8094601c",
         "9505f663c89a0dd996552752382b15713789f891ece21ed8dfa9953eb0d9e9fa",
+    ),
+    ("highway_dfcv_dense_stations", False): (
+        "0a275b5478d32b071c4e5d6aaf905612a90104645b223b130411a12fcc19281b",
+        "ecc1d2b7de4b952cb77268d7a981a9cff6ce146295a8a0a69d8557822f240fc7",
     ),
     ("grid", False): (
         "c3a61aad5fbb6d31663a3e58053e10d95bb50d12db296c893ad13920f6fae1e5",

@@ -12,8 +12,9 @@ and the same CSV bytes on a rerun, with or without an event log, and in a
 serial or a parallel sweep.
 
 The same configs also drive differential tests against a brute-force
-channel, a brute-force neighbor query and a cell grid that answers every
-query with every item; seven metamorphic relations (dfcv bytes do not
+channel, a brute-force neighbor query, a cell grid that answers every
+query with every item, and dfcv runs that scan for every vehicle's station
+instead of trying its last one; seven metamorphic relations (dfcv bytes do not
 depend on the loss rate, a longer drain leaves the log before the old end
 alone, a trace written in another dress plays the same tracks and bytes, a
 far building changes no byte, certain loss delivers nothing over vehicle
@@ -38,7 +39,7 @@ from unittest import mock
 from xml.sax.saxutils import quoteattr
 
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from vanetsim import runner
@@ -46,7 +47,7 @@ from vanetsim.config import ProtocolKnobs, ScenarioConfig, WorkloadSpec
 from vanetsim.metrics import csv_text, summarize
 from vanetsim.engine import US_PER_S
 from vanetsim.mobility import MPH_TO_MPS, MobilitySpec, NeighborIndex, parse_fcd
-from vanetsim.protocols import CloudModel, HybridVehcloud, InfraTx
+from vanetsim.protocols import CloudModel, HybridVehcloud, InfraTx, StationIndex
 from vanetsim.radio import CHANNEL_LOSS, LOSS_CAUSES, OUT_OF_RANGE, RadioParams, tx_time_us
 
 from reference import (
@@ -300,6 +301,41 @@ def test_runs_match_an_all_items_cell_grid(case):
     real = logged_run(*case)
     with all_items_grid():
         assert logged_run(*case) == real
+
+
+# a highway whose stations sit 300 m apart under 1 km coverage, maintained
+# every 100 ms for 2 s: some vehicles leave their last station's Voronoi
+# cell while still within its coverage, whatever the drawn examples are
+DENSE_STATIONS = (
+    ScenarioConfig(
+        workload=WorkloadSpec(rate_per_s=4.0),
+        knobs=ProtocolKnobs(
+            bs_spacing_m=300.0, bs_coverage_m=1_000.0, maintenance_interval_s=0.1, drain_s=0.1
+        ),
+        sim_duration_s=2.0,
+    ),
+    "dfcv",
+    40,
+    3,
+)
+
+
+@settings(max_examples=24, deadline=None, derandomize=True, phases=NO_SHRINK)
+@given(small_runs())
+@example(DENSE_STATIONS)
+def test_dfcv_runs_match_runs_that_scan_every_association(case):
+    # each station's sure disc, with the vehicle's last station as the
+    # guess, against the cell-grid scan for every vehicle at every
+    # maintenance; the drawn stations' coverages overlap on every layout
+    cfg, _, vehicles, seed = case
+    real = logged_run(cfg, "dfcv", vehicles, seed)
+    covering = StationIndex.covering
+
+    def scanning(self, pos, guess=None):
+        return covering(self, pos)
+
+    with mock.patch.object(StationIndex, "covering", scanning):
+        assert logged_run(cfg, "dfcv", vehicles, seed) == real
 
 
 @settings(max_examples=48, deadline=None, derandomize=True, phases=NO_SHRINK)

@@ -826,6 +826,13 @@ def brute_in_range(provider, center, radius, t):
     }
 
 
+def index_over(provider, cell_m):
+    """A ``NeighborIndex`` whose rebuilds locate the fleet through ``provider``."""
+    return NeighborIndex(
+        provider, cell_m, lambda t: {v: provider.position_at(v, t) for v in provider.vehicle_ids}
+    )
+
+
 def ids(candidates):
     """The vehicle ids of ``NeighborIndex.candidates``' (vid, certain) pairs."""
     return [v for v, _ in candidates]
@@ -836,7 +843,7 @@ def test_neighbor_index_superset_random_fleets():
     for trial in range(10):
         spec = MobilitySpec(vehicle_count=120)
         prov = SyntheticHighwayProvider(spec, rng=random.Random(trial))
-        index = NeighborIndex(prov, cell_m=300.0)
+        index = index_over(prov, cell_m=300.0)
         for t in (0, 150_000, 400_000, 2 * US_PER_S):
             center = Position(rng.uniform(0, 10_000), rng.uniform(0, 3.5))
             want = brute_in_range(prov, center, 300.0, t)
@@ -850,7 +857,7 @@ def test_neighbor_index_handles_wrap_boundary():
     prov = SyntheticHighwayProvider(
         spec, initial=[(995.0, 0, 30.0), (500.0, 0, 30.0), (5.0, 0, 30.0)]
     )
-    index = NeighborIndex(prov, cell_m=100.0)
+    index = index_over(prov, cell_m=100.0)
     index.candidates(Position(500.0, 0.0), 50.0, 0)  # builds snapshot at t=0
     # 0.5 s later vehicle 0 sits at 10.0; a query near the seam must see it
     t = 500_000
@@ -863,7 +870,7 @@ def test_neighbor_index_handles_wrap_boundary():
 def test_neighbor_index_refreshes_after_interval():
     spec = MobilitySpec(vehicle_count=1, road_length_m=10_000.0)
     prov = SyntheticHighwayProvider(spec, initial=[(0.0, 0, 25.0)])
-    index = NeighborIndex(prov, cell_m=200.0)
+    index = index_over(prov, cell_m=200.0)
     assert ids(index.candidates(Position(0.0, 0.0), 100.0, 0)) == [0]
     # after 60 s the vehicle is at 1500 m; stale buckets would miss it
     t = 60 * US_PER_S
@@ -877,7 +884,7 @@ def test_neighbor_index_grid_wraps_both_axes():
     prov = SyntheticGridProvider(
         spec, initial=[("v", 0, 195.0, 1, 10.0), ("h", 2, 195.0, 1, 10.0)]
     )
-    index = NeighborIndex(prov, cell_m=50.0)
+    index = index_over(prov, cell_m=50.0)
     index.candidates(Position(100.0, 100.0), 10.0, 0)
     # 1 s on: the "v" vehicle wrapped from y=195 to y=5
     got = set(ids(index.candidates(Position(0.0, 10.0), 20.0, US_PER_S)))
@@ -887,7 +894,7 @@ def test_neighbor_index_grid_wraps_both_axes():
 def test_neighbor_index_finds_vehicles_before_its_snapshot():
     spec = MobilitySpec(vehicle_count=1, road_length_m=10_000.0)
     prov = SyntheticHighwayProvider(spec, initial=[(1000.0, 0, 25.0)])
-    index = NeighborIndex(prov, cell_m=300.0)
+    index = index_over(prov, cell_m=300.0)
     index.candidates(Position(5000.0, 0.0), 2.0, 150_000)  # builds snapshot at 150 ms
     # at t = 0 the vehicle sits exactly on the center, 3.75 m behind its snapshot
     assert ids(index.candidates(Position(1000.0, 0.0), 2.0, 0)) == [0]
@@ -905,7 +912,7 @@ def test_edge_street_vehicles_are_certain_away_from_their_travel_seams():
         for sign in (1, -1)
     ]
     prov = SyntheticGridProvider(spec, initial=initial)
-    index = NeighborIndex(prov, cell_m=300.0)
+    index = index_over(prov, cell_m=300.0)
     index.candidates(Position(500.0, 500.0), 1.0, 0)  # the snapshot
     snap = {v: prov.position_at(v, 0) for v in prov.vehicle_ids}
     t, radius = 150_000, 250.0
@@ -949,7 +956,7 @@ def test_neighbor_index_finds_a_vehicle_that_crossed_a_corner():
     # its snapshot is 0.8 m from both seams
     v = 1.0 / (NeighborIndex.REFRESH_US / US_PER_S)
     prov = TorusProvider(1000.0, [(999.2, 999.2, v, v), (500.0, 500.0, 0.0, 0.0)])
-    index = NeighborIndex(prov, cell_m=100.0)
+    index = index_over(prov, cell_m=100.0)
     index.candidates(Position(500.0, 500.0), 1.0, 0)  # the snapshot
     # a full interval on, it sits at (0.2, 0.2): only its diagonal image is near
     t = NeighborIndex.REFRESH_US
@@ -962,7 +969,7 @@ def test_a_vehicle_found_twice_keeps_the_flag_of_its_own_entry():
     # and a query reaches both; only its own entry can make it certain
     spec = MobilitySpec(vehicle_count=1, road_length_m=20.0)
     prov = SyntheticHighwayProvider(spec, initial=[(1.0, 0, 10.0)])
-    index = NeighborIndex(prov, cell_m=50.0)
+    index = index_over(prov, cell_m=50.0)
     assert index.candidates(Position(10.0, 0.0), 12.0, 0) == [(0, True)]
     assert index.candidates(Position(19.0, 0.0), 3.0, 0) == [(0, False)]
 
@@ -986,7 +993,7 @@ TORUS_COORD = st.one_of(st.floats(0.0, 12.0), st.floats(188.0, 200.0), st.floats
 )
 def test_neighbor_index_misses_no_one_on_a_torus(side, vehicles, center, radius, built_at, step):
     prov = TorusProvider(side, vehicles)
-    index = NeighborIndex(prov, cell_m=50.0)
+    index = index_over(prov, cell_m=50.0)
     index.candidates(Position(0.0, 0.0), 1.0, built_at)  # the snapshot
     center, t = Position(*center), max(0, built_at + step)
     got = index.candidates(center, radius, t)
@@ -1002,7 +1009,7 @@ def test_a_vehicle_one_float_step_beyond_the_radius_is_never_certain():
     p = Position(139.4, 130.8)
     radius = math.nextafter(distance(Position(0.0, 0.0), p), 0.0)
     assert p.x * p.x + p.y * p.y <= radius * radius
-    index = NeighborIndex(StaticProvider([p]), cell_m=300.0)
+    index = index_over(StaticProvider([p]), cell_m=300.0)
     assert index.candidates(Position(0.0, 0.0), radius, 0) == [(0, False)]
 
 
@@ -1020,7 +1027,7 @@ def test_a_query_as_wide_as_a_neighbourhood_finds_an_entry_two_cell_edges_away()
     while radius + 1e-9 > span:
         radius = math.nextafter(radius, 0.0)
     assert radius + 1e-9 == span
-    index = NeighborIndex(StaticProvider([Position(span, 0.0)]), cell_m=300.0)
+    index = index_over(StaticProvider([Position(span, 0.0)]), cell_m=300.0)
     # an entry within reach, though beyond the radius itself
     assert index.candidates(Position(-1e-20, 0.0), radius, 0) == [(0, False)]
 
@@ -1048,7 +1055,7 @@ class CountingProvider(MobilityProvider):
 def test_neighbor_index_rebuilds_only_beyond_one_interval(side):
     spec = MobilitySpec(vehicle_count=20, road_length_m=2_000.0)
     prov = CountingProvider(SyntheticHighwayProvider(spec, rng=random.Random(5)))
-    index = NeighborIndex(prov, cell_m=300.0)
+    index = index_over(prov, cell_m=300.0)
     built_at = 5 * NeighborIndex.REFRESH_US
     index.candidates(Position(0.0, 0.0), 300.0, built_at)  # the snapshot
     prov.located.clear()
@@ -1091,7 +1098,7 @@ def test_neighbor_index_exclude_drops_only_the_excluded_ids(
     initial, center, radius, built_at, step, exclude
 ):
     prov = CountingProvider(SyntheticGridProvider(EXCLUDE_GRID, initial=initial))
-    index = NeighborIndex(prov, cell_m=50.0)
+    index = index_over(prov, cell_m=50.0)
     index.candidates(Position(0.0, 0.0), 1.0, built_at)  # the snapshot
     assert sorted(prov.located) == prov.vehicle_ids
     center, t = Position(*center), max(0, built_at + step)
@@ -1178,7 +1185,7 @@ def test_neighbor_index_answers_do_not_depend_on_the_cell_size(
     center, t = Position(*center), max(0, built_at + step)
     answers = []
     for cell_m in (CELL_M / 4, CELL_M, CELL_M * 4):
-        index = NeighborIndex(prov, cell_m=cell_m)
+        index = index_over(prov, cell_m=cell_m)
         index.candidates(Position(0.0, 0.0), 1.0, built_at)  # the snapshot
         answers.append(index.candidates(center, radius, t))
     assert answers[0] == answers[1] == answers[2]

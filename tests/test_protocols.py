@@ -202,11 +202,48 @@ def at_the_rim(coverage):
     ]
 
 
+def at_a_sure_radius():
+    # stations 600 m apart under 1 km coverage: station 0's sure radius is
+    # half the gap less 1e-6; points at it and one float step either side,
+    # along the axis toward station 1 and away from it
+    stations = [BaseStation(0, Position(0.0, 0.0)), BaseStation(1, Position(600.0, 0.0))]
+    r = 300.0 - 1e-6
+    steps = (r, math.nextafter(r, 0.0), math.nextafter(r, math.inf))
+    return stations, 1000.0, [Position(x, 0.0) for x in steps] + [Position(-x, 0.0) for x in steps]
+
+
+def two_stations_at_one_spot():
+    # a zero gap: neither station's disc holds any point, so the scan's tie
+    # to the lower id decides, also at the stations themselves
+    stations = [BaseStation(0, Position(250.0, -40.0)), BaseStation(1, Position(250.0, -40.0))]
+    return stations, 100.0, [Position(250.0, -40.0), Position(250.0, 10.0), Position(350.0, -40.0)]
+
+
+def a_lone_station():
+    # no other station within twice the coverage: the disc is the coverage
+    # itself, so it answers up to the rim and the scan beyond it
+    s = BaseStation(0, Position(0.0, 0.0))
+    coverage = 250.0
+    rims = (coverage, math.nextafter(coverage, 0.0), math.nextafter(coverage, math.inf))
+    return [s], coverage, [s.pos] + [Position(0.0, sign * r) for r in rims for sign in (1, -1)]
+
+
+def the_midpoint_of_two_stations():
+    # stations much closer than their coverage: the midpoint ties, so it
+    # belongs to station 0 even when station 1 is the guess
+    stations = [BaseStation(0, Position(0.0, 0.0)), BaseStation(1, Position(600.0, 0.0))]
+    return stations, 1000.0, [Position(300.0, 0.0)]
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(station_scenes())
 @example(two_station_tie())
 @example(at_the_rim(1000.0))
 @example(at_the_rim(1.0))
+@example(at_a_sure_radius())
+@example(two_stations_at_one_spot())
+@example(a_lone_station())
+@example(the_midpoint_of_two_stations())
 def test_station_index_matches_the_linear_scan(scene):
     stations, coverage, points = scene
     index = StationIndex(stations, coverage)
@@ -214,7 +251,10 @@ def test_station_index_matches_the_linear_scan(scene):
     provider = StaticProvider([Position(0.0, 0.0)])
     rt = Runtime(Simulator(), cfg, provider, EMPTY_MAP, stations, "dfcv")
     for p in points:
-        assert index.covering(p) == covering_by_scan(stations, p, coverage)
+        want = covering_by_scan(stations, p, coverage)
+        # a guess only saves the scan: with none, and with every station
+        for guess in (None, *stations):
+            assert index.covering(p, guess) == want, guess
         # the true nearest station, also when none covers the point
         assert rt.nearest_station(p) == nearest_station(stations, p)
 

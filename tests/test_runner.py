@@ -6,6 +6,7 @@ import math
 import os
 import random
 import re
+from collections import Counter
 from unittest import mock
 
 import pytest
@@ -27,7 +28,7 @@ from vanetsim.mobility import (
     distance,
     parse_fcd,
 )
-from vanetsim.protocols import Message
+from vanetsim.protocols import Dfcv, Message
 from vanetsim.radio import (
     CHANNEL_LOSS,
     EMPTY_MAP,
@@ -244,6 +245,42 @@ def test_fleet_positions_hold_only_the_fleet_after_region_queries():
         assert sorted(positions) == sorted(provider.vehicle_ids)
         for v in provider.vehicle_ids:
             assert positions[v] == provider.position_at(v, t), (t, v)
+
+
+def test_an_instant_that_rebuilds_the_index_and_maintains_dfcv_locates_each_vehicle_once(
+    monkeypatch,
+):
+    # At an inject the sender's region query may rebuild the neighbor index,
+    # and dfcv then maintains its cells over the whole fleet; both read the
+    # run's positions at that instant, so neither locates a vehicle again.
+    located = Counter()  # (t, vehicle id) -> position_at calls
+    rebuilt, maintained = set(), set()
+    position_at, rebuild, maintain = (
+        SyntheticHighwayProvider.position_at, NeighborIndex._rebuild, Dfcv.maintain
+    )
+
+    def counting_position_at(self, vehicle_id, t_us):
+        located[t_us, vehicle_id] += 1
+        return position_at(self, vehicle_id, t_us)
+
+    def spied_rebuild(self, t_us):
+        rebuilt.add(t_us)
+        rebuild(self, t_us)
+
+    def spied_maintain(self, t):
+        maintained.add(t)
+        return maintain(self, t)
+
+    monkeypatch.setattr(SyntheticHighwayProvider, "position_at", counting_position_at)
+    monkeypatch.setattr(NeighborIndex, "_rebuild", spied_rebuild)
+    monkeypatch.setattr(Dfcv, "maintain", spied_maintain)
+    vehicles = 120
+    cfg = ScenarioConfig(workload=WorkloadSpec(rate_per_s=4.0), sim_duration_s=3.0)
+    run_single(cfg, "dfcv", vehicles, 1)
+    both = sorted(rebuilt & maintained)
+    assert len(both) >= 4
+    for t in both:
+        assert [located[t, v] for v in range(vehicles)] == [1] * vehicles, t
 
 
 @pytest.mark.parametrize("scenario", ("highway", "grid"))
