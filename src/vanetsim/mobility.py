@@ -490,7 +490,12 @@ class CellGrid:
 
     def add(self, x: float, y: float, item) -> None:
         cell = self.cell
-        self._cells.setdefault((floor(x / cell), floor(y / cell)), []).append(item)
+        key = (floor(x / cell), floor(y / cell))
+        items = self._cells.get(key)
+        if items is None:
+            self._cells[key] = [item]
+        else:
+            items.append(item)
 
     def near(self, x: float, y: float) -> list:
         """The items of the 3x3 cells around the cell of ``(x, y)``."""
@@ -604,17 +609,21 @@ class NeighborIndex:
         positions = self._fleet_positions(t_us)
         inf = math.inf
         grid = self._grid = CellGrid(self._span)
+        add = grid.add
         for vid, (wrap_x, wrap_y) in zip(self._provider.vehicle_ids, self._wraps):
             x, y = positions[vid]
+            # the least of the seam distances, each kept only when strictly
+            # less, which is the float min() returns, without its call
             seam = inf
             if wrap_x is not None:
-                seam = min(x, wrap_x - x)
+                seam = d if (d := wrap_x - x) < x else x
             if wrap_y is not None:
-                seam = min(seam, y, wrap_y - y)
-            grid.add(x, y, (vid, x, y, seam))
+                seam = y if y < seam else seam
+                seam = d if (d := wrap_y - y) < seam else seam
+            add(x, y, (vid, x, y, seam))
             if seam < edge:
                 for ix, iy in _images(x, y, wrap_x, wrap_y, edge):
-                    grid.add(ix, iy, (vid, ix, iy, -inf))
+                    add(ix, iy, (vid, ix, iy, -inf))
         self._built_at = t_us
 
     def candidates(

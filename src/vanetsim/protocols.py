@@ -333,6 +333,11 @@ class HybridVehcloud(Protocol):
     is addressed at inject time, so no late joiner is a target: the window
     then affects delivery metrics only through the channel load of its
     sends.
+
+    Nothing asks sight of a map without rectangles: not the hops, not the
+    station shadow test at inject, not a late joiner's.  Every vehicle
+    there is in sight of its station, so none is shadowed and no gateway
+    path runs.
     """
 
     name = "hybrid_vehcloud"
@@ -352,9 +357,7 @@ class HybridVehcloud(Protocol):
         src_pos = rt.pos(msg.src, t)
         bs = rt.nearest_station(src_pos)
         region = rt.region_members(bs, t, exclude=(msg.src,))
-        loc = {
-            v: obstacle_shadowing(rt.pos(v, t), bs.pos, rt.obstacles) for v in region
-        }
+        loc = self._shadowing(bs, region, t)
         st = _HybridState(msg, bs, loc, window_end=t + self._window_us, seen={msg.src})
         st.handled = set(region)
         st.handled.add(msg.src)
@@ -444,10 +447,21 @@ class HybridVehcloud(Protocol):
 
     # -- transmissions ---------------------------------------------------
 
+    def _shadowing(
+        self, bs: BaseStation, vehicles: Sequence[int], t: SimTime
+    ) -> dict[int, int]:
+        """Each vehicle's ``obstacle_shadowing`` toward ``bs`` at ``t``.  A
+        map without rectangles shadows no one: there, as in ``Channel.hops``,
+        no vehicle is located and sight is not asked."""
+        rt = self.rt
+        if not rt.obstacles.rects:
+            return dict.fromkeys(vehicles, 0)
+        return {v: obstacle_shadowing(rt.pos(v, t), bs.pos, rt.obstacles) for v in vehicles}
+
     def _loc_of(self, st: _HybridState, v: int, t: SimTime) -> int:
         if v in st.loc:
             return st.loc[v]
-        return obstacle_shadowing(self.rt.pos(v, t), st.bs.pos, self.rt.obstacles)
+        return self._shadowing(st.bs, (v,), t)[v]
 
     def tx_receivers(self, job: TxJob, t: SimTime) -> list[int]:
         rt = self.rt

@@ -62,6 +62,8 @@ HYBRID_LAWS = (
     "test_hybrid_late_attempts_stay_in_their_window_once_each_in_inject_order"
 )
 
+SIGHT_SPY = "tests/test_invariants.py::test_hybrid_asks_sight_only_of_a_map_with_rectangles"
+
 FCD_DIFFERENTIAL = (
     "tests/test_mobility.py::test_parse_fcd_and_trace_provider_match_the_flat_sample_reference",
 )
@@ -279,14 +281,19 @@ MUTANTS = (
         ("tests/test_radio.py::test_beacons_on_air_match_brute_force",),
     ),
     Mutant(
-        # hops ask sight only of a map with rectangles; hybrid asks it of every map
+        # hops and hybrid's shadow test ask sight only of a map with
+        # rectangles, but gateway cover asks it of the rectangles near a
+        # gateway, which may be none
         "sight-blocked-on-an-empty-map",
         "radio.py",
         """    if not rects:
         return True""",
         """    if not rects:
         return False""",
-        ("tests/test_invariants.py::test_a_far_building_changes_nothing",),
+        (
+            "tests/test_protocols.py::test_obstacle_shadowing_binary",
+            "tests/test_protocols.py::test_select_gateways_overlapping_coverage_example",
+        ),
     ),
     # -- the slab clip: one window per rectangle, clipped once per axis --------
     Mutant(
@@ -453,6 +460,22 @@ MUTANTS = (
         "return tuple(v for v in region if v not in exclude) if exclude else region",
         "return region",
         HYBRID_DIFFERENTIAL,
+    ),
+    # -- hybrid's shadow test: asked only of a map with rectangles --------------
+    Mutant(
+        # the same bytes, so only a count of sight questions sees it
+        "open-map-asks-sight",
+        "protocols.py",
+        "if not rt.obstacles.rects:",
+        "if False:",
+        (SIGHT_SPY,),
+    ),
+    Mutant(
+        "walled-map-skips-sight",
+        "protocols.py",
+        "if not rt.obstacles.rects:",
+        "if True:",
+        (SIGHT_SPY, "tests/test_protocols.py::test_hybrid_shadowed_target_rides_the_cloud"),
     ),
     Mutant(
         "window-closed-at-its-end",

@@ -24,7 +24,9 @@ log (a vehicle transmits a message at most once, and only the accounting
 sweep closes a flood pair as lost); a dfcv law checked on every station
 downlink (it carries whole fog cells of its own station); and three hybrid
 laws checked on every late attempt (it falls within its message's window,
-once per message and vehicle, and in inject order at each tick).  An eighth
+once per message and vehicle, and in inject order at each tick); and a
+spy on hybrid's sight questions (none on a map without rectangles, one
+shadow test per region member at each inject on a walled map).  An eighth
 relation runs on a fixed highway sweep and a fixed trace sweep: split into
 one sweep per seed or per density, each gives the same summaries.
 """
@@ -35,6 +37,7 @@ import os
 import tempfile
 import xml.etree.ElementTree as ET
 from collections import Counter
+from contextlib import ExitStack
 from unittest import mock
 from xml.sax.saxutils import quoteattr
 
@@ -42,7 +45,7 @@ import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from vanetsim import runner
+from vanetsim import protocols, radio, runner
 from vanetsim.config import ProtocolKnobs, ScenarioConfig, WorkloadSpec
 from vanetsim.metrics import csv_text, summarize
 from vanetsim.engine import US_PER_S
@@ -320,6 +323,32 @@ DENSE_STATIONS = (
 )
 
 
+# highway runs at 40 injects/s for 2 s, with windows of 0.5 s that close
+# while the run goes on: one on an open map and one among HIGHWAY_BUILDINGS,
+# each with late attempts (11 and 7), so a late joiner's shadow test runs on
+# both kinds of map
+def late_joiner_run(rects):
+    cfg = ScenarioConfig(
+        mobility=MobilitySpec(road_length_m=2_000.0, gateway_fraction=0.2),
+        workload=WorkloadSpec(rate_per_s=40.0),
+        knobs=ProtocolKnobs(
+            bs_spacing_m=500.0,
+            bs_coverage_m=400.0,
+            window_s=0.5,
+            mobility_tick_s=0.1,
+            maintenance_interval_s=0.1,
+            drain_s=0.1,
+        ),
+        obstacles=rects,
+        sim_duration_s=2.0,
+    )
+    return cfg, "hybrid_vehcloud", 24, 1
+
+
+LATE_JOINERS_OPEN = late_joiner_run(())
+LATE_JOINERS_WALLED = late_joiner_run(HIGHWAY_BUILDINGS)
+
+
 @settings(max_examples=24, deadline=None, derandomize=True, phases=NO_SHRINK)
 @given(small_runs())
 @example(DENSE_STATIONS)
@@ -422,8 +451,11 @@ def test_hybrid_late_attempts_stay_in_their_window_once_each_in_inject_order():
 
         return checked
 
+    # the drawn runs rarely make a late attempt, so two fixed runs make some
     @settings(max_examples=24, deadline=None, derandomize=True, phases=NO_SHRINK)
     @given(small_runs())
+    @example(LATE_JOINERS_OPEN)
+    @example(LATE_JOINERS_WALLED)
     def law(case):
         cfg, _, vehicles, seed = case
         # several windows open at once, where the drawn 8 injects/s give one,
@@ -435,6 +467,8 @@ def test_hybrid_late_attempts_stay_in_their_window_once_each_in_inject_order():
         pairs = Counter((msg_id, v) for _, msg_id, v in attempts)
         assert [pair for pair, n in pairs.items() if n > 1] == []
         assert attempts == sorted(attempts, key=lambda a: a[:2])
+        if case in (LATE_JOINERS_OPEN, LATE_JOINERS_WALLED):
+            assert attempts, "a fixed run made no late attempt"
         made.append(len(attempts))
 
     with (
@@ -445,6 +479,57 @@ def test_hybrid_late_attempts_stay_in_their_window_once_each_in_inject_order():
         law()
     # not vacuous: some run made a late attempt
     assert sum(made) > 0
+
+
+def test_hybrid_asks_sight_only_of_a_map_with_rectangles():
+    # on a map without rectangles hybrid asks no shadow test and no sight
+    # question at all; on a walled map each inject still tests every member
+    # of its region once, at the member's position, toward the station
+    on_inject = HybridVehcloud.on_inject
+    asked = []  # the sight questions of the run: (name, args)
+    tested = []  # how many shadow tests each walled inject made
+
+    def spy(name, fn):
+        def spied(*args):
+            asked.append((name, args))
+            return fn(*args)
+
+        return spied
+
+    def inject(protocol, msg, t):
+        before = len(asked)
+        on_inject(protocol, msg, t)
+        rt, st = protocol.rt, protocol._windows[-1]
+        if rt.obstacles.rects:
+            shadow = [args for name, args in asked[before:] if name == "obstacle_shadowing"]
+            assert shadow == [(rt.pos(v, t), st.bs.pos, rt.obstacles) for v in st.loc]
+            tested.append(len(shadow))
+
+    @settings(max_examples=24, deadline=None, derandomize=True, phases=NO_SHRINK)
+    @given(small_runs())
+    @example(LATE_JOINERS_OPEN)
+    @example(LATE_JOINERS_WALLED)
+    def law(case):
+        cfg, _, vehicles, seed = case
+        # several injects, where the drawn 8 injects/s give one
+        workload = dataclasses.replace(cfg.workload, rate_per_s=40.0)
+        cfg = dataclasses.replace(cfg, workload=workload)
+        asked.clear()
+        runner.run_single(cfg, "hybrid_vehcloud", vehicles, seed)
+        if not cfg.obstacles:
+            assert asked == []
+
+    with ExitStack() as stack:
+        stack.enter_context(mock.patch.object(HybridVehcloud, "on_inject", inject))
+        # every module that looks either name up as a global
+        for module in (protocols, radio, runner):
+            for name in ("obstacle_shadowing", "line_of_sight"):
+                if name in vars(module):
+                    fn = spy(name, getattr(module, name))
+                    stack.enter_context(mock.patch.object(module, name, fn))
+        law()
+    # not vacuous: some walled inject tested its region
+    assert sum(tested) > 0
 
 
 @settings(max_examples=16, deadline=None, derandomize=True, phases=NO_SHRINK)
@@ -512,6 +597,10 @@ FAR_BUILDING = (1e6, 1e6, 1e6 + 50.0, 1e6 + 50.0)
 
 @settings(max_examples=16, deadline=None, derandomize=True, phases=NO_SHRINK)
 @given(small_runs())
+# with late joiners: on the open map the far building moves every shadow
+# test, late ones included, onto the sight path
+@example(LATE_JOINERS_OPEN)
+@example(LATE_JOINERS_WALLED)
 def test_a_far_building_changes_nothing(case):
     cfg, _, vehicles, seed = case
     far = dataclasses.replace(cfg, obstacles=(*(cfg.obstacles or ()), FAR_BUILDING))
