@@ -28,9 +28,9 @@ class FogCell:
 
 
 def _centroid(members: list[int], pos: Mapping[int, Position]) -> Position:
-    x = sum(pos[m].x for m in members) / len(members)
-    y = sum(pos[m].y for m in members) / len(members)
-    return Position(x, y)
+    x = sum(pos[m][0] for m in members) / len(members)
+    y = sum(pos[m][1] for m in members) / len(members)
+    return (x, y)
 
 
 def nearest_to_centroid(members: list[int], pos: Mapping[int, Position]) -> int:

@@ -1,10 +1,11 @@
 """Vehicle position models: synthetic highway and grid fleets, recorded traces.
 
 All providers answer the same two questions: where is vehicle v at time t
-(in microseconds), as a Position, and is v a gateway.  Synthetic fleets are
-street fleets: they draw each vehicle's street, start and constant speed
-once from the "mobility" RNG stream.  Trace fleets interpolate linearly
-between recorded samples and clamp at the trace ends.
+(in microseconds), as an exact ``(x, y)`` tuple of floats in metres, and is
+v a gateway.  Synthetic fleets are street fleets: they draw each vehicle's
+street, start and constant speed once from the "mobility" RNG stream.
+Trace fleets interpolate linearly between recorded samples and clamp at
+the trace ends.
 """
 
 from __future__ import annotations
@@ -14,10 +15,9 @@ import xml.etree.ElementTree as ET
 from bisect import bisect_right
 from dataclasses import dataclass
 from decimal import InvalidOperation
-from functools import partial
 from math import floor
 from random import Random
-from typing import Callable, Collection, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Collection, Mapping, Optional, Sequence
 
 from .engine import SimTime, US_PER_S, to_us
 from .errors import AT_LEAST_1, POSITIVE, UNIT_INTERVAL, ConfigError, TraceParseError, check_bounds
@@ -35,14 +35,10 @@ MODES = (MODE_HIGHWAY, MODE_GRID, MODE_TRACE)
 MAX_VEHICLES = 10_000
 
 
-class Position(NamedTuple):
-    x: float
-    y: float
-
-
-#: ``_position((x, y))`` is ``Position(x, y)``, built without the Python
-#: frame of the NamedTuple constructor; the providers build one per lookup
-_position = partial(tuple.__new__, Position)
+#: a position: an exact ``(x, y)`` tuple of floats in metres, never a tuple
+#: subclass, so unpacking and indexing it stay on the interpreter's fast
+#: paths for exact tuples; this name is only its annotation
+Position = tuple[float, float]
 
 
 def distance(a: Position, b: Position) -> float:
@@ -153,7 +149,7 @@ class StreetProvider(MobilityProvider):
     def position_at(self, vehicle_id: int, t_us: SimTime) -> Position:
         horizontal, fixed, offset, velocity = self._vehicles[vehicle_id]
         along = (offset + velocity * (t_us / US_PER_S)) % self._period
-        return _position((along, fixed) if horizontal else (fixed, along))
+        return (along, fixed) if horizontal else (fixed, along)
 
     def max_drift_mps(self) -> float:
         return max((abs(v[3]) for v in self._vehicles), default=0.0)
@@ -276,15 +272,16 @@ class TraceProvider(MobilityProvider):
             return points[k]
         t0, t1 = times[k], times[k + 1]
         frac = (t_us - t0) / (t1 - t0)
-        p0, p1 = points[k], points[k + 1]
-        return _position((p0.x + frac * (p1.x - p0.x), p0.y + frac * (p1.y - p0.y)))
+        x0, y0 = points[k]
+        x1, y1 = points[k + 1]
+        return (x0 + frac * (x1 - x0), y0 + frac * (y1 - y0))
 
     def max_drift_mps(self) -> float:
         return self._max_drift
 
     def bounds(self) -> tuple[float, float, float, float]:
-        xs = [p.x for pts in self._points for p in pts]
-        ys = [p.y for pts in self._points for p in pts]
+        xs = [p[0] for pts in self._points for p in pts]
+        ys = [p[1] for pts in self._points for p in pts]
         return (min(xs), min(ys), max(xs), max(ys))
 
 
@@ -363,7 +360,7 @@ class _FcdTarget:
                     _float_attr(tag, attrib, "speed", where)
                 track = self.tracks.get(vid)
                 if track is None:
-                    self.tracks[vid] = ([time_us], [_position((x, y))])
+                    self.tracks[vid] = ([time_us], [(x, y)])
                     return
                 times, points = track
                 if time_us <= times[-1]:
@@ -375,7 +372,7 @@ class _FcdTarget:
                 self._fail(exc)
                 return
             times.append(time_us)
-            points.append(_position((x, y)))
+            points.append((x, y))
         elif depth == 2:
             self._time_us = None
             if tag == "timestep" and self.error is None:

@@ -102,7 +102,7 @@ class StationIndex:
         self._stations = stations
         self._grid = CellGrid(coverage_m)
         for s in stations:
-            self._grid.add(s.pos.x, s.pos.y, s)
+            self._grid.add(*s.pos, s)
 
     @cached_property
     def _sure(self) -> dict[int, float]:
@@ -113,7 +113,7 @@ class StationIndex:
         for s in self._stations:
             sx, sy = s.pos
             others = self._grid.within(sx, sy, 2.0 * coverage_m + 2e-6)
-            gaps = [hypot(o.pos.x - sx, o.pos.y - sy) for c in others for o in c if o is not s]
+            gaps = [hypot(o.pos[0] - sx, o.pos[1] - sy) for c in others for o in c if o is not s]
             sure[s.station_id] = min(coverage_m, min(gaps, default=inf) / 2 - 1e-6)
         return sure
 
@@ -146,7 +146,7 @@ def select_gateways(
     positions: dict[int, Position],
     params: RadioParams,
     obstacles: ObstacleMap,
-    k_max: int = 4,
+    k_max: int,
 ) -> tuple[list[int], dict[int, list[int]]]:
     """Greedy maximum-coverage pick of at most k_max gateways.
 
@@ -166,7 +166,7 @@ def select_gateways(
     grid = CellGrid(reach)
     for v in shadowed:
         p = positions[v]
-        grid.add(p.x, p.y, (v, p))
+        grid.add(p[0], p[1], (v, p))
     covers: dict[int, list[int]] = {}
     for g in sorted(gateway_ids):
         gpos = positions[g]

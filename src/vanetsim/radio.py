@@ -177,7 +177,8 @@ def line_of_sight(a: Position, b: Position, obstacles: ObstacleMap) -> bool:
     rects = obstacles.rects
     if not rects:
         return True
-    ax, ay, bx, by = a.x, a.y, b.x, b.y
+    ax, ay = a
+    bx, by = b
     # Canonical endpoint order makes the test exactly symmetric; it also
     # leaves ax <= bx, so dx >= 0 and the x slab needs no swap.
     if (bx, by) < (ax, ay):
@@ -306,7 +307,8 @@ class Channel:
         self._period, self._locate = period_us, locate
 
     def register(self, start: SimTime, end: SimTime, pos: Position) -> None:
-        heapq.heappush(self._active, (end, start, pos.x, pos.y))
+        x, y = pos
+        heapq.heappush(self._active, (end, start, x, y))
 
     def _advance_to(self, t: SimTime) -> None:
         """Bring the heap to ``t``: push the beacon frames that started
@@ -341,7 +343,7 @@ class Channel:
         for end, start, x, y in self._active:
             if -r <= (dx := x - px) <= r and start <= t and hypot(dx, y - py) <= r:
                 n += 1
-        if own is not None and hypot(own.x - px, own.y - py) <= r:
+        if own is not None and hypot(own[0] - px, own[1] - py) <= r:
             n -= 1
         return n
 
@@ -396,7 +398,7 @@ class Channel:
         out = []
         for rid in receivers:
             dst = locate(rid, t)
-            d = hypot(sx - dst.x, sy - dst.y)
+            d = hypot(sx - dst[0], sy - dst[1])
             if d > reach:
                 out.append((rid, _OUT_OF_RANGE_HOP))
             elif walls and not line_of_sight(src, dst, obstacles):

@@ -87,7 +87,7 @@ def place_stations(spec: MobilitySpec, provider, knobs) -> list[BaseStation]:
             x += step
         if not xs:
             xs = [spec.road_length_m / 2]
-        return [BaseStation(i, Position(x, 0.0)) for i, x in enumerate(xs)]
+        return [BaseStation(i, (x, 0.0)) for i, x in enumerate(xs)]
     spacing = knobs.bs_spacing_m
     if spec.mode == MODE_GRID:
         street = spec.grid_spacing_m
@@ -98,7 +98,7 @@ def place_stations(spec: MobilitySpec, provider, knobs) -> list[BaseStation]:
         x0, y0, x1, y1 = provider.bounds()
         xs, ys = _tile_centers(x0, x1 - x0, spacing), _tile_centers(y0, y1 - y0, spacing)
     return [
-        BaseStation(j * len(xs) + i, Position(x, y))
+        BaseStation(j * len(xs) + i, (x, y))
         for j, y in enumerate(ys)
         for i, x in enumerate(xs)
     ]

@@ -129,6 +129,14 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        # a vehicle just below the top y seam gets no image across it
+        "top-seam-ignored",
+        "mobility.py",
+        "(d := wrap_y - y)",
+        "(d := wrap_y + y)",
+        ("tests/test_mobility.py::test_neighbor_index_misses_no_one_on_a_torus",),
+    ),
+    Mutant(
         "image-entry-certain",
         "mobility.py",
         "(vid, ix, iy, -inf)",

@@ -208,7 +208,7 @@ def concurrent_near(ch, pos, t, own=None):
     """``Channel.concurrent_near`` from ``frames_on_air``."""
     r, (px, py) = ch.params.range_m, pos
     n = sum(1 for _, x, y in frames_on_air(ch, t) if hypot(x - px, y - py) <= r)
-    if own is not None and hypot(own.x - px, own.y - py) <= r:
+    if own is not None and hypot(own[0] - px, own[1] - py) <= r:
         n -= 1
     return n
 

@@ -10,7 +10,7 @@ class StaticProvider(MobilityProvider):
     """Vehicle ``i`` stays at ``positions[i]``; ``gateways`` lists the gateway ids."""
 
     def __init__(self, positions: Sequence[Position], gateways: Sequence[int] = ()):
-        self._positions = [Position(float(x), float(y)) for x, y in positions]
+        self._positions = [(float(x), float(y)) for x, y in positions]
         self.vehicle_ids = list(range(len(self._positions)))
         self._gateways = set(gateways)
 
@@ -24,6 +24,6 @@ class StaticProvider(MobilityProvider):
         return 0.0
 
     def bounds(self) -> tuple[float, float, float, float]:
-        xs = [p.x for p in self._positions]
-        ys = [p.y for p in self._positions]
+        xs = [p[0] for p in self._positions]
+        ys = [p[1] for p in self._positions]
         return (min(xs), min(ys), max(xs), max(ys))

@@ -18,7 +18,7 @@ import pytest
 from vanetsim.config import ProtocolKnobs, ScenarioConfig, WorkloadSpec
 from vanetsim.engine import US_PER_S
 from vanetsim.metrics import aggregate_sweep, csv_text
-from vanetsim.mobility import MobilitySpec, Position, build_provider, distance, parse_fcd
+from vanetsim.mobility import MobilitySpec, build_provider, distance, parse_fcd
 from vanetsim.protocols import select_gateways
 from vanetsim.radio import EMPTY_MAP, RadioParams, line_of_sight, tx_time_us
 from vanetsim.runner import run_single, run_sweep
@@ -143,7 +143,7 @@ def test_03_flood_reaches_exactly_the_connected_component(tmp_path, verdict):
         cfg = lossless_cfg(static_trace(tmp_path, positions, f"t{trial}.xml"), n, rects)
         res = run_single(cfg, "baseline", n, seed=trial + 1)
         src = res.records[0].src
-        pts = [Position(x, y) for x, y in positions]
+        pts = [(x, y) for x, y in positions]
         obstacles = cfg.load_obstacles()
         component = {src}
         frontier = [src]
@@ -191,7 +191,7 @@ def test_05_greedy_gateway_cover_stays_near_optimal(verdict):
         shadowed = list(range(100, 100 + rng.randrange(1, 16)))
         gws = list(range(1, 1 + rng.randrange(1, 11)))
         positions = {
-            v: Position(rng.uniform(0, 1_200), rng.uniform(0, 800))
+            v: (rng.uniform(0, 1_200), rng.uniform(0, 800))
             for v in shadowed + gws
         }
         k_max = rng.randrange(1, 5)
@@ -319,11 +319,11 @@ def test_10_without_obstacles_the_cloud_path_is_never_needed(tmp_path, verdict):
         res = run_single(cfg, "hybrid_vehcloud", n, seed=trial + 1)
         src = res.records[0].src
         got = {r.dst for r in res.records if r.delivered}
-        here = Position(*positions[src])
+        here = tuple(positions[src])
         want = {
             v
             for v in range(n)
-            if v != src and distance(here, Position(*positions[v])) <= params.range_m
+            if v != src and distance(here, tuple(positions[v])) <= params.range_m
         }
         if got != want:
             failures.append(f"trial {trial}: {sorted(got ^ want)} mismatch")
@@ -409,8 +409,8 @@ def test_12_recorded_traces_drive_the_same_pipeline(tmp_path, verdict):
     }
     for (vid, t), (x, y) in expected.items():
         pos = provider.position_at(vid, t)
-        if (pos.x, pos.y) != (x, y):
-            failures.append(f"vehicle {vid} at {t}: ({pos.x}, {pos.y}) != ({x}, {y})")
+        if (pos[0], pos[1]) != (x, y):
+            failures.append(f"vehicle {vid} at {t}: ({pos[0]}, {pos[1]}) != ({x}, {y})")
 
     cfg = ScenarioConfig(
         mobility=spec,

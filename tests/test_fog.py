@@ -18,7 +18,7 @@ from vanetsim.fog import (
     run_maintenance,
     split_cell,
 )
-from vanetsim.mobility import Position, distance
+from vanetsim.mobility import distance
 
 
 def cell(cid, members, anchor=None):
@@ -27,7 +27,7 @@ def cell(cid, members, anchor=None):
 
 
 def line_positions(xs):
-    return {i: Position(float(x), 0.0) for i, x in enumerate(xs)}
+    return {i: (float(x), 0.0) for i, x in enumerate(xs)}
 
 
 def fresh_ids(start=1000):
@@ -59,7 +59,7 @@ def test_dfcv_distance_is_max_anchor_member_distance():
 
 
 def test_dfcv_distance_singleton_is_zero():
-    pos = {4: Position(9, 9)}
+    pos = {4: (9, 9)}
     # a lone member is its own anchor: no spread to split on, however small d_min
     for d_min in (1e-9, 0.0, -1.0):
         assert not fog._needs_split(cell(0, [4], anchor=4), pos, d_min, th_cap=1)
@@ -67,9 +67,9 @@ def test_dfcv_distance_singleton_is_zero():
 
 
 def test_nearest_to_centroid_breaks_ties_low():
-    pos = {1: Position(0, 0), 2: Position(10, 0), 3: Position(5, 0)}
+    pos = {1: (0, 0), 2: (10, 0), 3: (5, 0)}
     assert nearest_to_centroid([1, 2, 3], pos) == 3
-    sym = {1: Position(0, 0), 2: Position(10, 0)}
+    sym = {1: (0, 0), 2: (10, 0)}
     assert nearest_to_centroid([1, 2], sym) == 1
 
 
@@ -96,7 +96,7 @@ def test_split_respects_half_bound_on_random_cells():
     rng = random.Random(61)
     for _ in range(100):
         n = rng.randrange(2, 41)
-        pos = {i: Position(rng.uniform(0, 2000), rng.uniform(0, 2000)) for i in range(n)}
+        pos = {i: (rng.uniform(0, 2000), rng.uniform(0, 2000)) for i in range(n)}
         parent = cell(5, range(n), anchor=rng.randrange(n))
         near, far = split_cell(parent, pos, fresh_ids())
         bound = (n + 1) // 2
@@ -139,7 +139,7 @@ def test_maintenance_splits_overspread_cell():
 
 def test_maintenance_splits_over_capacity_cell():
     # all at nearly the same spot, but 25 members > th_cap 20
-    pos = {i: Position(float(i), 0.0) for i in range(25)}
+    pos = {i: (float(i), 0.0) for i in range(25)}
     cells, _ = maintain([cell(0, range(25), anchor=0)], pos)
     assert all(len(c.members) <= 20 for c in cells)
     assert sum(len(c.members) for c in cells) == 25
@@ -161,7 +161,7 @@ def test_maintenance_does_not_merge_across_d_min():
 
 
 def test_maintenance_does_not_merge_past_capacity():
-    pos = {i: Position(float(i % 40), 0.0) for i in range(24)}
+    pos = {i: (float(i % 40), 0.0) for i in range(24)}
     a = cell(0, range(12))
     b = cell(1, range(12, 24))
     cells, _ = maintain([a, b], pos, th_cap=20)
@@ -171,7 +171,7 @@ def test_maintenance_does_not_merge_past_capacity():
 
 def test_maintenance_is_idempotent_at_fixed_point():
     rng = random.Random(17)
-    pos = {i: Position(rng.uniform(0, 2000), 0.0) for i in range(60)}
+    pos = {i: (rng.uniform(0, 2000), 0.0) for i in range(60)}
     first, _ = maintain([cell(0, range(60), anchor=0)], pos)
     again, rounds = maintain([FogCell(c.cell_id, c.anchor, list(c.members)) for c in first], pos)
     assert rounds == 1  # nothing to do
@@ -185,7 +185,7 @@ def test_maintenance_settles_on_random_fleets_within_cap():
         rng = random.Random(trial)
         n = rng.randrange(1, 120)
         pos = {
-            i: Position(rng.uniform(0, 3000), rng.uniform(0, 40)) for i in range(n)
+            i: (rng.uniform(0, 3000), rng.uniform(0, 40)) for i in range(n)
         }
         start = [cell(0, range(n), anchor=rng.randrange(n))]
         cells, rounds = maintain(start, pos)
@@ -307,7 +307,7 @@ def maintenance_cases(draw):
     for v in range(n):
         cx, cy = draw(st.sampled_from(centers))
         dx, dy = draw(st.tuples(st.floats(-0.6, 0.6), st.floats(-0.6, 0.6)))
-        pos[v] = Position((cx + dx) * d_min, (cy + dy) * d_min)
+        pos[v] = ((cx + dx) * d_min, (cy + dy) * d_min)
     vehicles = list(range(n))
     draw(st.randoms(use_true_random=False)).shuffle(vehicles)
     cuts = sorted(draw(st.lists(st.integers(1, max(n - 1, 1)), max_size=8, unique=True)))
@@ -321,7 +321,7 @@ def maintenance_cases(draw):
         cells, _ = run_maintenance(cells, pos, d_min, th_cap, id_source(ids_kind, seed + 1))
         for v in draw(st.lists(st.sampled_from(range(n)), max_size=4)):
             nudge = draw(st.floats(-0.5, 0.5)) * d_min
-            pos[v] = Position(pos[v].x + nudge, pos[v].y)
+            pos[v] = (pos[v][0] + nudge, pos[v][1])
     return cells, pos, d_min, th_cap, ids_kind, seed
 
 

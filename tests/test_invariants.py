@@ -85,8 +85,17 @@ TRACE_STEP_S = 0.1
 NEIGHBOURHOOD_M = RadioParams().range_m + 60 * MPH_TO_MPS * NeighborIndex.REFRESH_US / US_PER_S
 EDGE_PERIOD_M = 2 * NEIGHBOURHOOD_M + 1.0
 EDGE_COVERAGE_M = NEIGHBOURHOOD_M + 16.0
-# the drawn trace fleets' and the rectangle files, removed when the tests exit
+# the drawn trace fleets' and the rectangle files, removed once this
+# module's tests have run
 TRACE_DIR = tempfile.TemporaryDirectory(prefix="vanetsim-invariants-")
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _remove_trace_dir():
+    """Remove TRACE_DIR explicitly: left to its finalizer, it is removed at
+    interpreter exit with a ResourceWarning."""
+    yield
+    TRACE_DIR.cleanup()
 
 
 def fcd_text(tracks, steps: int) -> str:

@@ -7,14 +7,18 @@ import random
 import tracemalloc
 import xml.etree.ElementTree as ET
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
+from unittest import mock
 from xml.sax.saxutils import quoteattr
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, Phase, example, given, settings
 from hypothesis import strategies as st
 
+from vanetsim import fog, runner
+from vanetsim.config import ScenarioConfig, WorkloadSpec
 from vanetsim.engine import US_PER_S, to_us
 from vanetsim.errors import ConfigError, TraceParseError
 from vanetsim.mobility import (
@@ -23,7 +27,6 @@ from vanetsim.mobility import (
     MobilityProvider,
     MobilitySpec,
     NeighborIndex,
-    Position,
     SyntheticGridProvider,
     SyntheticHighwayProvider,
     TraceProvider,
@@ -116,11 +119,11 @@ def test_highway_moves_at_constant_speed_and_wraps():
     spec = MobilitySpec(vehicle_count=2, road_length_m=1000.0)
     prov = SyntheticHighwayProvider(spec, initial=[(990.0, 0, 20.0), (10.0, 1, 15.0)])
     s0 = prov.position_at(0, 0)
-    assert s0 == Position(990.0, 0.0)
+    assert s0 == (990.0, 0.0)
     # 1 s later: 990 + 20 wraps to 10
-    assert prov.position_at(0, US_PER_S).x == pytest.approx(10.0)
-    assert prov.position_at(1, US_PER_S) == Position(25.0, LANE_WIDTH_M)
-    assert prov.position_at(1, 500_000).x == pytest.approx(17.5)
+    assert prov.position_at(0, US_PER_S)[0] == pytest.approx(10.0)
+    assert prov.position_at(1, US_PER_S) == (25.0, LANE_WIDTH_M)
+    assert prov.position_at(1, 500_000)[0] == pytest.approx(17.5)
 
 
 def test_highway_lane_y_offsets():
@@ -128,7 +131,7 @@ def test_highway_lane_y_offsets():
     prov = SyntheticHighwayProvider(
         spec, initial=[(0.0, 0, 10.0), (0.0, 1, 10.0), (0.0, 2, 10.0)]
     )
-    assert [prov.position_at(v, 0).y for v in range(3)] == [0.0, 3.5, 7.0]
+    assert [prov.position_at(v, 0)[1] for v in range(3)] == [0.0, 3.5, 7.0]
 
 
 def test_highway_random_draws_respect_configured_ranges():
@@ -137,9 +140,9 @@ def test_highway_random_draws_respect_configured_ranges():
     lo = 30.0 * MPH_TO_MPS
     hi = 60.0 * MPH_TO_MPS
     for state in prov.fleet_at(0):
-        assert 0.0 <= state.pos.x < 10_000.0
-        assert state.pos.y in (0.0, LANE_WIDTH_M)
-        moved = (prov.position_at(state.vehicle_id, US_PER_S).x - state.pos.x) % 10_000.0
+        assert 0.0 <= state.pos[0] < 10_000.0
+        assert state.pos[1] in (0.0, LANE_WIDTH_M)
+        moved = (prov.position_at(state.vehicle_id, US_PER_S)[0] - state.pos[0]) % 10_000.0
         assert lo - 1e-9 <= moved <= hi + 1e-9  # metres in one second
     assert prov.max_drift_mps() <= hi
     # first 5% of ids are the buses
@@ -163,21 +166,21 @@ def test_grid_keeps_vehicles_on_streets():
     prov = SyntheticGridProvider(spec, rng=random.Random(3))
     for t in (0, 5 * US_PER_S, 30 * US_PER_S):
         for state in prov.fleet_at(t):
-            on_h = state.pos.y % 250.0 == 0.0
-            on_v = state.pos.x % 250.0 == 0.0
+            on_h = state.pos[1] % 250.0 == 0.0
+            on_v = state.pos[0] % 250.0 == 0.0
             assert on_h or on_v
-            assert 0.0 <= state.pos.x <= 1000.0
-            assert 0.0 <= state.pos.y <= 1000.0
+            assert 0.0 <= state.pos[0] <= 1000.0
+            assert 0.0 <= state.pos[1] <= 1000.0
 
 
 def test_grid_pinned_vehicle_shuttles_and_wraps():
     spec = MobilitySpec(mode="synthetic_grid", vehicle_count=1, grid_blocks=2,
                         grid_spacing_m=100.0)
     prov = SyntheticGridProvider(spec, initial=[("v", 1, 190.0, 1, 20.0)])
-    assert prov.position_at(0, 0) == Position(100.0, 190.0)
-    assert prov.position_at(0, US_PER_S) == Position(100.0, 10.0)  # wrapped at 200
+    assert prov.position_at(0, 0) == (100.0, 190.0)
+    assert prov.position_at(0, US_PER_S) == (100.0, 10.0)  # wrapped at 200
     back = SyntheticGridProvider(spec, initial=[("h", 0, 10.0, -1, 20.0)])
-    assert back.position_at(0, US_PER_S).x == pytest.approx(190.0)
+    assert back.position_at(0, US_PER_S)[0] == pytest.approx(190.0)
 
 
 # -- one street model for both synthetic fleets ---------------------------------
@@ -212,7 +215,7 @@ class RefHighwayProvider(MobilityProvider):
         x = (
             self._start[vehicle_id] + self._speed[vehicle_id] * (t_us / US_PER_S)
         ) % self.spec.road_length_m
-        return Position(x, self._lane[vehicle_id] * LANE_WIDTH_M)
+        return (x, self._lane[vehicle_id] * LANE_WIDTH_M)
 
     def max_drift_mps(self):
         return max(self._speed) if self._speed else 0.0
@@ -257,8 +260,8 @@ class RefGridProvider(MobilityProvider):
         ) % self.extent_m
         fixed = self._street[vehicle_id] * self.spec.grid_spacing_m
         if self._orient[vehicle_id] == "h":
-            return Position(along, fixed)
-        return Position(fixed, along)
+            return (along, fixed)
+        return (fixed, along)
 
     def max_drift_mps(self):
         return max(self._speed) if self._speed else 0.0
@@ -334,7 +337,7 @@ def test_random_street_fleet_needs_an_rng(cls):
 # -- static -------------------------------------------------------------------
 
 def test_static_provider_never_moves():
-    prov = StaticProvider([Position(0, 0), Position(50, 10)], gateways=[1])
+    prov = StaticProvider([(0, 0), (50, 10)], gateways=[1])
     assert prov.position_at(1, 0) == prov.position_at(1, 10 * US_PER_S)
     assert prov.max_drift_mps() == 0.0
     assert prov.is_gateway(1)
@@ -350,8 +353,8 @@ def test_parse_fcd_tracks_per_vehicle(tmp_path):
     assert sum(len(times) for times, _ in tracks.values()) == 6
     times, points = tracks["veh_a"]
     assert times == [0, US_PER_S, 2 * US_PER_S]
-    assert points[0] == Position(100.0, 0.0)
-    assert tracks["veh_b"][1][0].x == 400.0
+    assert points[0] == (100.0, 0.0)
+    assert tracks["veh_b"][1][0][0] == 400.0
 
 
 def test_parse_fcd_rounds_seconds_half_up(tmp_path):
@@ -447,26 +450,28 @@ def test_trace_provider_interpolates_and_clamps(tmp_path):
     assert list(tracks)[a] == "veh_a"
     assert [prov.position_at(a, t) for t in tracks["veh_a"][0]] == tracks["veh_a"][1]
     # exact at samples
-    assert prov.position_at(a, 0) == Position(100.0, 0.0)
-    assert prov.position_at(a, US_PER_S) == Position(110.0, 0.0)
+    assert prov.position_at(a, 0) == (100.0, 0.0)
+    assert prov.position_at(a, US_PER_S) == (110.0, 0.0)
     # linear halfway between samples
-    assert prov.position_at(a, 500_000).x == pytest.approx(105.0)
-    assert prov.position_at(a, 1_500_000).x == pytest.approx(115.0)
+    assert prov.position_at(a, 500_000)[0] == pytest.approx(105.0)
+    assert prov.position_at(a, 1_500_000)[0] == pytest.approx(115.0)
     # clamped outside the recorded window
-    assert prov.position_at(a, 99 * US_PER_S).x == 120.0
+    assert prov.position_at(a, 99 * US_PER_S)[0] == 120.0
     assert prov.max_drift_mps() == pytest.approx(20.0)
     x0, y0, x1, y1 = prov.bounds()
     assert (x0, y0) == (100.0, 0.0) and (x1, y1) == (440.0, 3.5)
 
 
 def assert_real_position(p, x, y):
-    """``p`` is the ``Position(x, y)`` its constructor builds, and comes back
-    from a pickle round trip as one: a parallel trace sweep pickles the
-    tracks into its workers."""
-    assert type(p) is Position
-    assert p == Position(x, y) and (p.x, p.y) == (x, y)
+    """``p`` is ``(x, y)`` as an exact tuple of two floats, never a tuple
+    subclass, and comes back from a pickle round trip as one: a parallel
+    trace sweep pickles the tracks into its workers.  No output byte shows
+    a subclass, only the time that unpacking and indexing it take."""
+    assert type(p) is tuple and len(p) == 2
+    assert type(p[0]) is float and type(p[1]) is float
+    assert p == (x, y)
     back = pickle.loads(pickle.dumps(p))
-    assert type(back) is Position and back == p
+    assert type(back) is tuple and back == p
 
 
 def test_providers_return_real_positions(tmp_path):
@@ -485,7 +490,7 @@ def test_providers_return_real_positions(tmp_path):
     for times, points in tracks.values():
         for p in points:
             assert_real_position(p, p[0], p[1])
-    assert tracks["veh_b"][1][1] == Position(420.0, 3.5)
+    assert tracks["veh_b"][1][1] == (420.0, 3.5)
     prov = TraceProvider(tracks)
     a = prov.vehicle_ids[0]
     for t, (x, y) in (
@@ -497,6 +502,40 @@ def test_providers_return_real_positions(tmp_path):
         assert_real_position(prov.position_at(a, t), x, y)
 
 
+@pytest.mark.parametrize("protocol", ["baseline", "dfcv", "hybrid_vehcloud"])
+def test_a_run_keeps_every_position_an_exact_tuple(protocol):
+    # a street grid among buildings, so every protocol locates vehicles for
+    # range, sight, stations and fog cells
+    cfg = ScenarioConfig(
+        mobility=MobilitySpec(mode="synthetic_grid", grid_blocks=3, gateway_fraction=0.25),
+        workload=WorkloadSpec(rate_per_s=4.0),
+        obstacles=tuple(
+            (i * 200.0 + 15, j * 200.0 + 15, (i + 1) * 200.0 - 15, (j + 1) * 200.0 - 15)
+            for i in range(3)
+            for j in range(3)
+        ),
+        sim_duration_s=1.0,
+    )
+    runtimes = []
+
+    class Keeping(runner.Runtime):
+        def setup(self):
+            runtimes.append(self)
+            super().setup()
+
+    with mock.patch.object(runner, "Runtime", Keeping):
+        result = runner.run_single(cfg, protocol, 30, 2)
+    assert result.rows
+    (rt,) = runtimes
+    assert rt._pos
+    for p in rt._pos.values():
+        assert_real_position(p, *p)
+    for s in rt.stations:
+        assert_real_position(s.pos, *s.pos)
+    centroid = fog._centroid(sorted(rt._pos), rt._pos)
+    assert_real_position(centroid, *centroid)
+
+
 def contract_providers(tmp_path):
     yield SyntheticHighwayProvider(
         MobilitySpec(vehicle_count=40, gateway_fraction=0.1), rng=random.Random(4)
@@ -505,7 +544,7 @@ def contract_providers(tmp_path):
         MobilitySpec(mode="synthetic_grid", vehicle_count=40, gateway_fraction=0.1),
         rng=random.Random(4),
     )
-    yield StaticProvider([Position(10.0 * i, 0.0) for i in range(7)], gateways={2, 5})
+    yield StaticProvider([(10.0 * i, 0.0) for i in range(7)], gateways={2, 5})
     yield TraceProvider(parse_fcd(write_fixture(tmp_path)), gateway_fraction=0.5)
 
 
@@ -518,7 +557,7 @@ def test_fleet_at_is_position_at_plus_is_gateway(tmp_path):
                 VehicleState(v, prov.position_at(v, t), prov.is_gateway(v))
                 for v in prov.vehicle_ids
             ]
-    static = StaticProvider([Position(10.0 * i, 0.0) for i in range(7)], gateways={2, 5})
+    static = StaticProvider([(10.0 * i, 0.0) for i in range(7)], gateways={2, 5})
     assert [s.is_gateway for s in static.fleet_at(0)] == [
         False, False, True, False, False, True, False
     ]
@@ -634,7 +673,7 @@ class RefTraceProvider(MobilityProvider):
                 raise TraceParseError(
                     f"vehicle '{label}': sample timestamps must be strictly increasing"
                 )
-            points = [Position(r.x, r.y) for r in rows]
+            points = [(r.x, r.y) for r in rows]
             self._times.append(times)
             self._points.append(points)
             for (t0, p0), (t1, p1) in zip(zip(times, points), zip(times[1:], points[1:])):
@@ -655,14 +694,14 @@ class RefTraceProvider(MobilityProvider):
         t0, t1 = times[k], times[k + 1]
         frac = (t_us - t0) / (t1 - t0)
         p0, p1 = points[k], points[k + 1]
-        return Position(p0.x + frac * (p1.x - p0.x), p0.y + frac * (p1.y - p0.y))
+        return (p0[0] + frac * (p1[0] - p0[0]), p0[1] + frac * (p1[1] - p0[1]))
 
     def max_drift_mps(self):
         return self._max_drift
 
     def bounds(self):
-        xs = [p.x for pts in self._points for p in pts]
-        ys = [p.y for pts in self._points for p in pts]
+        xs = [p[0] for pts in self._points for p in pts]
+        ys = [p[1] for pts in self._points for p in pts]
         return (min(xs), min(ys), max(xs), max(ys))
 
 
@@ -802,11 +841,11 @@ def test_parse_fcd_and_trace_provider_match_the_flat_sample_reference(tmp_path, 
         rows = [s for s in samples if s.vehicle_id == label]
         times, points = tracks[label]
         assert times == [s.time_us for s in rows]
-        assert points == [Position(s.x, s.y) for s in rows]
+        assert points == [(s.x, s.y) for s in rows]
         # id v plays the samples of the v-th vehicle of tracks, in both providers
         assert [prov.position_at(v, t) for t in times] == points
         assert [ref.position_at(v, t) for t in times] == points
-        assert all(type(p) is Position for p in points)
+        assert all(type(p) is tuple for p in points)
         probes = [times[0] - 1, times[-1] + 1]
         probes += times + [(a + b) // 2 for a, b in zip(times, times[1:])]
         for t in probes:
@@ -845,7 +884,7 @@ def test_neighbor_index_superset_random_fleets():
         prov = SyntheticHighwayProvider(spec, rng=random.Random(trial))
         index = index_over(prov, cell_m=300.0)
         for t in (0, 150_000, 400_000, 2 * US_PER_S):
-            center = Position(rng.uniform(0, 10_000), rng.uniform(0, 3.5))
+            center = (rng.uniform(0, 10_000), rng.uniform(0, 3.5))
             want = brute_in_range(prov, center, 300.0, t)
             got = set(ids(index.candidates(center, 300.0, t)))
             assert want <= got, (trial, t)
@@ -858,12 +897,12 @@ def test_neighbor_index_handles_wrap_boundary():
         spec, initial=[(995.0, 0, 30.0), (500.0, 0, 30.0), (5.0, 0, 30.0)]
     )
     index = index_over(prov, cell_m=100.0)
-    index.candidates(Position(500.0, 0.0), 50.0, 0)  # builds snapshot at t=0
+    index.candidates((500.0, 0.0), 50.0, 0)  # builds snapshot at t=0
     # 0.5 s later vehicle 0 sits at 10.0; a query near the seam must see it
     t = 500_000
-    got = set(ids(index.candidates(Position(20.0, 0.0), 50.0, t)))
+    got = set(ids(index.candidates((20.0, 0.0), 50.0, t)))
     assert 0 in got and 2 in got
-    want = brute_in_range(prov, Position(20.0, 0.0), 50.0, t)
+    want = brute_in_range(prov, (20.0, 0.0), 50.0, t)
     assert want <= got
 
 
@@ -871,11 +910,11 @@ def test_neighbor_index_refreshes_after_interval():
     spec = MobilitySpec(vehicle_count=1, road_length_m=10_000.0)
     prov = SyntheticHighwayProvider(spec, initial=[(0.0, 0, 25.0)])
     index = index_over(prov, cell_m=200.0)
-    assert ids(index.candidates(Position(0.0, 0.0), 100.0, 0)) == [0]
+    assert ids(index.candidates((0.0, 0.0), 100.0, 0)) == [0]
     # after 60 s the vehicle is at 1500 m; stale buckets would miss it
     t = 60 * US_PER_S
-    assert 0 in ids(index.candidates(Position(1500.0, 0.0), 100.0, t))
-    assert ids(index.candidates(Position(0.0, 0.0), 100.0, t)) == []
+    assert 0 in ids(index.candidates((1500.0, 0.0), 100.0, t))
+    assert ids(index.candidates((0.0, 0.0), 100.0, t)) == []
 
 
 def test_neighbor_index_grid_wraps_both_axes():
@@ -885,9 +924,9 @@ def test_neighbor_index_grid_wraps_both_axes():
         spec, initial=[("v", 0, 195.0, 1, 10.0), ("h", 2, 195.0, 1, 10.0)]
     )
     index = index_over(prov, cell_m=50.0)
-    index.candidates(Position(100.0, 100.0), 10.0, 0)
+    index.candidates((100.0, 100.0), 10.0, 0)
     # 1 s on: the "v" vehicle wrapped from y=195 to y=5
-    got = set(ids(index.candidates(Position(0.0, 10.0), 20.0, US_PER_S)))
+    got = set(ids(index.candidates((0.0, 10.0), 20.0, US_PER_S)))
     assert 0 in got
 
 
@@ -895,9 +934,9 @@ def test_neighbor_index_finds_vehicles_before_its_snapshot():
     spec = MobilitySpec(vehicle_count=1, road_length_m=10_000.0)
     prov = SyntheticHighwayProvider(spec, initial=[(1000.0, 0, 25.0)])
     index = index_over(prov, cell_m=300.0)
-    index.candidates(Position(5000.0, 0.0), 2.0, 150_000)  # builds snapshot at 150 ms
+    index.candidates((5000.0, 0.0), 2.0, 150_000)  # builds snapshot at 150 ms
     # at t = 0 the vehicle sits exactly on the center, 3.75 m behind its snapshot
-    assert ids(index.candidates(Position(1000.0, 0.0), 2.0, 0)) == [0]
+    assert ids(index.candidates((1000.0, 0.0), 2.0, 0)) == [0]
 
 
 def test_edge_street_vehicles_are_certain_away_from_their_travel_seams():
@@ -913,12 +952,12 @@ def test_edge_street_vehicles_are_certain_away_from_their_travel_seams():
     ]
     prov = SyntheticGridProvider(spec, initial=initial)
     index = index_over(prov, cell_m=300.0)
-    index.candidates(Position(500.0, 500.0), 1.0, 0)  # the snapshot
+    index.candidates((500.0, 500.0), 1.0, 0)  # the snapshot
     snap = {v: prov.position_at(v, 0) for v in prov.vehicle_ids}
     t, radius = 150_000, 250.0
     slack = 15.0 * 0.15
-    for center in (Position(500.0, 0.0), Position(500.0, 1000.0),
-                   Position(0.0, 500.0), Position(1000.0, 500.0)):
+    for center in ((500.0, 0.0), (500.0, 1000.0),
+                   (0.0, 500.0), (1000.0, 500.0)):
         got = index.candidates(center, radius, t)
         sure = [v for v in prov.vehicle_ids if distance(center, snap[v]) <= radius - slack - 1e-3]
         assert len(sure) == 10
@@ -941,7 +980,7 @@ class TorusProvider(MobilityProvider):
     def position_at(self, vehicle_id, t_us):
         x0, y0, vx, vy = self._vehicles[vehicle_id]
         s = t_us / US_PER_S
-        return Position((x0 + vx * s) % self._side, (y0 + vy * s) % self._side)
+        return ((x0 + vx * s) % self._side, (y0 + vy * s) % self._side)
 
     def max_drift_mps(self):
         return max((math.hypot(vx, vy) for _, _, vx, vy in self._vehicles), default=0.0)
@@ -957,11 +996,11 @@ def test_neighbor_index_finds_a_vehicle_that_crossed_a_corner():
     v = 1.0 / (NeighborIndex.REFRESH_US / US_PER_S)
     prov = TorusProvider(1000.0, [(999.2, 999.2, v, v), (500.0, 500.0, 0.0, 0.0)])
     index = index_over(prov, cell_m=100.0)
-    index.candidates(Position(500.0, 500.0), 1.0, 0)  # the snapshot
+    index.candidates((500.0, 500.0), 1.0, 0)  # the snapshot
     # a full interval on, it sits at (0.2, 0.2): only its diagonal image is near
     t = NeighborIndex.REFRESH_US
     assert prov.position_at(0, t) == pytest.approx((0.2, 0.2))
-    assert index.candidates(Position(0.0, 0.0), 1.0, t) == [(0, False)]
+    assert index.candidates((0.0, 0.0), 1.0, t) == [(0, False)]
 
 
 def test_a_vehicle_found_twice_keeps_the_flag_of_its_own_entry():
@@ -970,47 +1009,107 @@ def test_a_vehicle_found_twice_keeps_the_flag_of_its_own_entry():
     spec = MobilitySpec(vehicle_count=1, road_length_m=20.0)
     prov = SyntheticHighwayProvider(spec, initial=[(1.0, 0, 10.0)])
     index = index_over(prov, cell_m=50.0)
-    assert index.candidates(Position(10.0, 0.0), 12.0, 0) == [(0, True)]
-    assert index.candidates(Position(19.0, 0.0), 3.0, 0) == [(0, False)]
+    assert index.candidates((10.0, 0.0), 12.0, 0) == [(0, True)]
+    assert index.candidates((19.0, 0.0), 3.0, 0) == [(0, False)]
 
 
 TORUS_COORD = st.one_of(st.floats(0.0, 12.0), st.floats(188.0, 200.0), st.floats(0.0, 200.0))
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(
+@st.composite
+def torus_crossings(draw):
+    """A torus fleet, a snapshot instant and a query instant within one
+    refresh interval of it, where vehicle 0, the witness, crosses a seam of
+    at least one axis in between; the others are drawn anywhere.
+
+    The witness is drawn first: its velocity and the step give its move,
+    and on each crossing axis its snapshot coordinate lies within that move
+    of the seam it heads for.  The query centre is where it stands at the
+    query instant, across the seam from its snapshot."""
     # a map wider than any query, and one narrower than the index's slack
-    st.sampled_from((200.0, 8.0)),
-    st.lists(
+    side = draw(st.sampled_from((200.0, 8.0)))
+    built_at = draw(st.integers(0, 1_000_000))
+    step = draw(st.integers(1, NeighborIndex.REFRESH_US))
+    if step <= built_at and draw(st.booleans()):
+        step = -step  # the query comes before the snapshot
+    s = step / US_PER_S
+    crossing = draw(st.sampled_from(((True, False), (False, True), (True, True))))
+    coords = []
+    for crosses in crossing:
+        if crosses:
+            v = draw(st.floats(1.0, 40.0)) * draw(st.sampled_from((1, -1)))
+            move = v * s
+            # a move up crosses the top seam from within ``move`` of it,
+            # a move down the bottom one
+            if move > 0:
+                c = draw(st.floats(max(0.0, side - move), side, exclude_max=True))
+            else:
+                c = draw(st.floats(0.0, min(side, -move), exclude_max=True))
+        else:
+            v = draw(st.floats(-40.0, 40.0))
+            c = draw(st.floats(0.0, side, exclude_max=True))
+        # the coordinate at time 0 that puts the witness at c at the snapshot
+        coords.append(((c - v * (built_at / US_PER_S)) % side, v))
+    (x0, vx), (y0, vy) = coords
+    others = draw(st.lists(
         st.tuples(TORUS_COORD, TORUS_COORD, st.floats(-40.0, 40.0), st.floats(-40.0, 40.0)),
-        min_size=1,
-        max_size=20,
-    ),
-    st.tuples(TORUS_COORD, TORUS_COORD),
-    st.one_of(st.floats(0.0, 16.0), st.floats(16.0, 120.0)),
-    st.integers(0, 1_000_000),
-    st.integers(-NeighborIndex.REFRESH_US, NeighborIndex.REFRESH_US),
-)
-def test_neighbor_index_misses_no_one_on_a_torus(side, vehicles, center, radius, built_at, step):
-    prov = TorusProvider(side, vehicles)
-    index = index_over(prov, cell_m=50.0)
-    index.candidates(Position(0.0, 0.0), 1.0, built_at)  # the snapshot
-    center, t = Position(*center), max(0, built_at + step)
-    got = index.candidates(center, radius, t)
-    assert brute_in_range(prov, center, radius, t) <= set(ids(got))
-    for v, certain in got:
-        assert not certain or distance(center, prov.position_at(v, t)) <= radius, v
+        max_size=19,
+    ))
+    radius = draw(st.one_of(st.floats(0.0, 16.0), st.floats(16.0, 120.0)))
+    return side, [(x0, y0, vx, vy), *others], radius, built_at, built_at + step
+
+
+def seams_crossed(vehicle, side, built_at, t):
+    """The seams that ``vehicle`` of a ``TorusProvider`` crosses from its
+    snapshot at ``built_at`` to ``t``: ("x" or "y", "top" or "bottom"), the
+    top seam being the one it meets moving toward ``side``."""
+    x0, y0, vx, vy = vehicle
+    crossed = []
+    for axis, c0, v in (("x", x0, vx), ("y", y0, vy)):
+        before = c0 + v * (built_at / US_PER_S)
+        after = c0 + v * (t / US_PER_S)
+        if math.floor(before / side) != math.floor(after / side):
+            crossed.append((axis, "top" if after > before else "bottom"))
+    return crossed
+
+
+def test_neighbor_index_misses_no_one_on_a_torus():
+    crossed = Counter()
+
+    @settings(
+        max_examples=150, deadline=None, derandomize=True,
+        phases=(Phase.explicit, Phase.reuse, Phase.generate),
+    )
+    @given(torus_crossings())
+    def check(case):
+        side, vehicles, radius, built_at, t = case
+        prov = TorusProvider(side, vehicles)
+        index = index_over(prov, cell_m=50.0)
+        index.candidates((0.0, 0.0), 1.0, built_at)  # the snapshot
+        center = prov.position_at(0, t)  # where the witness landed
+        got = index.candidates(center, radius, t)
+        assert 0 in ids(got)
+        assert brute_in_range(prov, center, radius, t) <= set(ids(got))
+        for v, certain in got:
+            assert not certain or distance(center, prov.position_at(v, t)) <= radius, v
+        crossed.update(seams_crossed(vehicles[0], side, built_at, t))
+
+    check()
+    # the reach floor: every seam is crossed, from either side, in at least
+    # 10 of the 150 examples; mend the strategy if not, never the floor
+    for seam in ((a, s) for a in "xy" for s in ("top", "bottom")):
+        assert crossed[seam] >= 10, crossed
 
 
 def test_a_vehicle_one_float_step_beyond_the_radius_is_never_certain():
     # A static fleet has no slack.  This vehicle's squared distance rounds
     # to the squared radius, though its distance is one float step beyond
     # it; the 1e-6 margin of the certain radius leaves it to the exact check.
-    p = Position(139.4, 130.8)
-    radius = math.nextafter(distance(Position(0.0, 0.0), p), 0.0)
-    assert p.x * p.x + p.y * p.y <= radius * radius
+    p = (139.4, 130.8)
+    radius = math.nextafter(distance((0.0, 0.0), p), 0.0)
+    assert p[0] * p[0] + p[1] * p[1] <= radius * radius
     index = index_over(StaticProvider([p]), cell_m=300.0)
-    assert index.candidates(Position(0.0, 0.0), radius, 0) == [(0, False)]
+    assert index.candidates((0.0, 0.0), radius, 0) == [(0, False)]
 
 
 def test_a_query_as_wide_as_a_neighbourhood_finds_an_entry_two_cell_edges_away():
@@ -1027,9 +1126,9 @@ def test_a_query_as_wide_as_a_neighbourhood_finds_an_entry_two_cell_edges_away()
     while radius + 1e-9 > span:
         radius = math.nextafter(radius, 0.0)
     assert radius + 1e-9 == span
-    index = index_over(StaticProvider([Position(span, 0.0)]), cell_m=300.0)
+    index = index_over(StaticProvider([(span, 0.0)]), cell_m=300.0)
     # an entry within reach, though beyond the radius itself
-    assert index.candidates(Position(-1e-20, 0.0), radius, 0) == [(0, False)]
+    assert index.candidates((-1e-20, 0.0), radius, 0) == [(0, False)]
 
 
 class CountingProvider(MobilityProvider):
@@ -1057,17 +1156,17 @@ def test_neighbor_index_rebuilds_only_beyond_one_interval(side):
     prov = CountingProvider(SyntheticHighwayProvider(spec, rng=random.Random(5)))
     index = index_over(prov, cell_m=300.0)
     built_at = 5 * NeighborIndex.REFRESH_US
-    index.candidates(Position(0.0, 0.0), 300.0, built_at)  # the snapshot
+    index.candidates((0.0, 0.0), 300.0, built_at)  # the snapshot
     prov.located.clear()
     # exactly one interval away: the snapshot still answers
     t = built_at + side * NeighborIndex.REFRESH_US
-    index.candidates(Position(1_000.0, 0.0), 300.0, t)
+    index.candidates((1_000.0, 0.0), 300.0, t)
     assert prov.located == []
     # 1 us further: the whole fleet is located again
     t += side
-    got = index.candidates(Position(1_000.0, 0.0), 300.0, t)
+    got = index.candidates((1_000.0, 0.0), 300.0, t)
     assert sorted(prov.located) == prov.vehicle_ids
-    assert brute_in_range(prov, Position(1_000.0, 0.0), 300.0, t) <= set(ids(got))
+    assert brute_in_range(prov, (1_000.0, 0.0), 300.0, t) <= set(ids(got))
 
 
 EXCLUDE_GRID = MobilitySpec(mode="synthetic_grid", grid_blocks=2, grid_spacing_m=100.0)
@@ -1099,9 +1198,9 @@ def test_neighbor_index_exclude_drops_only_the_excluded_ids(
 ):
     prov = CountingProvider(SyntheticGridProvider(EXCLUDE_GRID, initial=initial))
     index = index_over(prov, cell_m=50.0)
-    index.candidates(Position(0.0, 0.0), 1.0, built_at)  # the snapshot
+    index.candidates((0.0, 0.0), 1.0, built_at)  # the snapshot
     assert sorted(prov.located) == prov.vehicle_ids
-    center, t = Position(*center), max(0, built_at + step)
+    center, t = tuple(center), max(0, built_at + step)
     full = index.candidates(center, radius, t)
     for skip in (exclude, exclude | {v for v, _ in full[::2]}, {v for v, _ in full}):
         prov.located.clear()
@@ -1148,7 +1247,7 @@ def index_fleets(draw):
         x, y = draw(st.floats(0.0, 300.0)), draw(st.floats(0.0, 200.0))
         dx, dy = draw(step), draw(step)
         times = [k * US_PER_S for k in range(4)]
-        tracks[f"car{v}"] = (times, [Position(x + k * dx, y + k * dy) for k in range(4)])
+        tracks[f"car{v}"] = (times, [(x + k * dx, y + k * dy) for k in range(4)])
     return TraceProvider(tracks)
 
 
@@ -1182,11 +1281,11 @@ def test_neighbor_index_answers_do_not_depend_on_the_cell_size(
         radius = {"cell": CELL_M, "span": span, "beyond": 1.05 * span}[radius]
     else:
         radius *= span
-    center, t = Position(*center), max(0, built_at + step)
+    center, t = tuple(center), max(0, built_at + step)
     answers = []
     for cell_m in (CELL_M / 4, CELL_M, CELL_M * 4):
         index = index_over(prov, cell_m=cell_m)
-        index.candidates(Position(0.0, 0.0), 1.0, built_at)  # the snapshot
+        index.candidates((0.0, 0.0), 1.0, built_at)  # the snapshot
         answers.append(index.candidates(center, radius, t))
     assert answers[0] == answers[1] == answers[2]
     assert brute_in_range(prov, center, radius, t) <= set(ids(answers[1]))

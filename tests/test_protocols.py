@@ -18,7 +18,7 @@ from vanetsim import protocols
 from vanetsim.engine import US_PER_S, Simulator, derive_stream_seed, to_us
 from vanetsim.errors import ConfigError
 from vanetsim.metrics import csv_text
-from vanetsim.mobility import MobilitySpec, Position, build_provider, distance
+from vanetsim.mobility import MobilitySpec, build_provider, distance
 from vanetsim.protocols import (
     BaseStation,
     CloudModel,
@@ -107,12 +107,12 @@ def seed_with_src(n, want, stream="workload", limit=500):
 # -- pure helpers -------------------------------------------------------------
 
 def test_nearest_station_by_distance_then_id():
-    stations = [BaseStation(0, Position(0, 0)), BaseStation(1, Position(100, 0))]
-    assert nearest_station(stations, Position(30, 0)).station_id == 0
-    assert nearest_station(stations, Position(80, 0)).station_id == 1
-    assert nearest_station(stations, Position(50, 0)).station_id == 0  # tie
+    stations = [BaseStation(0, (0, 0)), BaseStation(1, (100, 0))]
+    assert nearest_station(stations, (30, 0)).station_id == 0
+    assert nearest_station(stations, (80, 0)).station_id == 1
+    assert nearest_station(stations, (50, 0)).station_id == 0  # tie
     with pytest.raises(ValueError):
-        nearest_station([], Position(0, 0))
+        nearest_station([], (0, 0))
 
 
 def covering_by_scan(stations, pos, coverage_m):
@@ -157,7 +157,7 @@ def station_scenes(draw):
             w = draw(st.sampled_from((0.0, spacing)) | st.floats(0.0, 8.0 * spacing))
             h = draw(st.sampled_from((0.0, spacing)) | st.floats(0.0, 8.0 * spacing))
         spec = MobilitySpec(mode="trace", trace_path="unused.xml")
-        provider = StaticProvider([Position(x0, y0), Position(x0 + w, y0 + h)])
+        provider = StaticProvider([(x0, y0), (x0 + w, y0 + h)])
         stations = place_stations(spec, provider, knobs)
     points = []
     for _ in range(draw(st.integers(1, 12))):
@@ -167,37 +167,37 @@ def station_scenes(draw):
         if kind == "tie":
             # on the bisector of two stations in a row or a column: equal
             # distances, so the lower id must win
-            mid = Position((a.pos.x + b.pos.x) / 2, (a.pos.y + b.pos.y) / 2)
+            mid = ((a.pos[0] + b.pos[0]) / 2, (a.pos[1] + b.pos[1]) / 2)
             off = draw(st.sampled_from((0.0, 0.5, 1.0)) | st.floats(-1.5, 1.5)) * coverage
-            points += [mid, Position(mid.x, mid.y + off), Position(mid.x + off, mid.y)]
+            points += [mid, (mid[0], mid[1] + off), (mid[0] + off, mid[1])]
         elif kind == "rim":
             # exactly at the coverage along an axis, and one float either side
             dx, dy = draw(st.sampled_from(((1, 0), (-1, 0), (0, 1), (0, -1))))
             for r in (coverage, math.nextafter(coverage, 0.0), math.nextafter(coverage, math.inf)):
-                points.append(Position(a.pos.x + dx * r, a.pos.y + dy * r))
+                points.append((a.pos[0] + dx * r, a.pos[1] + dy * r))
         elif kind == "cell":
             # on a multiple of the cell side and just below it
-            k = math.floor(a.pos.x / cell) + draw(st.integers(-2, 2))
-            j = math.floor(a.pos.y / cell) + draw(st.integers(-2, 2))
+            k = math.floor(a.pos[0] / cell) + draw(st.integers(-2, 2))
+            j = math.floor(a.pos[1] / cell) + draw(st.integers(-2, 2))
             for x in (k * cell, math.nextafter(k * cell, -math.inf)):
-                for y in (j * cell, math.nextafter(j * cell, -math.inf), a.pos.y):
-                    points.append(Position(x, y))
+                for y in (j * cell, math.nextafter(j * cell, -math.inf), a.pos[1]):
+                    points.append((x, y))
         else:
             reach = 3.0 * coverage
             dx, dy = draw(st.floats(-reach, reach)), draw(st.floats(-reach, reach))
-            points.append(Position(a.pos.x + dx, a.pos.y + dy))
+            points.append((a.pos[0] + dx, a.pos[1] + dy))
     return stations, coverage, points
 
 
 def two_station_tie():
-    stations = [BaseStation(0, Position(1000.0, 0.0)), BaseStation(1, Position(3000.0, 0.0))]
-    return stations, 1000.0, [Position(2000.0, 0.0), Position(2000.0, 1.0), Position(2000.0, -1e-9)]
+    stations = [BaseStation(0, (1000.0, 0.0)), BaseStation(1, (3000.0, 0.0))]
+    return stations, 1000.0, [(2000.0, 0.0), (2000.0, 1.0), (2000.0, -1e-9)]
 
 
 def at_the_rim(coverage):
-    s = BaseStation(0, Position(-7.0 * coverage, 3.0 * coverage))
+    s = BaseStation(0, (-7.0 * coverage, 3.0 * coverage))
     return [s], coverage, [
-        Position(s.pos.x + r, s.pos.y)
+        (s.pos[0] + r, s.pos[1])
         for r in (coverage, math.nextafter(coverage, 0.0), math.nextafter(coverage, math.inf))
     ]
 
@@ -206,33 +206,33 @@ def at_a_sure_radius():
     # stations 600 m apart under 1 km coverage: station 0's sure radius is
     # half the gap less 1e-6; points at it and one float step either side,
     # along the axis toward station 1 and away from it
-    stations = [BaseStation(0, Position(0.0, 0.0)), BaseStation(1, Position(600.0, 0.0))]
+    stations = [BaseStation(0, (0.0, 0.0)), BaseStation(1, (600.0, 0.0))]
     r = 300.0 - 1e-6
     steps = (r, math.nextafter(r, 0.0), math.nextafter(r, math.inf))
-    return stations, 1000.0, [Position(x, 0.0) for x in steps] + [Position(-x, 0.0) for x in steps]
+    return stations, 1000.0, [(x, 0.0) for x in steps] + [(-x, 0.0) for x in steps]
 
 
 def two_stations_at_one_spot():
     # a zero gap: neither station's disc holds any point, so the scan's tie
     # to the lower id decides, also at the stations themselves
-    stations = [BaseStation(0, Position(250.0, -40.0)), BaseStation(1, Position(250.0, -40.0))]
-    return stations, 100.0, [Position(250.0, -40.0), Position(250.0, 10.0), Position(350.0, -40.0)]
+    stations = [BaseStation(0, (250.0, -40.0)), BaseStation(1, (250.0, -40.0))]
+    return stations, 100.0, [(250.0, -40.0), (250.0, 10.0), (350.0, -40.0)]
 
 
 def a_lone_station():
     # no other station within twice the coverage: the disc is the coverage
     # itself, so it answers up to the rim and the scan beyond it
-    s = BaseStation(0, Position(0.0, 0.0))
+    s = BaseStation(0, (0.0, 0.0))
     coverage = 250.0
     rims = (coverage, math.nextafter(coverage, 0.0), math.nextafter(coverage, math.inf))
-    return [s], coverage, [s.pos] + [Position(0.0, sign * r) for r in rims for sign in (1, -1)]
+    return [s], coverage, [s.pos] + [(0.0, sign * r) for r in rims for sign in (1, -1)]
 
 
 def the_midpoint_of_two_stations():
     # stations much closer than their coverage: the midpoint ties, so it
     # belongs to station 0 even when station 1 is the guess
-    stations = [BaseStation(0, Position(0.0, 0.0)), BaseStation(1, Position(600.0, 0.0))]
-    return stations, 1000.0, [Position(300.0, 0.0)]
+    stations = [BaseStation(0, (0.0, 0.0)), BaseStation(1, (600.0, 0.0))]
+    return stations, 1000.0, [(300.0, 0.0)]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -248,7 +248,7 @@ def test_station_index_matches_the_linear_scan(scene):
     stations, coverage, points = scene
     index = StationIndex(stations, coverage)
     cfg = ScenarioConfig(knobs=ProtocolKnobs(bs_coverage_m=coverage))
-    provider = StaticProvider([Position(0.0, 0.0)])
+    provider = StaticProvider([(0.0, 0.0)])
     rt = Runtime(Simulator(), cfg, provider, EMPTY_MAP, stations, "dfcv")
     for p in points:
         want = covering_by_scan(stations, p, coverage)
@@ -261,9 +261,9 @@ def test_station_index_matches_the_linear_scan(scene):
 
 def test_obstacle_shadowing_binary():
     m = ObstacleMap([(40, -10, 60, 10)])
-    assert obstacle_shadowing(Position(0, 0), Position(100, 0), m) == 1
-    assert obstacle_shadowing(Position(0, 20), Position(100, 20), m) == 0
-    assert obstacle_shadowing(Position(0, 0), Position(100, 0), EMPTY_MAP) == 0
+    assert obstacle_shadowing((0, 0), (100, 0), m) == 1
+    assert obstacle_shadowing((0, 20), (100, 20), m) == 0
+    assert obstacle_shadowing((0, 0), (100, 0), EMPTY_MAP) == 0
 
 
 def test_message_is_frozen_with_target_set():
@@ -280,33 +280,33 @@ def test_select_gateways_overlapping_coverage_example():
     # smaller-id one-vehicle gateway; nothing is left for a third pick
     a, b, c = 10, 11, 12
     positions = {
-        a: Position(0, 0),
-        b: Position(400, 0),
-        c: Position(800, 0),
-        1: Position(200, 0),
-        2: Position(600, 0),
-        3: Position(850, 0),
+        a: (0, 0),
+        b: (400, 0),
+        c: (800, 0),
+        1: (200, 0),
+        2: (600, 0),
+        3: (850, 0),
     }
     chosen, covers = select_gateways(
-        [a, b, c], [1, 2, 3], positions, RadioParams(), EMPTY_MAP
+        [a, b, c], [1, 2, 3], positions, RadioParams(), EMPTY_MAP, k_max=4
     )
     assert covers == {1: [a, b], 2: [b, c], 3: [c]}
     assert chosen == [1, 2]
 
 
 def test_select_gateways_tie_prefers_smaller_id():
-    positions = {7: Position(0, 0), 9: Position(10, 0), 5: Position(10, 1)}
-    chosen, _ = select_gateways([7], [9, 5], positions, RadioParams(), EMPTY_MAP)
+    positions = {7: (0, 0), 9: (10, 0), 5: (10, 1)}
+    chosen, _ = select_gateways([7], [9, 5], positions, RadioParams(), EMPTY_MAP, k_max=4)
     assert chosen == [5]
 
 
 def test_select_gateways_respects_k_max_and_zero_gain_stop():
     positions = {
-        0: Position(0, 0),
-        1: Position(1000, 0),
-        10: Position(50, 0),
-        11: Position(950, 0),
-        12: Position(5000, 0),  # covers nobody
+        0: (0, 0),
+        1: (1000, 0),
+        10: (50, 0),
+        11: (950, 0),
+        12: (5000, 0),  # covers nobody
     }
     chosen, covers = select_gateways(
         [0, 1], [10, 11, 12], positions, RadioParams(), EMPTY_MAP, k_max=1
@@ -314,15 +314,15 @@ def test_select_gateways_respects_k_max_and_zero_gain_stop():
     assert len(chosen) == 1
     assert covers[12] == []
     none_chosen, _ = select_gateways(
-        [0], [12], positions, RadioParams(), EMPTY_MAP
+        [0], [12], positions, RadioParams(), EMPTY_MAP, k_max=4
     )
     assert none_chosen == []
 
 
 def test_select_gateways_sight_blocked_does_not_cover():
     m = ObstacleMap([(40, -10, 60, 10)])
-    positions = {0: Position(0, 0), 10: Position(100, 0)}
-    chosen, covers = select_gateways([0], [10], positions, RadioParams(), m)
+    positions = {0: (0, 0), 10: (100, 0)}
+    chosen, covers = select_gateways([0], [10], positions, RadioParams(), m, k_max=4)
     assert covers[10] == [] and chosen == []
 
 
@@ -346,7 +346,7 @@ def test_select_gateways_greedy_near_optimal():
         shadowed = list(range(100, 100 + n_shadowed))
         gws = list(range(1, 1 + n_gw))
         positions = {
-            v: Position(rng.uniform(0, 1200), rng.uniform(0, 600))
+            v: (rng.uniform(0, 1200), rng.uniform(0, 600))
             for v in shadowed + gws
         }
         k_max = rng.randrange(1, 5)
@@ -362,7 +362,7 @@ def test_select_gateways_greedy_near_optimal():
         assert len(covered) >= 0.63 * optimal
 
 
-def all_pairs_select_gateways(shadowed, gateway_ids, positions, params, obstacles, k_max=4):
+def all_pairs_select_gateways(shadowed, gateway_ids, positions, params, obstacles, k_max):
     # the reference: every (gateway, shadowed vehicle) pair against the full
     # map, then eager greedy rescoring every gateway for every pick
     covers = {}
@@ -438,11 +438,11 @@ def gateway_scenes(draw):
     # one step exactly the range along an axis, from a point on one of
     # the anchors above, is where an unpadded cell loses a pair to rounding
     axis_steps = st.sampled_from(((range_m, 0.0), (-range_m, 0.0), (0.0, range_m), (0.0, -range_m)))
-    points = [Position(draw(anchors), draw(anchors))]
+    points = [(draw(anchors), draw(anchors))]
     for _ in range(draw(st.integers(1, 14))):
         base = draw(st.sampled_from(points))  # (0, 0) offsets make coincident points
         dx, dy = draw(st.one_of(axis_steps, st.tuples(offsets, offsets)))
-        points.append(Position(base.x + dx, base.y + dy))
+        points.append((base[0] + dx, base[1] + dy))
     ids = draw(st.permutations(range(len(points))))
     positions = dict(zip(ids, points))
     gateways = draw(st.lists(st.sampled_from(ids), unique=True))
@@ -456,8 +456,8 @@ def gateway_scenes(draw):
         rects = []
         for _ in range(draw(st.integers(1, 6))):
             base = draw(st.sampled_from(points))
-            xs = sorted({base.x + draw(offsets) for _ in range(2)})
-            ys = sorted({base.y + draw(offsets) for _ in range(2)})
+            xs = sorted({base[0] + draw(offsets) for _ in range(2)})
+            ys = sorted({base[1] + draw(offsets) for _ in range(2)})
             if len(xs) == 2 and len(ys) == 2 and xs[0] < xs[1] and ys[0] < ys[1]:
                 rects.append((xs[0], ys[0], xs[1], ys[1]))
         obstacles = ObstacleMap(rects)
@@ -468,7 +468,7 @@ def gateway_scenes(draw):
 def rounding_edge_pair(x):
     """A gateway at ``x`` and a shadowed vehicle exactly the range (300 m)
     further along, where x / 300 and (x + 300) / 300 floor two apart."""
-    positions = {1: Position(x, 0.0), 2: Position(x + 300.0, 0.0)}
+    positions = {1: (x, 0.0), 2: (x + 300.0, 0.0)}
     return [2], [1], positions, RadioParams(range_m=300.0), EMPTY_MAP, 1
 
 
@@ -567,7 +567,7 @@ def test_flood_delivered_set_matches_reachability_oracle(tmp_path):
         res = run_single(cfg, "baseline", n, seed=trial + 1)
         src = res.records[0].src
         want = flood_component(
-            [Position(x, y) for x, y in positions], src, params, cfg.load_obstacles()
+            [(x, y) for x, y in positions], src, params, cfg.load_obstacles()
         )
         got = {r.dst for r in res.records if r.delivered} | {src}
         assert got == want, f"trial {trial}: src {src}"
@@ -709,7 +709,7 @@ def test_hybrid_empty_map_equals_one_hop_broadcast(tmp_path):
             v
             for v in range(n)
             if v != src
-            and distance(Position(*positions[src]), Position(*positions[v]))
+            and distance(tuple(positions[src]), tuple(positions[v]))
             <= params.range_m
         }
         assert got == want, f"trial {trial}"
@@ -1035,9 +1035,9 @@ def test_a_station_without_cells_puts_all_its_newcomers_in_one_cell():
     # at the first maintenance no station keeps a cell: the vehicles of each
     # station, in id order, form one cell anchored at the lowest id, before
     # any split or merge
-    stations = [BaseStation(0, Position(0.0, 0.0)), BaseStation(1, Position(5_000.0, 0.0))]
+    stations = [BaseStation(0, (0.0, 0.0)), BaseStation(1, (5_000.0, 0.0))]
     xs = (300.0, 4_900.0, 100.0, 5_200.0, 200.0)  # ids 0, 2 and 4 under station 0
-    provider = StaticProvider([Position(x, 0.0) for x in xs])
+    provider = StaticProvider([(x, 0.0) for x in xs])
     cfg = ScenarioConfig(knobs=ProtocolKnobs(bs_coverage_m=1_000.0))
     rt = Runtime(Simulator(), cfg, provider, EMPTY_MAP, stations, "dfcv")
     handed = []

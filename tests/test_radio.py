@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vanetsim.errors import ConfigError
-from vanetsim.mobility import Position, distance
+from vanetsim.mobility import distance
 from vanetsim.radio import (
     CHANNEL_LOSS,
     EMPTY_MAP,
@@ -42,8 +42,8 @@ def sampled_blocked(a, b, rect, steps=4001, margin=1e-9):
     grazing = False
     for i in range(1, steps):
         t = i / steps
-        px = a.x + t * (b.x - a.x)
-        py = a.y + t * (b.y - a.y)
+        px = a[0] + t * (b[0] - a[0])
+        py = a[1] + t * (b[1] - a[1])
         if _inside(px, py, rect, margin):
             hit = True
             break
@@ -107,17 +107,17 @@ def test_tx_time_rounds_half_up_and_floors_at_one():
 
 def test_hop_delay_sums_tx_prop_backoff():
     p = RadioParams()
-    here = Position(0.0, 0.0)
+    here = (0.0, 0.0)
     # a 1024 us frame: 150 m at 3e8 m/s adds 0.5 us, and 1024.5 rounds half-up
     # to 1025; 60 m adds 0.2 us, which rounds away
     for d, want in ((150.0, 1025), (0.0, 1024), (60.0, 1024)):
         assert hop_delay_us(p, d) == want
-        assert one_hop(here, Position(d, 0.0), 300.0, p, EMPTY_MAP).delay_us == want
+        assert one_hop(here, (d, 0.0), 300.0, p, EMPTY_MAP).delay_us == want
 
 
 def test_hop_delay_never_below_one_microsecond():
     p = RadioParams(data_rate_bps=2_000_000_000, msg_size_bytes=1)
-    here = Position(0.0, 0.0)
+    here = (0.0, 0.0)
     assert hop_delay_us(p, 0.0) == 1
     assert one_hop(here, here, 300.0, p, EMPTY_MAP).delay_us == 1
 
@@ -126,12 +126,12 @@ def test_hop_delay_never_below_one_microsecond():
 
 def test_hop_reach_is_inclusive_at_the_boundary():
     p = RadioParams(base_loss=0.0, loss_slope=0.0)
-    a = Position(0.0, 0.0)
+    a = (0.0, 0.0)
     # radio range and a station's coverage alike: the reach argument decides
-    for reach, diagonal in ((300.0, Position(180.0, 240.0)), (1000.0, Position(600.0, 800.0))):
-        assert one_hop(a, Position(reach, 0.0), reach, p, EMPTY_MAP).delivered
+    for reach, diagonal in ((300.0, (180.0, 240.0)), (1000.0, (600.0, 800.0))):
+        assert one_hop(a, (reach, 0.0), reach, p, EMPTY_MAP).delivered
         assert one_hop(a, diagonal, reach, p, EMPTY_MAP).delivered  # 3-4-5 triangle
-        beyond = one_hop(a, Position(reach + 1e-7, 0.0), reach, p, EMPTY_MAP)
+        beyond = one_hop(a, (reach + 1e-7, 0.0), reach, p, EMPTY_MAP)
         assert beyond.loss_cause == OUT_OF_RANGE
 
 
@@ -194,40 +194,40 @@ def test_obstacle_map_load_reports_line_numbers(tmp_path):
 # -- line of sight ------------------------------------------------------------
 
 def test_los_trivially_clear_without_obstacles():
-    assert line_of_sight(Position(0, 0), Position(500, 500), EMPTY_MAP)
+    assert line_of_sight((0, 0), (500, 500), EMPTY_MAP)
 
 
 def test_los_blocked_through_the_middle():
     m = ObstacleMap([(10, 10, 20, 20)])
-    assert not line_of_sight(Position(0, 15), Position(30, 15), m)
-    assert not line_of_sight(Position(15, 0), Position(15, 30), m)
-    assert not line_of_sight(Position(0, 0), Position(30, 30), m)  # diagonal
+    assert not line_of_sight((0, 15), (30, 15), m)
+    assert not line_of_sight((15, 0), (15, 30), m)
+    assert not line_of_sight((0, 0), (30, 30), m)  # diagonal
 
 
 def test_los_clear_when_passing_beside():
     m = ObstacleMap([(10, 10, 20, 20)])
-    assert line_of_sight(Position(0, 25), Position(30, 25), m)
-    assert line_of_sight(Position(0, 0), Position(9, 30), m)
+    assert line_of_sight((0, 25), (30, 25), m)
+    assert line_of_sight((0, 0), (9, 30), m)
 
 
 def test_los_edge_grazing_does_not_block():
     m = ObstacleMap([(10, 10, 20, 20)])
     # collinear with the bottom edge
-    assert line_of_sight(Position(0, 10), Position(30, 10), m)
+    assert line_of_sight((0, 10), (30, 10), m)
     # touching a single corner point exactly
-    assert line_of_sight(Position(0, 20), Position(20, 0), m)
+    assert line_of_sight((0, 20), (20, 0), m)
     # the interior diagonal, by contrast, is squarely blocked
-    assert not line_of_sight(Position(10, 10), Position(20, 20), m)
+    assert not line_of_sight((10, 10), (20, 20), m)
     # endpoint resting on the boundary, leaving outward
-    assert line_of_sight(Position(10, 15), Position(0, 15), m)
+    assert line_of_sight((10, 15), (0, 15), m)
 
 
 def test_los_endpoint_inside_blocks():
     m = ObstacleMap([(10, 10, 20, 20)])
-    assert not line_of_sight(Position(15, 15), Position(40, 15), m)
+    assert not line_of_sight((15, 15), (40, 15), m)
     # degenerate zero-length segment inside
-    assert not line_of_sight(Position(15, 15), Position(15, 15), m)
-    assert line_of_sight(Position(5, 5), Position(5, 5), m)
+    assert not line_of_sight((15, 15), (15, 15), m)
+    assert line_of_sight((5, 5), (5, 5), m)
 
 
 def test_los_matches_point_sampling_oracle():
@@ -241,8 +241,8 @@ def test_los_matches_point_sampling_oracle():
         if rect[2] - rect[0] < 1 or rect[3] - rect[1] < 1:
             continue
         m = ObstacleMap([rect])
-        a = Position(rng.uniform(-20, 120), rng.uniform(-20, 120))
-        b = Position(rng.uniform(-20, 120), rng.uniform(-20, 120))
+        a = (rng.uniform(-20, 120), rng.uniform(-20, 120))
+        b = (rng.uniform(-20, 120), rng.uniform(-20, 120))
         want = sampled_blocked(a, b, rect)
         if want is None:
             continue  # tangent within tolerance; oracle abstains
@@ -255,16 +255,16 @@ def test_los_is_symmetric():
     rng = random.Random(5150)
     m = ObstacleMap([(20, 20, 60, 50), (70, 10, 90, 90)])
     for _ in range(500):
-        a = Position(rng.uniform(0, 100), rng.uniform(0, 100))
-        b = Position(rng.uniform(0, 100), rng.uniform(0, 100))
+        a = (rng.uniform(0, 100), rng.uniform(0, 100))
+        b = (rng.uniform(0, 100), rng.uniform(0, 100))
         assert line_of_sight(a, b, m) == line_of_sight(b, a, m)
 
 
 def test_los_multiple_rects_any_blocker_counts():
     m = ObstacleMap([(10, 10, 20, 20), (40, 10, 50, 20)])
-    assert not line_of_sight(Position(0, 15), Position(30, 15), m)  # first
-    assert not line_of_sight(Position(30, 15), Position(60, 15), m)  # second
-    assert line_of_sight(Position(25, 0), Position(35, 30), m)  # between them
+    assert not line_of_sight((0, 15), (30, 15), m)  # first
+    assert not line_of_sight((30, 15), (60, 15), m)  # second
+    assert line_of_sight((25, 0), (35, 30), m)  # between them
 
 
 def reference_segment_blocked(ax, ay, bx, by, rect):
@@ -307,14 +307,14 @@ def reference_segment_blocked(ax, ay, bx, by, rect):
 def reference_line_of_sight(a, b, obstacles):
     if not obstacles.rects:
         return True
-    if (b.x, b.y) < (a.x, a.y):
+    if (b[0], b[1]) < (a[0], a[1]):
         a, b = b, a
-    lo_x, hi_x = (a.x, b.x) if a.x <= b.x else (b.x, a.x)
-    lo_y, hi_y = (a.y, b.y) if a.y <= b.y else (b.y, a.y)
+    lo_x, hi_x = (a[0], b[0]) if a[0] <= b[0] else (b[0], a[0])
+    lo_y, hi_y = (a[1], b[1]) if a[1] <= b[1] else (b[1], a[1])
     for rect in obstacles.rects:
         if hi_x < rect[0] or lo_x > rect[2] or hi_y < rect[1] or lo_y > rect[3]:
             continue
-        if reference_segment_blocked(a.x, a.y, b.x, b.y, rect):
+        if reference_segment_blocked(a[0], a[1], b[0], b[1], rect):
             return False
     return True
 
@@ -353,24 +353,24 @@ def segments_near(draw, obstacles):
             )
         )
     )
-    a = Position(draw(coords), draw(coords))
+    a = (draw(coords), draw(coords))
     kind = draw(st.sampled_from(("free", "point", "axis", "edge", "corner", "boundary")))
     if kind == "point":
-        a = b = draw(st.sampled_from((a, Position(*on_edge), Position(*corner))))
+        a = b = draw(st.sampled_from((a, tuple(on_edge), tuple(corner))))
     elif kind == "axis":
-        b = draw(st.sampled_from((Position(a.x, draw(coords)), Position(draw(coords), a.y))))
+        b = draw(st.sampled_from(((a[0], draw(coords)), (draw(coords), a[1]))))
     elif kind == "edge":
-        a = Position(*on_edge)
-        b = draw(st.sampled_from((Position(a.x, draw(coords)), Position(draw(coords), a.y))))
+        a = tuple(on_edge)
+        b = draw(st.sampled_from(((a[0], draw(coords)), (draw(coords), a[1]))))
     elif kind == "corner":
         d = draw(st.floats(0.5, 40.0))
         sx, sy = draw(st.sampled_from(((1, 1), (1, -1))))
-        a = Position(corner[0] - sx * d, corner[1] - sy * d)
-        b = Position(corner[0] + sx * d, corner[1] + sy * d)
+        a = (corner[0] - sx * d, corner[1] - sy * d)
+        b = (corner[0] + sx * d, corner[1] + sy * d)
     elif kind == "boundary":
-        b = Position(*on_edge)
+        b = tuple(on_edge)
     else:
-        b = Position(draw(coords), draw(coords))
+        b = (draw(coords), draw(coords))
     return a, b
 
 
@@ -394,7 +394,7 @@ def test_los_matches_the_per_rectangle_clip(case):
     ends = [p for seg in segments for p in seg]
     for a in ends:
         for reach in [distance(a, b) for b in ends] + [25.0]:
-            near = obstacles.near(a.x, a.y, reach)
+            near = obstacles.near(a[0], a[1], reach)
             assert set(near.rects) <= set(obstacles.rects)
             for b in ends:
                 if distance(a, b) <= reach:
@@ -482,21 +482,21 @@ def one_hop(src, dst, reach, params, obstacles, contention=None, rng=None):
 def test_unicast_checks_range_then_sight_then_channel():
     p = RadioParams(base_loss=1.0)  # every channel draw loses
     m = ObstacleMap([(100, -10, 110, 10)])
-    src = Position(0, 0)
+    src = (0, 0)
     for dst, cause in (
-        (Position(400, 0), OUT_OF_RANGE),  # beyond range and behind the wall
-        (Position(200, 0), SHADOWED),  # in range, behind the wall
-        (Position(200, 50), CHANNEL_LOSS),  # in range and in sight
+        ((400, 0), OUT_OF_RANGE),  # beyond range and behind the wall
+        ((200, 0), SHADOWED),  # in range, behind the wall
+        ((200, 50), CHANNEL_LOSS),  # in range and in sight
     ):
         assert one_hop(src, dst, 300.0, p, m, Contention(), CountingRng()).loss_cause == cause
-    clear = one_hop(src, Position(200, 5), 300.0, RadioParams(base_loss=0.0, loss_slope=0.0),
+    clear = one_hop(src, (200, 5), 300.0, RadioParams(base_loss=0.0, loss_slope=0.0),
                     EMPTY_MAP, Contention(), CountingRng())
     assert clear.delivered and clear.delay_us >= 1024
 
 
 def test_unicast_sure_loss_channel():
     p = RadioParams(base_loss=1.0)
-    out = one_hop(Position(0, 0), Position(10, 0), 300.0, p, EMPTY_MAP,
+    out = one_hop((0, 0), (10, 0), 300.0, p, EMPTY_MAP,
                   Contention(), random.Random(2))
     assert out.loss_cause == CHANNEL_LOSS
 
@@ -504,8 +504,8 @@ def test_unicast_sure_loss_channel():
 def test_hop_draws_once_and_only_after_range_and_sight_pass():
     p = RadioParams(base_loss=0.0, loss_slope=0.0)
     m = ObstacleMap([(100, -10, 110, 10)])
-    src = Position(0, 0)
-    for dst, draws in ((Position(400, 0), 0), (Position(200, 0), 0), (Position(200, 50), 1)):
+    src = (0, 0)
+    for dst, draws in (((400, 0), 0), ((200, 0), 0), ((200, 50), 1)):
         rng, near = CountingRng(), Contention()
         one_hop(src, dst, 300.0, p, m, near, rng)
         assert rng.calls == draws
@@ -514,7 +514,7 @@ def test_hop_draws_once_and_only_after_range_and_sight_pass():
 
 def test_hop_contention_count_sets_the_loss_probability():
     p = RadioParams(base_loss=0.0, loss_slope=0.01)
-    src, dst = Position(0, 0), Position(10, 0)
+    src, dst = (0, 0), (10, 0)
     quiet = one_hop(src, dst, 300.0, p, EMPTY_MAP, Contention(10), CountingRng(0.5))
     busy = one_hop(src, dst, 300.0, p, EMPTY_MAP, Contention(80), CountingRng(0.5))
     assert quiet.delivered  # q = 0.1
@@ -524,7 +524,7 @@ def test_hop_contention_count_sets_the_loss_probability():
 def test_hop_without_contention_check_never_draws():
     p = RadioParams(base_loss=1.0)
     rng = CountingRng()
-    out = one_hop(Position(0, 0), Position(150, 0), 300.0, p, EMPTY_MAP, rng=rng)
+    out = one_hop((0, 0), (150, 0), 300.0, p, EMPTY_MAP, rng=rng)
     assert out.delivered and out.delay_us == hop_delay_us(p, 150.0)
     assert rng.calls == 0
 
@@ -537,20 +537,20 @@ def make_channel(**kw):
 
 def test_channel_audibility_is_range_limited():
     ch = make_channel()
-    ch.register(0, 1_000, Position(0.0, 0.0))
-    assert ch.concurrent_near(Position(100.0, 0.0), 500) == 1
-    assert ch.concurrent_near(Position(301.0, 0.0), 500) == 0
-    assert ch.busy_until_near(Position(100.0, 0.0), 500) == 1_000
-    assert ch.busy_until_near(Position(301.0, 0.0), 500) is None
+    ch.register(0, 1_000, (0.0, 0.0))
+    assert ch.concurrent_near((100.0, 0.0), 500) == 1
+    assert ch.concurrent_near((301.0, 0.0), 500) == 0
+    assert ch.busy_until_near((100.0, 0.0), 500) == 1_000
+    assert ch.busy_until_near((301.0, 0.0), 500) is None
 
 
 def test_a_frame_exactly_at_range_is_heard_along_either_axis():
     # the queries skip a frame whose dx exceeds the range before hypot; at
     # exactly the range, on either side and on either axis, it is heard
     r = RadioParams().range_m
-    for here in (Position(r, 0.0), Position(-r, 0.0), Position(0.0, r), Position(0.0, -r)):
+    for here in ((r, 0.0), (-r, 0.0), (0.0, r), (0.0, -r)):
         ch = make_channel()
-        ch.register(0, 1_000, Position(0.0, 0.0))
+        ch.register(0, 1_000, (0.0, 0.0))
         assert ch.concurrent_near(here, 500) == 1, here
         assert ch.busy_until_near(here, 500) == 1_000, here
 
@@ -573,9 +573,9 @@ def test_hypot_is_never_below_either_leg(dx, dy):
 
 def test_channel_expires_and_ignores_future_starts():
     ch = make_channel()
-    ch.register(0, 1_000, Position(0.0, 0.0))
-    ch.register(2_000, 3_000, Position(0.0, 0.0))
-    here = Position(0.0, 0.0)
+    ch.register(0, 1_000, (0.0, 0.0))
+    ch.register(2_000, 3_000, (0.0, 0.0))
+    here = (0.0, 0.0)
     assert ch.concurrent_near(here, 999) == 1
     assert ch.busy_until_near(here, 999) == 1_000
     assert ch.concurrent_near(here, 1_000) == 0  # end is exclusive occupancy
@@ -588,17 +588,17 @@ def test_channel_expires_and_ignores_future_starts():
 
 def test_carrier_sense_does_not_hear_a_frame_at_its_end():
     ch = make_channel()
-    ch.register(0, 1_000, Position(0.0, 0.0))
-    here = Position(0.0, 0.0)
+    ch.register(0, 1_000, (0.0, 0.0))
+    here = (0.0, 0.0)
     assert ch.busy_until_near(here, 999) == 1_000
     assert ch.busy_until_near(here, 1_000) is None  # end is exclusive occupancy
 
 
 def test_channel_busy_until_is_latest_overlap():
     ch = make_channel()
-    ch.register(0, 1_000, Position(0.0, 0.0))
-    ch.register(0, 4_000, Position(50.0, 0.0))
-    assert ch.busy_until_near(Position(0.0, 0.0), 10) == 4_000
+    ch.register(0, 1_000, (0.0, 0.0))
+    ch.register(0, 4_000, (50.0, 0.0))
+    assert ch.busy_until_near((0.0, 0.0), 10) == 4_000
 
 
 def test_channel_backoff_draw_is_bounded_and_seeded():
@@ -648,12 +648,12 @@ def test_beacons_on_air_match_brute_force(case):
     def locate(v, start):
         # encode the frame in its origin so the channel's answer names it
         located.append((v, start))
-        return Position(float(v), float(start))
+        return (float(v), float(start))
 
     # 8 Mb/s sends one byte per microsecond, so a frame is on air for ``frame`` us
     ch = make_channel(range_m=1e9, data_rate_bps=8_000_000, msg_size_bytes=frame)
     ch.set_beacons(sorted((p, v) for v, p in enumerate(phases)), period, locate)
-    here = Position(0.0, 0.0)
+    here = (0.0, 0.0)
     for t in times:  # nondecreasing, as the event loop asks; repeats push nothing
         want = brute_force_on_air(phases, period, frame, t)
         assert ch.concurrent_near(here, t) == len(want)
@@ -682,14 +682,14 @@ def hop_cases(draw):
         msg_size_bytes=draw(st.sampled_from([256, 1])),
     )
     reach = draw(st.sampled_from([params.range_m, 180.0]))
-    src = Position(draw(coords), draw(coords))
+    src = (draw(coords), draw(coords))
     rims = [
-        Position(src.x + reach, src.y),
-        Position(src.x, src.y - reach),
-        Position(src.x + 0.6 * reach, src.y + 0.8 * reach),
-        Position(src.x - reach - 1e-6, src.y),
+        (src[0] + reach, src[1]),
+        (src[0], src[1] - reach),
+        (src[0] + 0.6 * reach, src[1] + 0.8 * reach),
+        (src[0] - reach - 1e-6, src[1]),
     ]
-    spots = draw(st.lists(st.one_of(st.builds(Position, coords, coords), st.sampled_from(rims)),
+    spots = draw(st.lists(st.one_of(st.tuples(coords, coords), st.sampled_from(rims)),
                           min_size=1, max_size=10))
     rects = []
     for _ in range(draw(st.integers(0, 4))):
@@ -697,11 +697,11 @@ def hop_cases(draw):
         rects.append((x0, y0, x0 + draw(st.floats(5.0, 150.0)), y0 + draw(st.floats(5.0, 150.0))))
     t = draw(st.integers(0, 6_000))
     frames = [
-        (start, start + draw(st.integers(1, 3_000)), Position(draw(coords), draw(coords)))
+        (start, start + draw(st.integers(1, 3_000)), (draw(coords), draw(coords)))
         for start in draw(st.lists(st.integers(0, 6_000), max_size=6))
     ]
     period = draw(st.integers(500, 3_000))
-    beaconers = draw(st.lists(st.builds(Position, coords, coords), max_size=8))
+    beaconers = draw(st.lists(st.tuples(coords, coords), max_size=8))
     phases = [draw(st.integers(0, period - 1)) for _ in beaconers]
     own = draw(st.sampled_from([None, src]))
     if own is not None:

@@ -21,7 +21,6 @@ from vanetsim.metrics import csv_text
 from vanetsim.mobility import (
     MobilitySpec,
     NeighborIndex,
-    Position,
     SyntheticGridProvider,
     SyntheticHighwayProvider,
     TraceProvider,
@@ -57,7 +56,7 @@ def test_metered_beacon_does_not_hear_its_own_frame():
         ),
         sim_duration_s=0.2,
     )
-    provider = StaticProvider([Position(0.0, 0.0), Position(100.0, 0.0)])
+    provider = StaticProvider([(0.0, 0.0), (100.0, 0.0)])
     stations = place_stations(cfg.mobility, provider, cfg.knobs)
     sim = Simulator(seed=3)
     rt = Runtime(sim, cfg, provider, EMPTY_MAP, stations, "baseline")
@@ -88,7 +87,7 @@ def test_neighbors_match_brute_force():
     rng = random.Random(12)
     for _ in range(50):
         positions = [
-            Position(rng.uniform(0, 1000), rng.uniform(0, 1000))
+            (rng.uniform(0, 1000), rng.uniform(0, 1000))
             for _ in range(rng.randrange(2, 40))
         ]
         center = rng.choice(positions)
@@ -99,8 +98,8 @@ def test_neighbors_match_brute_force():
 
 
 def test_neighbors_radius_inclusive():
-    rt = static_runtime([Position(0, 0), Position(300, 0), Position(300.01, 0)])
-    assert rt.neighbors(Position(0, 0), 300.0, 0) == [0, 1]
+    rt = static_runtime([(0, 0), (300, 0), (300.01, 0)])
+    assert rt.neighbors((0, 0), 300.0, 0) == [0, 1]
 
 
 ROAD_M = 400.0
@@ -132,7 +131,7 @@ def moving_fleets(draw):
             (draw(near_seams(ROAD_M)), draw(st.integers(0, 2)), draw(speeds)) for _ in range(n)
         ]
         provider = SyntheticHighwayProvider(MobilitySpec(road_length_m=ROAD_M), initial=initial)
-        center = Position(draw(near_seams(ROAD_M)), draw(st.floats(-5.0, 10.0)))
+        center = (draw(near_seams(ROAD_M)), draw(st.floats(-5.0, 10.0)))
     elif mode == "grid":
         initial = [
             (
@@ -145,7 +144,7 @@ def moving_fleets(draw):
             for _ in range(n)
         ]
         provider = SyntheticGridProvider(GRID, initial=initial)
-        center = Position(draw(near_seams(GRID_M)), draw(near_seams(GRID_M)))
+        center = (draw(near_seams(GRID_M)), draw(near_seams(GRID_M)))
     else:
         tracks = {}
         for v in range(n):
@@ -153,11 +152,11 @@ def moving_fleets(draw):
             times, points = tracks[str(v)] = ([], [])
             for k in range(draw(st.integers(1, 5))):
                 times.append(k * 250_000)
-                points.append(Position(x, y))
+                points.append((x, y))
                 x += draw(st.floats(-15.0, 15.0))
                 y += draw(st.floats(-15.0, 15.0))
         provider = TraceProvider(tracks)
-        center = Position(draw(st.floats(-20.0, 320.0)), draw(st.floats(-20.0, 320.0)))
+        center = (draw(st.floats(-20.0, 320.0)), draw(st.floats(-20.0, 320.0)))
     # over several refresh intervals, in any order, each followed by a query
     # up to one interval before or after it, where the index's slack is large
     times = []
@@ -172,7 +171,7 @@ def moving_fleets(draw):
     if draw(st.booleans()):
         # a center next to a vehicle, so some candidates sit on the edge of certainty
         x, y = provider.position_at(draw(st.integers(0, n - 1)), draw(st.sampled_from(times)))
-        center = Position(x + draw(st.floats(-15.0, 15.0)), y + draw(st.floats(-15.0, 15.0)))
+        center = (x + draw(st.floats(-15.0, 15.0)), y + draw(st.floats(-15.0, 15.0)))
     return provider, center, times
 
 
@@ -181,9 +180,9 @@ def seam_distance(provider, v, p):
     wrap_x, wrap_y = provider.wrap_period(v)
     d = math.inf
     if wrap_x is not None:
-        d = min(d, p.x, wrap_x - p.x)
+        d = min(d, p[0], wrap_x - p[0])
     if wrap_y is not None:
-        d = min(d, p.y, wrap_y - p.y)
+        d = min(d, p[1], wrap_y - p[1])
     return d
 
 
@@ -320,7 +319,7 @@ def test_neighbor_index_precision_at_its_refresh_interval(scenario, monkeypatch)
 def test_highway_stations_every_spacing_at_roadside():
     spec = MobilitySpec()
     stations = place_stations(spec, None, ProtocolKnobs())
-    assert [(s.station_id, s.pos.x, s.pos.y) for s in stations] == [
+    assert [(s.station_id, s.pos[0], s.pos[1]) for s in stations] == [
         (0, 1_000.0, 0.0),
         (1, 3_000.0, 0.0),
         (2, 5_000.0, 0.0),
@@ -332,15 +331,15 @@ def test_highway_stations_every_spacing_at_roadside():
 def test_short_highway_gets_one_central_station():
     spec = MobilitySpec(road_length_m=500.0)
     stations = place_stations(spec, None, ProtocolKnobs())
-    assert [(s.pos.x, s.pos.y) for s in stations] == [(250.0, 0.0)]
+    assert [(s.pos[0], s.pos[1]) for s in stations] == [(250.0, 0.0)]
 
 
 def test_grid_stations_snap_to_intersections():
     spec = MobilitySpec(mode="synthetic_grid", grid_blocks=5, grid_spacing_m=200.0)
     one, = place_stations(spec, None, ProtocolKnobs())
-    assert (one.pos.x, one.pos.y) == (600.0, 600.0)
+    assert (one.pos[0], one.pos[1]) == (600.0, 600.0)
     four = place_stations(spec, None, ProtocolKnobs(bs_spacing_m=500.0))
-    assert [(s.station_id, s.pos.x, s.pos.y) for s in four] == [
+    assert [(s.station_id, s.pos[0], s.pos[1]) for s in four] == [
         (0, 200.0, 200.0),
         (1, 800.0, 200.0),
         (2, 200.0, 800.0),
@@ -349,13 +348,13 @@ def test_grid_stations_snap_to_intersections():
 
 
 def test_trace_stations_tile_the_bounding_box():
-    provider = StaticProvider([Position(0.0, 0.0), Position(3_000.0, 0.0)], [])
+    provider = StaticProvider([(0.0, 0.0), (3_000.0, 0.0)], [])
     spec = MobilitySpec(mode="trace", trace_path="unused", vehicle_count=2)
     stations = place_stations(spec, provider, ProtocolKnobs())
-    assert [(s.pos.x, s.pos.y) for s in stations] == [(750.0, 0.0), (2_250.0, 0.0)]
-    narrow = StaticProvider([Position(0.0, 0.0), Position(1_000.0, 0.0)], [])
+    assert [(s.pos[0], s.pos[1]) for s in stations] == [(750.0, 0.0), (2_250.0, 0.0)]
+    narrow = StaticProvider([(0.0, 0.0), (1_000.0, 0.0)], [])
     only, = place_stations(spec, narrow, ProtocolKnobs())
-    assert (only.pos.x, only.pos.y) == (500.0, 0.0)
+    assert (only.pos[0], only.pos[1]) == (500.0, 0.0)
 
 
 # -- runs ---------------------------------------------------------------------
@@ -589,7 +588,7 @@ def missed(*pairs):
 
 
 def test_runtime_records_only_open_pairs_with_the_worst_noted_cause():
-    rt = static_runtime([Position(0, 0), Position(100, 0), Position(200, 0), Position(300, 0)])
+    rt = static_runtime([(0, 0), (100, 0), (200, 0), (300, 0)])
     stray = Message(2, 0, 0, (1,))  # never addressed
     assert not rt.record_delivery(stray, 1, 10, 1)
     assert not rt.record_loss(stray, 1, CHANNEL_LOSS)
@@ -617,7 +616,7 @@ def test_runtime_records_only_open_pairs_with_the_worst_noted_cause():
 
 
 def test_record_delivery_refuses_a_receipt_before_the_origin():
-    rt = static_runtime([Position(0, 0), Position(100, 0)])
+    rt = static_runtime([(0, 0), (100, 0)])
     msg = Message(1, 0, 500, (1,))
     rt.address(msg)
     with pytest.raises(SimulationError, match="before it was sent"):
@@ -627,7 +626,7 @@ def test_record_delivery_refuses_a_receipt_before_the_origin():
 
 
 def test_record_loss_refuses_an_unknown_cause():
-    rt = static_runtime([Position(0, 0), Position(100, 0)])
+    rt = static_runtime([(0, 0), (100, 0)])
     msg = Message(1, 0, 0, (1,))
     rt.address(msg)
     with pytest.raises(SimulationError, match="gremlins"):
@@ -686,7 +685,7 @@ def quiet_runtime(positions, protocol, obstacles=EMPTY_MAP):
 
 @pytest.mark.parametrize("protocol", ["hybrid_vehcloud", "dfcv"])
 def test_horizon_sweep_records_the_worst_noted_cause(protocol):
-    rt = quiet_runtime([Position(0, 0), Position(100, 0), Position(200, 0)], protocol)
+    rt = quiet_runtime([(0, 0), (100, 0), (200, 0)], protocol)
     msg = Message(1, 0, 0, (1, 2))
     rt.address(msg)
     rt.settle(msg, missed((1, SHADOWED), (1, CHANNEL_LOSS)), 0, 2, final=False)
@@ -701,7 +700,7 @@ def test_flood_cut_off_by_the_horizon_records_the_noted_causes():
     # 0 floods; 1 receives it and would relay after the horizon; the
     # building hides 2 from 0; 3 is out of everyone's range.
     building = ObstacleMap([(-10.0, 50.0, 10.0, 100.0)])
-    positions = [Position(0, 0), Position(100, 0), Position(0, 150), Position(5_000, 0)]
+    positions = [(0, 0), (100, 0), (0, 150), (5_000, 0)]
     rt = quiet_runtime(positions, "baseline", building)
     msg = Message(1, 0, 0, (1, 2, 3), ttl_hops=4)
     rt.address(msg)
@@ -796,7 +795,7 @@ def test_an_unlogged_run_renders_nothing_and_has_the_same_handlers(protocol, mon
 def test_runtime_state_is_declared_in_its_slots(protocol):
     """Every Runtime attribute is named in ``Runtime.__slots__``, so one
     set anywhere else fails at once instead of growing the instance."""
-    rt = quiet_runtime([Position(0, 0), Position(100, 0)], protocol)
+    rt = quiet_runtime([(0, 0), (100, 0)], protocol)
     assert not hasattr(rt, "__dict__")
     with pytest.raises(AttributeError):
         rt.undeclared = 1
