@@ -130,12 +130,6 @@ def _plain(value):
     return value
 
 
-def _check_keys(section: dict, path: str, allowed) -> None:
-    for key in section:
-        if key not in allowed:
-            raise ConfigError(f"{path}.{key}: unknown key" if path else f"{key}: unknown key")
-
-
 def _expect(value, types, path: str):
     # bool is an int subtype; keep the two apart for numeric fields.
     if isinstance(value, bool) and bool not in (
@@ -219,7 +213,9 @@ _PARSERS = {
 def _build_section(cls, data, path: str):
     _expect(data, dict, path)
     types = {f.name: f.type for f in dataclasses.fields(cls)}
-    _check_keys(data, path, types)
+    for key in data:
+        if key not in types:
+            raise ConfigError(f"{path}.{key}: unknown key" if path else f"{key}: unknown key")
     kwargs = {}
     for name, raw in data.items():
         value = _PARSERS[types[name]](raw, f"{path}.{name}" if path else name)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import xml.etree.ElementTree as ET
 from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
 from decimal import InvalidOperation
 from math import floor
@@ -482,17 +483,12 @@ class CellGrid:
 
     def __init__(self, reach: float):
         self.cell = reach * (1.0 + 1e-6)
-        self._cells: dict[tuple[int, int], list] = {}
+        # a read uses .get, so only add files a cell
+        self._cells: defaultdict[tuple[int, int], list] = defaultdict(list)
         self._near: dict[tuple[int, int], list] = {}
 
     def add(self, x: float, y: float, item) -> None:
-        cell = self.cell
-        key = (floor(x / cell), floor(y / cell))
-        items = self._cells.get(key)
-        if items is None:
-            self._cells[key] = [item]
-        else:
-            items.append(item)
+        self._cells[floor(x / self.cell), floor(y / self.cell)].append(item)
 
     def near(self, x: float, y: float) -> list:
         """The items of the 3x3 cells around the cell of ``(x, y)``."""

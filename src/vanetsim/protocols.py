@@ -596,18 +596,12 @@ class Dfcv(Protocol):
                 # no cell left here: the newcomers, in id order, form one
                 kept = [fog.FogCell(next(self._cell_seq), anchor=current[0], members=current)]
                 claimed = current_set
-            # anchors stay put while newcomers join, so look each up once
-            homes = [(c.cell_id, positions[c.anchor], c) for c in kept]
             for v in current:
                 if v in claimed:
                     continue
-                # the nearest anchor's cell: min over (distance to anchor, cell id)
+                # a newcomer joins the nearest anchor's cell, ties to the lower id
                 p = positions[v]
-                best_key = None
-                for cid, anchor_pos, c in homes:
-                    key = (distance(anchor_pos, p), cid)
-                    if best_key is None or key < best_key:
-                        best_key, home = key, c
+                home = min(kept, key=lambda c: (distance(positions[c.anchor], p), c.cell_id))
                 insort(home.members, v)
             kept, steps = fog.run_maintenance(
                 kept, positions, d_min, th_cap, lambda: next(self._cell_seq)
@@ -647,16 +641,16 @@ class Dfcv(Protocol):
             return
         fog_ready = t + up.delay_us + rt.knobs.fog_processing_us
 
-        by_bs: dict[BaseStation, list[int]] = {}
+        by_bs: dict[BaseStation, set[int]] = {}
         for dst in msg.targets:
             dst_bs = self._assoc.get(dst)
             if dst_bs is not None:
-                by_bs.setdefault(dst_bs, []).append(dst)
+                by_bs.setdefault(dst_bs, set()).add(dst)
         for bs in sorted(by_bs, key=lambda s: s.station_id):
-            wanted = set(by_bs[bs])
+            wanted = by_bs[bs]
             receivers: set = set()
             for cell in self._cells.get(bs.station_id, []):
-                if wanted.intersection(cell.members):
+                if not wanted.isdisjoint(cell.members):
                     receivers.update(cell.members)
             if bs == src_bs:
                 at = fog_ready

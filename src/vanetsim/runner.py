@@ -71,25 +71,23 @@ def _tile_centers(lo: float, width: float, spacing: float) -> list[float]:
 def place_stations(spec: MobilitySpec, provider, knobs) -> list[BaseStation]:
     """Fixed infrastructure along the scenario geometry.
 
-    Highway: stations on the roadside (y=0) every bs_spacing_m, centered
-    in their segment.  Grid and traces share one even tiling, numbered row
-    by row: a trace tiles ``provider.bounds()``, the box of the recorded
-    positions; the grid tiles its street box [0, extent]², each center
-    snapped to the nearest street and the repeats dropped.  The synthetic
-    layouts come from ``spec`` alone.
+    Every layout numbers its stations row by row.  Highway: one row on the
+    roadside (y=0), every bs_spacing_m, centered in their segment.  Grid
+    and traces share one even tiling: a trace tiles ``provider.bounds()``,
+    the box of the recorded positions; the grid tiles its street box
+    [0, extent]², each center snapped to the nearest street and the
+    repeats dropped.  The synthetic layouts come from ``spec`` alone.
     """
+    spacing = knobs.bs_spacing_m
     if spec.mode == MODE_HIGHWAY:
-        step = knobs.bs_spacing_m
         xs = []
-        x = step / 2
+        x = spacing / 2
         while x < spec.road_length_m:
             xs.append(x)
-            x += step
-        if not xs:
-            xs = [spec.road_length_m / 2]
-        return [BaseStation(i, (x, 0.0)) for i, x in enumerate(xs)]
-    spacing = knobs.bs_spacing_m
-    if spec.mode == MODE_GRID:
+            x += spacing
+        xs = xs or [spec.road_length_m / 2]
+        ys = [0.0]
+    elif spec.mode == MODE_GRID:
         street = spec.grid_spacing_m
         extent = spec.grid_blocks * street
         centers = _tile_centers(0.0, extent, spacing)

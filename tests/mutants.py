@@ -74,6 +74,10 @@ DFCV_SCAN_DIFFERENTIAL = (
     "tests/test_invariants.py::test_dfcv_runs_match_runs_that_scan_every_association"
 )
 
+NEWCOMER_RULE = (
+    "tests/test_protocols.py::test_a_newcomer_joins_the_nearest_anchor_ties_to_the_lower_cell_id"
+)
+
 CONFIG_BOUNDS = (
     "tests/test_config.py::test_every_numeric_bound_refuses_just_outside_and_accepts_its_edge"
 )
@@ -171,6 +175,14 @@ MUTANTS = (
             "tests/test_invariants.py::test_runs_match_an_all_items_cell_grid",
             STATION_SCAN,
         ),
+    ),
+    Mutant(
+        # the same bytes, so only the grid's own cells see it
+        "grid-read-files-a-cell",
+        "mobility.py",
+        "for item in cells.get((a, b), ())",
+        "for item in cells[a, b]",
+        ("tests/test_mobility.py::test_a_grid_read_files_no_cell",),
     ),
     # -- the station index: a sure disc around each station ----------------------
     Mutant(
@@ -405,6 +417,20 @@ MUTANTS = (
             "tests/test_protocols.py::"
             "test_a_station_without_cells_puts_all_its_newcomers_in_one_cell",
         ),
+    ),
+    Mutant(
+        "newcomer-ties-to-the-higher-cell",
+        "protocols.py",
+        "(distance(positions[c.anchor], p), c.cell_id)",
+        "(distance(positions[c.anchor], p), -c.cell_id)",
+        (NEWCOMER_RULE,),
+    ),
+    Mutant(
+        "newcomer-joins-the-farthest-anchor",
+        "protocols.py",
+        "home = min(kept, ",
+        "home = max(kept, ",
+        (NEWCOMER_RULE,),
     ),
     # -- scheduled station downlinks ---------------------------------------------
     Mutant(

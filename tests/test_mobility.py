@@ -24,6 +24,7 @@ from vanetsim.errors import ConfigError, TraceParseError
 from vanetsim.mobility import (
     LANE_WIDTH_M,
     MPH_TO_MPS,
+    CellGrid,
     MobilityProvider,
     MobilitySpec,
     NeighborIndex,
@@ -1129,6 +1130,19 @@ def test_a_query_as_wide_as_a_neighbourhood_finds_an_entry_two_cell_edges_away()
     index = index_over(StaticProvider([(span, 0.0)]), cell_m=300.0)
     # an entry within reach, though beyond the radius itself
     assert index.candidates((-1e-20, 0.0), radius, 0) == [(0, False)]
+
+
+def test_a_grid_read_files_no_cell():
+    # the cells are a defaultdict for add; a query over empty cells must not
+    # file them, or every read would grow the grid
+    grid = CellGrid(100.0)
+    grid.add(50.0, 50.0, "a")
+    grid.add(250.0, 50.0, "b")
+    assert grid.near(-500.0, -500.0) == []
+    assert grid.near(50.0, 50.0) == ["a"]
+    assert grid.within(1_000.0, 1_000.0, 300.0) == [()] * 49
+    assert [items for items in grid.within(50.0, 50.0, 250.0) if items] == [["a"], ["b"]]
+    assert sorted(grid._cells) == [(0, 0), (2, 0)]
 
 
 class CountingProvider(MobilityProvider):

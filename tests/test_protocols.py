@@ -1052,6 +1052,25 @@ def test_a_station_without_cells_puts_all_its_newcomers_in_one_cell():
     assert handed == [[(1, 0, [0, 2, 4])], [(2, 1, [1, 3])]]
 
 
+def test_a_newcomer_joins_the_nearest_anchor_ties_to_the_lower_cell_id():
+    # cells 1 and 2 are anchored at vehicles 0 and 1, 100 m apart; newcomer 2
+    # sits at the midpoint and newcomer 3 nearer anchor 1.  The anchors are
+    # over d_min apart and each cell's spread within it, so nothing splits
+    # or merges after the newcomers join.
+    provider = StaticProvider([(0.0, 0.0), (100.0, 0.0), (50.0, 0.0), (80.0, 0.0)])
+    cfg = ScenarioConfig(knobs=ProtocolKnobs(d_min_m=60.0))
+    rt = Runtime(Simulator(), cfg, provider, EMPTY_MAP, [BaseStation(0, (0.0, 0.0))], "dfcv")
+    dfcv = rt.protocol
+    # listed higher id first, so a rule that ignores the ids takes the wrong cell
+    dfcv._cells[0] = [protocols.fog.FogCell(2, 1, [1]), protocols.fog.FogCell(1, 0, [0])]
+    dfcv._cell_seq = itertools.count(3)
+    dfcv.maintain(0)
+    assert [(c.cell_id, c.anchor, c.members) for c in dfcv._cells[0]] == [
+        (1, 0, [0, 2]),
+        (2, 1, [1, 3]),
+    ]
+
+
 def test_dfcv_maintains_each_instant_once():
     # injections every 0.25 s fall on every 1 s maintenance tick
     cfg = ScenarioConfig(
