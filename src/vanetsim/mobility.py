@@ -11,7 +11,6 @@ the trace ends.
 from __future__ import annotations
 
 import math
-import xml.etree.ElementTree as ET
 from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
@@ -413,6 +412,9 @@ def parse_fcd(path: str) -> dict[str, Track]:
     non-finite attribute, a bad time, a time that does not increase), then
     a trace with no samples.
     """
+    # imported here, so only a trace fleet loads the XML parser
+    import xml.etree.ElementTree as ET
+
     target = _FcdTarget(path)
     parser = ET.XMLParser(target=target)
     try:

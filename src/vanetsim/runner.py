@@ -11,7 +11,6 @@ from __future__ import annotations
 import dataclasses
 import math
 from functools import cached_property
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Collection, Mapping, Optional
 
@@ -622,6 +621,9 @@ def run_sweep(
             if collect_logs:
                 logs.append((_run_ident(*task[1:]), result.log or []))
         return summaries, logs
+    # imported here, so a serial run never loads multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(
         max_workers=workers, initializer=_start_worker, initargs=(tracks,)
     ) as pool:

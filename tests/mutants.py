@@ -62,6 +62,10 @@ HYBRID_LAWS = (
     "test_hybrid_late_attempts_stay_in_their_window_once_each_in_inject_order"
 )
 
+EDGE_QUERIES = "tests/test_radio.py::test_queries_on_frame_edges_match_the_frames_on_air"
+
+SOURCE_LAW = "tests/test_invariants.py::test_no_message_addresses_its_own_source"
+
 SIGHT_SPY = "tests/test_invariants.py::test_hybrid_asks_sight_only_of_a_map_with_rectangles"
 
 FCD_DIFFERENTIAL = (
@@ -77,6 +81,8 @@ DFCV_SCAN_DIFFERENTIAL = (
 NEWCOMER_RULE = (
     "tests/test_protocols.py::test_a_newcomer_joins_the_nearest_anchor_ties_to_the_lower_cell_id"
 )
+
+LOADS = "tests/test_runner.py::test_a_single_process_run_loads_no_pool_and_no_xml_parser"
 
 CONFIG_BOUNDS = (
     "tests/test_config.py::test_every_numeric_bound_refuses_just_outside_and_accepts_its_edge"
@@ -250,7 +256,7 @@ MUTANTS = (
                 n += 1""",
         """            if -r <= (dx := x - px) <= r and hypot(dx, y - py) <= r:
                 n += 1""",
-        ("tests/test_radio.py::test_channel_expires_and_ignores_future_starts",),
+        ("tests/test_radio.py::test_channel_expires_and_ignores_future_starts", EDGE_QUERIES),
     ),
     Mutant(
         "frame-skipped-at-exact-range",
@@ -268,7 +274,7 @@ MUTANTS = (
                 if busy is None or end > busy:""",
         """            if -r <= (dx := x - px) <= r and hypot(dx, y - py) <= r:
                 if busy is None or end > busy:""",
-        ("tests/test_radio.py::test_channel_expires_and_ignores_future_starts",),
+        ("tests/test_radio.py::test_channel_expires_and_ignores_future_starts", EDGE_QUERIES),
     ),
     # the one prune: both queries pop ended frames through it
     Mutant(
@@ -399,6 +405,22 @@ MUTANTS = (
         "            return EMPTY_MAP",
         ("tests/test_invariants.py::test_rectangles_from_a_file_play_as_inline_rectangles",),
     ),
+    # -- imports: the pool and the XML parser load only where they are used -----
+    Mutant(
+        # the same bytes, so only the modules a run loads see it
+        "pool-imported-at-load",
+        "runner.py",
+        "from functools import cached_property\n",
+        "from functools import cached_property\nfrom concurrent.futures import ProcessPoolExecutor\n",
+        (LOADS,),
+    ),
+    Mutant(
+        "fcd-parser-imported-at-load",
+        "mobility.py",
+        "import math\n",
+        "import math\nimport xml.etree.ElementTree\n",
+        (LOADS,),
+    ),
     # -- delivery accounting ---------------------------------------------------
     Mutant(
         "every-miss-final",
@@ -493,7 +515,7 @@ MUTANTS = (
         "runner.py",
         "return tuple(v for v in region if v not in exclude) if exclude else region",
         "return region",
-        HYBRID_DIFFERENTIAL,
+        (*HYBRID_DIFFERENTIAL, SOURCE_LAW),
     ),
     # -- hybrid's shadow test: asked only of a map with rectangles --------------
     Mutant(

@@ -21,12 +21,14 @@ far building changes no byte, certain loss delivers nothing over vehicle
 hops, rectangles read from a file play as the same rectangles inline, and
 a larger event budget changes no byte); two flood laws read off the event
 log (a vehicle transmits a message at most once, and only the accounting
-sweep closes a flood pair as lost); a dfcv law checked on every station
-downlink (it carries whole fog cells of its own station); and three hybrid
-laws checked on every late attempt (it falls within its message's window,
-once per message and vehicle, and in inject order at each tick); and a
-spy on hybrid's sight questions (none on a map without rectangles, one
-shadow test per region member at each inject on a walled map).  An eighth
+sweep closes a flood pair as lost); a law of every protocol read off the
+event log (no message addresses its own source); a dfcv law checked on
+every station downlink (it carries whole fog cells of its own station); and
+three hybrid laws checked on every late attempt (it falls within its
+message's window, once per message and vehicle, and in inject order at each
+tick); and a spy on hybrid's sight questions (none on a map without
+rectangles, one shadow test per region member at each inject on a walled
+map).  An eighth
 relation runs on a fixed highway sweep and a fixed trace sweep: split into
 one sweep per seed or per density, each gives the same summaries.
 """
@@ -398,6 +400,35 @@ def test_a_flood_sends_once_per_vehicle_and_sweeps_its_losses(case):
         if rec[2] != "ok" and not (line.kind == "BeaconEmit" and rec[0] == int(line.fields["msg"]))
     ]
     assert early == []
+
+
+def test_no_message_addresses_its_own_source():
+    # a law of every protocol over a whole run's event log: no MessageInject
+    # names its source among its targets, whether they are the source's
+    # station region or explicit ids, which may name the source
+    reached = Counter()
+
+    @settings(max_examples=12, deadline=None, derandomize=True, phases=NO_SHRINK)
+    @given(small_runs())
+    def law(case):
+        cfg, _, vehicles, seed = case
+        # several messages, where the drawn 8 injects/s give one
+        cfg = dataclasses.replace(cfg, workload=dataclasses.replace(cfg.workload, rate_per_s=40.0))
+        explicit = cfg.workload.explicit_targets
+        for protocol in sorted(runner.PROTOCOLS):
+            _, log = logged_run(cfg, protocol, vehicles, seed)
+            for line in parse_log(log):
+                if line.kind == "MessageInject":
+                    src, targets = line.fields["src"], line.fields["targets"].split(",")
+                    assert src not in targets, line
+                    if not explicit and targets != [""]:
+                        reached["region"] += 1
+                    elif int(src) in explicit:
+                        reached["explicit"] += 1
+
+    law()
+    # not vacuous: region targets, and explicit ones that name the source
+    assert reached["region"] and reached["explicit"], reached
 
 
 def test_a_station_downlink_carries_whole_fog_cells_of_its_own_station():

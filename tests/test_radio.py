@@ -3,9 +3,10 @@ channel's occupancy, beacon schedule and backoff draws."""
 
 import math
 import random
+from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from vanetsim.errors import ConfigError
@@ -24,7 +25,7 @@ from vanetsim.radio import (
     tx_time_us,
 )
 
-from reference import evaluate_hop, hop_delay_us
+from reference import evaluate_hop, frames_on_air, hop_delay_us
 
 
 def _inside(px, py, rect, margin=0.0):
@@ -661,6 +662,123 @@ def test_beacons_on_air_match_brute_force(case):
         assert got == want
         assert ch.busy_until_near(here, t) == max((end for _, _, end in want), default=None)
     assert len(located) == len(set(located))  # one lookup per (vehicle, start)
+
+
+# -- queries on the edges of frames -------------------------------------------
+
+EDGE_COORDS = st.floats(-300.0, 300.0)
+
+
+@st.composite
+def frame_edges(draw):
+    """A channel's frames, and queries that stand on their edges.
+
+    The frames come first: registered ones of any start and length, all
+    registered before the first query, and the beacons of vehicles moving
+    at constant velocity.  Each query then takes a witness frame, registered
+    or beacon, and asks at its start, at its end, or one microsecond before
+    either, at a point on the frame's origin, on its range rim, just beyond
+    it or anywhere around it."""
+    frame = draw(st.integers(1, 40))
+    range_m = draw(st.sampled_from((100.0, 250.0)))
+    registered = [
+        (start, start + draw(st.integers(1, 60)), (draw(EDGE_COORDS), draw(EDGE_COORDS)))
+        for start in draw(st.lists(st.integers(0, 200), max_size=6))
+    ]
+    period = draw(st.integers(1, 3 * frame))
+    movers = draw(st.lists(
+        st.tuples(EDGE_COORDS, EDGE_COORDS, st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)),
+        min_size=0 if registered else 1, max_size=6,
+    ))
+    phases = [draw(st.integers(0, period - 1)) for _ in movers]
+
+    def locate(v, t):
+        x, y, vx, vy = movers[v]
+        return (x + vx * t, y + vy * t)
+
+    witnesses = []
+    for _ in range(draw(st.integers(1, 8))):
+        if registered and (not movers or draw(st.booleans())):
+            start, end, origin = draw(st.sampled_from(registered))
+        else:
+            v = draw(st.integers(0, len(movers) - 1))
+            start = phases[v] + period * draw(st.integers(0, 3))
+            end, origin = start + frame, locate(v, start)
+        at = draw(st.sampled_from((start, end))) - draw(st.sampled_from((0, 1)))
+        around = st.floats(-1.2 * range_m, 1.2 * range_m)
+        dx, dy = draw(st.sampled_from((
+            (0.0, 0.0), (range_m, 0.0), (0.0, -range_m), (0.6 * range_m, 0.8 * range_m),
+            (-range_m - 1e-6, 0.0),
+        )) | st.tuples(around, around))
+        witnesses.append((max(0, at), (origin[0] + dx, origin[1] + dy)))
+    # 8 Mb/s sends one byte per microsecond, so a frame is on air for ``frame`` us
+    params = RadioParams(range_m=range_m, data_rate_bps=8_000_000, msg_size_bytes=frame)
+    schedule = sorted((p, v) for v, p in enumerate(phases))
+    # nondecreasing, as the event loop asks
+    return params, registered, (schedule, period, locate), sorted(witnesses)
+
+
+def frame_edge_channel(params, registered, beacons):
+    ch = Channel(params, EMPTY_MAP, random.Random(0), random.Random(0))
+    for start, end, pos in registered:
+        ch.register(start, end, pos)
+    ch.set_beacons(*beacons)
+    return ch
+
+
+def edges_reached(case):
+    """(kind, edge) of each frame edge that some query of ``case`` stands on
+    within range of the frame: "start" or "end" at that instant, "before
+    start" or "before end" one microsecond earlier."""
+    params, registered, (schedule, period, locate), queries = case
+    frames = [("registered", start, end, pos) for start, end, pos in registered]
+    horizon = max(t for t, _ in queries) + 1
+    frames += [
+        ("beacon", start, start + tx_time_us(params), locate(v, start))
+        for phase, v in schedule
+        for start in range(phase, horizon + 1, period)
+    ]
+    reached = set()
+    for t, (px, py) in queries:
+        for kind, start, end, (x, y) in frames:
+            if math.hypot(x - px, y - py) <= params.range_m:
+                for edge, at in (("start", start), ("end", end)):
+                    if t == at:
+                        reached.add((kind, edge))
+                    elif t == at - 1:
+                        reached.add((kind, f"before {edge}"))
+    return reached
+
+
+def test_queries_on_frame_edges_match_the_frames_on_air():
+    # carrier sense and contention at the instants where a frame joins or
+    # leaves the air, against every frame on air enumerated afresh
+    reached = Counter()
+
+    @settings(
+        max_examples=150, deadline=None, derandomize=True,
+        phases=(Phase.explicit, Phase.reuse, Phase.generate),
+    )
+    @given(frame_edges())
+    def check(case):
+        params, registered, beacons, queries = case
+        ch = frame_edge_channel(params, registered, beacons)
+        # never queried itself, so it keeps every registered frame and no beacon
+        ref = frame_edge_channel(params, registered, beacons)
+        r = params.range_m
+        for t, (px, py) in queries:
+            heard = [end for end, x, y in frames_on_air(ref, t) if math.hypot(x - px, y - py) <= r]
+            assert ch.concurrent_near((px, py), t) == len(heard), (t, px, py)
+            assert ch.busy_until_near((px, py), t) == max(heard, default=None), (t, px, py)
+        reached.update(edges_reached(case))
+
+    check()
+    # the reach floor: each edge of each kind of frame is asked about, within
+    # range, in at least 10 of the 150 examples; mend the strategy if not,
+    # never the floor
+    for kind in ("registered", "beacon"):
+        for edge in ("start", "before start", "end", "before end"):
+            assert reached[kind, edge] >= 10, reached
 
 
 # -- hops against the per-hop reference ----------------------------------------

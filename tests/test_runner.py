@@ -1,11 +1,14 @@
 """Run orchestration: station placement, replay determinism, parallel
 sweeps, budget enforcement, log accounting."""
 
+import concurrent.futures
 import dataclasses
 import math
 import os
 import random
 import re
+import subprocess
+import sys
 from collections import Counter
 from unittest import mock
 
@@ -423,7 +426,8 @@ def test_pool_is_never_larger_than_the_sweep(monkeypatch):
         def map(self, fn, tasks):
             return list(map(fn, tasks))
 
-    monkeypatch.setattr(runner, "ProcessPoolExecutor", RecordingPool)
+    # run_sweep imports the pool where it forks one, from concurrent.futures
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(runner, "_worker_tracks", None)
     cfg = small_cfg(densities=(10,), seeds=(1, 2, 3), protocols=("baseline",),
                     sim_duration_s=1.0)
@@ -511,6 +515,57 @@ def test_trace_sweep_fails_once_before_any_run(tmp_path, monkeypatch):
             run_sweep(cfg, workers=workers)
         assert str(err.value).startswith(f"{path}: malformed XML")
     assert len(calls) == 2
+
+
+# Run in a fresh interpreter without site (-S), so only vanetsim's own imports
+# count.  Each stage prints the heavy modules loaded so far.
+LOADS_CHILD = """
+import sys
+from vanetsim import MobilitySpec, ScenarioConfig, WorkloadSpec, run_single, run_sweep
+
+HEAVY = ("concurrent.futures", "multiprocessing", "xml.etree.ElementTree", "pyexpat")
+
+def loaded():
+    print([name for name in HEAVY if name in sys.modules], flush=True)
+
+highway = ScenarioConfig(workload=WorkloadSpec(rate_per_s=4.0), sim_duration_s=1.0)
+grid = ScenarioConfig(
+    mobility=MobilitySpec(mode="synthetic_grid", grid_blocks=3, grid_spacing_m=200.0),
+    workload=WorkloadSpec(rate_per_s=4.0),
+    obstacles=tuple(
+        (200.0 * i + 15.0, 200.0 * j + 15.0, 200.0 * i + 185.0, 200.0 * j + 185.0)
+        for i in range(3) for j in range(3)
+    ),
+    sim_duration_s=1.0,
+)
+for cfg in (highway, grid):
+    for protocol in ("baseline", "hybrid_vehcloud", "dfcv"):
+        run_single(cfg, protocol, 20, 1)
+one_worker = ScenarioConfig(densities=(10,), seeds=(1, 2), sim_duration_s=0.5)
+run_sweep(one_worker, workers=1)
+loaded()
+trace = ScenarioConfig(
+    mobility=MobilitySpec(mode="trace", trace_path=sys.argv[1], vehicle_count=12),
+    sim_duration_s=1.0,
+)
+run_single(trace, "baseline", 12, 1)
+loaded()
+run_sweep(one_worker, workers=2)
+print("concurrent.futures.process" in sys.modules)
+"""
+
+
+def test_a_single_process_run_loads_no_pool_and_no_xml_parser(tmp_path):
+    # the copy of vanetsim under test, wherever it is imported from
+    src = os.path.dirname(os.path.dirname(os.path.abspath(runner.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", LOADS_CHILD, write_moving_trace(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True,
+    ).stdout.splitlines()
+    serial, traced, pooled = out
+    assert serial == "[]"  # highway and walled grid runs, and a one-worker sweep
+    assert traced == "['xml.etree.ElementTree', 'pyexpat']"  # a trace loads the parser
+    assert pooled == "True"  # a two-worker sweep loads the pool
 
 
 @pytest.mark.parametrize("mode", ["synthetic_highway", "synthetic_grid", "trace"])
