@@ -2,10 +2,9 @@
 
 A DeliveryRecord stands for one (message, intended recipient) pair:
 either the recipient got the message (recv_us set) or it did not
-(loss_cause set), never both.  A run keeps its pairs as flat rows and
-counts as they close (see ``runner.Runtime``); ``summary_from_counts``
-turns those counts into a summary, and ``summarize`` recounts them from
-a record list, so the two agree to the bit.
+(loss_cause set), never both.  A run keeps its pairs as flat rows, the
+fields of a DeliveryRecord in order (see ``runner.Runtime``), and
+``summarize`` counts a run's summary from those rows in one pass.
 """
 
 from __future__ import annotations
@@ -58,6 +57,12 @@ class DeliveryRecord:
         return self.recv_us is not None
 
 
+# One closed (message, target) pair: (msg_id, src, dst, sent_us, recv_us,
+# loss_cause, hop_count), the fields of a DeliveryRecord in order.  Exactly
+# one of recv_us and loss_cause is None; a loss has hop_count 0.
+Row = tuple[int, int, int, SimTime, Optional[SimTime], Optional[str], int]
+
+
 @dataclass
 class MetricsSummary:
     protocol: str
@@ -72,20 +77,25 @@ class MetricsSummary:
     avg_throughput_bps: float
 
 
-def summary_from_counts(
+def summarize(
+    rows: Sequence[Row],
     protocol: str,
     vehicle_count: int,
     seed: int,
-    n_sent: int,
-    delivered: int,
-    delay_sum_us: SimTime,
     window_s: float,
     msg_size_bytes: int,
 ) -> MetricsSummary:
-    """The summary of ``n_sent`` pairs, ``delivered`` of them with delays
-    summing to ``delay_sum_us``; the one place its floats are computed."""
+    """The summary of ``rows``, counted in one pass; the one place its
+    floats are computed."""
     if window_s <= 0:
         raise ValueError("window_s must be positive")
+    n_sent = len(rows)
+    delivered = delay_sum = 0
+    for row in rows:
+        recv_us = row[4]
+        if recv_us is not None:
+            delivered += 1
+            delay_sum += recv_us - row[3]
     return MetricsSummary(
         protocol=protocol,
         vehicle_count=vehicle_count,
@@ -93,29 +103,10 @@ def summary_from_counts(
         n_sent=n_sent,
         n_delivered=delivered,
         n_lost=n_sent - delivered,
-        mean_e2e_delay_s=(delay_sum_us / delivered) / US_PER_S if delivered else None,
+        mean_e2e_delay_s=(delay_sum / delivered) / US_PER_S if delivered else None,
         delivery_probability=delivered / n_sent if n_sent else None,
         plr=(n_sent - delivered) / n_sent if n_sent else None,
         avg_throughput_bps=delivered * msg_size_bytes * 8 / window_s,
-    )
-
-
-def summarize(
-    records: Sequence[DeliveryRecord],
-    protocol: str,
-    vehicle_count: int,
-    seed: int,
-    window_s: float,
-    msg_size_bytes: int,
-) -> MetricsSummary:
-    """The summary of ``records``, counted in one pass."""
-    delivered = delay_sum = 0
-    for r in records:
-        if r.recv_us is not None:
-            delivered += 1
-            delay_sum += r.recv_us - r.sent_us
-    return summary_from_counts(
-        protocol, vehicle_count, seed, len(records), delivered, delay_sum, window_s, msg_size_bytes
     )
 
 
@@ -153,29 +144,11 @@ def aggregate_sweep(summaries: Iterable[MetricsSummary]) -> list[AggregateRow]:
     rows = []
     for (protocol, vc) in sorted(groups):
         runs = groups[(protocol, vc)]
-        delay_m, delay_s = _mean_std(
-            [r.mean_e2e_delay_s for r in runs if r.mean_e2e_delay_s is not None]
-        )
-        dp_m, dp_s = _mean_std(
-            [r.delivery_probability for r in runs if r.delivery_probability is not None]
-        )
-        plr_m, plr_s = _mean_std([r.plr for r in runs if r.plr is not None])
-        tp_m, tp_s = _mean_std([r.avg_throughput_bps for r in runs])
-        rows.append(
-            AggregateRow(
-                protocol=protocol,
-                vehicle_count=vc,
-                n_runs=len(runs),
-                mean_e2e_delay_s=delay_m,
-                std_e2e_delay_s=delay_s,
-                delivery_probability=dp_m,
-                std_delivery_probability=dp_s,
-                plr=plr_m,
-                std_plr=plr_s,
-                avg_throughput_bps=tp_m if tp_m is not None else 0.0,
-                std_throughput_bps=tp_s,
-            )
-        )
+        # each metric's mean, then its spread, in METRIC_NAMES order
+        stats = []
+        for metric in METRIC_NAMES:
+            stats += _mean_std([v for r in runs if (v := getattr(r, metric)) is not None])
+        rows.append(AggregateRow(protocol, vc, len(runs), *stats))
     return rows
 
 

@@ -30,7 +30,7 @@ from .engine import (
     to_us,
 )
 from .errors import ConfigError, SimulationError, VanetSimError
-from .metrics import DeliveryRecord, MetricsSummary, summary_from_counts
+from .metrics import DeliveryRecord, MetricsSummary, Row, summarize
 from .mobility import (
     MODE_GRID,
     MODE_HIGHWAY,
@@ -101,19 +101,13 @@ def place_stations(spec: MobilitySpec, provider, knobs) -> list[BaseStation]:
     ]
 
 
-# One closed (message, target) pair: (msg_id, src, dst, sent_us, recv_us,
-# loss_cause, hop_count), the fields of a DeliveryRecord in order.  Exactly
-# one of recv_us and loss_cause is None; a loss has hop_count 0.
-Row = tuple[int, int, int, SimTime, Optional[SimTime], Optional[str], int]
-
-
 class Runtime:
     """Owns one run: positions, channel, delivery ledger, and the protocol."""
 
     __slots__ = (
         "sim", "cfg", "params", "knobs", "cloud", "provider", "obstacles", "stations",
         "station_index", "index", "channel", "gateway_ids",
-        "rows", "delivered", "delay_sum_us", "opened", "_open", "messages", "_msg_seq",
+        "rows", "opened", "_open", "messages", "_msg_seq",
         "_pos_t", "_pos", "_regions_t", "_regions", "_logging",
         "end_us", "_beacon_us", "_tick_us", "_maintenance_us", "protocol",
     )
@@ -142,8 +136,6 @@ class Runtime:
         self.gateway_ids = [v for v in provider.vehicle_ids if provider.is_gateway(v)]
         # the ledger: one row per closed (message, target) pair, in close order
         self.rows: list[Row] = []
-        self.delivered = 0
-        self.delay_sum_us: SimTime = 0  # over the delivered rows
         self.opened = 0  # (message, target) pairs addressed so far
         # the open pairs, addressed with no row yet: by message id, each
         # target with the worst loss cause noted for it so far (None until
@@ -291,8 +283,6 @@ class Runtime:
         if not pending:
             del self._open[mid], self.messages[mid]
         self.rows.append((mid, msg.src, dst, sent_us, recv_us, None, hops))
-        self.delivered += 1
-        self.delay_sum_us += recv_us - sent_us
         if self._logging:
             self.sim.note("rec={}:{}:ok:{}", mid, dst, recv_us)
         return True
@@ -532,13 +522,11 @@ def run_single(
             f"delivery accounting out of balance: {missing} (message, target) "
             f"pairs without exactly one record"
         )
-    summary = summary_from_counts(
+    summary = summarize(
+        rows,
         protocol,
         vehicle_count,
         seed,
-        len(rows),
-        rt.delivered,
-        rt.delay_sum_us,
         window_s=cfg.sim_duration_s,
         msg_size_bytes=cfg.radio.msg_size_bytes,
     )

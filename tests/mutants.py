@@ -88,6 +88,10 @@ CONFIG_BOUNDS = (
     "tests/test_config.py::test_every_numeric_bound_refuses_just_outside_and_accepts_its_edge"
 )
 
+SUMMARY_REFERENCE = "tests/test_metrics.py::test_summarize_equals_the_metric_functions"
+
+RUN_REFERENCE = "tests/test_invariants.py::test_every_small_config_keeps_the_run_invariants"
+
 MUTANTS = (
     # -- the event log: the engine writes the line ------------------------
     Mutant(
@@ -428,6 +432,29 @@ MUTANTS = (
         "elif final:",
         "elif True:",
         ("tests/test_runner.py::test_horizon_sweep_records_the_worst_noted_cause", FLOOD_LAWS),
+    ),
+    Mutant(
+        # a row's recv_us is right, so only the log's rec= note shows it
+        "delivery-noted-at-its-send-time",
+        "runner.py",
+        'self.sim.note("rec={}:{}:ok:{}", mid, dst, recv_us)',
+        'self.sim.note("rec={}:{}:ok:{}", mid, dst, sent_us)',
+        (SOURCE_LAW,),
+    ),
+    # -- the summary: counted from a run's rows ----------------------------------
+    Mutant(
+        "delay-from-the-field-before-sent",
+        "metrics.py",
+        "delay_sum += recv_us - row[3]",
+        "delay_sum += recv_us - row[2]",
+        (SUMMARY_REFERENCE, RUN_REFERENCE),
+    ),
+    Mutant(
+        "sent-counts-only-delivered",
+        "metrics.py",
+        "n_sent = len(rows)",
+        "n_sent = sum(1 for row in rows if row[4] is not None)",
+        (SUMMARY_REFERENCE, RUN_REFERENCE),
     ),
     # -- fog cells ------------------------------------------------------------------
     Mutant(

@@ -4,8 +4,8 @@
 ``Channel.hops`` does for each of its receivers.
 
 The four metric functions recompute each summary metric on its own from a
-record list, so ``metrics.summarize`` and a run's running counts can be
-checked against them.  ``closed_pairs`` and ``spy_addresses`` read a
+record list, so ``metrics.summarize`` and a run's summary can be checked
+against them.  ``closed_pairs`` and ``spy_addresses`` read a
 ``Runtime``'s ledger by (message, target) pair: the rows it closed, and
 every pair it was asked to open.  ``unshared_regions`` swaps in the
 hybrid late-joiner tick that walks every message and a region query made
@@ -245,13 +245,14 @@ def all_items_grid():
 class LogLine(NamedTuple):
     """One event-log line: its time and kind, the bare words of its notes
     (``tx``, ``wait``, ...), its ``key=value`` notes (the first of each key)
-    and its ``rec=`` notes as (msg, dst, ``ok`` or the loss cause)."""
+    and its ``rec=`` notes as (msg, dst, ``ok`` or the loss cause, recv_us
+    or None)."""
 
     t: int
     kind: str
     words: tuple[str, ...]
     fields: dict[str, str]
-    records: list[tuple[int, int, str]]
+    records: list[tuple[int, int, str, Optional[int]]]
 
 
 def parse_log(log: Sequence[str]) -> list[LogLine]:
@@ -265,8 +266,8 @@ def parse_log(log: Sequence[str]) -> list[LogLine]:
             if not eq:
                 words.append(note)
             elif key == "rec":
-                mid, dst, outcome = value.split(":")[:3]
-                records.append((int(mid), int(dst), outcome))
+                mid, dst, outcome, *recv = value.split(":")
+                records.append((int(mid), int(dst), outcome, int(recv[0]) if recv else None))
             else:
                 fields.setdefault(key, value)
         lines.append(LogLine(int(t), kind, tuple(words), fields, records))

@@ -7,9 +7,9 @@ budget, hop limit, target rule, cloud and fog latencies and fog cell
 bounds, must finish with closed accounting (one record per addressed
 pair), records that are each either delivered or lost to a known cause, no
 pair a hop lost to the channel recorded out of range, causal delays,
-running counts that match a recount of the records, delivery + loss == 1,
-and the same CSV bytes on a rerun, with or without an event log, and in a
-serial or a parallel sweep.
+a summary equal to the reference's four metrics over its records,
+delivery + loss == 1, and the same CSV bytes on a rerun, with or without
+an event log, and in a serial or a parallel sweep.
 
 The same configs also drive differential tests against a brute-force
 channel, a brute-force neighbor query, a cell grid that answers every
@@ -21,8 +21,9 @@ far building changes no byte, certain loss delivers nothing over vehicle
 hops, rectangles read from a file play as the same rectangles inline, and
 a larger event budget changes no byte); two flood laws read off the event
 log (a vehicle transmits a message at most once, and only the accounting
-sweep closes a flood pair as lost); a law of every protocol read off the
-event log (no message addresses its own source); a dfcv law checked on
+sweep closes a flood pair as lost); two laws of every protocol read off the
+event log (no message addresses its own source, and the rec= notes equal
+the run's rows in close order); a dfcv law checked on
 every station downlink (it carries whole fog cells of its own station); and
 three hybrid laws checked on every late attempt (it falls within its
 message's window, once per message and vehicle, and in inject order at each
@@ -49,7 +50,7 @@ from hypothesis import strategies as st
 
 from vanetsim import protocols, radio, runner
 from vanetsim.config import ProtocolKnobs, ScenarioConfig, WorkloadSpec
-from vanetsim.metrics import csv_text, summarize
+from vanetsim.metrics import csv_text
 from vanetsim.engine import US_PER_S
 from vanetsim.mobility import MPH_TO_MPS, MobilitySpec, NeighborIndex, parse_fcd
 from vanetsim.protocols import CloudModel, HybridVehcloud, InfraTx, StationIndex
@@ -57,9 +58,13 @@ from vanetsim.radio import CHANNEL_LOSS, LOSS_CAUSES, OUT_OF_RANGE, RadioParams,
 
 from reference import (
     all_items_grid,
+    average_throughput_bps,
     brute_force_channel,
     brute_force_neighbors,
     closed_pairs,
+    delivery_probability,
+    end_to_end_delay_s,
+    packet_loss_ratio,
     parse_log,
     spy_addresses,
 )
@@ -221,50 +226,76 @@ def small_runs(draw):
     return cfg, protocol, vehicles, seed
 
 
-@settings(max_examples=32, deadline=None, derandomize=True)
-@given(small_runs())
-def test_every_small_config_keeps_the_run_invariants(case):
-    cfg, protocol, vehicles, seed = case
-    runtimes = []
-    channel_lost = set()  # open pairs a hop lost to the channel
+def test_every_small_config_keeps_the_run_invariants():
+    multi = []  # the seed of each example whose run addresses pairs for 2 or more injects
 
-    class Recording(runner.Runtime):
-        def setup(self):
-            runtimes.append(self)
-            super().setup()
+    @settings(max_examples=32, deadline=None, derandomize=True)
+    @given(small_runs())
+    def check(case):
+        cfg, protocol, vehicles, seed = case
+        # several messages, where the drawn 8 injects/s give one
+        cfg = dataclasses.replace(cfg, workload=dataclasses.replace(cfg.workload, rate_per_s=40.0))
+        runtimes = []
+        channel_lost = set()  # open pairs a hop lost to the channel
+        injects = []  # the targets of each MessageInject
 
-        def settle(self, msg, results, t, hops, final=True):
-            pending = self._open.get(msg.msg_id, ())
-            channel_lost.update(
-                (msg.msg_id, rid)
-                for rid, out in results
-                if out.loss_cause == CHANNEL_LOSS and rid in pending
-            )
-            return super().settle(msg, results, t, hops, final)
+        class Recording(runner.Runtime):
+            def setup(self):
+                runtimes.append(self)
+                super().setup()
 
-    with mock.patch.object(runner, "Runtime", Recording), spy_addresses() as addressed:
-        first = runner.run_single(cfg, protocol, vehicles, seed)
-    (rt,) = runtimes
-    closed = closed_pairs(rt)
-    assert set(closed) == addressed and rt.opened == len(addressed)
-    # a miss is final or noted, so no pair a hop lost to the channel is swept out of range
-    assert not [key for key in channel_lost if closed[key].loss_cause == OUT_OF_RANGE]
-    for r in first.records:
-        assert (r.recv_us is None) != (r.loss_cause is None)
-        assert r.loss_cause is None or r.loss_cause in LOSS_CAUSES
-        assert r.recv_us is None or r.recv_us >= r.sent_us
-    s = first.summary
-    window_s, size = cfg.sim_duration_s, cfg.radio.msg_size_bytes
-    assert summarize(first.records, protocol, vehicles, seed, window_s, size) == s
-    if s.n_sent:
-        assert math.isclose(s.delivery_probability + s.plr, 1.0, rel_tol=1e-12)
-    else:
-        assert s.delivery_probability is None and s.plr is None
+            def settle(self, msg, results, t, hops, final=True):
+                pending = self._open.get(msg.msg_id, ())
+                channel_lost.update(
+                    (msg.msg_id, rid)
+                    for rid, out in results
+                    if out.loss_cause == CHANNEL_LOSS and rid in pending
+                )
+                return super().settle(msg, results, t, hops, final)
 
-    text = csv_text([s])
-    assert csv_text([runner.run_single(cfg, protocol, vehicles, seed).summary]) == text
-    logged = runner.run_single(cfg, protocol, vehicles, seed, capture_log=True)
-    assert logged.log and csv_text([logged.summary]) == text
+            def _on_inject(self, t, payload):
+                record = super()._on_inject(t, payload)
+                injects.append(record[3])
+                return record
+
+        with mock.patch.object(runner, "Runtime", Recording), spy_addresses() as addressed:
+            first = runner.run_single(cfg, protocol, vehicles, seed)
+        (rt,) = runtimes
+        closed = closed_pairs(rt)
+        assert set(closed) == addressed and rt.opened == len(addressed)
+        # a miss is final or noted, so no pair a hop lost to the channel is swept out of range
+        assert not [key for key in channel_lost if closed[key].loss_cause == OUT_OF_RANGE]
+        records = first.records
+        for r in records:
+            assert (r.recv_us is None) != (r.loss_cause is None)
+            assert r.loss_cause is None or r.loss_cause in LOSS_CAUSES
+            assert r.recv_us is None or r.recv_us >= r.sent_us
+        s = first.summary
+        window_s, size = cfg.sim_duration_s, cfg.radio.msg_size_bytes
+        delivered = sum(r.delivered for r in records)
+        assert (s.n_sent, s.n_delivered, s.n_lost) == (
+            len(records), delivered, len(records) - delivered
+        )
+        # the reference's floats, not merely close ones
+        assert s.mean_e2e_delay_s == end_to_end_delay_s(records)
+        assert s.delivery_probability == delivery_probability(records)
+        assert s.plr == packet_loss_ratio(records)
+        assert s.avg_throughput_bps == average_throughput_bps(records, window_s, size)
+        if s.n_sent:
+            assert math.isclose(s.delivery_probability + s.plr, 1.0, rel_tol=1e-12)
+        else:
+            assert s.delivery_probability is None and s.plr is None
+
+        text = csv_text([s])
+        assert csv_text([runner.run_single(cfg, protocol, vehicles, seed).summary]) == text
+        logged = runner.run_single(cfg, protocol, vehicles, seed, capture_log=True)
+        assert logged.log and csv_text([logged.summary]) == text
+        if sum(1 for targets in injects if targets) >= 2:
+            multi.append(seed)
+
+    check()
+    # not one message per run: most examples close pairs of several injects (28 of 32)
+    assert len(multi) >= 24, len(multi)
 
 
 # each example starts a two-worker process pool, so only a few
@@ -403,9 +434,11 @@ def test_a_flood_sends_once_per_vehicle_and_sweeps_its_losses(case):
 
 
 def test_no_message_addresses_its_own_source():
-    # a law of every protocol over a whole run's event log: no MessageInject
-    # names its source among its targets, whether they are the source's
-    # station region or explicit ids, which may name the source
+    # two laws of every protocol over a whole run's event log: no
+    # MessageInject names its source among its targets, whether they are
+    # the source's station region or explicit ids, which may name the
+    # source; and each closed pair's row agrees with the rec= note of the
+    # event that closed it, in close order
     reached = Counter()
 
     @settings(max_examples=12, deadline=None, derandomize=True, phases=NO_SHRINK)
@@ -416,8 +449,12 @@ def test_no_message_addresses_its_own_source():
         cfg = dataclasses.replace(cfg, workload=dataclasses.replace(cfg.workload, rate_per_s=40.0))
         explicit = cfg.workload.explicit_targets
         for protocol in sorted(runner.PROTOCOLS):
-            _, log = logged_run(cfg, protocol, vehicles, seed)
-            for line in parse_log(log):
+            res = runner.run_single(cfg, protocol, vehicles, seed, capture_log=True)
+            lines = parse_log(res.log)
+            rows = [(m, dst, cause or "ok", recv) for m, _, dst, _, recv, cause, _ in res.rows]
+            assert [rec for line in lines for rec in line.records] == rows
+            reached["delivered"] += any(recv is not None for *_, recv in rows)
+            for line in lines:
                 if line.kind == "MessageInject":
                     src, targets = line.fields["src"], line.fields["targets"].split(",")
                     assert src not in targets, line
@@ -427,8 +464,9 @@ def test_no_message_addresses_its_own_source():
                         reached["explicit"] += 1
 
     law()
-    # not vacuous: region targets, and explicit ones that name the source
-    assert reached["region"] and reached["explicit"], reached
+    # not vacuous: region targets, explicit ones that name the source, and
+    # runs that deliver
+    assert reached["region"] and reached["explicit"] and reached["delivered"], reached
 
 
 def test_a_station_downlink_carries_whole_fog_cells_of_its_own_station():

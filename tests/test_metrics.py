@@ -1,7 +1,9 @@
 """Metric definitions, aggregation, and CSV/plot emission."""
 
+import dataclasses
 import math
 import random
+import statistics
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +34,11 @@ def ok(msg_id, dst, sent_us, recv_us, **kw):
 
 def lost(msg_id, dst, sent_us, cause=OUT_OF_RANGE, **kw):
     return DeliveryRecord(msg_id, 0, dst, sent_us, loss_cause=cause, **kw)
+
+
+def as_rows(records):
+    """The rows a run keeps for ``records``: each record's fields in order."""
+    return [dataclasses.astuple(r) for r in records]
 
 
 # -- record validity ---------------------------------------------------------
@@ -119,7 +126,7 @@ def test_metrics_are_permutation_invariant():
 
 def test_summarize_counts_add_up():
     records = [ok(1, 1, 0, 100), ok(1, 2, 0, 300), lost(1, 3, 0)]
-    s = summarize(records, "baseline", 50, 9, window_s=10.0, msg_size_bytes=256)
+    s = summarize(as_rows(records), "baseline", 50, 9, window_s=10.0, msg_size_bytes=256)
     assert (s.n_sent, s.n_delivered, s.n_lost) == (3, 2, 1)
     assert s.n_sent == s.n_delivered + s.n_lost
     assert s.mean_e2e_delay_s == pytest.approx(0.0002)
@@ -151,7 +158,7 @@ def record_lists(draw):
     st.integers(1, 4096),
 )
 def test_summarize_equals_the_metric_functions(records, window_s, msg_size_bytes):
-    s = summarize(records, "dfcv", 50, 3, window_s, msg_size_bytes)
+    s = summarize(as_rows(records), "dfcv", 50, 3, window_s, msg_size_bytes)
     delivered = sum(1 for r in records if r.delivered)
     assert (s.n_sent, s.n_delivered, s.n_lost) == (
         len(records), delivered, len(records) - delivered
@@ -167,14 +174,14 @@ def test_summarize_equals_the_metric_functions(records, window_s, msg_size_bytes
 def test_summarize_rejects_a_window_that_is_not_positive(window_s):
     for records in ([], [ok(1, 1, 0, 100), lost(1, 2, 0)]):
         with pytest.raises(ValueError):
-            summarize(records, "dfcv", 50, 3, window_s, 256)
+            summarize(as_rows(records), "dfcv", 50, 3, window_s, 256)
 
 
 def test_aggregate_mean_and_sample_std():
     # two seeds with 1 ms and 3 ms mean delay -> mean 2 ms, std 1.414... ms
     runs = [
-        summarize([ok(1, 1, 0, 1_000)], "dfcv", 50, 1, 1.0, 256),
-        summarize([ok(1, 1, 0, 3_000)], "dfcv", 50, 2, 1.0, 256),
+        summarize(as_rows([ok(1, 1, 0, 1_000)]), "dfcv", 50, 1, 1.0, 256),
+        summarize(as_rows([ok(1, 1, 0, 3_000)]), "dfcv", 50, 2, 1.0, 256),
     ]
     row, = aggregate_sweep(runs)
     assert row.n_runs == 2
@@ -185,9 +192,28 @@ def test_aggregate_mean_and_sample_std():
     assert solo.std_e2e_delay_s == 0.0
 
 
+def test_aggregate_gives_each_metric_its_mean_and_spread():
+    # three seeds: one delivers one of two pairs, one delivers its one pair,
+    # one loses its one pair, so it has no delay
+    runs = [
+        summarize(as_rows([ok(1, 1, 0, 1_000), lost(1, 2, 0)]), "dfcv", 50, 1, 1.0, 256),
+        summarize(as_rows([ok(1, 1, 0, 3_000)]), "dfcv", 50, 2, 1.0, 256),
+        summarize(as_rows([lost(1, 1, 0)]), "dfcv", 50, 3, 1.0, 256),
+    ]
+    row, = aggregate_sweep(runs)
+    expected = ["dfcv", 50, 3]
+    for values in ([0.001, 0.003], [0.5, 1.0, 0.0], [0.5, 0.0, 1.0], [2048.0, 2048.0, 0.0]):
+        expected += [statistics.mean(values), statistics.stdev(values)]
+    assert dataclasses.astuple(row) == pytest.approx(tuple(expected))
+    # a group that delivered nothing has no mean delay, and no spread
+    none, = aggregate_sweep(runs[2:])
+    assert (none.mean_e2e_delay_s, none.std_e2e_delay_s) == (None, 0.0)
+    assert (none.plr, none.avg_throughput_bps) == (1.0, 0.0)
+
+
 def test_aggregate_rows_sorted_and_grouped():
     runs = [
-        summarize([ok(1, 1, 0, 100)], p, n, seed, 1.0, 256)
+        summarize(as_rows([ok(1, 1, 0, 100)]), p, n, seed, 1.0, 256)
         for p in ("dfcv", "baseline")
         for n in (150, 50)
         for seed in (1, 2)
@@ -213,8 +239,8 @@ def test_csv_header_is_pinned():
 
 def test_csv_golden_bytes():
     runs = [
-        summarize([ok(1, 1, 0, 2_000), lost(1, 2, 0)], "baseline", 50, 2, 10.0, 256),
-        summarize([ok(1, 1, 0, 1_000)], "baseline", 50, 1, 10.0, 256),
+        summarize(as_rows([ok(1, 1, 0, 2_000), lost(1, 2, 0)]), "baseline", 50, 2, 10.0, 256),
+        summarize(as_rows([ok(1, 1, 0, 1_000)]), "baseline", 50, 1, 10.0, 256),
     ]
     text = csv_text(runs)
     assert text == (
@@ -231,7 +257,7 @@ def test_csv_blank_fields_when_nothing_delivered():
 
 
 def test_csv_uses_nine_significant_digits():
-    s = summarize([ok(1, 1, 0, 1)], "x", 1, 1, 3.0, 256)
+    s = summarize(as_rows([ok(1, 1, 0, 1)]), "x", 1, 1, 3.0, 256)
     # 1 us delay -> 1e-06; throughput 2048/3 = 682.666...667
     line = csv_text([s]).splitlines()[1]
     assert ",1e-06," in line
@@ -240,8 +266,8 @@ def test_csv_uses_nine_significant_digits():
 
 def test_plot_data_layout():
     runs = [
-        summarize([ok(1, 1, 0, 1_000)], "dfcv", 50, 1, 1.0, 256),
-        summarize([ok(1, 1, 0, 2_000)], "dfcv", 150, 1, 1.0, 256),
+        summarize(as_rows([ok(1, 1, 0, 1_000)]), "dfcv", 50, 1, 1.0, 256),
+        summarize(as_rows([ok(1, 1, 0, 2_000)]), "dfcv", 150, 1, 1.0, 256),
     ]
     out = plot_data_texts(runs)
     assert sorted(out) == [

@@ -598,7 +598,7 @@ def test_a_flood_keeps_nothing_per_message(tmp_path):
     rt.setup()
     sim.run(until=rt.end_us)
     msg_ids = {row[0] for row in rt.rows}
-    assert msg_ids and rt.delivered
+    assert msg_ids and any(row[4] is not None for row in rt.rows)
     keyed = [
         name for name, value in vars(rt.protocol).items()
         if isinstance(value, dict) and msg_ids & value.keys()

@@ -30,6 +30,7 @@ NONZERO = {
     "channel.register.calls": WORKLOADS,
     "channel.concurrent_near.calls": WORKLOADS,
     "channel.busy_until_near.calls": WORKLOADS,
+    "summarize.s": WORKLOADS,
 }
 
 

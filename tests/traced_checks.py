@@ -148,6 +148,9 @@ RULES = [
     Row(WORKLOADS, True, equal("channel.concurrent_near.calls", "channel_loss.calls"),
         "Channel.hops asks Channel.concurrent_near once for each channel_loss draw; a draw whose "
         "count was found around that method would leave the two counts apart"),
+    Row(WORKLOADS, True, nonzero("summarize.s"),
+        "run_single summarizes through runner.summarize, the name the tracer patches; a summary "
+        "computed around that name reads 0, as one did while runs kept running counts"),
     Row(WORKLOADS, True, records_sent,
         "the tracer counts records in Runtime.record_delivery and Runtime.record_loss, and every "
         "addressed pair ends with one record; a record written around them would leave records "
