@@ -16,6 +16,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from decimal import InvalidOperation
 from math import floor
+from operator import itemgetter
 from random import Random
 from typing import Callable, Collection, Mapping, Optional, Sequence
 
@@ -478,16 +479,19 @@ class CellGrid:
     rounding picks.  ``within`` serves a wider reach.
 
     Items are filed before the first query: a neighbourhood is joined cell
-    by cell, in filing order within a cell, on first use and kept.
+    by cell, in filing order within a cell, on first use and kept.  With an
+    ``order`` key the joined neighbourhood is then sorted by it, stably, so
+    items with equal keys keep their join order.
     """
 
-    __slots__ = ("cell", "_cells", "_near")
+    __slots__ = ("cell", "_cells", "_near", "_order")
 
-    def __init__(self, reach: float):
+    def __init__(self, reach: float, order: Optional[Callable] = None):
         self.cell = reach * (1.0 + 1e-6)
         # a read uses .get, so only add files a cell
         self._cells: defaultdict[tuple[int, int], list] = defaultdict(list)
         self._near: dict[tuple[int, int], list] = {}
+        self._order = order
 
     def add(self, x: float, y: float, item) -> None:
         self._cells[floor(x / self.cell), floor(y / self.cell)].append(item)
@@ -506,6 +510,8 @@ class CellGrid:
                 for b in (j - 1, j, j + 1)
                 for item in cells.get((a, b), ())
             ]
+            if self._order is not None:
+                near.sort(key=self._order)
         return near
 
     def within(self, x: float, y: float, r: float) -> list[list]:
@@ -517,6 +523,9 @@ class CellGrid:
             for a in range(floor((x - r) / cell), floor((x + r) / cell) + 1)
             for b in range(floor((y - r) / cell), floor((y + r) / cell) + 1)
         ]
+
+
+_BY_ID = itemgetter(0)  # a NeighborIndex entry's vid
 
 
 class NeighborIndex:
@@ -551,7 +560,16 @@ class NeighborIndex:
     edge``.  Every query with ``radius <= cell_m`` has ``reach <= span``,
     since ``slack < edge``, so it reads the grid's 3x3 neighbourhood of the
     center.  A wider query, such as a station's region, scans every cell
-    its reach overlaps.
+    its reach overlaps, keeps each vehicle's flag in a dict and sorts it.
+
+    A narrow query reads its neighbourhood sorted by id instead, joined and
+    sorted once per snapshot on first use: a rebuild files each cell in id
+    order, so the sort merges at most nine runs.  A vehicle's entries then
+    sit next to each other, so the query emits each pair as it walks and
+    merges an image into the pair just emitted for its owner (or the other
+    way round): the pair is certain when any of its in-reach entries is.
+    That is the flag and the order the dict and the sort give, so the
+    answer is the same.
 
     ``certain`` means the vehicle is within ``radius`` at ``t`` without
     looking it up.  Again by the triangle inequality, a snapshot within
@@ -595,15 +613,16 @@ class NeighborIndex:
         # each vehicle's wrap periods, in vehicle_ids order, read once
         self._wraps = [provider.wrap_period(v) for v in provider.vehicle_ids]
         self._built_at: Optional[SimTime] = None
-        # (vid, x, y, distance from x, y to the nearest seam), filed at x, y;
-        # an image's seam distance is -inf, so it is never certain
-        self._grid = CellGrid(self._span)
+        # (vid, x, y, distance from x, y to the nearest seam), filed at x, y,
+        # each neighbourhood sorted by vid; an image's seam distance is -inf,
+        # so it is never certain
+        self._grid = CellGrid(self._span, _BY_ID)
 
     def _rebuild(self, t_us: SimTime) -> None:
         edge = self._edge
         positions = self._fleet_positions(t_us)
         inf = math.inf
-        grid = self._grid = CellGrid(self._span)
+        grid = self._grid = CellGrid(self._span, _BY_ID)
         add = grid.add
         for vid, (wrap_x, wrap_y) in zip(self._provider.vehicle_ids, self._wraps):
             x, y = positions[vid]
@@ -634,9 +653,25 @@ class NeighborIndex:
         margin = slack + 1e-6  # the least seam distance of a certain snapshot
         cx, cy = center
         grid = self._grid
-        lists = (grid.near(cx, cy),) if reach <= self._span else grid.within(cx, cy, reach)
+        if reach <= self._span:
+            out: list[tuple[int, bool]] = []
+            append = out.append
+            last = None  # the vid of out[-1]
+            for vid, x, y, seam in grid.near(cx, cy):
+                if vid in exclude:
+                    continue
+                dx, dy = x - cx, y - cy
+                d2 = dx * dx + dy * dy
+                if d2 <= reach2:
+                    certain = d2 <= sure2 and seam >= margin
+                    if vid != last:
+                        append((vid, certain))
+                        last = vid
+                    elif certain:
+                        out[-1] = (vid, True)
+            return out
         found: dict[int, bool] = {}
-        for entries in lists:
+        for entries in grid.within(cx, cy, reach):
             for vid, x, y, seam in entries:
                 if vid in exclude:
                     continue

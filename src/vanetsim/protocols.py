@@ -566,7 +566,8 @@ class Dfcv(Protocol):
         last = self._assoc.get
         assoc: dict[int, BaseStation] = {}
         by_bs: dict[int, list[int]] = {s.station_id: [] for s in rt.stations}
-        for v in sorted(positions):
+        # the fleet's ids, in order, are exactly the keys of positions
+        for v in rt.provider.vehicle_ids:
             bs = covering(positions[v], last(v))
             if bs is not None:
                 assoc[v] = bs

@@ -233,8 +233,8 @@ def channel_loss(params: RadioParams, concurrent_tx: int, rng: Random) -> bool:
     Always consumes exactly one draw from the stream so the draw sequence
     stays aligned no matter what the probability works out to.
     """
-    q = min(1.0, params.base_loss + params.loss_slope * concurrent_tx)
-    return rng.random() < q
+    q = params.base_loss + params.loss_slope * concurrent_tx
+    return rng.random() < (q if q < 1.0 else 1.0)
 
 
 class Channel:
@@ -275,6 +275,8 @@ class Channel:
 
     def __init__(self, params: RadioParams, obstacles: ObstacleMap, backoff_rng, loss_rng):
         self.params = params
+        # the audible range, read by every carrier-sense and contention scan
+        self.range_m = params.range_m
         self.obstacles = obstacles
         # every frame is radio.msg_size_bytes long, so on air this long
         self.frame_us = tx_time_us(params)
@@ -337,7 +339,7 @@ class Channel:
         """
         if t > self._asked:
             self._advance_to(t)
-        r = self.params.range_m
+        r = self.range_m
         px, py = pos
         n = 0
         for end, start, x, y in self._active:
@@ -351,7 +353,7 @@ class Channel:
         """The latest end of the frames on air at ``t`` and audible at ``pos``."""
         if t > self._asked:
             self._advance_to(t)
-        r = self.params.range_m
+        r = self.range_m
         px, py = pos
         busy = None
         for end, start, x, y in self._active:
@@ -396,18 +398,21 @@ class Channel:
         tx, speed = self._tx_us, params.prop_speed_mps
         sx, sy = src
         out = []
+        # looked up per call, never bound at import or as a default, so a
+        # patched channel_loss or Channel.concurrent_near is the one called
+        append, lossy, concurrent = out.append, channel_loss, self.concurrent_near
         for rid in receivers:
             dst = locate(rid, t)
             d = hypot(sx - dst[0], sy - dst[1])
             if d > reach:
-                out.append((rid, _OUT_OF_RANGE_HOP))
+                append((rid, _OUT_OF_RANGE_HOP))
             elif walls and not line_of_sight(src, dst, obstacles):
-                out.append((rid, _SHADOWED_HOP))
-            elif contend and channel_loss(params, self.concurrent_near(dst, t, own), rng):
-                out.append((rid, _CHANNEL_LOSS_HOP))
+                append((rid, _SHADOWED_HOP))
+            elif contend and lossy(params, concurrent(dst, t, own), rng):
+                append((rid, _CHANNEL_LOSS_HOP))
             else:
                 delay = int(tx + d * US_PER_S / speed + 0.5)
-                out.append((rid, _delivered_hop(delay if delay > 1 else 1)))
+                append((rid, _delivered_hop(delay if delay > 1 else 1)))
         return out
 
     def uplink(

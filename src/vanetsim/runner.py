@@ -109,7 +109,7 @@ class Runtime:
         "station_index", "index", "channel", "gateway_ids",
         "rows", "opened", "_open", "messages", "_msg_seq",
         "_pos_t", "_pos", "_regions_t", "_regions", "_logging",
-        "end_us", "_beacon_us", "_tick_us", "_maintenance_us", "protocol",
+        "end_us", "_beacon_us", "_tick_us", "_maintenance_us", "_explicit", "protocol",
     )
 
     def __init__(
@@ -157,6 +157,9 @@ class Runtime:
         self._beacon_us: SimTime = 0
         self._tick_us: SimTime = 0
         self._maintenance_us: SimTime = 0
+        # the explicit targets in the fleet, sorted, set in setup(); None
+        # when each inject addresses its nearest station's region
+        self._explicit: Optional[tuple[int, ...]] = None
         self.protocol = PROTOCOLS[protocol_name](self)
 
     # -- geometry and lookups ------------------------------------------------
@@ -320,10 +323,11 @@ class Runtime:
         pair, which keeps the worst cause noted for the accounting sweep.
         """
         reached = []
+        deliver = self.record_delivery
         for rid, out in results:
             if out.delivered:
                 recv_us = t + out.delay_us
-                self.record_delivery(msg, rid, recv_us, hops)
+                deliver(msg, rid, recv_us, hops)
                 reached.append((rid, recv_us))
             elif final:
                 self.record_loss(msg, rid, out.loss_cause)
@@ -342,6 +346,9 @@ class Runtime:
         self._beacon_us = to_us(self.knobs.beacon_interval_s)
         self._tick_us = to_us(self.knobs.mobility_tick_s)
         self._maintenance_us = to_us(self.knobs.maintenance_interval_s)
+        wanted = self.cfg.workload.explicit_targets
+        if wanted:
+            self._explicit = tuple(sorted(set(wanted).intersection(self.provider.vehicle_ids)))
 
         for kind, handler in (
             (MESSAGE_INJECT, self._on_inject),
@@ -385,10 +392,8 @@ class Runtime:
     # -- handlers ---------------------------------------------------------------
 
     def _targets_for(self, src: int, t: SimTime) -> tuple[int, ...]:
-        if self.cfg.workload.explicit_targets:
-            valid = set(self.provider.vehicle_ids)
-            wanted = set(self.cfg.workload.explicit_targets)
-            return tuple(sorted(v for v in wanted if v in valid and v != src))
+        if self._explicit is not None:
+            return tuple(v for v in self._explicit if v != src)
         bs = self.nearest_station(self.pos(src, t))
         return self.region_members(bs, t, exclude=(src,))
 
@@ -456,11 +461,12 @@ class Runtime:
         every unmetered beacon; this event only writes the records.
         """
         pos = self.pos(v, t)
-        cand = self.neighbors(pos, self.params.range_m, t, exclude=(v,))
+        reach = self.params.range_m
+        cand = self.neighbors(pos, reach, t, exclude=(v,))
         self._msg_seq += 1
         msg = Message(self._msg_seq, v, t, tuple(cand), ttl_hops=1, kind=KIND_BEACON)
         self.address(msg)
-        results = self.channel.hops(pos, cand, self.pos, self.params.range_m, t, own=pos)
+        results = self.channel.hops(pos, cand, self.pos, reach, t, own=pos)
         self.settle(msg, results, t, 1)
         self._repeat(BEACON_EMIT, t + self._beacon_us, v)
         return "v={} msg={} targets={}", v, msg.msg_id, cand

@@ -55,6 +55,8 @@ HYBRID_DIFFERENTIAL = (
 
 NEIGHBOR_DIFFERENTIAL = "tests/test_invariants.py::test_runs_match_a_brute_force_neighbor_query"
 
+IMAGE_MERGE = "tests/test_mobility.py::test_neighbor_index_merges_an_image_with_its_owner"
+
 FLOOD_LAWS = "tests/test_invariants.py::test_a_flood_sends_once_per_vehicle_and_sweeps_its_losses"
 
 HYBRID_LAWS = (
@@ -135,12 +137,30 @@ MUTANTS = (
     Mutant(
         "neighbourhood-beyond-its-reach",
         "mobility.py",
-        "if reach <= self._span else",
-        "if reach <= self._span * 1.1 else",
+        "if reach <= self._span:",
+        "if reach <= self._span * 1.1:",
         (
             "tests/test_mobility.py::test_neighbor_index_answers_do_not_depend_on_the_cell_size",
             NEIGHBOR_DIFFERENTIAL,
         ),
+    ),
+    Mutant(
+        # an image's flag overwrites its owner's: a certain owner can end up
+        # uncertain when its image comes after it in the neighbourhood
+        "image-flag-overwrites-its-owner",
+        "mobility.py",
+        """                    elif certain:
+                        out[-1] = (vid, True)""",
+        """                    else:
+                        out[-1] = (vid, certain)""",
+        (IMAGE_MERGE,),
+    ),
+    Mutant(
+        "owner-and-image-emitted-twice",
+        "mobility.py",
+        "if vid != last:",
+        "if True:",
+        (IMAGE_MERGE,),
     ),
     Mutant(
         # a vehicle just below the top y seam gets no image across it
@@ -247,10 +267,21 @@ MUTANTS = (
     ),
     # -- the channel -----------------------------------------------------------
     Mutant(
+        # bound when hops is defined: a patched channel_loss is never called
+        "loss-draw-bound-at-definition",
+        "radio.py",
+        """        own: Optional[Position] = None,
+    ) -> list[tuple[int, HopOutcome]]:""",
+        """        own: Optional[Position] = None,
+        channel_loss=channel_loss,
+    ) -> list[tuple[int, HopOutcome]]:""",
+        ("tests/test_radio.py::test_hops_reach_a_patched_loss_draw_and_contention_count",),
+    ),
+    Mutant(
         "contention-draw-without-contention",
         "radio.py",
-        "elif contend and channel_loss(params, self.concurrent_near(dst, t, own), rng):",
-        "elif channel_loss(params, self.concurrent_near(dst, t, own), rng) and contend:",
+        "elif contend and lossy(params, concurrent(dst, t, own), rng):",
+        "elif lossy(params, concurrent(dst, t, own), rng) and contend:",
         ("tests/test_radio.py",),
     ),
     Mutant(
@@ -352,8 +383,8 @@ MUTANTS = (
     Mutant(
         "loss-capped-below-certain",
         "radio.py",
-        "q = min(1.0, params.base_loss + params.loss_slope * concurrent_tx)",
-        "q = min(0.99, params.base_loss + params.loss_slope * concurrent_tx)",
+        "rng.random() < (q if q < 1.0 else 1.0)",
+        "rng.random() < (q if q < 0.99 else 0.99)",
         ("tests/test_invariants.py::test_certain_loss_delivers_nothing_over_vehicle_hops",),
     ),
     Mutant(

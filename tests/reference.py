@@ -230,8 +230,12 @@ def brute_force_channel():
 
 
 def every_item(grid: CellGrid, *_) -> list:
-    """Every item filed in ``grid``, whatever point is asked about."""
-    return [item for items in grid._cells.values() for item in items]
+    """Every item filed in ``grid``, whatever point is asked about, sorted
+    by the grid's ``order`` key when it has one, as ``near`` sorts."""
+    items = [item for items in grid._cells.values() for item in items]
+    if grid._order is not None:
+        items.sort(key=grid._order)
+    return items
 
 
 @contextmanager

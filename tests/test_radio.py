@@ -4,11 +4,13 @@ channel's occupancy, beacon schedule and backoff draws."""
 import math
 import random
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from vanetsim import radio
 from vanetsim.errors import ConfigError
 from vanetsim.mobility import distance
 from vanetsim.radio import (
@@ -528,6 +530,29 @@ def test_hop_without_contention_check_never_draws():
     out = one_hop((0, 0), (150, 0), 300.0, p, EMPTY_MAP, rng=rng)
     assert out.delivered and out.delay_us == hop_delay_us(p, 150.0)
     assert rng.calls == 0
+
+
+def test_hops_reach_a_patched_loss_draw_and_contention_count():
+    # a tracer patches channel_loss and Channel.concurrent_near after import,
+    # so hops looks both up per call: each contending receiver reaches each
+    # patch once
+    ch = make_channel(base_loss=0.5)
+    draw, near = radio.channel_loss, Channel.concurrent_near
+    calls = Counter()
+
+    def counted_draw(*args):
+        calls["channel_loss"] += 1
+        return draw(*args)
+
+    def counted_near(self, *args):
+        calls["concurrent_near"] += 1
+        return near(self, *args)
+
+    receivers = [3, 5, 8, 13]
+    with mock.patch.object(radio, "channel_loss", counted_draw):
+        with mock.patch.object(Channel, "concurrent_near", counted_near):
+            ch.hops((0.0, 0.0), receivers, lambda v, t: (10.0 * v, 0.0), 300.0, 0)
+    assert calls == {"channel_loss": len(receivers), "concurrent_near": len(receivers)}
 
 
 # -- channel ------------------------------------------------------------------
