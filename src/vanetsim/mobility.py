@@ -476,7 +476,7 @@ class CellGrid:
     point a few float steps beyond the reach, for coordinates up to a
     billion cells from the origin.  A caller that tests each item at its
     distance therefore misses nothing within the reach, whichever cells the
-    rounding picks.  ``within`` serves a wider reach.
+    rounding picks.  A wider reach is the caller's to serve.
 
     Items are filed before the first query: a neighbourhood is joined cell
     by cell, in filing order within a cell, on first use and kept.  With an
@@ -514,16 +514,6 @@ class CellGrid:
                 near.sort(key=self._order)
         return near
 
-    def within(self, x: float, y: float, r: float) -> list[list]:
-        """The item lists of every cell that the square of half-side ``r``
-        around ``(x, y)`` overlaps."""
-        cell, cells = self.cell, self._cells
-        return [
-            cells.get((a, b), ())
-            for a in range(floor((x - r) / cell), floor((x + r) / cell) + 1)
-            for b in range(floor((y - r) / cell), floor((y + r) / cell) + 1)
-        ]
-
 
 _BY_ID = itemgetter(0)  # a NeighborIndex entry's vid
 
@@ -556,20 +546,17 @@ class NeighborIndex:
     center; by the triangle inequality that holds for every vehicle actually
     within ``radius`` at ``t``.
 
-    The entries are filed in a ``CellGrid`` of reach ``span = cell_m +
-    edge``.  Every query with ``radius <= cell_m`` has ``reach <= span``,
-    since ``slack < edge``, so it reads the grid's 3x3 neighbourhood of the
-    center.  A wider query, such as a station's region, scans every cell
-    its reach overlaps, keeps each vehicle's flag in a dict and sorts it.
-
-    A narrow query reads its neighbourhood sorted by id instead, joined and
-    sorted once per snapshot on first use: a rebuild files each cell in id
-    order, so the sort merges at most nine runs.  A vehicle's entries then
-    sit next to each other, so the query emits each pair as it walks and
-    merges an image into the pair just emitted for its owner (or the other
-    way round): the pair is certain when any of its in-reach entries is.
-    That is the flag and the order the dict and the sort give, so the
-    answer is the same.
+    A rebuild keeps its entries in id order, each image right after its
+    owner (``vehicle_ids`` is ``0..n-1``), and files them in a ``CellGrid``
+    of reach ``span = cell_m + edge``.  Every query with ``radius <=
+    cell_m`` has ``reach <= span``, since ``slack < edge``, so it reads the
+    grid's 3x3 neighbourhood of the center, sorted by id, joined and sorted
+    once per snapshot on first use: each cell is filed in id order, so the
+    sort merges at most nine runs.  A wider query, such as a station's
+    region, walks every entry instead.  Either way a vehicle's entries sit
+    next to each other, so the query emits each pair as it walks and merges
+    an image into the pair just emitted for its owner (or the other way
+    round): the pair is certain when any of its in-reach entries is.
 
     ``certain`` means the vehicle is within ``radius`` at ``t`` without
     looking it up.  Again by the triangle inequality, a snapshot within
@@ -612,18 +599,18 @@ class NeighborIndex:
         self._span = max(cell_m, 1.0) + self._edge
         # each vehicle's wrap periods, in vehicle_ids order, read once
         self._wraps = [provider.wrap_period(v) for v in provider.vehicle_ids]
+        # None until the first query, which rebuilds the snapshot first: the
+        # rebuild sets _entries and _grid
         self._built_at: Optional[SimTime] = None
-        # (vid, x, y, distance from x, y to the nearest seam), filed at x, y,
-        # each neighbourhood sorted by vid; an image's seam distance is -inf,
-        # so it is never certain
-        self._grid = CellGrid(self._span, _BY_ID)
 
     def _rebuild(self, t_us: SimTime) -> None:
         edge = self._edge
         positions = self._fleet_positions(t_us)
         inf = math.inf
-        grid = self._grid = CellGrid(self._span, _BY_ID)
-        add = grid.add
+        # (vid, x, y, distance from x, y to the nearest seam), in vid order
+        # with each image right after its owner; an image's seam distance is
+        # -inf, so it is never certain
+        entries: list[tuple[int, float, float, float]] = []
         for vid, (wrap_x, wrap_y) in zip(self._provider.vehicle_ids, self._wraps):
             x, y = positions[vid]
             # the least of the seam distances, each kept only when strictly
@@ -634,10 +621,14 @@ class NeighborIndex:
             if wrap_y is not None:
                 seam = y if y < seam else seam
                 seam = d if (d := wrap_y - y) < seam else seam
-            add(x, y, (vid, x, y, seam))
+            entries.append((vid, x, y, seam))
             if seam < edge:
-                for ix, iy in _images(x, y, wrap_x, wrap_y, edge):
-                    add(ix, iy, (vid, ix, iy, -inf))
+                entries += [(vid, ix, iy, -inf) for ix, iy in _images(x, y, wrap_x, wrap_y, edge)]
+        # filed at x, y in entry order, each neighbourhood sorted by vid
+        grid = self._grid = CellGrid(self._span, _BY_ID)
+        for entry in entries:
+            grid.add(entry[1], entry[2], entry)
+        self._entries = entries
         self._built_at = t_us
 
     def candidates(
@@ -652,37 +643,22 @@ class NeighborIndex:
         sure2 = sure * sure if sure > 0 else -1.0
         margin = slack + 1e-6  # the least seam distance of a certain snapshot
         cx, cy = center
-        grid = self._grid
-        if reach <= self._span:
-            out: list[tuple[int, bool]] = []
-            append = out.append
-            last = None  # the vid of out[-1]
-            for vid, x, y, seam in grid.near(cx, cy):
-                if vid in exclude:
-                    continue
-                dx, dy = x - cx, y - cy
-                d2 = dx * dx + dy * dy
-                if d2 <= reach2:
-                    certain = d2 <= sure2 and seam >= margin
-                    if vid != last:
-                        append((vid, certain))
-                        last = vid
-                    elif certain:
-                        out[-1] = (vid, True)
-            return out
-        found: dict[int, bool] = {}
-        for entries in grid.within(cx, cy, reach):
-            for vid, x, y, seam in entries:
-                if vid in exclude:
-                    continue
-                dx, dy = x - cx, y - cy
-                d2 = dx * dx + dy * dy
-                if d2 <= reach2:
-                    if d2 <= sure2 and seam >= margin:
-                        found[vid] = True
-                    elif vid not in found:
-                        found[vid] = False
-        return sorted(found.items())
+        out: list[tuple[int, bool]] = []
+        append = out.append
+        last = None  # the vid of out[-1]
+        for vid, x, y, seam in self._grid.near(cx, cy) if reach <= self._span else self._entries:
+            if vid in exclude:
+                continue
+            dx, dy = x - cx, y - cy
+            d2 = dx * dx + dy * dy
+            if d2 <= reach2:
+                certain = d2 <= sure2 and seam >= margin
+                if vid != last:
+                    append((vid, certain))
+                    last = vid
+                elif certain:
+                    out[-1] = (vid, True)
+        return out
 
 
 def _images(

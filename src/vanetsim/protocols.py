@@ -85,9 +85,9 @@ class StationIndex:
     whose neighbourhood of a point holds every station covering it.
 
     Each station also has a sure radius, ``min(coverage_m, gap / 2 -
-    1e-6)``, where ``gap`` is the distance to its nearest other station,
-    looked for within ``2 * coverage_m + 2e-6``; with none there the radius
-    is the coverage, and two stations at one spot get a negative one.
+    1e-6)``, where ``gap`` is the distance to its nearest other station;
+    with no other station the radius is the coverage, and two stations at
+    one spot get a negative one.
     Every other station is then at least ``2 * radius + 2e-6`` away, so a
     point within the radius is nearer to the station than to any other by
     more than ``2e-6``, far more than the float rounding of either
@@ -108,12 +108,11 @@ class StationIndex:
     def _sure(self) -> dict[int, float]:
         """Each station's sure radius by its id, worked out at the first
         guess, so a run that never guesses never pays for it."""
-        coverage_m = self.coverage_m
+        coverage_m, stations = self.coverage_m, self._stations
         sure = {}
-        for s in self._stations:
+        for s in stations:
             sx, sy = s.pos
-            others = self._grid.within(sx, sy, 2.0 * coverage_m + 2e-6)
-            gaps = [hypot(o.pos[0] - sx, o.pos[1] - sy) for c in others for o in c if o is not s]
+            gaps = [hypot(o.pos[0] - sx, o.pos[1] - sy) for o in stations if o is not s]
             sure[s.station_id] = min(coverage_m, min(gaps, default=inf) / 2 - 1e-6)
         return sure
 

@@ -228,13 +228,13 @@ def tx_time_us(params: RadioParams) -> int:
 
 
 def channel_loss(params: RadioParams, concurrent_tx: int, rng: Random) -> bool:
-    """Bernoulli loss draw; probability min(1, base + slope * concurrent).
+    """Bernoulli loss draw; probability min(1, base + slope * concurrent),
+    since a draw in [0, 1) is below every probability of 1 or more.
 
     Always consumes exactly one draw from the stream so the draw sequence
     stays aligned no matter what the probability works out to.
     """
-    q = params.base_loss + params.loss_slope * concurrent_tx
-    return rng.random() < (q if q < 1.0 else 1.0)
+    return rng.random() < params.base_loss + params.loss_slope * concurrent_tx
 
 
 class Channel:

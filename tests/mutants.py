@@ -137,8 +137,8 @@ MUTANTS = (
     Mutant(
         "neighbourhood-beyond-its-reach",
         "mobility.py",
-        "if reach <= self._span:",
-        "if reach <= self._span * 1.1:",
+        "if reach <= self._span else",
+        "if reach <= self._span * 1.1 else",
         (
             "tests/test_mobility.py::test_neighbor_index_answers_do_not_depend_on_the_cell_size",
             NEIGHBOR_DIFFERENTIAL,
@@ -149,10 +149,10 @@ MUTANTS = (
         # uncertain when its image comes after it in the neighbourhood
         "image-flag-overwrites-its-owner",
         "mobility.py",
-        """                    elif certain:
-                        out[-1] = (vid, True)""",
-        """                    else:
-                        out[-1] = (vid, certain)""",
+        """                elif certain:
+                    out[-1] = (vid, True)""",
+        """                else:
+                    out[-1] = (vid, certain)""",
         (IMAGE_MERGE,),
     ),
     Mutant(
@@ -383,8 +383,8 @@ MUTANTS = (
     Mutant(
         "loss-capped-below-certain",
         "radio.py",
-        "rng.random() < (q if q < 1.0 else 1.0)",
-        "rng.random() < (q if q < 0.99 else 0.99)",
+        "rng.random() < params.base_loss + params.loss_slope * concurrent_tx",
+        "rng.random() < min(0.99, params.base_loss + params.loss_slope * concurrent_tx)",
         ("tests/test_invariants.py::test_certain_loss_delivers_nothing_over_vehicle_hops",),
     ),
     Mutant(

@@ -240,10 +240,9 @@ def every_item(grid: CellGrid, *_) -> list:
 
 @contextmanager
 def all_items_grid():
-    """Run every CellGrid with ``near`` and ``within`` answering every item."""
+    """Run every CellGrid with ``near`` answering every item."""
     with mock.patch.object(CellGrid, "near", every_item):
-        with mock.patch.object(CellGrid, "within", lambda grid, *_: [every_item(grid)]):
-            yield
+        yield
 
 
 class LogLine(NamedTuple):

@@ -7,7 +7,7 @@ from collections import Counter
 from unittest import mock
 
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from vanetsim import radio
@@ -386,6 +386,13 @@ def los_cases(draw):
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(los_cases())
+# a witness for the mutant grazing-clip-blocks: the clip window shrinks to
+# t0 == t1 == 1.0, so the segment sees.  In exact arithmetic it runs about
+# 3e-195 m inside the rectangle: it is also one of the interior slivers the
+# float clip misses (ROADMAP item 18).  Hypothesis also draws from literals
+# in the source it imports, so the drawn examples move when that source
+# does, and the witness is pinned here.
+@example((ObstacleMap([(-3.294603175452063e-195, -2.0, 1.0, 0.0)]), [((0.0, -1.0), (-1.0, -1.0))]))
 def test_los_matches_the_per_rectangle_clip(case):
     obstacles, segments = case
     for a, b in segments:
