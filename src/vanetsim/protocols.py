@@ -21,7 +21,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import hypot, inf
-from typing import Any, Optional, Sequence
+from typing import Any, NamedTuple, Optional, Sequence
 
 from . import fog
 from .engine import Record, SimTime, to_us
@@ -39,8 +39,9 @@ KIND_BEACON = "beacon"
 KIND_EVENT = "event_driven"
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
+    """One addressed message; a tuple, so it is immutable and cheap to build."""
+
     msg_id: int
     src: int
     origin_us: SimTime

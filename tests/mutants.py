@@ -68,6 +68,11 @@ EDGE_QUERIES = "tests/test_radio.py::test_queries_on_frame_edges_match_the_frame
 
 SOURCE_LAW = "tests/test_invariants.py::test_no_message_addresses_its_own_source"
 
+PROVIDER_LOOKUPS = (
+    "tests/test_runner.py::"
+    "test_hop_receivers_and_carrier_senses_locate_straight_from_the_provider"
+)
+
 SIGHT_SPY = "tests/test_invariants.py::test_hybrid_asks_sight_only_of_a_map_with_rectangles"
 
 FCD_DIFFERENTIAL = (
@@ -516,9 +521,23 @@ MUTANTS = (
     Mutant(
         "station-downlink-contends",
         "runner.py",
-        "results = self.channel.hops(bs.pos, job.receivers, self.pos, reach, t, contend=False)",
-        "results = self.channel.hops(bs.pos, job.receivers, self.pos, reach, t, contend=True)",
+        "bs.pos, job.receivers, self.provider.position_at, reach, t, contend=False",
+        "bs.pos, job.receivers, self.provider.position_at, reach, t, contend=True",
         ("tests/test_invariants.py::test_dfcv_bytes_do_not_depend_on_the_loss_rate",),
+    ),
+    Mutant(
+        "beacon-receivers-through-the-cache",
+        "runner.py",
+        "results = self.channel.hops(pos, cand, self.provider.position_at, reach, t, own=pos)",
+        "results = self.channel.hops(pos, cand, self.pos, reach, t, own=pos)",
+        (PROVIDER_LOOKUPS,),
+    ),
+    Mutant(
+        "carrier-sense-through-the-cache",
+        "runner.py",
+        "pos = self.provider.position_at(job.sender, t)",
+        "pos = self.pos(job.sender, t)",
+        (PROVIDER_LOOKUPS,),
     ),
     Mutant(
         "downlink-from-the-senders-station",

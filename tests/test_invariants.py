@@ -328,14 +328,28 @@ def test_runs_match_a_brute_force_channel(case):
         assert logged_run(*case) == real
 
 
-@settings(max_examples=24, deadline=None, derandomize=True, phases=NO_SHRINK)
-@given(small_runs())
-def test_runs_match_a_brute_force_neighbor_query(case):
-    # the index's snapshot, slack, images and neighbourhood lists, and the
-    # position cache, against every vehicle located afresh at its distance
-    real = logged_run(*case)
-    with mock.patch.object(runner.Runtime, "neighbors", brute_force_neighbors):
-        assert logged_run(*case) == real
+def test_runs_match_a_brute_force_neighbor_query():
+    multi = []  # the seed of each example whose run addresses pairs for 2 or more injects
+
+    @settings(max_examples=24, deadline=None, derandomize=True, phases=NO_SHRINK)
+    @given(small_runs())
+    def check(case):
+        # the index's snapshot, slack, images and neighbourhood lists, and the
+        # position cache, against every vehicle located afresh at its distance
+        cfg, protocol, vehicles, seed = case
+        # several messages, where a street or trace fleet's drawn 8 injects/s give one
+        cfg = dataclasses.replace(cfg, workload=dataclasses.replace(cfg.workload, rate_per_s=40.0))
+        real = logged_run(cfg, protocol, vehicles, seed)
+        with mock.patch.object(runner.Runtime, "neighbors", brute_force_neighbors):
+            assert logged_run(cfg, protocol, vehicles, seed) == real
+        lines = parse_log(real[1])
+        if sum(1 for line in lines if line.kind == "MessageInject" and line.fields["targets"]) >= 2:
+            multi.append(seed)
+
+    check()
+    # not one message per run: most examples close pairs of several injects
+    # (20 of 24; 12 at the drawn rates, each of them an edge map)
+    assert len(multi) >= 16, len(multi)
 
 
 @settings(max_examples=24, deadline=None, derandomize=True, phases=NO_SHRINK)

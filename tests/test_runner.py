@@ -3,6 +3,7 @@ sweeps, budget enforcement, log accounting."""
 
 import concurrent.futures
 import dataclasses
+import functools
 import math
 import os
 import random
@@ -30,12 +31,13 @@ from vanetsim.mobility import (
     distance,
     parse_fcd,
 )
-from vanetsim.protocols import Dfcv, Message
+from vanetsim.protocols import Dfcv, InfraTx, Message
 from vanetsim.radio import (
     CHANNEL_LOSS,
     EMPTY_MAP,
     OUT_OF_RANGE,
     SHADOWED,
+    Channel,
     HopOutcome,
     ObstacleMap,
     RadioParams,
@@ -283,6 +285,80 @@ def test_an_instant_that_rebuilds_the_index_and_maintains_dfcv_locates_each_vehi
     assert len(both) >= 4
     for t in both:
         assert [located[t, v] for v in range(vehicles)] == [1] * vehicles, t
+
+
+@pytest.mark.parametrize("metered", (False, True))
+@pytest.mark.parametrize("protocol", ("baseline", "hybrid_vehcloud", "dfcv"))
+def test_hop_receivers_and_carrier_senses_locate_straight_from_the_provider(
+    protocol, metered, monkeypatch
+):
+    # The per-instant cache rarely answers these two lookups, so they skip
+    # it: each hop receiver costs exactly one position_at call and no
+    # Runtime.pos call, and so does each carrier-sensing sender.  The
+    # channel's own frame-origin lookups (inside hops' contention counts
+    # and inside busy_until_near) are not counted.
+    site = None  # the lookup site running now, or None
+    pos_calls = Counter()  # site -> Runtime.pos calls
+    provider_calls = Counter()  # site -> position_at calls
+    receivers = Counter()  # hops caller -> receivers located
+    senses = 0
+    position_at, pos, hops = SyntheticHighwayProvider.position_at, Runtime.pos, Channel.hops
+    on_radio, busy_until_near = Runtime._on_radio, Channel.busy_until_near
+
+    def counting_position_at(self, vehicle_id, t_us):
+        provider_calls[site] += 1
+        return position_at(self, vehicle_id, t_us)
+
+    def counting_pos(self, vehicle_id, t):
+        pos_calls[site] += 1
+        return pos(self, vehicle_id, t)
+
+    def at_site(name, call, *args):
+        nonlocal site
+        outer, site = site, name
+        try:
+            return call(*args)
+        finally:
+            site = outer
+
+    def spied_hops(self, src, rids, locate, *args, **kwargs):
+        caller = sys._getframe(1).f_code.co_name
+        if caller in ("_fire_tx", "_fire_infra", "_on_beacon"):  # not Channel.uplink
+            receivers[caller] += len(rids)
+            locate = functools.partial(at_site, "hop", locate)
+        return hops(self, src, rids, locate, *args, **kwargs)
+
+    def spied_busy_until_near(self, p, t):
+        return at_site(None, busy_until_near, self, p, t)
+
+    def spied_on_radio(self, t, job):
+        nonlocal senses
+        if isinstance(job, InfraTx) or job.fire:
+            return on_radio(self, t, job)
+        senses += 1
+        return at_site("sense", on_radio, self, t, job)
+
+    monkeypatch.setattr(SyntheticHighwayProvider, "position_at", counting_position_at)
+    monkeypatch.setattr(Runtime, "pos", counting_pos)
+    monkeypatch.setattr(Channel, "hops", spied_hops)
+    monkeypatch.setattr(Channel, "busy_until_near", spied_busy_until_near)
+    monkeypatch.setattr(Runtime, "_on_radio", spied_on_radio)
+    cfg = ScenarioConfig(
+        workload=WorkloadSpec(rate_per_s=4.0),
+        knobs=ProtocolKnobs(include_beacons_in_metrics=metered),
+        sim_duration_s=1.5,
+    )
+    run_single(cfg, protocol, 80, 1)
+    assert (pos_calls["hop"], pos_calls["sense"]) == (0, 0)
+    assert provider_calls["hop"] == sum(receivers.values())
+    assert provider_calls["sense"] == senses
+    # reach: every hop site this run can take (dfcv's data goes by station
+    # downlinks), and the others' carrier senses
+    hopped = {name for name, n in receivers.items() if n}
+    assert hopped == {"_fire_infra" if protocol == "dfcv" else "_fire_tx"} | (
+        {"_on_beacon"} if metered else set()
+    ), receivers
+    assert senses or protocol == "dfcv", senses
 
 
 @pytest.mark.parametrize("scenario", ("highway", "grid"))
