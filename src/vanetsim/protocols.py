@@ -245,7 +245,7 @@ class Protocol:
     def on_inject(self, msg: Message, t: SimTime) -> None:
         raise NotImplementedError
 
-    def tx_receivers(self, job: TxJob, t: SimTime) -> list[int]:
+    def tx_receivers(self, job: TxJob, t: SimTime, sender_pos: Position) -> list[int]:
         raise NotImplementedError
 
     def after_tx(self, job: TxJob, t: SimTime, results) -> Record:
@@ -284,10 +284,9 @@ class BaselineFlood(Protocol):
         self.rt.schedule_tx(TxJob(msg, msg.src, hop=1, purpose="flood", state={msg.src}), start)
         self.rt.sim.note("flood start={}", start)
 
-    def tx_receivers(self, job: TxJob, t: SimTime) -> list[int]:
-        pos = self.rt.pos(job.sender, t)
+    def tx_receivers(self, job: TxJob, t: SimTime, sender_pos: Position) -> list[int]:
         # the visited set always holds the sender, so the query skips it too
-        return self.rt.neighbors(pos, self.rt.params.range_m, t, exclude=job.state)
+        return self.rt.neighbors(sender_pos, self.rt.params.range_m, t, exclude=job.state)
 
     def after_tx(self, job: TxJob, t: SimTime, results) -> Record:
         rt = self.rt
@@ -463,13 +462,12 @@ class HybridVehcloud(Protocol):
             return st.loc[v]
         return self._shadowing(st.bs, (v,), t)[v]
 
-    def tx_receivers(self, job: TxJob, t: SimTime) -> list[int]:
+    def tx_receivers(self, job: TxJob, t: SimTime, sender_pos: Position) -> list[int]:
         rt = self.rt
         st = job.state
         seen = st.seen
         if job.purpose == "direct":
-            pos = rt.pos(job.sender, t)
-            cand = rt.neighbors(pos, rt.params.range_m, t, exclude=seen)
+            cand = rt.neighbors(sender_pos, rt.params.range_m, t, exclude=seen)
             out = {v for v in cand if self._loc_of(st, v, t) == 0}
             # Addressed line-of-sight targets beyond range must still be
             # accounted for, so they join the evaluation explicitly.
@@ -548,7 +546,6 @@ class Dfcv(Protocol):
         # each covered vehicle's station, as of the last maintenance
         self._assoc: dict[int, BaseStation] = {}
         self._cell_seq = itertools.count(1)
-        self.audit: list[tuple[SimTime, int, int, int]] = []
         # Maintenance reaches a fixed point, so the hooks maintain each t once.
         self._maintained_at: Optional[SimTime] = None
 
@@ -609,7 +606,6 @@ class Dfcv(Protocol):
             )
             fog.check_partition(kept, current_set, th_cap)
             self._cells[bs_id] = kept
-            self.audit.append((t, bs_id, steps, len(kept)))
             total_cells += len(kept)
             total_steps += steps
         self._maintained_at = t

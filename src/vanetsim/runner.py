@@ -168,14 +168,18 @@ class Runtime:
         """Where ``vehicle_id`` is at ``t``; looked up once per vehicle while
         the queries stay at one ``t``.
 
-        Only the lookups that repeat at one instant come here.  On the
-        seed-1 benchmark batches they hit: ``tx_receivers`` after the
-        sender's lookup and a metered beacon's frame origin after
-        ``_on_beacon``, every time; the hybrid gateway path, every time;
-        the station shadow test, 67%; and ``fleet_positions``.  Hop
-        receivers (1.6–3.1% hits) and carrier-sensing senders (0.6–5.1%)
-        are located by ``provider.position_at`` itself, looked up at each
-        call and never bound, so a patched provider is the one called.
+        Only the lookups that repeat at one instant come here: inject-time
+        and tick-time protocol work, ``neighbors``' exact checks and
+        ``fleet_positions``.  On the seed-1 benchmark batches (counted by
+        ``tests/pos_sites.py``) they hit: the protocols' inject lookups
+        after ``_targets_for`` and the hybrid gateway path, every time;
+        the station shadow test, 40.7%; ``fleet_positions``, up to 24.9%
+        (dfcv, whose maintenance and index rebuilds share instants);
+        ``neighbors``, 0–19%.  The radio path, where a lookup almost never repeats, asks
+        ``provider.position_at`` itself: the firing sender, hop receivers,
+        carrier-sensing senders and metered beacons look it up at each
+        call, and beacon frames at ``setup``, so a provider patched before
+        the run is the one called.
         """
         if t != self._pos_t:
             self._pos_t = t
@@ -184,15 +188,6 @@ class Runtime:
         if p is None:
             p = self._pos[vehicle_id] = self.provider.position_at(vehicle_id, t)
         return p
-
-    def _beacon_origin(self, vehicle_id: int, start: SimTime) -> Position:
-        """Where ``vehicle_id``'s beacon frame starting at ``start`` is sent
-        from: through ``pos`` when ``start`` is the instant it caches, so a
-        metered beacon is located once, and from the provider otherwise,
-        which leaves that cache alone."""
-        if start == self._pos_t:
-            return self.pos(vehicle_id, start)
-        return self.provider.position_at(vehicle_id, start)
 
     def fleet_positions(self, t: SimTime) -> dict[int, Position]:
         """Every vehicle's position at ``t``: the per-``t`` dict that ``pos``
@@ -212,6 +207,7 @@ class Runtime:
     ) -> list[int]:
         """Every vehicle within ``radius_m`` of ``center`` at ``t`` and not in
         ``exclude``, sorted by id.  Excluded ids are never located."""
+        # through the cache: hybrid's shadow test and gateway path read these entries again
         pos = self.pos
         return [
             v
@@ -379,7 +375,7 @@ class Runtime:
         if self._beacon_us > 0:
             phase_rng = sim.rng("beacon-phase")
             phases = [(phase_rng.randrange(self._beacon_us), v) for v in self.provider.vehicle_ids]
-            self.channel.set_beacons(sorted(phases), self._beacon_us, self._beacon_origin)
+            self.channel.set_beacons(sorted(phases), self._beacon_us, self.provider.position_at)
             # beacons are events only to write their delivery records
             if self.knobs.include_beacons_in_metrics:
                 for phase, v in phases:
@@ -432,8 +428,8 @@ class Runtime:
         return self._fire_tx(job, t)
 
     def _fire_tx(self, job: TxJob, t: SimTime) -> Record:
-        sender_pos = self.pos(job.sender, t)
-        receivers = self.protocol.tx_receivers(job, t)
+        sender_pos = self.provider.position_at(job.sender, t)
+        receivers = self.protocol.tx_receivers(job, t, sender_pos)
         results = self.channel.hops(
             sender_pos, receivers, self.provider.position_at, self.params.range_m, t
         )
@@ -474,7 +470,7 @@ class Runtime:
         The frame is on air through the channel's beacon schedule, like
         every unmetered beacon; this event only writes the records.
         """
-        pos = self.pos(v, t)
+        pos = self.provider.position_at(v, t)
         reach = self.params.range_m
         cand = self.neighbors(pos, reach, t, exclude=(v,))
         self._msg_seq += 1
@@ -504,7 +500,6 @@ class RunResult:
     rows: list[Row]
     stats: RunStats
     log: Optional[list[str]]
-    audit: list
 
     @cached_property
     def records(self) -> list[DeliveryRecord]:
@@ -550,8 +545,7 @@ def run_single(
         window_s=cfg.sim_duration_s,
         msg_size_bytes=cfg.radio.msg_size_bytes,
     )
-    audit = getattr(rt.protocol, "audit", [])
-    return RunResult(summary, rows, stats, log, audit)
+    return RunResult(summary, rows, stats, log)
 
 
 def sweep_tracks(cfg: ScenarioConfig) -> Optional[dict[str, Track]]:

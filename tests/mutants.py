@@ -535,8 +535,29 @@ MUTANTS = (
     Mutant(
         "carrier-sense-through-the-cache",
         "runner.py",
-        "pos = self.provider.position_at(job.sender, t)",
-        "pos = self.pos(job.sender, t)",
+        "pos = self.provider.position_at(job.sender, t)\n            busy",
+        "pos = self.pos(job.sender, t)\n            busy",
+        (PROVIDER_LOOKUPS,),
+    ),
+    Mutant(
+        "fire-sender-through-the-cache",
+        "runner.py",
+        "sender_pos = self.provider.position_at(job.sender, t)",
+        "sender_pos = self.pos(job.sender, t)",
+        (PROVIDER_LOOKUPS,),
+    ),
+    Mutant(
+        "beacon-frames-through-the-cache",
+        "runner.py",
+        "set_beacons(sorted(phases), self._beacon_us, self.provider.position_at)",
+        "set_beacons(sorted(phases), self._beacon_us, self.pos)",
+        (PROVIDER_LOOKUPS,),
+    ),
+    Mutant(
+        "metered-beacon-sender-through-the-cache",
+        "runner.py",
+        "pos = self.provider.position_at(v, t)",
+        "pos = self.pos(v, t)",
         (PROVIDER_LOOKUPS,),
     ),
     Mutant(

@@ -7,10 +7,12 @@ The four metric functions recompute each summary metric on its own from a
 record list, so ``metrics.summarize`` and a run's summary can be checked
 against them.  ``closed_pairs`` and ``spy_addresses`` read a
 ``Runtime``'s ledger by (message, target) pair: the rows it closed, and
-every pair it was asked to open.  ``unshared_regions`` swaps in the
-hybrid late-joiner tick that walks every message and a region query made
-afresh by every caller, so a whole run can be compared byte for byte
-with the per-instant region memo and the open-window tick.
+every pair it was asked to open.  ``spy_maintenance`` collects each
+station's fog rounds and cells at every dfcv maintenance.
+``unshared_regions`` swaps in the hybrid late-joiner tick that walks
+every message and a region query made afresh by every caller, so a whole
+run can be compared byte for byte with the per-instant region memo and
+the open-window tick.
 ``brute_force_channel`` does the same for the channel: carrier sense and
 contention counted from every registered frame and every beacon.
 ``brute_force_neighbors`` stands in for ``Runtime.neighbors``: every
@@ -123,6 +125,39 @@ def spy_addresses():
 
     with mock.patch.object(runner.Runtime, "address", spy):
         yield addressed
+
+
+@contextmanager
+def spy_maintenance():
+    """Yield a list that collects a row ``(t, station_id, rounds, cells)``
+    for each station of each ``Dfcv.maintain`` call while the block runs.
+
+    A spy on ``Dfcv.maintain`` gives the instant and the stations; one on
+    ``fog.run_maintenance``, which ``maintain`` looks up at call time and
+    calls once per station in station-id order, gives each station's
+    rounds and the cells it keeps.
+    """
+    rows: list[tuple[int, int, int, int]] = []
+    rounds: list[tuple[int, int]] = []
+    maintain, run_maintenance = protocols.Dfcv.maintain, protocols.fog.run_maintenance
+
+    def spy_run(cells, *args):
+        kept, steps = run_maintenance(cells, *args)
+        rounds.append((steps, len(kept)))
+        return kept, steps
+
+    def spy_maintain(dfcv, t):
+        del rounds[:]
+        out = maintain(dfcv, t)
+        ids = sorted(s.station_id for s in dfcv.rt.stations)
+        assert len(rounds) == len(ids), "one fog round per station"
+        rows.extend((t, bs_id, steps, n_cells) for bs_id, (steps, n_cells) in zip(ids, rounds))
+        return out
+
+    with mock.patch.object(protocols.fog, "run_maintenance", spy_run), mock.patch.object(
+        protocols.Dfcv, "maintain", spy_maintain
+    ):
+        yield rows
 
 
 def region_members(rt, bs, t, exclude=()):

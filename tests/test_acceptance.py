@@ -23,6 +23,8 @@ from vanetsim.protocols import select_gateways
 from vanetsim.radio import EMPTY_MAP, RadioParams, line_of_sight, tx_time_us
 from vanetsim.runner import run_single, run_sweep
 
+from reference import spy_maintenance
+
 DENSITIES = (50, 150, 250, 350, 450)
 SWEEP_SEEDS = (3, 9, 12)
 DIP_TOLERANCE = 0.05
@@ -170,16 +172,17 @@ def test_04_fog_partitions_hold_over_a_long_run(verdict):
     cfg = ScenarioConfig(protocols=("dfcv",), densities=(250,), sim_duration_s=60.0)
     failures = []
     try:
-        res = run_single(cfg, "dfcv", 250, seed=1)
+        with spy_maintenance() as maintained:
+            run_single(cfg, "dfcv", 250, seed=1)
     except Exception as exc:
         failures.append(f"run failed: {exc}")
     else:
-        if len(res.audit) < 60:
-            failures.append(f"only {len(res.audit)} maintenance audits")
-        for t, bs_id, rounds, n_cells in res.audit:
+        if len(maintained) < 60:
+            failures.append(f"only {len(maintained)} station maintenances")
+        for t, bs_id, rounds, n_cells in maintained:
             if rounds > 2 * max(n_cells, 1) + 2:
                 failures.append(f"t={t} bs={bs_id}: {rounds} rounds for {n_cells} cells")
-        if not any(row[3] > 1 for row in res.audit):
+        if not any(row[3] > 1 for row in maintained):
             failures.append("fog never split into multiple cells")
     verdict(4, failures)
 

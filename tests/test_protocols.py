@@ -41,7 +41,7 @@ from vanetsim.radio import (
 )
 from vanetsim.runner import Runtime, place_stations, run_single
 
-from reference import closed_pairs, hop_delay_us, spy_addresses, unshared_regions
+from reference import closed_pairs, hop_delay_us, spy_addresses, spy_maintenance, unshared_regions
 from static_fleet import StaticProvider
 
 
@@ -1024,9 +1024,10 @@ def test_dfcv_maintenance_audit_trail(tmp_path):
     positions = [(rng.uniform(0, 1800), rng.uniform(0, 7)) for _ in range(60)]
     cfg = scenario(static_trace(tmp_path, positions), 60,
                    seconds=3.0, knobs_kw={"maintenance_interval_s": 1.0})
-    res = run_single(cfg, "dfcv", 60, seed=4)
-    assert res.audit, "maintenance must have run"
-    for t, bs_id, rounds, n_cells in res.audit:
+    with spy_maintenance() as maintained:
+        run_single(cfg, "dfcv", 60, seed=4)
+    assert maintained, "maintenance must have run"
+    for t, bs_id, rounds, n_cells in maintained:
         assert rounds <= 2 * max(n_cells, 1) + 2
         assert n_cells >= 0
 
@@ -1081,11 +1082,12 @@ def test_dfcv_maintains_each_instant_once():
         densities=(80,),
         sim_duration_s=3.0,
     )
-    res = run_single(cfg, "dfcv", 80, seed=1, capture_log=True)
-    rows = [(t, bs_id) for t, bs_id, _, _ in res.audit]
+    with spy_maintenance() as maintained:
+        res = run_single(cfg, "dfcv", 80, seed=1, capture_log=True)
+    rows = [(t, bs_id) for t, bs_id, _, _ in maintained]
     assert len(rows) == len(set(rows)), "a (t, station) was maintained twice"
     cells_at: dict = {}
-    for t, _, _, n_cells in res.audit:
+    for t, _, _, n_cells in maintained:
         cells_at[t] = cells_at.get(t, 0) + n_cells
     ticks = [line.split("\t") for line in res.log if "\tFogMaintenance\t" in line]
     assert [int(t) for t, *_ in ticks] == [k * US_PER_S for k in range(len(ticks))]

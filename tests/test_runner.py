@@ -3,7 +3,6 @@ sweeps, budget enforcement, log accounting."""
 
 import concurrent.futures
 import dataclasses
-import functools
 import math
 import os
 import random
@@ -31,7 +30,7 @@ from vanetsim.mobility import (
     distance,
     parse_fcd,
 )
-from vanetsim.protocols import Dfcv, InfraTx, Message
+from vanetsim.protocols import PROTOCOLS, Dfcv, InfraTx, Message
 from vanetsim.radio import (
     CHANNEL_LOSS,
     EMPTY_MAP,
@@ -292,18 +291,21 @@ def test_an_instant_that_rebuilds_the_index_and_maintains_dfcv_locates_each_vehi
 def test_hop_receivers_and_carrier_senses_locate_straight_from_the_provider(
     protocol, metered, monkeypatch
 ):
-    # The per-instant cache rarely answers these two lookups, so they skip
-    # it: each hop receiver costs exactly one position_at call and no
-    # Runtime.pos call, and so does each carrier-sensing sender.  The
-    # channel's own frame-origin lookups (inside hops' contention counts
-    # and inside busy_until_near) are not counted.
+    # The per-instant cache rarely answers the radio path's lookups, so
+    # they skip it.  Each of these costs exactly one position_at call and
+    # no Runtime.pos call: a hop receiver, a carrier-sensing sender, a
+    # firing sender, a beacon frame's origin and a metered beacon's own
+    # sender.  Lookups made inside a site by the code it calls (a receiver
+    # query, the channel's frame scans, the protocol's hooks) belong to no
+    # site, or to their own.
     site = None  # the lookup site running now, or None
     pos_calls = Counter()  # site -> Runtime.pos calls
     provider_calls = Counter()  # site -> position_at calls
     receivers = Counter()  # hops caller -> receivers located
-    senses = 0
+    reached = Counter()  # site -> times it ran
     position_at, pos, hops = SyntheticHighwayProvider.position_at, Runtime.pos, Channel.hops
-    on_radio, busy_until_near = Runtime._on_radio, Channel.busy_until_near
+    on_radio, set_beacons = Runtime._on_radio, Channel.set_beacons
+    hooks = PROTOCOLS[protocol]
 
     def counting_position_at(self, vehicle_id, t_us):
         provider_calls[site] += 1
@@ -313,52 +315,71 @@ def test_hop_receivers_and_carrier_senses_locate_straight_from_the_provider(
         pos_calls[site] += 1
         return pos(self, vehicle_id, t)
 
-    def at_site(name, call, *args):
+    def at_site(name, call, *args, **kwargs):
         nonlocal site
         outer, site = site, name
         try:
-            return call(*args)
+            return call(*args, **kwargs)
         finally:
             site = outer
+
+    def site_of(name, call, count=False):
+        def spied(*args, **kwargs):
+            if count:
+                reached[name] += 1
+            return at_site(name, call, *args, **kwargs)
+
+        return spied
 
     def spied_hops(self, src, rids, locate, *args, **kwargs):
         caller = sys._getframe(1).f_code.co_name
         if caller in ("_fire_tx", "_fire_infra", "_on_beacon"):  # not Channel.uplink
             receivers[caller] += len(rids)
-            locate = functools.partial(at_site, "hop", locate)
-        return hops(self, src, rids, locate, *args, **kwargs)
-
-    def spied_busy_until_near(self, p, t):
-        return at_site(None, busy_until_near, self, p, t)
+            locate = site_of("hop", locate)
+        return at_site(None, hops, self, src, rids, locate, *args, **kwargs)
 
     def spied_on_radio(self, t, job):
-        nonlocal senses
         if isinstance(job, InfraTx) or job.fire:
             return on_radio(self, t, job)
-        senses += 1
+        reached["sense"] += 1
         return at_site("sense", on_radio, self, t, job)
+
+    def spied_set_beacons(self, schedule, period_us, locate):
+        return set_beacons(self, schedule, period_us, site_of("frame", locate, count=True))
 
     monkeypatch.setattr(SyntheticHighwayProvider, "position_at", counting_position_at)
     monkeypatch.setattr(Runtime, "pos", counting_pos)
     monkeypatch.setattr(Channel, "hops", spied_hops)
-    monkeypatch.setattr(Channel, "busy_until_near", spied_busy_until_near)
+    monkeypatch.setattr(Channel, "set_beacons", spied_set_beacons)
+    monkeypatch.setattr(Channel, "busy_until_near", site_of(None, Channel.busy_until_near))
     monkeypatch.setattr(Runtime, "_on_radio", spied_on_radio)
+    monkeypatch.setattr(Runtime, "_fire_tx", site_of("fire", Runtime._fire_tx, count=True))
+    monkeypatch.setattr(Runtime, "_on_beacon", site_of("metered", Runtime._on_beacon, count=True))
+    monkeypatch.setattr(Runtime, "neighbors", site_of(None, Runtime.neighbors))
+    for hook in ("tx_receivers", "after_tx"):
+        monkeypatch.setattr(hooks, hook, site_of(None, getattr(hooks, hook)))
     cfg = ScenarioConfig(
         workload=WorkloadSpec(rate_per_s=4.0),
         knobs=ProtocolKnobs(include_beacons_in_metrics=metered),
         sim_duration_s=1.5,
     )
     run_single(cfg, protocol, 80, 1)
-    assert (pos_calls["hop"], pos_calls["sense"]) == (0, 0)
+    sites = ("hop", "sense", "fire", "frame", "metered")
+    assert [pos_calls[name] for name in sites] == [0] * len(sites), pos_calls
     assert provider_calls["hop"] == sum(receivers.values())
-    assert provider_calls["sense"] == senses
+    for name in sites[1:]:
+        assert provider_calls[name] == reached[name], name
     # reach: every hop site this run can take (dfcv's data goes by station
-    # downlinks), and the others' carrier senses
+    # downlinks), the others' carrier senses and firing senders, the
+    # metered beacons, and the channel's beacon frames wherever a hop
+    # contends or a sender senses (dfcv's own traffic does neither)
     hopped = {name for name, n in receivers.items() if n}
     assert hopped == {"_fire_infra" if protocol == "dfcv" else "_fire_tx"} | (
         {"_on_beacon"} if metered else set()
     ), receivers
-    assert senses or protocol == "dfcv", senses
+    assert bool(reached["sense"]) == bool(reached["fire"]) == (protocol != "dfcv"), reached
+    assert bool(reached["metered"]) == metered, reached
+    assert bool(reached["frame"]) == (protocol != "dfcv" or metered), reached
 
 
 @pytest.mark.parametrize("scenario", ("highway", "grid"))
